@@ -14,11 +14,13 @@ from .legendre import (ConnectionCoefficients, FieldSection, MomentumSection,
                        legendre_transform_section, poincare_cartan_coefficients,
                        regularity_check, solve_velocities)
 from .cauchy import (BlowupError, CauchyGrid, CauchyState, GridError,
-                     TangentVariation, dynamical_trajectory_residual,
-                     hdw_rhs, indicator_variations, integrate_density,
-                     make_grid, presymplectic_pairing, random_smooth_variation,
-                     recover_spatial_momenta, run_simulation,
-                     spatial_derivative, standard_test_variations, step_rk4,
+                     TangentBatch, TangentVariation, covector_residual,
+                     dynamical_trajectory_residual, hdw_rhs,
+                     indicator_variations, integrate_density, make_grid,
+                     pairing_covector, presymplectic_pairing,
+                     random_smooth_variation, recover_spatial_momenta,
+                     run_simulation, spatial_derivative,
+                     standard_test_variations, step_rk4,
                      time_derivative_frames, variation_norm)
 from .hj import (GammaDomainError, HJSection, IncompatibleDataError,
                  connection_lift_vector, evolve_characteristics, gamma_family,
@@ -26,8 +28,9 @@ from .hj import (GammaDomainError, HJSection, IncompatibleDataError,
                  hj_residual, lift_by_gamma, lift_variation, linear_gamma,
                  oscillator_gamma, reduced_connection,
                  restricted_connection_residual)
-from .cotangent import (ConstraintError, CotangentState, CotangentVariation,
-                        cotangent_trajectory_residual, extended_form_pairing,
+from .cotangent import (ConstraintError, CotangentBatch, CotangentState,
+                        CotangentVariation, cotangent_trajectory_residual,
+                        extended_form_covector, extended_form_pairing,
                         hat_gamma, instantaneous_hamiltonian, omega_pairing,
                         pullback_identity_residual, push_variation,
                         restriction_map_R, solve_time_velocity,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .legendre import NEWTON_MAX_ITER, NEWTON_TOL, NewtonError
+from .legendre import NEWTON_MAX_ITER, NEWTON_TOL, _solve_nodewise
 from .models import ModelError
 
 #: amplitude of the deterministic and random smooth test variations;
@@ -140,10 +140,50 @@ class TangentVariation:
         object.__setattr__(self, "dp_x", np.asarray(self.dp_x, dtype=float))
 
 
-def zero_variation(grid, n):
-    shape = (n, grid.n_nodes)
-    return TangentVariation(0.0, np.zeros(shape), np.zeros(shape),
-                            np.zeros((n, grid.m, grid.n_nodes)))
+class StackedVariations:
+    """Test variations stacked on a leading axis S: ``k`` has shape (S,),
+    every component in ``parts`` has shape (S, ...) and ``norms`` holds
+    the S norms. With ``indicators`` set the set also holds the unit node
+    indicators on every component, which are never built (see
+    :func:`covector_residual`); ``len`` counts them."""
+
+    @property
+    def parts(self):
+        return tuple(getattr(self, name) for name in self.PART_NAMES)
+
+    def __len__(self):
+        per_node = sum(int(np.prod(Y.shape[1:])) for Y in self.parts)
+        return len(self.k) + (per_node if self.indicators else 0)
+
+    @classmethod
+    def of(cls, grid, test_set, indicators=False):
+        """``test_set`` itself if already stacked, else its nonempty list
+        of single variations stacked, norms computed once."""
+        if isinstance(test_set, cls):
+            return test_set
+        variations = list(test_set)
+        if not variations:
+            raise ModelError("test_set must be nonempty")
+        k = np.array([v.k for v in variations], dtype=float)
+        parts = [np.stack([getattr(v, name) for v in variations])
+                 for name in cls.PART_NAMES]
+        total = k ** 2
+        for Y in parts:
+            total = total + integrate_density(
+                grid, np.sum(Y ** 2, axis=tuple(range(1, Y.ndim - 1))))
+        return cls(k, *parts, norms=np.sqrt(total), indicators=indicators)
+
+
+@dataclass(frozen=True, eq=False)
+class TangentBatch(StackedVariations):
+    """Tangent variations with a leading batch axis."""
+    PART_NAMES = ("du", "dp_t", "dp_x")
+    k: np.ndarray      # (S,)
+    du: np.ndarray     # (S, n, N)
+    dp_t: np.ndarray   # (S, n, N)
+    dp_x: np.ndarray   # (S, n, m, N)
+    norms: np.ndarray  # (S,)
+    indicators: bool = False
 
 
 def variation_norm(grid, X):
@@ -167,50 +207,12 @@ def recover_spatial_momenta(H, grid, u, p_t=None, t=0.0, guess=None,
         return np.zeros((n, 0, N))
     if p_t is None:
         p_t = np.zeros_like(u)
-    target = gradient_fields(grid, u)                  # (n, m, N)
     p_x = (np.zeros((n, m, N)) if guess is None
            else np.array(guess, dtype=float))
-
-    def residual(px):
-        return H.d_px(t, grid.x, u, p_t, px) - target
-
-    r = residual(p_x)
-    rnorm = np.max(np.abs(r))
-    step_fd = getattr(H, "fd_step", 1e-6)
-    nm = n * m
-    for _ in range(max_iter):
-        if rnorm <= tol:
-            return p_x
-        # per-node Jacobian of dH/dp_x in p_x, shape (N, nm, nm)
-        J = np.empty((N, nm, nm))
-        flat = p_x.reshape(nm, N)
-        for k in range(nm):
-            hi = flat.copy()
-            lo = flat.copy()
-            hi[k] += step_fd
-            lo[k] -= step_fd
-            gh = H.d_px(t, grid.x, u, p_t, hi.reshape(n, m, N))
-            gl = H.d_px(t, grid.x, u, p_t, lo.reshape(n, m, N))
-            J[:, :, k] = ((gh - gl) / (2 * step_fd)).reshape(nm, N).T
-        try:
-            step = np.linalg.solve(J, r.reshape(nm, N).T[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise NewtonError(f"singular momentum Jacobian: {exc}") from exc
-        step = step.T.reshape(n, m, N)
-        scale = 1.0
-        for _ in range(30):
-            trial = p_x - scale * step
-            r_trial = residual(trial)
-            r_trial_norm = np.max(np.abs(r_trial))
-            if r_trial_norm < rnorm or r_trial_norm <= tol:
-                p_x, r, rnorm = trial, r_trial, r_trial_norm
-                break
-            scale *= 0.5
-        else:
-            raise NewtonError("momentum recovery stalled")
-    if rnorm <= tol:
-        return p_x
-    raise NewtonError(f"momentum recovery: no convergence (residual {rnorm:.3e})")
+    return _solve_nodewise(lambda px: H.d_px(t, grid.x, u, p_t, px),
+                           gradient_fields(grid, u), p_x,
+                           getattr(H, "fd_step", 1e-6), "momentum recovery",
+                           tol, max_iter)
 
 
 @dataclass
@@ -260,12 +262,6 @@ class Trajectory:
     times: np.ndarray
     states: list
 
-    def frame_arrays(self):
-        u = np.stack([s.u for s in self.states])
-        p_t = np.stack([s.p_t for s in self.states])
-        p_x = np.stack([s.p_x for s in self.states])
-        return u, p_t, p_x
-
 
 def run_simulation(H, grid, state0, dt, n_steps, store_every=1, blowup=1e8):
     """Integrate ``n_steps`` RK4 steps, storing every ``store_every``-th
@@ -294,18 +290,16 @@ def _state_pairing_data(H, grid, state):
     h_t = np.broadcast_to(np.asarray(H.d_t(*args), dtype=float),
                           (grid.n_nodes,))
     du_grid = gradient_fields(grid, state.u)            # (n, m, N)
-    dpx_grid = np.empty_like(state.p_x)
-    for j in range(grid.m):
-        dpx_grid[:, j, :] = spatial_derivative(grid, state.p_x[:, j, :])
+    dpx_grid = spatial_derivative(grid, state.p_x)      # (n, m, N)
     return h_u, h_pt, h_px, h_t, du_grid, dpx_grid
 
 
-def _directional_h(data, X):
-    h_u, h_pt, h_px, h_t = data[:4]
+def _vertical_h(data, X):
+    h_u, h_pt, h_px = data[:3]
     out = np.sum(h_u * X.du, axis=0) + np.sum(h_pt * X.dp_t, axis=0)
     if h_px.size:
         out = out + np.sum(h_px * X.dp_x, axis=(0, 1))
-    return out + X.k * h_t
+    return out
 
 
 def _momentum_bracket(data, X):
@@ -320,8 +314,9 @@ def presymplectic_pairing(H, grid, state, X, Y, _data=None):
     """Pairing of two tangent variations at a state; bilinear and exactly
     antisymmetric by construction."""
     data = _state_pairing_data(H, grid, state) if _data is None else _data
-    XH = _directional_h(data, X)
-    YH = _directional_h(data, Y)
+    h_t = data[3]
+    XH = _vertical_h(data, X) + X.k * h_t
+    YH = _vertical_h(data, Y) + Y.k * h_t
     # grouped so that swapping X and Y negates every floating-point term
     t_energy = XH * Y.k - YH * X.k
     t_canonical = np.sum(X.du * Y.dp_t - X.dp_t * Y.du, axis=0)
@@ -330,26 +325,73 @@ def presymplectic_pairing(H, grid, state, X, Y, _data=None):
     return integrate_density(grid, (t_energy + t_canonical) + t_momentum)
 
 
-def pairing_against_many(H, grid, state, X, variations):
-    """Pairing of X against a list of variations, sharing the state data."""
-    data = _state_pairing_data(H, grid, state)
-    return np.array([presymplectic_pairing(H, grid, state, X, Y, _data=data)
-                     for Y in variations])
+def pairing_covector(grid, data, X):
+    """Contraction i_X of the pairing, from ``_state_pairing_data``: the
+    per-node covector (c_u, c_pt, c_px) and the scalar c_k with
+
+        pairing(X, Y) = integral of (c_u Y_u + c_pt Y_pt + c_px . Y_px)
+                        + c_k k_Y
+
+    for every Y. The H_t legs of X(H) k_Y and Y(H) k_X cancel in c_k."""
+    h_u, h_pt, h_px, _, du_grid, dpx_grid = data
+    c_u = -X.k * h_u - X.dp_t - X.k * np.sum(dpx_grid, axis=1)
+    c_pt = X.du - X.k * h_pt
+    c_px = X.k * (du_grid - h_px)
+    c_k = integrate_density(grid, _vertical_h(data, X)
+                            - _momentum_bracket(data, X))
+    return (c_u, c_pt, c_px), c_k
+
+
+def covector_residual(grid, covector, c_k, test_set):
+    """max over a batched test set of |pairing(X, Y)| / (1 + |Y|), with
+    the pairing given by i_X as a covector (one per-node array per
+    component of the batch) and a time coefficient ``c_k``.
+
+    The unit indicator on component c at node j pairs to w_j c[j] and has
+    norm sqrt(w_j), so when the set includes the indicators their maximum
+    is taken in closed form and they are never built: O(N) per call."""
+    w = grid.weights
+    values = c_k * test_set.k
+    worst = 0.0
+    for c, Y in zip(covector, test_set.parts):
+        cw = c * w
+        values = values + np.tensordot(Y, cw, axes=cw.ndim)
+        if test_set.indicators:
+            worst = max(worst, np.max(np.abs(cw) / (1.0 + np.sqrt(w)),
+                                      initial=0.0))
+    dense = np.max(np.abs(values) / (1.0 + test_set.norms), initial=0.0)
+    return float(max(worst, dense))
 
 
 def dynamical_trajectory_residual(H, grid, state, state_dot, test_set):
     """max over test variations of |pairing(c_dot, xi)| / (1 + |xi|) with
     the trajectory velocity assembled from ``state_dot`` and k = 1.
 
-    ``state_dot`` is (u_dot, p_t_dot, p_x_dot).
+    ``state_dot`` is (u_dot, p_t_dot, p_x_dot); ``test_set`` is a
+    :class:`TangentBatch` or a nonempty list of variations.
     """
-    if not test_set:
-        raise ModelError("test_set must be nonempty")
-    u_dot, p_t_dot, p_x_dot = state_dot
-    c_dot = TangentVariation(1.0, u_dot, p_t_dot, p_x_dot)
-    values = pairing_against_many(H, grid, state, c_dot, test_set)
-    norms = np.array([variation_norm(grid, xi) for xi in test_set])
-    return float(np.max(np.abs(values) / (1.0 + norms)))
+    test_set = TangentBatch.of(grid, test_set)
+    c_dot = TangentVariation(1.0, *state_dot)
+    covector, c_k = pairing_covector(
+        grid, _state_pairing_data(H, grid, state), c_dot)
+    return covector_residual(grid, covector, c_k, test_set)
+
+
+def checked_frames(times, frame_stride=None):
+    """Frame spacing of uniformly stored frames and the indices a residual
+    check visits: every ``frame_stride``-th (default K // 32) and the
+    last."""
+    times = np.asarray(times, dtype=float)
+    K = len(times)
+    if K < 5:
+        raise ModelError("need at least 5 stored frames")
+    dt = times[1] - times[0]
+    if not np.allclose(np.diff(times), dt):
+        raise ModelError("frames must be uniformly spaced in time")
+    idx = list(range(0, K, frame_stride or max(1, K // 32)))
+    if idx[-1] != K - 1:
+        idx.append(K - 1)
+    return dt, idx
 
 
 # -- test variation sets -----------------------------------------------------
@@ -386,71 +428,70 @@ def random_smooth_variation(grid, n, rng, scale=VARIATION_SCALE,
     return TangentVariation(k, du, dp_t, dp_x)
 
 
-def _fill(component, n, grid, field):
-    base = zero_variation(grid, n)
-    parts = {"du": base.du.copy(), "dp_t": base.dp_t.copy(),
-             "dp_x": base.dp_x.copy()}
-    parts[component] = field
-    return TangentVariation(0.0, parts["du"], parts["dp_t"], parts["dp_x"])
+def probe_profiles(grid, scale=VARIATION_SCALE):
+    """Constant and (m = 1) first-harmonic profiles of the probes."""
+    profiles = [np.full(grid.n_nodes, scale)]
+    if grid.m == 1:
+        xs = grid.x[0] / grid.length
+        profiles.append(scale * np.sin(2 * np.pi * xs))
+        profiles.append(scale * np.cos(2 * np.pi * xs))
+    return profiles
+
+
+def _field_rows(grid, n):
+    """(component, row index) of every per-node row of a variation."""
+    return [(name, (a,) + j) for a in range(n)
+            for name, j in [("du", ()), ("dp_t", ())]
+            + [("dp_x", (j,)) for j in range(grid.m)]]
+
+
+def _row_variation(grid, n, name, index, values):
+    """Vertical variation, zero except for ``name[index] = values``."""
+    N = grid.n_nodes
+    parts = {"du": np.zeros((n, N)), "dp_t": np.zeros((n, N)),
+             "dp_x": np.zeros((n, grid.m, N))}
+    parts[name][index] = values
+    return TangentVariation(0.0, **parts)
 
 
 def deterministic_probe_variations(grid, n, scale=VARIATION_SCALE):
     """Constant and first-harmonic probes on each field block; these make
     residual detection independent of the random draws."""
-    N = grid.n_nodes
-    probes = []
-    profiles = [np.full(N, scale)]
-    if grid.m == 1:
-        xs = grid.x[0] / grid.length
-        profiles.append(scale * np.sin(2 * np.pi * xs))
-        profiles.append(scale * np.cos(2 * np.pi * xs))
-    for prof in profiles:
-        for a in range(n):
-            du = np.zeros((n, N))
-            du[a] = prof
-            probes.append(_fill("du", n, grid, du))
-            dp_t = np.zeros((n, N))
-            dp_t[a] = prof
-            probes.append(_fill("dp_t", n, grid, dp_t))
-            for j in range(grid.m):
-                dp_x = np.zeros((n, grid.m, N))
-                dp_x[a, j] = prof
-                probes.append(_fill("dp_x", n, grid, dp_x))
-    return probes
+    return [_row_variation(grid, n, name, index, prof)
+            for prof in probe_profiles(grid, scale)
+            for name, index in _field_rows(grid, n)]
 
 
 def indicator_variations(grid, n):
-    """Unit node indicators on every component of (u, p_t, p_x)."""
-    N = grid.n_nodes
-    out = []
-    for a in range(n):
-        for jnode in range(N):
-            du = np.zeros((n, N))
-            du[a, jnode] = 1.0
-            out.append(_fill("du", n, grid, du))
-            dp_t = np.zeros((n, N))
-            dp_t[a, jnode] = 1.0
-            out.append(_fill("dp_t", n, grid, dp_t))
-            for j in range(grid.m):
-                dp_x = np.zeros((n, grid.m, N))
-                dp_x[a, j, jnode] = 1.0
-                out.append(_fill("dp_x", n, grid, dp_x))
-    return out
+    """Unit node indicators on every component of (u, p_t, p_x), built
+    one by one; the reference for the closed form of
+    :func:`covector_residual`."""
+    return [_row_variation(grid, n, name, index + (j,), 1.0)
+            for name, index in _field_rows(grid, n)
+            for j in range(grid.n_nodes)]
 
 
 def standard_test_variations(grid, n, rng=None, n_random=8,
                              include_indicators=True, vertical=True,
                              scale=VARIATION_SCALE):
     """Deterministic probes, node indicators and seeded random smooth
-    variations; the default vertical test set used by residual checks."""
+    variations; the default vertical test set used by residual checks.
+
+    The probes and random draws are stacked into one :class:`TangentBatch`
+    of O(N) bytes; the indicators are only flagged, never built."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    out = deterministic_probe_variations(grid, n, scale=scale)
-    if include_indicators:
-        out.extend(indicator_variations(grid, n))
-    out.extend(random_smooth_variation(grid, n, rng, scale=scale,
-                                       vertical=vertical)
-               for _ in range(n_random))
-    return out
+    dense = deterministic_probe_variations(grid, n, scale=scale)
+    dense.extend(random_smooth_variation(grid, n, rng, scale=scale,
+                                         vertical=vertical)
+                 for _ in range(n_random))
+    return TangentBatch.of(grid, dense, indicators=include_indicators)
+
+
+def frame_velocities(frames, dt, fields=("u", "p_t", "p_x")):
+    """:func:`time_derivative_frames` of each named field of uniformly
+    stored states, one array per field."""
+    return [time_derivative_frames(
+        np.stack([getattr(f, name) for f in frames]), dt) for name in fields]
 
 
 def time_derivative_frames(frames, dt):
@@ -466,8 +507,7 @@ def time_derivative_frames(frames, dt):
         raise ModelError("need at least 5 frames for time differencing")
     out = np.empty_like(frames)
     c = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-    for k in range(2, K - 2):
-        out[k] = sum(c[i] * frames[k - 2 + i] for i in range(5))
+    out[2:K - 2] = sum(c[i] * frames[i:K - 4 + i] for i in range(5))
     fwd = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
     fwd1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
     out[0] = sum(fwd[i] * frames[i] for i in range(5))

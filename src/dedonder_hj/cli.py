@@ -16,9 +16,9 @@ import sys
 import numpy as np
 
 from .cauchy import (BlowupError, CauchyState, GridError,
-                     dynamical_trajectory_residual, integrate_density,
-                     random_smooth_variation, run_simulation,
-                     standard_test_variations, time_derivative_frames)
+                     dynamical_trajectory_residual, frame_velocities,
+                     integrate_density, random_smooth_variation,
+                     run_simulation, standard_test_variations)
 from .cotangent import (ConstraintError, cotangent_trajectory_residual,
                         instantaneous_hamiltonian, pullback_identity_residual,
                         restriction_map_R, time_legendre_constraint_residual)
@@ -30,8 +30,8 @@ from .hj import (CharacteristicBlowup, GammaDomainError,
 from .legendre import NewtonError, flatness_residual
 from .models import ModelError
 from .scenario import (ScenarioError, build_gamma, build_grid, build_model,
-                       exact_solution, hamiltonian_for, initial_fields,
-                       initial_state, parse_scenario)
+                       check_stability, exact_solution, hamiltonian_for,
+                       initial_fields, initial_state, parse_scenario)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -88,6 +88,12 @@ def _report(lines):
         print(line)
 
 
+def _check_stable_levels(scenario, sweep=None):
+    """Refuse before any stepping if the run or a sweep level is unstable."""
+    for level in range(2 if sweep else 1):
+        check_stability(_refined(scenario, sweep, level))
+
+
 def _check_store_every(scenario):
     if scenario.n_steps % scenario.store_every:
         raise ScenarioError(f"{scenario.path}: output.store_every must "
@@ -105,17 +111,10 @@ def _diagnostics(L, grid, times, states, rng):
     traj = [float("nan")] * len(states)
     if len(states) >= 5:
         H = hamiltonian_for(L)
-        dt_frames = times[1] - times[0]
-        u_dot = time_derivative_frames(np.stack([s.u for s in states]),
-                                       dt_frames)
-        pt_dot = time_derivative_frames(np.stack([s.p_t for s in states]),
-                                        dt_frames)
-        px_dot = time_derivative_frames(np.stack([s.p_x for s in states]),
-                                        dt_frames)
+        velocities = frame_velocities(states, times[1] - times[0])
         test = standard_test_variations(grid, n, rng=rng)
-        for k, s in enumerate(states):
-            traj[k] = dynamical_trajectory_residual(
-                H, grid, s, (u_dot[k], pt_dot[k], px_dot[k]), test)
+        traj = [dynamical_trajectory_residual(H, grid, s, dot, test)
+                for s, dot in zip(states, zip(*velocities))]
     return energies, constraints, traj
 
 
@@ -143,6 +142,7 @@ def _error_metric(scenario, grid, traj):
 
 def cmd_simulate(scenario, out_dir, seed, sweep=None):
     _check_store_every(scenario)
+    _check_stable_levels(scenario, sweep)
     L, H, grid, traj, energies, constraints, residuals = _simulate_once(
         scenario, seed)
     p = scenario.precision
@@ -302,6 +302,7 @@ def cmd_characteristics(scenario, out_dir, seed):
 
 def cmd_compare(scenario, out_dir, seed, sweep=None):
     _check_store_every(scenario)
+    _check_stable_levels(scenario, sweep)
     L = build_model(scenario)
     H = hamiltonian_for(L)
     grid = build_grid(scenario)
@@ -367,6 +368,7 @@ def cmd_compare(scenario, out_dir, seed, sweep=None):
 
 
 def cmd_pairing_check(scenario, out_dir, seed):
+    _check_stable_levels(scenario)
     L = build_model(scenario)
     H = hamiltonian_for(L)
     grid = build_grid(scenario)

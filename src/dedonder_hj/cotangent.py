@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import (VARIATION_SCALE, _smooth_profile, gradient_fields,
-                     integrate_density, spatial_derivative,
-                     time_derivative_frames)
-from .legendre import NEWTON_MAX_ITER, NEWTON_TOL, NewtonError
+from .cauchy import (VARIATION_SCALE, StackedVariations, _smooth_profile,
+                     checked_frames, covector_residual, frame_velocities,
+                     gradient_fields, integrate_density, probe_profiles,
+                     spatial_derivative)
+from .legendre import NEWTON_MAX_ITER, NEWTON_TOL, _solve_nodewise
 from .models import ModelError
 
 
@@ -69,6 +70,17 @@ class CotangentVariation:
         object.__setattr__(self, "dpi", np.asarray(self.dpi, dtype=float))
 
 
+@dataclass(frozen=True, eq=False)
+class CotangentBatch(StackedVariations):
+    """Cotangent variations with a leading batch axis."""
+    PART_NAMES = ("du", "dpi")
+    k: np.ndarray      # (S,)
+    du: np.ndarray     # (S, n, N)
+    dpi: np.ndarray    # (S, n, N)
+    norms: np.ndarray  # (S,)
+    indicators: bool = False
+
+
 def restriction_map_R(state):
     """Keep (u, pi = p_t), discard the spatial momenta."""
     return CotangentState(state.t, state.u.copy(), state.p_t.copy())
@@ -79,58 +91,16 @@ def push_variation(X):
     return CotangentVariation(X.k, X.du.copy(), X.dp_t.copy())
 
 
-def cotangent_variation_norm(grid, X):
-    total = X.k ** 2
-    total += integrate_density(grid, np.sum(X.du ** 2, axis=0))
-    total += integrate_density(grid, np.sum(X.dpi ** 2, axis=0))
-    return float(np.sqrt(total))
-
-
 def solve_time_velocity(L, grid, t, u, pi, guess=None, tol=NEWTON_TOL,
                         max_iter=NEWTON_MAX_ITER):
     """Newton-solve dL/du_t = pi per node, with u_x from the grid."""
     u = np.asarray(u, dtype=float)
     pi = np.asarray(pi, dtype=float)
-    n, N = u.shape
     u_x = gradient_fields(grid, u)
     u_t = np.zeros_like(u) if guess is None else np.array(guess, dtype=float)
-
-    def residual(ut):
-        return L.d_ut(t, grid.x, u, ut, u_x) - pi
-
-    r = residual(u_t)
-    rnorm = np.max(np.abs(r))
-    step_fd = getattr(L, "fd_step", 1e-6)
-    for _ in range(max_iter):
-        if rnorm <= tol:
-            return u_t
-        J = np.empty((N, n, n))
-        for b in range(n):
-            hi = u_t.copy()
-            lo = u_t.copy()
-            hi[b] += step_fd
-            lo[b] -= step_fd
-            gh = L.d_ut(t, grid.x, u, hi, u_x)
-            gl = L.d_ut(t, grid.x, u, lo, u_x)
-            J[:, :, b] = ((gh - gl) / (2 * step_fd)).T
-        try:
-            step = np.linalg.solve(J, r.T[..., None])[..., 0].T
-        except np.linalg.LinAlgError as exc:
-            raise NewtonError(f"singular time-Legendre system: {exc}") from exc
-        scale = 1.0
-        for _ in range(30):
-            trial = u_t - scale * step
-            r_trial = residual(trial)
-            r_trial_norm = np.max(np.abs(r_trial))
-            if r_trial_norm < rnorm or r_trial_norm <= tol:
-                u_t, r, rnorm = trial, r_trial, r_trial_norm
-                break
-            scale *= 0.5
-        else:
-            raise NewtonError("time-Legendre solve stalled")
-    if rnorm <= tol:
-        return u_t
-    raise NewtonError(f"time-Legendre solve: no convergence ({rnorm:.3e})")
+    return _solve_nodewise(lambda ut: L.d_ut(t, grid.x, u, ut, u_x), pi,
+                           u_t, getattr(L, "fd_step", 1e-6),
+                           "time-Legendre solve", tol, max_iter)
 
 
 def instantaneous_hamiltonian(L, grid, cs):
@@ -197,41 +167,39 @@ def extended_form_pairing(L, grid, cs, X, Y, _data=None):
     return omega_pairing(grid, X, Y) + t_energy
 
 
+def extended_form_covector(grid, dh, X):
+    """Contraction i_X of :func:`extended_form_pairing` at a state with
+    variational derivatives ``dh = (dh_du, dh_dpi)``: the per-node
+    covector (c_u, c_pi) and the scalar c_k with
+
+        pairing(X, Y) = integral of (c_u Y_u + c_pi Y_pi) + c_k k_Y.
+
+    The dh/dt legs of X(h) k_Y and Y(h) k_X cancel."""
+    dh_du, dh_dpi = dh
+    c_k = integrate_density(grid, np.sum(dh_du * X.du + dh_dpi * X.dpi,
+                                         axis=0))
+    return (-X.dpi - X.k * dh_du, X.du - X.k * dh_dpi), c_k
+
+
 def standard_cotangent_variations(grid, n, rng=None, n_random=8,
                                   include_indicators=True,
                                   scale=VARIATION_SCALE):
     """Deterministic probes, node indicators and seeded smooth variations
-    on (u, pi); the vertical test set for cotangent residuals."""
+    on (u, pi); the vertical test set for cotangent residuals, stacked
+    into one :class:`CotangentBatch` with the indicators only flagged."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    N = grid.n_nodes
-    out = []
-    profiles = [np.full(N, scale)]
-    if grid.m == 1:
-        xs = grid.x[0] / grid.length
-        profiles.append(scale * np.sin(2 * np.pi * xs))
-        profiles.append(scale * np.cos(2 * np.pi * xs))
-    for prof in profiles:
+    zero = np.zeros((n, grid.n_nodes))
+    dense = []
+    for prof in probe_profiles(grid, scale):
         for a in range(n):
-            du = np.zeros((n, N))
-            du[a] = prof
-            out.append(CotangentVariation(0.0, du, np.zeros((n, N))))
-            dpi = np.zeros((n, N))
-            dpi[a] = prof
-            out.append(CotangentVariation(0.0, np.zeros((n, N)), dpi))
-    if include_indicators:
-        for a in range(n):
-            for jnode in range(N):
-                du = np.zeros((n, N))
-                du[a, jnode] = 1.0
-                out.append(CotangentVariation(0.0, du, np.zeros((n, N))))
-                dpi = np.zeros((n, N))
-                dpi[a, jnode] = 1.0
-                out.append(CotangentVariation(0.0, np.zeros((n, N)), dpi))
-    for _ in range(n_random):
-        du = _smooth_profile(grid, rng, n, scale)
-        dpi = _smooth_profile(grid, rng, n, scale)
-        out.append(CotangentVariation(0.0, du, dpi))
-    return out
+            row = zero.copy()
+            row[a] = prof
+            dense += [CotangentVariation(0.0, row, zero),
+                      CotangentVariation(0.0, zero, row)]
+    dense.extend(CotangentVariation(0.0, _smooth_profile(grid, rng, n, scale),
+                                    _smooth_profile(grid, rng, n, scale))
+                 for _ in range(n_random))
+    return CotangentBatch.of(grid, dense, indicators=include_indicators)
 
 
 def cotangent_trajectory_residual(L, grid, times, frames, test_set=None,
@@ -239,35 +207,18 @@ def cotangent_trajectory_residual(L, grid, times, frames, test_set=None,
     """max over frames and test variations of the normalized pairing of
     the frame velocity against the extended two-form; zero exactly when
     the frames satisfy du/dt = dh/dpi, dpi/dt = -dh/du."""
-    times = np.asarray(times, dtype=float)
-    if len(frames) < 5:
-        raise ModelError("need at least 5 stored frames")
-    dt = times[1] - times[0]
-    if not np.allclose(np.diff(times), dt):
-        raise ModelError("frames must be uniformly spaced in time")
+    dt, idx = checked_frames(times, frame_stride)
     n = frames[0].u.shape[0]
     rng = rng if rng is not None else np.random.default_rng(0)
-    if test_set is None:
-        test_set = standard_cotangent_variations(grid, n, rng=rng)
-    u_dot = time_derivative_frames(np.stack([f.u for f in frames]), dt)
-    pi_dot = time_derivative_frames(np.stack([f.pi for f in frames]), dt)
-    K = len(frames)
-    if frame_stride is None:
-        frame_stride = max(1, K // 32)
-    idx = list(range(0, K, frame_stride))
-    if idx[-1] != K - 1:
-        idx.append(K - 1)
-    norms = np.array([cotangent_variation_norm(grid, xi) for xi in test_set])
+    test_set = standard_cotangent_variations(grid, n, rng=rng) \
+        if test_set is None else CotangentBatch.of(grid, test_set)
+    u_dot, pi_dot = frame_velocities(frames, dt, fields=("u", "pi"))
     worst = 0.0
     for k in idx:
-        cs = frames[k]
         c_dot = CotangentVariation(1.0, u_dot[k], pi_dot[k])
-        dh_du, dh_dpi = variational_derivative(L, grid, cs)
-        data = (dh_du, dh_dpi, _energy_time_partial(L, grid, cs))
-        vals = np.array([extended_form_pairing(L, grid, cs, c_dot, xi,
-                                               _data=data)
-                         for xi in test_set])
-        worst = max(worst, float(np.max(np.abs(vals) / (1.0 + norms))))
+        dh = variational_derivative(L, grid, frames[k])
+        worst = max(worst, covector_residual(
+            grid, *extended_form_covector(grid, dh, c_dot), test_set))
     return worst
 
 

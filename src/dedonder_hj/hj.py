@@ -28,13 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import (CauchyState, TangentVariation,
-                     dynamical_trajectory_residual, gradient_fields,
-                     pairing_against_many, random_smooth_variation,
-                     standard_test_variations, time_derivative_frames,
-                     variation_norm)
+from .cauchy import (CauchyState, TangentBatch, TangentVariation,
+                     _state_pairing_data, checked_frames, covector_residual,
+                     frame_velocities, gradient_fields, pairing_covector,
+                     presymplectic_pairing, random_smooth_variation,
+                     standard_test_variations)
 from .legendre import ConnectionCoefficients
-from .models import DEFAULT_FD_STEP, ModelError
+from .models import DEFAULT_FD_STEP, ModelError, central_difference
 
 
 class GammaDomainError(ValueError):
@@ -98,42 +98,9 @@ class HJSection:
         self._check(t)
         if self._partials is not None:
             return self._partials(t, x, u)
-        n, m = self.dims.n, self.dims.m
-        s = self.fd_step
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        out = {}
-        out["pt_t"] = (self.pt(t + s, x, u) - self.pt(t - s, x, u)) / (2 * s)
-        out["px_t"] = (self.px(t + s, x, u) - self.px(t - s, x, u)) / (2 * s)
-        out["p_t"] = (self.p(t + s, x, u) - self.p(t - s, x, u)) / (2 * s)
-        tail = np.shape(u[0])
-        pt_x = np.zeros((n, m) + tail)
-        px_x = np.zeros((n, m, m) + tail)
-        p_x = np.zeros((m,) + tail)
-        for j in range(m):
-            hi, lo = x.copy(), x.copy()
-            hi[j] += s
-            lo[j] -= s
-            pt_x[:, j] = (self.pt(t, hi, u) - self.pt(t, lo, u)) / (2 * s)
-            px_x[:, :, j] = (self.px(t, hi, u) - self.px(t, lo, u)) / (2 * s)
-            p_x[j] = (self.p(t, hi, u) - self.p(t, lo, u)) / (2 * s)
-        out["pt_x"] = pt_x
-        out["px_x"] = px_x
-        out["p_x"] = p_x
-        pt_u = np.zeros((n, n) + tail)
-        px_u = np.zeros((n, m, n) + tail)
-        p_u = np.zeros((n,) + tail)
-        for b in range(n):
-            hi, lo = u.copy(), u.copy()
-            hi[b] += s
-            lo[b] -= s
-            pt_u[:, b] = (self.pt(t, x, hi) - self.pt(t, x, lo)) / (2 * s)
-            px_u[:, :, b] = (self.px(t, x, hi) - self.px(t, x, lo)) / (2 * s)
-            p_u[b] = (self.p(t, x, hi) - self.p(t, x, lo)) / (2 * s)
-        out["pt_u"] = pt_u
-        out["px_u"] = px_u
-        out["p_u"] = p_u
-        return out
+        return {f"{name}_{var}": central_difference(
+                    getattr(self, name), t, x, u, wrt, self.fd_step)
+                for name in ("pt", "px", "p") for wrt, var in enumerate("txu")}
 
 
 # -- built-in section families ----------------------------------------------
@@ -428,8 +395,12 @@ def lift_variation(gamma, t, grid, u, k, du):
     """Pushforward of a configuration-space variation (k, du) through the
     section lift: momenta vary by k d_t gamma + d_u gamma . du."""
     u = np.asarray(u, dtype=float)
+    return _lift_with(gamma.partials(t, grid.x, u), grid, u, k, du)
+
+
+def _lift_with(d, grid, u, k, du):
+    """:func:`lift_variation` from the section partials ``d`` at u."""
     du = np.asarray(du, dtype=float)
-    d = gamma.partials(t, grid.x, u)
     dpt = k * np.asarray(d["pt_t"], dtype=float) \
         + np.einsum("ab...,b...->a...", np.asarray(d["pt_u"], dtype=float), du)
     if grid.m:
@@ -477,11 +448,7 @@ def hj_lift_solution_check(H, gamma, grid, times, u_frames, test_set=None,
     times = np.asarray(times, dtype=float)
     u_frames = np.asarray(u_frames, dtype=float)
     n = u_frames.shape[1]
-    if len(times) < 5:
-        raise ModelError("need at least 5 stored frames")
-    dt = times[1] - times[0]
-    if not np.allclose(np.diff(times), dt):
-        raise ModelError("frames must be uniformly spaced in time")
+    dt, idx = checked_frames(times, frame_stride)
     if compat_tol is None:
         compat_tol = 10.0 * grid.spacing ** 2 if grid.m else 1e-10
     compat = restricted_connection_residual(H, gamma, grid, u_frames[0],
@@ -491,20 +458,11 @@ def hj_lift_solution_check(H, gamma, grid, times, u_frames, test_set=None,
         raise IncompatibleDataError(compat_res, compat_tol)
 
     rng = rng if rng is not None else np.random.default_rng(0)
-    if test_set is None:
-        test_set = standard_test_variations(grid, n, rng=rng)
+    test_set = standard_test_variations(grid, n, rng=rng) \
+        if test_set is None else TangentBatch.of(grid, test_set)
     states = [lift_by_gamma(gamma, t, grid, u)
               for t, u in zip(times, u_frames)]
-    u_dot = time_derivative_frames(np.stack([s.u for s in states]), dt)
-    pt_dot = time_derivative_frames(np.stack([s.p_t for s in states]), dt)
-    px_dot = time_derivative_frames(np.stack([s.p_x for s in states]), dt)
-
-    K = len(times)
-    if frame_stride is None:
-        frame_stride = max(1, K // 32)
-    idx = list(range(0, K, frame_stride))
-    if idx[-1] != K - 1:
-        idx.append(K - 1)
+    u_dot, pt_dot, px_dot = frame_velocities(states, dt)
 
     split = 0.0
     contraction = 0.0
@@ -514,17 +472,20 @@ def hj_lift_solution_check(H, gamma, grid, times, u_frames, test_set=None,
                   for _ in range(n_pullback_pairs)]
     for k in idx:
         state = states[k]
-        split = max(split, dynamical_trajectory_residual(
-            H, grid, state, (u_dot[k], pt_dot[k], px_dot[k]), test_set))
-        X = connection_lift_vector(H, gamma, grid, times[k], u_frames[k])
-        vals = pairing_against_many(H, grid, state, X, test_set)
-        norms = np.array([variation_norm(grid, xi) for xi in test_set])
-        contraction = max(contraction, float(np.max(np.abs(vals) / (1 + norms))))
+        data = _state_pairing_data(H, grid, state)
+        d = gamma.partials(times[k], grid.x, state.u)
+        c_dot = TangentVariation(1.0, u_dot[k], pt_dot[k], px_dot[k])
+        split = max(split, covector_residual(
+            grid, *pairing_covector(grid, data, c_dot), test_set))
+        # horizontal generator: du = Gamma_0 = H_pt at the lifted point
+        X = _lift_with(d, grid, state.u, 1.0, data[1])
+        contraction = max(contraction, covector_residual(
+            grid, *pairing_covector(grid, data, X), test_set))
         for V, W in pair_specs:
-            lv = lift_variation(gamma, times[k], grid, u_frames[k], V.k, V.du)
-            lw = lift_variation(gamma, times[k], grid, u_frames[k], W.k, W.du)
-            vals2 = pairing_against_many(H, grid, state, lv, [lw])
-            pullback = max(pullback, float(abs(vals2[0])))
+            lv = _lift_with(d, grid, state.u, V.k, V.du)
+            lw = _lift_with(d, grid, state.u, W.k, W.du)
+            pullback = max(pullback, abs(presymplectic_pairing(
+                H, grid, state, lv, lw, _data=data)))
     return HJLiftReport(compatibility_residual=compat_res,
                         split_residual=split,
                         contraction_residual=contraction,

@@ -14,7 +14,8 @@ import numpy as np
 
 from .models import (DEFAULT_FD_STEP, ExtendedMomentumSample,
                      HamiltonianModel, JetSample, ModelError,
-                     ReducedMomentumSample, pack_velocities, unpack_velocities)
+                     ReducedMomentumSample, central_difference,
+                     pack_velocities, unpack_velocities)
 
 REGULARITY_TOL = 1e-10
 NEWTON_TOL = 1e-12
@@ -63,6 +64,64 @@ def regularity_check(L, jet, tolerance=REGULARITY_TOL):
                             tolerance=tolerance)
 
 
+def _damped_newton(residual, x, newton_step, what, tol=NEWTON_TOL,
+                   max_iter=NEWTON_MAX_ITER):
+    """Newton iteration for ``residual(x) = 0`` in the max norm. Each step
+    ``newton_step(x, r)`` (J^-1 r) is halved, up to 30 times, until the
+    residual decreases; ``what`` names the solve in errors."""
+    r = residual(x)
+    rnorm = np.max(np.abs(r))
+    for _ in range(max_iter):
+        if rnorm <= tol:
+            return x
+        try:
+            step = newton_step(x, r)
+        except np.linalg.LinAlgError as exc:
+            raise NewtonError(f"{what}: singular Jacobian: {exc}") from exc
+        scale = 1.0
+        for _ in range(30):
+            trial = x - scale * step
+            r_trial = residual(trial)
+            r_trial_norm = np.max(np.abs(r_trial))
+            if r_trial_norm < rnorm or r_trial_norm <= tol:
+                x, r, rnorm = trial, r_trial, r_trial_norm
+                break
+            scale *= 0.5
+        else:
+            raise NewtonError(f"{what}: damped Newton step stalled")
+    if rnorm <= tol:
+        return x
+    raise NewtonError(f"{what}: no convergence after {max_iter} iterations "
+                      f"(residual {rnorm:.3e})")
+
+
+def _solve_nodewise(g, target, guess, fd_step, what, tol=NEWTON_TOL,
+                    max_iter=NEWTON_MAX_ITER):
+    """:func:`_damped_newton` for g(v) = target with unknowns v of shape
+    (..., N): the leading axes are coupled at each node only, and the
+    per-node Jacobians are central differences of g."""
+    shape = guess.shape
+    N = shape[-1]
+    rows = guess.size // N
+
+    def newton_step(v, r):
+        J = np.empty((N, rows, rows))
+        flat = v.reshape(rows, N)
+        for k in range(rows):
+            hi = flat.copy()
+            lo = flat.copy()
+            hi[k] += fd_step
+            lo[k] -= fd_step
+            gh = g(hi.reshape(shape))
+            gl = g(lo.reshape(shape))
+            J[:, :, k] = ((gh - gl) / (2 * fd_step)).reshape(rows, N).T
+        step = np.linalg.solve(J, r.reshape(rows, N).T[..., None])[..., 0]
+        return step.T.reshape(shape)
+
+    return _damped_newton(lambda v: g(v) - target, guess, newton_step,
+                          what, tol, max_iter)
+
+
 def solve_velocities(L, t, x, u, p_t, p_x, guess=None, tol=NEWTON_TOL,
                      max_iter=NEWTON_MAX_ITER):
     """Newton-solve dL/du_i = (p_t, p_x) for the velocities, batched over a
@@ -73,46 +132,24 @@ def solve_velocities(L, t, x, u, p_t, p_x, guess=None, tol=NEWTON_TOL,
            else np.array(guess, dtype=float))
     if vel.shape != target.shape:
         raise ModelError("velocity guess has wrong shape")
-    batched = target.ndim > 1
 
     def residual(v):
         ut, ux = unpack_velocities(v, L.dims)
         return L.d_velocities(t, x, u, ut, ux) - target
 
-    r = residual(vel)
-    rnorm = np.max(np.abs(r))
-    for _ in range(max_iter):
-        if rnorm <= tol:
-            ut, ux = unpack_velocities(vel, L.dims)
-            return ut, ux
-        ut, ux = unpack_velocities(vel, L.dims)
-        J = np.asarray(L.velocity_hessian(t, x, u, ut, ux))
-        try:
-            if batched:
-                # (S, S, N) -> batched solve over nodes
-                Jb = np.moveaxis(J, -1, 0)
-                rb = np.moveaxis(r, -1, 0)[..., None]
-                step = np.moveaxis(np.linalg.solve(Jb, rb)[..., 0], 0, -1)
-            else:
-                step = np.linalg.solve(J, r)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonError(f"singular velocity Hessian: {exc}") from exc
-        scale = 1.0
-        for _ in range(30):
-            trial = vel - scale * step
-            r_trial = residual(trial)
-            r_trial_norm = np.max(np.abs(r_trial))
-            if r_trial_norm < rnorm or r_trial_norm <= tol:
-                vel, r, rnorm = trial, r_trial, r_trial_norm
-                break
-            scale *= 0.5
-        else:
-            raise NewtonError("damped Newton step stalled")
-    if rnorm <= tol:
-        ut, ux = unpack_velocities(vel, L.dims)
-        return ut, ux
-    raise NewtonError(f"no convergence after {max_iter} iterations "
-                      f"(residual {rnorm:.3e})")
+    def newton_step(v, r):
+        J = np.asarray(L.velocity_hessian(t, x, u,
+                                          *unpack_velocities(v, L.dims)))
+        if target.ndim == 1:
+            return np.linalg.solve(J, r)
+        # (S, S, N) -> batched solve over nodes
+        step = np.linalg.solve(np.moveaxis(J, -1, 0),
+                               np.moveaxis(r, -1, 0)[..., None])[..., 0]
+        return np.moveaxis(step, 0, -1)
+
+    vel = _damped_newton(residual, vel, newton_step, "velocity solve",
+                         tol, max_iter)
+    return unpack_velocities(vel, L.dims)
 
 
 def inverse_legendre(L, sample, guess=None, tol=NEWTON_TOL,
@@ -516,27 +553,9 @@ class ConnectionCoefficients:
     def partials(self, t, x, u):
         if self._partials is not None:
             return self._partials(t, x, u)
-        n, m = self.dims.n, self.dims.m
-        s = self.fd_step
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        d_t = (self.coefficients(t + s, x, u)
-               - self.coefficients(t - s, x, u)) / (2 * s)
-        d_x = np.zeros((n, m + 1, m))
-        for j in range(m):
-            hi, lo = x.copy(), x.copy()
-            hi[j] += s
-            lo[j] -= s
-            d_x[:, :, j] = (self.coefficients(t, hi, u)
-                            - self.coefficients(t, lo, u)) / (2 * s)
-        d_u = np.zeros((n, m + 1, n))
-        for b in range(n):
-            hi, lo = u.copy(), u.copy()
-            hi[b] += s
-            lo[b] -= s
-            d_u[:, :, b] = (self.coefficients(t, x, hi)
-                            - self.coefficients(t, x, lo)) / (2 * s)
-        return {"t": d_t, "x": d_x, "u": d_u}
+        return {var: central_difference(self.coefficients, t, x, u, wrt,
+                                        self.fd_step)
+                for wrt, var in enumerate("txu")}
 
 
 def flatness_residual(connection, t, x, u):

@@ -155,6 +155,40 @@ def finite_difference_partial(f, point, axis=0, step=DEFAULT_FD_STEP):
     return out
 
 
+def central_difference(f, t, x, u, wrt, step):
+    """Central differences of f(t, x, u) in t (``wrt`` 0), in each x^j (1)
+    or in each u^b (2). An x or u derivative axis follows the axes of f's
+    value and precedes the trailing node axes that u carries."""
+    args = [t, np.asarray(x, dtype=float), np.asarray(u, dtype=float)]
+    if wrt == 0:
+        return (f(t + step, *args[1:]) - f(t - step, *args[1:])) / (2 * step)
+    cols = []
+    for j in range(len(args[wrt])):
+        hi, lo = list(args), list(args)
+        hi[wrt], lo[wrt] = args[wrt].copy(), args[wrt].copy()
+        hi[wrt][j] += step
+        lo[wrt][j] -= step
+        cols.append((f(*hi) - f(*lo)) / (2 * step))
+    value = cols[0] if cols else np.asarray(f(*args))
+    axis = np.ndim(value) - (args[2].ndim - 1)
+    if not cols:
+        return np.zeros(value.shape[:axis] + (0,) + value.shape[axis:])
+    return np.stack(cols, axis=axis)
+
+
+def _fd_in_field(value, step, slot, comp, t, x, *fields):
+    """Central difference of value(t, x, *fields) in component ``comp`` of
+    the field in position ``slot``."""
+    fields = [np.asarray(f, dtype=float) for f in fields]
+    hi, lo = list(fields), list(fields)
+    hi[slot], lo[slot] = fields[slot].copy(), fields[slot].copy()
+    hi[slot][comp] += step
+    lo[slot][comp] -= step
+    vh = np.asarray(value(t, x, *hi), dtype=float)
+    vl = np.asarray(value(t, x, *lo), dtype=float)
+    return (vh - vl) / (2 * step)
+
+
 def pack_velocities(u_t, u_x):
     """Stack (u_t, u_x) into the flat velocity vector; slots are u_t first,
     then u_x in component-major order."""
@@ -235,21 +269,9 @@ class LagrangianModel:
 
     def _fd_wrt(self, which, comp, t, x, u, u_t, u_x):
         # central difference in one component of u / u_t / u_x
-        s = self.fd_step
-        fields = {"u": np.asarray(u, dtype=float),
-                  "u_t": np.asarray(u_t, dtype=float),
-                  "u_x": np.asarray(u_x, dtype=float)}
-        hi = dict(fields)
-        lo = dict(fields)
-        bumped = fields[which].copy()
-        bumped[comp] += s
-        hi[which] = bumped
-        bumped = fields[which].copy()
-        bumped[comp] -= s
-        lo[which] = bumped
-        vh = self._value(t, x, hi["u"], hi["u_t"], hi["u_x"])
-        vl = self._value(t, x, lo["u"], lo["u_t"], lo["u_x"])
-        return (np.asarray(vh, dtype=float) - np.asarray(vl, dtype=float)) / (2 * s)
+        return _fd_in_field(self._value, self.fd_step,
+                            ("u", "u_t", "u_x").index(which), comp,
+                            t, x, u, u_t, u_x)
 
     def d_u(self, t, x, u, u_t, u_x):
         if self._d_u is not None:
@@ -313,23 +335,16 @@ class LagrangianModel:
             cols.append((gh - gl) / (2 * s))
         return np.stack(cols, axis=1)
 
+    def _d2_vel(self, wrt, t, x, u, u_t, u_x):
+        return central_difference(
+            lambda tt, xx, uu: self.d_velocities(tt, xx, uu, u_t, u_x),
+            t, x, u, wrt, self.fd_step)
+
     def d2_vel_u(self, t, x, u, u_t, u_x):
         """Mixed second partials d^2 L / d vel_s d u^beta, shape (S, n, ...)."""
         if self._d2_vel_u is not None:
             return np.asarray(self._d2_vel_u(t, x, u, u_t, u_x), dtype=float)
-        n = self.dims.n
-        s = self.fd_step
-        u = np.asarray(u, dtype=float)
-        cols = []
-        for b in range(n):
-            hi = u.copy()
-            lo = u.copy()
-            hi[b] += s
-            lo[b] -= s
-            gh = self.d_velocities(t, x, hi, u_t, u_x)
-            gl = self.d_velocities(t, x, lo, u_t, u_x)
-            cols.append((gh - gl) / (2 * s))
-        return np.stack(cols, axis=1)
+        return self._d2_vel(2, t, x, u, u_t, u_x)
 
     def d2_vel_t(self, t, x, u, u_t, u_x):
         """Explicit-time second partials d^2 L / d vel_s dt, shape (S, ...)."""
@@ -337,31 +352,13 @@ class LagrangianModel:
             return np.asarray(self._d2_vel_t(t, x, u, u_t, u_x), dtype=float)
         if not self.time_dependent:
             return np.zeros_like(self.d_velocities(t, x, u, u_t, u_x))
-        s = self.fd_step
-        gh = self.d_velocities(t + s, x, u, u_t, u_x)
-        gl = self.d_velocities(t - s, x, u, u_t, u_x)
-        return (gh - gl) / (2 * s)
+        return self._d2_vel(0, t, x, u, u_t, u_x)
 
     def d2_vel_x(self, t, x, u, u_t, u_x):
         """Explicit-space second partials d^2 L / d vel_s dx^j, (S, m, ...)."""
         if self._d2_vel_x is not None:
             return np.asarray(self._d2_vel_x(t, x, u, u_t, u_x), dtype=float)
-        m = self.dims.m
-        s = self.fd_step
-        x = np.asarray(x, dtype=float)
-        cols = []
-        for j in range(m):
-            hi = x.copy()
-            lo = x.copy()
-            hi[j] += s
-            lo[j] -= s
-            gh = self.d_velocities(t, hi, u, u_t, u_x)
-            gl = self.d_velocities(t, lo, u, u_t, u_x)
-            cols.append((gh - gl) / (2 * s))
-        if not cols:
-            g = self.d_velocities(t, x, u, u_t, u_x)
-        return (np.stack(cols, axis=1) if cols
-                else np.zeros(g.shape[:1] + (0,) + g.shape[1:]))
+        return self._d2_vel(1, t, x, u, u_t, u_x)
 
     # -- point-level API ---------------------------------------------------
 
@@ -408,21 +405,9 @@ class HamiltonianModel:
         return out if out.ndim else float(out)
 
     def _fd_wrt(self, which, comp, t, x, u, p_t, p_x):
-        s = self.fd_step
-        fields = {"u": np.asarray(u, dtype=float),
-                  "p_t": np.asarray(p_t, dtype=float),
-                  "p_x": np.asarray(p_x, dtype=float)}
-        hi = dict(fields)
-        lo = dict(fields)
-        bumped = fields[which].copy()
-        bumped[comp] += s
-        hi[which] = bumped
-        bumped = fields[which].copy()
-        bumped[comp] -= s
-        lo[which] = bumped
-        vh = self._value(t, x, hi["u"], hi["p_t"], hi["p_x"])
-        vl = self._value(t, x, lo["u"], lo["p_t"], lo["p_x"])
-        return (np.asarray(vh, dtype=float) - np.asarray(vl, dtype=float)) / (2 * s)
+        return _fd_in_field(self._value, self.fd_step,
+                            ("u", "p_t", "p_x").index(which), comp,
+                            t, x, u, p_t, p_x)
 
     def d_u(self, t, x, u, p_t, p_x):
         if self._d_u is not None:

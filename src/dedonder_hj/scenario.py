@@ -39,6 +39,10 @@ from .models import BUILTIN_MODEL_NAMES, ModelError, builtin_model
 
 INITIAL_FAMILIES = ("constant", "sine", "traveling_wave", "custom_table")
 
+#: classical RK4 is stable on the imaginary axis up to |lambda dt| = 2 sqrt 2
+#: (Hairer & Wanner, Solving ODEs II, section IV.2)
+RK4_IMAGINARY_BOUND = 2.0 * np.sqrt(2.0)
+
 
 class ScenarioError(ValueError):
     """Malformed or invalid scenario configuration."""
@@ -261,6 +265,23 @@ def parse_scenario(path):
                     store_every=store_every, verify_box=verify_box,
                     verify_samples=verify_samples, verify_tol=verify_tol,
                     pairing_steps=pairing_steps, pairing_pairs=pairing_pairs)
+
+
+def check_stability(scenario):
+    """Refuse a linear wave run whose RK4 step is unstable: under the
+    composed central stencil the spectrum is imaginary with |lambda| up
+    to sqrt(1/h^2 + mass^2), so dt |lambda| must stay within
+    :data:`RK4_IMAGINARY_BOUND`. Other models are not checked."""
+    if scenario.model_name not in ("free_wave", "klein_gordon"):
+        return
+    rate = np.hypot(scenario.n_nodes / scenario.length,
+                    scenario.model_params.get("mass", 0.0))
+    if scenario.dt * rate > RK4_IMAGINARY_BOUND:
+        raise ScenarioError(
+            f"{scenario.path}: RK4 unstable at N={scenario.n_nodes}: "
+            f"dt*sqrt(1/h^2 + mass^2) = {scenario.dt * rate:.6g} exceeds "
+            f"2*sqrt(2) = {RK4_IMAGINARY_BOUND:.6g}; "
+            f"need dt <= {RK4_IMAGINARY_BOUND / rate:.6g}")
 
 
 # -- scenario realization -----------------------------------------------------

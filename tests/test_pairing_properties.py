@@ -1,0 +1,298 @@
+"""Property tests of the Cauchy and cotangent pairings and of their
+contraction into a per-node covector.
+
+Random states and variations (time components k != 0) are drawn for the
+built-in models with m in {0, 1} and n in {1, 2}; the two-argument
+pairings are the references the covector form and the closed-form node
+indicators are checked against.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dedonder_hj.cauchy import (CauchyState, TangentBatch, TangentVariation,
+                                _state_pairing_data, covector_residual,
+                                dynamical_trajectory_residual,
+                                indicator_variations, make_grid,
+                                pairing_covector, presymplectic_pairing,
+                                standard_test_variations,
+                                time_derivative_frames, variation_norm)
+from dedonder_hj.cotangent import (CotangentBatch, CotangentState,
+                                   CotangentVariation,
+                                   cotangent_trajectory_residual,
+                                   extended_form_covector,
+                                   extended_form_pairing,
+                                   standard_cotangent_variations,
+                                   variational_derivative)
+from dedonder_hj.legendre import hamiltonian_from_lagrangian
+from dedonder_hj.models import Dimensions, HamiltonianModel, builtin_model
+
+#: roundoff allowance relative to the scale of the summed terms
+REL_TOL = 1e-13
+
+BUILTINS = [("free_wave", {}), ("klein_gordon", {"mass": 0.7}),
+            ("scalar_potential", {"mass": 0.5, "potential": (0.0, 0.2, 0.3)}),
+            ("mechanics_oscillator", {"omega": 1.3})]
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def time_dependent_hamiltonian(n):
+    """H = 1/2 |p_t|^2 - 1/2 |p_x|^2 + 1/2 (1 + t^2) |u|^2, so H_t != 0
+    and the time legs of the pairing are exercised."""
+    dims = Dimensions(m=1, n=n)
+
+    def value(t, x, u, p_t, p_x):
+        return (0.5 * np.sum(p_t ** 2, axis=0)
+                - 0.5 * np.sum(p_x ** 2, axis=(0, 1))
+                + 0.5 * (1.0 + t ** 2) * np.sum(u ** 2, axis=0))
+
+    return HamiltonianModel(
+        dims, value, d_u=lambda t, x, u, p_t, p_x: (1.0 + t ** 2) * u,
+        d_pt=lambda t, x, u, p_t, p_x: np.array(p_t),
+        d_px=lambda t, x, u, p_t, p_x: -np.asarray(p_x),
+        d_t=lambda t, x, u, p_t, p_x: t * np.sum(u ** 2, axis=0),
+        name="time_dependent", time_dependent=True)
+
+
+@st.composite
+def cauchy_cases(draw, builtins_only=False):
+    """(H, L or None, grid, rng) over the built-in models (and, unless
+    ``builtins_only``, a time-dependent custom Hamiltonian)."""
+    choices = len(BUILTINS) + (0 if builtins_only else 1)
+    which = draw(st.integers(0, choices - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if which == len(BUILTINS):
+        n = draw(st.integers(1, 2))
+        return (time_dependent_hamiltonian(n), None,
+                make_grid(draw(st.integers(3, 9))), n, rng)
+    name, params = BUILTINS[which]
+    if name == "mechanics_oscillator":
+        L, grid, n = builtin_model(name, params), make_grid(1, m=0), 1
+    else:
+        n = draw(st.integers(1, 2))
+        L = builtin_model(name, {**params, "n": n})
+        grid = make_grid(draw(st.integers(3, 9)), length=draw(
+            st.sampled_from([1.0, 2.5])))
+    return hamiltonian_from_lagrangian(L), L, grid, n, rng
+
+
+def random_state(grid, n, rng):
+    N, m = grid.n_nodes, grid.m
+    return CauchyState(rng.uniform(-1, 1), rng.normal(size=(n, N)),
+                       rng.normal(size=(n, N)), rng.normal(size=(n, m, N)))
+
+
+def nonzero_k(rng):
+    return rng.choice([-1.0, 1.0]) * rng.uniform(0.25, 2.0)
+
+
+def random_tangent(grid, n, rng):
+    N, m = grid.n_nodes, grid.m
+    return TangentVariation(nonzero_k(rng), rng.normal(size=(n, N)),
+                            rng.normal(size=(n, N)),
+                            rng.normal(size=(n, m, N)))
+
+
+def random_cotangent(grid, n, rng):
+    N = grid.n_nodes
+    return CotangentVariation(nonzero_k(rng), rng.normal(size=(n, N)),
+                              rng.normal(size=(n, N)))
+
+
+def magnitude(*items):
+    """Sum of the largest entries of arrays, scalars and variations."""
+    total = 0.0
+    for item in items:
+        values = vars(item).values() if hasattr(item, "__dict__") else [item]
+        total += sum(float(np.max(np.abs(v), initial=0.0)) for v in values)
+    return total
+
+
+def term_scale(grid, data, X, Y):
+    """Bound on the sum of the magnitudes of the terms of pairing(X, Y)."""
+    return (grid.n_nodes * float(np.max(grid.weights))
+            * (1.0 + magnitude(*data)) * magnitude(X) * magnitude(Y))
+
+
+@PROPERTY
+@given(cauchy_cases())
+def test_presymplectic_pairing_antisymmetric_and_bilinear(case):
+    H, _, grid, n, rng = case
+    state = random_state(grid, n, rng)
+    X1, X2, Y = (random_tangent(grid, n, rng) for _ in range(3))
+    assert presymplectic_pairing(H, grid, state, X1, X1) == 0.0
+    assert presymplectic_pairing(H, grid, state, X1, Y) \
+        == -presymplectic_pairing(H, grid, state, Y, X1)
+    a, b = rng.normal(size=2)
+    comb = TangentVariation(a * X1.k + b * X2.k, a * X1.du + b * X2.du,
+                            a * X1.dp_t + b * X2.dp_t,
+                            a * X1.dp_x + b * X2.dp_x)
+    lhs = presymplectic_pairing(H, grid, state, comb, Y)
+    rhs = a * presymplectic_pairing(H, grid, state, X1, Y) \
+        + b * presymplectic_pairing(H, grid, state, X2, Y)
+    data = _state_pairing_data(H, grid, state)
+    scale = term_scale(grid, data, comb, Y) + term_scale(
+        grid, data, X1, Y) * abs(a) + term_scale(grid, data, X2, Y) * abs(b)
+    assert abs(lhs - rhs) <= REL_TOL * scale
+
+
+@PROPERTY
+@given(cauchy_cases())
+def test_covector_matches_two_argument_pairing(case):
+    H, _, grid, n, rng = case
+    state = random_state(grid, n, rng)
+    data = _state_pairing_data(H, grid, state)
+    X = random_tangent(grid, n, rng)
+    (c_u, c_pt, c_px), c_k = pairing_covector(grid, data, X)
+    w = grid.weights
+    for _ in range(4):
+        Y = random_tangent(grid, n, rng)
+        via_covector = (np.sum(c_u * Y.du * w) + np.sum(c_pt * Y.dp_t * w)
+                        + np.sum(c_px * Y.dp_x * w) + c_k * Y.k)
+        reference = presymplectic_pairing(H, grid, state, X, Y)
+        assert abs(via_covector - reference) \
+            <= REL_TOL * term_scale(grid, data, X, Y)
+
+
+@PROPERTY
+@given(cauchy_cases(builtins_only=True))
+def test_cotangent_covector_matches_extended_form_pairing(case):
+    _, L, grid, n, rng = case
+    cs = CotangentState(rng.uniform(-1, 1), rng.normal(size=(n, grid.n_nodes)),
+                        rng.normal(size=(n, grid.n_nodes)))
+    dh = variational_derivative(L, grid, cs)
+    X = random_cotangent(grid, n, rng)
+    (c_u, c_pi), c_k = extended_form_covector(grid, dh, X)
+    w = grid.weights
+    for _ in range(4):
+        Y = random_cotangent(grid, n, rng)
+        via_covector = (np.sum(c_u * Y.du * w) + np.sum(c_pi * Y.dpi * w)
+                        + c_k * Y.k)
+        reference = extended_form_pairing(L, grid, cs, X, Y)
+        assert abs(via_covector - reference) \
+            <= REL_TOL * term_scale(grid, dh, X, Y)
+
+
+@PROPERTY
+@given(cauchy_cases())
+def test_closed_form_indicators_match_materialized_set(case):
+    H, _, grid, n, rng = case
+    state = random_state(grid, n, rng)
+    data = _state_pairing_data(H, grid, state)
+    X = random_tangent(grid, n, rng)
+    # a single zero variation as the dense part isolates the indicators
+    zero = TangentVariation(0.0, np.zeros_like(X.du), np.zeros_like(X.dp_t),
+                            np.zeros_like(X.dp_x))
+    only_indicators = TangentBatch.of(grid, [zero], indicators=True)
+    closed_form = covector_residual(grid, *pairing_covector(grid, data, X),
+                                    only_indicators)
+    indicators = indicator_variations(grid, n)
+    assert len(only_indicators) == 1 + len(indicators)
+    reference = max(abs(presymplectic_pairing(H, grid, state, X, e))
+                    / (1.0 + variation_norm(grid, e)) for e in indicators)
+    assert abs(closed_form - reference) <= REL_TOL * magnitude(X) * (
+        1.0 + magnitude(*data))
+    stacked = covector_residual(grid, *pairing_covector(grid, data, X),
+                                TangentBatch.of(grid, indicators))
+    assert closed_form == stacked
+
+
+@PROPERTY
+@given(cauchy_cases())
+def test_trajectory_residual_matches_two_argument_loop(case):
+    H, _, grid, n, rng = case
+    state = random_state(grid, n, rng)
+    X = random_tangent(grid, n, rng)
+    test_set = standard_test_variations(grid, n, rng=rng)
+    assert len(test_set) == len(test_set.k) + grid.n_nodes * n * (2 + grid.m)
+    # the reference set: probes and draws one by one, then the indicators
+    singles = [TangentVariation(k, du, dpt, dpx) for k, du, dpt, dpx in
+               zip(test_set.k, test_set.du, test_set.dp_t, test_set.dp_x)]
+    singles += indicator_variations(grid, n)
+    c_dot = TangentVariation(1.0, X.du, X.dp_t, X.dp_x)
+    reference = max(abs(presymplectic_pairing(H, grid, state, c_dot, xi))
+                    / (1.0 + variation_norm(grid, xi)) for xi in singles)
+    batched = dynamical_trajectory_residual(H, grid, state,
+                                            (X.du, X.dp_t, X.dp_x), test_set)
+    from_list = dynamical_trajectory_residual(H, grid, state,
+                                              (X.du, X.dp_t, X.dp_x), singles)
+    data = _state_pairing_data(H, grid, state)
+    tol = REL_TOL * (1.0 + magnitude(*data)) * (1.0 + magnitude(c_dot))
+    assert abs(batched - reference) <= tol
+    assert abs(from_list - reference) <= tol
+
+
+@PROPERTY
+@given(cauchy_cases(builtins_only=True))
+def test_cotangent_closed_form_indicators_match_materialized_set(case):
+    _, L, grid, n, rng = case
+    N = grid.n_nodes
+    cs = CotangentState(0.0, rng.normal(size=(n, N)), rng.normal(size=(n, N)))
+    X = random_cotangent(grid, n, rng)
+    covector, c_k = extended_form_covector(
+        grid, variational_derivative(L, grid, cs), X)
+    zero = CotangentVariation(0.0, np.zeros((n, N)), np.zeros((n, N)))
+    closed_form = covector_residual(
+        grid, covector, c_k, CotangentBatch.of(grid, [zero], indicators=True))
+    singles = []
+    for a in range(n):
+        for j in range(N):
+            e = np.zeros((n, N))
+            e[a, j] = 1.0
+            singles += [CotangentVariation(0.0, e, np.zeros((n, N))),
+                        CotangentVariation(0.0, np.zeros((n, N)), e)]
+    reference = max(abs(extended_form_pairing(L, grid, cs, X, e))
+                    / (1.0 + np.sqrt(grid.weights[0])) for e in singles)
+    assert abs(closed_form - reference) <= REL_TOL * magnitude(X) * (
+        1.0 + magnitude(*variational_derivative(L, grid, cs)))
+
+
+def test_cotangent_residual_matches_two_argument_loop():
+    L = builtin_model("klein_gordon", {"mass": 1.0})
+    grid = make_grid(8)
+    rng = np.random.default_rng(4)
+    times = np.arange(6) * 0.01
+    frames = [CotangentState(t, rng.normal(size=(1, 8)),
+                             rng.normal(size=(1, 8))) for t in times]
+    batch = standard_cotangent_variations(grid, 1,
+                                          rng=np.random.default_rng(3))
+    singles = [CotangentVariation(k, du, dpi)
+               for k, du, dpi in zip(batch.k, batch.du, batch.dpi)]
+    as_batch = cotangent_trajectory_residual(L, grid, times, frames,
+                                             test_set=batch)
+    assert cotangent_trajectory_residual(
+        L, grid, times, frames, test_set=singles) \
+        == cotangent_trajectory_residual(
+            L, grid, times, frames, test_set=CotangentBatch.of(grid, singles))
+    with pytest.raises(ValueError):
+        cotangent_trajectory_residual(L, grid, times, frames, test_set=[])
+    # reference: every frame, the dense set and the indicators one by one
+    eye = np.eye(8)[:, None, :]
+    singles += [CotangentVariation(0.0, e, 0 * e) for e in eye]
+    singles += [CotangentVariation(0.0, 0 * e, e) for e in eye]
+    u_dot, pi_dot = (time_derivative_frames(
+        np.stack([getattr(f, name) for f in frames]), 0.01)
+        for name in ("u", "pi"))
+    w = grid.weights
+    reference = max(
+        abs(extended_form_pairing(L, grid, cs, CotangentVariation(1.0, ud, pd),
+                                  xi))
+        / (1.0 + np.sqrt(xi.k ** 2 + np.sum(w * (xi.du ** 2 + xi.dpi ** 2))))
+        for cs, ud, pd in zip(frames, u_dot, pi_dot) for xi in singles)
+    assert len(batch) == len(singles)
+    assert as_batch == pytest.approx(reference, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_standard_test_set_stores_linear_bytes(n):
+    N = 4096
+    grid = make_grid(N)
+    test_set = standard_test_variations(grid, n,
+                                        rng=np.random.default_rng(0))
+    stored = sum(v.nbytes for v in vars(test_set).values()
+                 if hasattr(v, "nbytes"))
+    assert stored <= 64 * 3 * n * N * 8
+    assert len(test_set) == len(test_set.k) + 3 * n * N

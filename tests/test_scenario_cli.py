@@ -522,3 +522,67 @@ def test_sweep_rejected_elsewhere(tmp_path, capsys):
 
 def test_missing_scenario_file(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(tmp_path / "nope.cfg")]) == 2
+
+
+# -- RK4 stability bound -------------------------------------------------------
+
+def kg_sine(n_nodes, dt_per_h, steps=300):
+    """Klein-Gordon sine data stepped at dt = dt_per_h * h; unrefused, the
+    run at dt = 2.95 h passes |u| = 1e8 at step 191 (exit code 3)."""
+    dt = dt_per_h / n_nodes
+    return f"""
+[model]
+name = klein_gordon
+mass = 1.0
+
+[grid]
+n_nodes = {n_nodes}
+
+[time]
+dt = {dt!r}
+t_final = {steps * dt!r}
+
+[initial]
+family = sine
+
+[output]
+directory = {{out}}
+"""
+
+
+def test_simulate_refuses_step_past_rk4_bound(tmp_path, capsys):
+    # dt = 2.95 h: |lambda dt| = 2.95 sqrt(1 + h^2) > 2 sqrt 2
+    out = tmp_path / "out"
+    path = write(tmp_path, kg_sine(32, 2.95), out=str(out))
+    assert main(["simulate", "--scenario", path]) == 2
+    err = capsys.readouterr().err
+    assert "2*sqrt(2) = 2.82843" in err and "need dt <= " in err
+    assert not (out / "fields.csv").exists()
+
+
+def test_simulate_runs_inside_rk4_bound(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write(tmp_path, kg_sine(32, 2.7), out=str(out))
+    assert main(["simulate", "--scenario", path]) == 0
+    assert (out / "fields.csv").exists()
+
+
+def test_sweep_level_past_rk4_bound_refused_before_stepping(tmp_path, capsys):
+    # level 0 at dt = 2 h is stable; the grid sweep halves h at level 1
+    out = tmp_path / "out"
+    path = write(tmp_path, kg_sine(32, 2.0), out=str(out))
+    assert main(["simulate", "--scenario", path, "--sweep", "grid"]) == 2
+    assert "N=64" in capsys.readouterr().err
+    assert not (out / "fields.csv").exists()
+    assert main(["simulate", "--scenario", path, "--sweep", "time"]) == 0
+
+
+@pytest.mark.parametrize("command", ["compare", "pairing-check"])
+def test_other_stepping_commands_refuse_past_rk4_bound(tmp_path, capsys,
+                                                        command):
+    dt = 2.95 / 16
+    text = KG_CONSTANT.replace("dt = 0.001", f"dt = {dt!r}").replace(
+        "t_final = 1.0", f"t_final = {100 * dt!r}")
+    path = write(tmp_path, text, out=str(tmp_path / "out"))
+    assert main([command, "--scenario", path]) == 2
+    assert "RK4 unstable" in capsys.readouterr().err
