@@ -23,7 +23,8 @@ from .cauchy import (BlowupError, CauchyGrid, CauchyState, GridError,
                      standard_test_variations, step_rk4,
                      time_derivative_frames, variation_norm)
 from .hj import (GammaDomainError, HJSection, IncompatibleDataError,
-                 connection_lift_vector, evolve_characteristics, gamma_family,
+                 check_compatibility, connection_lift_vector,
+                 evolve_characteristics, gamma_family,
                  gamma_closedness_residual, hj_lift_solution_check,
                  hj_residual, lift_by_gamma, lift_variation, linear_gamma,
                  oscillator_gamma, reduced_connection,

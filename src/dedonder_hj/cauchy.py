@@ -210,8 +210,9 @@ def recover_spatial_momenta(H, grid, u, p_t=None, t=0.0, guess=None,
     p_x = (np.zeros((n, m, N)) if guess is None
            else np.array(guess, dtype=float))
     return _solve_nodewise(lambda px: H.d_px(t, grid.x, u, p_t, px),
+                           lambda px: H.value(t, grid.x, u, p_t, px),
                            gradient_fields(grid, u), p_x,
-                           getattr(H, "fd_step", 1e-6), "momentum recovery",
+                           H.fd_step, "momentum recovery",
                            tol, max_iter)
 
 

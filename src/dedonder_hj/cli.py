@@ -23,10 +23,10 @@ from .cotangent import (ConstraintError, cotangent_trajectory_residual,
                         instantaneous_hamiltonian, pullback_identity_residual,
                         restriction_map_R, time_legendre_constraint_residual)
 from .hj import (CharacteristicBlowup, GammaDomainError,
-                 IncompatibleDataError, evolve_characteristics,
-                 gamma_closedness_residual, hj_lift_solution_check,
-                 hj_residual, lift_by_gamma, reduced_connection,
-                 restricted_connection_residual)
+                 IncompatibleDataError, check_compatibility,
+                 evolve_characteristics, gamma_closedness_residual,
+                 hj_lift_solution_check, hj_residual, lift_by_gamma,
+                 reduced_connection)
 from .legendre import NewtonError, flatness_residual
 from .models import ModelError
 from .scenario import (ScenarioError, build_gamma, build_grid, build_model,
@@ -265,11 +265,7 @@ def cmd_verify_hj(scenario, out_dir, seed):
 
 def _characteristic_run(scenario, L, H, grid, gamma):
     u0, _ = initial_fields(scenario, grid, L.dims.n)
-    compat = restricted_connection_residual(H, gamma, grid, u0, 0.0)
-    compat_res = float(np.max(np.abs(compat))) if compat.size else 0.0
-    tol = 10.0 * grid.spacing ** 2 if grid.m else 1e-10
-    if compat_res > tol:
-        raise IncompatibleDataError(compat_res, tol)
+    check_compatibility(H, gamma, grid, u0, 0.0)
     times, frames = evolve_characteristics(H, gamma, grid, u0, 0.0,
                                            scenario.dt, scenario.t_final,
                                            store_every=scenario.store_every)

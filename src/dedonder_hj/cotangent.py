@@ -28,7 +28,7 @@ from .cauchy import (VARIATION_SCALE, StackedVariations, _smooth_profile,
                      gradient_fields, integrate_density, probe_profiles,
                      spatial_derivative)
 from .legendre import NEWTON_MAX_ITER, NEWTON_TOL, _solve_nodewise
-from .models import ModelError
+from .models import ModelError, central_difference
 
 
 class ConstraintError(RuntimeError):
@@ -98,8 +98,9 @@ def solve_time_velocity(L, grid, t, u, pi, guess=None, tol=NEWTON_TOL,
     pi = np.asarray(pi, dtype=float)
     u_x = gradient_fields(grid, u)
     u_t = np.zeros_like(u) if guess is None else np.array(guess, dtype=float)
-    return _solve_nodewise(lambda ut: L.d_ut(t, grid.x, u, ut, u_x), pi,
-                           u_t, getattr(L, "fd_step", 1e-6),
+    return _solve_nodewise(lambda ut: L.d_ut(t, grid.x, u, ut, u_x),
+                           lambda ut: L.value(t, grid.x, u, ut, u_x), pi,
+                           u_t, L.fd_step,
                            "time-Legendre solve", tol, max_iter)
 
 
@@ -139,10 +140,9 @@ def omega_pairing(grid, X, Y):
 def _energy_time_partial(L, grid, cs):
     if not L.time_dependent:
         return 0.0
-    s = L.fd_step
-    hi = instantaneous_hamiltonian(L, grid, CotangentState(cs.t + s, cs.u, cs.pi))
-    lo = instantaneous_hamiltonian(L, grid, CotangentState(cs.t - s, cs.u, cs.pi))
-    return (hi - lo) / (2 * s)
+    return central_difference(
+        lambda *state: instantaneous_hamiltonian(L, grid, CotangentState(*state)),
+        (cs.t, cs.u, cs.pi), 0, L.fd_step, comp_axes=0)
 
 
 def extended_form_pairing(L, grid, cs, X, Y, _data=None):

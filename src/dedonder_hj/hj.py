@@ -99,7 +99,8 @@ class HJSection:
         if self._partials is not None:
             return self._partials(t, x, u)
         return {f"{name}_{var}": central_difference(
-                    getattr(self, name), t, x, u, wrt, self.fd_step)
+                    getattr(self, name), (t, x, u), wrt, self.fd_step,
+                    comp_axes=min(wrt, 1))
                 for name in ("pt", "px", "p") for wrt, var in enumerate("txu")}
 
 
@@ -347,6 +348,19 @@ def restricted_connection_residual(H, gamma, grid, u, t):
     return gradient_fields(grid, u) - gamma_x
 
 
+def check_compatibility(H, gamma, grid, u, t, tol=None):
+    """Largest entry of :func:`restricted_connection_residual`; raises
+    :class:`IncompatibleDataError` above ``tol`` (default 10 h^2 for m = 1,
+    1e-10 for m = 0)."""
+    compat = restricted_connection_residual(H, gamma, grid, u, t)
+    residual = float(np.max(np.abs(compat))) if compat.size else 0.0
+    if tol is None:
+        tol = 10.0 * grid.spacing ** 2 if grid.m else 1e-10
+    if residual > tol:
+        raise IncompatibleDataError(residual, tol)
+    return residual
+
+
 class CharacteristicBlowup(RuntimeError):
     """Characteristic integration exceeded the configured bound."""
 
@@ -449,13 +463,8 @@ def hj_lift_solution_check(H, gamma, grid, times, u_frames, test_set=None,
     u_frames = np.asarray(u_frames, dtype=float)
     n = u_frames.shape[1]
     dt, idx = checked_frames(times, frame_stride)
-    if compat_tol is None:
-        compat_tol = 10.0 * grid.spacing ** 2 if grid.m else 1e-10
-    compat = restricted_connection_residual(H, gamma, grid, u_frames[0],
-                                            times[0])
-    compat_res = float(np.max(np.abs(compat))) if compat.size else 0.0
-    if compat_res > compat_tol:
-        raise IncompatibleDataError(compat_res, compat_tol)
+    compat_res = check_compatibility(H, gamma, grid, u_frames[0], times[0],
+                                     compat_tol)
 
     rng = rng if rng is not None else np.random.default_rng(0)
     test_set = standard_test_variations(grid, n, rng=rng) \

@@ -20,6 +20,7 @@ from .models import (DEFAULT_FD_STEP, ExtendedMomentumSample,
 REGULARITY_TOL = 1e-10
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
+_FD_NOISE_FACTOR = 100.0
 
 
 class NewtonError(RuntimeError):
@@ -64,11 +65,22 @@ def regularity_check(L, jet, tolerance=REGULARITY_TOL):
                             tolerance=tolerance)
 
 
-def _damped_newton(residual, x, newton_step, what, tol=NEWTON_TOL,
-                   max_iter=NEWTON_MAX_ITER):
+def _fd_noise_floor(value, fd_step):
+    """Smallest residual a gradient of ``value`` by central differences of
+    step ``fd_step`` resolves: the roundoff eps |value| of each evaluation
+    divided by the step, with |value| at least 1, times _FD_NOISE_FACTOR
+    (Kelley, Solving Nonlinear Equations with Newton's Method, ch. 1-2)."""
+    scale = max(1.0, float(np.max(np.abs(value))))
+    return _FD_NOISE_FACTOR * np.finfo(float).eps * scale / fd_step
+
+
+def _damped_newton(residual, x, newton_step, what, noise_floor,
+                   tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
     """Newton iteration for ``residual(x) = 0`` in the max norm. Each step
     ``newton_step(x, r)`` (J^-1 r) is halved, up to 30 times, until the
-    residual decreases; ``what`` names the solve in errors."""
+    residual decreases; ``what`` names the solve in errors. When no step
+    decreases it, x is returned if its residual is within
+    ``noise_floor(x)``, the finite-difference noise of the residual."""
     r = residual(x)
     rnorm = np.max(np.abs(r))
     for _ in range(max_iter):
@@ -88,6 +100,8 @@ def _damped_newton(residual, x, newton_step, what, tol=NEWTON_TOL,
                 break
             scale *= 0.5
         else:
+            if rnorm <= noise_floor(x):
+                return x
             raise NewtonError(f"{what}: damped Newton step stalled")
     if rnorm <= tol:
         return x
@@ -95,11 +109,12 @@ def _damped_newton(residual, x, newton_step, what, tol=NEWTON_TOL,
                       f"(residual {rnorm:.3e})")
 
 
-def _solve_nodewise(g, target, guess, fd_step, what, tol=NEWTON_TOL,
+def _solve_nodewise(g, value, target, guess, fd_step, what, tol=NEWTON_TOL,
                     max_iter=NEWTON_MAX_ITER):
     """:func:`_damped_newton` for g(v) = target with unknowns v of shape
     (..., N): the leading axes are coupled at each node only, and the
-    per-node Jacobians are central differences of g."""
+    per-node Jacobians are central differences of g. g is a partial of the
+    model function ``value(v)``, whose size sets the noise floor."""
     shape = guess.shape
     N = shape[-1]
     rows = guess.size // N
@@ -118,8 +133,9 @@ def _solve_nodewise(g, target, guess, fd_step, what, tol=NEWTON_TOL,
         step = np.linalg.solve(J, r.reshape(rows, N).T[..., None])[..., 0]
         return step.T.reshape(shape)
 
-    return _damped_newton(lambda v: g(v) - target, guess, newton_step,
-                          what, tol, max_iter)
+    return _damped_newton(lambda v: g(v) - target, guess, newton_step, what,
+                          lambda v: _fd_noise_floor(value(v), fd_step),
+                          tol, max_iter)
 
 
 def solve_velocities(L, t, x, u, p_t, p_x, guess=None, tol=NEWTON_TOL,
@@ -147,8 +163,12 @@ def solve_velocities(L, t, x, u, p_t, p_x, guess=None, tol=NEWTON_TOL,
                                np.moveaxis(r, -1, 0)[..., None])[..., 0]
         return np.moveaxis(step, 0, -1)
 
+    def noise_floor(v):
+        ut, ux = unpack_velocities(v, L.dims)
+        return _fd_noise_floor(L.value(t, x, u, ut, ux), L.fd_step)
+
     vel = _damped_newton(residual, vel, newton_step, "velocity solve",
-                         tol, max_iter)
+                         noise_floor, tol, max_iter)
     return unpack_velocities(vel, L.dims)
 
 
@@ -214,10 +234,6 @@ def hamiltonian_from_lagrangian(L):
 
 # -- sections and field-equation residuals ---------------------------------
 
-def _fd1(f, z, step):
-    return (f(z + step) - f(z - step)) / (2.0 * step)
-
-
 class FieldSection:
     """A field section u(t, x) with derivative access up to second order.
 
@@ -244,51 +260,29 @@ class FieldSection:
     def u_t(self, t, x):
         if self._u_t is not None:
             return np.asarray(self._u_t(t, x), dtype=float)
-        return _fd1(lambda tt: self.u(tt, x), t, self.fd_step)
+        return central_difference(self.u, (t, x), 0, self.fd_step,
+                                  comp_axes=0)
 
     def u_x(self, t, x):
-        m = self.dims.m
         if self._u_x is not None:
             return np.asarray(self._u_x(t, x), dtype=float)
-        x = np.asarray(x, dtype=float)
-        cols = []
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = 1.0
-            cols.append(_fd1(lambda s: self.u(t, x + s * e), 0.0, self.fd_step))
-        return (np.stack(cols, axis=1) if cols
-                else np.zeros((self.dims.n, 0)))
+        return central_difference(self.u, (t, x), 1, self.fd_step)
 
     def u_tt(self, t, x):
         if self._u_tt is not None:
             return np.asarray(self._u_tt(t, x), dtype=float)
-        return _fd1(lambda tt: self.u_t(tt, x), t, self.fd_step)
+        return central_difference(self.u_t, (t, x), 0, self.fd_step,
+                                  comp_axes=0)
 
     def u_tx(self, t, x):
-        m = self.dims.m
         if self._u_tx is not None:
             return np.asarray(self._u_tx(t, x), dtype=float)
-        x = np.asarray(x, dtype=float)
-        cols = []
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = 1.0
-            cols.append(_fd1(lambda s: self.u_t(t, x + s * e), 0.0, self.fd_step))
-        return (np.stack(cols, axis=1) if cols
-                else np.zeros((self.dims.n, 0)))
+        return central_difference(self.u_t, (t, x), 1, self.fd_step)
 
     def u_xx(self, t, x):
-        m = self.dims.m
         if self._u_xx is not None:
             return np.asarray(self._u_xx(t, x), dtype=float)
-        x = np.asarray(x, dtype=float)
-        out = np.zeros((self.dims.n, m, m))
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = 1.0
-            out[:, :, j] = _fd1(lambda s: self.u_x(t, x + s * e), 0.0,
-                                self.fd_step)
-        return out
+        return central_difference(self.u_x, (t, x), 1, self.fd_step)
 
     def jet(self, t, x):
         x = np.asarray(x, dtype=float)
@@ -403,32 +397,20 @@ class MomentumSection:
     def d_base_u(self, t, x):
         if self._d_base_u is not None:
             return np.asarray(self._d_base_u(t, x), dtype=float)
-        m = self.dims.m
-        rows = [_fd1(lambda tt: self.u(tt, x), t, self.fd_step)]
-        x = np.asarray(x, dtype=float)
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = 1.0
-            rows.append(_fd1(lambda s: self.u(t, x + s * e), 0.0, self.fd_step))
-        return np.stack(rows, axis=0)
+        u_t = central_difference(self.u, (t, x), 0, self.fd_step, comp_axes=0)
+        u_x = central_difference(self.u, (t, x), 1, self.fd_step)
+        return np.concatenate([u_t[None], u_x.T])
 
     def d_t_pt(self, t, x):
         if self._d_t_pt is not None:
             return np.asarray(self._d_t_pt(t, x), dtype=float)
-        return _fd1(lambda tt: self.p_t(tt, x), t, self.fd_step)
+        return central_difference(self.p_t, (t, x), 0, self.fd_step,
+                                  comp_axes=0)
 
     def d_x_px(self, t, x):
         if self._d_x_px is not None:
             return np.asarray(self._d_x_px(t, x), dtype=float)
-        m, n = self.dims.m, self.dims.n
-        x = np.asarray(x, dtype=float)
-        out = np.zeros((n, m, m))
-        for i in range(m):
-            e = np.zeros(m)
-            e[i] = 1.0
-            out[:, :, i] = _fd1(lambda s: self.p_x(t, x + s * e), 0.0,
-                                self.fd_step)
-        return out
+        return central_difference(self.p_x, (t, x), 1, self.fd_step)
 
 
 def legendre_transform_section(L, section):
@@ -553,8 +535,8 @@ class ConnectionCoefficients:
     def partials(self, t, x, u):
         if self._partials is not None:
             return self._partials(t, x, u)
-        return {var: central_difference(self.coefficients, t, x, u, wrt,
-                                        self.fd_step)
+        return {var: central_difference(self.coefficients, (t, x, u), wrt,
+                                        self.fd_step, comp_axes=min(wrt, 1))
                 for wrt, var in enumerate("txu")}
 
 

@@ -141,52 +141,57 @@ def finite_difference_partial(f, point, axis=0, step=DEFAULT_FD_STEP):
     if step <= 0:
         raise ModelError("step must be positive")
     p = np.atleast_1d(np.asarray(point, dtype=float))
-    hi = p.copy()
-    lo = p.copy()
-    hi[axis] += step
-    lo[axis] -= step
-    if np.isscalar(point) or np.asarray(point).ndim == 0:
-        fhi, flo = f(hi[0]), f(lo[0])
-    else:
-        fhi, flo = f(hi), f(lo)
-    out = (fhi - flo) / (2.0 * step)
+    scalar = np.ndim(point) == 0
+
+    def along(z):
+        q = p.copy()
+        q[axis] = z
+        return f(q[0] if scalar else q)
+
+    out = central_difference(along, (p[axis],), 0, step, comp_axes=0)
     if not np.all(np.isfinite(out)):
         raise ModelError("non-finite function value in finite difference")
     return out
 
 
-def central_difference(f, t, x, u, wrt, step):
-    """Central differences of f(t, x, u) in t (``wrt`` 0), in each x^j (1)
-    or in each u^b (2). An x or u derivative axis follows the axes of f's
-    value and precedes the trailing node axes that u carries."""
-    args = [t, np.asarray(x, dtype=float), np.asarray(u, dtype=float)]
-    if wrt == 0:
-        return (f(t + step, *args[1:]) - f(t - step, *args[1:])) / (2 * step)
+def central_difference(f, args, wrt, step, comp_axes=1):
+    """Central differences (f(.., a + s e_c, ..) - f(.., a - s e_c, ..)) / 2s
+    of f(*args) in each component c of a = args[wrt].
+
+    The components index the first ``comp_axes`` axes of a (0 for a scalar
+    slot such as t, 1 for u, x or p_t, 2 for u_x or p_x); any further axes
+    of a are node axes, perturbed together. Each perturbed slot is a copy
+    of a. The derivative axes follow the axes of f's value and precede the
+    trailing node axes it shares with a.
+    """
+    args = list(args)
+    a = args[wrt]
+    if comp_axes:
+        a = np.asarray(a, dtype=float)
+        comps = a.shape[:comp_axes]
+        shifts = []
+        for c in np.ndindex(comps):
+            hi, lo = a.copy(), a.copy()
+            hi[c] += step
+            lo[c] -= step
+            shifts.append((hi, lo))
+    else:
+        shifts = [(a + step, a - step)]
     cols = []
-    for j in range(len(args[wrt])):
-        hi, lo = list(args), list(args)
-        hi[wrt], lo[wrt] = args[wrt].copy(), args[wrt].copy()
-        hi[wrt][j] += step
-        lo[wrt][j] -= step
-        cols.append((f(*hi) - f(*lo)) / (2 * step))
-    value = cols[0] if cols else np.asarray(f(*args))
-    axis = np.ndim(value) - (args[2].ndim - 1)
+    for hi, lo in shifts:
+        args[wrt] = hi
+        f_hi = np.asarray(f(*args), dtype=float)
+        args[wrt] = lo
+        cols.append((f_hi - np.asarray(f(*args), dtype=float)) / (2 * step))
+    if not comp_axes:
+        return cols[0]
+    args[wrt] = a
+    value = cols[0] if cols else np.asarray(f(*args), dtype=float)
+    axis = value.ndim - (a.ndim - comp_axes)
+    shape = value.shape[:axis] + comps + value.shape[axis:]
     if not cols:
-        return np.zeros(value.shape[:axis] + (0,) + value.shape[axis:])
-    return np.stack(cols, axis=axis)
-
-
-def _fd_in_field(value, step, slot, comp, t, x, *fields):
-    """Central difference of value(t, x, *fields) in component ``comp`` of
-    the field in position ``slot``."""
-    fields = [np.asarray(f, dtype=float) for f in fields]
-    hi, lo = list(fields), list(fields)
-    hi[slot], lo[slot] = fields[slot].copy(), fields[slot].copy()
-    hi[slot][comp] += step
-    lo[slot][comp] -= step
-    vh = np.asarray(value(t, x, *hi), dtype=float)
-    vl = np.asarray(value(t, x, *lo), dtype=float)
-    return (vh - vl) / (2 * step)
+        return np.zeros(shape)
+    return np.stack(cols, axis=axis).reshape(shape)
 
 
 def pack_velocities(u_t, u_x):
@@ -267,36 +272,23 @@ class LagrangianModel:
             raise ModelError(f"{self.name}: non-finite Lagrangian value")
         return out if out.ndim else float(out)
 
-    def _fd_wrt(self, which, comp, t, x, u, u_t, u_x):
-        # central difference in one component of u / u_t / u_x
-        return _fd_in_field(self._value, self.fd_step,
-                            ("u", "u_t", "u_x").index(which), comp,
-                            t, x, u, u_t, u_x)
-
     def d_u(self, t, x, u, u_t, u_x):
         if self._d_u is not None:
             return np.asarray(self._d_u(t, x, u, u_t, u_x), dtype=float)
-        u = np.asarray(u, dtype=float)
-        return np.stack([self._fd_wrt("u", a, t, x, u, u_t, u_x)
-                         for a in range(self.dims.n)])
+        return central_difference(self._value, (t, x, u, u_t, u_x), 2,
+                                  self.fd_step)
 
     def d_ut(self, t, x, u, u_t, u_x):
         if self._d_ut is not None:
             return np.asarray(self._d_ut(t, x, u, u_t, u_x), dtype=float)
-        return np.stack([self._fd_wrt("u_t", a, t, x, u, u_t, u_x)
-                         for a in range(self.dims.n)])
+        return central_difference(self._value, (t, x, u, u_t, u_x), 3,
+                                  self.fd_step)
 
     def d_ux(self, t, x, u, u_t, u_x):
-        n, m = self.dims.n, self.dims.m
         if self._d_ux is not None:
             return np.asarray(self._d_ux(t, x, u, u_t, u_x), dtype=float)
-        u_x = np.asarray(u_x, dtype=float)
-        tail = u_x.shape[2:]
-        out = np.empty((n, m) + tail)
-        for a in range(n):
-            for j in range(m):
-                out[a, j] = self._fd_wrt("u_x", (a, j), t, x, u, u_t, u_x)
-        return out
+        return central_difference(self._value, (t, x, u, u_t, u_x), 4,
+                                  self.fd_step, comp_axes=2)
 
     def d_t(self, t, x, u, u_t, u_x):
         if not self.time_dependent:
@@ -304,10 +296,8 @@ class LagrangianModel:
             return np.zeros_like(base)
         if self._d_t is not None:
             return np.asarray(self._d_t(t, x, u, u_t, u_x), dtype=float)
-        s = self.fd_step
-        vh = self._value(t + s, x, u, u_t, u_x)
-        vl = self._value(t - s, x, u, u_t, u_x)
-        return (np.asarray(vh, dtype=float) - np.asarray(vl, dtype=float)) / (2 * s)
+        return central_difference(self._value, (t, x, u, u_t, u_x), 0,
+                                  self.fd_step, comp_axes=0)
 
     def d_velocities(self, t, x, u, u_t, u_x):
         """All velocity partials packed into slot order, shape (S, ...)."""
@@ -318,33 +308,17 @@ class LagrangianModel:
         """Second partials of L in the velocity slots, shape (S, S, ...)."""
         if self._hess is not None:
             return np.asarray(self._hess(t, x, u, u_t, u_x), dtype=float)
-        S = self.dims.n_velocity_slots
-        s = self.fd_step
-        vel = pack_velocities(np.asarray(u_t, dtype=float),
-                              np.asarray(u_x, dtype=float))
-        cols = []
-        for k in range(S):
-            hi = vel.copy()
-            lo = vel.copy()
-            hi[k] += s
-            lo[k] -= s
-            ut_h, ux_h = unpack_velocities(hi, self.dims)
-            ut_l, ux_l = unpack_velocities(lo, self.dims)
-            gh = self.d_velocities(t, x, u, ut_h, ux_h)
-            gl = self.d_velocities(t, x, u, ut_l, ux_l)
-            cols.append((gh - gl) / (2 * s))
-        return np.stack(cols, axis=1)
-
-    def _d2_vel(self, wrt, t, x, u, u_t, u_x):
         return central_difference(
-            lambda tt, xx, uu: self.d_velocities(tt, xx, uu, u_t, u_x),
-            t, x, u, wrt, self.fd_step)
+            lambda v: self.d_velocities(t, x, u,
+                                        *unpack_velocities(v, self.dims)),
+            (pack_velocities(u_t, u_x),), 0, self.fd_step)
 
     def d2_vel_u(self, t, x, u, u_t, u_x):
         """Mixed second partials d^2 L / d vel_s d u^beta, shape (S, n, ...)."""
         if self._d2_vel_u is not None:
             return np.asarray(self._d2_vel_u(t, x, u, u_t, u_x), dtype=float)
-        return self._d2_vel(2, t, x, u, u_t, u_x)
+        return central_difference(self.d_velocities, (t, x, u, u_t, u_x), 2,
+                                  self.fd_step)
 
     def d2_vel_t(self, t, x, u, u_t, u_x):
         """Explicit-time second partials d^2 L / d vel_s dt, shape (S, ...)."""
@@ -352,13 +326,15 @@ class LagrangianModel:
             return np.asarray(self._d2_vel_t(t, x, u, u_t, u_x), dtype=float)
         if not self.time_dependent:
             return np.zeros_like(self.d_velocities(t, x, u, u_t, u_x))
-        return self._d2_vel(0, t, x, u, u_t, u_x)
+        return central_difference(self.d_velocities, (t, x, u, u_t, u_x), 0,
+                                  self.fd_step, comp_axes=0)
 
     def d2_vel_x(self, t, x, u, u_t, u_x):
         """Explicit-space second partials d^2 L / d vel_s dx^j, (S, m, ...)."""
         if self._d2_vel_x is not None:
             return np.asarray(self._d2_vel_x(t, x, u, u_t, u_x), dtype=float)
-        return self._d2_vel(1, t, x, u, u_t, u_x)
+        return central_difference(self.d_velocities, (t, x, u, u_t, u_x), 1,
+                                  self.fd_step)
 
     # -- point-level API ---------------------------------------------------
 
@@ -404,34 +380,23 @@ class HamiltonianModel:
             raise ModelError(f"{self.name}: non-finite Hamiltonian value")
         return out if out.ndim else float(out)
 
-    def _fd_wrt(self, which, comp, t, x, u, p_t, p_x):
-        return _fd_in_field(self._value, self.fd_step,
-                            ("u", "p_t", "p_x").index(which), comp,
-                            t, x, u, p_t, p_x)
-
     def d_u(self, t, x, u, p_t, p_x):
         if self._d_u is not None:
             return np.asarray(self._d_u(t, x, u, p_t, p_x), dtype=float)
-        return np.stack([self._fd_wrt("u", a, t, x, u, p_t, p_x)
-                         for a in range(self.dims.n)])
+        return central_difference(self._value, (t, x, u, p_t, p_x), 2,
+                                  self.fd_step)
 
     def d_pt(self, t, x, u, p_t, p_x):
         if self._d_pt is not None:
             return np.asarray(self._d_pt(t, x, u, p_t, p_x), dtype=float)
-        return np.stack([self._fd_wrt("p_t", a, t, x, u, p_t, p_x)
-                         for a in range(self.dims.n)])
+        return central_difference(self._value, (t, x, u, p_t, p_x), 3,
+                                  self.fd_step)
 
     def d_px(self, t, x, u, p_t, p_x):
-        n, m = self.dims.n, self.dims.m
         if self._d_px is not None:
             return np.asarray(self._d_px(t, x, u, p_t, p_x), dtype=float)
-        p_x = np.asarray(p_x, dtype=float)
-        tail = p_x.shape[2:]
-        out = np.empty((n, m) + tail)
-        for a in range(n):
-            for j in range(m):
-                out[a, j] = self._fd_wrt("p_x", (a, j), t, x, u, p_t, p_x)
-        return out
+        return central_difference(self._value, (t, x, u, p_t, p_x), 4,
+                                  self.fd_step, comp_axes=2)
 
     def d_t(self, t, x, u, p_t, p_x):
         if not self.time_dependent:
@@ -439,10 +404,8 @@ class HamiltonianModel:
             return np.zeros_like(base)
         if self._d_t is not None:
             return np.asarray(self._d_t(t, x, u, p_t, p_x), dtype=float)
-        s = self.fd_step
-        vh = self._value(t + s, x, u, p_t, p_x)
-        vl = self._value(t - s, x, u, p_t, p_x)
-        return (np.asarray(vh, dtype=float) - np.asarray(vl, dtype=float)) / (2 * s)
+        return central_difference(self._value, (t, x, u, p_t, p_x), 0,
+                                  self.fd_step, comp_axes=0)
 
     def d_momenta(self, t, x, u, p_t, p_x):
         """Momentum partials as one (n, m+1, ...) block, time slot first."""
@@ -460,46 +423,17 @@ class HamiltonianModel:
         """
         if self._momentum_jacobian is not None:
             return self._momentum_jacobian(t, x, u, p_t, p_x)
-        n, m = self.dims.n, self.dims.m
-        s = self.fd_step
-        u = np.asarray(u, dtype=float)
-        p_t = np.asarray(p_t, dtype=float)
-        p_x = np.asarray(p_x, dtype=float)
-        x = np.asarray(x, dtype=float)
-
-        def g(tt, xx, uu, pt, px):
-            return self.d_momenta(tt, xx, uu, pt, px)
-
+        args = (t, x, u, p_t, p_x)
         if self.time_dependent:
-            out_t = (g(t + s, x, u, p_t, p_x) - g(t - s, x, u, p_t, p_x)) / (2 * s)
+            jac = {"t": central_difference(self.d_momenta, args, 0,
+                                           self.fd_step, comp_axes=0)}
         else:
-            out_t = np.zeros((n, m + 1))
-        out_x = np.zeros((n, m + 1, m))
-        for j in range(m):
-            hi, lo = x.copy(), x.copy()
-            hi[j] += s
-            lo[j] -= s
-            out_x[:, :, j] = (g(t, hi, u, p_t, p_x) - g(t, lo, u, p_t, p_x)) / (2 * s)
-        out_u = np.zeros((n, m + 1, n))
-        for b in range(n):
-            hi, lo = u.copy(), u.copy()
-            hi[b] += s
-            lo[b] -= s
-            out_u[:, :, b] = (g(t, x, hi, p_t, p_x) - g(t, x, lo, p_t, p_x)) / (2 * s)
-        out_pt = np.zeros((n, m + 1, n))
-        for b in range(n):
-            hi, lo = p_t.copy(), p_t.copy()
-            hi[b] += s
-            lo[b] -= s
-            out_pt[:, :, b] = (g(t, x, u, hi, p_x) - g(t, x, u, lo, p_x)) / (2 * s)
-        out_px = np.zeros((n, m + 1, n, m))
-        for b in range(n):
-            for j in range(m):
-                hi, lo = p_x.copy(), p_x.copy()
-                hi[b, j] += s
-                lo[b, j] -= s
-                out_px[:, :, b, j] = (g(t, x, u, p_t, hi) - g(t, x, u, p_t, lo)) / (2 * s)
-        return {"t": out_t, "x": out_x, "u": out_u, "p_t": out_pt, "p_x": out_px}
+            jac = {"t": np.zeros((self.dims.n, self.dims.m + 1))}
+        for wrt, var in enumerate(("x", "u", "p_t", "p_x"), start=1):
+            jac[var] = central_difference(self.d_momenta, args, wrt,
+                                          self.fd_step,
+                                          comp_axes=2 if var == "p_x" else 1)
+        return jac
 
     def __call__(self, sample):
         return float(self.value(sample.t, sample.x, sample.u, sample.p_t,

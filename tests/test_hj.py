@@ -3,7 +3,8 @@ import pytest
 
 from dedonder_hj.cauchy import make_grid, run_simulation
 from dedonder_hj.hj import (GammaDomainError, HJSection,
-                            IncompatibleDataError, connection_lift_vector,
+                            IncompatibleDataError, check_compatibility,
+                            connection_lift_vector,
                             evolve_characteristics, gamma_closedness_residual,
                             gamma_family, hj_lift_solution_check, hj_residual,
                             lift_by_gamma, lift_variation, linear_gamma,
@@ -302,6 +303,27 @@ def test_hj_lift_check_refuses_incompatible_data():
     with pytest.raises(IncompatibleDataError) as err:
         hj_lift_solution_check(H, zero, g, times, frames)
     assert err.value.residual == pytest.approx(TWO_PI, rel=1e-3)
+
+
+def test_check_compatibility_tolerance():
+    # the residual of sine data against the flat section is the discrete
+    # gradient, about 2 pi; the default tolerance is 10 h^2 for m = 1
+    g = make_grid(128)
+    H = wave_H()
+    zero = linear_gamma(M1, a=0.0)
+    u = np.sin(TWO_PI * g.x[0])[None, :]
+    assert check_compatibility(H, zero, g, np.full((1, 128), 1.7), 0.0) == 0.0
+    with pytest.raises(IncompatibleDataError) as err:
+        check_compatibility(H, zero, g, u, 0.0)
+    assert err.value.tol == 10.0 * g.spacing ** 2
+    assert check_compatibility(H, zero, g, u, 0.0, tol=7.0) \
+        == pytest.approx(TWO_PI, rel=1e-3)
+    # vacuous for m = 0
+    osc = builtin_model("mechanics_oscillator", {"omega": 1.0})
+    dims0 = Dimensions(m=0, n=1)
+    assert check_compatibility(hamiltonian_from_lagrangian(osc),
+                               linear_gamma(dims0, a=0.3), make_grid(1, m=0),
+                               np.ones((1, 1)), 0.0) == 0.0
 
 
 def test_connection_lift_vector_components():
