@@ -23,13 +23,15 @@ L = builtin_model("klein_gordon", {"mass": 1.0})
 H = hamiltonian_from_lagrangian(L)
 gamma = oscillator_gamma(L.dims, omega=1.0)
 
+# 200 random (t, x, u) samples, checked in one batched pass: t (200,),
+# x (1, 200) and u (1, 200) carry the sample axis last
 rng = np.random.default_rng(3)
-samples = [(rng.uniform(0, 1), rng.uniform(0, 1, 1), rng.uniform(-2, 2, 1))
-           for _ in range(200)]
-closed = max(gamma_closedness_residual(gamma, [s]).max_abs() for s in samples)
-hj = max(np.max(np.abs(hj_residual(H, gamma, *s))) for s in samples)
+t, x, u = rng.uniform([0.0, 0.0, -2.0], [1.0, 1.0, 2.0], size=(200, 3)).T
+x, u = x[None], u[None]
+closed = gamma_closedness_residual(gamma, t, x, u).max_abs()
+hj = np.max(np.abs(hj_residual(H, gamma, t, x, u)))
 conn = reduced_connection(H, gamma)
-flat = max(np.max(np.abs(flatness_residual(conn, *s))) for s in samples)
+flat = np.max(np.abs(flatness_residual(conn, t, x, u)))
 print("section sup-norms over 200 samples:")
 print("  closedness %.2e   hamilton-jacobi %.2e   flatness %.2e"
       % (closed, hj, flat))

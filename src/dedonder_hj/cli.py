@@ -204,6 +204,8 @@ def _refined(scenario, sweep, level):
 
 
 def _verify_mesh(scenario, dims):
+    """The (t, x, u) verification mesh as one array, one row per coordinate
+    (t, then x when m = 1, then u_1..u_n) and one column per sample."""
     box = dict(scenario.verify_box)
     t_lo, t_hi = box.get("t", (0.0, 1.0))
     x_lo, x_hi = box.get("x", (0.0, 1.0))
@@ -214,48 +216,49 @@ def _verify_mesh(scenario, dims):
         axes.append(np.linspace(x_lo, x_hi, s))
     for _ in range(dims.n):
         axes.append(np.linspace(u_lo, u_hi, s))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = [a.ravel() for a in mesh]
-    samples = []
-    for k in range(flat[0].size):
-        t = flat[0][k]
-        if dims.m:
-            x = np.array([flat[1][k]])
-            u = np.array([flat[1 + j][k] for j in range(1, dims.n + 1)])
-        else:
-            x = np.zeros(0)
-            u = np.array([flat[j][k] for j in range(1, dims.n + 1)])
-        samples.append((t, x, u))
-    return samples
+    return np.stack(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), -1)
+
+
+#: samples per batched evaluation of the verification residuals
+VERIFY_CHUNK = 2048
+
+
+def _verify_columns(H, gamma, mesh, conn=None):
+    """Per-sample closedness, Hamilton-Jacobi and (when ``conn`` is given)
+    flatness residuals over the mesh of :func:`_verify_mesh`, as rows of
+    one array. The mesh is evaluated in chunks of VERIFY_CHUNK samples, so
+    memory stays bounded whatever its size."""
+    m = gamma.dims.m
+    chunks = []
+    for lo in range(0, mesh.shape[1], VERIFY_CHUNK):
+        block = mesh[:, lo:lo + VERIFY_CHUNK]
+        t, x, u = block[0], block[1:1 + m], block[1 + m:]
+        cols = [gamma_closedness_residual(gamma, t, x, u).per_sample(),
+                np.max(np.abs(hj_residual(H, gamma, t, x, u)), axis=0)]
+        if conn is not None:
+            flat = np.abs(flatness_residual(conn, t, x, u))
+            cols.append(np.max(flat.reshape(-1, flat.shape[-1]), axis=0))
+        chunks.append(np.stack(cols))
+    return np.concatenate(chunks, axis=1)
 
 
 def cmd_verify_hj(scenario, out_dir, seed):
     L = build_model(scenario)
     H = hamiltonian_for(L)
     gamma = build_gamma(scenario, L.dims)
-    samples = _verify_mesh(scenario, L.dims)
-    conn = reduced_connection(H, gamma)
-    rows = []
-    sup_closed = 0.0
-    sup_hj = 0.0
-    sup_flat = 0.0
-    for (t, x, u) in samples:
-        closed = gamma_closedness_residual(gamma, [(t, x, u)]).max_abs()
-        hj = float(np.max(np.abs(hj_residual(H, gamma, t, x, u))))
-        flat = float(np.max(np.abs(flatness_residual(conn, t, x, u))))
-        sup_closed = max(sup_closed, closed)
-        sup_hj = max(sup_hj, hj)
-        sup_flat = max(sup_flat, flat)
-        rows.append([t] + ([x[0]] if L.dims.m else []) + list(u)
-                    + [closed, hj, flat])
+    mesh = _verify_mesh(scenario, L.dims)
+    residuals = _verify_columns(H, gamma, mesh, reduced_connection(H, gamma))
+    sup_closed, sup_hj, sup_flat = np.max(residuals, axis=1).tolist()
     p = scenario.precision
     header = ["t"] + (["x"] if L.dims.m else []) \
         + [f"u_{a + 1}" for a in range(L.dims.n)] \
         + ["closedness", "hj", "flatness"]
-    _write_csv(os.path.join(out_dir, "verify_hj.csv"), header, rows, p)
+    _write_csv(os.path.join(out_dir, "verify_hj.csv"), header,
+               np.concatenate([mesh, residuals]).T.tolist(), p)
     ok = max(sup_closed, sup_hj, sup_flat) <= scenario.verify_tol
     _report([f"verify-hj: model={scenario.model_name} "
-             f"gamma={scenario.gamma_name} samples={len(samples)} seed={seed}",
+             f"gamma={scenario.gamma_name} samples={mesh.shape[1]} "
+             f"seed={seed}",
              f"closedness_sup = {_fmt(sup_closed, p)}",
              f"hj_sup = {_fmt(sup_hj, p)}",
              f"flatness_sup = {_fmt(sup_flat, p)}",
@@ -304,12 +307,8 @@ def cmd_compare(scenario, out_dir, seed, sweep=None):
     grid = build_grid(scenario)
     gamma = build_gamma(scenario, L.dims)
 
-    samples = _verify_mesh(scenario, L.dims)
-    sup = 0.0
-    for (t, x, u) in samples:
-        sup = max(sup,
-                  gamma_closedness_residual(gamma, [(t, x, u)]).max_abs(),
-                  float(np.max(np.abs(hj_residual(H, gamma, t, x, u)))))
+    sup = float(np.max(_verify_columns(H, gamma,
+                                       _verify_mesh(scenario, L.dims))))
     verified = sup <= scenario.verify_tol
 
     def run_levels(sc):

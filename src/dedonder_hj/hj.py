@@ -56,9 +56,11 @@ class HJSection:
     """Momentum-valued section with partial-derivative access.
 
     Component callables take ``(t, x, u)`` and broadcast over a trailing
-    node axis: ``pt -> (n, ...)``, ``px -> (n, m, ...)``, ``p -> (...)``.
-    Analytic partials may be supplied via the ``partials`` hook returning
-    a dict with keys
+    axis, which holds grid nodes (t scalar, x (m, N), u (n, N)) or
+    independent samples (t (P,), x (m, P), u (n, P)): ``pt -> (n, ...)``,
+    ``px -> (n, m, ...)``, ``p -> (...)``. The domain guard receives t as
+    given. Analytic partials may be supplied via the ``partials`` hook
+    returning a dict with keys
 
         "pt_t" (n,...), "pt_x" (n,m,...), "pt_u" (n,n,...),
         "px_t" (n,m,...), "px_x" (n,m,m,...), "px_u" (n,m,n,...),
@@ -161,10 +163,17 @@ def oscillator_gamma(dims, omega, phi=0.0, pole_tol=1e-3):
             return
         z = omega * t + phi
         w = (z - np.pi / 2.0) % np.pi
-        if min(w, np.pi - w) < pole_tol:
-            raise GammaDomainError(
-                f"oscillator section evaluated within {pole_tol:g} of a "
-                f"tan pole (omega t + phi = {z:.6f})")
+        if isinstance(w, float):
+            if min(w, np.pi - w) >= pole_tol:
+                return
+        else:
+            near = np.ravel(np.minimum(w, np.pi - w) < pole_tol)
+            if not near.any():
+                return
+            z = np.ravel(z)[np.argmax(near)]    # first offending sample
+        raise GammaDomainError(
+            f"oscillator section evaluated within {pole_tol:g} of a "
+            f"tan pole (omega t + phi = {z:.6f})")
 
     def a(t):
         return -omega * np.tan(omega * t + phi)
@@ -230,7 +239,7 @@ def gamma_family(name, dims, params=None):
 
 @dataclass
 class ClosednessResidual:
-    """Exterior-derivative components of the section at sample points."""
+    """Exterior-derivative components of the section, sample axis first."""
     symmetry_t: np.ndarray    # (P, n, n): d(gamma_pt_a)/du_b antisymmetrized
     symmetry_x: np.ndarray    # (P, m, n, n)
     mixed: np.ndarray         # (P, n): d(gamma_p)/du - d_t gamma_pt - d_x gamma_px
@@ -240,36 +249,58 @@ class ClosednessResidual:
                 for a in (self.symmetry_t, self.symmetry_x, self.mixed)]
         return float(max(vals))
 
+    def per_sample(self):
+        """Largest absolute component at each sample, shape (P,)."""
+        return np.max([np.max(np.abs(a), axis=tuple(range(1, a.ndim)))
+                       for a in (self.symmetry_t, self.symmetry_x, self.mixed)
+                       if a.shape[1]], axis=0)
 
-def gamma_closedness_residual(gamma, samples):
-    """Closedness residuals at a list of (t, x, u) samples."""
+
+def gamma_closedness_residual(gamma, t, x=None, u=None):
+    """Closedness residuals of the section, sample axis first.
+
+    Called as ``(gamma, t, x, u)`` with t of shape (P,), x (m, P) and
+    u (n, P), one evaluation of the section partials covers all P samples;
+    a scalar t with x (m,) and u (n,) is one sample (P = 1). Called as
+    ``(gamma, samples)`` with a list of (t, x, u) points, the points are
+    stacked along the sample axis.
+    """
     n, m = gamma.dims.n, gamma.dims.m
-    P = len(samples)
-    sym_t = np.zeros((P, n, n))
-    sym_x = np.zeros((P, m, n, n))
-    mixed = np.zeros((P, n))
-    for k, (t, x, u) in enumerate(samples):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        d = gamma.partials(t, x, u)
-        pt_u = np.asarray(d["pt_u"], dtype=float)
-        sym_t[k] = pt_u - pt_u.T
-        px_u = np.asarray(d["px_u"], dtype=float)
-        for j in range(m):
-            sym_x[k, j] = px_u[:, j, :] - px_u[:, j, :].T
-        mixed[k] = (np.asarray(d["p_u"], dtype=float)
-                    - np.asarray(d["pt_t"], dtype=float))
-        if m:
-            mixed[k] -= np.einsum("ajj->a",
-                                  np.asarray(d["px_x"], dtype=float))
-    return ClosednessResidual(symmetry_t=sym_t, symmetry_x=sym_x, mixed=mixed)
+    if x is None:
+        points = t
+        t = np.array([p[0] for p in points], dtype=float)
+        x = np.array([p[1] for p in points], dtype=float).reshape(len(t), m).T
+        u = np.array([p[2] for p in points], dtype=float).reshape(len(t), n).T
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    P = u[0].size
+
+    def samples_first(a):
+        return np.moveaxis(a.reshape(a.shape[:a.ndim - u.ndim + 1] + (P,)),
+                           -1, 0)
+
+    d = gamma.partials(t, x, u)
+    pt_u = np.asarray(d["pt_u"], dtype=float)           # (n, n, ...)
+    px_u = np.moveaxis(np.asarray(d["px_u"], dtype=float),
+                       1, 0)                              # (m, n, n, ...)
+    mixed = np.asarray(d["p_u"], dtype=float) - np.asarray(d["pt_t"],
+                                                            dtype=float)
+    if m:
+        mixed -= np.einsum("ajj...->a...", np.asarray(d["px_x"], dtype=float))
+    return ClosednessResidual(
+        symmetry_t=samples_first(pt_u - np.swapaxes(pt_u, 0, 1)),
+        symmetry_x=samples_first(px_u - np.swapaxes(px_u, 1, 2)),
+        mixed=samples_first(mixed))
 
 
 def hj_residual(H, gamma, t, x, u):
-    """Pointwise Hamilton-Jacobi residual per field component.
+    """Hamilton-Jacobi residual per field component, shape (n, ...).
 
-    Zero together with closedness certifies the section as a solution of
-    the Hamilton-Jacobi condition for H.
+    t, x and u may carry a trailing sample axis: t (P,), x (m, P),
+    u (n, P) give a residual of shape (n, P), evaluated with one call to
+    each section and Hamiltonian partial; a scalar t with x (m,) and u (n,)
+    gives one point's (n,). Zero together with closedness certifies the
+    section as a solution of the Hamilton-Jacobi condition for H.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -281,10 +312,12 @@ def hj_residual(H, gamma, t, x, u):
     h_px = H.d_px(*args)
     d = gamma.partials(t, x, u)
     res = h_u.astype(float).copy()
-    res += np.einsum("b,ba->a", h_pt, np.asarray(d["pt_u"], dtype=float))
+    res += np.einsum("b...,ba...->a...", h_pt,
+                     np.asarray(d["pt_u"], dtype=float))
     if gamma.dims.m:
-        res += np.einsum("bj,bja->a", h_px, np.asarray(d["px_u"], dtype=float))
-        res += np.einsum("ajj->a", np.asarray(d["px_x"], dtype=float))
+        res += np.einsum("bj...,bja...->a...", h_px,
+                         np.asarray(d["px_u"], dtype=float))
+        res += np.einsum("ajj...->a...", np.asarray(d["px_x"], dtype=float))
     res += np.asarray(d["pt_t"], dtype=float)
     return res
 
@@ -292,9 +325,9 @@ def hj_residual(H, gamma, t, x, u):
 def reduced_connection(H, gamma):
     """Connection on the configuration bundle induced by the section:
     Gamma^a_i = dH/dp^i_a at the lifted point (time slot first). Partials
-    come from the chain rule when both H and the section expose them."""
-    dims = H.dims
-    n, m = dims.n, dims.m
+    come from the chain rule when both H and the section expose them; like
+    both, they broadcast over a trailing sample axis of (t, x, u)."""
+    m = H.dims.m
 
     def coefficients(t, x, u):
         x = np.asarray(x, dtype=float)
@@ -309,29 +342,28 @@ def reduced_connection(H, gamma):
         pt = gamma.pt(t, x, u)
         px = gamma.px(t, x, u)
         J = H.momentum_jacobian(t, x, u, pt, px)
-        g = gamma.partials(t, x, u)
-        pt_t = np.asarray(g["pt_t"], dtype=float)
-        px_t = np.asarray(g["px_t"], dtype=float)
-        pt_x = np.asarray(g["pt_x"], dtype=float)
-        px_x = np.asarray(g["px_x"], dtype=float)
-        pt_u = np.asarray(g["pt_u"], dtype=float)
-        px_u = np.asarray(g["px_u"], dtype=float)
-        d_t = (J["t"] + np.einsum("aib,b->ai", J["p_t"], pt_t)
-               + (np.einsum("aibj,bj->ai", J["p_x"], px_t) if m else 0.0))
-        d_x = np.zeros((n, m + 1, m))
-        for k in range(m):
-            d_x[:, :, k] = (J["x"][:, :, k]
-                            + np.einsum("aib,b->ai", J["p_t"], pt_x[:, k])
-                            + np.einsum("aibj,bj->ai", J["p_x"], px_x[:, :, k]))
-        d_u = np.zeros((n, m + 1, n))
-        for b in range(n):
-            d_u[:, :, b] = (J["u"][:, :, b]
-                            + np.einsum("aic,c->ai", J["p_t"], pt_u[:, b])
-                            + (np.einsum("aicj,cj->ai", J["p_x"], px_u[:, :, b])
-                               if m else 0.0))
+        g = {k: np.asarray(v, dtype=float)
+             for k, v in gamma.partials(t, x, u).items()}
+        J_pt, J_px = J["p_t"], J["p_x"]
+
+        def chain(explicit, d_pt, d_px):
+            # derivative along one of t, x^k, u^b: the explicit part plus
+            # the momentum Jacobian against the section's derivative
+            out = explicit + np.einsum("aib...,b...->ai...", J_pt, d_pt)
+            if m:
+                out = out + np.einsum("aibj...,bj...->ai...", J_px, d_px)
+            return out
+
+        d_t = chain(J["t"], g["pt_t"], g["px_t"])
+        d_x = np.stack([chain(J["x"][:, :, k], g["pt_x"][:, k],
+                              g["px_x"][:, :, k]) for k in range(m)],
+                       axis=2) if m else J["x"]
+        d_u = np.stack([chain(J["u"][:, :, b], g["pt_u"][:, b],
+                              g["px_u"][:, :, b]) for b in range(H.dims.n)],
+                       axis=2)
         return {"t": d_t, "x": d_x, "u": d_u}
 
-    return ConnectionCoefficients(dims, coefficients, partials=partials)
+    return ConnectionCoefficients(H.dims, coefficients, partials=partials)
 
 
 def restricted_connection_residual(H, gamma, grid, u, t):

@@ -513,10 +513,12 @@ class ConnectionCoefficients:
     """Horizontal-lift coefficients Gamma^alpha_i(t, x, u) of a connection
     on the configuration bundle, time slot first.
 
-    ``coefficients(t, x, u)`` returns (n, m+1). Partial derivatives with
-    respect to (t, x^j, u^beta) may be supplied analytically as
-    ``partials(t, x, u) -> dict`` with keys "t" (n, m+1), "x" (n, m+1, m)
-    and "u" (n, m+1, n); otherwise central differences are used.
+    ``coefficients(t, x, u)`` returns (n, m+1, ...), where ``...`` is the
+    trailing sample axis of t (P,), x (m, P) and u (n, P), or nothing for
+    a single point. Partial derivatives with respect to (t, x^j, u^beta)
+    may be supplied analytically as ``partials(t, x, u) -> dict`` with
+    keys "t" (n, m+1, ...), "x" (n, m+1, m, ...) and "u" (n, m+1, n, ...);
+    otherwise central differences are used.
     """
 
     def __init__(self, dims, coefficients, partials=None,
@@ -547,25 +549,23 @@ def flatness_residual(connection, t, x, u):
                    + Gamma^beta_i d_{u^beta} Gamma^alpha_j
                    - Gamma^beta_j d_{u^beta} Gamma^alpha_i
 
-    with i, j over (t, x^1..x^m). Antisymmetric in (i, j); the connection
-    is flat iff the residual vanishes.
+    with i, j over (t, x^1..x^m), shape (n, m+1, m+1, ...). t, x and u may
+    carry a trailing sample axis (t (P,), x (m, P), u (n, P)), evaluated
+    in one call to the coefficients and their partials. Antisymmetric in
+    (i, j); the connection is flat iff the residual vanishes.
     """
-    dims = connection.dims
-    n, m = dims.n, dims.m
+    m = connection.dims.m
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    G = connection.coefficients(t, x, u)            # (n, m+1)
+    G = connection.coefficients(t, x, u)            # (n, m+1, ...)
     P = connection.partials(t, x, u)
-    # base derivative of Gamma^alpha_j by slot i: (m+1 slots) x (n, m+1)
-    dG = np.zeros((m + 1, n, m + 1))
-    dG[0] = P["t"]
-    for j in range(m):
-        dG[1 + j] = P["x"][:, :, j]
-    dG_u = P["u"]                                   # (n, m+1, n)
-    out = np.zeros((n, m + 1, m + 1))
+    # base derivative of Gamma^alpha_j by slot i: (m+1 slots) x (n, m+1, ...)
+    dG = [P["t"]] + [P["x"][:, :, j] for j in range(m)]
+    dG_u = P["u"]                                   # (n, m+1, n, ...)
+    out = np.zeros(G.shape[:1] + (m + 1,) + G.shape[1:])
     for i in range(m + 1):
         for j in range(m + 1):
-            bracket = np.einsum("b,ab->a", G[:, i], dG_u[:, j, :]) \
-                - np.einsum("b,ab->a", G[:, j], dG_u[:, i, :])
+            bracket = np.einsum("b...,ab...->a...", G[:, i], dG_u[:, j, :]) \
+                - np.einsum("b...,ab...->a...", G[:, j], dG_u[:, i, :])
             out[:, i, j] = dG[i][:, j] - dG[j][:, i] + bracket
     return out

@@ -416,10 +416,11 @@ class HamiltonianModel:
     def momentum_jacobian(self, t, x, u, p_t, p_x):
         """Derivatives of d_momenta with respect to (t, x, u, p_t, p_x).
 
-        Returns a dict with arrays keyed ``"t"`` (n, m+1), ``"x"``
-        (n, m+1, m), ``"u"`` (n, m+1, n), ``"p_t"`` (n, m+1, n) and
-        ``"p_x"`` (n, m+1, n, m). Finite differences unless the model
-        supplies an analytic version.
+        Returns a dict with arrays keyed ``"t"`` (n, m+1, ...), ``"x"``
+        (n, m+1, m, ...), ``"u"`` (n, m+1, n, ...), ``"p_t"``
+        (n, m+1, n, ...) and ``"p_x"`` (n, m+1, n, m, ...), where ``...``
+        are the trailing node axes of u. Finite differences unless the
+        model supplies an analytic version.
         """
         if self._momentum_jacobian is not None:
             return self._momentum_jacobian(t, x, u, p_t, p_x)
@@ -428,7 +429,8 @@ class HamiltonianModel:
             jac = {"t": central_difference(self.d_momenta, args, 0,
                                            self.fd_step, comp_axes=0)}
         else:
-            jac = {"t": np.zeros((self.dims.n, self.dims.m + 1))}
+            jac = {"t": np.zeros((self.dims.n, self.dims.m + 1)
+                                 + np.shape(u)[1:])}
         for wrt, var in enumerate(("x", "u", "p_t", "p_x"), start=1):
             jac[var] = central_difference(self.d_momenta, args, wrt,
                                           self.fd_step,
@@ -480,6 +482,12 @@ def _poly_deriv(coeffs, u):
         if k >= 1 and c != 0.0:
             out = out + k * c * u ** (k - 1)
     return out
+
+
+def _over_nodes(a, tail):
+    """Copy of the point-level array a repeated over trailing node axes."""
+    return np.broadcast_to(a.reshape(a.shape + (1,) * len(tail)),
+                           a.shape + tail).copy()
 
 
 def _quadratic_wave_family(dims, mass=0.0, potential=None, name="free_wave"):
@@ -553,15 +561,20 @@ def _quadratic_wave_family(dims, mass=0.0, potential=None, name="free_wave"):
     def h_dpx(t, x, u, p_t, p_x):
         return -np.asarray(p_x, dtype=float)
 
+    jac_pt = np.zeros((n, m + 1, n))
+    jac_px = np.zeros((n, m + 1, n, m))
+    for a in range(n):
+        jac_pt[a, 0, a] = 1.0
+        for j in range(m):
+            jac_px[a, 1 + j, a, j] = -1.0
+
     def h_momentum_jacobian(t, x, u, p_t, p_x):
-        out_pt = np.zeros((n, m + 1, n))
-        out_px = np.zeros((n, m + 1, n, m))
-        for a in range(n):
-            out_pt[a, 0, a] = 1.0
-            for j in range(m):
-                out_px[a, 1 + j, a, j] = -1.0
-        return {"t": np.zeros((n, m + 1)), "x": np.zeros((n, m + 1, m)),
-                "u": np.zeros((n, m + 1, n)), "p_t": out_pt, "p_x": out_px}
+        tail = np.shape(u)[1:]
+        return {"t": np.zeros((n, m + 1) + tail),
+                "x": np.zeros((n, m + 1, m) + tail),
+                "u": np.zeros((n, m + 1, n) + tail),
+                "p_t": _over_nodes(jac_pt, tail),
+                "p_x": _over_nodes(jac_px, tail)}
 
     ham = HamiltonianModel(dims, h_value, d_u=h_du, d_pt=h_dpt, d_px=h_dpx,
                            momentum_jacobian=h_momentum_jacobian,
@@ -618,11 +631,11 @@ def _oscillator_model(omega):
         return np.zeros((1, 0) + base.shape)
 
     def h_momentum_jacobian(t, x, u, p_t, p_x):
-        out_pt = np.zeros((1, 1, 1))
-        out_pt[0, 0, 0] = 1.0
-        return {"t": np.zeros((1, 1)), "x": np.zeros((1, 1, 0)),
-                "u": np.zeros((1, 1, 1)), "p_t": out_pt,
-                "p_x": np.zeros((1, 1, 1, 0))}
+        tail = np.shape(u)[1:]
+        return {"t": np.zeros((1, 1) + tail), "x": np.zeros((1, 1, 0) + tail),
+                "u": np.zeros((1, 1, 1) + tail),
+                "p_t": np.ones((1, 1, 1) + tail),
+                "p_x": np.zeros((1, 1, 1, 0) + tail)}
 
     ham = HamiltonianModel(dims, h_value, d_u=h_du, d_pt=h_dpt, d_px=h_dpx,
                            momentum_jacobian=h_momentum_jacobian,

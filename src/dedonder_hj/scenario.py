@@ -227,6 +227,10 @@ def parse_scenario(path):
             elif key == "samples_per_axis":
                 verify_samples = _as_int(value, lineno, path,
                                          "gamma.samples_per_axis")
+                if verify_samples < 1:
+                    raise ScenarioError(f"{path}:{lineno}: "
+                                        f"gamma.samples_per_axis must be "
+                                        f">= 1")
             elif key == "verify_tol":
                 verify_tol = _as_float(value, lineno, path, "gamma.verify_tol")
             else:
