@@ -80,12 +80,16 @@ def _damped_newton(residual, x, newton_step, what, noise_floor,
     ``newton_step(x, r)`` (J^-1 r) is halved, up to 30 times, until the
     residual decreases; ``what`` names the solve in errors. When no step
     decreases it, x is returned if its residual is within
-    ``noise_floor(x)``, the finite-difference noise of the residual."""
+    ``noise_floor(x)``, the finite-difference noise of the residual. A
+    residual that is not finite has no solution to converge to: x comes
+    back as NaN, so the caller's finiteness check reports it."""
     r = residual(x)
-    rnorm = np.max(np.abs(r))
+    rnorm = np.abs(r).max()
     for _ in range(max_iter):
         if rnorm <= tol:
             return x
+        if not rnorm < np.inf:
+            return np.full_like(x, np.nan)
         try:
             step = newton_step(x, r)
         except np.linalg.LinAlgError as exc:
@@ -94,7 +98,7 @@ def _damped_newton(residual, x, newton_step, what, noise_floor,
         for _ in range(30):
             trial = x - scale * step
             r_trial = residual(trial)
-            r_trial_norm = np.max(np.abs(r_trial))
+            r_trial_norm = np.abs(r_trial).max()
             if r_trial_norm < rnorm or r_trial_norm <= tol:
                 x, r, rnorm = trial, r_trial, r_trial_norm
                 break
@@ -110,17 +114,19 @@ def _damped_newton(residual, x, newton_step, what, noise_floor,
 
 
 def _solve_nodewise(g, value, target, guess, fd_step, what, tol=NEWTON_TOL,
-                    max_iter=NEWTON_MAX_ITER):
+                    max_iter=NEWTON_MAX_ITER, jacobian=None):
     """:func:`_damped_newton` for g(v) = target with unknowns v of shape
-    (..., N): the leading axes are coupled at each node only, and the
-    per-node Jacobians are central differences of g. g is a partial of the
-    model function ``value(v)``, whose size sets the noise floor."""
+    (..., N): the leading axes are coupled at each node only. The per-node
+    Jacobians, shape (rows, rows, N), come from ``jacobian(v)`` when given
+    and are central differences of g otherwise; one row per node is a
+    division, more a batched solve. g is a partial of the model function
+    ``value(v)``, whose size sets the noise floor."""
     shape = guess.shape
     N = shape[-1]
     rows = guess.size // N
 
-    def newton_step(v, r):
-        J = np.empty((N, rows, rows))
+    def fd_jacobian(v):
+        J = np.empty((rows, rows, N))
         flat = v.reshape(rows, N)
         for k in range(rows):
             hi = flat.copy()
@@ -129,8 +135,19 @@ def _solve_nodewise(g, value, target, guess, fd_step, what, tol=NEWTON_TOL,
             lo[k] -= fd_step
             gh = g(hi.reshape(shape))
             gl = g(lo.reshape(shape))
-            J[:, :, k] = ((gh - gl) / (2 * fd_step)).reshape(rows, N).T
-        step = np.linalg.solve(J, r.reshape(rows, N).T[..., None])[..., 0]
+            J[:, k] = ((gh - gl) / (2 * fd_step)).reshape(rows, N)
+        return J
+
+    jacobian = jacobian or fd_jacobian
+
+    def newton_step(v, r):
+        J = jacobian(v)
+        if rows == 1:
+            if not J.all():
+                raise np.linalg.LinAlgError("Singular matrix")
+            return r / J.reshape(N)
+        step = np.linalg.solve(np.moveaxis(J, -1, 0),
+                               r.reshape(rows, N).T[..., None])[..., 0]
         return step.T.reshape(shape)
 
     return _damped_newton(lambda v: g(v) - target, guess, newton_step, what,

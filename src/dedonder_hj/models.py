@@ -374,6 +374,10 @@ class HamiltonianModel:
     def has_analytic_partials(self):
         return all(f is not None for f in (self._d_u, self._d_pt, self._d_px))
 
+    @property
+    def has_analytic_momentum_jacobian(self):
+        return self._momentum_jacobian is not None
+
     def value(self, t, x, u, p_t, p_x):
         out = np.asarray(self._value(t, x, u, p_t, p_x), dtype=float)
         if not np.all(np.isfinite(out)):

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cauchy import make_grid, recover_spatial_momenta, CauchyState
+from .cauchy import (CauchyState, make_grid, recover_spatial_momenta,
+                     rhs_spectral_radius)
 from .hj import GAMMA_FAMILIES, gamma_family
 from .legendre import hamiltonian_from_lagrangian
 from .models import BUILTIN_MODEL_NAMES, ModelError, builtin_model
@@ -272,18 +273,29 @@ def parse_scenario(path):
 
 
 def check_stability(scenario):
-    """Refuse a linear wave run whose RK4 step is unstable: under the
-    composed central stencil the spectrum is imaginary with |lambda| up
-    to sqrt(1/h^2 + mass^2), so dt |lambda| must stay within
-    :data:`RK4_IMAGINARY_BOUND`. Other models are not checked."""
-    if scenario.model_name not in ("free_wave", "klein_gordon"):
+    """Refuse a run whose RK4 step is unstable: dt |lambda| must stay
+    within :data:`RK4_IMAGINARY_BOUND`. For the linear waves the spectrum
+    under the composed central stencil is imaginary with |lambda| up to
+    sqrt(1/h^2 + mass^2); for ``scalar_potential`` |lambda| is estimated
+    by power iteration of the right-hand side linearised at the initial
+    state. The oscillator is not checked."""
+    if scenario.model_name in ("free_wave", "klein_gordon"):
+        rate = np.hypot(scenario.n_nodes / scenario.length,
+                        scenario.model_params.get("mass", 0.0))
+        what = "dt*sqrt(1/h^2 + mass^2)"
+    elif scenario.model_name == "scalar_potential":
+        L = build_model(scenario)
+        H = hamiltonian_for(L)
+        grid = build_grid(scenario)
+        rate = rhs_spectral_radius(H, grid,
+                                   initial_state(scenario, grid, L, H))
+        what = "dt*|lambda| (linearised at t = 0)"
+    else:
         return
-    rate = np.hypot(scenario.n_nodes / scenario.length,
-                    scenario.model_params.get("mass", 0.0))
     if scenario.dt * rate > RK4_IMAGINARY_BOUND:
         raise ScenarioError(
             f"{scenario.path}: RK4 unstable at N={scenario.n_nodes}: "
-            f"dt*sqrt(1/h^2 + mass^2) = {scenario.dt * rate:.6g} exceeds "
+            f"{what} = {scenario.dt * rate:.6g} exceeds "
             f"2*sqrt(2) = {RK4_IMAGINARY_BOUND:.6g}; "
             f"need dt <= {RK4_IMAGINARY_BOUND / rate:.6g}")
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from dedonder_hj.cauchy import (CauchyState, GridError, TangentVariation,
+from dedonder_hj import cauchy
+from dedonder_hj.cauchy import (BlowupError, CauchyState, GridError,
+                                TangentVariation,
                                 dynamical_trajectory_residual, hdw_rhs,
                                 indicator_variations, integrate_density,
                                 make_grid, presymplectic_pairing,
@@ -10,8 +12,8 @@ from dedonder_hj.cauchy import (CauchyState, GridError, TangentVariation,
                                 spatial_derivative, standard_test_variations,
                                 step_rk4, time_derivative_frames,
                                 variation_norm)
-from dedonder_hj.legendre import hamiltonian_from_lagrangian
-from dedonder_hj.models import builtin_model
+from dedonder_hj.legendre import NEWTON_TOL, hamiltonian_from_lagrangian
+from dedonder_hj.models import Dimensions, HamiltonianModel, builtin_model
 
 TWO_PI = 2.0 * np.pi
 
@@ -428,3 +430,220 @@ def test_simulation_stores_requested_frames():
     traj = run_simulation(H, g, s, 1e-2, 10, store_every=2)
     assert len(traj.states) == 6
     assert np.allclose(np.diff(traj.times), 2e-2)
+
+
+# -- the RK4 hot path ------------------------------------------------------------
+
+def roll_derivative(values, h):
+    """The periodic central difference written with two rolls."""
+    return (np.roll(values, -1, axis=-1)
+            - np.roll(values, 1, axis=-1)) / (2.0 * h)
+
+
+@pytest.mark.parametrize("N", [3, 4, 17, 128])
+@pytest.mark.parametrize("lead", [(), (2,), (2, 1), (3, 2)])
+def test_spatial_derivative_equals_roll_expression(N, lead):
+    g = make_grid(N, 0.7)
+    values = np.random.default_rng(N).normal(size=lead + (N,))
+    assert np.array_equal(spatial_derivative(g, values),
+                          roll_derivative(values, g.spacing))
+
+
+def bare_rk4_klein_gordon(u, p, dt, steps, h, mass=1.0):
+    """Klein-Gordon method of lines in bare numpy: p_x = -D u,
+    u_dot = p_t, p_t_dot = -mass^2 u + D^2 u, classical RK4."""
+    def f(u, p):
+        return p, -mass ** 2 * u + roll_derivative(roll_derivative(u, h), h)
+
+    for _ in range(steps):
+        k1u, k1p = f(u, p)
+        k2u, k2p = f(u + dt / 2 * k1u, p + dt / 2 * k1p)
+        k3u, k3p = f(u + dt / 2 * k2u, p + dt / 2 * k2p)
+        k4u, k4p = f(u + dt * k3u, p + dt * k3p)
+        u, p = (u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u),
+                p + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p))
+    return u, p, -roll_derivative(u, h)
+
+
+def smooth_state(g, n, seed=3):
+    rng = np.random.default_rng(seed)
+    X = random_smooth_variation(g, n, rng)
+    return X.du * 4.0, X.dp_t * 4.0
+
+
+@pytest.mark.parametrize("N", [128, 1024])
+@pytest.mark.parametrize("n", [1, 2])
+def test_step_rk4_bit_identical_to_bare_numpy(N, n):
+    g = make_grid(N)
+    H = hamiltonian_from_lagrangian(
+        builtin_model("klein_gordon", {"mass": 1.0, "n": n}))
+    u, p = smooth_state(g, n)
+    s = CauchyState(0.0, u, p, recover_spatial_momenta(H, g, u, p_t=p))
+    dt = 0.25 / N
+    for _ in range(50):
+        s = step_rk4(H, g, s, dt)
+    u_ref, p_ref, px_ref = bare_rk4_klein_gordon(u, p, dt, 50, g.spacing)
+    assert np.array_equal(s.u, u_ref)
+    assert np.array_equal(s.p_t, p_ref)
+    assert np.array_equal(s.p_x[:, 0], px_ref)
+    assert s.t == pytest.approx(50 * dt, rel=1e-14)
+
+
+def count_calls(monkeypatch, owner, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        method = getattr(owner, name)
+
+        def wrapper(*args, _name=name, _method=method, **kwargs):
+            counts[_name] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    return counts
+
+
+MODEL_CALLS = ("value", "d_u", "d_pt", "d_px", "momentum_jacobian")
+
+
+def test_rk4_step_calls_per_recovery(monkeypatch):
+    # each recovery evaluates dH/dp_x at the zero guess and after one
+    # Newton step, with the Jacobian from the model; no value and no
+    # finite differences
+    g = make_grid(64)
+    H = kg_hamiltonian(1.0)
+    u, p = smooth_state(g, 1)
+    s = CauchyState(0.0, u, p, recover_spatial_momenta(H, g, u, p_t=p))
+    counts = count_calls(monkeypatch, HamiltonianModel, MODEL_CALLS)
+    recoveries = count_calls(monkeypatch, cauchy, ["recover_spatial_momenta"])
+    for steps in (1, 3):
+        for key in counts:
+            counts[key] = 0
+        recoveries["recover_spatial_momenta"] = 0
+        for _ in range(steps):
+            s = step_rk4(H, g, s, 1e-3)
+        r = 5 * steps
+        assert recoveries["recover_spatial_momenta"] == r
+        assert counts == {"value": 0, "d_u": 4 * steps, "d_pt": 4 * steps,
+                          "d_px": 2 * r, "momentum_jacobian": r}
+
+
+def kg_partials_only(mass=1.0, n=1):
+    """Klein-Gordon with analytic first partials but no momentum
+    Jacobian, so recovery takes the finite-difference path."""
+    ref = builtin_model("klein_gordon", {"mass": mass, "n": n})
+    H = hamiltonian_from_lagrangian(ref)
+    return HamiltonianModel(H.dims, H.value, d_u=H.d_u, d_pt=H.d_pt,
+                            d_px=H.d_px, name="kg_partials_only")
+
+
+def test_recovery_without_momentum_jacobian_uses_differences(monkeypatch):
+    g = make_grid(64)
+    H = kg_partials_only()
+    assert not H.has_analytic_momentum_jacobian
+    assert kg_hamiltonian(1.0).has_analytic_momentum_jacobian
+    u, p = smooth_state(g, 1)
+    s0 = CauchyState(0.0, u, p, recover_spatial_momenta(H, g, u, p_t=p))
+    counts = count_calls(monkeypatch, HamiltonianModel, MODEL_CALLS)
+    s = step_rk4(H, g, s0, 1e-3)
+    # per recovery: residual, two differenced columns, the trial residual
+    assert counts["d_px"] == 4 * 5 and counts["momentum_jacobian"] == 0
+    ref = s0
+    for _ in range(10):
+        s = step_rk4(H, g, s, 1e-3)
+    for _ in range(11):
+        ref = step_rk4(kg_hamiltonian(1.0), g, ref, 1e-3)
+    for name in ("u", "p_t", "p_x"):
+        assert np.max(np.abs(getattr(s, name) - getattr(ref, name))) <= 1e-12
+
+
+def nonlinear_momentum_model(with_jacobian, eps=0.4, c=0.3):
+    """n = 2, m = 1: H = |p_t|^2 / 2 + |u|^2 / 2 - Phi(p_x) with
+    Phi(p) = |p|^2 / 2 + eps/4 sum p_a^4 + c p_1 p_2, so the spatial
+    constraint couples the two components at each node."""
+    dims = Dimensions(m=1, n=2)
+
+    def value(t, x, u, p_t, p_x):
+        p = np.asarray(p_x, dtype=float)[:, 0]
+        return (0.5 * np.sum(np.asarray(p_t) ** 2, axis=0)
+                + 0.5 * np.sum(np.asarray(u) ** 2, axis=0)
+                - np.sum(0.5 * p ** 2 + 0.25 * eps * p ** 4, axis=0)
+                - c * p[0] * p[1])
+
+    def d_px(t, x, u, p_t, p_x):
+        p = np.asarray(p_x, dtype=float)[:, 0]
+        return -(p + eps * p ** 3 + c * p[::-1])[:, None]
+
+    def jacobian(t, x, u, p_t, p_x):
+        p = np.asarray(p_x, dtype=float)[:, 0]
+        tail = p.shape[1:]
+        jac_px = np.zeros((2, 2, 2, 1) + tail)
+        for a in range(2):
+            jac_px[a, 1, a, 0] = -(1.0 + 3.0 * eps * p[a] ** 2)
+            jac_px[a, 1, 1 - a, 0] = -c
+        jac_pt = np.zeros((2, 2, 2) + tail)
+        jac_pt[0, 0, 0] = jac_pt[1, 0, 1] = 1.0
+        return {"t": np.zeros((2, 2) + tail), "x": np.zeros((2, 2, 1) + tail),
+                "u": np.zeros((2, 2, 2) + tail), "p_t": jac_pt,
+                "p_x": jac_px}
+
+    return HamiltonianModel(
+        dims, value, d_u=lambda t, x, u, p_t, p_x: np.asarray(u, float),
+        d_pt=lambda t, x, u, p_t, p_x: np.asarray(p_t, float).copy(),
+        d_px=d_px, momentum_jacobian=jacobian if with_jacobian else None,
+        name="nonlinear_momenta")
+
+
+def test_nonlinear_recovery_with_jacobian_matches_differences():
+    g = make_grid(64)
+    u, p = smooth_state(g, 2)
+    u = 3.0 * u
+    analytic = nonlinear_momentum_model(True)
+    differenced = nonlinear_momentum_model(False)
+    p_x = recover_spatial_momenta(analytic, g, u, p_t=p)
+    p_x_fd = recover_spatial_momenta(differenced, g, u, p_t=p)
+    assert np.max(np.abs(p_x)) > 1.0      # the cubic term matters
+    assert np.max(np.abs(p_x - p_x_fd)) <= 1e-10
+    constraint = analytic.d_px(0.0, g.x, u, p, p_x)[:, 0] \
+        - spatial_derivative(g, u)
+    assert np.max(np.abs(constraint)) <= NEWTON_TOL
+    s = CauchyState(0.0, u, p, p_x)
+    a = run_simulation(analytic, g, s, 1e-3, 20, store_every=20).states[-1]
+    b = run_simulation(differenced, g, s, 1e-3, 20,
+                       store_every=20).states[-1]
+    for name in ("u", "p_t", "p_x"):
+        assert np.max(np.abs(getattr(a, name) - getattr(b, name))) <= 1e-10
+
+
+def kg_nan_after(t_nan):
+    """Klein-Gordon whose dH/du turns NaN once t exceeds ``t_nan``."""
+    H = kg_hamiltonian(1.0)
+    return HamiltonianModel(
+        H.dims, H.value,
+        d_u=lambda t, x, u, p_t, p_x: u + (np.nan if t > t_nan else 0.0),
+        d_pt=H.d_pt, d_px=H.d_px,
+        momentum_jacobian=H.momentum_jacobian, name="kg_nan")
+
+
+@pytest.mark.parametrize("fraction", [0.2, 0.7])
+@pytest.mark.parametrize("blowup", [1e8, None])
+def test_non_finite_step_raises_blowup_naming_the_step(fraction, blowup):
+    # NaN enters at stage 2 (fraction 0.2) or only at stage 4 (0.7) of
+    # step 7; either way the step is refused, with or without a bound
+    g = make_grid(16)
+    dt = 0.01
+    u = np.sin(TWO_PI * g.x[0])[None, :]
+    H = kg_nan_after((6 + fraction) * dt)
+    s = CauchyState(0.0, u, np.zeros_like(u), recover_spatial_momenta(H, g, u))
+    with pytest.raises(BlowupError, match="non-finite .* at step 7$"):
+        run_simulation(H, g, s, dt, 20, blowup=blowup)
+
+
+def test_blowup_bound_checks_u_and_p_t():
+    g = make_grid(16)
+    u = np.full((1, 16), 1.0)
+    p = np.full((1, 16), 50.0)
+    s = CauchyState(0.0, u, p, np.zeros((1, 1, 16)))
+    with pytest.raises(BlowupError, match=r"^\|p_t\| exceeded 10 at step 1$"):
+        run_simulation(kg_hamiltonian(1.0), g, s, 1e-3, 3, blowup=10.0)
+    with pytest.raises(BlowupError, match=r"^\|u\| exceeded 1 at step 1$"):
+        run_simulation(kg_hamiltonian(1.0), g, s, 1e-3, 3, blowup=1.0)

@@ -586,3 +586,65 @@ def test_other_stepping_commands_refuse_past_rk4_bound(tmp_path, capsys,
     path = write(tmp_path, text, out=str(tmp_path / "out"))
     assert main([command, "--scenario", path]) == 2
     assert "RK4 unstable" in capsys.readouterr().err
+
+
+def potential_sine(dt, potential, amplitude, steps=400, n_nodes=32):
+    return f"""
+[model]
+name = scalar_potential
+mass = 1.0
+potential = {potential}
+
+[grid]
+n_nodes = {n_nodes}
+
+[time]
+dt = {dt!r}
+t_final = {steps * dt!r}
+
+[initial]
+family = sine
+amplitude = {amplitude}
+
+[output]
+directory = {{out}}
+store_every = {steps}
+"""
+
+
+def suggested_dt(err):
+    return float(err.rsplit("need dt <= ", 1)[1])
+
+
+def test_scalar_potential_refused_past_linearised_bound(tmp_path, capsys):
+    # V = 5 u^4 at amplitude 2: dt = 0.088 is inside the Klein-Gordon
+    # bound 2 sqrt 2 / sqrt(32^2 + 1) = 0.0883, but the curvature
+    # V'' = 60 u^2 of the initial state pushes the radius of the
+    # linearised right-hand side to about 34.4; unrefused, the run passes
+    # |u| = 1e8 at step 118 (exit code 3)
+    out = tmp_path / "out"
+    path = write(tmp_path, potential_sine(0.088, "0, 0, 0, 0, 5", 2.0),
+                 out=str(out))
+    assert main(["simulate", "--scenario", path]) == 2
+    err = capsys.readouterr().err
+    assert "RK4 unstable at N=32: dt*|lambda|" in err
+    assert "2*sqrt(2) = 2.82843" in err
+    limit = suggested_dt(err)
+    assert 0.080 < limit < 0.084
+    assert not (out / "fields.csv").exists()
+    # just inside the reported limit the same run completes
+    inside = write(tmp_path, potential_sine(0.985 * limit, "0, 0, 0, 0, 5",
+                                            2.0),
+                   name="inside.cfg", out=str(out))
+    assert main(["simulate", "--scenario", inside]) == 0
+    assert (out / "fields.csv").exists()
+
+
+def test_scalar_potential_linear_bound_is_exact(tmp_path, capsys):
+    # V = 50 u^2 keeps the system linear: |lambda|^2 = 1/h^2 + mass^2 + 100
+    path = write(tmp_path, potential_sine(0.087, "0, 0, 50", 1.0),
+                 out=str(tmp_path / "out"))
+    assert main(["simulate", "--scenario", path]) == 2
+    exact = 2.0 * np.sqrt(2.0) / np.sqrt(32.0 ** 2 + 1.0 + 100.0)
+    assert suggested_dt(capsys.readouterr().err) == pytest.approx(exact,
+                                                                  rel=1e-5)
