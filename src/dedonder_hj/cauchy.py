@@ -519,14 +519,6 @@ def _row_variation(grid, n, name, index, values):
     return TangentVariation(0.0, **parts)
 
 
-def deterministic_probe_variations(grid, n, scale=VARIATION_SCALE):
-    """Constant and first-harmonic probes on each field block; these make
-    residual detection independent of the random draws."""
-    return [_row_variation(grid, n, name, index, prof)
-            for prof in probe_profiles(grid, scale)
-            for name, index in _field_rows(grid, n)]
-
-
 def indicator_variations(grid, n):
     """Unit node indicators on every component of (u, p_t, p_x), built
     one by one; the reference for the closed form of
@@ -537,17 +529,19 @@ def indicator_variations(grid, n):
 
 
 def standard_test_variations(grid, n, rng=None, n_random=8,
-                             include_indicators=True, vertical=True,
-                             scale=VARIATION_SCALE):
+                             include_indicators=True, scale=VARIATION_SCALE):
     """Deterministic probes, node indicators and seeded random smooth
     variations; the default vertical test set used by residual checks.
 
-    The probes and random draws are stacked into one :class:`TangentBatch`
-    of O(N) bytes; the indicators are only flagged, never built."""
+    The constant and first-harmonic probes on each field block make
+    residual detection independent of the random draws. The probes and
+    random draws are stacked into one :class:`TangentBatch` of O(N)
+    bytes; the indicators are only flagged, never built."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    dense = deterministic_probe_variations(grid, n, scale=scale)
-    dense.extend(random_smooth_variation(grid, n, rng, scale=scale,
-                                         vertical=vertical)
+    dense = [_row_variation(grid, n, name, index, prof)
+             for prof in probe_profiles(grid, scale)
+             for name, index in _field_rows(grid, n)]
+    dense.extend(random_smooth_variation(grid, n, rng, scale=scale)
                  for _ in range(n_random))
     return TangentBatch.of(grid, dense, indicators=include_indicators)
 

@@ -476,10 +476,6 @@ class HJLiftReport:
     pullback_residual: float      # pairing of two lifted variations
     frames_checked: int
 
-    def max_residual(self):
-        return max(self.split_residual, self.contraction_residual,
-                   self.pullback_residual)
-
 
 def hj_lift_solution_check(H, gamma, grid, times, u_frames, test_set=None,
                            rng=None, compat_tol=None, n_pullback_pairs=8,

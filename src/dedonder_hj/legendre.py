@@ -14,8 +14,8 @@ import numpy as np
 
 from .models import (DEFAULT_FD_STEP, ExtendedMomentumSample,
                      HamiltonianModel, JetSample, ModelError,
-                     ReducedMomentumSample, central_difference,
-                     pack_velocities, unpack_velocities)
+                     ReducedMomentumSample, _analytic_or_difference,
+                     central_difference, pack_velocities, unpack_velocities)
 
 REGULARITY_TOL = 1e-10
 NEWTON_TOL = 1e-12
@@ -275,31 +275,24 @@ class FieldSection:
         return np.asarray(self._u(t, x), dtype=float)
 
     def u_t(self, t, x):
-        if self._u_t is not None:
-            return np.asarray(self._u_t(t, x), dtype=float)
-        return central_difference(self.u, (t, x), 0, self.fd_step,
-                                  comp_axes=0)
+        return _analytic_or_difference(self._u_t, self.u, (t, x), 0,
+                                       self.fd_step, comp_axes=0)
 
     def u_x(self, t, x):
-        if self._u_x is not None:
-            return np.asarray(self._u_x(t, x), dtype=float)
-        return central_difference(self.u, (t, x), 1, self.fd_step)
+        return _analytic_or_difference(self._u_x, self.u, (t, x), 1,
+                                       self.fd_step)
 
     def u_tt(self, t, x):
-        if self._u_tt is not None:
-            return np.asarray(self._u_tt(t, x), dtype=float)
-        return central_difference(self.u_t, (t, x), 0, self.fd_step,
-                                  comp_axes=0)
+        return _analytic_or_difference(self._u_tt, self.u_t, (t, x), 0,
+                                       self.fd_step, comp_axes=0)
 
     def u_tx(self, t, x):
-        if self._u_tx is not None:
-            return np.asarray(self._u_tx(t, x), dtype=float)
-        return central_difference(self.u_t, (t, x), 1, self.fd_step)
+        return _analytic_or_difference(self._u_tx, self.u_t, (t, x), 1,
+                                       self.fd_step)
 
     def u_xx(self, t, x):
-        if self._u_xx is not None:
-            return np.asarray(self._u_xx(t, x), dtype=float)
-        return central_difference(self.u_x, (t, x), 1, self.fd_step)
+        return _analytic_or_difference(self._u_xx, self.u_x, (t, x), 1,
+                                       self.fd_step)
 
     def jet(self, t, x):
         x = np.asarray(x, dtype=float)
@@ -419,15 +412,12 @@ class MomentumSection:
         return np.concatenate([u_t[None], u_x.T])
 
     def d_t_pt(self, t, x):
-        if self._d_t_pt is not None:
-            return np.asarray(self._d_t_pt(t, x), dtype=float)
-        return central_difference(self.p_t, (t, x), 0, self.fd_step,
-                                  comp_axes=0)
+        return _analytic_or_difference(self._d_t_pt, self.p_t, (t, x), 0,
+                                       self.fd_step, comp_axes=0)
 
     def d_x_px(self, t, x):
-        if self._d_x_px is not None:
-            return np.asarray(self._d_x_px(t, x), dtype=float)
-        return central_difference(self.p_x, (t, x), 1, self.fd_step)
+        return _analytic_or_difference(self._d_x_px, self.p_x, (t, x), 1,
+                                       self.fd_step)
 
 
 def legendre_transform_section(L, section):

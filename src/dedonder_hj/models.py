@@ -194,6 +194,14 @@ def central_difference(f, args, wrt, step, comp_axes=1):
     return np.stack(cols, axis=axis).reshape(shape)
 
 
+def _analytic_or_difference(analytic, f, args, wrt, step, comp_axes=1):
+    """``analytic(*args)`` when a partial is supplied, else the
+    :func:`central_difference` of f in slot ``wrt`` of args."""
+    if analytic is not None:
+        return np.asarray(analytic(*args), dtype=float)
+    return central_difference(f, args, wrt, step, comp_axes)
+
+
 def pack_velocities(u_t, u_x):
     """Stack (u_t, u_x) into the flat velocity vector; slots are u_t first,
     then u_x in component-major order."""
@@ -259,10 +267,6 @@ class LagrangianModel:
         self._d2_vel_t = d2_vel_t
         self._d2_vel_x = d2_vel_x
 
-    @property
-    def has_analytic_partials(self):
-        return all(f is not None for f in (self._d_u, self._d_ut, self._d_ux))
-
     # -- batched evaluation ------------------------------------------------
 
     def value(self, t, x, u, u_t, u_x):
@@ -273,31 +277,25 @@ class LagrangianModel:
         return out if out.ndim else float(out)
 
     def d_u(self, t, x, u, u_t, u_x):
-        if self._d_u is not None:
-            return np.asarray(self._d_u(t, x, u, u_t, u_x), dtype=float)
-        return central_difference(self._value, (t, x, u, u_t, u_x), 2,
-                                  self.fd_step)
+        return _analytic_or_difference(self._d_u, self._value,
+                                       (t, x, u, u_t, u_x), 2, self.fd_step)
 
     def d_ut(self, t, x, u, u_t, u_x):
-        if self._d_ut is not None:
-            return np.asarray(self._d_ut(t, x, u, u_t, u_x), dtype=float)
-        return central_difference(self._value, (t, x, u, u_t, u_x), 3,
-                                  self.fd_step)
+        return _analytic_or_difference(self._d_ut, self._value,
+                                       (t, x, u, u_t, u_x), 3, self.fd_step)
 
     def d_ux(self, t, x, u, u_t, u_x):
-        if self._d_ux is not None:
-            return np.asarray(self._d_ux(t, x, u, u_t, u_x), dtype=float)
-        return central_difference(self._value, (t, x, u, u_t, u_x), 4,
-                                  self.fd_step, comp_axes=2)
+        return _analytic_or_difference(self._d_ux, self._value,
+                                       (t, x, u, u_t, u_x), 4, self.fd_step,
+                                       comp_axes=2)
 
     def d_t(self, t, x, u, u_t, u_x):
         if not self.time_dependent:
             base = np.asarray(np.asarray(u, dtype=float)[0], dtype=float)
             return np.zeros_like(base)
-        if self._d_t is not None:
-            return np.asarray(self._d_t(t, x, u, u_t, u_x), dtype=float)
-        return central_difference(self._value, (t, x, u, u_t, u_x), 0,
-                                  self.fd_step, comp_axes=0)
+        return _analytic_or_difference(self._d_t, self._value,
+                                       (t, x, u, u_t, u_x), 0, self.fd_step,
+                                       comp_axes=0)
 
     def d_velocities(self, t, x, u, u_t, u_x):
         """All velocity partials packed into slot order, shape (S, ...)."""
@@ -315,10 +313,8 @@ class LagrangianModel:
 
     def d2_vel_u(self, t, x, u, u_t, u_x):
         """Mixed second partials d^2 L / d vel_s d u^beta, shape (S, n, ...)."""
-        if self._d2_vel_u is not None:
-            return np.asarray(self._d2_vel_u(t, x, u, u_t, u_x), dtype=float)
-        return central_difference(self.d_velocities, (t, x, u, u_t, u_x), 2,
-                                  self.fd_step)
+        return _analytic_or_difference(self._d2_vel_u, self.d_velocities,
+                                       (t, x, u, u_t, u_x), 2, self.fd_step)
 
     def d2_vel_t(self, t, x, u, u_t, u_x):
         """Explicit-time second partials d^2 L / d vel_s dt, shape (S, ...)."""
@@ -331,10 +327,8 @@ class LagrangianModel:
 
     def d2_vel_x(self, t, x, u, u_t, u_x):
         """Explicit-space second partials d^2 L / d vel_s dx^j, (S, m, ...)."""
-        if self._d2_vel_x is not None:
-            return np.asarray(self._d2_vel_x(t, x, u, u_t, u_x), dtype=float)
-        return central_difference(self.d_velocities, (t, x, u, u_t, u_x), 1,
-                                  self.fd_step)
+        return _analytic_or_difference(self._d2_vel_x, self.d_velocities,
+                                       (t, x, u, u_t, u_x), 1, self.fd_step)
 
     # -- point-level API ---------------------------------------------------
 
@@ -371,10 +365,6 @@ class HamiltonianModel:
         self._momentum_jacobian = momentum_jacobian
 
     @property
-    def has_analytic_partials(self):
-        return all(f is not None for f in (self._d_u, self._d_pt, self._d_px))
-
-    @property
     def has_analytic_momentum_jacobian(self):
         return self._momentum_jacobian is not None
 
@@ -385,31 +375,25 @@ class HamiltonianModel:
         return out if out.ndim else float(out)
 
     def d_u(self, t, x, u, p_t, p_x):
-        if self._d_u is not None:
-            return np.asarray(self._d_u(t, x, u, p_t, p_x), dtype=float)
-        return central_difference(self._value, (t, x, u, p_t, p_x), 2,
-                                  self.fd_step)
+        return _analytic_or_difference(self._d_u, self._value,
+                                       (t, x, u, p_t, p_x), 2, self.fd_step)
 
     def d_pt(self, t, x, u, p_t, p_x):
-        if self._d_pt is not None:
-            return np.asarray(self._d_pt(t, x, u, p_t, p_x), dtype=float)
-        return central_difference(self._value, (t, x, u, p_t, p_x), 3,
-                                  self.fd_step)
+        return _analytic_or_difference(self._d_pt, self._value,
+                                       (t, x, u, p_t, p_x), 3, self.fd_step)
 
     def d_px(self, t, x, u, p_t, p_x):
-        if self._d_px is not None:
-            return np.asarray(self._d_px(t, x, u, p_t, p_x), dtype=float)
-        return central_difference(self._value, (t, x, u, p_t, p_x), 4,
-                                  self.fd_step, comp_axes=2)
+        return _analytic_or_difference(self._d_px, self._value,
+                                       (t, x, u, p_t, p_x), 4, self.fd_step,
+                                       comp_axes=2)
 
     def d_t(self, t, x, u, p_t, p_x):
         if not self.time_dependent:
             base = np.asarray(np.asarray(u, dtype=float)[0], dtype=float)
             return np.zeros_like(base)
-        if self._d_t is not None:
-            return np.asarray(self._d_t(t, x, u, p_t, p_x), dtype=float)
-        return central_difference(self._value, (t, x, u, p_t, p_x), 0,
-                                  self.fd_step, comp_axes=0)
+        return _analytic_or_difference(self._d_t, self._value,
+                                       (t, x, u, p_t, p_x), 0, self.fd_step,
+                                       comp_axes=0)
 
     def d_momenta(self, t, x, u, p_t, p_x):
         """Momentum partials as one (n, m+1, ...) block, time slot first."""
@@ -495,7 +479,8 @@ def _over_nodes(a, tail):
 
 
 def _quadratic_wave_family(dims, mass=0.0, potential=None, name="free_wave"):
-    """L = 1/2 |u_t|^2 - 1/2 |u_x|^2 - 1/2 mass^2 |u|^2 - V(u)."""
+    """L = 1/2 |u_t|^2 - 1/2 |u_x|^2 - 1/2 mass^2 |u|^2 - V(u); at m = 0
+    u_x is empty and L is the oscillator of frequency mass."""
     n, m = dims.n, dims.m
     coeffs = tuple(float(c) for c in (potential or ()))
     mass = float(mass)
@@ -587,67 +572,6 @@ def _quadratic_wave_family(dims, mass=0.0, potential=None, name="free_wave"):
     return lag
 
 
-def _oscillator_model(omega):
-    """m = 0 mechanics: L = 1/2 u_t^2 - 1/2 omega^2 u^2 (one field)."""
-    dims = Dimensions(m=0, n=1)
-    w2 = float(omega) ** 2
-
-    def value(t, x, u, u_t, u_x):
-        u = np.asarray(u, dtype=float)
-        u_t = np.asarray(u_t, dtype=float)
-        return 0.5 * np.sum(u_t ** 2, axis=0) - 0.5 * w2 * np.sum(u ** 2, axis=0)
-
-    def d_u(t, x, u, u_t, u_x):
-        return -w2 * np.asarray(u, dtype=float)
-
-    def d_ut(t, x, u, u_t, u_x):
-        return np.asarray(u_t, dtype=float).copy()
-
-    def d_ux(t, x, u, u_t, u_x):
-        base = np.asarray(np.asarray(u, dtype=float)[0], dtype=float)
-        return np.zeros((1, 0) + base.shape)
-
-    def hessian(t, x, u, u_t, u_x):
-        base = np.asarray(np.asarray(u_t, dtype=float)[0], dtype=float)
-        return np.ones((1, 1) + base.shape)
-
-    def d2_vel_u(t, x, u, u_t, u_x):
-        base = np.asarray(np.asarray(u_t, dtype=float)[0], dtype=float)
-        return np.zeros((1, 1) + base.shape)
-
-    lag = LagrangianModel(dims, value, d_u=d_u, d_ut=d_ut, d_ux=d_ux,
-                          velocity_hessian=hessian, d2_vel_u=d2_vel_u,
-                          name="mechanics_oscillator")
-
-    def h_value(t, x, u, p_t, p_x):
-        u = np.asarray(u, dtype=float)
-        p_t = np.asarray(p_t, dtype=float)
-        return 0.5 * np.sum(p_t ** 2, axis=0) + 0.5 * w2 * np.sum(u ** 2, axis=0)
-
-    def h_du(t, x, u, p_t, p_x):
-        return w2 * np.asarray(u, dtype=float)
-
-    def h_dpt(t, x, u, p_t, p_x):
-        return np.asarray(p_t, dtype=float).copy()
-
-    def h_dpx(t, x, u, p_t, p_x):
-        base = np.asarray(np.asarray(u, dtype=float)[0], dtype=float)
-        return np.zeros((1, 0) + base.shape)
-
-    def h_momentum_jacobian(t, x, u, p_t, p_x):
-        tail = np.shape(u)[1:]
-        return {"t": np.zeros((1, 1) + tail), "x": np.zeros((1, 1, 0) + tail),
-                "u": np.zeros((1, 1, 1) + tail),
-                "p_t": np.ones((1, 1, 1) + tail),
-                "p_x": np.zeros((1, 1, 1, 0) + tail)}
-
-    ham = HamiltonianModel(dims, h_value, d_u=h_du, d_pt=h_dpt, d_px=h_dpx,
-                           momentum_jacobian=h_momentum_jacobian,
-                           name="mechanics_oscillator_hamiltonian")
-    lag.paired_hamiltonian = ham
-    return lag
-
-
 def builtin_model(name, params=None):
     """Construct one of the built-in Lagrangian models.
 
@@ -656,8 +580,10 @@ def builtin_model(name, params=None):
     ``scalar_potential``     adds - V(u), V polynomial            (m = 1)
     ``mechanics_oscillator`` L = 1/2 u_t^2 - 1/2 omega^2 u^2      (m = 0)
 
-    All carry analytic partials, analytic velocity Hessians and a paired
-    analytic Hamiltonian.
+    Mechanics is a field theory over time alone, so the oscillator is the
+    m = 0 Klein-Gordon field of mass omega (either sign; only omega^2
+    enters). All carry analytic partials, analytic velocity Hessians and a
+    paired analytic Hamiltonian.
     """
     params = dict(params or {})
     if name not in BUILTIN_MODEL_NAMES:
@@ -671,26 +597,23 @@ def builtin_model(name, params=None):
     dims = Dimensions(m=expected_m, n=n)
 
     if name == "mechanics_oscillator":
-        omega = float(params.pop("omega", 1.0))
-        if params:
-            raise ModelError(f"unused parameters for {name}: {sorted(params)}")
-        return _oscillator_model(omega)
-
-    mass = float(params.pop("mass", 0.0))
-    if mass < 0:
-        raise ModelError("mass must be non-negative")
-    potential = params.pop("potential", None)
+        mass, potential = float(params.pop("omega", 1.0)), None
+    else:
+        mass = float(params.pop("mass", 0.0))
+        if mass < 0:
+            raise ModelError("mass must be non-negative")
+        potential = params.pop("potential", None)
     if name == "free_wave":
         if mass != 0.0 or potential:
             raise ModelError("free_wave takes no mass or potential")
         model = _quadratic_wave_family(dims, name=name)
-    elif name == "klein_gordon":
-        if potential:
-            raise ModelError("klein_gordon takes no polynomial potential")
-        model = _quadratic_wave_family(dims, mass=mass, name=name)
-    else:  # scalar_potential
+    elif name == "scalar_potential":
         model = _quadratic_wave_family(dims, mass=mass,
                                        potential=potential or (), name=name)
+    else:  # klein_gordon, and the oscillator as its m = 0 member
+        if potential:
+            raise ModelError(f"{name} takes no polynomial potential")
+        model = _quadratic_wave_family(dims, mass=mass, name=name)
     if params:
         raise ModelError(f"unused parameters for {name}: {sorted(params)}")
     return model

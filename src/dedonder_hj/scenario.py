@@ -253,9 +253,14 @@ def parse_scenario(path):
     value, ln = _take(sections, "output", "pairing_steps", path=path)
     pairing_steps = 10 if value is None else _as_int(value, ln, path,
                                                      "output.pairing_steps")
+    if pairing_steps < 4:
+        raise ScenarioError(f"{path}:{ln}: output.pairing_steps must be >= 4 "
+                            f"(the trajectory residual needs 5 frames)")
     value, ln = _take(sections, "output", "pairing_pairs", path=path)
     pairing_pairs = 20 if value is None else _as_int(value, ln, path,
                                                      "output.pairing_pairs")
+    if pairing_pairs < 1:
+        raise ScenarioError(f"{path}:{ln}: output.pairing_pairs must be >= 1")
 
     for sec_name, entries in sections.items():
         for key, (_, lineno) in entries.items():
@@ -272,26 +277,33 @@ def parse_scenario(path):
                     pairing_steps=pairing_steps, pairing_pairs=pairing_pairs)
 
 
+def _mass(scenario):
+    """Mass of the linear models; the oscillator is Klein-Gordon at m = 0
+    with mass omega."""
+    if scenario.model_name == "mechanics_oscillator":
+        return scenario.model_params.get("omega", 1.0)
+    return scenario.model_params.get("mass", 0.0)
+
+
 def check_stability(scenario):
     """Refuse a run whose RK4 step is unstable: dt |lambda| must stay
-    within :data:`RK4_IMAGINARY_BOUND`. For the linear waves the spectrum
+    within :data:`RK4_IMAGINARY_BOUND`. For the linear models the spectrum
     under the composed central stencil is imaginary with |lambda| up to
-    sqrt(1/h^2 + mass^2); for ``scalar_potential`` |lambda| is estimated
-    by power iteration of the right-hand side linearised at the initial
-    state. The oscillator is not checked."""
-    if scenario.model_name in ("free_wave", "klein_gordon"):
-        rate = np.hypot(scenario.n_nodes / scenario.length,
-                        scenario.model_params.get("mass", 0.0))
+    sqrt(1/h^2 + mass^2), and |omega| for the oscillator, which has no
+    grid term; for ``scalar_potential`` |lambda| is estimated by power
+    iteration of the right-hand side linearised at the initial state."""
+    if scenario.model_name == "mechanics_oscillator":
+        rate, what = abs(_mass(scenario)), "dt*|omega|"
+    elif scenario.model_name in ("free_wave", "klein_gordon"):
+        rate = np.hypot(scenario.n_nodes / scenario.length, _mass(scenario))
         what = "dt*sqrt(1/h^2 + mass^2)"
-    elif scenario.model_name == "scalar_potential":
+    else:  # scalar_potential
         L = build_model(scenario)
         H = hamiltonian_for(L)
         grid = build_grid(scenario)
         rate = rhs_spectral_radius(H, grid,
                                    initial_state(scenario, grid, L, H))
         what = "dt*|lambda| (linearised at t = 0)"
-    else:
-        return
     if scenario.dt * rate > RK4_IMAGINARY_BOUND:
         raise ScenarioError(
             f"{scenario.path}: RK4 unstable at N={scenario.n_nodes}: "
@@ -375,14 +387,9 @@ def exact_solution(scenario):
     phase = params.get("phase", 0.0)
 
     if family == "constant":
-        if name == "mechanics_oscillator":
-            omega = scenario.model_params.get("omega", 1.0)
-        elif name == "klein_gordon":
-            omega = scenario.model_params.get("mass", 0.0)
-        elif name == "free_wave":
-            omega = 0.0
-        else:
+        if name == "scalar_potential":
             return None
+        omega = _mass(scenario)
 
         def sol_const(t, grid, n):
             if omega == 0.0:
@@ -395,7 +402,7 @@ def exact_solution(scenario):
 
     if name not in ("free_wave", "klein_gordon"):
         return None
-    mass = scenario.model_params.get("mass", 0.0)
+    mass = _mass(scenario)
     kappa = 2.0 * np.pi * mode / scenario.length
     if family == "sine":
         omega = np.hypot(kappa, mass)

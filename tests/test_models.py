@@ -57,6 +57,46 @@ def test_oscillator_value():
     assert osc(j) == -0.5
 
 
+@pytest.mark.parametrize("tail", [(), (5,)])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("omega", [0.0, 1.0, 1.7, -0.4])
+def test_oscillator_partials_are_closed_forms(omega, n, tail):
+    """The oscillator is the m = 0 Klein-Gordon field of mass omega: its
+    partials and momentum Jacobian are the closed forms, bit for bit, at
+    one point and over a node axis."""
+    L = builtin_model("mechanics_oscillator", {"omega": omega, "n": n})
+    H = L.paired_hamiltonian
+    assert L.dims == H.dims == Dimensions(m=0, n=n)
+    rng = np.random.default_rng(7)
+    u, v = rng.uniform(-2, 2, (2, n) + tail)
+    x, empty = np.zeros((0,) + tail), np.zeros((n, 0) + tail)
+    w2 = omega ** 2
+    args = (0.3, x, u, v, empty)
+    assert np.array_equal(L.value(*args), 0.5 * np.sum(v ** 2, axis=0)
+                          - 0.5 * w2 * np.sum(u ** 2, axis=0))
+    assert np.array_equal(L.d_u(*args), -w2 * u)
+    assert np.array_equal(L.d_ut(*args), v)
+    assert np.array_equal(L.d_ux(*args), empty)
+    eye = np.eye(n).reshape((n, n) + (1,) * len(tail)) * np.ones(tail)
+    assert np.array_equal(L.velocity_hessian(*args), eye)
+    assert np.array_equal(L.d2_vel_u(*args), np.zeros((n, n) + tail))
+    assert np.array_equal(H.value(*args), 0.5 * np.sum(v ** 2, axis=0)
+                          + 0.5 * w2 * np.sum(u ** 2, axis=0))
+    assert np.array_equal(H.d_u(*args), w2 * u)
+    assert np.array_equal(H.d_pt(*args), v)
+    assert np.array_equal(H.d_px(*args), empty)
+    jac = H.momentum_jacobian(*args)
+    assert np.array_equal(jac["p_t"], eye[:, None])
+    for var, shape in (("t", (n, 1)), ("x", (n, 1, 0)), ("u", (n, 1, n)),
+                       ("p_x", (n, 1, n, 0))):
+        assert np.array_equal(jac[var], np.zeros(shape + tail))
+
+
+def test_oscillator_honours_n():
+    osc = builtin_model("mechanics_oscillator", {"n": 2})
+    assert osc.dims.n == 2 and osc.paired_hamiltonian.dims.n == 2
+
+
 def test_partial_values():
     fw = builtin_model("free_wave")
     rec = eval_with_partials(fw, jet(u=1.0, u_t=2.0, u_x=3.0))

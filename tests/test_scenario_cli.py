@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -648,3 +650,131 @@ def test_scalar_potential_linear_bound_is_exact(tmp_path, capsys):
     exact = 2.0 * np.sqrt(2.0) / np.sqrt(32.0 ** 2 + 1.0 + 100.0)
     assert suggested_dt(capsys.readouterr().err) == pytest.approx(exact,
                                                                   rel=1e-5)
+
+
+# -- the oscillator as the m = 0 Klein-Gordon field ----------------------------
+
+def oscillator(omega=1.0, dt=0.01, steps=100, n=1, grid="", output=""):
+    return f"""
+[model]
+name = mechanics_oscillator
+omega = {omega!r}
+n = {n}
+{grid}
+[time]
+dt = {dt!r}
+t_final = {steps * dt!r}
+
+[initial]
+family = constant
+amplitude = 0.75
+velocity = 0.5
+
+[gamma]
+family = oscillator
+omega = {omega!r}
+
+[output]
+directory = {{out}}
+store_every = 10
+{output}"""
+
+
+@pytest.mark.parametrize("omega", [1.0, -2.0])
+def test_oscillator_refused_past_rk4_bound(tmp_path, capsys, omega):
+    # the bound is 2 sqrt 2 / |omega| whatever the grid length: m = 0 has
+    # no spatial term (a length of 0.001 would put 1/h = 1000 into it)
+    out = tmp_path / "out"
+    grid = "[grid]\nlength = 0.001\n"
+    path = write(tmp_path, oscillator(omega, 2.9 / abs(omega), grid=grid),
+                 out=str(out))
+    assert main(["simulate", "--scenario", path]) == 2
+    err = capsys.readouterr().err
+    assert "RK4 unstable at N=1: dt*|omega| = " in err
+    assert suggested_dt(err) == pytest.approx(2 * np.sqrt(2) / abs(omega),
+                                              rel=1e-5)
+    assert not (out / "fields.csv").exists()
+    path = write(tmp_path, oscillator(omega, 2.8 / abs(omega), grid=grid),
+                 name="inside.cfg", out=str(out))
+    assert main(["simulate", "--scenario", path]) == 0
+    assert (out / "fields.csv").exists()
+
+
+def test_oscillator_two_components(tmp_path, capsys):
+    out = tmp_path / "out"
+    text = oscillator(n=2).replace("amplitude = 0.75\nvelocity = 0.5",
+                                   "amplitude = 1.0")
+    assert main(["simulate", "--scenario", write(tmp_path, text,
+                                                 out=str(out))]) == 0
+    assert "energy_initial = 1\n" in capsys.readouterr().out
+    header = (out / "fields.csv").read_text().splitlines()[0]
+    assert header == "t,node_index,x,u_1,u_2,pt_1,pt_2"
+
+
+#: sha256 of what the n = 1 oscillator writes, recorded when it was still a
+#: hand-written model of its own rather than the m = 0 member of the
+#: quadratic wave family
+OSCILLATOR_DIGESTS = {
+    "simulate":
+    "42ef095116cc8f0f2c40ef033be15592ecf00d1dbbfacb2656991f4466e779b3",
+    "fields.csv":
+    "6282e4062982a46f1b2940bedae64f1feda3f1f6f6ff990ec97fca05a02ca608",
+    "diagnostics.csv":
+    "154b872fe6f1648ea644e9f0a22e38d00ffd7c115cef17c2d586e046f500383b",
+    "simulate --sweep time":
+    "d68de3d7ab91501f1b4cc554031d74fe59db045633bfa6e2372b64fb94b3bf0b",
+    "convergence.csv":
+    "5b0be701144e9f5b63b0f90b63402c79348f753136d6c1a7e8e61e7fe6e47f52",
+    "verify-hj":
+    "9e8896f872e60fd3cec8d78772aec96dffd2b88e11fa9055f5f63e3b643cee0f",
+    "verify_hj.csv":
+    "69fc114d81094fd3b61c1805518eb33ad8a2dad45e415ceddd51ed8510a51b5b",
+    "characteristics":
+    "e313f90644ac756184e5c8fef1e0d26a835443fc38f4e22a24b30f39a7d1fd3a",
+    "characteristics.csv":
+    "2ca3d119c4c91a11d42d678b28be5fee8481b6bcc3a8d2f2062a2a361ce0ab28",
+}
+
+
+def oscillator_digests(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write(tmp_path, oscillator(omega=1.3), out=str(out))
+    digests = {}
+    for command in ("simulate", "simulate --sweep time", "verify-hj",
+                    "characteristics"):
+        assert main(command.split() + ["--scenario", path]) == 0
+        digests[command] = hashlib.sha256(
+            capsys.readouterr().out.encode()).hexdigest()
+        for csv in out.glob("*.csv"):
+            digests.setdefault(csv.name, hashlib.sha256(
+                csv.read_bytes()).hexdigest())
+    return digests
+
+
+def test_oscillator_outputs_are_byte_identical(tmp_path, capsys):
+    assert oscillator_digests(tmp_path, capsys) == OSCILLATOR_DIGESTS
+
+
+# -- pairing-check keys ----------------------------------------------------------
+
+@pytest.mark.parametrize("key, value, bound", [("pairing_pairs", 0, 1),
+                                               ("pairing_pairs", -3, 1),
+                                               ("pairing_steps", 2, 4),
+                                               ("pairing_steps", 3, 4)])
+def test_pairing_keys_refused_below_bound(tmp_path, capsys, key, value,
+                                          bound):
+    text = oscillator(output=f"{key} = {value}\n")
+    path = write(tmp_path, text)
+    line = text.splitlines().index(f"{key} = {value}") + 1
+    assert main(["pairing-check", "--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert f"scenario.cfg:{line}: output.{key} must be >= {bound}" \
+        in captured.err
+    assert captured.out == ""
+
+
+def test_pairing_keys_at_bound_run(tmp_path, capsys):
+    path = write(tmp_path, oscillator(
+        output="pairing_steps = 4\npairing_pairs = 1\n"))
+    assert main(["pairing-check", "--scenario", path]) == 0
+    assert "steps=4 pairs=1 " in capsys.readouterr().out
