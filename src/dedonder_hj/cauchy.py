@@ -442,14 +442,18 @@ def dynamical_trajectory_residual(H, grid, state, state_dot, test_set):
     return covector_residual(grid, covector, c_k, test_set)
 
 
+#: frames the five-point time derivative of a residual check needs
+MIN_CHECKED_FRAMES = 5
+
+
 def checked_frames(times, frame_stride=None):
     """Frame spacing of uniformly stored frames and the indices a residual
     check visits: every ``frame_stride``-th (default K // 32) and the
     last."""
     times = np.asarray(times, dtype=float)
     K = len(times)
-    if K < 5:
-        raise ModelError("need at least 5 stored frames")
+    if K < MIN_CHECKED_FRAMES:
+        raise ModelError(f"need at least {MIN_CHECKED_FRAMES} stored frames")
     dt = times[1] - times[0]
     if not np.allclose(np.diff(times), dt):
         raise ModelError("frames must be uniformly spaced in time")

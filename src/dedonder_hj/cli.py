@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .cauchy import (BlowupError, CauchyState, GridError,
+from .cauchy import (MIN_CHECKED_FRAMES, BlowupError, CauchyState, GridError,
                      dynamical_trajectory_residual, frame_velocities,
                      integrate_density, random_smooth_variation,
                      run_simulation, standard_test_variations)
@@ -37,21 +37,25 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_REFUSED = 4
+#: rows of a CSV table formatted by one ``%`` operation
+CSV_BLOCK = 1024
 
 
 def _fmt(value, precision):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return format(float(value), f".{precision}g")
 
 
-def _write_csv(path, header, rows, precision):
+def _write_csv(path, header, table, precision, int_cols=()):
+    """Write the rows of a 2-D float array, each value as :func:`_fmt` does
+    and the columns in ``int_cols`` as %d, CSV_BLOCK rows at a time."""
+    table = np.asarray(table, dtype=float)
+    row = ",".join("%d" if k in int_cols else f"%.{precision}g"
+                   for k in range(len(header))) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v, precision) for v in row) + "\n")
+        for lo in range(0, len(table), CSV_BLOCK):
+            block = table[lo:lo + CSV_BLOCK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _field_header(n, m):
@@ -64,18 +68,12 @@ def _field_header(n, m):
 
 
 def _field_rows(grid, times, states):
-    n = states[0].u.shape[0]
-    rows = []
-    for t, s in zip(times, states):
-        for j in range(grid.n_nodes):
-            x_j = grid.x[0, j] if grid.m else 0.0
-            row = [t, j, x_j]
-            row += [s.u[a, j] for a in range(n)]
-            row += [s.p_t[a, j] for a in range(n)]
-            if grid.m:
-                row += [s.p_x[a, 0, j] for a in range(n)]
-            rows.append(row)
-    return rows
+    """One row per frame and node: t, node_index, x, u, p_t, p_x."""
+    N = grid.n_nodes
+    x = grid.x[0] if grid.m else np.zeros(N)
+    return np.concatenate([np.vstack([np.full(N, t), np.arange(N), x, s.u,
+                                      s.p_t, s.p_x.reshape(-1, N)]).T
+                           for t, s in zip(times, states)])
 
 
 def _ensure_outdir(path):
@@ -99,6 +97,15 @@ def _check_store_every(scenario):
         raise ScenarioError(f"{scenario.path}: output.store_every must "
                             f"divide the number of steps "
                             f"({scenario.n_steps})")
+
+
+def _check_frames(scenario, command, frames):
+    """Refuse before stepping a run that stores too few frames for the
+    residual checks of ``command``."""
+    if frames < MIN_CHECKED_FRAMES:
+        raise ScenarioError(f"{scenario.path}: {command} needs at least "
+                            f"{MIN_CHECKED_FRAMES} stored frames; this run "
+                            f"stores {frames}")
 
 
 def _diagnostics(L, grid, times, states, rng):
@@ -148,11 +155,11 @@ def cmd_simulate(scenario, out_dir, seed, sweep=None):
     p = scenario.precision
     _write_csv(os.path.join(out_dir, "fields.csv"),
                _field_header(L.dims.n, grid.m),
-               _field_rows(grid, traj.times, traj.states), p)
+               _field_rows(grid, traj.times, traj.states), p, int_cols=(1,))
     _write_csv(os.path.join(out_dir, "diagnostics.csv"),
                ["t", "energy", "constraint_residual", "trajectory_residual"],
-               [[t, e, c, r] for t, e, c, r in
-                zip(traj.times, energies, constraints, residuals)], p)
+               np.column_stack([traj.times, energies, constraints,
+                                residuals]), p)
     err = _error_metric(scenario, grid, traj)
     lines = [f"simulate: model={scenario.model_name} N={grid.n_nodes} "
              f"dt={scenario.dt:g} steps={scenario.n_steps} seed={seed}",
@@ -186,7 +193,8 @@ def cmd_simulate(scenario, out_dir, seed, sweep=None):
             rows.append([level, gridl.n_nodes, sc.dt, errl, ratio])
             prev = errl
         _write_csv(os.path.join(out_dir, "convergence.csv"),
-                   ["level", "n_nodes", "dt", "linf_error", "ratio"], rows, p)
+                   ["level", "n_nodes", "dt", "linf_error", "ratio"], rows, p,
+                   int_cols=(0, 1))
         _report([f"sweep[{sweep}] ratio = {_fmt(rows[-1][-1], p)}"])
     return EXIT_OK
 
@@ -254,7 +262,7 @@ def cmd_verify_hj(scenario, out_dir, seed):
         + [f"u_{a + 1}" for a in range(L.dims.n)] \
         + ["closedness", "hj", "flatness"]
     _write_csv(os.path.join(out_dir, "verify_hj.csv"), header,
-               np.concatenate([mesh, residuals]).T.tolist(), p)
+               np.concatenate([mesh, residuals]).T, p)
     ok = max(sup_closed, sup_hj, sup_flat) <= scenario.verify_tol
     _report([f"verify-hj: model={scenario.model_name} "
              f"gamma={scenario.gamma_name} samples={mesh.shape[1]} "
@@ -281,12 +289,14 @@ def cmd_characteristics(scenario, out_dir, seed):
     H = hamiltonian_for(L)
     grid = build_grid(scenario)
     gamma = build_gamma(scenario, L.dims)
+    _check_frames(scenario, "characteristics",
+                  scenario.n_steps // scenario.store_every + 1)
     times, frames = _characteristic_run(scenario, L, H, grid, gamma)
     states = [lift_by_gamma(gamma, t, grid, u) for t, u in zip(times, frames)]
     p = scenario.precision
     _write_csv(os.path.join(out_dir, "characteristics.csv"),
                _field_header(L.dims.n, grid.m),
-               _field_rows(grid, times, states), p)
+               _field_rows(grid, times, states), p, int_cols=(1,))
     rng = np.random.default_rng(seed)
     report = hj_lift_solution_check(H, gamma, grid, times, frames, rng=rng)
     _report([f"characteristics: model={scenario.model_name} "
@@ -333,7 +343,7 @@ def cmd_compare(scenario, out_dir, seed, sweep=None):
     p = scenario.precision
     _write_csv(os.path.join(out_dir, "compare.csv"),
                ["t", "linf_difference", "l2_difference"],
-               [[t, a, b] for t, a, b in zip(times, linf, l2)], p)
+               np.column_stack([times, linf, l2]), p)
     flagged = (not verified) or max(linf) > 1e-2
     lines = [f"compare: model={scenario.model_name} "
              f"gamma={scenario.gamma_name} N={scenario.n_nodes} seed={seed}",
@@ -354,7 +364,7 @@ def cmd_compare(scenario, out_dir, seed, sweep=None):
             prev = val
         _write_csv(os.path.join(out_dir, "convergence.csv"),
                    ["level", "n_nodes", "dt", "linf_difference", "ratio"],
-                   rows, p)
+                   rows, p, int_cols=(0, 1))
         lines.append(f"sweep[{sweep}] ratio = {_fmt(rows[-1][-1], p)}")
     _report(lines)
     if not verified:
@@ -364,11 +374,12 @@ def cmd_compare(scenario, out_dir, seed, sweep=None):
 
 def cmd_pairing_check(scenario, out_dir, seed):
     _check_stable_levels(scenario)
+    steps = min(scenario.n_steps, scenario.pairing_steps)
+    _check_frames(scenario, "pairing-check", steps + 1)
     L = build_model(scenario)
     H = hamiltonian_for(L)
     grid = build_grid(scenario)
     state0 = initial_state(scenario, grid, L, H)
-    steps = min(scenario.n_steps, scenario.pairing_steps)
     traj = run_simulation(H, grid, state0, scenario.dt, steps, store_every=1)
     perturb = scenario.initial_params.get("perturb_px", 0.0)
     states = traj.states

@@ -78,11 +78,12 @@ def _damped_newton(residual, x, newton_step, what, noise_floor,
                    tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
     """Newton iteration for ``residual(x) = 0`` in the max norm. Each step
     ``newton_step(x, r)`` (J^-1 r) is halved, up to 30 times, until the
-    residual decreases; ``what`` names the solve in errors. When no step
-    decreases it, x is returned if its residual is within
-    ``noise_floor(x)``, the finite-difference noise of the residual. A
-    residual that is not finite has no solution to converge to: x comes
-    back as NaN, so the caller's finiteness check reports it."""
+    residual decreases; ``what`` names the solve in errors. When the full
+    step does not decrease it, x is returned if its residual is within
+    ``noise_floor(x)``, the finite-difference noise of the residual: no
+    shorter step can resolve more. A residual that is not finite has no
+    solution to converge to: x comes back as NaN, so the caller's
+    finiteness check reports it."""
     r = residual(x)
     rnorm = np.abs(r).max()
     for _ in range(max_iter):
@@ -102,10 +103,10 @@ def _damped_newton(residual, x, newton_step, what, noise_floor,
             if r_trial_norm < rnorm or r_trial_norm <= tol:
                 x, r, rnorm = trial, r_trial, r_trial_norm
                 break
+            if scale == 1.0 and rnorm <= noise_floor(x):
+                return x
             scale *= 0.5
         else:
-            if rnorm <= noise_floor(x):
-                return x
             raise NewtonError(f"{what}: damped Newton step stalled")
     if rnorm <= tol:
         return x

@@ -473,9 +473,9 @@ def _poly_deriv(coeffs, u):
 
 
 def _over_nodes(a, tail):
-    """Copy of the point-level array a repeated over trailing node axes."""
+    """Read-only view of the point-level array a over trailing node axes."""
     return np.broadcast_to(a.reshape(a.shape + (1,) * len(tail)),
-                           a.shape + tail).copy()
+                           a.shape + tail)
 
 
 def _quadratic_wave_family(dims, mass=0.0, potential=None, name="free_wave"):
@@ -557,13 +557,15 @@ def _quadratic_wave_family(dims, mass=0.0, potential=None, name="free_wave"):
         for j in range(m):
             jac_px[a, 1 + j, a, j] = -1.0
 
+    point = {"t": np.zeros((n, m + 1)), "x": np.zeros((n, m + 1, m)),
+             "u": np.zeros((n, m + 1, n)), "p_t": jac_pt, "p_x": jac_px}
+    blocks = {}  # node shape -> the constant blocks over it
+
     def h_momentum_jacobian(t, x, u, p_t, p_x):
         tail = np.shape(u)[1:]
-        return {"t": np.zeros((n, m + 1) + tail),
-                "x": np.zeros((n, m + 1, m) + tail),
-                "u": np.zeros((n, m + 1, n) + tail),
-                "p_t": _over_nodes(jac_pt, tail),
-                "p_x": _over_nodes(jac_px, tail)}
+        if tail not in blocks:
+            blocks[tail] = {k: _over_nodes(a, tail) for k, a in point.items()}
+        return dict(blocks[tail])
 
     ham = HamiltonianModel(dims, h_value, d_u=h_du, d_pt=h_dpt, d_px=h_dpx,
                            momentum_jacobian=h_momentum_jacobian,

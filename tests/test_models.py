@@ -92,6 +92,54 @@ def test_oscillator_partials_are_closed_forms(omega, n, tail):
         assert np.array_equal(jac[var], np.zeros(shape + tail))
 
 
+def momentum_jacobian_closed_form(n, m, tail):
+    """dH/d(p_t, p_x) of the quadratic family: the identity for p_t,
+    minus the identity for p_x, zero elsewhere."""
+    pt = np.zeros((n, m + 1, n))
+    px = np.zeros((n, m + 1, n, m))
+    for a in range(n):
+        pt[a, 0, a] = 1.0
+        for j in range(m):
+            px[a, 1 + j, a, j] = -1.0
+    shapes = {"t": (n, m + 1), "x": (n, m + 1, m), "u": (n, m + 1, n)}
+    over = np.ones(tail)
+    exact = {k: np.zeros(shape + tail) for k, shape in shapes.items()}
+    exact["p_t"] = pt.reshape(pt.shape + (1,) * len(tail)) * over
+    exact["p_x"] = px.reshape(px.shape + (1,) * len(tail)) * over
+    return exact
+
+
+@pytest.mark.parametrize("model", all_builtins(), ids=lambda m: m.name)
+def test_builtin_momentum_jacobian_blocks_are_shared_and_read_only(model):
+    H = model.paired_hamiltonian
+    n, m = H.dims.n, H.dims.m
+    rng = np.random.default_rng(3)
+    dicts = {}
+    for tail in [(), (4,), (2048,)]:
+        u, pt = rng.uniform(-2, 2, (2, n) + tail)
+        px = rng.uniform(-2, 2, (n, m) + tail)
+        jac = H.momentum_jacobian(0.1, np.zeros((m,) + tail), u, pt, px)
+        exact = momentum_jacobian_closed_form(n, m, tail)
+        assert jac.keys() == exact.keys()
+        for k, block in jac.items():
+            assert block.shape == exact[k].shape, k
+            assert np.array_equal(block, exact[k]), k
+            assert not block.flags.writeable, k
+            with pytest.raises(ValueError):
+                block[...] = 1.0
+        dicts[tail] = jac
+    # a later call at another node shape neither mutates nor shares the
+    # dict of an earlier one; calls at the same shape give fresh dicts
+    for k, exact in momentum_jacobian_closed_form(n, m, (4,)).items():
+        assert np.array_equal(dicts[(4,)][k], exact), k
+    args = (0.1, np.zeros((m, 4)), np.zeros((n, 4)), np.zeros((n, 4)),
+            np.zeros((n, m, 4)))
+    again = H.momentum_jacobian(*args)
+    assert again is not dicts[(4,)]
+    again["p_x"] = None
+    assert H.momentum_jacobian(*args)["p_x"] is not None
+
+
 def test_oscillator_honours_n():
     osc = builtin_model("mechanics_oscillator", {"n": 2})
     assert osc.dims.n == 2 and osc.paired_hamiltonian.dims.n == 2

@@ -778,3 +778,36 @@ def test_pairing_keys_at_bound_run(tmp_path, capsys):
         output="pairing_steps = 4\npairing_pairs = 1\n"))
     assert main(["pairing-check", "--scenario", path]) == 0
     assert "steps=4 pairs=1 " in capsys.readouterr().out
+
+
+# -- runs too short for the residual checks ------------------------------------
+
+def short_run(steps, store_every=1):
+    return oscillator(dt=0.01, steps=steps).replace(
+        "store_every = 10", f"store_every = {store_every}")
+
+
+@pytest.mark.parametrize("command, steps, store_every, frames",
+                         [("pairing-check", 3, 1, 4),
+                          ("characteristics", 3, 1, 4),
+                          ("characteristics", 6, 2, 4)])
+def test_short_runs_refused_before_they_start(tmp_path, capsys, command,
+                                              steps, store_every, frames):
+    out = tmp_path / "out"
+    path = write(tmp_path, short_run(steps, store_every), out=str(out))
+    assert main([command, "--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {path}: {command} needs at least 5 "
+                            f"stored frames; this run stores {frames}\n")
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["pairing-check", "characteristics"])
+def test_runs_of_five_frames_are_checked(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    path = write(tmp_path, short_run(4), out=str(out))
+    assert main([command, "--scenario", path]) == 0
+    report = capsys.readouterr().out
+    assert ("steps=4 " if command == "pairing-check"
+            else "frames_checked = 5\n") in report
