@@ -226,12 +226,11 @@ def recover_spatial_momenta(H, grid, u, p_t=None, t=0.0, guess=None,
     jacobian = None
     if H.has_analytic_momentum_jacobian:
         def jacobian(px):
-            J = H.momentum_jacobian(t, grid.x, u, p_t, px)["p_x"][:, 1:]
-            return J.reshape(n * m, n * m, N)
+            return H.momentum_jacobian(t, grid.x, u, p_t, px)["p_x"][:, 1:]
     return _solve_nodewise(lambda px: H.d_px(t, grid.x, u, p_t, px),
                            lambda px: H.value(t, grid.x, u, p_t, px),
                            gradient_fields(grid, u), p_x,
-                           H.fd_step, "momentum recovery",
+                           H.fd_step, "momentum recovery", 2,
                            tol, max_iter, jacobian)
 
 

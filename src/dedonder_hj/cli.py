@@ -116,7 +116,7 @@ def _diagnostics(L, grid, times, states, rng):
     constraints = [time_legendre_constraint_residual(L, grid, s)
                    for s in states]
     traj = [float("nan")] * len(states)
-    if len(states) >= 5:
+    if len(states) >= MIN_CHECKED_FRAMES:
         H = hamiltonian_for(L)
         velocities = frame_velocities(states, times[1] - times[0])
         test = standard_test_variations(grid, n, rng=rng)
@@ -435,6 +435,9 @@ def main(argv=None):
                         help="refinement sweep (simulate and compare only)")
     args = parser.parse_args(argv)
     try:
+        if not 0 <= args.seed < 2 ** 64:
+            raise ScenarioError(f"--seed must be in [0, 2**64), got "
+                                f"{args.seed}")
         scenario = parse_scenario(args.scenario)
         out_dir = _ensure_outdir(args.out or scenario.output_dir)
         if args.sweep and args.command not in ("simulate", "compare"):

@@ -101,7 +101,7 @@ def solve_time_velocity(L, grid, t, u, pi, guess=None, tol=NEWTON_TOL,
     return _solve_nodewise(lambda ut: L.d_ut(t, grid.x, u, ut, u_x),
                            lambda ut: L.value(t, grid.x, u, ut, u_x), pi,
                            u_t, L.fd_step,
-                           "time-Legendre solve", tol, max_iter)
+                           "time-Legendre solve", 1, tol, max_iter)
 
 
 def instantaneous_hamiltonian(L, grid, cs):

@@ -8,6 +8,7 @@ sections, and the curvature residual of a connection on the configuration
 bundle.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,17 +75,31 @@ def _fd_noise_floor(value, fd_step):
     return _FD_NOISE_FACTOR * np.finfo(float).eps * scale / fd_step
 
 
-def _damped_newton(residual, x, newton_step, what, noise_floor,
-                   tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
-    """Newton iteration for ``residual(x) = 0`` in the max norm. Each step
-    ``newton_step(x, r)`` (J^-1 r) is halved, up to 30 times, until the
-    residual decreases; ``what`` names the solve in errors. When the full
-    step does not decrease it, x is returned if its residual is within
-    ``noise_floor(x)``, the finite-difference noise of the residual: no
-    shorter step can resolve more. A residual that is not finite has no
-    solution to converge to: x comes back as NaN, so the caller's
-    finiteness check reports it."""
-    r = residual(x)
+def _solve_nodewise(g, value, target, guess, fd_step, what, comp_axes,
+                    tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER, jacobian=None):
+    """Damped Newton iteration for g(v) = target in the max norm.
+
+    The first ``comp_axes`` axes of v are the unknowns of one node; any
+    further axes are nodes, and unknowns couple only within a node (no
+    further axes: one node). The per-node Jacobians come from
+    ``jacobian(v)`` when given, where one without node axes serves every
+    node, and are central differences of g otherwise; one unknown per node
+    is a division, more a batched solve. Each step is halved, up to 30
+    times, until the residual decreases; ``what`` names the solve in
+    errors. When the full step does not decrease it, v is returned if its
+    residual is within the finite-difference noise of g, a partial of the
+    model function ``value(v)``: no shorter step can resolve more. A
+    residual that is not finite has no solution to converge to: v comes
+    back as NaN, so the caller's finiteness check reports it.
+    """
+    shape = guess.shape
+    rows = math.prod(shape[:comp_axes])
+    if jacobian is None:
+        def jacobian(v):
+            return central_difference(g, (v,), 0, fd_step, comp_axes)
+
+    x = guess
+    r = g(x) - target
     rnorm = np.abs(r).max()
     for _ in range(max_iter):
         if rnorm <= tol:
@@ -92,18 +107,28 @@ def _damped_newton(residual, x, newton_step, what, noise_floor,
         if not rnorm < np.inf:
             return np.full_like(x, np.nan)
         try:
-            step = newton_step(x, r)
+            J = jacobian(x)
+            if rows == 1:
+                J = np.reshape(J, -1)
+                if not J.all():
+                    raise np.linalg.LinAlgError("Singular matrix")
+                step = r / J
+            else:
+                step = np.linalg.solve(
+                    np.moveaxis(np.reshape(J, (rows, rows, -1)), -1, 0),
+                    r.reshape(rows, -1).T[..., None])[..., 0]
+                step = step.T.reshape(shape)
         except np.linalg.LinAlgError as exc:
             raise NewtonError(f"{what}: singular Jacobian: {exc}") from exc
         scale = 1.0
         for _ in range(30):
             trial = x - scale * step
-            r_trial = residual(trial)
+            r_trial = g(trial) - target
             r_trial_norm = np.abs(r_trial).max()
             if r_trial_norm < rnorm or r_trial_norm <= tol:
                 x, r, rnorm = trial, r_trial, r_trial_norm
                 break
-            if scale == 1.0 and rnorm <= noise_floor(x):
+            if scale == 1.0 and rnorm <= _fd_noise_floor(value(x), fd_step):
                 return x
             scale *= 0.5
         else:
@@ -114,79 +139,22 @@ def _damped_newton(residual, x, newton_step, what, noise_floor,
                       f"(residual {rnorm:.3e})")
 
 
-def _solve_nodewise(g, value, target, guess, fd_step, what, tol=NEWTON_TOL,
-                    max_iter=NEWTON_MAX_ITER, jacobian=None):
-    """:func:`_damped_newton` for g(v) = target with unknowns v of shape
-    (..., N): the leading axes are coupled at each node only. The per-node
-    Jacobians, shape (rows, rows, N), come from ``jacobian(v)`` when given
-    and are central differences of g otherwise; one row per node is a
-    division, more a batched solve. g is a partial of the model function
-    ``value(v)``, whose size sets the noise floor."""
-    shape = guess.shape
-    N = shape[-1]
-    rows = guess.size // N
-
-    def fd_jacobian(v):
-        J = np.empty((rows, rows, N))
-        flat = v.reshape(rows, N)
-        for k in range(rows):
-            hi = flat.copy()
-            lo = flat.copy()
-            hi[k] += fd_step
-            lo[k] -= fd_step
-            gh = g(hi.reshape(shape))
-            gl = g(lo.reshape(shape))
-            J[:, k] = ((gh - gl) / (2 * fd_step)).reshape(rows, N)
-        return J
-
-    jacobian = jacobian or fd_jacobian
-
-    def newton_step(v, r):
-        J = jacobian(v)
-        if rows == 1:
-            if not J.all():
-                raise np.linalg.LinAlgError("Singular matrix")
-            return r / J.reshape(N)
-        step = np.linalg.solve(np.moveaxis(J, -1, 0),
-                               r.reshape(rows, N).T[..., None])[..., 0]
-        return step.T.reshape(shape)
-
-    return _damped_newton(lambda v: g(v) - target, guess, newton_step, what,
-                          lambda v: _fd_noise_floor(value(v), fd_step),
-                          tol, max_iter)
-
-
 def solve_velocities(L, t, x, u, p_t, p_x, guess=None, tol=NEWTON_TOL,
                      max_iter=NEWTON_MAX_ITER):
     """Newton-solve dL/du_i = (p_t, p_x) for the velocities, batched over a
-    trailing grid axis. Steps are damped when the residual grows."""
-    target = pack_velocities(np.asarray(p_t, dtype=float),
-                             np.asarray(p_x, dtype=float))
+    trailing grid axis, with the velocity Hessian as the Jacobian."""
+    target = pack_velocities(p_t, p_x)
     vel = (np.zeros_like(target) if guess is None
            else np.array(guess, dtype=float))
     if vel.shape != target.shape:
         raise ModelError("velocity guess has wrong shape")
 
-    def residual(v):
-        ut, ux = unpack_velocities(v, L.dims)
-        return L.d_velocities(t, x, u, ut, ux) - target
+    def at(f):
+        return lambda v: f(t, x, u, *unpack_velocities(v, L.dims))
 
-    def newton_step(v, r):
-        J = np.asarray(L.velocity_hessian(t, x, u,
-                                          *unpack_velocities(v, L.dims)))
-        if target.ndim == 1:
-            return np.linalg.solve(J, r)
-        # (S, S, N) -> batched solve over nodes
-        step = np.linalg.solve(np.moveaxis(J, -1, 0),
-                               np.moveaxis(r, -1, 0)[..., None])[..., 0]
-        return np.moveaxis(step, 0, -1)
-
-    def noise_floor(v):
-        ut, ux = unpack_velocities(v, L.dims)
-        return _fd_noise_floor(L.value(t, x, u, ut, ux), L.fd_step)
-
-    vel = _damped_newton(residual, vel, newton_step, "velocity solve",
-                         noise_floor, tol, max_iter)
+    vel = _solve_nodewise(at(L.d_velocities), at(L.value), target, vel,
+                          L.fd_step, "velocity solve", 1, tol, max_iter,
+                          at(L.velocity_hessian))
     return unpack_velocities(vel, L.dims)
 
 
@@ -331,8 +299,7 @@ def momentum_total_derivatives(L, section, t, x):
     dependence against section second derivatives. Returns (m+1, S) with
     the base slot first (0 = time) and S the packed velocity slots.
     """
-    dims = L.dims
-    m, n = dims.m, dims.n
+    m = L.dims.m
     jet = section.jet(t, x)
     args = (jet.t, jet.x, jet.u, jet.u_t, jet.u_x)
     Hvv = np.asarray(L.velocity_hessian(*args))        # (S, S)
@@ -341,19 +308,20 @@ def momentum_total_derivatives(L, section, t, x):
     Hvx = np.asarray(L.d2_vel_x(*args))                # (S, m)
     first = section.base_first(t, x)                   # (m+1, n)
     second = section.base_second(t, x)                 # (m+1, m+1, n)
-    S = dims.n_velocity_slots
-    out = np.zeros((m + 1, S))
-    # velocity slot s = (beta, i') packs as i'=0 -> beta, i'>=1 -> n + beta*m + (i'-1)
-    sec_slot = np.zeros((m + 1, S))
-    for i2 in range(m + 1):
-        sec_slot[i2, :n] = second[0, i2]
-        for b in range(n):
-            for j in range(m):
-                sec_slot[i2, n + b * m + j] = second[1 + j, i2, b]
+    out = np.zeros((m + 1, L.dims.n_velocity_slots))
     for i in range(m + 1):
         expl = Hvt if i == 0 else Hvx[:, i - 1]
-        out[i] = expl + Hvu @ first[i] + Hvv.T @ sec_slot[i]
+        # D_i of the section's velocities, in slot order
+        vel_i = pack_velocities(second[0, i], second[1:, i].T)
+        out[i] = expl + Hvu @ first[i] + Hvv.T @ vel_i
     return out
+
+
+def _momentum_slot_derivatives(L, section, t, x):
+    """:func:`momentum_total_derivatives` unpacked into D_i p_t (n, m+1)
+    and D_i p_x (n, m, m+1), the base slot i last."""
+    D = momentum_total_derivatives(L, section, t, np.asarray(x, dtype=float))
+    return unpack_velocities(D.T, L.dims)
 
 
 def euler_lagrange_residual(L, section, points):
@@ -361,19 +329,12 @@ def euler_lagrange_residual(L, section, points):
 
     ``points`` is an iterable of (t, x) pairs; returns (len(points), n).
     """
-    dims = L.dims
-    n, m = dims.n, dims.m
-    out = np.zeros((len(points), n))
+    out = np.zeros((len(points), L.dims.n))
     for k, (t, x) in enumerate(points):
         jet = section.jet(t, np.asarray(x, dtype=float))
         du = L.d_u(jet.t, jet.x, jet.u, jet.u_t, jet.u_x)
-        D = momentum_total_derivatives(L, section, t, np.asarray(x, dtype=float))
-        total = np.zeros(n)
-        for a in range(n):
-            total[a] = D[0, a]
-            for j in range(m):
-                total[a] += D[1 + j, n + a * m + j]
-        out[k] = du - total
+        d_pt, d_px = _momentum_slot_derivatives(L, section, t, x)
+        out[k] = du - (d_pt[:, 0] + np.einsum("ajj->a", d_px[:, :, 1:]))
     return out
 
 
@@ -425,9 +386,6 @@ def legendre_transform_section(L, section):
     """Momentum section obtained by composing a field section with the
     velocity-to-momentum map; derivatives by the total-derivative chain
     rule, so analytic inputs give analytic outputs."""
-    dims = L.dims
-    n, m = dims.n, dims.m
-
     def u(t, x):
         return section.u(t, x)
 
@@ -443,19 +401,12 @@ def legendre_transform_section(L, section):
         return section.base_first(t, x)
 
     def d_t_pt(t, x):
-        D = momentum_total_derivatives(L, section, t, np.asarray(x, dtype=float))
-        return D[0, :n]
+        return _momentum_slot_derivatives(L, section, t, x)[0][:, 0]
 
     def d_x_px(t, x):
-        D = momentum_total_derivatives(L, section, t, np.asarray(x, dtype=float))
-        out = np.zeros((n, m, m))
-        for a in range(n):
-            for j in range(m):
-                for i in range(m):
-                    out[a, j, i] = D[1 + i, n + a * m + j]
-        return out
+        return _momentum_slot_derivatives(L, section, t, x)[1][:, :, 1:]
 
-    return MomentumSection(dims, u, p_t, p_x, d_base_u=d_base_u,
+    return MomentumSection(L.dims, u, p_t, p_x, d_base_u=d_base_u,
                            d_t_pt=d_t_pt, d_x_px=d_x_px)
 
 
@@ -506,13 +457,9 @@ class PoincareCartanCoefficients:
 
 
 def poincare_cartan_coefficients(L, jet):
-    args = (jet.t, jet.x, jet.u, jet.u_t, jet.u_x)
-    d_ut = L.d_ut(*args)
-    d_ux = L.d_ux(*args)
-    volume = (float(L.value(*args)) - float(np.dot(d_ut, jet.u_t))
-              - float(np.sum(d_ux * jet.u_x)))
-    return PoincareCartanCoefficients(volume=volume, momentum_t=d_ut,
-                                      momentum_x=d_ux)
+    ext = legendre_extended(L, jet)
+    return PoincareCartanCoefficients(volume=ext.p, momentum_t=ext.p_t,
+                                      momentum_x=ext.p_x)
 
 
 # -- Ehresmann connections on the configuration bundle ----------------------

@@ -485,29 +485,36 @@ def _quadratic_wave_family(dims, mass=0.0, potential=None, name="free_wave"):
     coeffs = tuple(float(c) for c in (potential or ()))
     mass = float(mass)
 
-    def value(t, x, u, u_t, u_x):
-        u = np.asarray(u, dtype=float)
-        u_t = np.asarray(u_t, dtype=float)
-        u_x = np.asarray(u_x, dtype=float)
-        out = 0.5 * np.sum(u_t ** 2, axis=0) - 0.5 * np.sum(u_x ** 2, axis=(0, 1))
-        if mass != 0.0:
-            out = out - 0.5 * mass ** 2 * np.sum(u ** 2, axis=0)
-        if coeffs:
-            out = out - np.sum(_poly_value(coeffs, u), axis=0)
-        return out
+    def body(sign):
+        """Value and u-partial of K(v_t, v_x) + sign P(u), with
+        K = 1/2 |v_t|^2 - 1/2 |v_x|^2 and P = 1/2 mass^2 |u|^2 + V(u):
+        L on velocities at sign -1, H on momenta at sign +1."""
+        def value(t, x, u, v_t, v_x):
+            u = np.asarray(u, dtype=float)
+            v_t = np.asarray(v_t, dtype=float)
+            v_x = np.asarray(v_x, dtype=float)
+            out = (0.5 * np.sum(v_t ** 2, axis=0)
+                   - 0.5 * np.sum(v_x ** 2, axis=(0, 1)))
+            if mass != 0.0:
+                out = out + sign * (0.5 * mass ** 2 * np.sum(u ** 2, axis=0))
+            if coeffs:
+                out = out + sign * np.sum(_poly_value(coeffs, u), axis=0)
+            return out
 
-    def d_u(t, x, u, u_t, u_x):
-        u = np.asarray(u, dtype=float)
-        out = -mass ** 2 * u
-        if coeffs:
-            out = out - _poly_deriv(coeffs, u)
-        return out
+        def d_u(t, x, u, v_t, v_x):
+            u = np.asarray(u, dtype=float)
+            out = sign * mass ** 2 * u
+            if coeffs:
+                out = out + sign * _poly_deriv(coeffs, u)
+            return out
 
-    def d_ut(t, x, u, u_t, u_x):
-        return np.asarray(u_t, dtype=float).copy()
+        return value, d_u
 
-    def d_ux(t, x, u, u_t, u_x):
-        return -np.asarray(u_x, dtype=float)
+    def d_vt(t, x, u, v_t, v_x):
+        return np.asarray(v_t, dtype=float).copy()
+
+    def d_vx(t, x, u, v_t, v_x):
+        return -np.asarray(v_x, dtype=float)
 
     def hessian(t, x, u, u_t, u_x):
         diag = np.concatenate([np.ones(n), -np.ones(n * m)])
@@ -521,34 +528,10 @@ def _quadratic_wave_family(dims, mass=0.0, potential=None, name="free_wave"):
         base = np.asarray(np.asarray(u_t, dtype=float)[0], dtype=float)
         return np.zeros((S, n) + base.shape)
 
-    lag = LagrangianModel(dims, value, d_u=d_u, d_ut=d_ut, d_ux=d_ux,
+    value, d_u = body(-1.0)
+    lag = LagrangianModel(dims, value, d_u=d_u, d_ut=d_vt, d_ux=d_vx,
                           velocity_hessian=hessian, d2_vel_u=d2_vel_u,
                           name=name)
-
-    # Paired Hamiltonian: H = 1/2 |p_t|^2 - 1/2 |p_x|^2 + 1/2 mass^2 |u|^2 + V(u)
-    def h_value(t, x, u, p_t, p_x):
-        u = np.asarray(u, dtype=float)
-        p_t = np.asarray(p_t, dtype=float)
-        p_x = np.asarray(p_x, dtype=float)
-        out = 0.5 * np.sum(p_t ** 2, axis=0) - 0.5 * np.sum(p_x ** 2, axis=(0, 1))
-        if mass != 0.0:
-            out = out + 0.5 * mass ** 2 * np.sum(u ** 2, axis=0)
-        if coeffs:
-            out = out + np.sum(_poly_value(coeffs, u), axis=0)
-        return out
-
-    def h_du(t, x, u, p_t, p_x):
-        u = np.asarray(u, dtype=float)
-        out = mass ** 2 * u
-        if coeffs:
-            out = out + _poly_deriv(coeffs, u)
-        return out
-
-    def h_dpt(t, x, u, p_t, p_x):
-        return np.asarray(p_t, dtype=float).copy()
-
-    def h_dpx(t, x, u, p_t, p_x):
-        return -np.asarray(p_x, dtype=float)
 
     jac_pt = np.zeros((n, m + 1, n))
     jac_px = np.zeros((n, m + 1, n, m))
@@ -567,7 +550,8 @@ def _quadratic_wave_family(dims, mass=0.0, potential=None, name="free_wave"):
             blocks[tail] = {k: _over_nodes(a, tail) for k, a in point.items()}
         return dict(blocks[tail])
 
-    ham = HamiltonianModel(dims, h_value, d_u=h_du, d_pt=h_dpt, d_px=h_dpx,
+    h_value, h_du = body(1.0)
+    ham = HamiltonianModel(dims, h_value, d_u=h_du, d_pt=d_vt, d_px=d_vx,
                            momentum_jacobian=h_momentum_jacobian,
                            name=name + "_hamiltonian")
     lag.paired_hamiltonian = ham

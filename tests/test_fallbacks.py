@@ -17,7 +17,8 @@ from dedonder_hj.cauchy import (CauchyState, make_grid,
 from dedonder_hj.cotangent import solve_time_velocity
 from dedonder_hj.legendre import (FieldSection, MomentumSection,
                                   hamiltonian_from_lagrangian,
-                                  inverse_legendre, legendre_reduced)
+                                  inverse_legendre, legendre_reduced,
+                                  solve_velocities)
 from dedonder_hj.models import (Dimensions, HamiltonianModel, JetSample,
                                 LagrangianModel, builtin_model)
 
@@ -351,3 +352,22 @@ def test_value_only_rk4_step_stops_at_the_noise_floor():
     assert np.allclose(got.u, want.u, rtol=0, atol=1e-12)
     assert np.allclose(got.p_t, want.p_t, rtol=0, atol=1e-9)
     assert np.allclose(got.p_x, want.p_x, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("dims", DIMS, ids=DIM_IDS)
+def test_velocity_hessian_without_node_axis_serves_every_node(dims):
+    # analytic_lagrangian's velocity Hessian is a point-level (S, S) array
+    # whatever the node axis; a batched solve broadcasts it over the nodes
+    L = analytic_lagrangian(dims)
+    n, m, N = dims.n, dims.m, 5
+    rng = np.random.default_rng(12)
+    u = rng.uniform(-1, 1, (n, N))
+    p_t = rng.uniform(-1, 1, (n, N))
+    p_x = rng.uniform(-1, 1, (n, m, N))
+    x = np.zeros((m, N))
+    u_t, u_x = solve_velocities(L, 0.3, x, u, p_t, p_x)
+    for k in range(N):
+        want = solve_velocities(L, 0.3, x[:, k], u[:, k], p_t[:, k],
+                                p_x[..., k])
+        assert np.allclose(u_t[:, k], want[0], rtol=0, atol=1e-12)
+        assert np.allclose(u_x[..., k], want[1], rtol=0, atol=1e-12)

@@ -307,6 +307,38 @@ def test_equivalence_on_arbitrary_sections():
     assert np.max(np.abs(res.divergence + el[:, :])) <= 1e-10
 
 
+def test_section_calculus_of_the_exact_oscillator():
+    # m = 0: u = A cos(omega t) + B sin(omega t) per component, derivatives
+    # analytic; there are no spatial momenta, so d_x_px is (n, 0, 0), and
+    # both field equations hold to roundoff
+    omega, A, B = 1.3, np.array([0.7, -0.2]), np.array([0.1, 0.5])
+    osc = builtin_model("mechanics_oscillator", {"omega": omega, "n": 2})
+
+    def u(t, x):
+        return A * np.cos(omega * t) + B * np.sin(omega * t)
+
+    sec = FieldSection(
+        osc.dims, u=u,
+        u_t=lambda t, x: omega * (B * np.cos(omega * t)
+                                  - A * np.sin(omega * t)),
+        u_x=lambda t, x: np.zeros((2, 0)),
+        u_tt=lambda t, x: -omega ** 2 * u(t, x),
+        u_tx=lambda t, x: np.zeros((2, 0)),
+        u_xx=lambda t, x: np.zeros((2, 0, 0)))
+    points = [(0.37 * k, np.zeros(0)) for k in range(8)]
+    ms = legendre_transform_section(osc, sec)
+    for t, x in points:
+        assert ms.d_x_px(t, x).shape == (2, 0, 0)
+        assert np.allclose(ms.d_t_pt(t, x), -omega ** 2 * u(t, x),
+                           rtol=0, atol=1e-15)
+    el = euler_lagrange_residual(osc, sec, points)
+    assert el.shape == (8, 2)
+    assert np.max(np.abs(el)) <= 1e-15
+    res = hdw_residual(hamiltonian_from_lagrangian(osc), ms, points)
+    assert res.gradient.shape == (8, 2, 1)
+    assert res.max_abs() <= 1e-15
+
+
 # -- canonical form coefficients ----------------------------------------------
 
 def test_poincare_cartan_matches_momentum_map():

@@ -811,3 +811,31 @@ def test_runs_of_five_frames_are_checked(tmp_path, capsys, command):
     report = capsys.readouterr().out
     assert ("steps=4 " if command == "pairing-check"
             else "frames_checked = 5\n") in report
+
+
+# -- the --seed range ------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("command", ["simulate", "verify-hj", "characteristics",
+                                     "compare", "pairing-check"])
+def test_seeds_outside_u64_refused_before_any_work(tmp_path, capsys, command,
+                                                   seed):
+    # numpy's generator rejects a negative seed only when it is built,
+    # after the run; the refusal comes first and writes nothing
+    out = tmp_path / "out"
+    path = write(tmp_path, short_run(4), out=str(out))
+    assert main([command, "--scenario", path, "--seed", str(seed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: --seed must be in [0, 2**64), "
+                            f"got {seed}\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("command", ["simulate", "characteristics",
+                                     "pairing-check"])
+def test_seeds_at_the_ends_of_u64_run(tmp_path, capsys, command, seed):
+    path = write(tmp_path, short_run(4))
+    assert main([command, "--scenario", path, "--seed", str(seed)]) == 0
+    assert f"seed={seed}" in capsys.readouterr().out
