@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .legendre import NEWTON_MAX_ITER, NEWTON_TOL, _solve_nodewise
+from .legendre import _solve_nodewise
 from .models import ModelError
 
 #: power iterations of :func:`rhs_spectral_radius`
@@ -208,8 +208,7 @@ def variation_norm(grid, X):
     return float(np.sqrt(total))
 
 
-def recover_spatial_momenta(H, grid, u, p_t=None, t=0.0, guess=None,
-                            tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
+def recover_spatial_momenta(H, grid, u, p_t=None, t=0.0):
     """Solve the spatial constraint dH/dp^j_a = (D u^a)_j for p_x at every
     node (vectorized Newton with damping). The per-node Jacobian is the
     p_x block of ``H.momentum_jacobian`` when the model supplies one,
@@ -221,17 +220,14 @@ def recover_spatial_momenta(H, grid, u, p_t=None, t=0.0, guess=None,
         return np.zeros((n, 0, N))
     if p_t is None:
         p_t = np.zeros_like(u)
-    p_x = (np.zeros((n, m, N)) if guess is None
-           else np.array(guess, dtype=float))
     jacobian = None
     if H.has_analytic_momentum_jacobian:
         def jacobian(px):
             return H.momentum_jacobian(t, grid.x, u, p_t, px)["p_x"][:, 1:]
     return _solve_nodewise(lambda px: H.d_px(t, grid.x, u, p_t, px),
                            lambda px: H.value(t, grid.x, u, p_t, px),
-                           gradient_fields(grid, u), p_x,
-                           H.fd_step, "momentum recovery", 2,
-                           tol, max_iter, jacobian)
+                           gradient_fields(grid, u), "momentum recovery", 2,
+                           jacobian)
 
 
 @dataclass
@@ -241,9 +237,9 @@ class HdwRhs:
     p_x: np.ndarray
 
 
-def _rhs(H, grid, t, u, p_t, guess=None):
+def _rhs(H, grid, t, u, p_t):
     """(u_dot, p_t_dot, p_x) of the split field equations at (t, u, p_t)."""
-    p_x = recover_spatial_momenta(H, grid, u, p_t=p_t, t=t, guess=guess)
+    p_x = recover_spatial_momenta(H, grid, u, p_t=p_t, t=t)
     args = (t, grid.x, u, p_t, p_x)
     u_dot = H.d_pt(*args)
     p_t_dot = -H.d_u(*args)
@@ -253,9 +249,9 @@ def _rhs(H, grid, t, u, p_t, guess=None):
 
 
 def hdw_rhs(H, grid, state):
-    """Method-of-lines right-hand side of the split field equations."""
-    return HdwRhs(*_rhs(H, grid, state.t, state.u, state.p_t,
-                        state.p_x if state.p_x.size else None))
+    """Method-of-lines right-hand side of the split field equations; p_x
+    is recovered from (t, u, p_t), whatever ``state.p_x`` holds."""
+    return HdwRhs(*_rhs(H, grid, state.t, state.u, state.p_t))
 
 
 def step_rk4(H, grid, state, dt):
@@ -445,10 +441,9 @@ def dynamical_trajectory_residual(H, grid, state, state_dot, test_set):
 MIN_CHECKED_FRAMES = 5
 
 
-def checked_frames(times, frame_stride=None):
-    """Frame spacing of uniformly stored frames and the indices a residual
-    check visits: every ``frame_stride``-th (default K // 32) and the
-    last."""
+def checked_frames(times):
+    """Frame spacing of K uniformly stored frames and the indices a
+    residual check visits: every (K // 32)-th and the last."""
     times = np.asarray(times, dtype=float)
     K = len(times)
     if K < MIN_CHECKED_FRAMES:
@@ -456,7 +451,7 @@ def checked_frames(times, frame_stride=None):
     dt = times[1] - times[0]
     if not np.allclose(np.diff(times), dt):
         raise ModelError("frames must be uniformly spaced in time")
-    idx = list(range(0, K, frame_stride or max(1, K // 32)))
+    idx = list(range(0, K, max(1, K // 32)))
     if idx[-1] != K - 1:
         idx.append(K - 1)
     return dt, idx
@@ -464,18 +459,18 @@ def checked_frames(times, frame_stride=None):
 
 # -- test variation sets -----------------------------------------------------
 
-def _smooth_profile(grid, rng, n, scale, n_modes=4):
-    """Random smooth per-node field built from low Fourier modes; the draw
-    sequence is grid-independent so refinement studies sample the same
-    underlying functions."""
+def _smooth_profile(grid, rng, n):
+    """Random smooth per-node field of amplitude VARIATION_SCALE built
+    from the 4 lowest Fourier modes; the draw sequence is grid-independent
+    so refinement studies sample the same underlying functions."""
     if grid.m == 0:
-        return rng.normal(scale=scale, size=(n, 1))
+        return rng.normal(scale=VARIATION_SCALE, size=(n, 1))
     xs = grid.x[0] / grid.length
     out = np.zeros((n, grid.n_nodes))
     for a in range(n):
-        coeffs = rng.normal(size=(n_modes, 2))
-        for mode in range(n_modes):
-            sigma = scale / (1.0 + mode) ** 2
+        coeffs = rng.normal(size=(4, 2))
+        for mode in range(4):
+            sigma = VARIATION_SCALE / (1.0 + mode) ** 2
             ca, cb = sigma * coeffs[mode]
             if mode == 0:
                 out[a] += ca
@@ -485,24 +480,23 @@ def _smooth_profile(grid, rng, n, scale, n_modes=4):
     return out
 
 
-def random_smooth_variation(grid, n, rng, scale=VARIATION_SCALE,
-                            vertical=True):
-    k = 0.0 if vertical else float(rng.normal(scale=scale))
-    du = _smooth_profile(grid, rng, n, scale)
-    dp_t = _smooth_profile(grid, rng, n, scale)
-    dp_x = np.stack([_smooth_profile(grid, rng, n, scale)
+def random_smooth_variation(grid, n, rng, vertical=True):
+    k = 0.0 if vertical else float(rng.normal(scale=VARIATION_SCALE))
+    du = _smooth_profile(grid, rng, n)
+    dp_t = _smooth_profile(grid, rng, n)
+    dp_x = np.stack([_smooth_profile(grid, rng, n)
                      for _ in range(grid.m)], axis=1) \
         if grid.m else np.zeros((n, 0, grid.n_nodes))
     return TangentVariation(k, du, dp_t, dp_x)
 
 
-def probe_profiles(grid, scale=VARIATION_SCALE):
+def probe_profiles(grid):
     """Constant and (m = 1) first-harmonic profiles of the probes."""
-    profiles = [np.full(grid.n_nodes, scale)]
+    profiles = [np.full(grid.n_nodes, VARIATION_SCALE)]
     if grid.m == 1:
         xs = grid.x[0] / grid.length
-        profiles.append(scale * np.sin(2 * np.pi * xs))
-        profiles.append(scale * np.cos(2 * np.pi * xs))
+        profiles.append(VARIATION_SCALE * np.sin(2 * np.pi * xs))
+        profiles.append(VARIATION_SCALE * np.cos(2 * np.pi * xs))
     return profiles
 
 
@@ -531,9 +525,8 @@ def indicator_variations(grid, n):
             for j in range(grid.n_nodes)]
 
 
-def standard_test_variations(grid, n, rng=None, n_random=8,
-                             include_indicators=True, scale=VARIATION_SCALE):
-    """Deterministic probes, node indicators and seeded random smooth
+def standard_test_variations(grid, n, rng=None):
+    """Deterministic probes, node indicators and 8 seeded random smooth
     variations; the default vertical test set used by residual checks.
 
     The constant and first-harmonic probes on each field block make
@@ -542,11 +535,10 @@ def standard_test_variations(grid, n, rng=None, n_random=8,
     bytes; the indicators are only flagged, never built."""
     rng = rng if rng is not None else np.random.default_rng(0)
     dense = [_row_variation(grid, n, name, index, prof)
-             for prof in probe_profiles(grid, scale)
+             for prof in probe_profiles(grid)
              for name, index in _field_rows(grid, n)]
-    dense.extend(random_smooth_variation(grid, n, rng, scale=scale)
-                 for _ in range(n_random))
-    return TangentBatch.of(grid, dense, indicators=include_indicators)
+    dense.extend(random_smooth_variation(grid, n, rng) for _ in range(8))
+    return TangentBatch.of(grid, dense, indicators=True)
 
 
 def frame_velocities(frames, dt, fields=("u", "p_t", "p_x")):

@@ -150,6 +150,9 @@ def _error_metric(scenario, grid, traj):
 def cmd_simulate(scenario, out_dir, seed, sweep=None):
     _check_store_every(scenario)
     _check_stable_levels(scenario, sweep)
+    if sweep and exact_solution(scenario) is None:
+        raise ScenarioError(f"{scenario.path}: sweep requires a scenario "
+                            f"with a closed-form solution")
     L, H, grid, traj, energies, constraints, residuals = _simulate_once(
         scenario, seed)
     p = scenario.precision
@@ -186,9 +189,6 @@ def cmd_simulate(scenario, out_dir, seed, sweep=None):
             trl = run_simulation(Hl, gridl, st0, sc.dt, sc.n_steps,
                                  store_every=sc.n_steps)
             errl = _error_metric(sc, gridl, trl)
-            if errl is None:
-                raise ScenarioError(f"{scenario.path}: sweep requires a "
-                                    f"scenario with a closed-form solution")
             ratio = (prev / errl) if prev and errl else float("nan")
             rows.append([level, gridl.n_nodes, sc.dt, errl, ratio])
             prev = errl

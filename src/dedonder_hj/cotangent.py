@@ -23,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import (VARIATION_SCALE, StackedVariations, _smooth_profile,
-                     checked_frames, covector_residual, frame_velocities,
-                     gradient_fields, integrate_density, probe_profiles,
-                     spatial_derivative)
-from .legendre import NEWTON_MAX_ITER, NEWTON_TOL, _solve_nodewise
+from .cauchy import (StackedVariations, _smooth_profile, checked_frames,
+                     covector_residual, frame_velocities, gradient_fields,
+                     integrate_density, probe_profiles, spatial_derivative)
+from .legendre import _solve_nodewise
 from .models import ModelError, central_difference
 
 
@@ -91,17 +90,14 @@ def push_variation(X):
     return CotangentVariation(X.k, X.du.copy(), X.dp_t.copy())
 
 
-def solve_time_velocity(L, grid, t, u, pi, guess=None, tol=NEWTON_TOL,
-                        max_iter=NEWTON_MAX_ITER):
+def solve_time_velocity(L, grid, t, u, pi):
     """Newton-solve dL/du_t = pi per node, with u_x from the grid."""
     u = np.asarray(u, dtype=float)
     pi = np.asarray(pi, dtype=float)
     u_x = gradient_fields(grid, u)
-    u_t = np.zeros_like(u) if guess is None else np.array(guess, dtype=float)
     return _solve_nodewise(lambda ut: L.d_ut(t, grid.x, u, ut, u_x),
                            lambda ut: L.value(t, grid.x, u, ut, u_x), pi,
-                           u_t, L.fd_step,
-                           "time-Legendre solve", 1, tol, max_iter)
+                           "time-Legendre solve", 1)
 
 
 def instantaneous_hamiltonian(L, grid, cs):
@@ -142,20 +138,17 @@ def _energy_time_partial(L, grid, cs):
         return 0.0
     return central_difference(
         lambda *state: instantaneous_hamiltonian(L, grid, CotangentState(*state)),
-        (cs.t, cs.u, cs.pi), 0, L.fd_step, comp_axes=0)
+        (cs.t, cs.u, cs.pi), 0, comp_axes=0)
 
 
-def extended_form_pairing(L, grid, cs, X, Y, _data=None):
+def extended_form_pairing(L, grid, cs, X, Y):
     """Pairing of the two-form omega + dh wedge dt:
 
         omega(X, Y) + X(h) k_Y - Y(h) k_X
 
     with X(h) the directional derivative of the field energy."""
-    if _data is None:
-        dh_du, dh_dpi = variational_derivative(L, grid, cs)
-        dh_dt = _energy_time_partial(L, grid, cs)
-    else:
-        dh_du, dh_dpi, dh_dt = _data
+    dh_du, dh_dpi = variational_derivative(L, grid, cs)
+    dh_dt = _energy_time_partial(L, grid, cs)
 
     def directional(Z):
         val = integrate_density(grid, np.sum(dh_du * Z.du + dh_dpi * Z.dpi,
@@ -181,33 +174,32 @@ def extended_form_covector(grid, dh, X):
     return (-X.dpi - X.k * dh_du, X.du - X.k * dh_dpi), c_k
 
 
-def standard_cotangent_variations(grid, n, rng=None, n_random=8,
-                                  include_indicators=True,
-                                  scale=VARIATION_SCALE):
-    """Deterministic probes, node indicators and seeded smooth variations
-    on (u, pi); the vertical test set for cotangent residuals, stacked
-    into one :class:`CotangentBatch` with the indicators only flagged."""
+def standard_cotangent_variations(grid, n, rng=None):
+    """Deterministic probes, node indicators and 8 seeded smooth
+    variations on (u, pi); the vertical test set for cotangent residuals,
+    stacked into one :class:`CotangentBatch` with the indicators only
+    flagged."""
     rng = rng if rng is not None else np.random.default_rng(0)
     zero = np.zeros((n, grid.n_nodes))
     dense = []
-    for prof in probe_profiles(grid, scale):
+    for prof in probe_profiles(grid):
         for a in range(n):
             row = zero.copy()
             row[a] = prof
             dense += [CotangentVariation(0.0, row, zero),
                       CotangentVariation(0.0, zero, row)]
-    dense.extend(CotangentVariation(0.0, _smooth_profile(grid, rng, n, scale),
-                                    _smooth_profile(grid, rng, n, scale))
-                 for _ in range(n_random))
-    return CotangentBatch.of(grid, dense, indicators=include_indicators)
+    dense.extend(CotangentVariation(0.0, _smooth_profile(grid, rng, n),
+                                    _smooth_profile(grid, rng, n))
+                 for _ in range(8))
+    return CotangentBatch.of(grid, dense, indicators=True)
 
 
 def cotangent_trajectory_residual(L, grid, times, frames, test_set=None,
-                                  rng=None, frame_stride=None):
+                                  rng=None):
     """max over frames and test variations of the normalized pairing of
     the frame velocity against the extended two-form; zero exactly when
     the frames satisfy du/dt = dh/dpi, dpi/dt = -dh/du."""
-    dt, idx = checked_frames(times, frame_stride)
+    dt, idx = checked_frames(times)
     n = frames[0].u.shape[0]
     rng = rng if rng is not None else np.random.default_rng(0)
     test_set = standard_cotangent_variations(grid, n, rng=rng) \
@@ -234,18 +226,17 @@ def time_legendre_constraint_residual(L, grid, state):
     return float(np.max(np.abs(state.p_x - expected)))
 
 
-def pullback_identity_residual(L, H, grid, state, X, Y,
-                               constraint_tol=1e-10):
+def pullback_identity_residual(L, H, grid, state, X, Y):
     """|pairing of (omega + dh wedge dt) at the restricted state against
     the pushed variations - Cauchy-space pairing of (X, Y)|.
 
-    Raises :class:`ConstraintError` when the state is off the momentum
-    constraint, where the identity is not asserted.
+    Raises :class:`ConstraintError` when the state is more than 1e-10 off
+    the momentum constraint, where the identity is not asserted.
     """
     from .cauchy import presymplectic_pairing
     res = time_legendre_constraint_residual(L, grid, state)
-    if res > constraint_tol:
-        raise ConstraintError(res, constraint_tol)
+    if res > 1e-10:
+        raise ConstraintError(res, 1e-10)
     lhs = extended_form_pairing(L, grid, restriction_map_R(state),
                                 push_variation(X), push_variation(Y))
     rhs = presymplectic_pairing(H, grid, state, X, Y)

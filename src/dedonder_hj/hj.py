@@ -28,13 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import (CauchyState, TangentBatch, TangentVariation,
-                     _state_pairing_data, checked_frames, covector_residual,
-                     frame_velocities, gradient_fields, pairing_covector,
-                     presymplectic_pairing, random_smooth_variation,
-                     standard_test_variations)
+from .cauchy import (CauchyState, TangentVariation, _state_pairing_data,
+                     checked_frames, covector_residual, frame_velocities,
+                     gradient_fields, pairing_covector, presymplectic_pairing,
+                     random_smooth_variation, standard_test_variations)
 from .legendre import ConnectionCoefficients
-from .models import DEFAULT_FD_STEP, ModelError, central_difference
+from .models import ModelError, central_difference
 
 
 class GammaDomainError(ValueError):
@@ -70,10 +69,9 @@ class HJSection:
     """
 
     def __init__(self, dims, pt, px, p=None, partials=None, name="gamma",
-                 fd_step=DEFAULT_FD_STEP, domain_guard=None):
+                 domain_guard=None):
         self.dims = dims
         self.name = name
-        self.fd_step = float(fd_step)
         self._pt = pt
         self._px = px
         self._p = p if p is not None else (lambda t, x, u: np.zeros(np.shape(np.asarray(u)[0])))
@@ -101,8 +99,7 @@ class HJSection:
         if self._partials is not None:
             return self._partials(t, x, u)
         return {f"{name}_{var}": central_difference(
-                    getattr(self, name), (t, x, u), wrt, self.fd_step,
-                    comp_axes=min(wrt, 1))
+                    getattr(self, name), (t, x, u), wrt, comp_axes=min(wrt, 1))
                 for name in ("pt", "px", "p") for wrt, var in enumerate("txu")}
 
 
@@ -398,9 +395,10 @@ class CharacteristicBlowup(RuntimeError):
 
 
 def evolve_characteristics(H, gamma, grid, u0, t0, dt, t_final,
-                           store_every=1, blowup=1e6):
+                           store_every=1):
     """Integrate the per-node characteristic ODE du/dt = Gamma_0(t, x, u)
-    with RK4; no spatial coupling enters. Returns (times, u_frames)."""
+    with RK4; no spatial coupling enters. Returns (times, u_frames), or
+    raises :class:`CharacteristicBlowup` once |u| exceeds 1e6."""
     if dt <= 0:
         raise ModelError("dt must be positive")
     u = np.array(u0, dtype=float)
@@ -423,8 +421,8 @@ def evolve_characteristics(H, gamma, grid, u0, t0, dt, t_final,
         k4 = rhs(t + dt, u + dt * k3)
         u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t = t0 + (k + 1) * dt
-        if np.max(np.abs(u)) > blowup:
-            raise CharacteristicBlowup(f"|u| exceeded {blowup:g} at step {k + 1}")
+        if np.max(np.abs(u)) > 1e6:
+            raise CharacteristicBlowup(f"|u| exceeded 1e+06 at step {k + 1}")
         if (k + 1) % store_every == 0 or k + 1 == n_steps:
             frames.append(u.copy())
             times.append(t)
@@ -477,26 +475,22 @@ class HJLiftReport:
     frames_checked: int
 
 
-def hj_lift_solution_check(H, gamma, grid, times, u_frames, test_set=None,
-                           rng=None, compat_tol=None, n_pullback_pairs=8,
-                           frame_stride=None):
+def hj_lift_solution_check(H, gamma, grid, times, u_frames, rng=None):
     """Certify a characteristic trajectory by lifting it with the section
-    and measuring three residual classes against the pairing.
+    and measuring three residual classes against the pairing: over the
+    standard test set, and for 8 pairs of lifted random variations.
 
     Refuses (raises :class:`IncompatibleDataError`) when the initial frame
-    is not an integral submanifold of the restricted connection within
-    ``compat_tol`` (default 10 h^2 for m = 1).
+    fails :func:`check_compatibility` at its default tolerance.
     """
     times = np.asarray(times, dtype=float)
     u_frames = np.asarray(u_frames, dtype=float)
     n = u_frames.shape[1]
-    dt, idx = checked_frames(times, frame_stride)
-    compat_res = check_compatibility(H, gamma, grid, u_frames[0], times[0],
-                                     compat_tol)
+    dt, idx = checked_frames(times)
+    compat_res = check_compatibility(H, gamma, grid, u_frames[0], times[0])
 
     rng = rng if rng is not None else np.random.default_rng(0)
-    test_set = standard_test_variations(grid, n, rng=rng) \
-        if test_set is None else TangentBatch.of(grid, test_set)
+    test_set = standard_test_variations(grid, n, rng=rng)
     states = [lift_by_gamma(gamma, t, grid, u)
               for t, u in zip(times, u_frames)]
     u_dot, pt_dot, px_dot = frame_velocities(states, dt)
@@ -506,7 +500,7 @@ def hj_lift_solution_check(H, gamma, grid, times, u_frames, test_set=None,
     pullback = 0.0
     pair_specs = [(random_smooth_variation(grid, n, rng, vertical=False),
                    random_smooth_variation(grid, n, rng, vertical=False))
-                  for _ in range(n_pullback_pairs)]
+                  for _ in range(8)]
     for k in idx:
         state = states[k]
         data = _state_pairing_data(H, grid, state)

@@ -56,28 +56,30 @@ class RegularityReport:
     tolerance: float
 
 
-def regularity_check(L, jet, tolerance=REGULARITY_TOL):
-    """Determinant and condition estimate of the velocity Hessian."""
+def regularity_check(L, jet):
+    """Determinant and condition estimate of the velocity Hessian, regular
+    when |det| >= REGULARITY_TOL."""
     H = np.asarray(L.velocity_hessian(jet.t, jet.x, jet.u, jet.u_t, jet.u_x))
     det = float(np.linalg.det(H))
     cond = float(np.linalg.cond(H))
     return RegularityReport(determinant=det, condition=cond,
-                            is_regular=abs(det) >= tolerance,
-                            tolerance=tolerance)
+                            is_regular=abs(det) >= REGULARITY_TOL,
+                            tolerance=REGULARITY_TOL)
 
 
-def _fd_noise_floor(value, fd_step):
+def _fd_noise_floor(value):
     """Smallest residual a gradient of ``value`` by central differences of
-    step ``fd_step`` resolves: the roundoff eps |value| of each evaluation
-    divided by the step, with |value| at least 1, times _FD_NOISE_FACTOR
-    (Kelley, Solving Nonlinear Equations with Newton's Method, ch. 1-2)."""
+    step DEFAULT_FD_STEP resolves: the roundoff eps |value| of each
+    evaluation divided by the step, with |value| at least 1, times
+    _FD_NOISE_FACTOR (Kelley, Solving Nonlinear Equations with Newton's
+    Method, ch. 1-2)."""
     scale = max(1.0, float(np.max(np.abs(value))))
-    return _FD_NOISE_FACTOR * np.finfo(float).eps * scale / fd_step
+    return _FD_NOISE_FACTOR * np.finfo(float).eps * scale / DEFAULT_FD_STEP
 
 
-def _solve_nodewise(g, value, target, guess, fd_step, what, comp_axes,
-                    tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER, jacobian=None):
-    """Damped Newton iteration for g(v) = target in the max norm.
+def _solve_nodewise(g, value, target, what, comp_axes, jacobian=None):
+    """Damped Newton iteration for g(v) = target from v = 0, to NEWTON_TOL
+    in the max norm within NEWTON_MAX_ITER steps.
 
     The first ``comp_axes`` axes of v are the unknowns of one node; any
     further axes are nodes, and unknowns couple only within a node (no
@@ -92,17 +94,17 @@ def _solve_nodewise(g, value, target, guess, fd_step, what, comp_axes,
     residual that is not finite has no solution to converge to: v comes
     back as NaN, so the caller's finiteness check reports it.
     """
-    shape = guess.shape
+    shape = np.shape(target)
     rows = math.prod(shape[:comp_axes])
     if jacobian is None:
         def jacobian(v):
-            return central_difference(g, (v,), 0, fd_step, comp_axes)
+            return central_difference(g, (v,), 0, comp_axes=comp_axes)
 
-    x = guess
+    x = np.zeros(shape)
     r = g(x) - target
     rnorm = np.abs(r).max()
-    for _ in range(max_iter):
-        if rnorm <= tol:
+    for _ in range(NEWTON_MAX_ITER):
+        if rnorm <= NEWTON_TOL:
             return x
         if not rnorm < np.inf:
             return np.full_like(x, np.nan)
@@ -125,51 +127,38 @@ def _solve_nodewise(g, value, target, guess, fd_step, what, comp_axes,
             trial = x - scale * step
             r_trial = g(trial) - target
             r_trial_norm = np.abs(r_trial).max()
-            if r_trial_norm < rnorm or r_trial_norm <= tol:
+            if r_trial_norm < rnorm or r_trial_norm <= NEWTON_TOL:
                 x, r, rnorm = trial, r_trial, r_trial_norm
                 break
-            if scale == 1.0 and rnorm <= _fd_noise_floor(value(x), fd_step):
+            if scale == 1.0 and rnorm <= _fd_noise_floor(value(x)):
                 return x
             scale *= 0.5
         else:
             raise NewtonError(f"{what}: damped Newton step stalled")
-    if rnorm <= tol:
+    if rnorm <= NEWTON_TOL:
         return x
-    raise NewtonError(f"{what}: no convergence after {max_iter} iterations "
-                      f"(residual {rnorm:.3e})")
+    raise NewtonError(f"{what}: no convergence after {NEWTON_MAX_ITER} "
+                      f"iterations (residual {rnorm:.3e})")
 
 
-def solve_velocities(L, t, x, u, p_t, p_x, guess=None, tol=NEWTON_TOL,
-                     max_iter=NEWTON_MAX_ITER):
+def solve_velocities(L, t, x, u, p_t, p_x):
     """Newton-solve dL/du_i = (p_t, p_x) for the velocities, batched over a
     trailing grid axis, with the velocity Hessian as the Jacobian."""
-    target = pack_velocities(p_t, p_x)
-    vel = (np.zeros_like(target) if guess is None
-           else np.array(guess, dtype=float))
-    if vel.shape != target.shape:
-        raise ModelError("velocity guess has wrong shape")
-
     def at(f):
         return lambda v: f(t, x, u, *unpack_velocities(v, L.dims))
 
-    vel = _solve_nodewise(at(L.d_velocities), at(L.value), target, vel,
-                          L.fd_step, "velocity solve", 1, tol, max_iter,
+    vel = _solve_nodewise(at(L.d_velocities), at(L.value),
+                          pack_velocities(p_t, p_x), "velocity solve", 1,
                           at(L.velocity_hessian))
     return unpack_velocities(vel, L.dims)
 
 
-def inverse_legendre(L, sample, guess=None, tol=NEWTON_TOL,
-                     max_iter=NEWTON_MAX_ITER):
+def inverse_legendre(L, sample):
     """Invert the reduced momentum map at one point, returning the jet."""
     if sample.dims != L.dims:
         raise ModelError("sample dimensions do not match model")
-    if guess is not None:
-        g_ut, g_ux = guess
-        guess = pack_velocities(np.asarray(g_ut, dtype=float),
-                                np.asarray(g_ux, dtype=float))
     u_t, u_x = solve_velocities(L, sample.t, sample.x, sample.u,
-                                sample.p_t, sample.p_x, guess=guess,
-                                tol=tol, max_iter=max_iter)
+                                sample.p_t, sample.p_x)
     return JetSample(sample.t, sample.x, sample.u, u_t, u_x, sample.dims)
 
 
@@ -214,7 +203,6 @@ def hamiltonian_from_lagrangian(L):
 
     return HamiltonianModel(L.dims, value, d_u=d_u, d_pt=d_pt, d_px=d_px,
                             d_t=d_t, name=L.name + "_hamiltonian",
-                            fd_step=L.fd_step,
                             time_dependent=L.time_dependent)
 
 
@@ -230,9 +218,8 @@ class FieldSection:
     """
 
     def __init__(self, dims, u, u_t=None, u_x=None, u_tt=None, u_tx=None,
-                 u_xx=None, fd_step=DEFAULT_FD_STEP):
+                 u_xx=None):
         self.dims = dims
-        self.fd_step = float(fd_step)
         self._u = u
         self._u_t = u_t
         self._u_x = u_x
@@ -245,23 +232,20 @@ class FieldSection:
 
     def u_t(self, t, x):
         return _analytic_or_difference(self._u_t, self.u, (t, x), 0,
-                                       self.fd_step, comp_axes=0)
+                                       comp_axes=0)
 
     def u_x(self, t, x):
-        return _analytic_or_difference(self._u_x, self.u, (t, x), 1,
-                                       self.fd_step)
+        return _analytic_or_difference(self._u_x, self.u, (t, x), 1)
 
     def u_tt(self, t, x):
         return _analytic_or_difference(self._u_tt, self.u_t, (t, x), 0,
-                                       self.fd_step, comp_axes=0)
+                                       comp_axes=0)
 
     def u_tx(self, t, x):
-        return _analytic_or_difference(self._u_tx, self.u_t, (t, x), 1,
-                                       self.fd_step)
+        return _analytic_or_difference(self._u_tx, self.u_t, (t, x), 1)
 
     def u_xx(self, t, x):
-        return _analytic_or_difference(self._u_xx, self.u_x, (t, x), 1,
-                                       self.fd_step)
+        return _analytic_or_difference(self._u_xx, self.u_x, (t, x), 1)
 
     def jet(self, t, x):
         x = np.asarray(x, dtype=float)
@@ -342,9 +326,8 @@ class MomentumSection:
     """A momentum-space section (u, p_t, p_x)(t, x) with first derivatives."""
 
     def __init__(self, dims, u, p_t, p_x, d_base_u=None, d_t_pt=None,
-                 d_x_px=None, fd_step=DEFAULT_FD_STEP):
+                 d_x_px=None):
         self.dims = dims
-        self.fd_step = float(fd_step)
         self._u = u
         self._p_t = p_t
         self._p_x = p_x
@@ -369,17 +352,16 @@ class MomentumSection:
     def d_base_u(self, t, x):
         if self._d_base_u is not None:
             return np.asarray(self._d_base_u(t, x), dtype=float)
-        u_t = central_difference(self.u, (t, x), 0, self.fd_step, comp_axes=0)
-        u_x = central_difference(self.u, (t, x), 1, self.fd_step)
+        u_t = central_difference(self.u, (t, x), 0, comp_axes=0)
+        u_x = central_difference(self.u, (t, x), 1)
         return np.concatenate([u_t[None], u_x.T])
 
     def d_t_pt(self, t, x):
         return _analytic_or_difference(self._d_t_pt, self.p_t, (t, x), 0,
-                                       self.fd_step, comp_axes=0)
+                                       comp_axes=0)
 
     def d_x_px(self, t, x):
-        return _analytic_or_difference(self._d_x_px, self.p_x, (t, x), 1,
-                                       self.fd_step)
+        return _analytic_or_difference(self._d_x_px, self.p_x, (t, x), 1)
 
 
 def legendre_transform_section(L, section):
@@ -476,10 +458,8 @@ class ConnectionCoefficients:
     otherwise central differences are used.
     """
 
-    def __init__(self, dims, coefficients, partials=None,
-                 fd_step=DEFAULT_FD_STEP):
+    def __init__(self, dims, coefficients, partials=None):
         self.dims = dims
-        self.fd_step = float(fd_step)
         self._coefficients = coefficients
         self._partials = partials
 
@@ -493,7 +473,7 @@ class ConnectionCoefficients:
         if self._partials is not None:
             return self._partials(t, x, u)
         return {var: central_difference(self.coefficients, (t, x, u), wrt,
-                                        self.fd_step, comp_axes=min(wrt, 1))
+                                        comp_axes=min(wrt, 1))
                 for wrt, var in enumerate("txu")}
 
 

@@ -15,7 +15,7 @@ serves both point-level calculus and vectorized method-of-lines runs:
     t           : scalar or (N,)
 
 Analytic partials are used when a model supplies them; otherwise central
-finite differences with a configurable step fill in.
+finite differences of step DEFAULT_FD_STEP fill in.
 """
 
 from dataclasses import dataclass
@@ -154,7 +154,7 @@ def finite_difference_partial(f, point, axis=0, step=DEFAULT_FD_STEP):
     return out
 
 
-def central_difference(f, args, wrt, step, comp_axes=1):
+def central_difference(f, args, wrt, step=DEFAULT_FD_STEP, comp_axes=1):
     """Central differences (f(.., a + s e_c, ..) - f(.., a - s e_c, ..)) / 2s
     of f(*args) in each component c of a = args[wrt].
 
@@ -194,12 +194,12 @@ def central_difference(f, args, wrt, step, comp_axes=1):
     return np.stack(cols, axis=axis).reshape(shape)
 
 
-def _analytic_or_difference(analytic, f, args, wrt, step, comp_axes=1):
+def _analytic_or_difference(analytic, f, args, wrt, comp_axes=1):
     """``analytic(*args)`` when a partial is supplied, else the
     :func:`central_difference` of f in slot ``wrt`` of args."""
     if analytic is not None:
         return np.asarray(analytic(*args), dtype=float)
-    return central_difference(f, args, wrt, step, comp_axes)
+    return central_difference(f, args, wrt, comp_axes=comp_axes)
 
 
 def pack_velocities(u_t, u_x):
@@ -252,10 +252,9 @@ class LagrangianModel:
     def __init__(self, dims, value, *, d_u=None, d_ut=None, d_ux=None,
                  d_t=None, velocity_hessian=None, d2_vel_u=None,
                  d2_vel_t=None, d2_vel_x=None, name="custom",
-                 fd_step=DEFAULT_FD_STEP, time_dependent=False):
+                 time_dependent=False):
         self.dims = dims
         self.name = name
-        self.fd_step = float(fd_step)
         self.time_dependent = time_dependent
         self._value = value
         self._d_u = d_u
@@ -278,24 +277,22 @@ class LagrangianModel:
 
     def d_u(self, t, x, u, u_t, u_x):
         return _analytic_or_difference(self._d_u, self._value,
-                                       (t, x, u, u_t, u_x), 2, self.fd_step)
+                                       (t, x, u, u_t, u_x), 2)
 
     def d_ut(self, t, x, u, u_t, u_x):
         return _analytic_or_difference(self._d_ut, self._value,
-                                       (t, x, u, u_t, u_x), 3, self.fd_step)
+                                       (t, x, u, u_t, u_x), 3)
 
     def d_ux(self, t, x, u, u_t, u_x):
         return _analytic_or_difference(self._d_ux, self._value,
-                                       (t, x, u, u_t, u_x), 4, self.fd_step,
-                                       comp_axes=2)
+                                       (t, x, u, u_t, u_x), 4, comp_axes=2)
 
     def d_t(self, t, x, u, u_t, u_x):
         if not self.time_dependent:
             base = np.asarray(np.asarray(u, dtype=float)[0], dtype=float)
             return np.zeros_like(base)
         return _analytic_or_difference(self._d_t, self._value,
-                                       (t, x, u, u_t, u_x), 0, self.fd_step,
-                                       comp_axes=0)
+                                       (t, x, u, u_t, u_x), 0, comp_axes=0)
 
     def d_velocities(self, t, x, u, u_t, u_x):
         """All velocity partials packed into slot order, shape (S, ...)."""
@@ -309,12 +306,12 @@ class LagrangianModel:
         return central_difference(
             lambda v: self.d_velocities(t, x, u,
                                         *unpack_velocities(v, self.dims)),
-            (pack_velocities(u_t, u_x),), 0, self.fd_step)
+            (pack_velocities(u_t, u_x),), 0)
 
     def d2_vel_u(self, t, x, u, u_t, u_x):
         """Mixed second partials d^2 L / d vel_s d u^beta, shape (S, n, ...)."""
         return _analytic_or_difference(self._d2_vel_u, self.d_velocities,
-                                       (t, x, u, u_t, u_x), 2, self.fd_step)
+                                       (t, x, u, u_t, u_x), 2)
 
     def d2_vel_t(self, t, x, u, u_t, u_x):
         """Explicit-time second partials d^2 L / d vel_s dt, shape (S, ...)."""
@@ -323,12 +320,12 @@ class LagrangianModel:
         if not self.time_dependent:
             return np.zeros_like(self.d_velocities(t, x, u, u_t, u_x))
         return central_difference(self.d_velocities, (t, x, u, u_t, u_x), 0,
-                                  self.fd_step, comp_axes=0)
+                                  comp_axes=0)
 
     def d2_vel_x(self, t, x, u, u_t, u_x):
         """Explicit-space second partials d^2 L / d vel_s dx^j, (S, m, ...)."""
         return _analytic_or_difference(self._d2_vel_x, self.d_velocities,
-                                       (t, x, u, u_t, u_x), 1, self.fd_step)
+                                       (t, x, u, u_t, u_x), 1)
 
     # -- point-level API ---------------------------------------------------
 
@@ -352,10 +349,9 @@ class HamiltonianModel:
 
     def __init__(self, dims, value, *, d_u=None, d_pt=None, d_px=None,
                  d_t=None, momentum_jacobian=None, name="custom",
-                 fd_step=DEFAULT_FD_STEP, time_dependent=False):
+                 time_dependent=False):
         self.dims = dims
         self.name = name
-        self.fd_step = float(fd_step)
         self.time_dependent = time_dependent
         self._value = value
         self._d_u = d_u
@@ -376,24 +372,22 @@ class HamiltonianModel:
 
     def d_u(self, t, x, u, p_t, p_x):
         return _analytic_or_difference(self._d_u, self._value,
-                                       (t, x, u, p_t, p_x), 2, self.fd_step)
+                                       (t, x, u, p_t, p_x), 2)
 
     def d_pt(self, t, x, u, p_t, p_x):
         return _analytic_or_difference(self._d_pt, self._value,
-                                       (t, x, u, p_t, p_x), 3, self.fd_step)
+                                       (t, x, u, p_t, p_x), 3)
 
     def d_px(self, t, x, u, p_t, p_x):
         return _analytic_or_difference(self._d_px, self._value,
-                                       (t, x, u, p_t, p_x), 4, self.fd_step,
-                                       comp_axes=2)
+                                       (t, x, u, p_t, p_x), 4, comp_axes=2)
 
     def d_t(self, t, x, u, p_t, p_x):
         if not self.time_dependent:
             base = np.asarray(np.asarray(u, dtype=float)[0], dtype=float)
             return np.zeros_like(base)
         return _analytic_or_difference(self._d_t, self._value,
-                                       (t, x, u, p_t, p_x), 0, self.fd_step,
-                                       comp_axes=0)
+                                       (t, x, u, p_t, p_x), 0, comp_axes=0)
 
     def d_momenta(self, t, x, u, p_t, p_x):
         """Momentum partials as one (n, m+1, ...) block, time slot first."""
@@ -415,13 +409,12 @@ class HamiltonianModel:
         args = (t, x, u, p_t, p_x)
         if self.time_dependent:
             jac = {"t": central_difference(self.d_momenta, args, 0,
-                                           self.fd_step, comp_axes=0)}
+                                           comp_axes=0)}
         else:
             jac = {"t": np.zeros((self.dims.n, self.dims.m + 1)
                                  + np.shape(u)[1:])}
         for wrt, var in enumerate(("x", "u", "p_t", "p_x"), start=1):
             jac[var] = central_difference(self.d_momenta, args, wrt,
-                                          self.fd_step,
                                           comp_axes=2 if var == "p_x" else 1)
         return jac
 

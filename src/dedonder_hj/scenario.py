@@ -107,14 +107,11 @@ def _parse_sections(path):
     return sections
 
 
-def _take(sections, section, key, default=None, required=False, path=""):
+def _take(sections, section, key, required=False, path=""):
     entry = sections.get(section, {}).pop(key, None)
-    if entry is None:
-        if required:
-            raise ScenarioError(f"{path}: missing required key "
-                                f"{section}.{key}")
-        return default, None
-    return entry
+    if entry is None and required:
+        raise ScenarioError(f"{path}: missing required key {section}.{key}")
+    return entry or (None, None)
 
 
 def _as_float(value, lineno, path, name):
@@ -185,6 +182,9 @@ def parse_scenario(path):
     t_final = _as_float(value, ln, path, "time.t_final")
     if t_final < dt:
         raise ScenarioError(f"{path}:{ln}: time.t_final must be >= time.dt")
+    if abs(round(t_final / dt) * dt - t_final) > 1e-9 * max(1.0, t_final):
+        raise ScenarioError(f"{path}:{ln}: time.t_final must be a whole "
+                            f"number of time.dt steps")
 
     family, ln = _take(sections, "initial", "family", required=True, path=path)
     family = family.replace("-", "_")

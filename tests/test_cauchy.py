@@ -13,7 +13,8 @@ from dedonder_hj.cauchy import (BlowupError, CauchyState, GridError,
                                 step_rk4, time_derivative_frames,
                                 variation_norm)
 from dedonder_hj.legendre import NEWTON_TOL, hamiltonian_from_lagrangian
-from dedonder_hj.models import Dimensions, HamiltonianModel, builtin_model
+from dedonder_hj.models import (Dimensions, HamiltonianModel,
+                                LagrangianModel, builtin_model)
 
 TWO_PI = 2.0 * np.pi
 
@@ -179,6 +180,24 @@ def test_hdw_rhs_wave_discrete_laplacian():
     composed = spatial_derivative(g, spatial_derivative(g, u))
     assert np.max(np.abs(r.p_t_dot - composed)) <= 1e-12
     assert np.max(np.abs(r.p_t_dot + TWO_PI ** 2 * u)) <= 5e-2
+
+
+@pytest.mark.parametrize("value_only", [False, True])
+def test_hdw_rhs_is_the_stage_right_hand_side(value_only):
+    # hdw_rhs recovers p_x from (t, u, p_t) as every RK4 stage does; the
+    # p_x a state carries, here 0.3 off the recovered one, does not enter
+    L = builtin_model("klein_gordon", {"mass": 1.0})
+    if value_only:
+        L = LagrangianModel(L.dims, L._value)
+    H = hamiltonian_from_lagrangian(L)
+    g = make_grid(16)
+    u = np.sin(TWO_PI * g.x[0])[None, :]
+    p = 0.5 * np.cos(TWO_PI * g.x[0])[None, :]
+    p_x = recover_spatial_momenta(H, g, u, p_t=p, t=0.2) + 0.3
+    got = hdw_rhs(H, g, CauchyState(0.2, u, p, p_x))
+    for a, b in zip((got.u_dot, got.p_t_dot, got.p_x),
+                    cauchy._rhs(H, g, 0.2, u, p)):
+        assert np.array_equal(a, b)
 
 
 def test_step_rk4_constant_klein_gordon():

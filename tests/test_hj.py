@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from dedonder_hj.cauchy import make_grid, run_simulation
-from dedonder_hj.hj import (GammaDomainError, HJSection,
-                            IncompatibleDataError, check_compatibility,
-                            connection_lift_vector,
+from dedonder_hj.hj import (CharacteristicBlowup, GammaDomainError,
+                            HJSection, IncompatibleDataError,
+                            check_compatibility, connection_lift_vector,
                             evolve_characteristics, gamma_closedness_residual,
                             gamma_family, hj_lift_solution_check, hj_residual,
                             lift_by_gamma, lift_variation, linear_gamma,
@@ -202,6 +202,16 @@ def test_characteristics_constant_klein_gordon():
     times, frames = evolve_characteristics(kg_H(1.0), og, g,
                                            np.ones((1, 16)), 0.0, 1e-3, 1.0)
     assert np.max(np.abs(frames[-1] - np.cos(1.0))) <= 1e-9
+
+
+def test_characteristics_blowup_names_the_step():
+    # du/dt = 20 u from u = 1 passes 1e6 near t = ln(1e6) / 20 = 0.69
+    g = make_grid(16)
+    steep = linear_gamma(M1, a=20.0)
+    with pytest.raises(CharacteristicBlowup,
+                       match=r"^\|u\| exceeded 1e\+06 at step 70$"):
+        evolve_characteristics(wave_H(), steep, g, np.ones((1, 16)), 0.0,
+                               0.01, 1.0, store_every=10)
 
 
 def test_characteristics_zero_section_is_static():

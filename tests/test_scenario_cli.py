@@ -839,3 +839,141 @@ def test_seeds_at_the_ends_of_u64_run(tmp_path, capsys, command, seed):
     path = write(tmp_path, short_run(4))
     assert main([command, "--scenario", path, "--seed", str(seed)]) == 0
     assert f"seed={seed}" in capsys.readouterr().out
+
+
+# -- t_final on the step grid ----------------------------------------------------
+
+def kg_steps(dt, t_final, store_every=""):
+    return KG_CONSTANT.replace("dt = 0.001", f"dt = {dt!r}").replace(
+        "t_final = 1.0", f"t_final = {t_final!r}").replace(
+        "store_every = 10", store_every)
+
+
+@pytest.mark.parametrize("t_final", [0.2, 0.1])
+@pytest.mark.parametrize("command", ["simulate", "verify-hj", "characteristics",
+                                     "compare", "pairing-check"])
+def test_t_final_off_the_step_grid_refused(tmp_path, capsys, command,
+                                           t_final):
+    # unrefused, dt = 0.03 ran 7 steps to t = 0.21 for t_final = 0.2 and
+    # stopped at 0.09 for t_final = 0.1
+    out = tmp_path / "out"
+    text = kg_steps(0.03, t_final)
+    path = write(tmp_path, text, out=str(out))
+    line = text.splitlines().index(f"t_final = {t_final!r}") + 1
+    assert main([command, "--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {path}:{line}: time.t_final must be a "
+                            f"whole number of time.dt steps\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dt, steps", [(1e-3, 1000), (2.5e-4, 4000),
+                                       (0.03, 7)])
+def test_t_final_on_the_step_grid_runs(tmp_path, capsys, dt, steps):
+    # the first two are the benchmark's (dt, t_final) pairs
+    t_final = 0.21 if dt == 0.03 else 1.0
+    path = write(tmp_path, kg_steps(dt, t_final, f"store_every = {steps}"))
+    assert parse_scenario(path).n_steps == steps
+    assert main(["simulate", "--scenario", path]) == 0
+    assert f"steps={steps} " in capsys.readouterr().out
+
+
+# -- refusals before any stepping ------------------------------------------------
+
+def test_sweep_without_closed_form_refused_before_stepping(tmp_path, capsys):
+    # Klein-Gordon traveling waves have no closed form in exact_solution
+    out = tmp_path / "out"
+    text = WAVE.replace("name = free_wave", "name = klein_gordon\nmass = 1.0")
+    path = write(tmp_path, text.replace("n_nodes = 64", "n_nodes = 16"),
+                 out=str(out))
+    assert main(["simulate", "--scenario", path, "--sweep", "grid"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {path}: sweep requires a scenario with "
+                            f"a closed-form solution\n")
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+def test_characteristics_blowup_is_a_numerical_failure(tmp_path, capsys):
+    # du/dt = 20 u from u = 1 passes |u| = 1e6 near t = ln(1e6) / 20
+    out = tmp_path / "out"
+    text = KG_CONSTANT.replace("name = klein_gordon\nmass = 1.0",
+                               "name = free_wave").replace(
+        "family = oscillator\nomega = 1.0", "family = linear\na = 20.0")
+    path = write(tmp_path, text.replace("dt = 0.001", "dt = 0.01"),
+                 out=str(out))
+    assert main(["characteristics", "--scenario", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("numerical failure: |u| exceeded 1e+06 at "
+                            "step 70\n")
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+# -- Klein-Gordon output bits ----------------------------------------------------
+
+KG_SINE = """
+[model]
+name = klein_gordon
+mass = 1.0
+
+[grid]
+n_nodes = 16
+
+[time]
+dt = 0.01
+t_final = 0.2
+
+[initial]
+family = sine
+amplitude = 0.8
+phase = 0.3
+
+[output]
+directory = {out}
+store_every = 2
+pairing_steps = 6
+pairing_pairs = 3
+"""
+
+KG_LIFTED = KG_CONSTANT.replace("t_final = 1.0", "t_final = 0.2").replace(
+    "dt = 0.001", "dt = 0.01").replace("store_every = 10", "store_every = 2")\
+    .replace("omega = 1.0\n", "omega = 1.0\nsamples_per_axis = 4\n", 1)
+
+#: sha256 (first 16 hex digits) of stdout and of every CSV of small
+#: Klein-Gordon runs, recorded before the numerical settings were made
+#: fixed module constants; a refactor must keep every bit
+KG_DIGESTS = {
+    "simulate": "e913feb144599e25",
+    "fields.csv": "929188f04393ff3c",
+    "diagnostics.csv": "cdff52dd24e6a3e7",
+    "pairing-check": "670c3778a3dcae6e",
+    "verify-hj": "9ad87ab53c5f2052",
+    "verify_hj.csv": "1ae6318c4d0a4928",
+    "characteristics": "ea4216b2d34d7af0",
+    "characteristics.csv": "3e6396438911b30a",
+    "compare": "bed50bf87821aa46",
+    "compare.csv": "7ac09467d4883f89",
+}
+
+
+def kg_digests(tmp_path, capsys):
+    digests = {}
+    for text, commands in ((KG_SINE, ("simulate", "pairing-check")),
+                           (KG_LIFTED, ("verify-hj", "characteristics",
+                                        "compare"))):
+        for command in commands:
+            out = tmp_path / command
+            path = write(tmp_path, text, out=str(out))
+            assert main([command, "--scenario", path, "--seed", "5"]) == 0
+            digests[command] = hashlib.sha256(
+                capsys.readouterr().out.encode()).hexdigest()[:16]
+            for csv in sorted(out.glob("*.csv")):
+                digests[csv.name] = hashlib.sha256(
+                    csv.read_bytes()).hexdigest()[:16]
+    return digests
+
+
+def test_klein_gordon_outputs_are_byte_identical(tmp_path, capsys):
+    assert kg_digests(tmp_path, capsys) == KG_DIGESTS
