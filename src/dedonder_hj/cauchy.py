@@ -114,6 +114,10 @@ class CauchyState:
     p_t: np.ndarray    # (n, N)
     p_x: np.ndarray    # (n, m, N)
 
+    #: (H, grid) under which ``p_x`` is the recovery at (t, u, p_t); set
+    #: only by :func:`step_rk4`, so every other state recovers afresh
+    _recovered_by = (None, None)
+
     def __post_init__(self):
         object.__setattr__(self, "t", float(self.t))
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
@@ -124,11 +128,16 @@ class CauchyState:
                 raise ModelError(f"non-finite field {name}")
 
     @classmethod
-    def _unchecked(cls, t, u, p_t, p_x):
+    def _unchecked(cls, t, u, p_t, p_x, recovered_by):
         """State from a float t and float arrays, without the conversions
-        and the finiteness check."""
+        and the finiteness check; ``p_x`` is the recovery at (t, u, p_t)
+        under ``recovered_by`` = (H, grid). The arrays are made read-only,
+        so the recovered ``p_x`` cannot go stale."""
+        for values in (u, p_t, p_x):
+            values.flags.writeable = False
         state = object.__new__(cls)
-        state.__dict__.update(t=t, u=u, p_t=p_t, p_x=p_x)
+        state.__dict__.update(t=t, u=u, p_t=p_t, p_x=p_x,
+                              _recovered_by=recovered_by)
         return state
 
     @property
@@ -237,9 +246,11 @@ class HdwRhs:
     p_x: np.ndarray
 
 
-def _rhs(H, grid, t, u, p_t):
-    """(u_dot, p_t_dot, p_x) of the split field equations at (t, u, p_t)."""
-    p_x = recover_spatial_momenta(H, grid, u, p_t=p_t, t=t)
+def _rhs(H, grid, t, u, p_t, p_x=None):
+    """(u_dot, p_t_dot, p_x) of the split field equations at (t, u, p_t);
+    p_x is recovered unless given."""
+    if p_x is None:
+        p_x = recover_spatial_momenta(H, grid, u, p_t=p_t, t=t)
     args = (t, grid.x, u, p_t, p_x)
     u_dot = H.d_pt(*args)
     p_t_dot = -H.d_u(*args)
@@ -254,15 +265,23 @@ def hdw_rhs(H, grid, state):
     return HdwRhs(*_rhs(H, grid, state.t, state.u, state.p_t))
 
 
+def _check_dt(dt):
+    if not 0 < dt < np.inf:
+        raise ModelError("dt must be positive and finite")
+
+
 def step_rk4(H, grid, state, dt):
     """Classical fourth-order Runge-Kutta step on (u, p_t); the spatial
     momenta are recovered at every stage and on the returned state. The
+    first stage reuses ``state.p_x`` when ``state`` came out of a step with
+    the same H and grid, since that p_x is this recovery, bit for bit. The
     stages pass plain arrays; the returned state is not checked for
     finiteness, which :func:`run_simulation` does after every step."""
-    if dt <= 0:
-        raise ModelError("dt must be positive")
+    _check_dt(dt)
     t, u, p = state.t, state.u, state.p_t
-    k1u, k1p, _ = _rhs(H, grid, t, u, p)
+    H0, grid0 = state._recovered_by
+    k1u, k1p, _ = _rhs(H, grid, t, u, p,
+                       state.p_x if H0 is H and grid0 is grid else None)
     k2u, k2p, _ = _rhs(H, grid, t + dt / 2, u + dt / 2 * k1u, p + dt / 2 * k1p)
     k3u, k3p, _ = _rhs(H, grid, t + dt / 2, u + dt / 2 * k2u, p + dt / 2 * k2p)
     k4u, k4p, _ = _rhs(H, grid, t + dt, u + dt * k3u, p + dt * k3p)
@@ -270,7 +289,7 @@ def step_rk4(H, grid, state, dt):
     p_new = p + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
     t_new = t + dt
     p_x_new = recover_spatial_momenta(H, grid, u_new, p_t=p_new, t=t_new)
-    return CauchyState._unchecked(t_new, u_new, p_new, p_x_new)
+    return CauchyState._unchecked(t_new, u_new, p_new, p_x_new, (H, grid))
 
 
 def rhs_spectral_radius(H, grid, state):
@@ -321,6 +340,11 @@ def run_simulation(H, grid, state0, dt, n_steps, store_every=1, blowup=1e8):
     state (the initial and final states always included). A step that
     leaves u or p_t non-finite, or above ``blowup`` in magnitude (unless
     it is None), raises :class:`BlowupError` naming the step."""
+    _check_dt(dt)
+    if n_steps < 0:
+        raise ModelError("n_steps must be >= 0")
+    if store_every < 1:
+        raise ModelError("store_every must be >= 1")
     states = [state0]
     times = [state0.t]
     state = state0

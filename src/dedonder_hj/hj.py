@@ -28,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import (CauchyState, TangentVariation, _state_pairing_data,
-                     checked_frames, covector_residual, frame_velocities,
-                     gradient_fields, pairing_covector, presymplectic_pairing,
-                     random_smooth_variation, standard_test_variations)
+from .cauchy import (CauchyState, TangentVariation, _check_dt,
+                     _state_pairing_data, checked_frames, covector_residual,
+                     frame_velocities, gradient_fields, pairing_covector,
+                     presymplectic_pairing, random_smooth_variation,
+                     standard_test_variations)
 from .legendre import ConnectionCoefficients
 from .models import ModelError, central_difference
 
@@ -399,8 +400,9 @@ def evolve_characteristics(H, gamma, grid, u0, t0, dt, t_final,
     """Integrate the per-node characteristic ODE du/dt = Gamma_0(t, x, u)
     with RK4; no spatial coupling enters. Returns (times, u_frames), or
     raises :class:`CharacteristicBlowup` once |u| exceeds 1e6."""
-    if dt <= 0:
-        raise ModelError("dt must be positive")
+    _check_dt(dt)
+    if store_every < 1:
+        raise ModelError("store_every must be >= 1")
     u = np.array(u0, dtype=float)
     n_steps = int(round((t_final - t0) / dt))
     if abs(t0 + n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):

@@ -116,10 +116,14 @@ def _take(sections, section, key, required=False, path=""):
 
 def _as_float(value, lineno, path, name):
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ScenarioError(f"{path}:{lineno}: {name} must be a number, "
                             f"got {value!r}")
+    if not np.isfinite(number):
+        raise ScenarioError(f"{path}:{lineno}: {name} must be a finite "
+                            f"number, got {value!r}")
+    return number
 
 
 def _as_int(value, lineno, path, name):

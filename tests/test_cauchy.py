@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from dedonder_hj.cauchy import (BlowupError, CauchyState, GridError,
                                 variation_norm)
 from dedonder_hj.legendre import NEWTON_TOL, hamiltonian_from_lagrangian
 from dedonder_hj.models import (Dimensions, HamiltonianModel,
-                                LagrangianModel, builtin_model)
+                                LagrangianModel, ModelError, builtin_model)
 
 TWO_PI = 2.0 * np.pi
 
@@ -527,23 +529,150 @@ MODEL_CALLS = ("value", "d_u", "d_pt", "d_px", "momentum_jacobian")
 def test_rk4_step_calls_per_recovery(monkeypatch):
     # each recovery evaluates dH/dp_x at the zero guess and after one
     # Newton step, with the Jacobian from the model; no value and no
-    # finite differences
+    # finite differences. A step from a caller-built state recovers at its
+    # four stages and on the returned state; a step from a state that
+    # step_rk4 returned takes its first stage's p_x from that state
     g = make_grid(64)
     H = kg_hamiltonian(1.0)
     u, p = smooth_state(g, 1)
     s = CauchyState(0.0, u, p, recover_spatial_momenta(H, g, u, p_t=p))
     counts = count_calls(monkeypatch, HamiltonianModel, MODEL_CALLS)
     recoveries = count_calls(monkeypatch, cauchy, ["recover_spatial_momenta"])
-    for steps in (1, 3):
+    for steps, per_step in ((1, 5), (3, 4)):
         for key in counts:
             counts[key] = 0
         recoveries["recover_spatial_momenta"] = 0
         for _ in range(steps):
             s = step_rk4(H, g, s, 1e-3)
-        r = 5 * steps
+        r = per_step * steps
         assert recoveries["recover_spatial_momenta"] == r
         assert counts == {"value": 0, "d_u": 4 * steps, "d_pt": 4 * steps,
                           "d_px": 2 * r, "momentum_jacobian": r}
+
+
+@pytest.mark.parametrize("n_steps", [1, 3, 10])
+def test_run_simulation_recovers_four_times_per_step_and_once(monkeypatch,
+                                                             n_steps):
+    g = make_grid(32)
+    u, p = smooth_state(g, 1)
+    s = CauchyState(0.0, u, p, np.zeros((1, 1, 32)))
+    recoveries = count_calls(monkeypatch, cauchy, ["recover_spatial_momenta"])
+    run_simulation(kg_hamiltonian(1.0), g, s, 1e-3, n_steps)
+    assert recoveries["recover_spatial_momenta"] == 4 * n_steps + 1
+
+
+# -- the p_x a step carries into the next ----------------------------------------
+
+def reuse_model(name):
+    """The built-in Klein-Gordon, a scalar potential, or Klein-Gordon
+    given by its value alone."""
+    if name == "scalar_potential":
+        L = builtin_model("scalar_potential",
+                          {"mass": 1.0, "potential": (0.0, 0.2, 0.0, 0.1)})
+    else:
+        L = builtin_model("klein_gordon", {"mass": 1.0})
+    if name == "value_only":
+        L = LagrangianModel(L.dims, L._value)
+    return hamiltonian_from_lagrangian(L)
+
+
+REUSE_MODELS = ["klein_gordon", "scalar_potential", "value_only"]
+
+
+def reuse_start(H, N=16):
+    g = make_grid(N)
+    u, p = smooth_state(g, 1)
+    return g, CauchyState(0.0, u, p, recover_spatial_momenta(H, g, u, p_t=p))
+
+
+def assert_same_bits(a, b):
+    assert a.t == b.t
+    for name in ("u", "p_t", "p_x"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("model", REUSE_MODELS)
+def test_chained_steps_match_steps_from_caller_built_states(model):
+    H = reuse_model(model)
+    g, chained = reuse_start(H)
+    restarted = chained
+    for _ in range(20):
+        chained = step_rk4(H, g, chained, 1e-3)
+        s = step_rk4(H, g, restarted, 1e-3)
+        restarted = CauchyState(s.t, s.u.copy(), s.p_t.copy(), s.p_x.copy())
+    assert_same_bits(chained, restarted)
+
+
+@pytest.mark.parametrize("model", REUSE_MODELS)
+def test_stepped_state_fields_are_read_only(model):
+    H = reuse_model(model)
+    g, s = reuse_start(H)
+    s = step_rk4(H, g, s, 1e-3)
+    for name in ("u", "p_t", "p_x"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(s, name)[...] += 1.0
+
+
+@pytest.mark.parametrize("model", REUSE_MODELS)
+def test_replaced_state_recovers_afresh(model):
+    H = reuse_model(model)
+    g, s = reuse_start(H)
+    s = step_rk4(H, g, s, 1e-3)
+    perturbed = dataclasses.replace(s, p_x=s.p_x + 0.3)
+    assert_same_bits(step_rk4(H, g, perturbed, 1e-3),
+                     step_rk4(H, g, s, 1e-3))
+
+
+def test_step_under_another_model_or_grid_recovers_afresh():
+    # the carried p_x solves the spatial constraint of the model and grid
+    # that stepped it; under another model or grid it is not reused
+    H = nonlinear_momentum_model(True)
+    g = make_grid(16)
+    u, p = smooth_state(g, 2)
+    s = step_rk4(H, g, CauchyState(0.0, u, p, np.zeros((2, 1, 16))), 1e-3)
+    unmarked = CauchyState(s.t, s.u, s.p_t, s.p_x)
+    other = nonlinear_momentum_model(True, eps=0.1)
+    assert not np.array_equal(recover_spatial_momenta(other, g, s.u, s.p_t),
+                              s.p_x)
+    assert_same_bits(step_rk4(other, g, s, 1e-3),
+                     step_rk4(other, g, unmarked, 1e-3))
+    half = make_grid(16, 0.5)
+    assert_same_bits(step_rk4(H, half, s, 1e-3),
+                     step_rk4(H, half, unmarked, 1e-3))
+
+
+# -- refused step sizes and run lengths ------------------------------------------
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+def test_step_rk4_refuses_dt_not_positive_and_finite(dt):
+    # unrefused, nan and inf returned a non-finite state
+    H = kg_hamiltonian(1.0)
+    g, s = reuse_start(H)
+    with pytest.raises(ModelError, match="^dt must be positive and finite$"):
+        step_rk4(H, g, s, dt)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"dt": np.nan}, "dt must be positive and finite"),
+    ({"dt": np.inf}, "dt must be positive and finite"),
+    ({"dt": np.nan, "n_steps": 0}, "dt must be positive and finite"),
+    ({"store_every": 0}, "store_every must be >= 1"),
+    ({"store_every": -1}, "store_every must be >= 1"),
+    ({"n_steps": -3}, "n_steps must be >= 0"),
+])
+def test_run_simulation_refuses_bad_arguments_before_stepping(monkeypatch,
+                                                              kwargs,
+                                                              message):
+    # unrefused, store_every = 0 divided by zero after the first step,
+    # store_every = -1 stored every step and n_steps = -3 returned the
+    # initial state alone
+    H = kg_hamiltonian(1.0)
+    g, s = reuse_start(H)
+    steps = count_calls(monkeypatch, cauchy, ["step_rk4"])
+    args = {"dt": 1e-3, "n_steps": 3, "store_every": 1, **kwargs}
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        run_simulation(H, g, s, **args)
+    assert steps["step_rk4"] == 0
 
 
 def kg_partials_only(mass=1.0, n=1):

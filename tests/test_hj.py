@@ -214,6 +214,22 @@ def test_characteristics_blowup_names_the_step():
                                0.01, 1.0, store_every=10)
 
 
+@pytest.mark.parametrize("dt, store_every, message", [
+    (np.nan, 1, "dt must be positive and finite"),
+    (np.inf, 1, "dt must be positive and finite"),
+    (0.0, 1, "dt must be positive and finite"),
+    (0.01, 0, "store_every must be >= 1"),
+])
+def test_characteristics_refuse_bad_step_and_stride(dt, store_every, message):
+    # unrefused, dt = nan raised from round, dt = inf returned the
+    # initial frame alone and store_every = 0 divided by zero
+    g = make_grid(16)
+    og = oscillator_gamma(M1, omega=1.0)
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        evolve_characteristics(kg_H(1.0), og, g, np.ones((1, 16)), 0.0, dt,
+                               1.0, store_every=store_every)
+
+
 def test_characteristics_zero_section_is_static():
     g = make_grid(16)
     zero = linear_gamma(M1, a=0.0)

@@ -879,6 +879,50 @@ def test_t_final_on_the_step_grid_runs(tmp_path, capsys, dt, steps):
     assert f"steps={steps} " in capsys.readouterr().out
 
 
+# -- non-finite numbers ----------------------------------------------------------
+
+@pytest.mark.parametrize("line, bad, name", [
+    ("dt = 0.01", "dt = nan", "time.dt"),
+    ("t_final = 0.2", "t_final = nan", "time.t_final"),
+    ("t_final = 0.2", "t_final = inf", "time.t_final"),
+    ("mass = 1.0", "mass = nan", "model.mass"),
+    ("amplitude = 0.8", "amplitude = nan", "initial.amplitude"),
+    ("phase = 0.3", "phase = inf", "initial.phase"),
+])
+def test_non_finite_numbers_refused_with_their_line(tmp_path, capsys, line,
+                                                    bad, name):
+    # unrefused, nan for dt or t_final and inf for t_final raised a
+    # traceback, mass = nan stepped to a numerical failure at step 1,
+    # and nan or inf initial data gave a message without the file
+    out = tmp_path / "out"
+    text = KG_SINE.replace(line, bad)
+    path = write(tmp_path, text, out=str(out))
+    lineno = text.splitlines().index(bad) + 1
+    value = bad.split(" = ")[1]
+    assert main(["simulate", "--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {path}:{lineno}: {name} must be a "
+                            f"finite number, got {value!r}\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, line, name", [
+    (KG_CONSTANT.replace("omega = 1.0\n", "omega = 1.0\nbox_u = -1,nan\n", 1),
+     "box_u = -1,nan", "gamma.box_u"),
+    (potential_sine(0.01, "0.0,0.2,-inf", 1.0), "potential = 0.0,0.2,-inf",
+     "model.potential"),
+], ids=["box_u", "potential"])
+def test_non_finite_pairs_and_lists_refused(tmp_path, text, line, name):
+    path = write(tmp_path, text)
+    lineno = text.splitlines().index(line) + 1
+    bad = line.rsplit(",", 1)[1]
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(path)
+    assert str(info.value) == (f"{path}:{lineno}: {name} must be a finite "
+                               f"number, got {bad!r}")
+
+
 # -- refusals before any stepping ------------------------------------------------
 
 def test_sweep_without_closed_form_refused_before_stepping(tmp_path, capsys):
