@@ -5,26 +5,23 @@ cotangent-space restriction identities."""
 
 from .models import (BUILTIN_MODEL_NAMES, Dimensions, ExtendedMomentumSample,
                      HamiltonianModel, JetSample, LagrangianModel, ModelError,
-                     ReducedMomentumSample, builtin_model, eval_with_partials,
-                     finite_difference_partial)
+                     ReducedMomentumSample, builtin_model)
 from .legendre import (ConnectionCoefficients, FieldSection, MomentumSection,
                        NewtonError, euler_lagrange_residual, flatness_residual,
                        hamiltonian_from_lagrangian, hdw_residual,
                        inverse_legendre, legendre_extended, legendre_reduced,
-                       legendre_transform_section, poincare_cartan_coefficients,
-                       regularity_check, solve_velocities)
+                       legendre_transform_section, regularity_check,
+                       solve_velocities)
 from .cauchy import (BlowupError, CauchyGrid, CauchyState, GridError,
                      TangentBatch, TangentVariation, covector_residual,
                      dynamical_trajectory_residual, hdw_rhs,
-                     indicator_variations, integrate_density, make_grid,
-                     pairing_covector, presymplectic_pairing,
-                     random_smooth_variation, recover_spatial_momenta,
-                     run_simulation, spatial_derivative,
-                     standard_test_variations, step_rk4,
+                     integrate_density, make_grid, pairing_covector,
+                     presymplectic_pairing, random_smooth_variation,
+                     recover_spatial_momenta, run_simulation,
+                     spatial_derivative, standard_test_variations, step_rk4,
                      time_derivative_frames, variation_norm)
 from .hj import (GammaDomainError, HJSection, IncompatibleDataError,
-                 check_compatibility, connection_lift_vector,
-                 evolve_characteristics, gamma_family,
+                 check_compatibility, evolve_characteristics, gamma_family,
                  gamma_closedness_residual, hj_lift_solution_check,
                  hj_residual, lift_by_gamma, lift_variation, linear_gamma,
                  oscillator_gamma, reduced_connection,

@@ -62,8 +62,8 @@ class CauchyGrid:
 def make_grid(n_nodes, length=1.0, m=1):
     if n_nodes < 1:
         raise GridError("n_nodes must be >= 1")
-    if length <= 0:
-        raise GridError("length must be positive")
+    if not 0 < length < np.inf:
+        raise GridError("length must be positive and finite")
     if m == 0:
         if n_nodes != 1:
             raise GridError("m = 0 requires a single node")
@@ -538,15 +538,6 @@ def _row_variation(grid, n, name, index, values):
              "dp_x": np.zeros((n, grid.m, N))}
     parts[name][index] = values
     return TangentVariation(0.0, **parts)
-
-
-def indicator_variations(grid, n):
-    """Unit node indicators on every component of (u, p_t, p_x), built
-    one by one; the reference for the closed form of
-    :func:`covector_residual`."""
-    return [_row_variation(grid, n, name, index + (j,), 1.0)
-            for name, index in _field_rows(grid, n)
-            for j in range(grid.n_nodes)]
 
 
 def standard_test_variations(grid, n, rng=None):

@@ -403,6 +403,8 @@ def evolve_characteristics(H, gamma, grid, u0, t0, dt, t_final,
     _check_dt(dt)
     if store_every < 1:
         raise ModelError("store_every must be >= 1")
+    if not -np.inf < t0 <= t_final < np.inf:
+        raise ModelError("t0 and t_final must be finite, t_final >= t0")
     u = np.array(u0, dtype=float)
     n_steps = int(round((t_final - t0) / dt))
     if abs(t0 + n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
@@ -455,16 +457,6 @@ def _lift_with(d, grid, u, k, du):
     else:
         dpx = np.zeros((u.shape[0], 0, grid.n_nodes))
     return TangentVariation(k, du, dpt, dpx)
-
-
-def connection_lift_vector(H, gamma, grid, t, u):
-    """Tangent vector of the lifted characteristic flow: the horizontal
-    generator (k = 1, du = Gamma_0) pushed through the section."""
-    u = np.asarray(u, dtype=float)
-    pt = gamma.pt(t, grid.x, u)
-    px = gamma.px(t, grid.x, u)
-    gamma0 = H.d_pt(t, grid.x, u, pt, px)
-    return lift_variation(gamma, t, grid, u, 1.0, gamma0)
 
 
 @dataclass

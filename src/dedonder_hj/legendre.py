@@ -252,14 +252,6 @@ class FieldSection:
         return JetSample(t, x, self.u(t, x), self.u_t(t, x), self.u_x(t, x),
                          self.dims)
 
-    def base_first(self, t, x):
-        """Section first derivatives stacked over base slots, (m+1, n)."""
-        rows = [self.u_t(t, x)]
-        ux = self.u_x(t, x)
-        for j in range(self.dims.m):
-            rows.append(ux[:, j])
-        return np.stack(rows, axis=0)
-
     def base_second(self, t, x):
         """Section second derivatives over base-slot pairs, (m+1, m+1, n)."""
         m, n = self.dims.m, self.dims.n
@@ -275,37 +267,33 @@ class FieldSection:
         return out
 
 
-def momentum_total_derivatives(L, section, t, x):
-    """Total base derivatives D_i (dL/du^alpha_k) along a section.
+def _section_calculus(L, section, t, x):
+    """One jet of a field section at (t, x) and the chain rule through it.
 
-    Chain rule over the composed map: explicit (t, x) dependence of L,
-    the u-dependence against section first derivatives, and the velocity
-    dependence against section second derivatives. Returns (m+1, S) with
-    the base slot first (0 = time) and S the packed velocity slots.
+    Returns the jet, the section's first derivatives over base slots
+    (m+1, n; 0 = time), and the total base derivatives D_i p_t (n, m+1)
+    and D_i p_x (n, m, m+1) of the momenta dL/du^alpha_i, base slot i
+    last. The chain rule adds the explicit (t, x) dependence of L, the
+    u-dependence against the section's first derivatives and the velocity
+    dependence against its second derivatives.
     """
     m = L.dims.m
+    x = np.asarray(x, dtype=float)
     jet = section.jet(t, x)
     args = (jet.t, jet.x, jet.u, jet.u_t, jet.u_x)
     Hvv = np.asarray(L.velocity_hessian(*args))        # (S, S)
     Hvu = np.asarray(L.d2_vel_u(*args))                # (S, n)
     Hvt = np.asarray(L.d2_vel_t(*args))                # (S,)
     Hvx = np.asarray(L.d2_vel_x(*args))                # (S, m)
-    first = section.base_first(t, x)                   # (m+1, n)
+    first = np.concatenate([jet.u_t[None], jet.u_x.T])  # (m+1, n)
     second = section.base_second(t, x)                 # (m+1, m+1, n)
-    out = np.zeros((m + 1, L.dims.n_velocity_slots))
+    D = np.zeros((m + 1, L.dims.n_velocity_slots))
     for i in range(m + 1):
         expl = Hvt if i == 0 else Hvx[:, i - 1]
         # D_i of the section's velocities, in slot order
         vel_i = pack_velocities(second[0, i], second[1:, i].T)
-        out[i] = expl + Hvu @ first[i] + Hvv.T @ vel_i
-    return out
-
-
-def _momentum_slot_derivatives(L, section, t, x):
-    """:func:`momentum_total_derivatives` unpacked into D_i p_t (n, m+1)
-    and D_i p_x (n, m, m+1), the base slot i last."""
-    D = momentum_total_derivatives(L, section, t, np.asarray(x, dtype=float))
-    return unpack_velocities(D.T, L.dims)
+        D[i] = expl + Hvu @ first[i] + Hvv.T @ vel_i
+    return (jet, first) + unpack_velocities(D.T, L.dims)
 
 
 def euler_lagrange_residual(L, section, points):
@@ -315,9 +303,8 @@ def euler_lagrange_residual(L, section, points):
     """
     out = np.zeros((len(points), L.dims.n))
     for k, (t, x) in enumerate(points):
-        jet = section.jet(t, np.asarray(x, dtype=float))
+        jet, _, d_pt, d_px = _section_calculus(L, section, t, x)
         du = L.d_u(jet.t, jet.x, jet.u, jet.u_t, jet.u_x)
-        d_pt, d_px = _momentum_slot_derivatives(L, section, t, x)
         out[k] = du - (d_pt[:, 0] + np.einsum("ajj->a", d_px[:, :, 1:]))
     return out
 
@@ -367,29 +354,27 @@ class MomentumSection:
 def legendre_transform_section(L, section):
     """Momentum section obtained by composing a field section with the
     velocity-to-momentum map; derivatives by the total-derivative chain
-    rule, so analytic inputs give analytic outputs."""
-    def u(t, x):
-        return section.u(t, x)
+    rule, so analytic inputs give analytic outputs. All six fields of a
+    point come from one jet, kept read-only until another point is asked
+    for."""
+    memo = {}
 
-    def p_t(t, x):
-        jet = section.jet(t, x)
-        return L.d_ut(jet.t, jet.x, jet.u, jet.u_t, jet.u_x)
+    def fields(t, x):
+        key = (float(t), np.asarray(x, dtype=float).tobytes())
+        if key not in memo:
+            jet, first, d_pt, d_px = _section_calculus(L, section, t, x)
+            args = (jet.t, jet.x, jet.u, jet.u_t, jet.u_x)
+            memo.clear()
+            # read-only views, so no caller can alter what the next gets
+            memo[key] = [np.broadcast_to(a, a.shape) for a in (
+                jet.u, L.d_ut(*args), L.d_ux(*args), first, d_pt[:, 0],
+                d_px[:, :, 1:])]
+        return memo[key]
 
-    def p_x(t, x):
-        jet = section.jet(t, x)
-        return L.d_ux(jet.t, jet.x, jet.u, jet.u_t, jet.u_x)
+    def field(k):
+        return lambda t, x: fields(t, x)[k]
 
-    def d_base_u(t, x):
-        return section.base_first(t, x)
-
-    def d_t_pt(t, x):
-        return _momentum_slot_derivatives(L, section, t, x)[0][:, 0]
-
-    def d_x_px(t, x):
-        return _momentum_slot_derivatives(L, section, t, x)[1][:, :, 1:]
-
-    return MomentumSection(L.dims, u, p_t, p_x, d_base_u=d_base_u,
-                           d_t_pt=d_t_pt, d_x_px=d_x_px)
+    return MomentumSection(L.dims, *map(field, range(6)))
 
 
 @dataclass
@@ -427,21 +412,6 @@ def hdw_residual(H, section, points):
         dxpx = section.d_x_px(t, x)        # (n, m, m)
         div[k] = dtpt + np.einsum("ajj->a", dxpx) + du
     return HdwSectionResidual(gradient=grad, divergence=div)
-
-
-@dataclass
-class PoincareCartanCoefficients:
-    """Coefficients of the Lagrangian's canonical (m+1)-form: the volume
-    coefficient L - u_i dL/du_i and the momentum coefficients dL/du_i."""
-    volume: float
-    momentum_t: np.ndarray
-    momentum_x: np.ndarray
-
-
-def poincare_cartan_coefficients(L, jet):
-    ext = legendre_extended(L, jet)
-    return PoincareCartanCoefficients(volume=ext.p, momentum_t=ext.p_t,
-                                      momentum_x=ext.p_x)
 
 
 # -- Ehresmann connections on the configuration bundle ----------------------

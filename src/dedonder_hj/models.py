@@ -133,27 +133,6 @@ class ReducedMomentumSample:
             raise ModelError("t is not finite")
 
 
-def finite_difference_partial(f, point, axis=0, step=DEFAULT_FD_STEP):
-    """Central difference (f(p + s e_axis) - f(p - s e_axis)) / (2 s).
-
-    ``point`` may be a scalar or a 1-d array; ``axis`` indexes into it.
-    """
-    if step <= 0:
-        raise ModelError("step must be positive")
-    p = np.atleast_1d(np.asarray(point, dtype=float))
-    scalar = np.ndim(point) == 0
-
-    def along(z):
-        q = p.copy()
-        q[axis] = z
-        return f(q[0] if scalar else q)
-
-    out = central_difference(along, (p[axis],), 0, step, comp_axes=0)
-    if not np.all(np.isfinite(out)):
-        raise ModelError("non-finite function value in finite difference")
-    return out
-
-
 def central_difference(f, args, wrt, step=DEFAULT_FD_STEP, comp_axes=1):
     """Central differences (f(.., a + s e_c, ..) - f(.., a - s e_c, ..)) / 2s
     of f(*args) in each component c of a = args[wrt].
@@ -218,25 +197,6 @@ def unpack_velocities(v, dims):
     n, m = dims.n, dims.m
     tail = v.shape[1:]
     return v[:n], v[n:].reshape((n, m) + tail)
-
-
-@dataclass
-class LagrangianValue:
-    """Value and first partials of L at a jet sample."""
-    value: float
-    d_u: np.ndarray
-    d_ut: np.ndarray
-    d_ux: np.ndarray
-
-
-@dataclass
-class HamiltonianValue:
-    """Value and first partials of H at a reduced momentum sample."""
-    value: float
-    d_u: np.ndarray
-    d_pt: np.ndarray
-    d_px: np.ndarray
-    d_t: float
 
 
 class LagrangianModel:
@@ -332,13 +292,6 @@ class LagrangianModel:
     def __call__(self, jet):
         return float(self.value(jet.t, jet.x, jet.u, jet.u_t, jet.u_x))
 
-    def partials(self, jet):
-        args = (jet.t, jet.x, jet.u, jet.u_t, jet.u_x)
-        return LagrangianValue(value=float(self.value(*args)),
-                               d_u=self.d_u(*args),
-                               d_ut=self.d_ut(*args),
-                               d_ux=self.d_ux(*args))
-
 
 class HamiltonianModel:
     """Pointwise Hamiltonian with batched evaluation, analogous to
@@ -421,30 +374,6 @@ class HamiltonianModel:
     def __call__(self, sample):
         return float(self.value(sample.t, sample.x, sample.u, sample.p_t,
                                 sample.p_x))
-
-    def partials(self, sample):
-        args = (sample.t, sample.x, sample.u, sample.p_t, sample.p_x)
-        d_t = np.asarray(self.d_t(*args), dtype=float)
-        return HamiltonianValue(value=float(self.value(*args)),
-                                d_u=self.d_u(*args),
-                                d_pt=self.d_pt(*args),
-                                d_px=self.d_px(*args),
-                                d_t=float(d_t))
-
-
-def eval_with_partials(model, sample):
-    """Value plus all first partials of a Lagrangian or Hamiltonian model."""
-    if isinstance(model, LagrangianModel):
-        if not isinstance(sample, JetSample):
-            raise ModelError("LagrangianModel expects a JetSample")
-    elif isinstance(model, HamiltonianModel):
-        if not isinstance(sample, (ReducedMomentumSample, ExtendedMomentumSample)):
-            raise ModelError("HamiltonianModel expects a momentum sample")
-    else:
-        raise ModelError(f"unsupported model type {type(model)!r}")
-    if sample.dims != model.dims:
-        raise ModelError("sample dimensions do not match model dimensions")
-    return model.partials(sample)
 
 
 # -- built-in models -------------------------------------------------------

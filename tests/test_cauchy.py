@@ -7,9 +7,8 @@ from dedonder_hj import cauchy
 from dedonder_hj.cauchy import (BlowupError, CauchyState, GridError,
                                 TangentVariation,
                                 dynamical_trajectory_residual, hdw_rhs,
-                                indicator_variations, integrate_density,
-                                make_grid, presymplectic_pairing,
-                                random_smooth_variation,
+                                integrate_density, make_grid,
+                                presymplectic_pairing, random_smooth_variation,
                                 recover_spatial_momenta, run_simulation,
                                 spatial_derivative, standard_test_variations,
                                 step_rk4, time_derivative_frames,
@@ -77,6 +76,10 @@ def test_make_grid_errors():
         make_grid(4, m=0)
     with pytest.raises(GridError):
         make_grid(4, length=-1.0)
+    for length in (np.nan, np.inf, -np.inf):
+        with pytest.raises(GridError,
+                           match="^length must be positive and finite$"):
+            make_grid(16, length=length)
 
 
 # -- derivative and quadrature ----------------------------------------------------
@@ -410,12 +413,6 @@ def test_variation_norm():
     X = TangentVariation(2.0, np.ones((1, 4)), np.zeros((1, 4)),
                          np.zeros((1, 1, 4)))
     assert variation_norm(g, X) == pytest.approx(np.sqrt(5.0), rel=1e-14)
-
-
-def test_indicator_count():
-    g = make_grid(6)
-    assert len(indicator_variations(g, 1)) == 3 * 6
-    assert len(indicator_variations(g, 2)) == 6 * 6
 
 
 def test_time_derivative_frames_fourth_order():

@@ -403,7 +403,7 @@ def test_hat_gamma_annihilates_extended_form():
     # the certified section's cotangent image: pushing variations of the
     # base field through hat_gamma annihilates the extended two-form, and
     # the pushed horizontal generator contracts to zero against verticals
-    from dedonder_hj.hj import connection_lift_vector, lift_variation
+    from dedonder_hj.hj import lift_variation
     L, H = kg(1.0)
     g = make_grid(16)
     og = oscillator_gamma(M1, omega=1.0)
@@ -421,7 +421,8 @@ def test_hat_gamma_annihilates_extended_form():
             worst_pull = max(worst_pull,
                              abs(extended_form_pairing(L, g, cs, pv, pw)))
         assert worst_pull <= 1e-12
-        X = push_variation(connection_lift_vector(H, og, g, t, u))
+        gamma0 = H.d_pt(t, g.x, u, og.pt(t, g.x, u), og.px(t, g.x, u))
+        X = push_variation(lift_variation(og, t, g, u, 1.0, gamma0))
         for _ in range(4):
             xi = CotangentVariation(0.0, rng.normal(size=(1, 16)),
                                     rng.normal(size=(1, 16)))

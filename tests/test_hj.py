@@ -4,8 +4,7 @@ import pytest
 from dedonder_hj.cauchy import make_grid, run_simulation
 from dedonder_hj.hj import (CharacteristicBlowup, GammaDomainError,
                             HJSection, IncompatibleDataError,
-                            check_compatibility, connection_lift_vector,
-                            evolve_characteristics, gamma_closedness_residual,
+                            check_compatibility, evolve_characteristics, gamma_closedness_residual,
                             gamma_family, hj_lift_solution_check, hj_residual,
                             lift_by_gamma, lift_variation, linear_gamma,
                             oscillator_gamma, reduced_connection,
@@ -230,6 +229,28 @@ def test_characteristics_refuse_bad_step_and_stride(dt, store_every, message):
                                1.0, store_every=store_every)
 
 
+@pytest.mark.parametrize("t0, t_final", [
+    (0.0, np.nan), (0.0, np.inf), (0.0, -1.0), (np.nan, 1.0),
+    (-np.inf, 1.0),
+])
+def test_characteristics_refuse_bad_time_span(t0, t_final):
+    g = make_grid(16)
+    og = oscillator_gamma(M1, omega=1.0)
+    with pytest.raises(ModelError,
+                       match="^t0 and t_final must be finite, t_final >= t0$"):
+        evolve_characteristics(kg_H(1.0), og, g, np.ones((1, 16)), t0, 0.1,
+                               t_final)
+
+
+def test_characteristics_empty_time_span():
+    g = make_grid(16)
+    og = oscillator_gamma(M1, omega=1.0)
+    times, frames = evolve_characteristics(kg_H(1.0), og, g,
+                                           np.ones((1, 16)), 0.3, 0.1, 0.3)
+    assert times.tolist() == [0.3]
+    assert np.array_equal(frames, np.ones((1, 1, 16)))
+
+
 def test_characteristics_zero_section_is_static():
     g = make_grid(16)
     zero = linear_gamma(M1, a=0.0)
@@ -358,7 +379,9 @@ def test_connection_lift_vector_components():
     og = oscillator_gamma(M1, omega=1.0)
     t = 0.3
     u = np.full((1, 8), np.cos(t))
-    X = connection_lift_vector(H, og, g, t, u)
+    # the horizontal generator (k = 1, du = Gamma_0) lifted by the section
+    gamma0 = H.d_pt(t, g.x, u, og.pt(t, g.x, u), og.px(t, g.x, u))
+    X = lift_variation(og, t, g, u, 1.0, gamma0)
     assert X.k == 1.0
     # du = Gamma_0 = a(t) u; dp_t = d_t gamma_pt + d_u gamma_pt Gamma_0 = -u
     a = -np.tan(t)

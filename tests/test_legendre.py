@@ -7,7 +7,6 @@ from dedonder_hj.legendre import (ConnectionCoefficients, FieldSection,
                                   hamiltonian_from_lagrangian, hdw_residual,
                                   inverse_legendre, legendre_extended,
                                   legendre_reduced, legendre_transform_section,
-                                  poincare_cartan_coefficients,
                                   regularity_check)
 from dedonder_hj.models import (Dimensions, JetSample, LagrangianModel,
                                 ReducedMomentumSample, builtin_model)
@@ -56,6 +55,7 @@ def test_legendre_extended_free_wave():
     assert ext.p == 2.5
     assert ext.p_t[0] == 2.0
     assert ext.p_x[0, 0] == -3.0
+    assert legendre_extended(fw, jet()).p == 0.0
 
 
 def test_legendre_extended_zero_jet():
@@ -187,11 +187,10 @@ def test_generic_hamiltonian_partials_match_closed_form():
                                   rng.uniform(-2, 2, 1),
                                   rng.uniform(-2, 2, 1),
                                   rng.uniform(-2, 2, (1, 1)), M1)
-        a = closed.partials(r)
-        b = generic.partials(r)
-        assert np.allclose(a.d_u, b.d_u, atol=1e-10)
-        assert np.allclose(a.d_pt, b.d_pt, atol=1e-10)
-        assert np.allclose(a.d_px, b.d_px, atol=1e-10)
+        args = (r.t, r.x, r.u, r.p_t, r.p_x)
+        for attr in ("d_u", "d_pt", "d_px"):
+            assert np.allclose(getattr(closed, attr)(*args),
+                               getattr(generic, attr)(*args), atol=1e-10)
 
 
 # -- field-equation residuals --------------------------------------------------
@@ -339,23 +338,58 @@ def test_section_calculus_of_the_exact_oscillator():
     assert res.max_abs() <= 1e-15
 
 
-# -- canonical form coefficients ----------------------------------------------
+# -- one jet per point ----------------------------------------------------------
 
-def test_poincare_cartan_matches_momentum_map():
-    fw = builtin_model("free_wave")
-    pc = poincare_cartan_coefficients(fw, jet(u_t=2.0, u_x=3.0))
-    assert pc.volume == 2.5
-    assert pc.momentum_t[0] == 2.0 and pc.momentum_x[0, 0] == -3.0
-    zero = poincare_cartan_coefficients(fw, jet())
-    assert zero.volume == 0.0
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        j = random_jet(rng, fw.dims)
-        pc = poincare_cartan_coefficients(fw, j)
-        ext = legendre_extended(fw, j)
-        assert pc.volume == ext.p
-        assert np.array_equal(pc.momentum_t, ext.p_t)
-        assert np.array_equal(pc.momentum_x, ext.p_x)
+def klein_gordon_value_only_section():
+    """A Klein-Gordon standing wave given by u alone, so every section
+    derivative is a nested central difference of u."""
+    omega = np.sqrt(TWO_PI ** 2 + 1.0)
+    return FieldSection(M1, u=lambda t, x: np.array(
+        [np.cos(omega * t) * np.sin(TWO_PI * x[0])]))
+
+
+def counted(f, counts, key):
+    def wrapper(*args):
+        counts[key] += 1
+        return f(*args)
+    return wrapper
+
+
+def test_section_calculus_builds_one_jet_per_point():
+    # per point one velocity Hessian and 17 evaluations of u: 5 for the
+    # jet (u, u_t, u_x) and 12 for the three second derivatives
+    points = sample_points(10)
+    for residual in ("hdw", "el"):
+        counts = {"u": 0, "hessian": 0}
+        kg = builtin_model("klein_gordon", {"mass": 1.0})
+        kg.velocity_hessian = counted(kg.velocity_hessian, counts, "hessian")
+        sec = klein_gordon_value_only_section()
+        sec._u = counted(sec._u, counts, "u")
+        if residual == "hdw":
+            hdw_residual(hamiltonian_from_lagrangian(kg),
+                         legendre_transform_section(kg, sec), points)
+        else:
+            euler_lagrange_residual(kg, sec, points)
+        assert counts == {"u": 170, "hessian": 10}, residual
+
+
+@pytest.mark.parametrize("value_only", [False, True])
+def test_transformed_section_fields_do_not_depend_on_query_order(value_only):
+    kg = builtin_model("klein_gordon", {"mass": 1.0})
+    L = LagrangianModel(kg.dims, kg._value) if value_only else kg
+    sec = klein_gordon_value_only_section()
+    names = ("u", "p_t", "p_x", "d_base_u", "d_t_pt", "d_x_px")
+    A, B = (0.3, np.array([0.2])), (0.7, np.array([0.55]))
+    ms = legendre_transform_section(L, sec)
+    for t, x in (A, B, A):
+        got = [getattr(ms, f)(t, x) for f in names]
+        fresh = legendre_transform_section(L, sec)
+        for name, value in zip(names, got):
+            assert value.tobytes() == getattr(fresh, name)(t, x).tobytes(), \
+                name
+    p_t = ms.p_t(*A)
+    with pytest.raises(ValueError):
+        p_t[0] = 1.0
 
 
 # -- connection curvature -------------------------------------------------------

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from dedonder_hj.legendre import inverse_legendre, legendre_extended
 from dedonder_hj.models import (Dimensions, JetSample, LagrangianModel,
                                 ModelError, ReducedMomentumSample,
-                                builtin_model, eval_with_partials,
-                                finite_difference_partial)
+                                builtin_model, central_difference)
 
 M1 = Dimensions(m=1, n=1)
 
@@ -145,28 +145,32 @@ def test_oscillator_honours_n():
     assert osc.dims.n == 2 and osc.paired_hamiltonian.dims.n == 2
 
 
+def jet_args(j):
+    return (j.t, j.x, j.u, j.u_t, j.u_x)
+
+
 def test_partial_values():
     fw = builtin_model("free_wave")
-    rec = eval_with_partials(fw, jet(u=1.0, u_t=2.0, u_x=3.0))
-    assert rec.d_ut[0] == 2.0
-    assert rec.d_ux[0, 0] == -3.0
-    assert rec.d_u[0] == 0.0
+    args = jet_args(jet(u=1.0, u_t=2.0, u_x=3.0))
+    assert fw.d_ut(*args)[0] == 2.0
+    assert fw.d_ux(*args)[0, 0] == -3.0
+    assert fw.d_u(*args)[0] == 0.0
     kg = builtin_model("klein_gordon", {"mass": 1.0})
-    rec = eval_with_partials(kg, jet(u=1.0))
-    assert rec.d_u[0] == -1.0
+    assert kg.d_u(*jet_args(jet(u=1.0)))[0] == -1.0
 
 
 def test_finite_difference_partial():
-    assert finite_difference_partial(lambda z: z * z, 3.0, 0, 1e-4) \
-        == pytest.approx(6.0, abs=1e-7)
-    assert finite_difference_partial(lambda z: 4.25, 1.0, 0, 1e-4) == 0.0
-    assert finite_difference_partial(np.sin, 0.0, 0, 1e-5) \
+    # a scalar slot (comp_axes=0), then one component of a vector slot
+    assert central_difference(lambda z: z * z, (3.0,), 0, 1e-4,
+                              comp_axes=0) == pytest.approx(6.0, abs=1e-7)
+    assert central_difference(lambda z: 4.25, (1.0,), 0, 1e-4,
+                              comp_axes=0) == 0.0
+    assert central_difference(np.sin, (0.0,), 0, 1e-5, comp_axes=0) \
         == pytest.approx(1.0, abs=1e-8)
-    v = finite_difference_partial(lambda p: p[0] ** 2 + 3 * p[1],
-                                  np.array([1.0, 2.0]), 1, 1e-5)
-    assert v == pytest.approx(3.0, abs=1e-9)
-    with pytest.raises(ModelError):
-        finite_difference_partial(lambda z: z, 0.0, 0, step=0.0)
+    v = central_difference(lambda p: p[0] ** 2 + 3 * p[1],
+                           (np.array([1.0, 2.0]),), 0, 1e-5)
+    assert v.shape == (2,)
+    assert v[1] == pytest.approx(3.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("model", all_builtins(), ids=lambda m: m.name)
@@ -229,15 +233,15 @@ def test_builtin_model_errors():
         builtin_model("mechanics_oscillator", {"m": 1})
 
 
-def test_eval_with_partials_rejects_mismatch():
+def test_legendre_maps_reject_dimension_mismatch():
     fw = builtin_model("free_wave")
     osc = builtin_model("mechanics_oscillator", {})
     j = JetSample(0.0, [], [1.0], [0.0], np.zeros((1, 0)), osc.dims)
     with pytest.raises(ModelError):
-        eval_with_partials(fw, j)
+        legendre_extended(fw, j)
     r = ReducedMomentumSample(0.0, [0.0], [1.0], [0.5], [[0.5]], M1)
     with pytest.raises(ModelError):
-        eval_with_partials(fw, r)
+        inverse_legendre(osc, r)
 
 
 def test_non_finite_rejected():

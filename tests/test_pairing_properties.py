@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dedonder_hj.cauchy import (CauchyState, TangentBatch, TangentVariation,
+                                _field_rows, _row_variation,
                                 _state_pairing_data, covector_residual,
-                                dynamical_trajectory_residual,
-                                indicator_variations, make_grid,
+                                dynamical_trajectory_residual, make_grid,
                                 pairing_covector, presymplectic_pairing,
                                 standard_test_variations,
                                 time_derivative_frames, variation_norm)
@@ -100,6 +100,21 @@ def random_cotangent(grid, n, rng):
     N = grid.n_nodes
     return CotangentVariation(nonzero_k(rng), rng.normal(size=(n, N)),
                               rng.normal(size=(n, N)))
+
+
+def indicator_variations(grid, n):
+    """Unit node indicators on every component of (u, p_t, p_x), built
+    one by one; the reference for the closed form of
+    :func:`covector_residual`."""
+    return [_row_variation(grid, n, name, index + (j,), 1.0)
+            for name, index in _field_rows(grid, n)
+            for j in range(grid.n_nodes)]
+
+
+def test_indicator_count():
+    g = make_grid(6)
+    assert len(indicator_variations(g, 1)) == 3 * 6
+    assert len(indicator_variations(g, 2)) == 6 * 6
 
 
 def magnitude(*items):
