@@ -27,7 +27,7 @@ from .cauchy import (StackedVariations, _smooth_profile, checked_frames,
                      covector_residual, frame_velocities, gradient_fields,
                      integrate_density, probe_profiles, spatial_derivative)
 from .legendre import _solve_nodewise
-from .models import ModelError, central_difference
+from .models import ModelError
 
 
 class ConstraintError(RuntimeError):
@@ -133,27 +133,18 @@ def omega_pairing(grid, X, Y):
     return integrate_density(grid, integrand)
 
 
-def _energy_time_partial(L, grid, cs):
-    if not L.time_dependent:
-        return 0.0
-    return central_difference(
-        lambda *state: instantaneous_hamiltonian(L, grid, CotangentState(*state)),
-        (cs.t, cs.u, cs.pi), 0, comp_axes=0)
-
-
 def extended_form_pairing(L, grid, cs, X, Y):
     """Pairing of the two-form omega + dh wedge dt:
 
         omega(X, Y) + X(h) k_Y - Y(h) k_X
 
-    with X(h) the directional derivative of the field energy."""
+    with X(h) the derivative of the field energy along the vertical part
+    (du, dpi) of X: the k_X k_Y dh/dt legs of the full derivative cancel."""
     dh_du, dh_dpi = variational_derivative(L, grid, cs)
-    dh_dt = _energy_time_partial(L, grid, cs)
 
     def directional(Z):
-        val = integrate_density(grid, np.sum(dh_du * Z.du + dh_dpi * Z.dpi,
-                                             axis=0))
-        return val + Z.k * dh_dt
+        return integrate_density(grid, np.sum(dh_du * Z.du + dh_dpi * Z.dpi,
+                                              axis=0))
 
     # grouped so that swapping X and Y negates every floating-point term
     t_energy = directional(X) * Y.k - directional(Y) * X.k

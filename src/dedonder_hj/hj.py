@@ -64,7 +64,7 @@ class HJSection:
 
         "pt_t" (n,...), "pt_x" (n,m,...), "pt_u" (n,n,...),
         "px_t" (n,m,...), "px_x" (n,m,m,...), "px_u" (n,m,n,...),
-        "p_t" (...), "p_x" (m,...), "p_u" (n,...)
+        "p_u" (n,...)
 
     otherwise central finite differences of the components are used.
     """
@@ -101,7 +101,8 @@ class HJSection:
             return self._partials(t, x, u)
         return {f"{name}_{var}": central_difference(
                     getattr(self, name), (t, x, u), wrt, comp_axes=min(wrt, 1))
-                for name in ("pt", "px", "p") for wrt, var in enumerate("txu")}
+                for name in ("pt", "px", "p") for wrt, var in enumerate("txu")
+                if name != "p" or var == "u"}
 
 
 # -- built-in section families ----------------------------------------------
@@ -136,8 +137,6 @@ def linear_gamma(dims, a, b=0.0, c=0.0, d=0.0, p_const=0.0):
             "px_x": np.zeros((n, m, m) + tail),
             "px_u": (c * eye)[:, None] * np.ones((1, m, 1) + tail)
                     if m else np.zeros((n, 0, n) + tail),
-            "p_t": np.zeros(tail),
-            "p_x": np.zeros((m,) + tail),
             "p_u": np.zeros((n,) + tail),
         }
 
@@ -179,10 +178,6 @@ def oscillator_gamma(dims, omega, phi=0.0, pole_tol=1e-3):
     def a_prime(t):
         return -omega ** 2 / np.cos(omega * t + phi) ** 2
 
-    def a_second(t):
-        z = omega * t + phi
-        return -2.0 * omega ** 3 * np.tan(z) / np.cos(z) ** 2
-
     def pt(t, x, u):
         return a(t) * np.asarray(u, dtype=float)
 
@@ -205,8 +200,6 @@ def oscillator_gamma(dims, omega, phi=0.0, pole_tol=1e-3):
             "px_t": np.zeros((n, m) + tail),
             "px_x": np.zeros((n, m, m) + tail),
             "px_u": np.zeros((n, m, n) + tail),
-            "p_t": 0.5 * a_second(t) * np.sum(u ** 2, axis=0),
-            "p_x": np.zeros((m,) + tail),
             "p_u": a_prime(t) * u,
         }
 
@@ -399,7 +392,8 @@ def evolve_characteristics(H, gamma, grid, u0, t0, dt, t_final,
                            store_every=1):
     """Integrate the per-node characteristic ODE du/dt = Gamma_0(t, x, u)
     with RK4; no spatial coupling enters. Returns (times, u_frames), or
-    raises :class:`CharacteristicBlowup` once |u| exceeds 1e6."""
+    raises :class:`CharacteristicBlowup` once u is non-finite or |u|
+    exceeds 1e6."""
     _check_dt(dt)
     if store_every < 1:
         raise ModelError("store_every must be >= 1")
@@ -425,7 +419,10 @@ def evolve_characteristics(H, gamma, grid, u0, t0, dt, t_final,
         k4 = rhs(t + dt, u + dt * k3)
         u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t = t0 + (k + 1) * dt
-        if np.max(np.abs(u)) > 1e6:
+        peak = np.max(np.abs(u))
+        if not peak < np.inf:
+            raise CharacteristicBlowup(f"non-finite u at step {k + 1}")
+        if peak > 1e6:
             raise CharacteristicBlowup(f"|u| exceeded 1e+06 at step {k + 1}")
         if (k + 1) % store_every == 0 or k + 1 == n_steps:
             frames.append(u.copy())

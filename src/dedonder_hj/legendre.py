@@ -197,13 +197,8 @@ def hamiltonian_from_lagrangian(L):
         _, u_x = solved(t, x, u, p_t, p_x)
         return u_x
 
-    def d_t(t, x, u, p_t, p_x):
-        u_t, u_x = solved(t, x, u, p_t, p_x)
-        return -L.d_t(t, x, u, u_t, u_x)
-
     return HamiltonianModel(L.dims, value, d_u=d_u, d_pt=d_pt, d_px=d_px,
-                            d_t=d_t, name=L.name + "_hamiltonian",
-                            time_dependent=L.time_dependent)
+                            name=L.name + "_hamiltonian")
 
 
 # -- sections and field-equation residuals ---------------------------------

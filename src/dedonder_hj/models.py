@@ -15,7 +15,9 @@ serves both point-level calculus and vectorized method-of-lines runs:
     t           : scalar or (N,)
 
 Analytic partials are used when a model supplies them; otherwise central
-finite differences of step DEFAULT_FD_STEP fill in.
+finite differences of step DEFAULT_FD_STEP fill in, exactly 0.0 in t for
+a function that does not depend on t. There is no first partial in t:
+the pairings never read one, since their k_X k_Y dH/dt legs cancel.
 """
 
 from dataclasses import dataclass
@@ -133,9 +135,9 @@ class ReducedMomentumSample:
             raise ModelError("t is not finite")
 
 
-def central_difference(f, args, wrt, step=DEFAULT_FD_STEP, comp_axes=1):
-    """Central differences (f(.., a + s e_c, ..) - f(.., a - s e_c, ..)) / 2s
-    of f(*args) in each component c of a = args[wrt].
+def central_difference(f, args, wrt, comp_axes=1):
+    """Central differences (f(.., a + s e_c, ..) - f(.., a - s e_c, ..)) / 2s,
+    s = DEFAULT_FD_STEP, of f(*args) in each component c of a = args[wrt].
 
     The components index the first ``comp_axes`` axes of a (0 for a scalar
     slot such as t, 1 for u, x or p_t, 2 for u_x or p_x); any further axes
@@ -145,6 +147,7 @@ def central_difference(f, args, wrt, step=DEFAULT_FD_STEP, comp_axes=1):
     """
     args = list(args)
     a = args[wrt]
+    step = DEFAULT_FD_STEP
     if comp_axes:
         a = np.asarray(a, dtype=float)
         comps = a.shape[:comp_axes]
@@ -210,17 +213,14 @@ class LagrangianModel:
     """
 
     def __init__(self, dims, value, *, d_u=None, d_ut=None, d_ux=None,
-                 d_t=None, velocity_hessian=None, d2_vel_u=None,
-                 d2_vel_t=None, d2_vel_x=None, name="custom",
-                 time_dependent=False):
+                 velocity_hessian=None, d2_vel_u=None, d2_vel_t=None,
+                 d2_vel_x=None, name="custom"):
         self.dims = dims
         self.name = name
-        self.time_dependent = time_dependent
         self._value = value
         self._d_u = d_u
         self._d_ut = d_ut
         self._d_ux = d_ux
-        self._d_t = d_t
         self._hess = velocity_hessian
         self._d2_vel_u = d2_vel_u
         self._d2_vel_t = d2_vel_t
@@ -247,13 +247,6 @@ class LagrangianModel:
         return _analytic_or_difference(self._d_ux, self._value,
                                        (t, x, u, u_t, u_x), 4, comp_axes=2)
 
-    def d_t(self, t, x, u, u_t, u_x):
-        if not self.time_dependent:
-            base = np.asarray(np.asarray(u, dtype=float)[0], dtype=float)
-            return np.zeros_like(base)
-        return _analytic_or_difference(self._d_t, self._value,
-                                       (t, x, u, u_t, u_x), 0, comp_axes=0)
-
     def d_velocities(self, t, x, u, u_t, u_x):
         """All velocity partials packed into slot order, shape (S, ...)."""
         return pack_velocities(self.d_ut(t, x, u, u_t, u_x),
@@ -275,12 +268,8 @@ class LagrangianModel:
 
     def d2_vel_t(self, t, x, u, u_t, u_x):
         """Explicit-time second partials d^2 L / d vel_s dt, shape (S, ...)."""
-        if self._d2_vel_t is not None:
-            return np.asarray(self._d2_vel_t(t, x, u, u_t, u_x), dtype=float)
-        if not self.time_dependent:
-            return np.zeros_like(self.d_velocities(t, x, u, u_t, u_x))
-        return central_difference(self.d_velocities, (t, x, u, u_t, u_x), 0,
-                                  comp_axes=0)
+        return _analytic_or_difference(self._d2_vel_t, self.d_velocities,
+                                       (t, x, u, u_t, u_x), 0, comp_axes=0)
 
     def d2_vel_x(self, t, x, u, u_t, u_x):
         """Explicit-space second partials d^2 L / d vel_s dx^j, (S, m, ...)."""
@@ -301,16 +290,13 @@ class HamiltonianModel:
     """
 
     def __init__(self, dims, value, *, d_u=None, d_pt=None, d_px=None,
-                 d_t=None, momentum_jacobian=None, name="custom",
-                 time_dependent=False):
+                 momentum_jacobian=None, name="custom"):
         self.dims = dims
         self.name = name
-        self.time_dependent = time_dependent
         self._value = value
         self._d_u = d_u
         self._d_pt = d_pt
         self._d_px = d_px
-        self._d_t = d_t
         self._momentum_jacobian = momentum_jacobian
 
     @property
@@ -335,13 +321,6 @@ class HamiltonianModel:
         return _analytic_or_difference(self._d_px, self._value,
                                        (t, x, u, p_t, p_x), 4, comp_axes=2)
 
-    def d_t(self, t, x, u, p_t, p_x):
-        if not self.time_dependent:
-            base = np.asarray(np.asarray(u, dtype=float)[0], dtype=float)
-            return np.zeros_like(base)
-        return _analytic_or_difference(self._d_t, self._value,
-                                       (t, x, u, p_t, p_x), 0, comp_axes=0)
-
     def d_momenta(self, t, x, u, p_t, p_x):
         """Momentum partials as one (n, m+1, ...) block, time slot first."""
         dpt = self.d_pt(t, x, u, p_t, p_x)
@@ -360,16 +339,9 @@ class HamiltonianModel:
         if self._momentum_jacobian is not None:
             return self._momentum_jacobian(t, x, u, p_t, p_x)
         args = (t, x, u, p_t, p_x)
-        if self.time_dependent:
-            jac = {"t": central_difference(self.d_momenta, args, 0,
-                                           comp_axes=0)}
-        else:
-            jac = {"t": np.zeros((self.dims.n, self.dims.m + 1)
-                                 + np.shape(u)[1:])}
-        for wrt, var in enumerate(("x", "u", "p_t", "p_x"), start=1):
-            jac[var] = central_difference(self.d_momenta, args, wrt,
-                                          comp_axes=2 if var == "p_x" else 1)
-        return jac
+        return {var: central_difference(self.d_momenta, args, wrt,
+                                        comp_axes=(0, 1, 1, 1, 2)[wrt])
+                for wrt, var in enumerate(("t", "x", "u", "p_t", "p_x"))}
 
     def __call__(self, sample):
         return float(self.value(sample.t, sample.x, sample.u, sample.p_t,

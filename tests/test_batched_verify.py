@@ -180,12 +180,14 @@ JACOBIAN_MODELS = [builtin_model("klein_gordon", {"mass": 0.8}),
                    builtin_model("mechanics_oscillator", {"omega": 1.7})]
 
 
-@pytest.mark.parametrize("time_dependent", [False, True])
+@pytest.mark.parametrize("plus_t_cubed", [False, True])
 @pytest.mark.parametrize("L", JACOBIAN_MODELS, ids=lambda L: f"{L.name}"
                          f"_n{L.dims.n}")
-def test_momentum_jacobian_keeps_the_node_axis(L, time_dependent):
+def test_momentum_jacobian_keeps_the_node_axis(L, plus_t_cubed):
+    # H + t^3 has the momentum Jacobian of H, its "t" block included
     H = L.paired_hamiltonian
-    fd = HamiltonianModel(H.dims, H.value, time_dependent=time_dependent)
+    fd = HamiltonianModel(H.dims, (lambda *a: H.value(*a) + a[0] ** 3)
+                          if plus_t_cubed else H.value)
     n, m, N = H.dims.n, H.dims.m, 4
     shapes = {"t": (n, m + 1), "x": (n, m + 1, m), "u": (n, m + 1, n),
               "p_t": (n, m + 1, n), "p_x": (n, m + 1, n, m)}

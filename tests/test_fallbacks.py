@@ -15,6 +15,7 @@ import pytest
 from dedonder_hj.cauchy import (CauchyState, make_grid,
                                 recover_spatial_momenta, step_rk4)
 from dedonder_hj.cotangent import solve_time_velocity
+from dedonder_hj.hj import HJSection, linear_gamma, oscillator_gamma
 from dedonder_hj.legendre import (FieldSection, MomentumSection,
                                   hamiltonian_from_lagrangian,
                                   inverse_legendre, legendre_reduced,
@@ -65,11 +66,10 @@ def analytic_lagrangian(dims):
         return out
 
     return LagrangianModel(
-        dims, value, time_dependent=True,
+        dims, value,
         d_u=lambda t, x, u, u_t, u_x: -_dv(u) + _c(x)[0] * u_t,
         d_ut=lambda t, x, u, u_t, u_x: _a(t)[0] * u_t + _c(x)[0] * u,
         d_ux=lambda t, x, u, u_t, u_x: -np.asarray(u_x, dtype=float),
-        d_t=lambda t, x, u, u_t, u_x: 0.5 * _a(t)[1] * np.sum(u_t ** 2),
         velocity_hessian=lambda t, x, u, u_t, u_x: np.diag(
             np.concatenate([np.full(n, _a(t)[0]), -np.ones(n * m)])),
         d2_vel_u=lambda t, x, u, u_t, u_x: vel_block(_c(x)[0] * np.eye(n)),
@@ -108,17 +108,16 @@ def analytic_hamiltonian(dims):
         return jac
 
     return HamiltonianModel(
-        dims, value, time_dependent=True,
+        dims, value,
         d_u=lambda t, x, u, p_t, p_x: _dv(u) + _c(x)[0] * p_t,
         d_pt=lambda t, x, u, p_t, p_x: b(t)[0] * p_t + _c(x)[0] * u,
         d_px=lambda t, x, u, p_t, p_x: -np.asarray(p_x, dtype=float),
-        d_t=lambda t, x, u, p_t, p_x: 0.5 * b(t)[1] * np.sum(p_t ** 2),
         momentum_jacobian=jacobian)
 
 
 def value_only(model):
     cls = type(model)
-    return cls(model.dims, model._value, time_dependent=model.time_dependent)
+    return cls(model.dims, model._value)
 
 
 def points(dims, count=5, seed=0, scale=1.5):
@@ -143,7 +142,7 @@ def test_lagrangian_fallbacks_match_analytic(dims):
     exact = analytic_lagrangian(dims)
     fd = value_only(exact)
     for args in points(dims):
-        for name in ("d_u", "d_ut", "d_ux", "d_t"):
+        for name in ("d_u", "d_ut", "d_ux"):
             assert np.allclose(getattr(fd, name)(*args),
                                getattr(exact, name)(*args),
                                rtol=0, atol=FIRST_TOL), name
@@ -158,7 +157,7 @@ def test_hamiltonian_fallbacks_match_analytic(dims):
     exact = analytic_hamiltonian(dims)
     fd = value_only(exact)
     for args in points(dims, seed=1):
-        for name in ("d_u", "d_pt", "d_px", "d_t"):
+        for name in ("d_u", "d_pt", "d_px"):
             assert np.allclose(getattr(fd, name)(*args),
                                getattr(exact, name)(*args),
                                rtol=0, atol=FIRST_TOL), name
@@ -270,6 +269,22 @@ def test_momentum_section_fallbacks_match_analytic(dims):
             got, want = getattr(fd, name)(t, x), getattr(exact, name)(t, x)
             assert got.shape == want.shape, name
             assert np.allclose(got, want, rtol=0, atol=FIRST_TOL), name
+
+
+@pytest.mark.parametrize("dims", DIMS, ids=DIM_IDS)
+def test_hj_section_partials_share_seven_keys(dims):
+    keys = ["pt_t", "pt_x", "pt_u", "px_t", "px_x", "px_u", "p_u"]
+    for exact in (linear_gamma(dims, a=0.7, b=0.2, c=-0.4, d=0.1,
+                               p_const=0.3),
+                  oscillator_gamma(dims, omega=0.8, phi=0.1)):
+        fd = HJSection(dims, exact.pt, exact.px, p=exact.p)
+        for t, x, u, *_ in points(dims, seed=6):
+            got, want = fd.partials(t, x, u), exact.partials(t, x, u)
+            assert list(got) == list(want) == keys, exact.name
+            for key in keys:
+                assert got[key].shape == np.shape(want[key]), key
+                assert np.allclose(got[key], want[key], rtol=0,
+                                   atol=FIRST_TOL), key
 
 
 @pytest.mark.parametrize("dims", DIMS, ids=DIM_IDS)

@@ -213,6 +213,17 @@ def test_characteristics_blowup_names_the_step():
                                0.01, 1.0, store_every=10)
 
 
+def test_characteristics_refuse_non_finite_u():
+    # the section is NaN above u = 1.05; |u| > 1e6 is False for NaN
+    g = make_grid(8)
+    holed = HJSection(M1, pt=lambda t, x, u: np.where(u > 1.05, np.nan, u),
+                      px=lambda t, x, u: np.zeros((1, 1) + np.shape(u)[1:]))
+    with pytest.raises(CharacteristicBlowup,
+                       match=r"^non-finite u at step 1$"):
+        evolve_characteristics(kg_H(1.0), holed, g, np.ones((1, 8)), 0.0,
+                               0.1, 1.0)
+
+
 @pytest.mark.parametrize("dt, store_every, message", [
     (np.nan, 1, "dt must be positive and finite"),
     (np.inf, 1, "dt must be positive and finite"),

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dedonder_hj import cotangent
 from dedonder_hj.cauchy import (CauchyState, TangentBatch, TangentVariation,
                                 _field_rows, _row_variation,
                                 _state_pairing_data, covector_residual,
@@ -27,7 +28,8 @@ from dedonder_hj.cotangent import (CotangentBatch, CotangentState,
                                    standard_cotangent_variations,
                                    variational_derivative)
 from dedonder_hj.legendre import hamiltonian_from_lagrangian
-from dedonder_hj.models import Dimensions, HamiltonianModel, builtin_model
+from dedonder_hj.models import (Dimensions, HamiltonianModel,
+                                LagrangianModel, builtin_model)
 
 #: roundoff allowance relative to the scale of the summed terms
 REL_TOL = 1e-13
@@ -39,22 +41,50 @@ BUILTINS = [("free_wave", {}), ("klein_gordon", {"mass": 0.7}),
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
 
-def time_dependent_hamiltonian(n):
-    """H = 1/2 |p_t|^2 - 1/2 |p_x|^2 + 1/2 (1 + t^2) |u|^2, so H_t != 0
-    and the time legs of the pairing are exercised."""
+def time_dependent_hamiltonian(n, t_cubed=0.0):
+    """H = 1/2 |p_t|^2 - 1/2 |p_x|^2 + 1/2 (1 + t^2) |u|^2 + t_cubed t^3,
+    so H depends on t and its partials do too."""
     dims = Dimensions(m=1, n=n)
 
     def value(t, x, u, p_t, p_x):
         return (0.5 * np.sum(p_t ** 2, axis=0)
                 - 0.5 * np.sum(p_x ** 2, axis=(0, 1))
-                + 0.5 * (1.0 + t ** 2) * np.sum(u ** 2, axis=0))
+                + 0.5 * (1.0 + t ** 2) * np.sum(u ** 2, axis=0)
+                + t_cubed * t ** 3)
 
     return HamiltonianModel(
         dims, value, d_u=lambda t, x, u, p_t, p_x: (1.0 + t ** 2) * u,
         d_pt=lambda t, x, u, p_t, p_x: np.array(p_t),
         d_px=lambda t, x, u, p_t, p_x: -np.asarray(p_x),
-        d_t=lambda t, x, u, p_t, p_x: t * np.sum(u ** 2, axis=0),
-        name="time_dependent", time_dependent=True)
+        name="time_dependent")
+
+
+def time_dependent_lagrangian(n, t_cubed=0.0):
+    """L = 1/2 (1 + t^2) |u_t|^2 - 1/2 |u_x|^2 - 1/2 |u|^2 + t_cubed t^3
+    with its first partials in closed form."""
+    dims = Dimensions(m=1, n=n)
+
+    def value(t, x, u, u_t, u_x):
+        return (0.5 * (1.0 + t ** 2) * np.sum(u_t ** 2, axis=0)
+                - 0.5 * np.sum(u_x ** 2, axis=(0, 1))
+                - 0.5 * np.sum(u ** 2, axis=0) + t_cubed * t ** 3)
+
+    return LagrangianModel(
+        dims, value, d_u=lambda t, x, u, u_t, u_x: -np.asarray(u),
+        d_ut=lambda t, x, u, u_t, u_x: (1.0 + t ** 2) * np.asarray(u_t),
+        d_ux=lambda t, x, u, u_t, u_x: -np.asarray(u_x),
+        name="time_dependent")
+
+
+class ReadLog:
+    """A model seen through the set of attribute names read from it."""
+
+    def __init__(self, model):
+        self.model, self.names = model, set()
+
+    def __getattr__(self, name):
+        self.names.add(name)
+        return getattr(self.model, name)
 
 
 @st.composite
@@ -299,6 +329,50 @@ def test_cotangent_residual_matches_two_argument_loop():
         for cs, ud, pd in zip(frames, u_dot, pi_dot) for xi in singles)
     assert len(batch) == len(singles)
     assert as_batch == pytest.approx(reference, rel=1e-12)
+
+
+def test_presymplectic_pairing_does_not_see_a_function_of_t_alone():
+    # H and H + t^3 differ only in their time partial, whose k_X k_Y legs
+    # cancel in X(H) k_Y - Y(H) k_X; the pairing reads no time partial
+    n, grid, rng = 2, make_grid(7), np.random.default_rng(11)
+    H, H3 = (ReadLog(time_dependent_hamiltonian(n, c)) for c in (0.0, 1.0))
+    for _ in range(20):
+        state = random_state(grid, n, rng)
+        X, Y = random_tangent(grid, n, rng), random_tangent(grid, n, rng)
+        assert presymplectic_pairing(H, grid, state, X, Y) \
+            == presymplectic_pairing(H3, grid, state, X, Y)
+    assert H.names | H3.names <= {"d_u", "d_pt", "d_px"}
+
+
+def test_extended_form_pairing_does_not_see_a_function_of_t_alone():
+    # the same for omega + dh wedge dt with L and L - t^3
+    n, grid, rng = 2, make_grid(7), np.random.default_rng(12)
+    L, L3 = (ReadLog(time_dependent_lagrangian(n, c)) for c in (0.0, -1.0))
+    for _ in range(20):
+        cs = CotangentState(rng.uniform(-1, 1), rng.normal(size=(n, 7)),
+                            rng.normal(size=(n, 7)))
+        X, Y = random_cotangent(grid, n, rng), random_cotangent(grid, n, rng)
+        assert extended_form_pairing(L, grid, cs, X, Y) \
+            == extended_form_pairing(L3, grid, cs, X, Y)
+    assert L.names | L3.names <= {"value", "d_u", "d_ut", "d_ux"}
+
+
+def test_one_time_legendre_solve_per_extended_form_pairing(monkeypatch):
+    calls = []
+    solve = cotangent.solve_time_velocity
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(cotangent, "solve_time_velocity", counted)
+    n, grid, rng = 1, make_grid(5), np.random.default_rng(13)
+    L = time_dependent_lagrangian(n, 1.0)
+    cs = CotangentState(0.4, rng.normal(size=(n, 5)), rng.normal(size=(n, 5)))
+    for count in (1, 2, 3):
+        extended_form_pairing(L, grid, cs, random_cotangent(grid, n, rng),
+                              random_cotangent(grid, n, rng))
+        assert len(calls) == count
 
 
 @pytest.mark.parametrize("n", [1, 2])
