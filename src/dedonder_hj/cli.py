@@ -49,13 +49,43 @@ def _write_csv(path, header, table, precision, int_cols=()):
     """Write the rows of a 2-D float array, each value as :func:`_fmt` does
     and the columns in ``int_cols`` as %d, CSV_BLOCK rows at a time."""
     table = np.asarray(table, dtype=float)
-    row = ",".join("%d" if k in int_cols else f"%.{precision}g"
-                   for k in range(len(header))) + "\n"
+    specs = ["%d" if k in int_cols else f"%.{precision}g"
+             for k in range(len(header))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, len(table), CSV_BLOCK):
-            block = table[lo:lo + CSV_BLOCK]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(_csv_block(table[lo:lo + CSV_BLOCK], specs))
+
+
+def _csv_block(block, specs):
+    """The text of one block of :func:`_write_csv`, one ``%`` operation on a
+    row template of ``specs``.
+
+    A column with at most half as many runs as the block has rows is
+    formatted once per run and enters the template as %s. A run is a
+    stretch of values equal as floats and in sign bit, so 0.0 and -0.0 stay
+    apart and NaNs never join one. The cells die on return, before the
+    text is written, so memory stays that of one block."""
+    n, cols = block.shape
+    sign = np.signbit(block)
+    first = np.ones(block.shape, dtype=bool)  # row starts a run
+    np.not_equal(block[1:], block[:-1], out=first[1:])
+    first[1:] |= sign[1:] ^ sign[:-1]
+    row = list(specs)
+    cells = block.ravel().tolist()
+    for k in range(cols):
+        starts = np.flatnonzero(first[:, k])
+        if 2 * len(starts) > n:
+            continue
+        text = ",".join([specs[k]] * len(starts)) \
+            % tuple(block[starts, k].tolist())
+        bounds = starts.tolist() + [n]
+        cells[k::cols] = np.repeat(
+            np.array(text.split(","), dtype=object),
+            [b - a for a, b in zip(bounds, bounds[1:])]).tolist()
+        row[k] = "%s"
+    cells = tuple(cells)  # frees the list before formatting
+    return ((",".join(row) + "\n") * n) % cells
 
 
 def _field_header(n, m):
@@ -77,7 +107,11 @@ def _field_rows(grid, times, states):
 
 
 def _ensure_outdir(path):
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"cannot create output directory '{path}': "
+                            f"{exc.strerror}") from exc
     return path
 
 

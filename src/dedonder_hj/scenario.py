@@ -238,6 +238,9 @@ def parse_scenario(path):
                                         f">= 1")
             elif key == "verify_tol":
                 verify_tol = _as_float(value, lineno, path, "gamma.verify_tol")
+                if verify_tol < 0:
+                    raise ScenarioError(f"{path}:{lineno}: "
+                                        f"gamma.verify_tol must be >= 0")
             else:
                 gamma_params[key] = _as_float(value, lineno, path,
                                               f"gamma.{key}")

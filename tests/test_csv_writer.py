@@ -2,14 +2,17 @@
 
 Every value used to be written as ``format(float(v), ".<precision>g")``
 and every integer as ``str(int(v))``, one value at a time. The writer
-formats a float array CSV_BLOCK rows at a time with one row template; the
-bytes must be the same.
+formats a float array CSV_BLOCK rows at a time with one row template, and
+a column made of runs of equal values once per run; the bytes must be the
+same.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dedonder_hj.cli import CSV_BLOCK, _write_csv
 
@@ -87,3 +90,88 @@ def test_writing_keeps_memory_to_one_block(tmp_path):
         tracemalloc.stop()
     assert peak < 2_000_000
     assert (tmp_path / "big.csv").stat().st_size > 8_000_000
+
+
+def test_runs_crossing_a_block_boundary(tmp_path):
+    rows = 2 * CSV_BLOCK + 10
+    table = np.column_stack([
+        np.repeat(np.arange(rows // 300 + 1) / 3.0, 300)[:rows],
+        np.repeat([0.1, 0.2], [CSV_BLOCK - 5, rows - CSV_BLOCK + 5]),
+        np.random.default_rng(3).normal(size=rows)])
+    header = ["t", "x", "u_1"]
+    assert written(tmp_path, header, table, 17) \
+        == per_value(header, table, 17)
+
+
+def test_signed_zeros_and_nan_payloads_stay_apart(tmp_path):
+    nans = np.array([0x7FF8000000000001, 0x7FF8000000000002,
+                     0xFFF8000000000000], dtype=np.uint64).view(float)
+    # both columns have few enough runs to be formatted once per run
+    table = np.column_stack([
+        np.repeat([0.0, -0.0, 0.0, -0.0], 6),
+        np.repeat(np.r_[0.5, nans, 0.5], [10, 1, 1, 1, 11]),
+        np.arange(24.0)])
+    header = ["zero", "nan", "k"]
+    got = written(tmp_path, header, table, 17)
+    assert got == per_value(header, table, 17)
+    assert [line.split(",")[0] for line in got.splitlines()[1::6]] \
+        == ["0", "-0", "0", "-0"]
+
+
+@pytest.mark.parametrize("runs", [8, 9])
+def test_columns_at_and_past_half_as_many_runs_as_rows(tmp_path, runs):
+    # 16 rows: 8 runs is the most formatted once per run, 9 one run more
+    lengths = [2] * 8 if runs == 8 else [1, 1] + [2] * 7
+    table = np.column_stack([np.repeat(np.arange(runs) * 0.1, lengths),
+                             np.full(16, -0.0)])
+    header = ["t", "x"]
+    assert written(tmp_path, header, table, 17) \
+        == per_value(header, table, 17)
+
+
+def test_integer_columns_made_of_runs(tmp_path):
+    table = np.column_stack([np.repeat([3.0, -7.0, 2.0 ** 52, 0.0], 5),
+                             np.repeat([0.25, 1e22], 10)])
+    header = ["level", "dt"]
+    assert written(tmp_path, header, table, 6, (0,)) \
+        == per_value(header, table, 6, (0,))
+
+
+POOL = SPECIAL + [0.0, 1.0, -2.5, 1 / 3]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(columns=st.integers(1, 4), precision=st.sampled_from([1, 6, 17]),
+       runs=st.lists(st.tuples(st.integers(0, len(POOL) - 1),
+                               st.integers(1, 400)), min_size=1,
+                     max_size=12),
+       shifts=st.lists(st.integers(0, 5), min_size=4, max_size=4))
+def test_tables_of_pooled_values_match_the_per_value_rule(
+        tmp_path_factory, columns, precision, runs, shifts):
+    # each column rolls the drawn runs by its own shift, so runs start at
+    # different rows in different columns; some span block boundaries
+    index = np.repeat([i for i, _ in runs], [n for _, n in runs])
+    table = np.array(POOL)[np.column_stack(
+        [np.roll(index, shifts[k] * (k + 1)) for k in range(columns)])]
+    header = [f"c{k}" for k in range(columns)]
+    path = tmp_path_factory.getbasetemp() / "pooled.csv"
+    _write_csv(path, header, table, precision)
+    assert path.read_bytes().decode("utf-8") \
+        == per_value(header, table, precision)
+
+
+def test_verify_hj_sized_mesh_matches_the_per_value_rule(tmp_path):
+    # the verify-hj benchmark table: 7^5 (t, x, u_1, u_2, u_3) samples from
+    # np.meshgrid, transposed as the CLI passes it, and three residual
+    # columns, two of them all zero
+    axes = [np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 7)] \
+        + [np.linspace(-2.9, 2.9, 7)] * 3
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(5, -1)
+    residuals = np.stack([np.zeros(mesh.shape[1]),
+                          2.0 ** -48 * np.abs(mesh[2]),
+                          np.zeros(mesh.shape[1])])
+    table = np.concatenate([mesh, residuals]).T
+    header = ["t", "x", "u_1", "u_2", "u_3", "closedness", "hj", "flatness"]
+    assert table.shape == (7 ** 5, 8)
+    assert written(tmp_path, header, table, 17) \
+        == per_value(header, table, 17)

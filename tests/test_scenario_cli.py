@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -524,6 +526,53 @@ def test_sweep_rejected_elsewhere(tmp_path, capsys):
 
 def test_missing_scenario_file(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(tmp_path / "nope.cfg")]) == 2
+
+
+@pytest.mark.parametrize("sub, errno_", [("", errno.EEXIST),
+                                         ("sub", errno.ENOTDIR)],
+                         ids=["file", "below-a-file"])
+def test_out_naming_a_file_is_a_validation_error(tmp_path, capsys, sub,
+                                                 errno_):
+    # unrefused, both raised a traceback, the first with exit status 1
+    path = write(tmp_path, KG_CONSTANT)
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / "taken" / sub if sub else tmp_path / "taken"
+    assert main(["verify-hj", "--scenario", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: cannot create output directory "
+                            f"'{out}': {os.strerror(errno_)}\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("tol", ["-1", "-1e-300"])
+def test_parse_refuses_negative_verify_tol(tmp_path, tol):
+    text = KG_CONSTANT.replace("omega = 1.0\n", f"omega = 1.0\n"
+                               f"verify_tol = {tol}\n", 1)
+    path = write(tmp_path, text)
+    lineno = text.splitlines().index(f"verify_tol = {tol}") + 1
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(path)
+    assert str(info.value) == (f"{path}:{lineno}: gamma.verify_tol must be "
+                               f">= 0")
+    zero = write(tmp_path, text.replace(f"verify_tol = {tol}",
+                                        "verify_tol = 0"), name="zero.cfg")
+    assert parse_scenario(zero).verify_tol == 0.0
+
+
+def test_negative_verify_tol_refused_before_any_output(tmp_path, capsys):
+    # unrefused, verify-hj checked the whole mesh, wrote verify_hj.csv and
+    # exited 4 as a failed certification
+    out = tmp_path / "out"
+    text = KG_CONSTANT.replace("omega = 1.0\n",
+                               "omega = 1.0\nverify_tol = -1\n", 1)
+    path = write(tmp_path, text, out=str(out))
+    lineno = text.splitlines().index("verify_tol = -1") + 1
+    assert main(["verify-hj", "--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {path}:{lineno}: gamma.verify_tol must "
+                            f"be >= 0\n")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 # -- RK4 stability bound -------------------------------------------------------
