@@ -39,6 +39,9 @@ RHS_POWER_ITERATIONS = 30
 #: comparable across grid refinement.
 VARIATION_SCALE = 0.25
 
+#: largest |u| or |p_t| that :func:`run_simulation` lets a step reach
+BLOWUP_BOUND = 1e8
+
 
 class GridError(ValueError):
     """Bad grid construction or use."""
@@ -140,10 +143,6 @@ class CauchyState:
         state.__dict__.update(t=t, u=u, p_t=p_t, p_x=p_x,
                               _recovered_by=recovered_by)
         return state
-
-    @property
-    def n(self):
-        return self.u.shape[0]
 
 
 @dataclass(frozen=True)
@@ -336,11 +335,11 @@ class Trajectory:
     states: list
 
 
-def run_simulation(H, grid, state0, dt, n_steps, store_every=1, blowup=1e8):
+def run_simulation(H, grid, state0, dt, n_steps, store_every=1):
     """Integrate ``n_steps`` RK4 steps, storing every ``store_every``-th
     state (the initial and final states always included). A step that
-    leaves u or p_t non-finite, or above ``blowup`` in magnitude (unless
-    it is None), raises :class:`BlowupError` naming the step."""
+    leaves u or p_t non-finite, or above :data:`BLOWUP_BOUND` in
+    magnitude, raises :class:`BlowupError` naming the step."""
     _check_dt(dt)
     if n_steps < 0:
         raise ModelError("n_steps must be >= 0")
@@ -355,8 +354,8 @@ def run_simulation(H, grid, state0, dt, n_steps, store_every=1, blowup=1e8):
             peak = np.abs(getattr(state, name)).max()
             if not peak < np.inf:
                 raise BlowupError(f"non-finite {name} at step {k + 1}")
-            if blowup is not None and peak > blowup:
-                raise BlowupError(f"|{name}| exceeded {blowup:g} "
+            if peak > BLOWUP_BOUND:
+                raise BlowupError(f"|{name}| exceeded {BLOWUP_BOUND:g} "
                                   f"at step {k + 1}")
         if (k + 1) % store_every == 0 or k + 1 == n_steps:
             states.append(state)

@@ -12,6 +12,7 @@ digits by default) and runs are deterministic for a fixed seed.
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -121,9 +122,14 @@ def _report(lines):
 
 
 def _check_stable_levels(scenario, sweep=None):
-    """Refuse before any stepping if the run or a sweep level is unstable."""
-    for level in range(2 if sweep else 1):
-        check_stability(_refined(scenario, sweep, level))
+    """Refuse before any stepping if the run or its refined sweep level is
+    unstable, or if a grid sweep has no grid to refine."""
+    check_stability(scenario)
+    if sweep == "grid" and not scenario.m:
+        raise ScenarioError(f"{scenario.path}: --sweep grid needs a spatial "
+                            f"grid (m = 1 model)")
+    if sweep:
+        check_stability(_refined(scenario, sweep))
 
 
 def _check_store_every(scenario):
@@ -142,7 +148,7 @@ def _check_frames(scenario, command, frames):
                             f"stores {frames}")
 
 
-def _diagnostics(L, grid, times, states, rng):
+def _diagnostics(L, H, grid, times, states, rng):
     """Per-frame energy, constraint residual and trajectory residual."""
     n = states[0].u.shape[0]
     energies = [instantaneous_hamiltonian(L, grid, restriction_map_R(s))
@@ -151,7 +157,6 @@ def _diagnostics(L, grid, times, states, rng):
                    for s in states]
     traj = [float("nan")] * len(states)
     if len(states) >= MIN_CHECKED_FRAMES:
-        H = hamiltonian_for(L)
         velocities = frame_velocities(states, times[1] - times[0])
         test = standard_test_variations(grid, n, rng=rng)
         traj = [dynamical_trajectory_residual(H, grid, s, dot, test)
@@ -159,17 +164,11 @@ def _diagnostics(L, grid, times, states, rng):
     return energies, constraints, traj
 
 
-def _simulate_once(scenario, seed):
-    L = build_model(scenario)
-    H = hamiltonian_for(L)
+def _simulate(scenario, L, H, n_steps, store_every):
     grid = build_grid(scenario)
     state0 = initial_state(scenario, grid, L, H)
-    traj = run_simulation(H, grid, state0, scenario.dt, scenario.n_steps,
-                          store_every=scenario.store_every)
-    rng = np.random.default_rng(seed)
-    energies, constraints, residuals = _diagnostics(L, grid, traj.times,
-                                                    traj.states, rng)
-    return L, H, grid, traj, energies, constraints, residuals
+    return grid, run_simulation(H, grid, state0, scenario.dt, n_steps,
+                                store_every=store_every)
 
 
 def _error_metric(scenario, grid, traj):
@@ -187,8 +186,12 @@ def cmd_simulate(scenario, out_dir, seed, sweep=None):
     if sweep and exact_solution(scenario) is None:
         raise ScenarioError(f"{scenario.path}: sweep requires a scenario "
                             f"with a closed-form solution")
-    L, H, grid, traj, energies, constraints, residuals = _simulate_once(
-        scenario, seed)
+    L = build_model(scenario)
+    H = hamiltonian_for(L)
+    grid, traj = _simulate(scenario, L, H, scenario.n_steps,
+                           scenario.store_every)
+    energies, constraints, residuals = _diagnostics(
+        L, H, grid, traj.times, traj.states, np.random.default_rng(seed))
     p = scenario.precision
     _write_csv(os.path.join(out_dir, "fields.csv"),
                _field_header(L.dims.n, grid.m),
@@ -210,39 +213,35 @@ def cmd_simulate(scenario, out_dir, seed, sweep=None):
     if err is not None:
         lines.append(f"exact_solution_linf_error = {_fmt(err, p)}")
     _report(lines)
-
     if sweep:
-        rows = []
-        prev = None
-        for level in range(2):
-            sc = _refined(scenario, sweep, level)
-            gridl = build_grid(sc)
-            Ll = build_model(sc)
-            Hl = hamiltonian_for(Ll)
-            st0 = initial_state(sc, gridl, Ll, Hl)
-            trl = run_simulation(Hl, gridl, st0, sc.dt, sc.n_steps,
-                                 store_every=sc.n_steps)
-            errl = _error_metric(sc, gridl, trl)
-            ratio = (prev / errl) if prev and errl else float("nan")
-            rows.append([level, gridl.n_nodes, sc.dt, errl, ratio])
-            prev = errl
-        _write_csv(os.path.join(out_dir, "convergence.csv"),
-                   ["level", "n_nodes", "dt", "linf_error", "ratio"], rows, p,
-                   int_cols=(0, 1))
-        _report([f"sweep[{sweep}] ratio = {_fmt(rows[-1][-1], p)}"])
+        _report([_sweep(scenario, sweep, out_dir, "linf_error", err,
+                        lambda sc: _error_metric(sc, *_simulate(
+                            sc, L, H, sc.n_steps, sc.n_steps)))])
     return EXIT_OK
 
 
-def _refined(scenario, sweep, level):
-    import copy
-    sc = copy.deepcopy(scenario)
-    factor = 2 ** level
+def _refined(scenario, sweep):
+    """Level 1 of a sweep: twice the nodes, or half the step with frames
+    stored at the same times."""
     if sweep == "grid":
-        sc.n_nodes = scenario.n_nodes * factor
-    elif sweep == "time":
-        sc.dt = scenario.dt / factor
-    sc.store_every = sc.n_steps  # keep only the endpoints during sweeps
-    return sc
+        return replace(scenario, n_nodes=2 * scenario.n_nodes)
+    return replace(scenario, dt=scenario.dt / 2,
+                   store_every=2 * scenario.store_every)
+
+
+def _sweep(scenario, sweep, out_dir, metric, value, refined_value):
+    """Write ``convergence.csv`` of a sweep whose level 0, the command's own
+    run, gave ``value``; ``refined_value`` maps the refined scenario to its
+    value. Returns the report line of the ratio."""
+    sc = _refined(scenario, sweep)
+    finer = refined_value(sc)
+    ratio = value / finer if value and finer else float("nan")
+    p = scenario.precision
+    _write_csv(os.path.join(out_dir, "convergence.csv"),
+               ["level", "n_nodes", "dt", metric, "ratio"],
+               [[0, scenario.n_nodes, scenario.dt, value, float("nan")],
+                [1, sc.n_nodes, sc.dt, finer, ratio]], p, int_cols=(0, 1))
+    return f"sweep[{sweep}] ratio = {_fmt(ratio, p)}"
 
 
 def _verify_mesh(scenario, dims):
@@ -348,32 +347,27 @@ def cmd_compare(scenario, out_dir, seed, sweep=None):
     _check_stable_levels(scenario, sweep)
     L = build_model(scenario)
     H = hamiltonian_for(L)
-    grid = build_grid(scenario)
     gamma = build_gamma(scenario, L.dims)
-
     sup = float(np.max(_verify_columns(H, gamma,
                                        _verify_mesh(scenario, L.dims))))
     verified = sup <= scenario.verify_tol
 
-    def run_levels(sc):
-        gridl = build_grid(sc)
-        Ll = build_model(sc)
-        Hl = hamiltonian_for(Ll)
-        gammal = build_gamma(sc, Ll.dims)
-        times, frames = _characteristic_run(sc, Ll, Hl, gridl, gammal)
-        lifted0 = lift_by_gamma(gammal, 0.0, gridl, frames[0])
-        direct = run_simulation(Hl, gridl, lifted0, sc.dt, sc.n_steps,
+    def differences(sc):
+        """Times and L-inf and L2 differences, characteristics - direct."""
+        grid = build_grid(sc)
+        times, frames = _characteristic_run(sc, L, H, grid, gamma)
+        lifted0 = lift_by_gamma(gamma, 0.0, grid, frames[0])
+        direct = run_simulation(H, grid, lifted0, sc.dt, sc.n_steps,
                                 store_every=sc.store_every)
-        linf = []
-        l2 = []
-        for k, t in enumerate(times):
-            diff = frames[k] - direct.states[k].u
+        linf, l2 = [], []
+        for u, s in zip(frames, direct.states):
+            diff = u - s.u
             linf.append(float(np.max(np.abs(diff))))
             l2.append(float(np.sqrt(integrate_density(
-                gridl, np.sum(diff ** 2, axis=0)))))
+                grid, np.sum(diff ** 2, axis=0)))))
         return times, linf, l2
 
-    times, linf, l2 = run_levels(scenario)
+    times, linf, l2 = differences(scenario)
     p = scenario.precision
     _write_csv(os.path.join(out_dir, "compare.csv"),
                ["t", "linf_difference", "l2_difference"],
@@ -386,20 +380,8 @@ def cmd_compare(scenario, out_dir, seed, sweep=None):
              f"l2_difference_max = {_fmt(max(l2), p)}",
              f"flagged = {flagged}"]
     if sweep:
-        prev = None
-        rows = []
-        for level in range(2):
-            sc = _refined(scenario, sweep, level)
-            sc.store_every = scenario.store_every * (2 ** level if sweep == "time" else 1)
-            _, linf_l, _ = run_levels(sc)
-            val = max(linf_l)
-            ratio = (prev / val) if prev and val else float("nan")
-            rows.append([level, sc.n_nodes, sc.dt, val, ratio])
-            prev = val
-        _write_csv(os.path.join(out_dir, "convergence.csv"),
-                   ["level", "n_nodes", "dt", "linf_difference", "ratio"],
-                   rows, p, int_cols=(0, 1))
-        lines.append(f"sweep[{sweep}] ratio = {_fmt(rows[-1][-1], p)}")
+        lines.append(_sweep(scenario, sweep, out_dir, "linf_difference",
+                            max(linf), lambda sc: max(differences(sc)[1])))
     _report(lines)
     if not verified:
         return EXIT_REFUSED
@@ -412,9 +394,7 @@ def cmd_pairing_check(scenario, out_dir, seed):
     _check_frames(scenario, "pairing-check", steps + 1)
     L = build_model(scenario)
     H = hamiltonian_for(L)
-    grid = build_grid(scenario)
-    state0 = initial_state(scenario, grid, L, H)
-    traj = run_simulation(H, grid, state0, scenario.dt, steps, store_every=1)
+    grid, traj = _simulate(scenario, L, H, steps, 1)
     perturb = scenario.initial_params.get("perturb_px", 0.0)
     states = traj.states
     if perturb:

@@ -47,11 +47,6 @@ class Dimensions:
             raise ModelError(f"n must be >= 1, got {self.n}")
 
     @property
-    def base_dim(self):
-        """Base dimension: time plus space."""
-        return self.m + 1
-
-    @property
     def n_velocity_slots(self):
         """Number of first-derivative slots u^alpha_i, i over (t, x^j)."""
         return self.n * (self.m + 1)

@@ -103,7 +103,12 @@ def _parse_sections(path):
         key, value = (s.strip() for s in line.split("=", 1))
         if not key:
             raise ScenarioError(f"{path}:{lineno}: empty key")
-        sections[current][key.lower()] = (value, lineno)
+        key = key.lower()
+        if key in sections[current]:
+            raise ScenarioError(f"{path}:{lineno}: duplicate key "
+                                f"{current}.{key} (first on line "
+                                f"{sections[current][key][1]})")
+        sections[current][key] = (value, lineno)
     return sections
 
 
@@ -168,8 +173,10 @@ def parse_scenario(path):
     value, ln = _take(sections, "grid", "n_nodes", path=path)
     n_nodes = default_nodes if value is None else _as_int(value, ln, path,
                                                           "grid.n_nodes")
-    if n_nodes < 1:
-        raise ScenarioError(f"{path}:{ln}: grid.n_nodes must be >= 1")
+    min_nodes = 1 if name == "mechanics_oscillator" else 3  # central stencil
+    if n_nodes < min_nodes:
+        raise ScenarioError(f"{path}:{ln}: grid.n_nodes must be >= "
+                            f"{min_nodes}")
     if name == "mechanics_oscillator" and n_nodes != 1:
         raise ScenarioError(f"{path}:{ln}: grid.n_nodes must be 1 for "
                             f"mechanics_oscillator")

@@ -32,7 +32,6 @@ def test_dimensions_validation():
         Dimensions(m=2, n=1)
     with pytest.raises(ModelError):
         Dimensions(m=1, n=0)
-    assert Dimensions(m=1, n=3).base_dim == 2
     assert Dimensions(m=1, n=3).n_velocity_slots == 6
 
 

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from dedonder_hj import cli
 from dedonder_hj.cli import main
 from dedonder_hj.scenario import (ScenarioError, exact_solution,
                                   initial_fields, parse_scenario)
@@ -172,6 +173,18 @@ family = sine
 """)
     with pytest.raises(ScenarioError, match="unknown model.name"):
         parse_scenario(path)
+
+
+def test_parse_refuses_a_key_given_twice(tmp_path):
+    text = KG_SINE + "\n[time]\ndt = 0.02\n"
+    path = write(tmp_path, text)
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(path)
+    assert str(info.value) == (f"{path}:{len(text.splitlines())}: duplicate "
+                               f"key time.dt (first on line 10)")
+    # a repeated [section] still merges keys that differ
+    path = write(tmp_path, KG_SINE + "\n[model]\nn = 2\n")
+    assert parse_scenario(path).model_params == {"mass": 1.0, "n": 2}
 
 
 def test_parse_unknown_key_rejected(tmp_path):
@@ -1070,3 +1083,155 @@ def kg_digests(tmp_path, capsys):
 
 def test_klein_gordon_outputs_are_byte_identical(tmp_path, capsys):
     assert kg_digests(tmp_path, capsys) == KG_DIGESTS
+
+
+#: sha256 (first 16 hex digits) of stdout and of convergence.csv of
+#: Klein-Gordon sweeps, recorded when both sweep levels were still built and
+#: run apart from the command's own run; its other CSVs are KG_DIGESTS'
+KG_SWEEP_DIGESTS = {
+    "simulate --sweep grid": ("950a94c6f48e29de", "9374904802070757"),
+    "compare --sweep grid": ("cc977b1f7621b8d1", "64adbb5215267ef3"),
+    "compare --sweep time": ("8f9a2364bdb6cc53", "7090b13304378b8a"),
+}
+
+
+def sha16(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("command", list(KG_SWEEP_DIGESTS))
+def test_klein_gordon_sweeps_are_byte_identical(tmp_path, capsys, command):
+    simulate = command.startswith("simulate")
+    out = tmp_path / "out"
+    path = write(tmp_path, KG_SINE if simulate else KG_LIFTED, out=str(out))
+    assert main(command.split() + ["--scenario", path, "--seed", "5"]) == 0
+    digests = {csv.name: sha16(csv.read_bytes()) for csv in out.glob("*.csv")}
+    digests["stdout"] = sha16(capsys.readouterr().out.encode())
+    stdout, convergence = KG_SWEEP_DIGESTS[command]
+    plain = ("fields.csv", "diagnostics.csv") if simulate else ("compare.csv",)
+    assert digests == {"stdout": stdout, "convergence.csv": convergence,
+                       **{name: KG_DIGESTS[name] for name in plain}}
+
+
+@pytest.mark.parametrize("sweep", ["grid", "time"])
+@pytest.mark.parametrize("command, counted, metric", [
+    ("simulate", "run_simulation", "exact_solution_linf_error"),
+    ("compare", "evolve_characteristics", "linf_difference_max"),
+], ids=["simulate", "compare"])
+def test_a_sweep_reruns_only_its_refined_level(tmp_path, capsys, monkeypatch,
+                                               command, counted, metric,
+                                               sweep):
+    # level 0 of the sweep is the command's own run
+    calls = []
+    run = getattr(cli, counted)
+    monkeypatch.setattr(cli, counted,
+                        lambda *args, **kw: calls.append(1) or run(*args, **kw))
+    out = tmp_path / "out"
+    path = write(tmp_path, KG_SINE if command == "simulate" else KG_LIFTED,
+                 out=str(out))
+    assert main([command, "--scenario", path, "--sweep", sweep]) == 0
+    assert len(calls) == 2
+    value = capsys.readouterr().out.split(f"{metric} = ")[1].split("\n")[0]
+    rows = (out / "convergence.csv").read_text().splitlines()
+    assert rows[1].split(",")[:4] == ["0", "16", "0.01", value]
+
+
+# -- refusals before any work ----------------------------------------------------
+
+def kg(old, new):
+    assert old in KG_SINE
+    return KG_SINE.replace(old, new)
+
+
+OSCILLATOR_TEXT = oscillator()
+TABLE = "family = custom_table\nfile = TABLE_DIR/{}"
+
+
+@pytest.mark.parametrize("command, text, bad, message", [
+    ("simulate", kg("mass = 1.0", "mass 1.0"), "mass 1.0",
+     "expected 'key = value'"),
+    ("simulate", "x = 1\n" + KG_SINE, "x = 1", "key outside any [section]"),
+    ("simulate", kg("mass = 1.0", "= 1.0"), "= 1.0", "empty key"),
+    ("simulate", kg("dt = 0.01\n", ""), None, "missing required key time.dt"),
+    ("simulate", kg("t_final = 0.2", "t_final = 0.2\ndt = 0.02"), "dt = 0.02",
+     "duplicate key time.dt (first on line 10)"),
+    ("simulate", kg("mass = 1.0", "mass = abc"), "mass = abc",
+     "model.mass must be a number, got 'abc'"),
+    ("simulate", kg("n_nodes = 16", "n_nodes = 1.5"), "n_nodes = 1.5",
+     "grid.n_nodes must be an integer, got '1.5'"),
+    ("verify-hj", KG_LIFTED.replace("samples_per_axis = 4", "box_t = 1"),
+     "box_t = 1", "gamma.box_t must be 'lo,hi'"),
+    ("simulate", kg("mass = 1.0", "mass = -1"), None,
+     "model.mass must be non-negative"),
+    ("simulate", kg("n_nodes = 16", "n_nodes = 2"), "n_nodes = 2",
+     "grid.n_nodes must be >= 3"),
+    ("simulate", kg("n_nodes = 16", "n_nodes = 1"), "n_nodes = 1",
+     "grid.n_nodes must be >= 3"),
+    ("simulate", oscillator(grid="[grid]\nn_nodes = 0\n"), "n_nodes = 0",
+     "grid.n_nodes must be >= 1"),
+    ("simulate", oscillator(grid="[grid]\nn_nodes = 2\n"), "n_nodes = 2",
+     "grid.n_nodes must be 1 for mechanics_oscillator"),
+    ("simulate", kg("n_nodes = 16", "n_nodes = 16\nlength = 0"), "length = 0",
+     "grid.length must be positive"),
+    ("simulate", kg("t_final = 0.2", "t_final = 0.005"), "t_final = 0.005",
+     "time.t_final must be >= time.dt"),
+    ("simulate", kg("family = sine", "family = cosine"), "family = cosine",
+     "unknown initial.family 'cosine'; known: constant, sine, "
+     "traveling_wave, custom_table"),
+    ("simulate", OSCILLATOR_TEXT.replace("constant", "sine"), None,
+     "initial.family 'sine' needs a spatial grid (m = 1 model)"),
+    ("simulate", kg("family = sine", "family = custom_table"), None,
+     "initial.family custom_table requires initial.file"),
+    ("simulate", kg("store_every = 2", "precision = 0"), "precision = 0",
+     "output.precision must be in 1..17"),
+    ("simulate", kg("store_every = 2", "precision = 18"), "precision = 18",
+     "output.precision must be in 1..17"),
+    ("simulate", kg("store_every = 2", "store_every = 0"), "store_every = 0",
+     "output.store_every must be >= 1"),
+    ("simulate", kg("store_every = 2", "store_every = 3"), None,
+     "output.store_every must divide the number of steps (20)"),
+    ("simulate", kg("mass = 1.0", "m = 0"), None,
+     "klein_gordon requires m=1, got m=0.0"),
+    ("simulate", kg("mass = 1.0", "spin = 1"), None,
+     "unused parameters for klein_gordon: ['spin']"),
+    ("simulate", kg("klein_gordon", "free_wave"), None,
+     "free_wave takes no mass or potential"),
+    ("characteristics", KG_SINE, None,
+     "this command requires a [gamma] section"),
+    ("simulate --sweep grid", OSCILLATOR_TEXT, None,
+     "--sweep grid needs a spatial grid (m = 1 model)"),
+    ("compare --sweep grid", OSCILLATOR_TEXT, None,
+     "--sweep grid needs a spatial grid (m = 1 model)"),
+    ("simulate", kg("family = sine", TABLE.format("missing.csv")), None,
+     "{dir}/missing.csv: cannot read initial table ({dir}/missing.csv not "
+     "found.)"),
+    ("simulate", kg("family = sine", TABLE.format("table.csv")), None,
+     "{dir}/table.csv: initial table must be 16 x 2 (u then p_t columns), "
+     "got (3, 2)"),
+], ids=["no-equals", "outside-section", "empty-key", "missing-key",
+        "duplicate-key", "not-a-number", "not-an-integer", "not-a-pair",
+        "negative-mass", "two-nodes", "one-node", "oscillator-no-nodes",
+        "oscillator-two-nodes", "zero-length", "t_final-below-dt",
+        "unknown-family", "sine-without-grid", "table-without-file",
+        "precision-0", "precision-18", "store_every-0",
+        "store_every-not-dividing", "m-0-model", "unused-model-key",
+        "mass-of-free_wave", "no-gamma", "simulate-grid-sweep-of-m-0",
+        "compare-grid-sweep-of-m-0", "missing-table", "misshapen-table"])
+def test_refusals_name_their_file_and_line(tmp_path, capsys, command, text,
+                                           bad, message):
+    # each exits 2 before it writes a line of output or a CSV; the anchor is
+    # the scenario file, with the line of ``bad`` when there is one, unless
+    # the message names a file of its own
+    (tmp_path / "table.csv").write_text("u,p_t\n1,0\n2,0\n3,0\n")
+    text = text.replace("TABLE_DIR", str(tmp_path))
+    out = tmp_path / "out"
+    path = write(tmp_path, text, out=str(out))
+    if not message.startswith("{dir}"):
+        message = "{path}" + (":{line}" if bad else "") + ": " + message
+    message = message.format(path=path, dir=tmp_path,
+                             line=bad and text.splitlines().index(bad) + 1)
+    assert main(command.split() + ["--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert list(out.glob("*.csv")) == []
