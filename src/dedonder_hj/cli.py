@@ -121,15 +121,22 @@ def _report(lines):
         print(line)
 
 
-def _check_stable_levels(scenario, sweep=None):
-    """Refuse before any stepping if the run or its refined sweep level is
-    unstable, or if a grid sweep has no grid to refine."""
-    check_stability(scenario)
+def _levels(scenario, L, H, sweep=None, gamma=None):
+    """(scenario, grid, state0) of the run and, under ``sweep``, of its
+    refined level, each checked stable at state0 before any step: the
+    initial state, or under ``gamma`` the lift of the initial fields."""
     if sweep == "grid" and not scenario.m:
         raise ScenarioError(f"{scenario.path}: --sweep grid needs a spatial "
                             f"grid (m = 1 model)")
-    if sweep:
-        check_stability(_refined(scenario, sweep))
+    levels = []
+    for sc in [scenario] + ([_refined(scenario, sweep)] if sweep else []):
+        grid = build_grid(sc)
+        state0 = initial_state(sc, grid, L, H) if gamma is None else \
+            lift_by_gamma(gamma, 0.0, grid,
+                          initial_fields(sc, grid, L.dims.n)[0])
+        check_stability(sc, H, grid, state0)
+        levels.append((sc, grid, state0))
+    return levels
 
 
 def _check_store_every(scenario):
@@ -164,13 +171,6 @@ def _diagnostics(L, H, grid, times, states, rng):
     return energies, constraints, traj
 
 
-def _simulate(scenario, L, H, n_steps, store_every):
-    grid = build_grid(scenario)
-    state0 = initial_state(scenario, grid, L, H)
-    return grid, run_simulation(H, grid, state0, scenario.dt, n_steps,
-                                store_every=store_every)
-
-
 def _error_metric(scenario, grid, traj):
     sol = exact_solution(scenario)
     if sol is None:
@@ -182,14 +182,14 @@ def _error_metric(scenario, grid, traj):
 
 def cmd_simulate(scenario, out_dir, seed, sweep=None):
     _check_store_every(scenario)
-    _check_stable_levels(scenario, sweep)
+    L = build_model(scenario)
+    H = hamiltonian_for(L)
+    (_, grid, state0), *refined = _levels(scenario, L, H, sweep)
     if sweep and exact_solution(scenario) is None:
         raise ScenarioError(f"{scenario.path}: sweep requires a scenario "
                             f"with a closed-form solution")
-    L = build_model(scenario)
-    H = hamiltonian_for(L)
-    grid, traj = _simulate(scenario, L, H, scenario.n_steps,
-                           scenario.store_every)
+    traj = run_simulation(H, grid, state0, scenario.dt, scenario.n_steps,
+                          store_every=scenario.store_every)
     energies, constraints, residuals = _diagnostics(
         L, H, grid, traj.times, traj.states, np.random.default_rng(seed))
     p = scenario.precision
@@ -213,10 +213,11 @@ def cmd_simulate(scenario, out_dir, seed, sweep=None):
     if err is not None:
         lines.append(f"exact_solution_linf_error = {_fmt(err, p)}")
     _report(lines)
-    if sweep:
-        _report([_sweep(scenario, sweep, out_dir, "linf_error", err,
-                        lambda sc: _error_metric(sc, *_simulate(
-                            sc, L, H, sc.n_steps, sc.n_steps)))])
+    for sc, grid, state0 in refined:
+        finer = _error_metric(sc, grid, run_simulation(
+            H, grid, state0, sc.dt, sc.n_steps, store_every=sc.n_steps))
+        _report([_sweep(scenario, sc, sweep, out_dir, "linf_error", err,
+                        finer)])
     return EXIT_OK
 
 
@@ -229,12 +230,10 @@ def _refined(scenario, sweep):
                    store_every=2 * scenario.store_every)
 
 
-def _sweep(scenario, sweep, out_dir, metric, value, refined_value):
+def _sweep(scenario, sc, sweep, out_dir, metric, value, finer):
     """Write ``convergence.csv`` of a sweep whose level 0, the command's own
-    run, gave ``value``; ``refined_value`` maps the refined scenario to its
-    value. Returns the report line of the ratio."""
-    sc = _refined(scenario, sweep)
-    finer = refined_value(sc)
+    run, gave ``value`` and whose refined level ``sc`` gave ``finer``.
+    Returns the report line of the ratio."""
     ratio = value / finer if value and finer else float("nan")
     p = scenario.precision
     _write_csv(os.path.join(out_dir, "convergence.csv"),
@@ -307,13 +306,11 @@ def cmd_verify_hj(scenario, out_dir, seed):
     return EXIT_OK if ok else EXIT_REFUSED
 
 
-def _characteristic_run(scenario, L, H, grid, gamma):
-    u0, _ = initial_fields(scenario, grid, L.dims.n)
+def _characteristic_run(scenario, H, grid, gamma, u0):
     check_compatibility(H, gamma, grid, u0, 0.0)
-    times, frames = evolve_characteristics(H, gamma, grid, u0, 0.0,
-                                           scenario.dt, scenario.t_final,
-                                           store_every=scenario.store_every)
-    return times, frames
+    return evolve_characteristics(H, gamma, grid, u0, 0.0, scenario.dt,
+                                  scenario.t_final,
+                                  store_every=scenario.store_every)
 
 
 def cmd_characteristics(scenario, out_dir, seed):
@@ -324,7 +321,8 @@ def cmd_characteristics(scenario, out_dir, seed):
     gamma = build_gamma(scenario, L.dims)
     _check_frames(scenario, "characteristics",
                   scenario.n_steps // scenario.store_every + 1)
-    times, frames = _characteristic_run(scenario, L, H, grid, gamma)
+    u0, _ = initial_fields(scenario, grid, L.dims.n)
+    times, frames = _characteristic_run(scenario, H, grid, gamma, u0)
     states = [lift_by_gamma(gamma, t, grid, u) for t, u in zip(times, frames)]
     p = scenario.precision
     _write_csv(os.path.join(out_dir, "characteristics.csv"),
@@ -344,19 +342,17 @@ def cmd_characteristics(scenario, out_dir, seed):
 
 def cmd_compare(scenario, out_dir, seed, sweep=None):
     _check_store_every(scenario)
-    _check_stable_levels(scenario, sweep)
     L = build_model(scenario)
     H = hamiltonian_for(L)
     gamma = build_gamma(scenario, L.dims)
+    levels = _levels(scenario, L, H, sweep, gamma)
     sup = float(np.max(_verify_columns(H, gamma,
                                        _verify_mesh(scenario, L.dims))))
     verified = sup <= scenario.verify_tol
 
-    def differences(sc):
+    def differences(sc, grid, lifted0):
         """Times and L-inf and L2 differences, characteristics - direct."""
-        grid = build_grid(sc)
-        times, frames = _characteristic_run(sc, L, H, grid, gamma)
-        lifted0 = lift_by_gamma(gamma, 0.0, grid, frames[0])
+        times, frames = _characteristic_run(sc, H, grid, gamma, lifted0.u)
         direct = run_simulation(H, grid, lifted0, sc.dt, sc.n_steps,
                                 store_every=sc.store_every)
         linf, l2 = [], []
@@ -367,7 +363,7 @@ def cmd_compare(scenario, out_dir, seed, sweep=None):
                 grid, np.sum(diff ** 2, axis=0)))))
         return times, linf, l2
 
-    times, linf, l2 = differences(scenario)
+    times, linf, l2 = differences(*levels[0])
     p = scenario.precision
     _write_csv(os.path.join(out_dir, "compare.csv"),
                ["t", "linf_difference", "l2_difference"],
@@ -379,9 +375,10 @@ def cmd_compare(scenario, out_dir, seed, sweep=None):
              f"linf_difference_max = {_fmt(max(linf), p)}",
              f"l2_difference_max = {_fmt(max(l2), p)}",
              f"flagged = {flagged}"]
-    if sweep:
-        lines.append(_sweep(scenario, sweep, out_dir, "linf_difference",
-                            max(linf), lambda sc: max(differences(sc)[1])))
+    for level in levels[1:]:
+        lines.append(_sweep(scenario, level[0], sweep, out_dir,
+                            "linf_difference", max(linf),
+                            max(differences(*level)[1])))
     _report(lines)
     if not verified:
         return EXIT_REFUSED
@@ -389,12 +386,12 @@ def cmd_compare(scenario, out_dir, seed, sweep=None):
 
 
 def cmd_pairing_check(scenario, out_dir, seed):
-    _check_stable_levels(scenario)
-    steps = min(scenario.n_steps, scenario.pairing_steps)
-    _check_frames(scenario, "pairing-check", steps + 1)
     L = build_model(scenario)
     H = hamiltonian_for(L)
-    grid, traj = _simulate(scenario, L, H, steps, 1)
+    [(_, grid, state0)] = _levels(scenario, L, H)
+    steps = min(scenario.n_steps, scenario.pairing_steps)
+    _check_frames(scenario, "pairing-check", steps + 1)
+    traj = run_simulation(H, grid, state0, scenario.dt, steps, store_every=1)
     perturb = scenario.initial_params.get("perturb_px", 0.0)
     states = traj.states
     if perturb:

@@ -214,16 +214,20 @@ def gamma_family(name, dims, params=None):
     """Construct a named section family; used by scenario configs."""
     params = dict(params or {})
     if name == "linear":
-        return linear_gamma(dims, a=params.pop("a", 0.0),
-                            b=params.pop("b", 0.0), c=params.pop("c", 0.0),
-                            d=params.pop("d", 0.0),
-                            p_const=params.pop("p_const", 0.0))
-    if name == "oscillator":
-        return oscillator_gamma(dims, omega=params.pop("omega", 1.0),
-                                phi=params.pop("phi", 0.0),
-                                pole_tol=params.pop("pole_tol", 1e-3))
-    raise ModelError(f"unknown gamma family {name!r}; known: "
-                     + ", ".join(GAMMA_FAMILIES))
+        gamma = linear_gamma(dims, a=params.pop("a", 0.0),
+                             b=params.pop("b", 0.0), c=params.pop("c", 0.0),
+                             d=params.pop("d", 0.0),
+                             p_const=params.pop("p_const", 0.0))
+    elif name == "oscillator":
+        gamma = oscillator_gamma(dims, omega=params.pop("omega", 1.0),
+                                 phi=params.pop("phi", 0.0),
+                                 pole_tol=params.pop("pole_tol", 1e-3))
+    else:
+        raise ModelError(f"unknown gamma family {name!r}; known: "
+                         + ", ".join(GAMMA_FAMILIES))
+    if params:
+        raise ModelError(f"unused parameters for {name}: {sorted(params)}")
+    return gamma
 
 
 # -- verification residuals ---------------------------------------------------

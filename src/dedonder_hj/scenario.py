@@ -28,6 +28,7 @@ Blank lines and '#' comments are ignored. Validation errors carry the
 file path and line number of the offending key.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,7 +87,7 @@ def _parse_sections(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: cannot read scenario file ({exc})")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -131,6 +132,15 @@ def _as_float(value, lineno, path, name):
     return number
 
 
+def _as_squarable(value, lineno, path, name):
+    """:func:`_as_float` of a number whose square is finite too."""
+    number = _as_float(value, lineno, path, name)
+    if not np.isfinite(number * number):
+        raise ScenarioError(f"{path}:{lineno}: {name} is too large (its "
+                            f"square overflows), got {value!r}")
+    return number
+
+
 def _as_int(value, lineno, path, name):
     try:
         return int(value)
@@ -164,6 +174,9 @@ def parse_scenario(path):
                 for p in value.split(","))
         elif key == "n":
             model_params[key] = _as_int(value, lineno, path, "model.n")
+        elif key in ("mass", "omega"):
+            model_params[key] = _as_squarable(value, lineno, path,
+                                              f"model.{key}")
         else:
             model_params[key] = _as_float(value, lineno, path, f"model.{key}")
     if model_params.get("mass", 0.0) < 0:
@@ -185,14 +198,17 @@ def parse_scenario(path):
     if length <= 0:
         raise ScenarioError(f"{path}:{ln}: grid.length must be positive")
 
-    value, ln = _take(sections, "time", "dt", required=True, path=path)
-    dt = _as_float(value, ln, path, "time.dt")
+    value, dt_ln = _take(sections, "time", "dt", required=True, path=path)
+    dt = _as_float(value, dt_ln, path, "time.dt")
     if dt <= 0:
-        raise ScenarioError(f"{path}:{ln}: time.dt must be positive")
+        raise ScenarioError(f"{path}:{dt_ln}: time.dt must be positive")
     value, ln = _take(sections, "time", "t_final", required=True, path=path)
     t_final = _as_float(value, ln, path, "time.t_final")
     if t_final < dt:
         raise ScenarioError(f"{path}:{ln}: time.t_final must be >= time.dt")
+    if not np.isfinite(t_final / dt):
+        raise ScenarioError(f"{path}:{dt_ln}: time.dt is too small "
+                            f"(time.t_final / time.dt overflows)")
     if abs(round(t_final / dt) * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ScenarioError(f"{path}:{ln}: time.t_final must be a whole "
                             f"number of time.dt steps")
@@ -205,13 +221,16 @@ def parse_scenario(path):
     initial_params = {}
     for key in list(sections.get("initial", {})):
         value, lineno = sections["initial"].pop(key)
-        if key == "file":
-            initial_params[key] = value
+        if key == "file":  # relative to the scenario file's directory
+            initial_params[key] = os.path.join(os.path.dirname(path), value)
         elif key == "mode":
             initial_params[key] = _as_int(value, lineno, path, "initial.mode")
-        else:
+        elif key in ("amplitude", "velocity", "phase", "perturb_px"):
             initial_params[key] = _as_float(value, lineno, path,
                                             f"initial.{key}")
+        else:
+            raise ScenarioError(f"{path}:{lineno}: unknown key "
+                                f"initial.{key}")
     if family in ("sine", "traveling_wave") and name == "mechanics_oscillator":
         raise ScenarioError(f"{path}: initial.family {family!r} needs a "
                             f"spatial grid (m = 1 model)")
@@ -243,6 +262,9 @@ def parse_scenario(path):
                     raise ScenarioError(f"{path}:{lineno}: "
                                         f"gamma.samples_per_axis must be "
                                         f">= 1")
+            elif key == "omega":
+                gamma_params[key] = _as_squarable(value, lineno, path,
+                                                  "gamma.omega")
             elif key == "verify_tol":
                 verify_tol = _as_float(value, lineno, path, "gamma.verify_tol")
                 if verify_tol < 0:
@@ -299,24 +321,21 @@ def _mass(scenario):
     return scenario.model_params.get("mass", 0.0)
 
 
-def check_stability(scenario):
+def check_stability(scenario, H, grid, state0):
     """Refuse a run whose RK4 step is unstable: dt |lambda| must stay
     within :data:`RK4_IMAGINARY_BOUND`. For the linear models the spectrum
     under the composed central stencil is imaginary with |lambda| up to
     sqrt(1/h^2 + mass^2), and |omega| for the oscillator, which has no
     grid term; for ``scalar_potential`` |lambda| is estimated by power
-    iteration of the right-hand side linearised at the initial state."""
+    iteration of the right-hand side of H on ``grid`` linearised at
+    ``state0``, the state the run steps from."""
     if scenario.model_name == "mechanics_oscillator":
         rate, what = abs(_mass(scenario)), "dt*|omega|"
     elif scenario.model_name in ("free_wave", "klein_gordon"):
         rate = np.hypot(scenario.n_nodes / scenario.length, _mass(scenario))
         what = "dt*sqrt(1/h^2 + mass^2)"
     else:  # scalar_potential
-        L = build_model(scenario)
-        H = hamiltonian_for(L)
-        grid = build_grid(scenario)
-        rate = rhs_spectral_radius(H, grid,
-                                   initial_state(scenario, grid, L, H))
+        rate = rhs_spectral_radius(H, grid, state0)
         what = "dt*|lambda| (linearised at t = 0)"
     if scenario.dt * rate > RK4_IMAGINARY_BOUND:
         raise ScenarioError(
@@ -343,13 +362,16 @@ def build_gamma(scenario, dims):
     if scenario.gamma_name is None:
         raise ScenarioError(f"{scenario.path}: this command requires a "
                             f"[gamma] section")
-    return gamma_family(scenario.gamma_name, dims, scenario.gamma_params)
+    try:
+        return gamma_family(scenario.gamma_name, dims, scenario.gamma_params)
+    except ModelError as exc:
+        raise ScenarioError(f"{scenario.path}: {exc}") from exc
 
 
 def _load_table(path, n, n_nodes):
     try:
         rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ScenarioError(f"{path}: cannot read initial table ({exc})")
     if rows.shape != (n_nodes, 2 * n):
         raise ScenarioError(f"{path}: initial table must be "

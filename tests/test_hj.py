@@ -429,3 +429,6 @@ def test_gamma_family_registry():
     assert lg.name == "linear_gamma"
     with pytest.raises(ModelError):
         gamma_family("generating_function", M1, {})
+    with pytest.raises(ModelError, match=r"unused parameters for linear: "
+                                         r"\['omega'\]"):
+        gamma_family("linear", M1, {"a": 0.5, "omega": 1.0})

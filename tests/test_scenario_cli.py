@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from dedonder_hj import cli
+from dedonder_hj import cli, scenario
 from dedonder_hj.cli import main
 from dedonder_hj.scenario import (ScenarioError, exact_solution,
                                   initial_fields, parse_scenario)
@@ -240,6 +240,25 @@ file = %s
     u, p_t = initial_fields(sc, grid, 1)
     assert u[0, 3] == pytest.approx(0.3)
     assert p_t[0, 5] == pytest.approx(1.0)
+
+
+def test_relative_table_path_is_read_beside_the_scenario(tmp_path,
+                                                         monkeypatch):
+    # the same scenario runs from its own directory and from its parent
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "table.csv").write_text(
+        "u,p_t\n" + "".join(f"{0.1 * j},0\n" for j in range(16)))
+    path = write(sub, kg("family = sine",
+                         "family = custom_table\nfile = table.csv"))
+    fields = []
+    for cwd in (sub, tmp_path):
+        monkeypatch.chdir(cwd)
+        assert main(["simulate", "--scenario", os.path.relpath(path)]) == 0
+        fields.append((sub / "out" / "fields.csv").read_bytes())
+    assert fields[0] == fields[1]
+    assert parse_scenario(path).initial_params["file"] == str(sub /
+                                                              "table.csv")
 
 
 # -- commands ------------------------------------------------------------------
@@ -1136,6 +1155,44 @@ def test_a_sweep_reruns_only_its_refined_level(tmp_path, capsys, monkeypatch,
     assert rows[1].split(",")[:4] == ["0", "16", "0.01", value]
 
 
+POTENTIAL_LIFTED = potential_sine(0.01, "0, 0, 0, 0.1", 0.5, steps=20,
+                                  n_nodes=8).replace(
+    "family = sine", "family = constant").replace(
+    "[output]", "[gamma]\nfamily = oscillator\nsamples_per_axis = 2\n\n"
+                "[output]")
+
+
+@pytest.mark.parametrize("command", ["simulate", "pairing-check", "compare",
+                                     "compare --sweep grid"])
+def test_each_level_is_built_once_and_checked_at_the_state_it_steps(
+        tmp_path, capsys, monkeypatch, command):
+    # the stability check of a scalar_potential run linearises at the state
+    # the run steps from (the gamma-lift under compare) and builds nothing
+    calls = dict.fromkeys(["build_model", "hamiltonian_for", "initial_state"],
+                          0)
+    for name in calls:
+        def counted(*args, _name=name, _built=getattr(scenario, name)):
+            calls[_name] += 1
+            return _built(*args)
+        for module in (cli, scenario):
+            monkeypatch.setattr(module, name, counted)
+    linearised, started = [], []
+    radius, run = scenario.rhs_spectral_radius, cli.run_simulation
+    monkeypatch.setattr(scenario, "rhs_spectral_radius", lambda H, grid, s:
+                        linearised.append(s) or radius(H, grid, s))
+    monkeypatch.setattr(cli, "run_simulation", lambda H, grid, s, *args, **kw:
+                        started.append(s) or run(H, grid, s, *args, **kw))
+    path = write(tmp_path, POTENTIAL_LIFTED)
+    # the oscillator section does not solve this model's HJ equation
+    assert main(command.split() + ["--scenario", path]) == (
+        4 if command.startswith("compare") else 0)
+    levels = 2 if "--sweep" in command else 1
+    assert len(started) == len(linearised) == levels
+    assert all(a is b for a, b in zip(started, linearised))
+    assert calls == {"build_model": 1, "hamiltonian_for": 1,
+                     "initial_state": 0 if "compare" in command else 1}
+
+
 # -- refusals before any work ----------------------------------------------------
 
 def kg(old, new):
@@ -1208,6 +1265,30 @@ TABLE = "family = custom_table\nfile = TABLE_DIR/{}"
     ("simulate", kg("family = sine", TABLE.format("table.csv")), None,
      "{dir}/table.csv: initial table must be 16 x 2 (u then p_t columns), "
      "got (3, 2)"),
+    ("simulate", kg("family = sine", TABLE.format("cells.csv")), None,
+     "{dir}/cells.csv: cannot read initial table (could not convert string "
+     "'zero' to float64 at row 0, column 2.)"),
+    ("simulate", kg("dt = 0.01", "dt = 5e-324"), "dt = 5e-324",
+     "time.dt is too small (time.t_final / time.dt overflows)"),
+    ("verify-hj", KG_LIFTED.replace("mass = 1.0", "mass = 1e300"),
+     "mass = 1e300",
+     "model.mass is too large (its square overflows), got '1e300'"),
+    ("verify-hj", oscillator(omega=1e300), "omega = 1e+300",
+     "model.omega is too large (its square overflows), got '1e+300'"),
+    ("verify-hj", KG_LIFTED.replace("omega = 1.0", "omega = 1e300"),
+     "omega = 1e300",
+     "gamma.omega is too large (its square overflows), got '1e300'"),
+    ("simulate", kg("amplitude = 0.8", "amplitdue = 0.5"), "amplitdue = 0.5",
+     "unknown key initial.amplitdue"),
+    ("verify-hj", KG_LIFTED.replace("amplitude = 1.0", "amplitdue = 0.5"),
+     "amplitdue = 0.5", "unknown key initial.amplitdue"),
+    ("characteristics", KG_LIFTED.replace("amplitude = 1.0",
+                                          "amplitdue = 0.5"),
+     "amplitdue = 0.5", "unknown key initial.amplitdue"),
+    ("verify-hj", KG_LIFTED.replace("omega = 1.0", "omgea = 3.0"), None,
+     "unused parameters for oscillator: ['omgea']"),
+    ("characteristics", KG_LIFTED.replace("omega = 1.0", "omgea = 3.0"), None,
+     "unused parameters for oscillator: ['omgea']"),
 ], ids=["no-equals", "outside-section", "empty-key", "missing-key",
         "duplicate-key", "not-a-number", "not-an-integer", "not-a-pair",
         "negative-mass", "two-nodes", "one-node", "oscillator-no-nodes",
@@ -1216,13 +1297,19 @@ TABLE = "family = custom_table\nfile = TABLE_DIR/{}"
         "precision-0", "precision-18", "store_every-0",
         "store_every-not-dividing", "m-0-model", "unused-model-key",
         "mass-of-free_wave", "no-gamma", "simulate-grid-sweep-of-m-0",
-        "compare-grid-sweep-of-m-0", "missing-table", "misshapen-table"])
+        "compare-grid-sweep-of-m-0", "missing-table", "misshapen-table",
+        "table-cell-not-a-number", "dt-overflows-steps",
+        "mass-squared-overflows", "oscillator-omega-squared-overflows", "gamma-omega-squared-overflows",
+        "simulate-misspelt-initial-key", "verify-hj-misspelt-initial-key",
+        "characteristics-misspelt-initial-key", "verify-hj-misspelt-gamma-key",
+        "characteristics-misspelt-gamma-key"])
 def test_refusals_name_their_file_and_line(tmp_path, capsys, command, text,
                                            bad, message):
     # each exits 2 before it writes a line of output or a CSV; the anchor is
     # the scenario file, with the line of ``bad`` when there is one, unless
     # the message names a file of its own
     (tmp_path / "table.csv").write_text("u,p_t\n1,0\n2,0\n3,0\n")
+    (tmp_path / "cells.csv").write_text("u,p_t\n1,zero\n")
     text = text.replace("TABLE_DIR", str(tmp_path))
     out = tmp_path / "out"
     path = write(tmp_path, text, out=str(out))
@@ -1235,3 +1322,19 @@ def test_refusals_name_their_file_and_line(tmp_path, capsys, command, text,
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert list(out.glob("*.csv")) == []
+
+
+def test_scenario_file_not_utf8_refused(tmp_path, capsys):
+    # unrefused, the UnicodeDecodeError ended in a traceback (exit 1)
+    out = tmp_path / "out"
+    path = write(tmp_path, KG_SINE, out=str(out))
+    with open(path, "ab") as fh:
+        fh.write(b"# \xff\n")
+    at = len(KG_SINE.format(out=out).encode()) + 2
+    assert main(["simulate", "--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {path}: cannot read scenario file "
+                            f"('utf-8' codec can't decode byte 0xff in "
+                            f"position {at}: invalid start byte)\n")
+    assert captured.out == ""
+    assert not out.exists()
