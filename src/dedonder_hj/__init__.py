@@ -14,18 +14,17 @@ from .legendre import (ConnectionCoefficients, FieldSection, MomentumSection,
                        solve_velocities)
 from .cauchy import (BlowupError, CauchyGrid, CauchyState, GridError,
                      TangentBatch, TangentVariation, covector_residual,
-                     dynamical_trajectory_residual, hdw_rhs,
-                     integrate_density, make_grid, pairing_covector,
-                     presymplectic_pairing, random_smooth_variation,
-                     recover_spatial_momenta, run_simulation,
-                     spatial_derivative, standard_test_variations, step_rk4,
-                     time_derivative_frames, variation_norm)
+                     dynamical_trajectory_residual, integrate_density,
+                     make_grid, pairing_covector, presymplectic_pairing,
+                     random_smooth_variation, recover_spatial_momenta,
+                     run_simulation, spatial_derivative,
+                     standard_test_variations, step_rk4,
+                     time_derivative_frames)
 from .hj import (GammaDomainError, HJSection, IncompatibleDataError,
                  check_compatibility, evolve_characteristics, gamma_family,
                  gamma_closedness_residual, hj_lift_solution_check,
-                 hj_residual, lift_by_gamma, lift_variation, linear_gamma,
-                 oscillator_gamma, reduced_connection,
-                 restricted_connection_residual)
+                 hj_residual, lift_by_gamma, linear_gamma, oscillator_gamma,
+                 reduced_connection, restricted_connection_residual)
 from .cotangent import (ConstraintError, CotangentBatch, CotangentState,
                         CotangentVariation, cotangent_trajectory_residual,
                         extended_form_covector, extended_form_pairing,

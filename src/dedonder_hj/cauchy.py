@@ -207,16 +207,6 @@ class TangentBatch(StackedVariations):
     indicators: bool = False
 
 
-def variation_norm(grid, X):
-    """sqrt(k^2 + integral of |du|^2 + |dp_t|^2 + |dp_x|^2)."""
-    total = X.k ** 2
-    total += integrate_density(grid, np.sum(X.du ** 2, axis=0))
-    total += integrate_density(grid, np.sum(X.dp_t ** 2, axis=0))
-    if X.dp_x.size:
-        total += integrate_density(grid, np.sum(X.dp_x ** 2, axis=(0, 1)))
-    return float(np.sqrt(total))
-
-
 def recover_spatial_momenta(H, grid, u, p_t=None, t=0.0):
     """Solve the spatial constraint dH/dp^j_a = (D u^a)_j for p_x at every
     node (vectorized Newton with damping). The per-node Jacobian is the
@@ -239,13 +229,6 @@ def recover_spatial_momenta(H, grid, u, p_t=None, t=0.0):
                            jacobian)
 
 
-@dataclass
-class HdwRhs:
-    u_dot: np.ndarray
-    p_t_dot: np.ndarray
-    p_x: np.ndarray
-
-
 def _rhs(H, grid, t, u, p_t, p_x=None):
     """(u_dot, p_t_dot, p_x) of the split field equations at (t, u, p_t);
     p_x is recovered unless given."""
@@ -257,12 +240,6 @@ def _rhs(H, grid, t, u, p_t, p_x=None):
     for j in range(grid.m):
         p_t_dot = p_t_dot - spatial_derivative(grid, p_x[:, j, :])
     return u_dot, p_t_dot, p_x
-
-
-def hdw_rhs(H, grid, state):
-    """Method-of-lines right-hand side of the split field equations; p_x
-    is recovered from (t, u, p_t), whatever ``state.p_x`` holds."""
-    return HdwRhs(*_rhs(H, grid, state.t, state.u, state.p_t))
 
 
 def _check_dt(dt):

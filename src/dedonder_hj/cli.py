@@ -246,16 +246,8 @@ def _sweep(scenario, sc, sweep, out_dir, metric, value, finer):
 def _verify_mesh(scenario, dims):
     """The (t, x, u) verification mesh as one array, one row per coordinate
     (t, then x when m = 1, then u_1..u_n) and one column per sample."""
-    box = dict(scenario.verify_box)
-    t_lo, t_hi = box.get("t", (0.0, 1.0))
-    x_lo, x_hi = box.get("x", (0.0, 1.0))
-    u_lo, u_hi = box.get("u", (-2.0, 2.0))
-    s = scenario.verify_samples
-    axes = [np.linspace(t_lo, t_hi, s)]
-    if dims.m:
-        axes.append(np.linspace(x_lo, x_hi, s))
-    for _ in range(dims.n):
-        axes.append(np.linspace(u_lo, u_hi, s))
+    axes = [np.linspace(*scenario.verify_box[axis], scenario.verify_samples)
+            for axis in "t" + "x" * dims.m + "u" * dims.n]
     return np.stack(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), -1)
 
 
@@ -392,7 +384,7 @@ def cmd_pairing_check(scenario, out_dir, seed):
     steps = min(scenario.n_steps, scenario.pairing_steps)
     _check_frames(scenario, "pairing-check", steps + 1)
     traj = run_simulation(H, grid, state0, scenario.dt, steps, store_every=1)
-    perturb = scenario.initial_params.get("perturb_px", 0.0)
+    perturb = scenario.initial_params["perturb_px"]
     states = traj.states
     if perturb:
         states = [CauchyState(s.t, s.u, s.p_t, s.p_x + perturb)

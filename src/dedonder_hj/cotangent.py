@@ -25,7 +25,9 @@ import numpy as np
 
 from .cauchy import (StackedVariations, _smooth_profile, checked_frames,
                      covector_residual, frame_velocities, gradient_fields,
-                     integrate_density, probe_profiles, spatial_derivative)
+                     integrate_density, presymplectic_pairing, probe_profiles,
+                     spatial_derivative)
+from .hj import lift_by_gamma
 from .legendre import _solve_nodewise
 from .models import ModelError
 
@@ -224,7 +226,6 @@ def pullback_identity_residual(L, H, grid, state, X, Y):
     Raises :class:`ConstraintError` when the state is more than 1e-10 off
     the momentum constraint, where the identity is not asserted.
     """
-    from .cauchy import presymplectic_pairing
     res = time_legendre_constraint_residual(L, grid, state)
     if res > 1e-10:
         raise ConstraintError(res, 1e-10)
@@ -237,5 +238,4 @@ def pullback_identity_residual(L, H, grid, state, X, Y):
 def hat_gamma(gamma, t, grid, u):
     """Cotangent state induced by a Hamilton-Jacobi section: restriction
     of the section lift."""
-    from .hj import lift_by_gamma
     return restriction_map_R(lift_by_gamma(gamma, t, grid, u))

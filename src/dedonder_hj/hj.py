@@ -375,14 +375,13 @@ def restricted_connection_residual(H, gamma, grid, u, t):
     return gradient_fields(grid, u) - gamma_x
 
 
-def check_compatibility(H, gamma, grid, u, t, tol=None):
+def check_compatibility(H, gamma, grid, u, t):
     """Largest entry of :func:`restricted_connection_residual`; raises
-    :class:`IncompatibleDataError` above ``tol`` (default 10 h^2 for m = 1,
-    1e-10 for m = 0)."""
+    :class:`IncompatibleDataError` above 10 h^2. Data at m = 0 have no
+    residual, so they always pass."""
     compat = restricted_connection_residual(H, gamma, grid, u, t)
     residual = float(np.max(np.abs(compat))) if compat.size else 0.0
-    if tol is None:
-        tol = 10.0 * grid.spacing ** 2 if grid.m else 1e-10
+    tol = 10.0 * grid.spacing ** 2
     if residual > tol:
         raise IncompatibleDataError(residual, tol)
     return residual
@@ -440,15 +439,10 @@ def lift_by_gamma(gamma, t, grid, u):
     return CauchyState(t, u, gamma.pt(t, grid.x, u), gamma.px(t, grid.x, u))
 
 
-def lift_variation(gamma, t, grid, u, k, du):
-    """Pushforward of a configuration-space variation (k, du) through the
-    section lift: momenta vary by k d_t gamma + d_u gamma . du."""
-    u = np.asarray(u, dtype=float)
-    return _lift_with(gamma.partials(t, grid.x, u), grid, u, k, du)
-
-
 def _lift_with(d, grid, u, k, du):
-    """:func:`lift_variation` from the section partials ``d`` at u."""
+    """Pushforward of a configuration-space variation (k, du) at u through
+    the section lift, from the section partials ``d`` at u: momenta vary
+    by k d_t gamma + d_u gamma . du."""
     du = np.asarray(du, dtype=float)
     dpt = k * np.asarray(d["pt_t"], dtype=float) \
         + np.einsum("ab...,b...->a...", np.asarray(d["pt_u"], dtype=float), du)
@@ -476,7 +470,7 @@ def hj_lift_solution_check(H, gamma, grid, times, u_frames, rng=None):
     standard test set, and for 8 pairs of lifted random variations.
 
     Refuses (raises :class:`IncompatibleDataError`) when the initial frame
-    fails :func:`check_compatibility` at its default tolerance.
+    fails :func:`check_compatibility`.
     """
     times = np.asarray(times, dtype=float)
     u_frames = np.asarray(u_frames, dtype=float)

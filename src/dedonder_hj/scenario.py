@@ -24,12 +24,15 @@ A scenario file looks like
     [output]
     directory = out
 
-Blank lines and '#' comments are ignored. Validation errors carry the
-file path and line number of the offending key.
+Blank lines and '#' comments are ignored. Every fixed key is read,
+defaulted and bounded through :data:`KEYS`; the other keys of [model] and
+[gamma] are the parameters of the model and section families. Validation
+errors carry the file path and line number of the offending key.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,11 +69,11 @@ class Scenario:
     output_dir: str
     precision: int
     store_every: int
-    verify_box: dict = field(default_factory=dict)
-    verify_samples: int = 10
-    verify_tol: float = 1e-10
-    pairing_steps: int = 10
-    pairing_pairs: int = 20
+    verify_box: dict
+    verify_samples: int
+    verify_tol: float
+    pairing_steps: int
+    pairing_pairs: int
 
     @property
     def m(self):
@@ -113,13 +116,6 @@ def _parse_sections(path):
     return sections
 
 
-def _take(sections, section, key, required=False, path=""):
-    entry = sections.get(section, {}).pop(key, None)
-    if entry is None and required:
-        raise ScenarioError(f"{path}: missing required key {section}.{key}")
-    return entry or (None, None)
-
-
 def _as_float(value, lineno, path, name):
     try:
         number = float(value)
@@ -141,12 +137,23 @@ def _as_squarable(value, lineno, path, name):
     return number
 
 
+def _as_numbers(value, lineno, path, name):
+    return tuple(_as_float(p, lineno, path, name) for p in value.split(","))
+
+
 def _as_int(value, lineno, path, name):
+    """An integer that fits numpy's index type, so a count or a mode never
+    overflows an array size or a float."""
     try:
-        return int(value)
+        number = int(value)
     except ValueError:
         raise ScenarioError(f"{path}:{lineno}: {name} must be an integer, "
                             f"got {value!r}")
+    index = np.iinfo(np.intp)
+    if not index.min <= number <= index.max:
+        raise ScenarioError(f"{path}:{lineno}: {name} must be in "
+                            f"{index.min}..{index.max}")
+    return number
 
 
 def _as_pair(value, lineno, path, name):
@@ -157,160 +164,169 @@ def _as_pair(value, lineno, path, name):
             _as_float(parts[1], lineno, path, name))
 
 
-def parse_scenario(path):
-    """Parse and validate a scenario file; defaults are applied here."""
-    sections = _parse_sections(path)
+def _as_text(value, lineno, path, name):
+    return value
 
-    name, ln = _take(sections, "model", "name", required=True, path=path)
-    if name not in BUILTIN_MODEL_NAMES:
-        raise ScenarioError(f"{path}:{ln}: unknown model.name {name!r}; "
-                            f"known: {', '.join(BUILTIN_MODEL_NAMES)}")
-    model_params = {}
-    for key in list(sections.get("model", {})):
-        value, lineno = sections["model"].pop(key)
-        if key == "potential":
-            model_params[key] = tuple(
-                _as_float(p, lineno, path, "model.potential")
-                for p in value.split(","))
-        elif key == "n":
-            model_params[key] = _as_int(value, lineno, path, "model.n")
-        elif key in ("mass", "omega"):
-            model_params[key] = _as_squarable(value, lineno, path,
-                                              f"model.{key}")
-        else:
-            model_params[key] = _as_float(value, lineno, path, f"model.{key}")
+
+def _beside_scenario(value, lineno, path, name):
+    """A file path relative to the scenario file's directory."""
+    return os.path.join(os.path.dirname(path), value)
+
+
+def _one_of(known):
+    """Reader of a name from ``known``."""
+    def read(value, lineno, path, name):
+        if value not in known:
+            raise ScenarioError(f"{path}:{lineno}: unknown {name} {value!r}; "
+                                f"known: {', '.join(known)}")
+        return value
+    return read
+
+
+def _as_initial_family(value, lineno, path, name):
+    """A name from INITIAL_FAMILIES; '-' reads as '_' (traveling-wave)."""
+    return _one_of(INITIAL_FAMILIES)(value.replace("-", "_"), lineno, path,
+                                     name)
+
+
+_REQUIRED = object()
+
+
+class Key(NamedTuple):
+    """A fixed key: ``read(value, lineno, path, name)`` converts its text,
+    ``default`` stands in when it is absent (without one it is required),
+    and a value that fails ``bound`` is refused as '<name> <refusal>'."""
+    read: Callable
+    default: object = _REQUIRED
+    bound: Callable | None = None
+    refusal: str = ""
+
+
+#: every fixed key, in the order it is read. The model decides the default
+#: and the bounds of grid.n_nodes, and gamma.family is required in a [gamma]
+#: section; :func:`parse_scenario` checks both.
+KEYS = {
+    "model.name": Key(_one_of(BUILTIN_MODEL_NAMES)),
+    "grid.n_nodes": Key(_as_int, None),
+    "grid.length": Key(_as_float, 1.0, lambda v: v > 0, "must be positive"),
+    "time.dt": Key(_as_float, bound=lambda v: v > 0,
+                   refusal="must be positive"),
+    "time.t_final": Key(_as_float),
+    "initial.family": Key(_as_initial_family),
+    "initial.amplitude": Key(_as_float, 1.0),
+    "initial.velocity": Key(_as_float, 0.0),
+    "initial.mode": Key(_as_int, 1),
+    "initial.phase": Key(_as_float, 0.0),
+    "initial.file": Key(_beside_scenario, None),
+    "initial.perturb_px": Key(_as_float, 0.0),
+    "gamma.family": Key(_one_of(GAMMA_FAMILIES), None),
+    "gamma.box_t": Key(_as_pair, (0.0, 1.0)),
+    "gamma.box_x": Key(_as_pair, (0.0, 1.0)),
+    "gamma.box_u": Key(_as_pair, (-2.0, 2.0)),
+    "gamma.samples_per_axis": Key(_as_int, 10, lambda v: v >= 1,
+                                  "must be >= 1"),
+    "gamma.verify_tol": Key(_as_float, 1e-10, lambda v: v >= 0,
+                            "must be >= 0"),
+    "output.directory": Key(_as_text, "out"),
+    "output.precision": Key(_as_int, 17, lambda v: 1 <= v <= 17,
+                            "must be in 1..17"),
+    "output.store_every": Key(_as_int, 1, lambda v: v >= 1, "must be >= 1"),
+    "output.pairing_steps": Key(_as_int, 10, lambda v: v >= 4,
+                                "must be >= 4 (the trajectory residual "
+                                "needs 5 frames)"),
+    "output.pairing_pairs": Key(_as_int, 20, lambda v: v >= 1,
+                                "must be >= 1"),
+}
+
+#: readers of the free-form [model] parameters; any other is a number
+MODEL_PARAMS = {"n": _as_int, "mass": _as_squarable, "omega": _as_squarable,
+                "potential": _as_numbers}
+
+
+def _params(sections, section, path, readers):
+    """The remaining keys of ``section`` as family parameters, each read by
+    its reader in ``readers`` or as a number."""
+    return {key: readers.get(key, _as_float)(value, lineno, path,
+                                             f"{section}.{key}")
+            for key, (value, lineno) in sections.pop(section, {}).items()}
+
+
+def parse_scenario(path):
+    """Parse and validate a scenario file; every default is applied here."""
+    sections = _parse_sections(path)
+    values, lines = {}, {}
+    for key_name, key in KEYS.items():
+        section, _, field = key_name.partition(".")
+        text, ln = sections.get(section, {}).pop(field, (None, None))
+        if text is None and key.default is _REQUIRED:
+            raise ScenarioError(f"{path}: missing required key {key_name}")
+        value = key.default if text is None else \
+            key.read(text, ln, path, key_name)
+        if key.bound is not None and not key.bound(value):
+            raise ScenarioError(f"{path}:{ln}: {key_name} {key.refusal}")
+        values[key_name], lines[key_name] = value, ln
+    model_params = _params(sections, "model", path, MODEL_PARAMS)
     if model_params.get("mass", 0.0) < 0:
         raise ScenarioError(f"{path}: model.mass must be non-negative")
 
-    default_nodes = 1 if name == "mechanics_oscillator" else 64
-    value, ln = _take(sections, "grid", "n_nodes", path=path)
-    n_nodes = default_nodes if value is None else _as_int(value, ln, path,
-                                                          "grid.n_nodes")
-    min_nodes = 1 if name == "mechanics_oscillator" else 3  # central stencil
+    name = values["model.name"]
+    oscillator = name == "mechanics_oscillator"
+    n_nodes, ln = values["grid.n_nodes"], lines["grid.n_nodes"]
+    if n_nodes is None:
+        n_nodes = 1 if oscillator else 64
+    min_nodes = 1 if oscillator else 3  # central stencil
     if n_nodes < min_nodes:
         raise ScenarioError(f"{path}:{ln}: grid.n_nodes must be >= "
                             f"{min_nodes}")
-    if name == "mechanics_oscillator" and n_nodes != 1:
+    if oscillator and n_nodes != 1:
         raise ScenarioError(f"{path}:{ln}: grid.n_nodes must be 1 for "
                             f"mechanics_oscillator")
-    value, ln = _take(sections, "grid", "length", path=path)
-    length = 1.0 if value is None else _as_float(value, ln, path, "grid.length")
-    if length <= 0:
-        raise ScenarioError(f"{path}:{ln}: grid.length must be positive")
 
-    value, dt_ln = _take(sections, "time", "dt", required=True, path=path)
-    dt = _as_float(value, dt_ln, path, "time.dt")
-    if dt <= 0:
-        raise ScenarioError(f"{path}:{dt_ln}: time.dt must be positive")
-    value, ln = _take(sections, "time", "t_final", required=True, path=path)
-    t_final = _as_float(value, ln, path, "time.t_final")
+    dt, t_final, ln = values["time.dt"], values["time.t_final"], \
+        lines["time.t_final"]
     if t_final < dt:
         raise ScenarioError(f"{path}:{ln}: time.t_final must be >= time.dt")
     if not np.isfinite(t_final / dt):
-        raise ScenarioError(f"{path}:{dt_ln}: time.dt is too small "
-                            f"(time.t_final / time.dt overflows)")
+        raise ScenarioError(f"{path}:{lines['time.dt']}: time.dt is too "
+                            f"small (time.t_final / time.dt overflows)")
     if abs(round(t_final / dt) * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ScenarioError(f"{path}:{ln}: time.t_final must be a whole "
                             f"number of time.dt steps")
 
-    family, ln = _take(sections, "initial", "family", required=True, path=path)
-    family = family.replace("-", "_")
-    if family not in INITIAL_FAMILIES:
-        raise ScenarioError(f"{path}:{ln}: unknown initial.family "
-                            f"{family!r}; known: {', '.join(INITIAL_FAMILIES)}")
-    initial_params = {}
-    for key in list(sections.get("initial", {})):
-        value, lineno = sections["initial"].pop(key)
-        if key == "file":  # relative to the scenario file's directory
-            initial_params[key] = os.path.join(os.path.dirname(path), value)
-        elif key == "mode":
-            initial_params[key] = _as_int(value, lineno, path, "initial.mode")
-        elif key in ("amplitude", "velocity", "phase", "perturb_px"):
-            initial_params[key] = _as_float(value, lineno, path,
-                                            f"initial.{key}")
-        else:
-            raise ScenarioError(f"{path}:{lineno}: unknown key "
-                                f"initial.{key}")
-    if family in ("sine", "traveling_wave") and name == "mechanics_oscillator":
+    family = values["initial.family"]
+    if family in ("sine", "traveling_wave") and oscillator:
         raise ScenarioError(f"{path}: initial.family {family!r} needs a "
                             f"spatial grid (m = 1 model)")
-    if family == "custom_table" and "file" not in initial_params:
+    if family == "custom_table" and values["initial.file"] is None:
         raise ScenarioError(f"{path}: initial.family custom_table requires "
                             f"initial.file")
 
-    gamma_name = None
-    gamma_params = {}
-    verify_box = {}
-    verify_samples = 10
-    verify_tol = 1e-10
-    if "gamma" in sections:
-        gname, ln = _take(sections, "gamma", "family", required=True,
-                          path=path)
-        if gname not in GAMMA_FAMILIES:
-            raise ScenarioError(f"{path}:{ln}: unknown gamma.family "
-                                f"{gname!r}; known: {', '.join(GAMMA_FAMILIES)}")
-        gamma_name = gname
-        for key in list(sections.get("gamma", {})):
-            value, lineno = sections["gamma"].pop(key)
-            if key in ("box_t", "box_x", "box_u"):
-                verify_box[key[4:]] = _as_pair(value, lineno, path,
-                                               f"gamma.{key}")
-            elif key == "samples_per_axis":
-                verify_samples = _as_int(value, lineno, path,
-                                         "gamma.samples_per_axis")
-                if verify_samples < 1:
-                    raise ScenarioError(f"{path}:{lineno}: "
-                                        f"gamma.samples_per_axis must be "
-                                        f">= 1")
-            elif key == "omega":
-                gamma_params[key] = _as_squarable(value, lineno, path,
-                                                  "gamma.omega")
-            elif key == "verify_tol":
-                verify_tol = _as_float(value, lineno, path, "gamma.verify_tol")
-                if verify_tol < 0:
-                    raise ScenarioError(f"{path}:{lineno}: "
-                                        f"gamma.verify_tol must be >= 0")
-            else:
-                gamma_params[key] = _as_float(value, lineno, path,
-                                              f"gamma.{key}")
-
-    value, ln = _take(sections, "output", "directory", path=path)
-    output_dir = value if value is not None else "out"
-    value, ln = _take(sections, "output", "precision", path=path)
-    precision = 17 if value is None else _as_int(value, ln, path,
-                                                 "output.precision")
-    if not (1 <= precision <= 17):
-        raise ScenarioError(f"{path}:{ln}: output.precision must be in 1..17")
-    value, ln = _take(sections, "output", "store_every", path=path)
-    store_every = 1 if value is None else _as_int(value, ln, path,
-                                                  "output.store_every")
-    if store_every < 1:
-        raise ScenarioError(f"{path}:{ln}: output.store_every must be >= 1")
-    value, ln = _take(sections, "output", "pairing_steps", path=path)
-    pairing_steps = 10 if value is None else _as_int(value, ln, path,
-                                                     "output.pairing_steps")
-    if pairing_steps < 4:
-        raise ScenarioError(f"{path}:{ln}: output.pairing_steps must be >= 4 "
-                            f"(the trajectory residual needs 5 frames)")
-    value, ln = _take(sections, "output", "pairing_pairs", path=path)
-    pairing_pairs = 20 if value is None else _as_int(value, ln, path,
-                                                     "output.pairing_pairs")
-    if pairing_pairs < 1:
-        raise ScenarioError(f"{path}:{ln}: output.pairing_pairs must be >= 1")
+    gamma_name = values["gamma.family"]
+    if gamma_name is None and "gamma" in sections:
+        raise ScenarioError(f"{path}: missing required key gamma.family")
+    gamma_params = _params(sections, "gamma", path, {"omega": _as_squarable})
 
     for sec_name, entries in sections.items():
         for key, (_, lineno) in entries.items():
             raise ScenarioError(f"{path}:{lineno}: unknown key "
                                 f"{sec_name}.{key}")
 
-    return Scenario(path=path, model_name=name, model_params=model_params,
-                    n_nodes=n_nodes, length=length, dt=dt, t_final=t_final,
-                    initial_family=family, initial_params=initial_params,
-                    gamma_name=gamma_name, gamma_params=gamma_params,
-                    output_dir=output_dir, precision=precision,
-                    store_every=store_every, verify_box=verify_box,
-                    verify_samples=verify_samples, verify_tol=verify_tol,
-                    pairing_steps=pairing_steps, pairing_pairs=pairing_pairs)
+    return Scenario(
+        path=path, model_name=name, model_params=model_params,
+        n_nodes=n_nodes, length=values["grid.length"], dt=dt,
+        t_final=t_final, initial_family=family,
+        initial_params={k.removeprefix("initial."): value
+                        for k, value in values.items()
+                        if k.startswith("initial.") and k != "initial.family"},
+        gamma_name=gamma_name, gamma_params=gamma_params,
+        output_dir=values["output.directory"],
+        precision=values["output.precision"],
+        store_every=values["output.store_every"],
+        verify_box={axis: values[f"gamma.box_{axis}"] for axis in "txu"},
+        verify_samples=values["gamma.samples_per_axis"],
+        verify_tol=values["gamma.verify_tol"],
+        pairing_steps=values["output.pairing_steps"],
+        pairing_pairs=values["output.pairing_pairs"])
 
 
 def _mass(scenario):
@@ -382,22 +398,18 @@ def _load_table(path, n, n_nodes):
 
 def initial_fields(scenario, grid, n):
     """Per-node (u, p_t) of the scenario's initial family."""
-    params = dict(scenario.initial_params)
+    params = scenario.initial_params
     family = scenario.initial_family
     N = grid.n_nodes
+    amp = params["amplitude"]
     if family == "constant":
-        amp = params.get("amplitude", 1.0)
-        vel = params.get("velocity", 0.0)
-        return np.full((n, N), amp), np.full((n, N), vel)
+        return np.full((n, N), amp), np.full((n, N), params["velocity"])
     if family == "custom_table":
         return _load_table(params["file"], n, N)
-    mode = int(params.get("mode", 1))
-    amp = params.get("amplitude", 1.0)
-    kappa = 2.0 * np.pi * mode / grid.length
+    kappa = 2.0 * np.pi * params["mode"] / grid.length
     xs = grid.x[0]
     if family == "sine":
-        phase = params.get("phase", 0.0)
-        u = amp * np.sin(kappa * xs + phase)
+        u = amp * np.sin(kappa * xs + params["phase"])
         return np.tile(u, (n, 1)), np.zeros((n, N))
     # traveling_wave: profile moving right at unit speed
     u = amp * np.sin(kappa * xs)
@@ -416,11 +428,8 @@ def exact_solution(scenario):
     or None when unavailable."""
     family = scenario.initial_family
     name = scenario.model_name
-    params = dict(scenario.initial_params)
-    amp = params.get("amplitude", 1.0)
-    vel = params.get("velocity", 0.0)
-    mode = int(params.get("mode", 1))
-    phase = params.get("phase", 0.0)
+    params = scenario.initial_params
+    amp, vel, phase = params["amplitude"], params["velocity"], params["phase"]
 
     if family == "constant":
         if name == "scalar_potential":
@@ -439,7 +448,7 @@ def exact_solution(scenario):
     if name not in ("free_wave", "klein_gordon"):
         return None
     mass = _mass(scenario)
-    kappa = 2.0 * np.pi * mode / scenario.length
+    kappa = 2.0 * np.pi * params["mode"] / scenario.length
     if family == "sine":
         omega = np.hypot(kappa, mass)
 

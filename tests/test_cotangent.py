@@ -15,7 +15,7 @@ from dedonder_hj.cotangent import (ConstraintError, CotangentState,
                                    standard_cotangent_variations,
                                    time_legendre_constraint_residual,
                                    variational_derivative)
-from dedonder_hj.hj import linear_gamma, oscillator_gamma
+from dedonder_hj.hj import _lift_with, linear_gamma, oscillator_gamma
 from dedonder_hj.legendre import hamiltonian_from_lagrangian
 from dedonder_hj.models import Dimensions, builtin_model
 
@@ -403,7 +403,6 @@ def test_hat_gamma_annihilates_extended_form():
     # the certified section's cotangent image: pushing variations of the
     # base field through hat_gamma annihilates the extended two-form, and
     # the pushed horizontal generator contracts to zero against verticals
-    from dedonder_hj.hj import lift_variation
     L, H = kg(1.0)
     g = make_grid(16)
     og = oscillator_gamma(M1, omega=1.0)
@@ -416,13 +415,15 @@ def test_hat_gamma_annihilates_extended_form():
             kV, kW = rng.normal(size=2)
             V = rng.normal(size=(1, 16))
             W = rng.normal(size=(1, 16))
-            pv = push_variation(lift_variation(og, t, g, u, kV, V))
-            pw = push_variation(lift_variation(og, t, g, u, kW, W))
+            d = og.partials(t, g.x, u)
+            pv = push_variation(_lift_with(d, g, u, kV, V))
+            pw = push_variation(_lift_with(d, g, u, kW, W))
             worst_pull = max(worst_pull,
                              abs(extended_form_pairing(L, g, cs, pv, pw)))
         assert worst_pull <= 1e-12
         gamma0 = H.d_pt(t, g.x, u, og.pt(t, g.x, u), og.px(t, g.x, u))
-        X = push_variation(lift_variation(og, t, g, u, 1.0, gamma0))
+        X = push_variation(_lift_with(og.partials(t, g.x, u), g, u, 1.0,
+                                      gamma0))
         for _ in range(4):
             xi = CotangentVariation(0.0, rng.normal(size=(1, 16)),
                                     rng.normal(size=(1, 16)))

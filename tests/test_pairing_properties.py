@@ -16,10 +16,11 @@ from dedonder_hj import cotangent
 from dedonder_hj.cauchy import (CauchyState, TangentBatch, TangentVariation,
                                 _field_rows, _row_variation,
                                 _state_pairing_data, covector_residual,
-                                dynamical_trajectory_residual, make_grid,
+                                dynamical_trajectory_residual,
+                                integrate_density, make_grid,
                                 pairing_covector, presymplectic_pairing,
                                 standard_test_variations,
-                                time_derivative_frames, variation_norm)
+                                time_derivative_frames)
 from dedonder_hj.cotangent import (CotangentBatch, CotangentState,
                                    CotangentVariation,
                                    cotangent_trajectory_residual,
@@ -145,6 +146,24 @@ def test_indicator_count():
     g = make_grid(6)
     assert len(indicator_variations(g, 1)) == 3 * 6
     assert len(indicator_variations(g, 2)) == 6 * 6
+
+
+def variation_norm(grid, X):
+    """sqrt(k^2 + integral of |du|^2 + |dp_t|^2 + |dp_x|^2) of one
+    variation; the reference for the batched norms of the test sets."""
+    total = X.k ** 2
+    total += integrate_density(grid, np.sum(X.du ** 2, axis=0))
+    total += integrate_density(grid, np.sum(X.dp_t ** 2, axis=0))
+    if X.dp_x.size:
+        total += integrate_density(grid, np.sum(X.dp_x ** 2, axis=(0, 1)))
+    return float(np.sqrt(total))
+
+
+def test_variation_norm():
+    g = make_grid(4)
+    X = TangentVariation(2.0, np.ones((1, 4)), np.zeros((1, 4)),
+                         np.zeros((1, 1, 4)))
+    assert variation_norm(g, X) == pytest.approx(np.sqrt(5.0), rel=1e-14)
 
 
 def magnitude(*items):

@@ -1,23 +1,13 @@
-"""Every name the package exports is reached from the library itself, a
-demo or an acceptance criterion, so public helpers that only their own
-unit tests call do not pile up again."""
+"""Every name the package exports is used in the code of the library
+itself, a demo or an acceptance criterion, so public helpers that only
+their own unit tests call do not pile up again. Names are collected from
+the syntax tree, so a mention in a docstring or a comment is not a use."""
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "dedonder_hj"
-
-#: exported names kept without such a caller
-ALLOWED = {
-    # the documented one-call stage right-hand side; the benchmark's
-    # per-layer timing cauchy.hdw_rhs is named after it
-    "hdw_rhs",
-    # the plain norm of one variation, the reference that the batched
-    # norms of the test sets are checked against
-    "variation_norm",
-}
 
 
 def exported_names():
@@ -27,29 +17,23 @@ def exported_names():
             for alias in node.names]
 
 
-def reaching_lines():
+def used_names():
+    """Every name read or assigned, and every attribute, in the code of
+    the modules, the demos and the acceptance tests."""
     files = ([p for p in sorted(PACKAGE.glob("*.py"))
               if p.name != "__init__.py"]
              + sorted((ROOT / "demos").glob("*.py"))
              + [ROOT / "tests" / "test_acceptance.py"])
-    return [line for p in files for line in p.read_text().splitlines()]
-
-
-def unreached_exports():
-    lines = reaching_lines()
-    out = []
-    for name in exported_names():
-        word = re.compile(rf"\b{name}\b")
-        own = re.compile(rf"^\s*(def|class)\s+{name}\b")
-        if not any(word.search(ln) and not own.match(ln) for ln in lines):
-            out.append(name)
-    return out
+    used = set()
+    for p in files:
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
 
 
 def test_every_export_is_reached():
-    assert [name for name in unreached_exports()
-            if name not in ALLOWED] == []
+    assert sorted(set(exported_names()) - used_names()) == []
 
-
-def test_allowed_names_are_exported():
-    assert ALLOWED <= set(exported_names())

@@ -7,7 +7,7 @@ import pytest
 
 from dedonder_hj import cli, scenario
 from dedonder_hj.cli import main
-from dedonder_hj.scenario import (ScenarioError, exact_solution,
+from dedonder_hj.scenario import (Scenario, ScenarioError, exact_solution,
                                   initial_fields, parse_scenario)
 from dedonder_hj.cauchy import make_grid
 
@@ -106,6 +106,33 @@ family = sine
     assert sc.n_nodes == 64
     assert sc.gamma_name is None
     assert sc.m == 1 and sc.n_steps == 10
+
+
+@pytest.mark.parametrize("model, n_nodes", [("free_wave", 64),
+                                            ("mechanics_oscillator", 1)])
+def test_every_default_is_on_the_parsed_scenario(tmp_path, model, n_nodes):
+    # a file with only the required keys; every other value is a default
+    path = write(tmp_path, f"""
+[model]
+name = {model}
+
+[time]
+dt = 0.01
+t_final = 0.1
+
+[initial]
+family = constant
+""")
+    assert parse_scenario(path) == Scenario(
+        path=path, model_name=model, model_params={}, n_nodes=n_nodes,
+        length=1.0, dt=0.01, t_final=0.1, initial_family="constant",
+        initial_params={"amplitude": 1.0, "velocity": 0.0, "mode": 1,
+                        "phase": 0.0, "file": None, "perturb_px": 0.0},
+        gamma_name=None, gamma_params={}, output_dir="out", precision=17,
+        store_every=1,
+        verify_box={"t": (0.0, 1.0), "x": (0.0, 1.0), "u": (-2.0, 2.0)},
+        verify_samples=10, verify_tol=1e-10, pairing_steps=10,
+        pairing_pairs=20)
 
 
 def test_parse_rejects_zero_dt(tmp_path):
@@ -1202,6 +1229,9 @@ def kg(old, new):
 
 OSCILLATOR_TEXT = oscillator()
 TABLE = "family = custom_table\nfile = TABLE_DIR/{}"
+#: an integer of 401 digits, and the integers that index an array
+HUGE = "1" + "0" * 400
+INDEX_RANGE = f"{np.iinfo(np.intp).min}..{np.iinfo(np.intp).max}"
 
 
 @pytest.mark.parametrize("command, text, bad, message", [
@@ -1289,6 +1319,24 @@ TABLE = "family = custom_table\nfile = TABLE_DIR/{}"
      "unused parameters for oscillator: ['omgea']"),
     ("characteristics", KG_LIFTED.replace("omega = 1.0", "omgea = 3.0"), None,
      "unused parameters for oscillator: ['omgea']"),
+    ("simulate", kg("n_nodes = 16", f"n_nodes = {HUGE}"), f"n_nodes = {HUGE}",
+     f"grid.n_nodes must be in {INDEX_RANGE}"),
+    ("simulate", kg("phase = 0.3", f"phase = 0.3\nmode = {HUGE}"),
+     f"mode = {HUGE}", f"initial.mode must be in {INDEX_RANGE}"),
+    ("verify-hj", KG_LIFTED.replace("samples_per_axis = 4",
+                                    f"samples_per_axis = {HUGE}"),
+     f"samples_per_axis = {HUGE}",
+     f"gamma.samples_per_axis must be in {INDEX_RANGE}"),
+    ("simulate", kg("mass = 1.0", f"mass = 1.0\nn = {HUGE}"), f"n = {HUGE}",
+     f"model.n must be in {INDEX_RANGE}"),
+    ("pairing-check", kg("pairing_pairs = 3", f"pairing_pairs = {HUGE}"),
+     f"pairing_pairs = {HUGE}",
+     f"output.pairing_pairs must be in {INDEX_RANGE}"),
+    ("simulate", kg("n_nodes = 16", "n_nodes = 100000000000000000000"),
+     "n_nodes = 100000000000000000000",
+     f"grid.n_nodes must be in {INDEX_RANGE}"),
+    ("simulate", kg("mass = 1.0", "mass = 1.0\nn = 100000000000000000000"),
+     "n = 100000000000000000000", f"model.n must be in {INDEX_RANGE}"),
 ], ids=["no-equals", "outside-section", "empty-key", "missing-key",
         "duplicate-key", "not-a-number", "not-an-integer", "not-a-pair",
         "negative-mass", "two-nodes", "one-node", "oscillator-no-nodes",
@@ -1302,7 +1350,10 @@ TABLE = "family = custom_table\nfile = TABLE_DIR/{}"
         "mass-squared-overflows", "oscillator-omega-squared-overflows", "gamma-omega-squared-overflows",
         "simulate-misspelt-initial-key", "verify-hj-misspelt-initial-key",
         "characteristics-misspelt-initial-key", "verify-hj-misspelt-gamma-key",
-        "characteristics-misspelt-gamma-key"])
+        "characteristics-misspelt-gamma-key", "n_nodes-past-index-range",
+        "mode-past-index-range", "samples_per_axis-past-index-range",
+        "model-n-past-index-range", "pairing_pairs-past-index-range",
+        "n_nodes-1e20", "model-n-1e20"])
 def test_refusals_name_their_file_and_line(tmp_path, capsys, command, text,
                                            bad, message):
     # each exits 2 before it writes a line of output or a CSV; the anchor is
