@@ -544,8 +544,9 @@ def time_derivative_frames(frames, dt):
     """
     frames = np.asarray(frames, dtype=float)
     K = frames.shape[0]
-    if K < 5:
-        raise ModelError("need at least 5 frames for time differencing")
+    if K < MIN_CHECKED_FRAMES:
+        raise ModelError(f"need at least {MIN_CHECKED_FRAMES} frames for "
+                         f"time differencing")
     out = np.empty_like(frames)
     c = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
     out[2:K - 2] = sum(c[i] * frames[i:K - 4 + i] for i in range(5))

@@ -55,12 +55,13 @@ class IncompatibleDataError(RuntimeError):
 class HJSection:
     """Momentum-valued section with partial-derivative access.
 
-    Component callables take ``(t, x, u)`` and broadcast over a trailing
-    axis, which holds grid nodes (t scalar, x (m, N), u (n, N)) or
-    independent samples (t (P,), x (m, P), u (n, P)): ``pt -> (n, ...)``,
-    ``px -> (n, m, ...)``, ``p -> (...)``. The domain guard receives t as
-    given. Analytic partials may be supplied via the ``partials`` hook
-    returning a dict with keys
+    Component callables take ``(t, x, u)``, with u a float array, and
+    broadcast over a trailing axis, which holds grid nodes (t scalar,
+    x (m, N), u (n, N)) or independent samples (t (P,), x (m, P),
+    u (n, P)): ``pt -> (n, ...)``, ``px -> (n, m, ...)``, ``p -> (...)``.
+    ``momenta``, ``p`` and ``partials`` check the domain with t as given
+    and return float arrays. Analytic partials may be supplied via the
+    ``partials`` hook returning a dict with keys
 
         "pt_t" (n,...), "pt_x" (n,m,...), "pt_u" (n,n,...),
         "px_t" (n,m,...), "px_x" (n,m,m,...), "px_u" (n,m,n,...),
@@ -69,13 +70,13 @@ class HJSection:
     otherwise central finite differences of the components are used.
     """
 
-    def __init__(self, dims, pt, px, p=None, partials=None, name="gamma",
+    def __init__(self, dims, pt, px, p=None, partials=None,
                  domain_guard=None):
         self.dims = dims
-        self.name = name
         self._pt = pt
         self._px = px
-        self._p = p if p is not None else (lambda t, x, u: np.zeros(np.shape(np.asarray(u)[0])))
+        self._p = p if p is not None else \
+            (lambda t, x, u: np.zeros(u.shape[1:]))
         self._partials = partials
         self._guard = domain_guard
 
@@ -83,26 +84,32 @@ class HJSection:
         if self._guard is not None:
             self._guard(t)
 
-    def pt(self, t, x, u):
+    def _component(self, f, t, x, u):
         self._check(t)
-        return np.asarray(self._pt(t, x, u), dtype=float)
+        return np.asarray(f(t, x, np.asarray(u, dtype=float)), dtype=float)
 
-    def px(self, t, x, u):
+    def momenta(self, t, x, u):
+        """The lift (gamma_pt, gamma_px) of (t, x, u)."""
         self._check(t)
-        return np.asarray(self._px(t, x, u), dtype=float)
+        u = np.asarray(u, dtype=float)
+        return (np.asarray(self._pt(t, x, u), dtype=float),
+                np.asarray(self._px(t, x, u), dtype=float))
 
     def p(self, t, x, u):
-        self._check(t)
-        return np.asarray(self._p(t, x, u), dtype=float)
+        return self._component(self._p, t, x, u)
 
     def partials(self, t, x, u):
         self._check(t)
+        u = np.asarray(u, dtype=float)
         if self._partials is not None:
-            return self._partials(t, x, u)
+            return {key: np.asarray(value, dtype=float)
+                    for key, value in self._partials(t, x, u).items()}
         return {f"{name}_{var}": central_difference(
-                    getattr(self, name), (t, x, u), wrt, comp_axes=min(wrt, 1))
-                for name in ("pt", "px", "p") for wrt, var in enumerate("txu")
-                if name != "p" or var == "u"}
+                    lambda *a, f=f: self._component(f, *a), (t, x, u), wrt,
+                    comp_axes=min(wrt, 1))
+                for name, f in (("pt", self._pt), ("px", self._px),
+                                ("p", self._p))
+                for wrt, var in enumerate("txu") if name != "p" or var == "u"}
 
 
 # -- built-in section families ----------------------------------------------
@@ -114,18 +121,15 @@ def linear_gamma(dims, a, b=0.0, c=0.0, d=0.0, p_const=0.0):
     a, b, c, d, p_const = (float(v) for v in (a, b, c, d, p_const))
 
     def pt(t, x, u):
-        return a * np.asarray(u, dtype=float) + b
+        return a * u + b
 
     def px(t, x, u):
-        u = np.asarray(u, dtype=float)
         return np.broadcast_to((c * u + d)[:, None], (n, m) + u.shape[1:]).copy()
 
     def p(t, x, u):
-        u = np.asarray(u, dtype=float)
         return np.full(u.shape[1:], p_const)
 
     def partials(t, x, u):
-        u = np.asarray(u, dtype=float)
         tail = u.shape[1:]
         eye = np.eye(n).reshape((n, n) + (1,) * len(tail))
         ones = np.ones((1,) * 2 + tail) if tail else 1.0
@@ -140,16 +144,20 @@ def linear_gamma(dims, a, b=0.0, c=0.0, d=0.0, p_const=0.0):
             "p_u": np.zeros((n,) + tail),
         }
 
-    return HJSection(dims, pt, px, p=p, partials=partials, name="linear_gamma")
+    return HJSection(dims, pt, px, p=p, partials=partials)
 
 
-def oscillator_gamma(dims, omega, phi=0.0, pole_tol=1e-3):
+#: distance from a pole of tan within which the oscillator section refuses
+POLE_TOL = 1e-3
+
+
+def oscillator_gamma(dims, omega, phi=0.0):
     """gamma_pt = a(t) u with a(t) = -omega tan(omega t + phi), gamma_px = 0
     and gamma_p = a'(t) |u|^2 / 2, which makes the section closed.
 
     Solves the Hamilton-Jacobi condition for the oscillator (m = 0) and
     for the mass-omega Klein-Gordon model (m = 1) since a' + a^2 + omega^2
-    = 0. Evaluation refuses within ``pole_tol`` of the poles of tan.
+    = 0. Evaluation refuses within :data:`POLE_TOL` of the poles of tan.
     """
     n, m = dims.n, dims.m
     omega = float(omega)
@@ -161,15 +169,15 @@ def oscillator_gamma(dims, omega, phi=0.0, pole_tol=1e-3):
         z = omega * t + phi
         w = (z - np.pi / 2.0) % np.pi
         if isinstance(w, float):
-            if min(w, np.pi - w) >= pole_tol:
+            if min(w, np.pi - w) >= POLE_TOL:
                 return
         else:
-            near = np.ravel(np.minimum(w, np.pi - w) < pole_tol)
+            near = np.ravel(np.minimum(w, np.pi - w) < POLE_TOL)
             if not near.any():
                 return
             z = np.ravel(z)[np.argmax(near)]    # first offending sample
         raise GammaDomainError(
-            f"oscillator section evaluated within {pole_tol:g} of a "
+            f"oscillator section evaluated within {POLE_TOL:g} of a "
             f"tan pole (omega t + phi = {z:.6f})")
 
     def a(t):
@@ -179,18 +187,15 @@ def oscillator_gamma(dims, omega, phi=0.0, pole_tol=1e-3):
         return -omega ** 2 / np.cos(omega * t + phi) ** 2
 
     def pt(t, x, u):
-        return a(t) * np.asarray(u, dtype=float)
+        return a(t) * u
 
     def px(t, x, u):
-        u = np.asarray(u, dtype=float)
         return np.zeros((n, m) + u.shape[1:])
 
     def p(t, x, u):
-        u = np.asarray(u, dtype=float)
         return 0.5 * a_prime(t) * np.sum(u ** 2, axis=0)
 
     def partials(t, x, u):
-        u = np.asarray(u, dtype=float)
         tail = u.shape[1:]
         eye = np.eye(n).reshape((n, n) + (1,) * len(tail))
         return {
@@ -204,7 +209,7 @@ def oscillator_gamma(dims, omega, phi=0.0, pole_tol=1e-3):
         }
 
     return HJSection(dims, pt, px, p=p, partials=partials,
-                     name="oscillator_gamma", domain_guard=guard)
+                     domain_guard=guard)
 
 
 GAMMA_FAMILIES = ("linear", "oscillator")
@@ -220,8 +225,7 @@ def gamma_family(name, dims, params=None):
                              p_const=params.pop("p_const", 0.0))
     elif name == "oscillator":
         gamma = oscillator_gamma(dims, omega=params.pop("omega", 1.0),
-                                 phi=params.pop("phi", 0.0),
-                                 pole_tol=params.pop("pole_tol", 1e-3))
+                                 phi=params.pop("phi", 0.0))
     else:
         raise ModelError(f"unknown gamma family {name!r}; known: "
                          + ", ".join(GAMMA_FAMILIES))
@@ -275,13 +279,11 @@ def gamma_closedness_residual(gamma, t, x=None, u=None):
                            -1, 0)
 
     d = gamma.partials(t, x, u)
-    pt_u = np.asarray(d["pt_u"], dtype=float)           # (n, n, ...)
-    px_u = np.moveaxis(np.asarray(d["px_u"], dtype=float),
-                       1, 0)                              # (m, n, n, ...)
-    mixed = np.asarray(d["p_u"], dtype=float) - np.asarray(d["pt_t"],
-                                                            dtype=float)
+    pt_u = d["pt_u"]                                      # (n, n, ...)
+    px_u = np.moveaxis(d["px_u"], 1, 0)                   # (m, n, n, ...)
+    mixed = d["p_u"] - d["pt_t"]
     if m:
-        mixed -= np.einsum("ajj...->a...", np.asarray(d["px_x"], dtype=float))
+        mixed -= np.einsum("ajj...->a...", d["px_x"])
     return ClosednessResidual(
         symmetry_t=samples_first(pt_u - np.swapaxes(pt_u, 0, 1)),
         symmetry_x=samples_first(px_u - np.swapaxes(px_u, 1, 2)),
@@ -299,21 +301,17 @@ def hj_residual(H, gamma, t, x, u):
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    pt = gamma.pt(t, x, u)
-    px = gamma.px(t, x, u)
-    args = (t, x, u, pt, px)
+    args = (t, x, u) + gamma.momenta(t, x, u)
     h_u = H.d_u(*args)
     h_pt = H.d_pt(*args)
     h_px = H.d_px(*args)
     d = gamma.partials(t, x, u)
     res = h_u.astype(float).copy()
-    res += np.einsum("b...,ba...->a...", h_pt,
-                     np.asarray(d["pt_u"], dtype=float))
+    res += np.einsum("b...,ba...->a...", h_pt, d["pt_u"])
     if gamma.dims.m:
-        res += np.einsum("bj...,bja...->a...", h_px,
-                         np.asarray(d["px_u"], dtype=float))
-        res += np.einsum("ajj...->a...", np.asarray(d["px_x"], dtype=float))
-    res += np.asarray(d["pt_t"], dtype=float)
+        res += np.einsum("bj...,bja...->a...", h_px, d["px_u"])
+        res += np.einsum("ajj...->a...", d["px_x"])
+    res += d["pt_t"]
     return res
 
 
@@ -327,18 +325,13 @@ def reduced_connection(H, gamma):
     def coefficients(t, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        pt = gamma.pt(t, x, u)
-        px = gamma.px(t, x, u)
-        return H.d_momenta(t, x, u, pt, px)
+        return H.d_momenta(t, x, u, *gamma.momenta(t, x, u))
 
     def partials(t, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        pt = gamma.pt(t, x, u)
-        px = gamma.px(t, x, u)
-        J = H.momentum_jacobian(t, x, u, pt, px)
-        g = {k: np.asarray(v, dtype=float)
-             for k, v in gamma.partials(t, x, u).items()}
+        J = H.momentum_jacobian(t, x, u, *gamma.momenta(t, x, u))
+        g = gamma.partials(t, x, u)
         J_pt, J_px = J["p_t"], J["p_x"]
 
         def chain(explicit, d_pt, d_px):
@@ -369,9 +362,7 @@ def restricted_connection_residual(H, gamma, grid, u, t):
     n = u.shape[0]
     if grid.m == 0:
         return np.zeros((n, 0, 1))
-    pt = gamma.pt(t, grid.x, u)
-    px = gamma.px(t, grid.x, u)
-    gamma_x = H.d_px(t, grid.x, u, pt, px)       # (n, m, N)
+    gamma_x = H.d_px(t, grid.x, u, *gamma.momenta(t, grid.x, u))  # (n, m, N)
     return gradient_fields(grid, u) - gamma_x
 
 
@@ -408,9 +399,7 @@ def evolve_characteristics(H, gamma, grid, u0, t0, dt, t_final,
         raise ModelError("t_final - t0 must be an integer number of steps")
 
     def rhs(t, uu):
-        pt = gamma.pt(t, grid.x, uu)
-        px = gamma.px(t, grid.x, uu)
-        return H.d_pt(t, grid.x, uu, pt, px)
+        return H.d_pt(t, grid.x, uu, *gamma.momenta(t, grid.x, uu))
 
     frames = [u.copy()]
     times = [t0]
@@ -435,8 +424,7 @@ def evolve_characteristics(H, gamma, grid, u0, t0, dt, t_final,
 
 def lift_by_gamma(gamma, t, grid, u):
     """Cauchy state with momenta read off the section at every node."""
-    u = np.asarray(u, dtype=float)
-    return CauchyState(t, u, gamma.pt(t, grid.x, u), gamma.px(t, grid.x, u))
+    return CauchyState(t, u, *gamma.momenta(t, grid.x, u))
 
 
 def _lift_with(d, grid, u, k, du):
@@ -444,11 +432,9 @@ def _lift_with(d, grid, u, k, du):
     the section lift, from the section partials ``d`` at u: momenta vary
     by k d_t gamma + d_u gamma . du."""
     du = np.asarray(du, dtype=float)
-    dpt = k * np.asarray(d["pt_t"], dtype=float) \
-        + np.einsum("ab...,b...->a...", np.asarray(d["pt_u"], dtype=float), du)
+    dpt = k * d["pt_t"] + np.einsum("ab...,b...->a...", d["pt_u"], du)
     if grid.m:
-        dpx = k * np.asarray(d["px_t"], dtype=float) \
-            + np.einsum("ajb...,b...->aj...", np.asarray(d["px_u"], dtype=float), du)
+        dpx = k * d["px_t"] + np.einsum("ajb...,b...->aj...", d["px_u"], du)
     else:
         dpx = np.zeros((u.shape[0], 0, grid.n_nodes))
     return TangentVariation(k, du, dpt, dpx)

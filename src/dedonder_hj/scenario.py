@@ -36,8 +36,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cauchy import (CauchyState, make_grid, recover_spatial_momenta,
-                     rhs_spectral_radius)
+from .cauchy import (MIN_CHECKED_FRAMES, CauchyState, make_grid,
+                     recover_spatial_momenta, rhs_spectral_radius)
 from .hj import GAMMA_FAMILIES, gamma_family
 from .legendre import hamiltonian_from_lagrangian
 from .models import BUILTIN_MODEL_NAMES, ModelError, builtin_model
@@ -208,7 +208,8 @@ class Key(NamedTuple):
 KEYS = {
     "model.name": Key(_one_of(BUILTIN_MODEL_NAMES)),
     "grid.n_nodes": Key(_as_int, None),
-    "grid.length": Key(_as_float, 1.0, lambda v: v > 0, "must be positive"),
+    "grid.length": Key(_as_squarable, 1.0, lambda v: v > 0,
+                       "must be positive"),
     "time.dt": Key(_as_float, bound=lambda v: v > 0,
                    refusal="must be positive"),
     "time.t_final": Key(_as_float),
@@ -231,9 +232,11 @@ KEYS = {
     "output.precision": Key(_as_int, 17, lambda v: 1 <= v <= 17,
                             "must be in 1..17"),
     "output.store_every": Key(_as_int, 1, lambda v: v >= 1, "must be >= 1"),
-    "output.pairing_steps": Key(_as_int, 10, lambda v: v >= 4,
-                                "must be >= 4 (the trajectory residual "
-                                "needs 5 frames)"),
+    "output.pairing_steps": Key(_as_int, 10,
+                                lambda v: v >= MIN_CHECKED_FRAMES - 1,
+                                f"must be >= {MIN_CHECKED_FRAMES - 1} (the "
+                                f"trajectory residual needs "
+                                f"{MIN_CHECKED_FRAMES} frames)"),
     "output.pairing_pairs": Key(_as_int, 20, lambda v: v >= 1,
                                 "must be >= 1"),
 }
@@ -265,6 +268,7 @@ def parse_scenario(path):
         if key.bound is not None and not key.bound(value):
             raise ScenarioError(f"{path}:{ln}: {key_name} {key.refusal}")
         values[key_name], lines[key_name] = value, ln
+    n_line = sections.get("model", {}).get("n", (None, None))[1]
     model_params = _params(sections, "model", path, MODEL_PARAMS)
     if model_params.get("mass", 0.0) < 0:
         raise ScenarioError(f"{path}: model.mass must be non-negative")
@@ -281,6 +285,12 @@ def parse_scenario(path):
     if oscillator and n_nodes != 1:
         raise ScenarioError(f"{path}:{ln}: grid.n_nodes must be 1 for "
                             f"mechanics_oscillator")
+    # the bound of _as_int, on the bytes of one (n, N) float64 field
+    n, index_max = model_params.get("n", 1), np.iinfo(np.intp).max
+    if 8 * n_nodes * n > index_max:
+        raise ScenarioError(f"{path}:{ln if n_nodes >= n else n_line}: "
+                            f"grid.n_nodes * model.n = {n_nodes * n} float64 "
+                            f"values exceed {index_max} bytes")
 
     dt, t_final, ln = values["time.dt"], values["time.t_final"], \
         lines["time.t_final"]
@@ -289,6 +299,9 @@ def parse_scenario(path):
     if not np.isfinite(t_final / dt):
         raise ScenarioError(f"{path}:{lines['time.dt']}: time.dt is too "
                             f"small (time.t_final / time.dt overflows)")
+    if round(t_final / dt) > index_max:
+        raise ScenarioError(f"{path}:{ln}: time.t_final / time.dt = "
+                            f"{t_final / dt:.6g} steps exceed {index_max}")
     if abs(round(t_final / dt) * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ScenarioError(f"{path}:{ln}: time.t_final must be a whole "
                             f"number of time.dt steps")

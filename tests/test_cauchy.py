@@ -75,10 +75,29 @@ def test_make_grid_errors():
         make_grid(4, m=0)
     with pytest.raises(GridError):
         make_grid(4, length=-1.0)
+    with pytest.raises(GridError,
+                       match=r"^only m in \{0, 1\} is supported at runtime$"):
+        make_grid(4, m=2)
     for length in (np.nan, np.inf, -np.inf):
         with pytest.raises(GridError,
                            match="^length must be positive and finite$"):
             make_grid(16, length=length)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CauchyState(0.0, [[np.nan]], [[0.0]], np.zeros((1, 1, 1))),
+     "non-finite field u"),
+    (lambda: cauchy.checked_frames([0.0, 0.1, 0.2, 0.3]),
+     "need at least 5 stored frames"),
+    (lambda: cauchy.checked_frames([0.0, 0.1, 0.2, 0.3, 0.5]),
+     "frames must be uniformly spaced in time"),
+    (lambda: time_derivative_frames(np.zeros((4, 1)), 0.1),
+     "need at least 5 frames for time differencing"),
+], ids=["non-finite-state", "four-frames", "non-uniform-frames",
+        "four-frames-to-difference"])
+def test_states_and_frames_refused(call, message):
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        call()
 
 
 # -- derivative and quadrature ----------------------------------------------------

@@ -17,7 +17,7 @@ from dedonder_hj.cotangent import (ConstraintError, CotangentState,
                                    variational_derivative)
 from dedonder_hj.hj import _lift_with, linear_gamma, oscillator_gamma
 from dedonder_hj.legendre import hamiltonian_from_lagrangian
-from dedonder_hj.models import Dimensions, builtin_model
+from dedonder_hj.models import Dimensions, ModelError, builtin_model
 
 M1 = Dimensions(m=1, n=1)
 TWO_PI = 2.0 * np.pi
@@ -41,6 +41,11 @@ def exact_wave_cotangent(grid, t):
 
 
 # -- restriction ---------------------------------------------------------------
+
+def test_cotangent_state_refuses_non_finite_fields():
+    with pytest.raises(ModelError, match="^non-finite field pi$"):
+        CotangentState(0.0, [[1.0]], [[np.inf]])
+
 
 def test_restriction_drops_spatial_momenta():
     s = CauchyState(0.3, np.full((1, 4), 1.0), np.full((1, 4), 2.0),
@@ -421,7 +426,7 @@ def test_hat_gamma_annihilates_extended_form():
             worst_pull = max(worst_pull,
                              abs(extended_form_pairing(L, g, cs, pv, pw)))
         assert worst_pull <= 1e-12
-        gamma0 = H.d_pt(t, g.x, u, og.pt(t, g.x, u), og.px(t, g.x, u))
+        gamma0 = H.d_pt(t, g.x, u, *og.momenta(t, g.x, u))
         X = push_variation(_lift_with(og.partials(t, g.x, u), g, u, 1.0,
                                       gamma0))
         for _ in range(4):

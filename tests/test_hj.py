@@ -229,6 +229,7 @@ def test_characteristics_refuse_non_finite_u():
     (np.inf, 1, "dt must be positive and finite"),
     (0.0, 1, "dt must be positive and finite"),
     (0.01, 0, "store_every must be >= 1"),
+    (0.3, 1, "t_final - t0 must be an integer number of steps"),
 ])
 def test_characteristics_refuse_bad_step_and_stride(dt, store_every, message):
     # unrefused, dt = nan raised from round, dt = inf returned the
@@ -272,9 +273,9 @@ def test_characteristics_zero_section_is_static():
 
 
 def test_pole_guard():
-    og = oscillator_gamma(M1, omega=1.0, pole_tol=1e-3)
+    og = oscillator_gamma(M1, omega=1.0)
     with pytest.raises(GammaDomainError):
-        og.pt(np.pi / 2, np.zeros((1, 1)), np.ones((1, 1)))
+        og.momenta(np.pi / 2, np.zeros((1, 1)), np.ones((1, 1)))
 
 
 # -- lifting ---------------------------------------------------------------------
@@ -390,7 +391,7 @@ def test_connection_lift_vector_components():
     t = 0.3
     u = np.full((1, 8), np.cos(t))
     # the horizontal generator (k = 1, du = Gamma_0) lifted by the section
-    gamma0 = H.d_pt(t, g.x, u, og.pt(t, g.x, u), og.px(t, g.x, u))
+    gamma0 = H.d_pt(t, g.x, u, *og.momenta(t, g.x, u))
     X = _lift_with(og.partials(t, g.x, u), g, u, 1.0, gamma0)
     assert X.k == 1.0
     # du = Gamma_0 = a(t) u; dp_t = d_t gamma_pt + d_u gamma_pt Gamma_0 = -u
@@ -425,7 +426,7 @@ def test_two_component_certified_pipeline():
 
 def test_gamma_family_registry():
     lg = gamma_family("linear", M1, {"a": 0.5, "c": 0.5})
-    assert lg.name == "linear_gamma"
+    assert np.array_equal(lg.momenta(0.0, [0.0], [2.0])[0], [1.0])
     with pytest.raises(ModelError):
         gamma_family("generating_function", M1, {})
     with pytest.raises(ModelError, match=r"unused parameters for linear: "

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from dedonder_hj.legendre import (ConnectionCoefficients, FieldSection,
-                                  NewtonError, euler_lagrange_residual,
+from dedonder_hj.legendre import (NEWTON_MAX_ITER, ConnectionCoefficients,
+                                  FieldSection, NewtonError, _solve_nodewise,
+                                  euler_lagrange_residual,
                                   flatness_residual,
                                   hamiltonian_from_lagrangian, hdw_residual,
                                   inverse_legendre, legendre_extended,
                                   legendre_reduced, legendre_transform_section,
                                   regularity_check)
 from dedonder_hj.models import (Dimensions, JetSample, LagrangianModel,
-                                ReducedMomentumSample, builtin_model)
+                                ModelError, ReducedMomentumSample,
+                                builtin_model)
 
 M1 = Dimensions(m=1, n=1)
 TWO_PI = 2.0 * np.pi
@@ -138,6 +140,38 @@ def test_inverse_legendre_singular_raises():
     r = ReducedMomentumSample(0.0, [0.0], [0.0], [1.0], [[1.0]], M1)
     with pytest.raises(NewtonError):
         inverse_legendre(deg, r)
+
+
+def newton(g, target, jacobian=None):
+    """A one-unknown solve of g(v) = target whose model value is 0."""
+    return lambda: _solve_nodewise(g, lambda v: np.zeros(1),
+                                   np.full(1, target), "probe", 1,
+                                   jacobian=jacobian)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # g is constant: its differenced Jacobian is 0
+    (newton(lambda v: 0.0 * v + 1.0, 0.0), NewtonError,
+     "probe: singular Jacobian: Singular matrix"),
+    # v^2 + 1 = 0 has no root; every step from 0 raises the residual
+    (newton(lambda v: v ** 2 + 1.0, 0.0, lambda v: np.ones(1)), NewtonError,
+     "probe: damped Newton step stalled"),
+    # a Jacobian 4 times too large: the residual falls by 3/4 a step
+    (newton(lambda v: v, 1.0, lambda v: np.full(1, 4.0)), NewtonError,
+     f"probe: no convergence after {NEWTON_MAX_ITER} iterations "
+     r"\(residual 5\.663e-07\)"),
+    (lambda: hdw_residual(hamiltonian_from_lagrangian(
+        builtin_model("mechanics_oscillator")), legendre_transform_section(
+        builtin_model("free_wave"), travelling_wave_section()), []),
+     ModelError, "section dimensions do not match model"),
+    (lambda: ConnectionCoefficients(M1, lambda t, x, u: np.array(
+        [[np.nan, 0.0]])).coefficients(0.0, [0.0], [0.0]),
+     ModelError, "non-finite connection coefficients"),
+], ids=["singular-jacobian", "stalled-step", "no-convergence",
+        "section-dims", "non-finite-connection"])
+def test_solver_and_section_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 # -- Hamiltonian construction -------------------------------------------------

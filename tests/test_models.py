@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dedonder_hj.legendre import inverse_legendre, legendre_extended
-from dedonder_hj.models import (Dimensions, JetSample, LagrangianModel,
+from dedonder_hj.models import (Dimensions, ExtendedMomentumSample,
+                                HamiltonianModel, JetSample, LagrangianModel,
                                 ModelError, ReducedMomentumSample,
                                 builtin_model, central_difference)
 
@@ -241,6 +242,30 @@ def test_legendre_maps_reject_dimension_mismatch():
     r = ReducedMomentumSample(0.0, [0.0], [1.0], [0.5], [[0.5]], M1)
     with pytest.raises(ModelError):
         inverse_legendre(osc, r)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: JetSample(0.0, [0.0, 1.0], [0.0], [0.0], [[0.0]], M1),
+     r"x must have shape \(1,\), got \(2,\)"),
+    (lambda: ExtendedMomentumSample(0.0, [0.0], [0.0], np.nan, [0.0],
+                                    [[0.0]], M1),
+     "non-finite sample entry"),
+    (lambda: ReducedMomentumSample(np.nan, [0.0], [0.0], [0.0], [[0.0]], M1),
+     "t is not finite"),
+    (lambda: LagrangianModel(M1, lambda *a: np.nan, name="holed").value(
+        0.0, [0.0], [0.0], [0.0], [[0.0]]),
+     "holed: non-finite Lagrangian value"),
+    (lambda: HamiltonianModel(M1, lambda *a: np.inf, name="holed").value(
+        0.0, [0.0], [0.0], [0.0], [[0.0]]),
+     "holed: non-finite Hamiltonian value"),
+    (lambda: builtin_model("klein_gordon", {"potential": (0.0, 0.1)}),
+     "klein_gordon takes no polynomial potential"),
+], ids=["misshapen-x", "non-finite-affine-momentum", "non-finite-t",
+        "non-finite-lagrangian", "non-finite-hamiltonian",
+        "klein_gordon-potential"])
+def test_samples_and_models_refused(call, message):
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        call()
 
 
 def test_non_finite_rejected():

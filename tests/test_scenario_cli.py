@@ -1232,6 +1232,8 @@ TABLE = "family = custom_table\nfile = TABLE_DIR/{}"
 #: an integer of 401 digits, and the integers that index an array
 HUGE = "1" + "0" * 400
 INDEX_RANGE = f"{np.iinfo(np.intp).min}..{np.iinfo(np.intp).max}"
+#: 2**62 nodes, whose float64 bytes pass the index range
+NODES_2_62 = "n_nodes = 4611686018427387904"
 
 
 @pytest.mark.parametrize("command, text, bad, message", [
@@ -1337,6 +1339,15 @@ INDEX_RANGE = f"{np.iinfo(np.intp).min}..{np.iinfo(np.intp).max}"
      f"grid.n_nodes must be in {INDEX_RANGE}"),
     ("simulate", kg("mass = 1.0", "mass = 1.0\nn = 100000000000000000000"),
      "n = 100000000000000000000", f"model.n must be in {INDEX_RANGE}"),
+    ("characteristics", KG_LIFTED.replace("n_nodes = 16",
+                                          "n_nodes = 16\nlength = 1e300"),
+     "length = 1e300",
+     "grid.length is too large (its square overflows), got '1e300'"),
+    ("simulate", kg("n_nodes = 16", NODES_2_62), NODES_2_62,
+     f"grid.n_nodes * model.n = 4611686018427387904 float64 values exceed "
+     f"{np.iinfo(np.intp).max} bytes"),
+    ("simulate", kg("t_final = 0.2", "t_final = 1e300"), "t_final = 1e300",
+     f"time.t_final / time.dt = 1e+302 steps exceed {np.iinfo(np.intp).max}"),
 ], ids=["no-equals", "outside-section", "empty-key", "missing-key",
         "duplicate-key", "not-a-number", "not-an-integer", "not-a-pair",
         "negative-mass", "two-nodes", "one-node", "oscillator-no-nodes",
@@ -1353,7 +1364,8 @@ INDEX_RANGE = f"{np.iinfo(np.intp).min}..{np.iinfo(np.intp).max}"
         "characteristics-misspelt-gamma-key", "n_nodes-past-index-range",
         "mode-past-index-range", "samples_per_axis-past-index-range",
         "model-n-past-index-range", "pairing_pairs-past-index-range",
-        "n_nodes-1e20", "model-n-1e20"])
+        "n_nodes-1e20", "model-n-1e20", "length-squared-overflows",
+        "field-bytes-past-index-range", "steps-past-index-range"])
 def test_refusals_name_their_file_and_line(tmp_path, capsys, command, text,
                                            bad, message):
     # each exits 2 before it writes a line of output or a CSV; the anchor is
