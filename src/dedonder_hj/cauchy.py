@@ -24,6 +24,7 @@ vertical test variations reproduces exactly the split field equations
 above, which is what the trajectory residual measures.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +128,16 @@ class CauchyState:
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
         object.__setattr__(self, "p_t", np.asarray(self.p_t, dtype=float))
         object.__setattr__(self, "p_x", np.asarray(self.p_x, dtype=float))
+        if not np.isfinite(self.t):
+            raise ModelError(f"non-finite t {self.t}")
+        if self.u.ndim != 2 or self.p_t.shape != self.u.shape:
+            raise ModelError(f"u and p_t must share a shape (n, N), got "
+                             f"{self.u.shape} and {self.p_t.shape}")
+        n, N = self.u.shape
+        if self.p_x.ndim != 3 or self.p_x.shape[::2] != (n, N):
+            raise ModelError(f"p_x must have shape (n, m, N) = ({n}, m, {N}) "
+                             f"for u of shape {self.u.shape}, got "
+                             f"{self.p_x.shape}")
         for name in ("u", "p_t", "p_x"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ModelError(f"non-finite field {name}")
@@ -207,26 +218,41 @@ class TangentBatch(StackedVariations):
     indicators: bool = False
 
 
+def _check_fields(H, grid, u, p_t):
+    """Refuse per-node fields u and p_t that are not (n, N) for the model's
+    n components and the grid's N nodes."""
+    shape = (H.dims.n, grid.n_nodes)
+    if u.shape == shape == p_t.shape:
+        return
+    name, values = ("u", u) if u.shape != shape else ("p_t", p_t)
+    raise GridError(f"{name} must have shape (n, N) = {shape} for {H.name} "
+                    f"on {grid.n_nodes} nodes, got {values.shape}")
+
+
 def recover_spatial_momenta(H, grid, u, p_t=None, t=0.0):
     """Solve the spatial constraint dH/dp^j_a = (D u^a)_j for p_x at every
-    node (vectorized Newton with damping). The per-node Jacobian is the
-    p_x block of ``H.momentum_jacobian`` when the model supplies one,
-    central differences of dH/dp_x otherwise."""
+    node (vectorized Newton with damping). The solve starts at the model's
+    closed-form ``spatial_momenta`` when it has one, which then needs a
+    single check of dH/dp_x, and at zero otherwise. The per-node Jacobian
+    is the p_x block of ``H.momentum_jacobian`` when the model supplies
+    one, central differences of dH/dp_x otherwise."""
     u = np.asarray(u, dtype=float)
+    p_t = np.zeros_like(u) if p_t is None else np.asarray(p_t, dtype=float)
+    _check_fields(H, grid, u, p_t)
     n, N = u.shape
-    m = grid.m
-    if m == 0:
+    if grid.m == 0:
         return np.zeros((n, 0, N))
-    if p_t is None:
-        p_t = np.zeros_like(u)
+    u_x = gradient_fields(grid, u)
+    start = None
+    if H.has_closed_form_spatial_momenta:
+        start = H.spatial_momenta(t, grid.x, u, p_t, u_x)
     jacobian = None
     if H.has_analytic_momentum_jacobian:
         def jacobian(px):
             return H.momentum_jacobian(t, grid.x, u, p_t, px)["p_x"][:, 1:]
     return _solve_nodewise(lambda px: H.d_px(t, grid.x, u, p_t, px),
                            lambda px: H.value(t, grid.x, u, p_t, px),
-                           gradient_fields(grid, u), "momentum recovery", 2,
-                           jacobian)
+                           u_x, "momentum recovery", 2, jacobian, start)
 
 
 def _rhs(H, grid, t, u, p_t, p_x=None):
@@ -256,6 +282,7 @@ def step_rk4(H, grid, state, dt):
     finiteness, which :func:`run_simulation` does after every step."""
     _check_dt(dt)
     t, u, p = state.t, state.u, state.p_t
+    _check_fields(H, grid, u, p)
     H0, grid0 = state._recovered_by
     k1u, k1p, _ = _rhs(H, grid, t, u, p,
                        state.p_x if H0 is H and grid0 is grid else None)
@@ -318,6 +345,9 @@ def run_simulation(H, grid, state0, dt, n_steps, store_every=1):
     leaves u or p_t non-finite, or above :data:`BLOWUP_BOUND` in
     magnitude, raises :class:`BlowupError` naming the step."""
     _check_dt(dt)
+    for name, count in (("n_steps", n_steps), ("store_every", store_every)):
+        if not isinstance(count, numbers.Integral):
+            raise ModelError(f"{name} must be an integer, got {count!r}")
     if n_steps < 0:
         raise ModelError("n_steps must be >= 0")
     if store_every < 1:

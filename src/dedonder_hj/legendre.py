@@ -77,9 +77,12 @@ def _fd_noise_floor(value):
     return _FD_NOISE_FACTOR * np.finfo(float).eps * scale / DEFAULT_FD_STEP
 
 
-def _solve_nodewise(g, value, target, what, comp_axes, jacobian=None):
-    """Damped Newton iteration for g(v) = target from v = 0, to NEWTON_TOL
-    in the max norm within NEWTON_MAX_ITER steps.
+def _solve_nodewise(g, value, target, what, comp_axes, jacobian=None,
+                    start=None):
+    """Damped Newton iteration for g(v) = target from v = ``start``, or
+    v = 0 when None, to NEWTON_TOL in the max norm within NEWTON_MAX_ITER
+    steps; a start within NEWTON_TOL is returned as it is, after one
+    evaluation of g and no Jacobian.
 
     The first ``comp_axes`` axes of v are the unknowns of one node; any
     further axes are nodes, and unknowns couple only within a node (no
@@ -100,7 +103,7 @@ def _solve_nodewise(g, value, target, what, comp_axes, jacobian=None):
         def jacobian(v):
             return central_difference(g, (v,), 0, comp_axes=comp_axes)
 
-    x = np.zeros(shape)
+    x = np.zeros(shape) if start is None else start
     r = g(x) - target
     rnorm = np.abs(r).max()
     for _ in range(NEWTON_MAX_ITER):

@@ -282,10 +282,14 @@ class HamiltonianModel:
     :class:`LagrangianModel`. ``momentum_jacobian`` exposes the derivatives
     of (dH/dp_t, dH/dp_x) with respect to all arguments; it backs the
     chain rule for connections induced by Hamilton-Jacobi sections.
+    ``spatial_momenta(t, x, u, p_t, u_x)``, when given, returns a new
+    array p_x of the shape of u_x solving dH/dp_x(t, x, u, p_t, p_x) = u_x
+    in closed form; momentum recovery starts its Newton solve there.
     """
 
     def __init__(self, dims, value, *, d_u=None, d_pt=None, d_px=None,
-                 momentum_jacobian=None, name="custom"):
+                 momentum_jacobian=None, spatial_momenta=None,
+                 name="custom"):
         self.dims = dims
         self.name = name
         self._value = value
@@ -293,10 +297,15 @@ class HamiltonianModel:
         self._d_pt = d_pt
         self._d_px = d_px
         self._momentum_jacobian = momentum_jacobian
+        self._spatial_momenta = spatial_momenta
 
     @property
     def has_analytic_momentum_jacobian(self):
         return self._momentum_jacobian is not None
+
+    @property
+    def has_closed_form_spatial_momenta(self):
+        return self._spatial_momenta is not None
 
     def value(self, t, x, u, p_t, p_x):
         out = np.asarray(self._value(t, x, u, p_t, p_x), dtype=float)
@@ -337,6 +346,17 @@ class HamiltonianModel:
         return {var: central_difference(self.d_momenta, args, wrt,
                                         comp_axes=(0, 1, 1, 1, 2)[wrt])
                 for wrt, var in enumerate(("t", "x", "u", "p_t", "p_x"))}
+
+    def spatial_momenta(self, t, x, u, p_t, u_x):
+        """The model's closed-form p_x with dH/dp_x = u_x, shaped as u_x."""
+        if self._spatial_momenta is None:
+            raise ModelError(f"{self.name}: no closed-form spatial momenta")
+        out = np.asarray(self._spatial_momenta(t, x, u, p_t, u_x),
+                         dtype=float)
+        if out.shape != np.shape(u_x):
+            raise ModelError(f"{self.name}: spatial momenta must have the "
+                             f"shape of u_x, {np.shape(u_x)}, got {out.shape}")
+        return out
 
     def __call__(self, sample):
         return float(self.value(sample.t, sample.x, sample.u, sample.p_t,
@@ -439,9 +459,15 @@ def _quadratic_wave_family(dims, mass=0.0, potential=None, name="free_wave"):
             blocks[tail] = {k: _over_nodes(a, tail) for k, a in point.items()}
         return dict(blocks[tail])
 
+    def h_spatial_momenta(t, x, u, p_t, u_x):
+        # dH/dp_x = -p_x; 0.0 - u_x, not -u_x, is +0.0 where u_x = 0, as
+        # the Newton solve from zero is
+        return 0.0 - np.asarray(u_x, dtype=float)
+
     h_value, h_du = body(1.0)
     ham = HamiltonianModel(dims, h_value, d_u=h_du, d_pt=d_vt, d_px=d_vx,
                            momentum_jacobian=h_momentum_jacobian,
+                           spatial_momenta=h_spatial_momenta,
                            name=name + "_hamiltonian")
     lag.paired_hamiltonian = ham
     return lag

@@ -93,8 +93,26 @@ def test_make_grid_errors():
      "frames must be uniformly spaced in time"),
     (lambda: time_derivative_frames(np.zeros((4, 1)), 0.1),
      "need at least 5 frames for time differencing"),
+    (lambda: CauchyState(np.nan, [[0.0]], [[0.0]], np.zeros((1, 1, 1))),
+     "non-finite t nan"),
+    (lambda: CauchyState(-np.inf, [[0.0]], [[0.0]], np.zeros((1, 1, 1))),
+     "non-finite t -inf"),
+    (lambda: CauchyState(0.0, np.zeros((1, 16)), np.zeros((1, 16)),
+                         np.zeros((1, 16))),
+     r"p_x must have shape \(n, m, N\) = \(1, m, 16\) for u of shape "
+     r"\(1, 16\), got \(1, 16\)"),
+    (lambda: CauchyState(0.0, np.zeros((1, 16)), np.zeros((1, 16)),
+                         np.zeros((2, 1, 16))),
+     r"p_x must have shape .*, got \(2, 1, 16\)"),
+    (lambda: CauchyState(0.0, np.zeros(16), np.zeros(16), np.zeros(16)),
+     r"u and p_t must share a shape \(n, N\), got \(16,\) and \(16,\)"),
+    (lambda: CauchyState(0.0, np.zeros((1, 16)), np.zeros((1, 15)),
+                         np.zeros((1, 1, 16))),
+     r"u and p_t must share a shape \(n, N\), got \(1, 16\) and "
+     r"\(1, 15\)"),
 ], ids=["non-finite-state", "four-frames", "non-uniform-frames",
-        "four-frames-to-difference"])
+        "four-frames-to-difference", "nan-t", "infinite-t", "p_x-without-m",
+        "p_x-of-two-components", "one-dimensional-u", "short-p_t"])
 def test_states_and_frames_refused(call, message):
     with pytest.raises(ModelError, match=f"^{message}$"):
         call()
@@ -532,17 +550,16 @@ def count_calls(monkeypatch, owner, names):
     return counts
 
 
-MODEL_CALLS = ("value", "d_u", "d_pt", "d_px", "momentum_jacobian")
+MODEL_CALLS = ("value", "d_u", "d_pt", "d_px", "momentum_jacobian",
+               "spatial_momenta")
 
 
-def test_rk4_step_calls_per_recovery(monkeypatch):
-    # each recovery evaluates dH/dp_x at the zero guess and after one
-    # Newton step, with the Jacobian from the model; no value and no
-    # finite differences. A step from a caller-built state recovers at its
-    # four stages and on the returned state; a step from a state that
-    # step_rk4 returned takes its first stage's p_x from that state
+def recovery_counts(monkeypatch, H):
+    """Model calls and recoveries of one step from a caller-built state,
+    then of three chained steps: a step from a caller-built state recovers
+    at its four stages and on the returned state; a step from a state that
+    step_rk4 returned takes its first stage's p_x from that state."""
     g = make_grid(64)
-    H = kg_hamiltonian(1.0)
     u, p = smooth_state(g, 1)
     s = CauchyState(0.0, u, p, recover_spatial_momenta(H, g, u, p_t=p))
     counts = count_calls(monkeypatch, HamiltonianModel, MODEL_CALLS)
@@ -553,10 +570,151 @@ def test_rk4_step_calls_per_recovery(monkeypatch):
         recoveries["recover_spatial_momenta"] = 0
         for _ in range(steps):
             s = step_rk4(H, g, s, 1e-3)
-        r = per_step * steps
-        assert recoveries["recover_spatial_momenta"] == r
+        yield steps, per_step * steps, recoveries["recover_spatial_momenta"], \
+            dict(counts)
+
+
+def test_rk4_step_calls_per_recovery(monkeypatch):
+    # each recovery starts at the model's closed-form p_x and evaluates
+    # dH/dp_x there once; it converges at once, so no Jacobian, no value
+    # and no finite differences
+    for steps, r, recoveries, counts in recovery_counts(monkeypatch,
+                                                        kg_hamiltonian(1.0)):
+        assert recoveries == r
         assert counts == {"value": 0, "d_u": 4 * steps, "d_pt": 4 * steps,
-                          "d_px": 2 * r, "momentum_jacobian": r}
+                          "d_px": r, "momentum_jacobian": 0,
+                          "spatial_momenta": r}
+
+
+def with_closed_form(H, spatial_momenta):
+    """H's value, partials and momentum Jacobian with another closed-form
+    spatial momenta, or none."""
+    return HamiltonianModel(H.dims, H.value, d_u=H.d_u, d_pt=H.d_pt,
+                            d_px=H.d_px,
+                            momentum_jacobian=H.momentum_jacobian,
+                            spatial_momenta=spatial_momenta, name=H.name)
+
+
+def test_rk4_step_calls_per_recovery_without_closed_form(monkeypatch):
+    # each recovery evaluates dH/dp_x at the zero guess and after one
+    # Newton step, with the Jacobian from the model
+    H = with_closed_form(kg_hamiltonian(1.0), None)
+    assert not H.has_closed_form_spatial_momenta
+    for steps, r, recoveries, counts in recovery_counts(monkeypatch, H):
+        assert recoveries == r
+        assert counts == {"value": 0, "d_u": 4 * steps, "d_pt": 4 * steps,
+                          "d_px": 2 * r, "momentum_jacobian": r,
+                          "spatial_momenta": 0}
+
+
+# -- the closed-form start of momentum recovery -----------------------------------
+
+CLOSED_FORM_MODELS = [
+    ("free_wave", {}), ("klein_gordon", {"mass": 1.0}),
+    ("scalar_potential", {"mass": 1.0, "potential": (0.0, 0.2, 0.0, 0.1)})]
+
+
+def assert_same_bits_and_zero_signs(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("data", ["constant", "sine"])
+@pytest.mark.parametrize("name, params", CLOSED_FORM_MODELS,
+                         ids=[m for m, _ in CLOSED_FORM_MODELS])
+def test_closed_form_start_equals_newton_from_zero(name, params, data, n):
+    H = hamiltonian_from_lagrangian(builtin_model(name, {**params, "n": n}))
+    newton = with_closed_form(H, None)
+    assert H.has_closed_form_spatial_momenta
+    g = make_grid(16)
+    if data == "constant":
+        u = np.full((n, 16), 0.7)
+        p = np.full((n, 16), -0.3)
+    else:
+        u = np.stack([np.sin(TWO_PI * (a + 1) * g.x[0]) for a in range(n)])
+        p = np.cos(TWO_PI * g.x[0]) * np.ones((n, 1))
+    p_x = recover_spatial_momenta(H, g, u, p_t=p)
+    assert_same_bits_and_zero_signs(
+        p_x, recover_spatial_momenta(newton, g, u, p_t=p))
+    if data == "constant":
+        assert not np.signbit(p_x).any() and not p_x.any()
+    a = b = CauchyState(0.0, u, p, p_x)
+    for _ in range(5):
+        a, b = step_rk4(H, g, a, 1e-2), step_rk4(newton, g, b, 1e-2)
+    for field in ("u", "p_t", "p_x"):
+        assert_same_bits_and_zero_signs(getattr(a, field), getattr(b, field))
+
+
+def test_inexact_closed_form_start_still_recovers(monkeypatch):
+    # a start 0.1 off the solution is one Newton step from it
+    H = kg_hamiltonian(1.0)
+    offset = with_closed_form(H, lambda t, x, u, p_t, u_x: 0.1 - u_x)
+    g = make_grid(64)
+    u, p = smooth_state(g, 1)
+    counts = count_calls(monkeypatch, HamiltonianModel, MODEL_CALLS)
+    p_x = recover_spatial_momenta(offset, g, u, p_t=p)
+    assert counts["spatial_momenta"] == 1 and counts["momentum_jacobian"] >= 1
+    constraint = H.d_px(0.0, g.x, u, p, p_x)[:, 0] - spatial_derivative(g, u)
+    assert np.max(np.abs(constraint)) <= NEWTON_TOL
+    assert np.max(np.abs(p_x - recover_spatial_momenta(H, g, u, p_t=p))) \
+        <= NEWTON_TOL
+
+
+def test_non_finite_step_from_closed_form_raises_blowup_naming_the_step():
+    # NaN enters u at stage 3 of step 7 and reaches the closed-form start
+    g = make_grid(16)
+    dt = 0.01
+    u = np.sin(TWO_PI * g.x[0])[None, :]
+    H = with_closed_form(kg_nan_after(6.2 * dt),
+                         kg_hamiltonian(1.0).spatial_momenta)
+    s = CauchyState(0.0, u, np.zeros_like(u), recover_spatial_momenta(H, g, u))
+    with pytest.raises(BlowupError, match="^non-finite u at step 7$"):
+        run_simulation(H, g, s, dt, 20)
+
+
+@pytest.mark.parametrize("spatial_momenta, message", [
+    (None, "custom: no closed-form spatial momenta"),
+    (lambda t, x, u, p_t, u_x: u_x[:, 0],
+     r"custom: spatial momenta must have the shape of u_x, \(1, 1, 16\), "
+     r"got \(1, 16\)"),
+], ids=["absent", "misshaped"])
+def test_closed_form_spatial_momenta_refused(spatial_momenta, message):
+    H = kg_hamiltonian(1.0)
+    custom = HamiltonianModel(H.dims, H.value, d_px=H.d_px,
+                              spatial_momenta=spatial_momenta)
+    g = make_grid(16)
+    u = np.ones((1, 16))
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        custom.spatial_momenta(0.0, g.x, u, u, np.zeros((1, 1, 16)))
+
+
+@pytest.mark.parametrize("u, p_t, message", [
+    (np.ones(16), None, r"u must have shape \(n, N\) = \(1, 16\) for "
+     r"klein_gordon_hamiltonian on 16 nodes, got \(16,\)"),
+    (np.ones((1, 10)), None, r"u must have shape .*, got \(1, 10\)"),
+    (np.ones((2, 16)), None, r"u must have shape .*, got \(2, 16\)"),
+    (np.ones((1, 16)), np.ones((1, 15)),
+     r"p_t must have shape \(n, N\) = \(1, 16\) .*, got \(1, 15\)"),
+], ids=["one-dimensional-u", "ten-of-sixteen-nodes", "two-components",
+        "short-p_t"])
+def test_recovery_refuses_fields_not_shaped_for_model_and_grid(u, p_t,
+                                                               message):
+    # unrefused: a raw ValueError, a broadcast error, a (2, 1, 16) p_x
+    # and an ignored p_t
+    with pytest.raises(GridError, match=f"^{message}$"):
+        recover_spatial_momenta(kg_hamiltonian(1.0), make_grid(16), u,
+                                p_t=p_t)
+
+
+def test_step_refuses_state_on_another_node_count(monkeypatch):
+    s = CauchyState(0.0, np.ones((1, 10)), np.ones((1, 10)),
+                    np.zeros((1, 1, 10)))
+    recoveries = count_calls(monkeypatch, cauchy, ["recover_spatial_momenta"])
+    with pytest.raises(GridError, match=r"^u must have shape \(n, N\) = "
+                       r"\(1, 16\) .*, got \(1, 10\)$"):
+        step_rk4(kg_hamiltonian(1.0), make_grid(16), s, 1e-3)
+    assert recoveries["recover_spatial_momenta"] == 0
 
 
 @pytest.mark.parametrize("n_steps", [1, 3, 10])
@@ -668,13 +826,18 @@ def test_step_rk4_refuses_dt_not_positive_and_finite(dt):
     ({"store_every": 0}, "store_every must be >= 1"),
     ({"store_every": -1}, "store_every must be >= 1"),
     ({"n_steps": -3}, "n_steps must be >= 0"),
+    ({"n_steps": 2.5}, "n_steps must be an integer, got 2.5"),
+    ({"n_steps": 3.0}, "n_steps must be an integer, got 3.0"),
+    ({"store_every": np.nan}, "store_every must be an integer, got nan"),
+    ({"store_every": 2.0}, "store_every must be an integer, got 2.0"),
 ])
 def test_run_simulation_refuses_bad_arguments_before_stepping(monkeypatch,
                                                               kwargs,
                                                               message):
     # unrefused, store_every = 0 divided by zero after the first step,
-    # store_every = -1 stored every step and n_steps = -3 returned the
-    # initial state alone
+    # store_every = -1 stored every step, n_steps = -3 returned the
+    # initial state alone, n_steps = 2.5 raised a TypeError from range and
+    # store_every = nan stored only the first and last states
     H = kg_hamiltonian(1.0)
     g, s = reuse_start(H)
     steps = count_calls(monkeypatch, cauchy, ["step_rk4"])
