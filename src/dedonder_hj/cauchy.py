@@ -218,15 +218,19 @@ class TangentBatch(StackedVariations):
     indicators: bool = False
 
 
-def _check_fields(H, grid, u, p_t):
-    """Refuse per-node fields u and p_t that are not (n, N) for the model's
-    n components and the grid's N nodes."""
-    shape = (H.dims.n, grid.n_nodes)
-    if u.shape == shape == p_t.shape:
-        return
-    name, values = ("u", u) if u.shape != shape else ("p_t", p_t)
-    raise GridError(f"{name} must have shape (n, N) = {shape} for {H.name} "
-                    f"on {grid.n_nodes} nodes, got {values.shape}")
+def _check_fields(dims, what, grid, u, p_t=None):
+    """Refuse a model or section ``what`` of dimensions ``dims`` on a grid
+    of another m, and per-node fields u and (when given) p_t that are not
+    (n, N) for its n components and the grid's N nodes."""
+    if dims.m != grid.m:
+        raise GridError(f"{what} is for m = {dims.m}, the grid has "
+                        f"m = {grid.m}")
+    shape = (dims.n, grid.n_nodes)
+    for name, values in (("u", u), ("p_t", p_t)):
+        if values is not None and values.shape != shape:
+            raise GridError(f"{name} must have shape (n, N) = {shape} for "
+                            f"{what} on {grid.n_nodes} nodes, got "
+                            f"{values.shape}")
 
 
 def recover_spatial_momenta(H, grid, u, p_t=None, t=0.0):
@@ -238,7 +242,7 @@ def recover_spatial_momenta(H, grid, u, p_t=None, t=0.0):
     one, central differences of dH/dp_x otherwise."""
     u = np.asarray(u, dtype=float)
     p_t = np.zeros_like(u) if p_t is None else np.asarray(p_t, dtype=float)
-    _check_fields(H, grid, u, p_t)
+    _check_fields(H.dims, H.name, grid, u, p_t)
     n, N = u.shape
     if grid.m == 0:
         return np.zeros((n, 0, N))
@@ -273,6 +277,13 @@ def _check_dt(dt):
         raise ModelError("dt must be positive and finite")
 
 
+def _check_count(name, count, least):
+    if not isinstance(count, numbers.Integral):
+        raise ModelError(f"{name} must be an integer, got {count!r}")
+    if count < least:
+        raise ModelError(f"{name} must be >= {least}")
+
+
 def step_rk4(H, grid, state, dt):
     """Classical fourth-order Runge-Kutta step on (u, p_t); the spatial
     momenta are recovered at every stage and on the returned state. The
@@ -282,7 +293,7 @@ def step_rk4(H, grid, state, dt):
     finiteness, which :func:`run_simulation` does after every step."""
     _check_dt(dt)
     t, u, p = state.t, state.u, state.p_t
-    _check_fields(H, grid, u, p)
+    _check_fields(H.dims, H.name, grid, u, p)
     H0, grid0 = state._recovered_by
     k1u, k1p, _ = _rhs(H, grid, t, u, p,
                        state.p_x if H0 is H and grid0 is grid else None)
@@ -345,13 +356,8 @@ def run_simulation(H, grid, state0, dt, n_steps, store_every=1):
     leaves u or p_t non-finite, or above :data:`BLOWUP_BOUND` in
     magnitude, raises :class:`BlowupError` naming the step."""
     _check_dt(dt)
-    for name, count in (("n_steps", n_steps), ("store_every", store_every)):
-        if not isinstance(count, numbers.Integral):
-            raise ModelError(f"{name} must be an integer, got {count!r}")
-    if n_steps < 0:
-        raise ModelError("n_steps must be >= 0")
-    if store_every < 1:
-        raise ModelError("store_every must be >= 1")
+    _check_count("n_steps", n_steps, 0)
+    _check_count("store_every", store_every, 1)
     states = [state0]
     times = [state0.t]
     state = state0
@@ -385,16 +391,12 @@ def _state_pairing_data(H, grid, state):
 
 def _vertical_h(data, X):
     h_u, h_pt, h_px = data[:3]
-    out = np.sum(h_u * X.du, axis=0) + np.sum(h_pt * X.dp_t, axis=0)
-    if h_px.size:
-        out = out + np.sum(h_px * X.dp_x, axis=(0, 1))
-    return out
+    return (np.sum(h_u * X.du, axis=0) + np.sum(h_pt * X.dp_t, axis=0)
+            + np.sum(h_px * X.dp_x, axis=(0, 1)))
 
 
 def _momentum_bracket(data, X):
     du_grid, dpx_grid = data[3:]
-    if du_grid.size == 0:
-        return 0.0
     return (np.sum(X.dp_x * du_grid, axis=(0, 1))
             - np.sum(X.du[:, None, :] * dpx_grid, axis=(0, 1)))
 

@@ -214,9 +214,7 @@ def time_legendre_constraint_residual(L, grid, state):
     u_t = solve_time_velocity(L, grid, state.t, state.u, state.p_t)
     u_x = gradient_fields(grid, state.u)
     expected = L.d_ux(state.t, grid.x, state.u, u_t, u_x)
-    if expected.size == 0:
-        return 0.0
-    return float(np.max(np.abs(state.p_x - expected)))
+    return float(np.max(np.abs(state.p_x - expected), initial=0.0))
 
 
 def pullback_identity_residual(L, H, grid, state, X, Y):

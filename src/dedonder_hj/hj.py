@@ -28,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import (CauchyState, TangentVariation, _check_dt,
-                     _state_pairing_data, checked_frames, covector_residual,
-                     frame_velocities, gradient_fields, pairing_covector,
-                     presymplectic_pairing, random_smooth_variation,
-                     standard_test_variations)
+from .cauchy import (CauchyState, TangentVariation, _check_count, _check_dt,
+                     _check_fields, _state_pairing_data, checked_frames,
+                     covector_residual, frame_velocities, gradient_fields,
+                     pairing_covector, presymplectic_pairing,
+                     random_smooth_variation, standard_test_variations)
 from .legendre import ConnectionCoefficients
 from .models import ModelError, central_difference
 
@@ -132,15 +132,13 @@ def linear_gamma(dims, a, b=0.0, c=0.0, d=0.0, p_const=0.0):
     def partials(t, x, u):
         tail = u.shape[1:]
         eye = np.eye(n).reshape((n, n) + (1,) * len(tail))
-        ones = np.ones((1,) * 2 + tail) if tail else 1.0
         return {
             "pt_t": np.zeros((n,) + tail),
             "pt_x": np.zeros((n, m) + tail),
-            "pt_u": a * eye * ones if tail else a * np.eye(n),
+            "pt_u": a * eye * np.ones((1, 1) + tail),
             "px_t": np.zeros((n, m) + tail),
             "px_x": np.zeros((n, m, m) + tail),
-            "px_u": (c * eye)[:, None] * np.ones((1, m, 1) + tail)
-                    if m else np.zeros((n, 0, n) + tail),
+            "px_u": (c * eye)[:, None] * np.ones((1, m, 1) + tail),
             "p_u": np.zeros((n,) + tail),
         }
 
@@ -244,15 +242,13 @@ class ClosednessResidual:
     mixed: np.ndarray         # (P, n): d(gamma_p)/du - d_t gamma_pt - d_x gamma_px
 
     def max_abs(self):
-        vals = [np.max(np.abs(a)) if a.size else 0.0
-                for a in (self.symmetry_t, self.symmetry_x, self.mixed)]
-        return float(max(vals))
+        return float(np.max(self.per_sample(), initial=0.0))
 
     def per_sample(self):
         """Largest absolute component at each sample, shape (P,)."""
-        return np.max([np.max(np.abs(a), axis=tuple(range(1, a.ndim)))
-                       for a in (self.symmetry_t, self.symmetry_x, self.mixed)
-                       if a.shape[1]], axis=0)
+        parts = (self.symmetry_t, self.symmetry_x, self.mixed)
+        return np.max([np.max(np.abs(a), axis=tuple(range(1, a.ndim)),
+                              initial=0.0) for a in parts], axis=0)
 
 
 def gamma_closedness_residual(gamma, t, x=None, u=None):
@@ -281,9 +277,7 @@ def gamma_closedness_residual(gamma, t, x=None, u=None):
     d = gamma.partials(t, x, u)
     pt_u = d["pt_u"]                                      # (n, n, ...)
     px_u = np.moveaxis(d["px_u"], 1, 0)                   # (m, n, n, ...)
-    mixed = d["p_u"] - d["pt_t"]
-    if m:
-        mixed -= np.einsum("ajj...->a...", d["px_x"])
+    mixed = d["p_u"] - d["pt_t"] - np.einsum("ajj...->a...", d["px_x"])
     return ClosednessResidual(
         symmetry_t=samples_first(pt_u - np.swapaxes(pt_u, 0, 1)),
         symmetry_x=samples_first(px_u - np.swapaxes(px_u, 1, 2)),
@@ -308,9 +302,8 @@ def hj_residual(H, gamma, t, x, u):
     d = gamma.partials(t, x, u)
     res = h_u.astype(float).copy()
     res += np.einsum("b...,ba...->a...", h_pt, d["pt_u"])
-    if gamma.dims.m:
-        res += np.einsum("bj...,bja...->a...", h_px, d["px_u"])
-        res += np.einsum("ajj...->a...", d["px_x"])
+    res += np.einsum("bj...,bja...->a...", h_px, d["px_u"])
+    res += np.einsum("ajj...->a...", d["px_x"])
     res += d["pt_t"]
     return res
 
@@ -320,7 +313,6 @@ def reduced_connection(H, gamma):
     Gamma^a_i = dH/dp^i_a at the lifted point (time slot first). Partials
     come from the chain rule when both H and the section expose them; like
     both, they broadcast over a trailing sample axis of (t, x, u)."""
-    m = H.dims.m
 
     def coefficients(t, x, u):
         x = np.asarray(x, dtype=float)
@@ -334,22 +326,17 @@ def reduced_connection(H, gamma):
         g = gamma.partials(t, x, u)
         J_pt, J_px = J["p_t"], J["p_x"]
 
-        def chain(explicit, d_pt, d_px):
-            # derivative along one of t, x^k, u^b: the explicit part plus
-            # the momentum Jacobian against the section's derivative
-            out = explicit + np.einsum("aib...,b...->ai...", J_pt, d_pt)
-            if m:
-                out = out + np.einsum("aibj...,bj...->ai...", J_px, d_px)
+        def chain(explicit, d_pt, d_px, k=""):
+            # derivative along t, or along every x^k or u^k as the free
+            # index k: the explicit part plus the momentum Jacobian against
+            # the section's derivative
+            out = explicit + np.einsum(f"aib...,b{k}...->ai{k}...", J_pt, d_pt)
+            out += np.einsum(f"aibj...,bj{k}...->ai{k}...", J_px, d_px)
             return out
 
-        d_t = chain(J["t"], g["pt_t"], g["px_t"])
-        d_x = np.stack([chain(J["x"][:, :, k], g["pt_x"][:, k],
-                              g["px_x"][:, :, k]) for k in range(m)],
-                       axis=2) if m else J["x"]
-        d_u = np.stack([chain(J["u"][:, :, b], g["pt_u"][:, b],
-                              g["px_u"][:, :, b]) for b in range(H.dims.n)],
-                       axis=2)
-        return {"t": d_t, "x": d_x, "u": d_u}
+        return {"t": chain(J["t"], g["pt_t"], g["px_t"]),
+                "x": chain(J["x"], g["pt_x"], g["px_x"], "k"),
+                "u": chain(J["u"], g["pt_u"], g["px_u"], "k")}
 
     return ConnectionCoefficients(H.dims, coefficients, partials=partials)
 
@@ -357,21 +344,20 @@ def reduced_connection(H, gamma):
 def restricted_connection_residual(H, gamma, grid, u, t):
     """Per-node residual (D u^a)_j - Gamma^a_j(t, x_j, u_j); zero means the
     field is an integral submanifold of the fixed-time restricted
-    connection. Vacuously zero for m = 0."""
+    connection. Empty, shape (n, 0, 1), for m = 0. Refuses (GridError) a
+    section or u that does not fit the grid."""
     u = np.asarray(u, dtype=float)
-    n = u.shape[0]
-    if grid.m == 0:
-        return np.zeros((n, 0, 1))
+    _check_fields(gamma.dims, "the section", grid, u)
     gamma_x = H.d_px(t, grid.x, u, *gamma.momenta(t, grid.x, u))  # (n, m, N)
     return gradient_fields(grid, u) - gamma_x
 
 
 def check_compatibility(H, gamma, grid, u, t):
     """Largest entry of :func:`restricted_connection_residual`; raises
-    :class:`IncompatibleDataError` above 10 h^2. Data at m = 0 have no
-    residual, so they always pass."""
+    :class:`IncompatibleDataError` above 10 h^2. Data at m = 0 have an
+    empty residual, so they pass wherever the section evaluates."""
     compat = restricted_connection_residual(H, gamma, grid, u, t)
-    residual = float(np.max(np.abs(compat))) if compat.size else 0.0
+    residual = float(np.max(np.abs(compat), initial=0.0))
     tol = 10.0 * grid.spacing ** 2
     if residual > tol:
         raise IncompatibleDataError(residual, tol)
@@ -389,11 +375,11 @@ def evolve_characteristics(H, gamma, grid, u0, t0, dt, t_final,
     raises :class:`CharacteristicBlowup` once u is non-finite or |u|
     exceeds 1e6."""
     _check_dt(dt)
-    if store_every < 1:
-        raise ModelError("store_every must be >= 1")
+    _check_count("store_every", store_every, 1)
     if not -np.inf < t0 <= t_final < np.inf:
         raise ModelError("t0 and t_final must be finite, t_final >= t0")
     u = np.array(u0, dtype=float)
+    _check_fields(gamma.dims, "the section", grid, u)
     n_steps = int(round((t_final - t0) / dt))
     if abs(t0 + n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ModelError("t_final - t0 must be an integer number of steps")
@@ -423,20 +409,20 @@ def evolve_characteristics(H, gamma, grid, u0, t0, dt, t_final,
 
 
 def lift_by_gamma(gamma, t, grid, u):
-    """Cauchy state with momenta read off the section at every node."""
+    """Cauchy state with momenta read off the section at every node;
+    refuses (GridError) a section or u that does not fit the grid."""
+    u = np.asarray(u, dtype=float)
+    _check_fields(gamma.dims, "the section", grid, u)
     return CauchyState(t, u, *gamma.momenta(t, grid.x, u))
 
 
-def _lift_with(d, grid, u, k, du):
+def _lift_with(d, k, du):
     """Pushforward of a configuration-space variation (k, du) at u through
     the section lift, from the section partials ``d`` at u: momenta vary
     by k d_t gamma + d_u gamma . du."""
     du = np.asarray(du, dtype=float)
     dpt = k * d["pt_t"] + np.einsum("ab...,b...->a...", d["pt_u"], du)
-    if grid.m:
-        dpx = k * d["px_t"] + np.einsum("ajb...,b...->aj...", d["px_u"], du)
-    else:
-        dpx = np.zeros((u.shape[0], 0, grid.n_nodes))
+    dpx = k * d["px_t"] + np.einsum("ajb...,b...->aj...", d["px_u"], du)
     return TangentVariation(k, du, dpt, dpx)
 
 
@@ -484,12 +470,12 @@ def hj_lift_solution_check(H, gamma, grid, times, u_frames, rng=None):
         split = max(split, covector_residual(
             grid, *pairing_covector(grid, data, c_dot), test_set))
         # horizontal generator: du = Gamma_0 = H_pt at the lifted point
-        X = _lift_with(d, grid, state.u, 1.0, data[1])
+        X = _lift_with(d, 1.0, data[1])
         contraction = max(contraction, covector_residual(
             grid, *pairing_covector(grid, data, X), test_set))
         for V, W in pair_specs:
-            lv = _lift_with(d, grid, state.u, V.k, V.du)
-            lw = _lift_with(d, grid, state.u, W.k, W.du)
+            lv = _lift_with(d, V.k, V.du)
+            lw = _lift_with(d, W.k, W.du)
             pullback = max(pullback, abs(presymplectic_pairing(
                 H, grid, state, lv, lw, _data=data)))
     return HJLiftReport(compatibility_residual=compat_res,

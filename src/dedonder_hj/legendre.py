@@ -385,9 +385,8 @@ class HdwSectionResidual:
     divergence: np.ndarray   # (P, n)
 
     def max_abs(self):
-        g = np.max(np.abs(self.gradient)) if self.gradient.size else 0.0
-        d = np.max(np.abs(self.divergence)) if self.divergence.size else 0.0
-        return max(float(g), float(d))
+        return float(np.maximum(np.max(np.abs(self.gradient), initial=0.0),
+                                np.max(np.abs(self.divergence), initial=0.0)))
 
 
 def hdw_residual(H, section, points):
@@ -457,18 +456,11 @@ def flatness_residual(connection, t, x, u):
     in one call to the coefficients and their partials. Antisymmetric in
     (i, j); the connection is flat iff the residual vanishes.
     """
-    m = connection.dims.m
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     G = connection.coefficients(t, x, u)            # (n, m+1, ...)
     P = connection.partials(t, x, u)
-    # base derivative of Gamma^alpha_j by slot i: (m+1 slots) x (n, m+1, ...)
-    dG = [P["t"]] + [P["x"][:, :, j] for j in range(m)]
-    dG_u = P["u"]                                   # (n, m+1, n, ...)
-    out = np.zeros(G.shape[:1] + (m + 1,) + G.shape[1:])
-    for i in range(m + 1):
-        for j in range(m + 1):
-            bracket = np.einsum("b...,ab...->a...", G[:, i], dG_u[:, j, :]) \
-                - np.einsum("b...,ab...->a...", G[:, j], dG_u[:, i, :])
-            out[:, i, j] = dG[i][:, j] - dG[j][:, i] + bracket
-    return out
+    # D[a, i, j] = d_i Gamma^a_j and B[a, i, j] = Gamma^b_i d_{u^b} Gamma^a_j
+    D = np.concatenate([P["t"][:, None], np.moveaxis(P["x"], 2, 1)], axis=1)
+    B = np.einsum("bi...,ajb...->aij...", G, P["u"])
+    return (D - np.swapaxes(D, 1, 2)) + (B - np.swapaxes(B, 1, 2))

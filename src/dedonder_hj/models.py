@@ -451,13 +451,10 @@ def _quadratic_wave_family(dims, mass=0.0, potential=None, name="free_wave"):
 
     point = {"t": np.zeros((n, m + 1)), "x": np.zeros((n, m + 1, m)),
              "u": np.zeros((n, m + 1, n)), "p_t": jac_pt, "p_x": jac_px}
-    blocks = {}  # node shape -> the constant blocks over it
 
     def h_momentum_jacobian(t, x, u, p_t, p_x):
         tail = np.shape(u)[1:]
-        if tail not in blocks:
-            blocks[tail] = {k: _over_nodes(a, tail) for k, a in point.items()}
-        return dict(blocks[tail])
+        return {k: _over_nodes(a, tail) for k, a in point.items()}
 
     def h_spatial_momenta(t, x, u, p_t, u_x):
         # dH/dp_x = -p_x; 0.0 - u_x, not -u_x, is +0.0 where u_x = 0, as

@@ -421,14 +421,13 @@ def test_hat_gamma_annihilates_extended_form():
             V = rng.normal(size=(1, 16))
             W = rng.normal(size=(1, 16))
             d = og.partials(t, g.x, u)
-            pv = push_variation(_lift_with(d, g, u, kV, V))
-            pw = push_variation(_lift_with(d, g, u, kW, W))
+            pv = push_variation(_lift_with(d, kV, V))
+            pw = push_variation(_lift_with(d, kW, W))
             worst_pull = max(worst_pull,
                              abs(extended_form_pairing(L, g, cs, pv, pw)))
         assert worst_pull <= 1e-12
         gamma0 = H.d_pt(t, g.x, u, *og.momenta(t, g.x, u))
-        X = push_variation(_lift_with(og.partials(t, g.x, u), g, u, 1.0,
-                                      gamma0))
+        X = push_variation(_lift_with(og.partials(t, g.x, u), 1.0, gamma0))
         for _ in range(4):
             xi = CotangentVariation(0.0, rng.normal(size=(1, 16)),
                                     rng.normal(size=(1, 16)))

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from dedonder_hj.cauchy import make_grid, run_simulation
-from dedonder_hj.hj import (CharacteristicBlowup, GammaDomainError,
-                            HJSection, IncompatibleDataError, _lift_with,
-                            check_compatibility, evolve_characteristics, gamma_closedness_residual,
+from dedonder_hj.cauchy import (GridError, make_grid, recover_spatial_momenta,
+                                run_simulation)
+from dedonder_hj.hj import (CharacteristicBlowup, ClosednessResidual,
+                            GammaDomainError, HJSection,
+                            IncompatibleDataError, _lift_with,
+                            check_compatibility, evolve_characteristics,
+                            gamma_closedness_residual,
                             gamma_family, hj_lift_solution_check, hj_residual,
                             lift_by_gamma, linear_gamma,
                             oscillator_gamma, reduced_connection,
@@ -32,6 +35,15 @@ def box_samples(dims, count=60, seed=15):
 
 
 # -- closedness ---------------------------------------------------------------
+
+@pytest.mark.parametrize("component", range(3))
+def test_closedness_residual_propagates_nan(component):
+    # the reducers kept the earlier number and read 0.0 past a NaN
+    parts = [np.zeros((1, 1, 1)), np.zeros((1, 1, 1, 1)), np.zeros((1, 1))]
+    parts[component].flat[0] = np.nan
+    res = ClosednessResidual(*parts)
+    assert np.isnan(res.per_sample()).all() and np.isnan(res.max_abs())
+
 
 def test_linear_gamma_closed():
     lg = linear_gamma(M1, a=0.7, b=0.3, c=-0.4, d=1.1, p_const=2.0)
@@ -254,6 +266,50 @@ def test_characteristics_refuse_bad_time_span(t0, t_final):
                                t_final)
 
 
+OSC_H = hamiltonian_from_lagrangian(
+    builtin_model("mechanics_oscillator", {"omega": 1.0}))
+OSC_GAMMA = oscillator_gamma(OSC_H.dims, omega=1.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: recover_spatial_momenta(OSC_H, make_grid(16), np.ones((1, 16))),
+     GridError, "mechanics_oscillator_hamiltonian is for m = 0, the grid has "
+     "m = 1"),
+    (lambda: recover_spatial_momenta(kg_H(1.0), make_grid(1, m=0),
+                                     np.ones((1, 1))),
+     GridError, "klein_gordon_hamiltonian is for m = 1, the grid has m = 0"),
+    (lambda: lift_by_gamma(OSC_GAMMA, 0.0, make_grid(16), np.ones((1, 16))),
+     GridError, "the section is for m = 0, the grid has m = 1"),
+    (lambda: evolve_characteristics(kg_H(1.0), oscillator_gamma(M1, 1.0),
+                                    make_grid(16), np.ones((1, 10)), 0.0,
+                                    0.1, 1.0),
+     GridError, r"u must have shape \(n, N\) = \(1, 16\) for the section "
+     r"on 16 nodes, got \(1, 10\)"),
+    (lambda: check_compatibility(kg_H(1.0), oscillator_gamma(M1, 1.0),
+                                 make_grid(16), np.ones((1, 10)), 0.0),
+     GridError, r"u must have shape \(n, N\) = \(1, 16\) for the section "
+     r"on 16 nodes, got \(1, 10\)"),
+    (lambda: evolve_characteristics(kg_H(1.0), oscillator_gamma(M1, 1.0),
+                                    make_grid(16), np.ones((1, 16)), 0.0,
+                                    0.1, 1.0, store_every=2.5),
+     ModelError, "store_every must be an integer, got 2.5"),
+    (lambda: check_compatibility(OSC_H, oscillator_gamma(OSC_H.dims, 1.0,
+                                                         phi=np.pi / 2),
+                                 make_grid(1, m=0), np.ones((1, 1)), 0.0),
+     GammaDomainError, r"oscillator section evaluated within 0\.001 of a "
+     r"tan pole \(omega t \+ phi = 1\.570796\)"),
+], ids=["oscillator-on-field-grid", "field-on-point-grid",
+        "point-section-on-field-grid", "characteristics-short-u",
+        "compatibility-short-u", "fractional-store-every",
+        "point-section-at-pole"])
+def test_entry_points_refuse_misfits_and_poles(call, error, message):
+    # unrefused: a (1, 1, 16) and a (1, 0, 1) p_x, a lifted state, frames
+    # of 10 nodes, a raw broadcast ValueError, every fifth step stored, and
+    # a pass of the empty m = 0 residual without evaluating the section
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 def test_characteristics_empty_time_span():
     g = make_grid(16)
     og = oscillator_gamma(M1, omega=1.0)
@@ -299,7 +355,7 @@ def test_lift_variation_chain_rule():
     u = np.full((1, 8), 0.8)
     du = np.full((1, 8), 0.1)
     t = 0.4
-    lv = _lift_with(og.partials(t, g.x, u), g, u, 2.0, du)
+    lv = _lift_with(og.partials(t, g.x, u), 2.0, du)
     a = -np.tan(t)
     a_prime = -1.0 / np.cos(t) ** 2
     expected = 2.0 * a_prime * u + a * du
@@ -392,7 +448,7 @@ def test_connection_lift_vector_components():
     u = np.full((1, 8), np.cos(t))
     # the horizontal generator (k = 1, du = Gamma_0) lifted by the section
     gamma0 = H.d_pt(t, g.x, u, *og.momenta(t, g.x, u))
-    X = _lift_with(og.partials(t, g.x, u), g, u, 1.0, gamma0)
+    X = _lift_with(og.partials(t, g.x, u), 1.0, gamma0)
     assert X.k == 1.0
     # du = Gamma_0 = a(t) u; dp_t = d_t gamma_pt + d_u gamma_pt Gamma_0 = -u
     a = -np.tan(t)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dedonder_hj.legendre import (NEWTON_MAX_ITER, ConnectionCoefficients,
-                                  FieldSection, NewtonError, _solve_nodewise,
+                                  FieldSection, HdwSectionResidual,
+                                  NewtonError, _solve_nodewise,
                                   euler_lagrange_residual,
                                   flatness_residual,
                                   hamiltonian_from_lagrangian, hdw_residual,
@@ -290,6 +291,14 @@ def test_hdw_residual_zero_section():
                         u_xx=lambda t, x: np.zeros((1, 1, 1)))
     ms = legendre_transform_section(kg0, zero)
     assert hdw_residual(H, ms, sample_points()).max_abs() == 0.0
+
+
+@pytest.mark.parametrize("component", ["gradient", "divergence"])
+def test_hdw_residual_max_abs_propagates_nan(component):
+    # Python's max kept the earlier 0.0 past a NaN divergence
+    parts = {"gradient": np.zeros((1, 1, 2)), "divergence": np.zeros((1, 1))}
+    parts[component][...] = np.nan
+    assert np.isnan(HdwSectionResidual(**parts).max_abs())
 
 
 def test_hdw_residual_constant_field_divergence():
