@@ -92,7 +92,9 @@ def spatial_derivative(grid, values):
         raise GridError("central differences need at least 3 nodes")
     padded = np.concatenate([values[..., -1:], values, values[..., :1]],
                             axis=-1)
-    return (padded[..., 2:] - padded[..., :-2]) / (2.0 * grid.spacing)
+    out = padded[..., 2:] - padded[..., :-2]
+    out /= 2.0 * grid.spacing
+    return out
 
 
 def integrate_density(grid, values):
@@ -103,12 +105,10 @@ def integrate_density(grid, values):
 
 
 def gradient_fields(grid, values):
-    """Spatial derivatives of per-node fields along each axis, (..., m, N)."""
-    values = np.asarray(values, dtype=float)
-    out = np.empty(values.shape[:-1] + (grid.m, grid.n_nodes))
-    for j in range(grid.m):
-        out[..., j, :] = spatial_derivative(grid, values)
-    return out
+    """Spatial derivatives of per-node fields along each axis, (..., m, N).
+    At m <= 1 every axis is the node axis, so this is a view of the one
+    :func:`spatial_derivative`, with an empty axis at m = 0."""
+    return spatial_derivative(grid, values)[..., None, :][..., :grid.m, :]
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ class CauchyState:
         under ``recovered_by`` = (H, grid). The arrays are made read-only,
         so the recovered ``p_x`` cannot go stale."""
         for values in (u, p_t, p_x):
-            values.flags.writeable = False
+            values.setflags(write=False)
         state = object.__new__(cls)
         state.__dict__.update(t=t, u=u, p_t=p_t, p_x=p_x,
                               _recovered_by=recovered_by)
@@ -243,19 +243,18 @@ def recover_spatial_momenta(H, grid, u, p_t=None, t=0.0):
     u = np.asarray(u, dtype=float)
     p_t = np.zeros_like(u) if p_t is None else np.asarray(p_t, dtype=float)
     _check_fields(H.dims, H.name, grid, u, p_t)
-    n, N = u.shape
     if grid.m == 0:
-        return np.zeros((n, 0, N))
+        return np.zeros((u.shape[0], 0, grid.n_nodes))
+    x = grid.x
     u_x = gradient_fields(grid, u)
-    start = None
-    if H.has_closed_form_spatial_momenta:
-        start = H.spatial_momenta(t, grid.x, u, p_t, u_x)
+    start = H.spatial_momenta(t, x, u, p_t, u_x) \
+        if H.has_closed_form_spatial_momenta else None
     jacobian = None
     if H.has_analytic_momentum_jacobian:
         def jacobian(px):
-            return H.momentum_jacobian(t, grid.x, u, p_t, px)["p_x"][:, 1:]
-    return _solve_nodewise(lambda px: H.d_px(t, grid.x, u, p_t, px),
-                           lambda px: H.value(t, grid.x, u, p_t, px),
+            return H.momentum_jacobian(t, x, u, p_t, px)["p_x"][:, 1:]
+    return _solve_nodewise(lambda px: H.d_px(t, x, u, p_t, px),
+                           lambda px: H.value(t, x, u, p_t, px),
                            u_x, "momentum recovery", 2, jacobian, start)
 
 
@@ -284,6 +283,18 @@ def _check_count(name, count, least):
         raise ModelError(f"{name} must be >= {least}")
 
 
+def _rk4_update(y, dt, k1, k2, k3, k4):
+    """y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4) with the stage sum
+    accumulated in place: the same operations in the same order, bit for
+    bit, since floating-point + and * commute."""
+    out = 2 * k2
+    out += k1
+    out += 2 * k3
+    out += k4
+    out *= dt / 6
+    return y + out
+
+
 def step_rk4(H, grid, state, dt):
     """Classical fourth-order Runge-Kutta step on (u, p_t); the spatial
     momenta are recovered at every stage and on the returned state. The
@@ -300,8 +311,8 @@ def step_rk4(H, grid, state, dt):
     k2u, k2p, _ = _rhs(H, grid, t + dt / 2, u + dt / 2 * k1u, p + dt / 2 * k1p)
     k3u, k3p, _ = _rhs(H, grid, t + dt / 2, u + dt / 2 * k2u, p + dt / 2 * k2p)
     k4u, k4p, _ = _rhs(H, grid, t + dt, u + dt * k3u, p + dt * k3p)
-    u_new = u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-    p_new = p + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+    u_new = _rk4_update(u, dt, k1u, k2u, k3u, k4u)
+    p_new = _rk4_update(p, dt, k1p, k2p, k3p, k4p)
     t_new = t + dt
     p_x_new = recover_spatial_momenta(H, grid, u_new, p_t=p_new, t=t_new)
     return CauchyState._unchecked(t_new, u_new, p_new, p_x_new, (H, grid))
@@ -315,7 +326,9 @@ def rhs_spectral_radius(H, grid, state):
     equal modulus. The iterates are orthogonalised and the largest Ritz
     value taken (Arnoldi; Saad, Numerical Methods for Large Eigenvalue
     Problems, ch. 6): within 4e-4 of the Klein-Gordon radius at N = 128
-    to 1024, where the last iterate alone is up to 1 % low."""
+    to 1024, where the last iterate alone is up to 1 % low. A right-hand
+    side that overflows near ``state`` has no radius to estimate: a
+    non-finite Arnoldi matrix raises :class:`ModelError`."""
     n = state.u.shape[0]
     x0 = np.concatenate([state.u, state.p_t])
     eps = 1e-4 * max(1.0, float(np.abs(x0).max()))
@@ -331,16 +344,22 @@ def rhs_spectral_radius(H, grid, state):
     basis = [v / np.linalg.norm(v)]
     k = RHS_POWER_ITERATIONS
     hess = np.zeros((k + 1, k))
-    for j in range(k):
-        w = jvp(jvp(basis[j]))
-        for i, b in enumerate(basis):
-            hess[i, j] = np.vdot(b, w)
-            w = w - hess[i, j] * b
-        hess[j + 1, j] = np.linalg.norm(w)
-        if hess[j + 1, j] <= 1e-10 * np.abs(hess[:, j]).max():
-            k = j + 1     # the Krylov space is exhausted
-            break
-        basis.append(w / hess[j + 1, j])
+    # overflow shows as a non-finite matrix, refused below
+    with np.errstate(all="ignore"):
+        for j in range(k):
+            w = jvp(jvp(basis[j]))
+            for i, b in enumerate(basis):
+                hess[i, j] = np.vdot(b, w)
+                w = w - hess[i, j] * b
+            hess[j + 1, j] = np.linalg.norm(w)
+            if hess[j + 1, j] <= 1e-10 * np.abs(hess[:, j]).max():
+                k = j + 1     # the Krylov space is exhausted
+                break
+            basis.append(w / hess[j + 1, j])
+    if not np.isfinite(hess[:k, :k]).all():
+        raise ModelError(f"the right-hand side linearised at "
+                         f"t = {state.t:g} is not finite: no stability "
+                         f"estimate")
     return float(np.sqrt(np.abs(np.linalg.eigvals(hess[:k, :k])).max()))
 
 
@@ -364,7 +383,7 @@ def run_simulation(H, grid, state0, dt, n_steps, store_every=1):
     for k in range(n_steps):
         state = step_rk4(H, grid, state, dt)
         for name in ("u", "p_t"):
-            peak = np.abs(getattr(state, name)).max()
+            peak = np.maximum.reduce(np.abs(getattr(state, name)), axis=None)
             if not peak < np.inf:
                 raise BlowupError(f"non-finite {name} at step {k + 1}")
             if peak > BLOWUP_BOUND:

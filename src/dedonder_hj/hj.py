@@ -284,6 +284,14 @@ def gamma_closedness_residual(gamma, t, x=None, u=None):
         mixed=samples_first(mixed))
 
 
+def _check_pair(H, gamma):
+    """Refuse a Hamiltonian and a section of different dimensions."""
+    if H.dims != gamma.dims:
+        raise ModelError(f"{H.name} is for m = {H.dims.m}, n = {H.dims.n}, "
+                         f"the section for m = {gamma.dims.m}, "
+                         f"n = {gamma.dims.n}")
+
+
 def hj_residual(H, gamma, t, x, u):
     """Hamilton-Jacobi residual per field component, shape (n, ...).
 
@@ -293,6 +301,7 @@ def hj_residual(H, gamma, t, x, u):
     gives one point's (n,). Zero together with closedness certifies the
     section as a solution of the Hamilton-Jacobi condition for H.
     """
+    _check_pair(H, gamma)
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     args = (t, x, u) + gamma.momenta(t, x, u)
@@ -313,6 +322,7 @@ def reduced_connection(H, gamma):
     Gamma^a_i = dH/dp^i_a at the lifted point (time slot first). Partials
     come from the chain rule when both H and the section expose them; like
     both, they broadcast over a trailing sample axis of (t, x, u)."""
+    _check_pair(H, gamma)
 
     def coefficients(t, x, u):
         x = np.asarray(x, dtype=float)
@@ -345,7 +355,9 @@ def restricted_connection_residual(H, gamma, grid, u, t):
     """Per-node residual (D u^a)_j - Gamma^a_j(t, x_j, u_j); zero means the
     field is an integral submanifold of the fixed-time restricted
     connection. Empty, shape (n, 0, 1), for m = 0. Refuses (GridError) a
-    section or u that does not fit the grid."""
+    section or u that does not fit the grid, and (ModelError) H and a
+    section of different dimensions."""
+    _check_pair(H, gamma)
     u = np.asarray(u, dtype=float)
     _check_fields(gamma.dims, "the section", grid, u)
     gamma_x = H.d_px(t, grid.x, u, *gamma.momenta(t, grid.x, u))  # (n, m, N)
@@ -374,6 +386,7 @@ def evolve_characteristics(H, gamma, grid, u0, t0, dt, t_final,
     with RK4; no spatial coupling enters. Returns (times, u_frames), or
     raises :class:`CharacteristicBlowup` once u is non-finite or |u|
     exceeds 1e6."""
+    _check_pair(H, gamma)
     _check_dt(dt)
     _check_count("store_every", store_every, 1)
     if not -np.inf < t0 <= t_final < np.inf:
@@ -442,7 +455,8 @@ def hj_lift_solution_check(H, gamma, grid, times, u_frames, rng=None):
     standard test set, and for 8 pairs of lifted random variations.
 
     Refuses (raises :class:`IncompatibleDataError`) when the initial frame
-    fails :func:`check_compatibility`.
+    fails :func:`check_compatibility`, which also refuses H and a section
+    of different dimensions.
     """
     times = np.asarray(times, dtype=float)
     u_frames = np.asarray(u_frames, dtype=float)

@@ -97,18 +97,19 @@ def _solve_nodewise(g, value, target, what, comp_axes, jacobian=None,
     residual that is not finite has no solution to converge to: v comes
     back as NaN, so the caller's finiteness check reports it.
     """
-    shape = np.shape(target)
+    shape = target.shape
+    x = np.zeros(shape) if start is None else start
+    r = g(x) - target
+    # ufunc reductions, not ndarray.max, which goes through Python
+    rnorm = np.maximum.reduce(np.abs(r), axis=None)
+    if rnorm <= NEWTON_TOL:
+        return x
     rows = math.prod(shape[:comp_axes])
     if jacobian is None:
         def jacobian(v):
             return central_difference(g, (v,), 0, comp_axes=comp_axes)
 
-    x = np.zeros(shape) if start is None else start
-    r = g(x) - target
-    rnorm = np.abs(r).max()
     for _ in range(NEWTON_MAX_ITER):
-        if rnorm <= NEWTON_TOL:
-            return x
         if not rnorm < np.inf:
             return np.full_like(x, np.nan)
         try:
@@ -129,8 +130,10 @@ def _solve_nodewise(g, value, target, what, comp_axes, jacobian=None,
         for _ in range(30):
             trial = x - scale * step
             r_trial = g(trial) - target
-            r_trial_norm = np.abs(r_trial).max()
-            if r_trial_norm < rnorm or r_trial_norm <= NEWTON_TOL:
+            r_trial_norm = np.maximum.reduce(np.abs(r_trial), axis=None)
+            if r_trial_norm <= NEWTON_TOL:
+                return trial
+            if r_trial_norm < rnorm:
                 x, r, rnorm = trial, r_trial, r_trial_norm
                 break
             if scale == 1.0 and rnorm <= _fd_noise_floor(value(x)):
@@ -138,8 +141,6 @@ def _solve_nodewise(g, value, target, what, comp_axes, jacobian=None,
             scale *= 0.5
         else:
             raise NewtonError(f"{what}: damped Newton step stalled")
-    if rnorm <= NEWTON_TOL:
-        return x
     raise NewtonError(f"{what}: no convergence after {NEWTON_MAX_ITER} "
                       f"iterations (residual {rnorm:.3e})")
 

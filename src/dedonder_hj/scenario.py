@@ -364,7 +364,10 @@ def check_stability(scenario, H, grid, state0):
         rate = np.hypot(scenario.n_nodes / scenario.length, _mass(scenario))
         what = "dt*sqrt(1/h^2 + mass^2)"
     else:  # scalar_potential
-        rate = rhs_spectral_radius(H, grid, state0)
+        try:
+            rate = rhs_spectral_radius(H, grid, state0)
+        except ModelError as exc:
+            raise ScenarioError(f"{scenario.path}: {exc}") from exc
         what = "dt*|lambda| (linearised at t = 0)"
     if scenario.dt * rate > RK4_IMAGINARY_BOUND:
         raise ScenarioError(
@@ -450,11 +453,13 @@ def exact_solution(scenario):
         omega = _mass(scenario)
 
         def sol_const(t, grid, n):
-            if omega == 0.0:
-                val = amp + vel * t
+            # (vel / omega) sin(omega t) tends to vel t as omega -> 0: the
+            # limit serves wherever vel / omega is not finite
+            if omega != 0.0 and np.isfinite(vel / omega):
+                drift = (vel / omega) * np.sin(omega * t)
             else:
-                val = amp * np.cos(omega * t) + (vel / omega) * np.sin(omega * t)
-            return np.full((n, grid.n_nodes), val)
+                drift = vel * t
+            return np.full((n, grid.n_nodes), amp * np.cos(omega * t) + drift)
 
         return sol_const
 

@@ -1,4 +1,7 @@
+import collections
 import dataclasses
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from dedonder_hj import cauchy
 from dedonder_hj.cauchy import (BlowupError, CauchyState, GridError,
                                 TangentVariation,
                                 dynamical_trajectory_residual,
-                                integrate_density, make_grid,
+                                gradient_fields, integrate_density, make_grid,
                                 presymplectic_pairing, random_smooth_variation,
                                 recover_spatial_momenta, run_simulation,
                                 spatial_derivative, standard_test_variations,
@@ -584,6 +587,55 @@ def test_rk4_step_calls_per_recovery(monkeypatch):
         assert counts == {"value": 0, "d_u": 4 * steps, "d_pt": 4 * steps,
                           "d_px": r, "momentum_jacobian": 0,
                           "spatial_momenta": r}
+
+
+#: Python-level calls into the package's own files during one chained
+#: Klein-Gordon step: the step and its update, four right-hand sides
+#: with two partials each, four recoveries with their checks, gradients,
+#: closed-form starts and solves, each model partial with its callable
+LEAN_STEP_CALLS = 70
+
+
+def test_chained_step_python_calls_are_pinned():
+    # counted with sys.setprofile and kept to the package's files, so the
+    # count does not depend on how numpy implements its functions
+    package = os.path.dirname(cauchy.__file__) + os.sep
+    H, g = kg_hamiltonian(1.0), make_grid(64)
+    u, p = smooth_state(g, 1)
+    s = step_rk4(H, g, CauchyState(0.0, u, p,
+                                   recover_spatial_momenta(H, g, u, p_t=p)),
+                 1e-3)
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        step_rk4(H, g, s, 1e-3)
+    finally:
+        sys.setprofile(None)
+    assert sum(calls.values()) == LEAN_STEP_CALLS, dict(calls)
+
+
+def stacked_gradient(grid, values):
+    """gradient_fields as a new array filled axis by axis."""
+    values = np.asarray(values, dtype=float)
+    out = np.empty(values.shape[:-1] + (grid.m, grid.n_nodes))
+    for j in range(grid.m):
+        out[..., j, :] = spatial_derivative(grid, values)
+    return out
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("lead", [(1,), (2,), (3, 2)])
+def test_gradient_fields_equal_the_stacked_copy(m, lead):
+    grid = make_grid(16) if m else make_grid(1, m=0)
+    values = np.random.default_rng(7).normal(size=lead + (grid.n_nodes,))
+    got = gradient_fields(grid, values)
+    assert got.shape == lead + (m, grid.n_nodes)
+    assert got.tobytes() == stacked_gradient(grid, values).tobytes()
 
 
 def with_closed_form(H, spatial_momenta):

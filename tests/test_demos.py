@@ -1,4 +1,5 @@
-"""Each narrative demo runs to completion in a fresh interpreter."""
+"""Each narrative demo, and the step probe of ``tools/``, runs to
+completion in a fresh interpreter."""
 
 import os
 import subprocess
@@ -15,12 +16,26 @@ def test_demos_are_found():
     assert len(DEMOS) >= 5
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_exits_cleanly(demo, tmp_path):
+def run_script(path, cwd, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
                                else []))
-    run = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                         capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, str(path), *args], cwd=cwd,
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_exits_cleanly(demo, tmp_path):
+    run = run_script(demo, tmp_path)
     assert run.returncode == 0, run.stderr[-2000:]
+
+
+def test_step_probe_finds_the_bare_loop_bit_identical(tmp_path):
+    # the probe exits 1 when run_simulation and its bare-numpy loop end in
+    # states that differ in any bit
+    run = run_script(ROOT / "tools" / "step_probe.py", tmp_path,
+                     "--rounds", "1")
+    assert run.returncode == 0, run.stdout + run.stderr[-2000:]
+    assert run.stdout.count("final states bit-identical") == 2

@@ -310,6 +310,38 @@ def test_entry_points_refuse_misfits_and_poles(call, error, message):
         call()
 
 
+KG2_H = hamiltonian_from_lagrangian(
+    builtin_model("klein_gordon", {"mass": 1.0, "n": 2}))
+U16 = np.ones((1, 16))
+FRAMES = np.ones((5, 1, 16))
+
+
+@pytest.mark.parametrize("H, message", [
+    (OSC_H, "mechanics_oscillator_hamiltonian is for m = 0, n = 1, the "
+     "section for m = 1, n = 1"),
+    (KG2_H, "klein_gordon_hamiltonian is for m = 1, n = 2, the section for "
+     "m = 1, n = 1"),
+], ids=["point-H-field-section", "two-component-H"])
+@pytest.mark.parametrize("call", [
+    lambda H, g: check_compatibility(H, g, make_grid(16), U16, 0.0),
+    lambda H, g: restricted_connection_residual(H, g, make_grid(16), U16,
+                                                0.0),
+    lambda H, g: evolve_characteristics(H, g, make_grid(16), U16, 0.0, 0.1,
+                                        1.0),
+    lambda H, g: hj_lift_solution_check(H, g, make_grid(16),
+                                        np.arange(5) * 0.1, FRAMES),
+    lambda H, g: hj_residual(H, g, 0.0, np.zeros(1), np.ones(1)),
+    lambda H, g: reduced_connection(H, g),
+], ids=["check_compatibility", "restricted_connection_residual",
+        "evolve_characteristics", "hj_lift_solution_check", "hj_residual",
+        "reduced_connection"])
+def test_hamiltonian_and_section_dimensions_are_compared(call, H, message):
+    # unrefused: a residual of 0.0, characteristics of the oscillator
+    # stepped as a field, and broadcasts of one section component to two
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        call(H, oscillator_gamma(M1, 1.0))
+
+
 def test_characteristics_empty_time_span():
     g = make_grid(16)
     og = oscillator_gamma(M1, omega=1.0)

@@ -750,6 +750,23 @@ def test_scalar_potential_refused_past_linearised_bound(tmp_path, capsys):
     assert (out / "fields.csv").exists()
 
 
+def test_scalar_potential_overflowing_linearisation_is_refused(tmp_path,
+                                                              capsys):
+    # V = 0.1 u^4 at amplitude 1e300: V' overflows, so the Arnoldi matrix
+    # of the stability estimate is not finite and has no eigenvalues
+    out = tmp_path / "out"
+    path = write(tmp_path, potential_sine(0.01, "0, 0, 0, 0, 0.1", 1e300,
+                                          steps=10, n_nodes=16),
+                 out=str(out))
+    assert main(["simulate", "--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {path}: the right-hand side linearised "
+                            f"at t = 0 is not finite: no stability "
+                            f"estimate\n")
+    assert captured.out == ""
+    assert not list(out.glob("*.csv"))
+
+
 def test_scalar_potential_linear_bound_is_exact(tmp_path, capsys):
     # V = 50 u^2 keeps the system linear: |lambda|^2 = 1/h^2 + mass^2 + 100
     path = write(tmp_path, potential_sine(0.087, "0, 0, 50", 1.0),
@@ -786,6 +803,23 @@ omega = {omega!r}
 directory = {{out}}
 store_every = 10
 {output}"""
+
+
+def test_oscillator_exact_solution_at_vanishing_omega(tmp_path, capsys):
+    # velocity / omega overflows at omega = 5e-324 (unmended: inf times
+    # sin(0) = nan, and inf or nan as the error and the sweep ratio); the
+    # solution is its omega -> 0 limit, amplitude + velocity t, as at 0
+    lines = {}
+    for omega in (5e-324, 0.0):
+        path = write(tmp_path, oscillator(omega=omega),
+                     out=str(tmp_path / "out"))
+        sol = exact_solution(parse_scenario(path))
+        assert sol(2.0, make_grid(1, m=0), 2).tolist() == [[1.75], [1.75]]
+        assert main(["simulate", "--sweep", "time", "--scenario", path]) == 0
+        lines[omega] = capsys.readouterr().out.splitlines()[-2:]
+    assert lines[5e-324] == lines[0.0]
+    error, ratio = (float(line.split(" = ")[1]) for line in lines[0.0])
+    assert 0 < error < 1e-13 and np.isfinite(ratio)
 
 
 @pytest.mark.parametrize("omega", [1.0, -2.0])
