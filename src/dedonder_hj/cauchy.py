@@ -243,18 +243,19 @@ def recover_spatial_momenta(H, grid, u, p_t=None, t=0.0):
     u = np.asarray(u, dtype=float)
     p_t = np.zeros_like(u) if p_t is None else np.asarray(p_t, dtype=float)
     _check_fields(H.dims, H.name, grid, u, p_t)
+    n, N = u.shape
     if grid.m == 0:
-        return np.zeros((u.shape[0], 0, grid.n_nodes))
-    x = grid.x
+        return np.zeros((n, 0, N))
     u_x = gradient_fields(grid, u)
-    start = H.spatial_momenta(t, x, u, p_t, u_x) \
-        if H.has_closed_form_spatial_momenta else None
+    start = None
+    if H.has_closed_form_spatial_momenta:
+        start = H.spatial_momenta(t, grid.x, u, p_t, u_x)
     jacobian = None
     if H.has_analytic_momentum_jacobian:
         def jacobian(px):
-            return H.momentum_jacobian(t, x, u, p_t, px)["p_x"][:, 1:]
-    return _solve_nodewise(lambda px: H.d_px(t, x, u, p_t, px),
-                           lambda px: H.value(t, x, u, p_t, px),
+            return H.momentum_jacobian(t, grid.x, u, p_t, px)["p_x"][:, 1:]
+    return _solve_nodewise(lambda px: H.d_px(t, grid.x, u, p_t, px),
+                           lambda px: H.value(t, grid.x, u, p_t, px),
                            u_x, "momentum recovery", 2, jacobian, start)
 
 

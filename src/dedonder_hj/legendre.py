@@ -100,7 +100,7 @@ def _solve_nodewise(g, value, target, what, comp_axes, jacobian=None,
     shape = target.shape
     x = np.zeros(shape) if start is None else start
     r = g(x) - target
-    # ufunc reductions, not ndarray.max, which goes through Python
+    # np.maximum.reduce: ndarray.max goes through a Python wrapper
     rnorm = np.maximum.reduce(np.abs(r), axis=None)
     if rnorm <= NEWTON_TOL:
         return x

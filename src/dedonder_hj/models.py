@@ -284,8 +284,7 @@ class HamiltonianModel:
     chain rule for connections induced by Hamilton-Jacobi sections.
     ``spatial_momenta(t, x, u, p_t, u_x)``, when given, returns a new
     array p_x of the shape of u_x solving dH/dp_x(t, x, u, p_t, p_x) = u_x
-    in closed form, given u_x as a float array; momentum recovery starts
-    its Newton solve there.
+    in closed form; momentum recovery starts its Newton solve there.
     """
 
     def __init__(self, dims, value, *, d_u=None, d_pt=None, d_px=None,
@@ -308,23 +307,17 @@ class HamiltonianModel:
             raise ModelError(f"{self.name}: non-finite Hamiltonian value")
         return out if out.ndim else float(out)
 
-    # the first partials run at every method-of-lines stage, so each
-    # spells out _analytic_or_difference rather than calling it
     def d_u(self, t, x, u, p_t, p_x):
-        if self._d_u is None:
-            return central_difference(self._value, (t, x, u, p_t, p_x), 2)
-        return np.asarray(self._d_u(t, x, u, p_t, p_x), dtype=float)
+        return _analytic_or_difference(self._d_u, self._value,
+                                       (t, x, u, p_t, p_x), 2)
 
     def d_pt(self, t, x, u, p_t, p_x):
-        if self._d_pt is None:
-            return central_difference(self._value, (t, x, u, p_t, p_x), 3)
-        return np.asarray(self._d_pt(t, x, u, p_t, p_x), dtype=float)
+        return _analytic_or_difference(self._d_pt, self._value,
+                                       (t, x, u, p_t, p_x), 3)
 
     def d_px(self, t, x, u, p_t, p_x):
-        if self._d_px is None:
-            return central_difference(self._value, (t, x, u, p_t, p_x), 4,
-                                      comp_axes=2)
-        return np.asarray(self._d_px(t, x, u, p_t, p_x), dtype=float)
+        return _analytic_or_difference(self._d_px, self._value,
+                                       (t, x, u, p_t, p_x), 4, comp_axes=2)
 
     def d_momenta(self, t, x, u, p_t, p_x):
         """Momentum partials as one (n, m+1, ...) block, time slot first."""
@@ -460,8 +453,8 @@ def _quadratic_wave_family(dims, mass=0.0, potential=None, name="free_wave"):
 
     def h_spatial_momenta(t, x, u, p_t, u_x):
         # dH/dp_x = -p_x; 0.0 - u_x, not -u_x, is +0.0 where u_x = 0, as
-        # the Newton solve from zero is; u_x comes as a float array
-        return 0.0 - u_x
+        # the Newton solve from zero is
+        return 0.0 - np.asarray(u_x, dtype=float)
 
     h_value, h_du = body(1.0)
     ham = HamiltonianModel(dims, h_value, d_u=h_du, d_pt=d_vt, d_px=d_vx,

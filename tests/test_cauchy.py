@@ -590,10 +590,11 @@ def test_rk4_step_calls_per_recovery(monkeypatch):
 
 
 #: Python-level calls into the package's own files during one chained
-#: Klein-Gordon step: the step and its update, four right-hand sides
-#: with two partials each, four recoveries with their checks, gradients,
-#: closed-form starts and solves, each model partial with its callable
-LEAN_STEP_CALLS = 70
+#: Klein-Gordon step: the step, its checks and its two updates, four
+#: right-hand sides with two partials each, four recoveries with their
+#: checks, gradients, closed-form starts and solves, and each model
+#: partial through the analytic-or-difference rule to its callable
+LEAN_STEP_CALLS = 82
 
 
 def test_chained_step_python_calls_are_pinned():
@@ -611,11 +612,12 @@ def test_chained_step_python_calls_are_pinned():
         if event == "call" and frame.f_code.co_filename.startswith(package):
             calls[frame.f_code.co_name] += 1
 
+    previous = sys.getprofile()
     sys.setprofile(profile)
     try:
         step_rk4(H, g, s, 1e-3)
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)
     assert sum(calls.values()) == LEAN_STEP_CALLS, dict(calls)
 
 
