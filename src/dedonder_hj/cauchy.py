@@ -208,13 +208,14 @@ class StackedVariations:
 
 @dataclass(frozen=True, eq=False)
 class TangentBatch(StackedVariations):
-    """Tangent variations with a leading batch axis."""
+    """Tangent variations with a leading batch axis; ``norms`` is set by
+    :meth:`of`, which every test set comes from."""
     PART_NAMES = ("du", "dp_t", "dp_x")
     k: np.ndarray      # (S,)
     du: np.ndarray     # (S, n, N)
     dp_t: np.ndarray   # (S, n, N)
     dp_x: np.ndarray   # (S, n, m, N)
-    norms: np.ndarray  # (S,)
+    norms: np.ndarray = None   # (S,)
     indicators: bool = False
 
 
@@ -409,27 +410,34 @@ def _state_pairing_data(H, grid, state):
     return h_u, h_pt, h_px, du_grid, dpx_grid
 
 
+# The component axes are counted back from the node axis, so the same
+# lines serve one variation and a stack of them (leading axis S).
+
 def _vertical_h(data, X):
     h_u, h_pt, h_px = data[:3]
-    return (np.sum(h_u * X.du, axis=0) + np.sum(h_pt * X.dp_t, axis=0)
-            + np.sum(h_px * X.dp_x, axis=(0, 1)))
+    return (np.sum(h_u * X.du, axis=-2) + np.sum(h_pt * X.dp_t, axis=-2)
+            + np.sum(h_px * X.dp_x, axis=(-3, -2)))
 
 
 def _momentum_bracket(data, X):
     du_grid, dpx_grid = data[3:]
-    return (np.sum(X.dp_x * du_grid, axis=(0, 1))
-            - np.sum(X.du[:, None, :] * dpx_grid, axis=(0, 1)))
+    return (np.sum(X.dp_x * du_grid, axis=(-3, -2))
+            - np.sum(X.du[..., None, :] * dpx_grid, axis=(-3, -2)))
 
 
 def presymplectic_pairing(H, grid, state, X, Y, _data=None):
     """Pairing of two tangent variations at a state; bilinear and exactly
-    antisymmetric by construction."""
+    antisymmetric by construction. X and Y may also be stacked alike, as
+    in :class:`TangentBatch`: the result is then the (S,) array of the
+    pairings of X[s] with Y[s], each equal to its single pairing bit for
+    bit."""
     data = _state_pairing_data(H, grid, state) if _data is None else _data
+    k_x, k_y = np.asarray(X.k)[..., None], np.asarray(Y.k)[..., None]
     # grouped so that swapping X and Y negates every floating-point term
-    t_energy = _vertical_h(data, X) * Y.k - _vertical_h(data, Y) * X.k
-    t_canonical = np.sum(X.du * Y.dp_t - X.dp_t * Y.du, axis=0)
-    t_momentum = X.k * _momentum_bracket(data, Y) \
-        - Y.k * _momentum_bracket(data, X)
+    t_energy = _vertical_h(data, X) * k_y - _vertical_h(data, Y) * k_x
+    t_canonical = np.sum(X.du * Y.dp_t - X.dp_t * Y.du, axis=-2)
+    t_momentum = k_x * _momentum_bracket(data, Y) \
+        - k_y * _momentum_bracket(data, X)
     return integrate_density(grid, (t_energy + t_canonical) + t_momentum)
 
 

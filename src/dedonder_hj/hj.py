@@ -28,11 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import (CauchyState, TangentVariation, _check_count, _check_dt,
-                     _check_fields, _state_pairing_data, checked_frames,
-                     covector_residual, frame_velocities, gradient_fields,
-                     pairing_covector, presymplectic_pairing,
-                     random_smooth_variation, standard_test_variations)
+from .cauchy import (CauchyState, TangentBatch, TangentVariation,
+                     _check_count, _check_dt, _check_fields, _rk4_update,
+                     _state_pairing_data, checked_frames, covector_residual,
+                     frame_velocities, gradient_fields, pairing_covector,
+                     presymplectic_pairing, random_smooth_variation,
+                     standard_test_variations)
 from .legendre import ConnectionCoefficients
 from .models import ModelError, central_difference
 
@@ -400,7 +401,7 @@ def evolve_characteristics(H, gamma, grid, u0, t0, dt, t_final,
     def rhs(t, uu):
         return H.d_pt(t, grid.x, uu, *gamma.momenta(t, grid.x, uu))
 
-    frames = [u.copy()]
+    frames = [u]
     times = [t0]
     t = t0
     for k in range(n_steps):
@@ -408,15 +409,15 @@ def evolve_characteristics(H, gamma, grid, u0, t0, dt, t_final,
         k2 = rhs(t + dt / 2, u + dt / 2 * k1)
         k3 = rhs(t + dt / 2, u + dt / 2 * k2)
         k4 = rhs(t + dt, u + dt * k3)
-        u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        u = _rk4_update(u, dt, k1, k2, k3, k4)
         t = t0 + (k + 1) * dt
-        peak = np.max(np.abs(u))
+        peak = np.maximum.reduce(np.abs(u), axis=None)
         if not peak < np.inf:
             raise CharacteristicBlowup(f"non-finite u at step {k + 1}")
         if peak > 1e6:
             raise CharacteristicBlowup(f"|u| exceeded 1e+06 at step {k + 1}")
         if (k + 1) % store_every == 0 or k + 1 == n_steps:
-            frames.append(u.copy())
+            frames.append(u)
             times.append(t)
     return np.asarray(times), np.stack(frames)
 
@@ -431,12 +432,16 @@ def lift_by_gamma(gamma, t, grid, u):
 
 def _lift_with(d, k, du):
     """Pushforward of a configuration-space variation (k, du) at u through
-    the section lift, from the section partials ``d`` at u: momenta vary
-    by k d_t gamma + d_u gamma . du."""
+    the section lift, from the section partials ``d`` at the N nodes of u:
+    momenta vary by k d_t gamma + d_u gamma . du. A scalar k with du
+    (n, N) gives a :class:`TangentVariation`; k (S,) with du (S, n, N)
+    gives S stacked ones as a :class:`TangentBatch`."""
     du = np.asarray(du, dtype=float)
-    dpt = k * d["pt_t"] + np.einsum("ab...,b...->a...", d["pt_u"], du)
-    dpx = k * d["px_t"] + np.einsum("ajb...,b...->aj...", d["px_u"], du)
-    return TangentVariation(k, du, dpt, dpx)
+    k_t = np.asarray(k)[..., None, None]
+    dpt = k_t * d["pt_t"] + np.einsum("abN,...bN->...aN", d["pt_u"], du)
+    dpx = k_t[..., None] * d["px_t"] \
+        + np.einsum("ajbN,...bN->...ajN", d["px_u"], du)
+    return (TangentBatch if np.ndim(k) else TangentVariation)(k, du, dpt, dpx)
 
 
 @dataclass
@@ -473,9 +478,11 @@ def hj_lift_solution_check(H, gamma, grid, times, u_frames, rng=None):
     split = 0.0
     contraction = 0.0
     pullback = 0.0
-    pair_specs = [(random_smooth_variation(grid, n, rng, vertical=False),
-                   random_smooth_variation(grid, n, rng, vertical=False))
-                  for _ in range(8)]
+    # 8 pairs (V, W) of random variations, drawn V, W, V, W, ... and
+    # stacked: one lift of each stack and one pairing per frame
+    draws = [random_smooth_variation(grid, n, rng, vertical=False)
+             for _ in range(16)]
+    V, W = (TangentBatch.of(grid, draws[i::2]) for i in (0, 1))
     for k in idx:
         state = states[k]
         data = _state_pairing_data(H, grid, state)
@@ -487,11 +494,10 @@ def hj_lift_solution_check(H, gamma, grid, times, u_frames, rng=None):
         X = _lift_with(d, 1.0, data[1])
         contraction = max(contraction, covector_residual(
             grid, *pairing_covector(grid, data, X), test_set))
-        for V, W in pair_specs:
-            lv = _lift_with(d, V.k, V.du)
-            lw = _lift_with(d, W.k, W.du)
-            pullback = max(pullback, abs(presymplectic_pairing(
-                H, grid, state, lv, lw, _data=data)))
+        pairings = presymplectic_pairing(
+            H, grid, state, _lift_with(d, V.k, V.du),
+            _lift_with(d, W.k, W.du), _data=data)
+        pullback = max(pullback, float(np.max(np.abs(pairings))))
     return HJLiftReport(compatibility_residual=compat_res,
                         split_residual=split,
                         contraction_residual=contraction,

@@ -313,11 +313,43 @@ def parse_scenario(path):
     if family == "custom_table" and values["initial.file"] is None:
         raise ScenarioError(f"{path}: initial.family custom_table requires "
                             f"initial.file")
+    # under a linear model the right-hand side of initial data whose u and
+    # p_t are at most v is at most v max(1, mass, 1 / h)^2, with h / 2 on a
+    # grid sweep's grid, and the stages of an RK4 step and their sum grow
+    # it less than 64-fold (check_stability refuses a nonlinear potential
+    # that overflows)
+    length = values["grid.length"]
+    mass = model_params.get("mass", model_params.get("omega", 0.0))
+    rate = max(1.0, abs(mass), 2.0 * n_nodes / length)
+    for key in ("initial.amplitude", "initial.velocity"):
+        if family != "custom_table" \
+                and not np.isfinite(64.0 * abs(values[key]) * rate * rate):
+            raise ScenarioError(
+                f"{path}:{lines[key] or lines['grid.length']}: {key} = "
+                f"{values[key]:g} is too large for {n_nodes} nodes on "
+                f"grid.length = {length:g} (the first RK4 step of the "
+                f"initial field overflows)")
 
     gamma_name = values["gamma.family"]
     if gamma_name is None and "gamma" in sections:
         raise ScenarioError(f"{path}: missing required key gamma.family")
+    gamma_lines = {key: ln for key, (_, ln) in sections.get("gamma",
+                                                            {}).items()}
     gamma_params = _params(sections, "gamma", path, {"omega": _as_squarable})
+    if gamma_name == "linear":
+        # the section k u + s, and k times it in the Hamilton-Jacobi
+        # residual, at the largest |u| it is evaluated at
+        u_max = max(abs(v) for v in values["gamma.box_u"]
+                    + (values["initial.amplitude"],))
+        for slope, shift in (("a", "b"), ("c", "d")):
+            k, s = (abs(gamma_params.get(key, 0.0)) for key in (slope, shift))
+            if not np.isfinite((k + 1.0) * (k * u_max + s)):
+                raise ScenarioError(
+                    f"{path}:{gamma_lines[slope]}: gamma.{slope} = "
+                    f"{gamma_params[slope]:g} is "
+                    f"too large (gamma.{slope} * (gamma.{slope} u + "
+                    f"gamma.{shift}) overflows at |u| = {u_max:g}, the "
+                    f"largest of gamma.box_u and initial.amplitude)")
 
     for sec_name, entries in sections.items():
         for key, (_, lineno) in entries.items():

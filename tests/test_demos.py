@@ -1,5 +1,5 @@
-"""Each narrative demo, and the step probe of ``tools/``, runs to
-completion in a fresh interpreter."""
+"""Each narrative demo, and the probes of ``tools/``, runs to completion
+in a fresh interpreter."""
 
 import os
 import subprocess
@@ -39,3 +39,12 @@ def test_step_probe_finds_the_bare_loop_bit_identical(tmp_path):
                      "--rounds", "1")
     assert run.returncode == 0, run.stdout + run.stderr[-2000:]
     assert run.stdout.count("final states bit-identical") == 2
+
+
+def test_pullback_probe_finds_the_stacked_pairings_bit_identical(tmp_path):
+    # the probe exits 1 when a stacked pullback pairing differs in any bit
+    # from the pair-by-pair one
+    run = run_script(ROOT / "tools" / "pullback_probe.py", tmp_path,
+                     "--rounds", "1")
+    assert run.returncode == 0, run.stdout + run.stderr[-2000:]
+    assert "280 values bit-identical" in run.stdout

@@ -4,7 +4,9 @@ contraction into a per-node covector.
 Random states and variations (time components k != 0) are drawn for the
 built-in models with m in {0, 1} and n in {1, 2}; the two-argument
 pairings are the references the covector form and the closed-form node
-indicators are checked against.
+indicators are checked against. Stacked variations, lifted through the
+oscillator and linear Hamilton-Jacobi sections, are checked against the
+same pairing and lift called one pair at a time.
 """
 
 import numpy as np
@@ -28,6 +30,8 @@ from dedonder_hj.cotangent import (CotangentBatch, CotangentState,
                                    extended_form_pairing,
                                    standard_cotangent_variations,
                                    variational_derivative)
+from dedonder_hj.hj import (_lift_with, lift_by_gamma, linear_gamma,
+                            oscillator_gamma)
 from dedonder_hj.legendre import hamiltonian_from_lagrangian
 from dedonder_hj.models import (Dimensions, HamiltonianModel,
                                 LagrangianModel, builtin_model)
@@ -404,3 +408,71 @@ def test_standard_test_set_stores_linear_bytes(n):
                  if hasattr(v, "nbytes"))
     assert stored <= 64 * 3 * n * N * 8
     assert len(test_set) == len(test_set.k) + 3 * n * N
+
+
+# -- stacked variations --------------------------------------------------------
+
+@st.composite
+def lifted_stacks(draw):
+    """(H, grid, state, V, W, singles) over the built-in models and the
+    oscillator and linear sections: S pairs of configuration variations
+    lifted as two stacks V and W at the section's lift of a random u, and
+    the same pairs lifted one by one."""
+    H, _, grid, n, rng = draw(cauchy_cases(builtins_only=True))
+    dims = H.dims
+    if draw(st.booleans()):
+        gamma = oscillator_gamma(dims, omega=rng.uniform(0.2, 1.5))
+    else:
+        gamma = linear_gamma(dims, *rng.normal(size=4))
+    t = rng.uniform(0.0, 0.5)
+    state = lift_by_gamma(gamma, t, grid, rng.normal(size=(n, grid.n_nodes)))
+    d = gamma.partials(t, grid.x, state.u)
+    S = draw(st.integers(1, 8))
+    configs = [(rng.normal(size=S), rng.normal(size=(S, n, grid.n_nodes)))
+               for _ in range(2)]
+    V, W = (_lift_with(d, k, du) for k, du in configs)
+    singles = [[_lift_with(d, k[s], du[s]) for s in range(S)]
+               for k, du in configs]
+    return H, grid, state, V, W, singles
+
+
+@PROPERTY
+@given(lifted_stacks())
+def test_stacked_lift_matches_single_lifts(case):
+    _, _, _, V, W, singles = case
+    for stack, ones in zip((V, W), singles):
+        assert isinstance(stack, TangentBatch)
+        for name in ("k", "du", "dp_t", "dp_x"):
+            single = np.stack([getattr(X, name) for X in ones])
+            assert single.tobytes() == getattr(stack, name).tobytes()
+
+
+@PROPERTY
+@given(lifted_stacks())
+def test_stacked_pairing_matches_single_pairings(case):
+    H, grid, state, V, W, (vs, ws) = case
+    stacked = presymplectic_pairing(H, grid, state, V, W)
+    assert stacked.shape == (len(vs),)
+    single = np.array([presymplectic_pairing(H, grid, state, X, Y)
+                       for X, Y in zip(vs, ws)])
+    assert single.tobytes() == stacked.tobytes()
+    # stacks of unlifted variations, through the test sets' constructor
+    rng = np.random.default_rng(len(vs))
+    n = state.u.shape[0]
+    xs, ys = ([random_tangent(grid, n, rng) for _ in vs] for _ in range(2))
+    stacked = presymplectic_pairing(H, grid, state, TangentBatch.of(grid, xs),
+                                    TangentBatch.of(grid, ys))
+    single = np.array([presymplectic_pairing(H, grid, state, X, Y)
+                       for X, Y in zip(xs, ys)])
+    assert single.tobytes() == stacked.tobytes()
+
+
+@PROPERTY
+@given(lifted_stacks())
+def test_stacked_pairing_antisymmetric(case):
+    H, grid, state, V, W, _ = case
+    data = _state_pairing_data(H, grid, state)
+    forward = presymplectic_pairing(H, grid, state, V, W, _data=data)
+    assert (presymplectic_pairing(H, grid, state, W, V, _data=data)
+            == -forward).all()
+    assert not presymplectic_pairing(H, grid, state, V, V, _data=data).any()

@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -1420,6 +1421,47 @@ def test_refusals_name_their_file_and_line(tmp_path, capsys, command, text,
     assert captured.out == ""
     assert list(out.glob("*.csv")) == []
 
+
+KG_LINEAR_OVERFLOW = KG_LIFTED.replace("family = oscillator\nomega = 1.0",
+                                       "family = linear\nc = 1e308")
+
+
+@pytest.mark.parametrize("command, text, bad, key", [
+    ("simulate", kg("amplitude = 0.8", "amplitude = 1e308"),
+     "amplitude = 1e308", "initial.amplitude"),
+    ("simulate --sweep grid", kg("amplitude = 0.8", "amplitude = 1e308"),
+     "amplitude = 1e308", "initial.amplitude"),
+    ("simulate", OSCILLATOR_TEXT.replace("amplitude = 0.75",
+                                         "amplitude = 1e308"),
+     "amplitude = 1e308", "initial.amplitude"),
+    ("simulate", OSCILLATOR_TEXT.replace("velocity = 0.5",
+                                         "velocity = 1e308"),
+     "velocity = 1e308", "initial.velocity"),
+    ("compare", KG_LINEAR_OVERFLOW, "c = 1e308", "gamma.c"),
+    ("verify-hj", KG_LINEAR_OVERFLOW, "c = 1e308", "gamma.c"),
+    ("characteristics", KG_LINEAR_OVERFLOW, "c = 1e308", "gamma.c"),
+], ids=["simulate-sine-amplitude", "grid-sweep-sine-amplitude",
+        "oscillator-amplitude", "oscillator-velocity",
+        "compare-linear-slope", "verify-hj-linear-slope",
+        "characteristics-linear-slope"])
+def test_overflowing_values_are_refused_in_one_stderr_line(
+        tmp_path, capsys, command, text, bad, key):
+    # unrefused, numpy's overflow warnings reached stderr ahead of the
+    # error (simulate) or the incompatibility refusal (compare); recorded
+    # here, each warning counts as the lines a process would print
+    path = write(tmp_path, text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(command.split() + ["--scenario", path])
+    err = capsys.readouterr().err + "".join(
+        warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+        for w in caught)
+    assert len(err.splitlines()) == 1
+    assert err.startswith(("error:", "refused:"))
+    line = text.splitlines().index(bad) + 1
+    assert err.startswith(f"error: {path}:{line}: {key} = 1e+308 is too "
+                          f"large")
+    assert code == 2
 
 def test_scenario_file_not_utf8_refused(tmp_path, capsys):
     # unrefused, the UnicodeDecodeError ended in a traceback (exit 1)
