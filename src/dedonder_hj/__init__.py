@@ -3,9 +3,10 @@ Hamilton-De Donder-Weyl evolution, presymplectic pairings on Cauchy data,
 Hamilton-Jacobi section verification, characteristic integration and the
 cotangent-space restriction identities."""
 
-from .models import (BUILTIN_MODEL_NAMES, Dimensions, ExtendedMomentumSample,
-                     HamiltonianModel, JetSample, LagrangianModel, ModelError,
-                     ReducedMomentumSample, builtin_model)
+from .models import (BUILTIN_MODEL_NAMES, DedonderError, Dimensions,
+                     ExtendedMomentumSample, HamiltonianModel, JetSample,
+                     LagrangianModel, ModelError, ReducedMomentumSample,
+                     builtin_model)
 from .legendre import (ConnectionCoefficients, FieldSection, MomentumSection,
                        NewtonError, euler_lagrange_residual, flatness_residual,
                        hamiltonian_from_lagrangian, hdw_residual,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .legendre import _solve_nodewise
-from .models import ModelError
+from .models import DedonderError, ModelError
 
 #: power iterations of :func:`rhs_spectral_radius`
 RHS_POWER_ITERATIONS = 30
@@ -40,16 +40,17 @@ RHS_POWER_ITERATIONS = 30
 #: comparable across grid refinement.
 VARIATION_SCALE = 0.25
 
-#: largest |u| or |p_t| that :func:`run_simulation` lets a step reach
+#: largest |u| (and |p_t|) that a step of either integrator may reach
 BLOWUP_BOUND = 1e8
 
 
-class GridError(ValueError):
+class GridError(DedonderError, ValueError):
     """Bad grid construction or use."""
 
 
-class BlowupError(RuntimeError):
-    """State magnitude exceeded the configured bound during integration."""
+class BlowupError(DedonderError, RuntimeError):
+    """A field went non-finite or past BLOWUP_BOUND during integration."""
+    exit_code = 3
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,8 @@ class CauchyGrid:
 
 
 def make_grid(n_nodes, length=1.0, m=1):
+    if not isinstance(n_nodes, numbers.Integral):
+        raise GridError(f"n_nodes must be an integer, got {n_nodes!r}")
     if n_nodes < 1:
         raise GridError("n_nodes must be >= 1")
     if not 0 < length < np.inf:
@@ -365,6 +368,18 @@ def rhs_spectral_radius(H, grid, state):
     return float(np.sqrt(np.abs(np.linalg.eigvals(hess[:k, :k])).max()))
 
 
+def _check_peak(step, **fields):
+    """Raise :class:`BlowupError` naming ``step`` at the first field that
+    is non-finite, or above :data:`BLOWUP_BOUND` in magnitude."""
+    for name, values in fields.items():
+        peak = np.maximum.reduce(np.abs(values), axis=None)
+        if not peak < np.inf:
+            raise BlowupError(f"non-finite {name} at step {step}")
+        if peak > BLOWUP_BOUND:
+            raise BlowupError(f"|{name}| exceeded {BLOWUP_BOUND:g} at step "
+                              f"{step}")
+
+
 @dataclass
 class Trajectory:
     times: np.ndarray
@@ -373,9 +388,8 @@ class Trajectory:
 
 def run_simulation(H, grid, state0, dt, n_steps, store_every=1):
     """Integrate ``n_steps`` RK4 steps, storing every ``store_every``-th
-    state (the initial and final states always included). A step that
-    leaves u or p_t non-finite, or above :data:`BLOWUP_BOUND` in
-    magnitude, raises :class:`BlowupError` naming the step."""
+    state (the initial and final states always included); each step's u
+    and p_t pass :func:`_check_peak`."""
     _check_dt(dt)
     _check_count("n_steps", n_steps, 0)
     _check_count("store_every", store_every, 1)
@@ -384,13 +398,7 @@ def run_simulation(H, grid, state0, dt, n_steps, store_every=1):
     state = state0
     for k in range(n_steps):
         state = step_rk4(H, grid, state, dt)
-        for name in ("u", "p_t"):
-            peak = np.maximum.reduce(np.abs(getattr(state, name)), axis=None)
-            if not peak < np.inf:
-                raise BlowupError(f"non-finite {name} at step {k + 1}")
-            if peak > BLOWUP_BOUND:
-                raise BlowupError(f"|{name}| exceeded {BLOWUP_BOUND:g} "
-                                  f"at step {k + 1}")
+        _check_peak(k + 1, u=state.u, p_t=state.p_t)
         if (k + 1) % store_every == 0 or k + 1 == n_steps:
             states.append(state)
             times.append(state.t)

@@ -16,28 +16,26 @@ from dataclasses import replace
 
 import numpy as np
 
-from .cauchy import (MIN_CHECKED_FRAMES, BlowupError, CauchyState, GridError,
+from .cauchy import (MIN_CHECKED_FRAMES, CauchyState,
                      dynamical_trajectory_residual, frame_velocities,
                      integrate_density, random_smooth_variation,
                      run_simulation, standard_test_variations)
 from .cotangent import (ConstraintError, cotangent_trajectory_residual,
                         instantaneous_hamiltonian, pullback_identity_residual,
                         restriction_map_R, time_legendre_constraint_residual)
-from .hj import (CharacteristicBlowup, GammaDomainError,
-                 IncompatibleDataError, check_compatibility,
-                 evolve_characteristics, gamma_closedness_residual,
-                 hj_lift_solution_check, hj_residual, lift_by_gamma,
-                 reduced_connection)
-from .legendre import NewtonError, flatness_residual
-from .models import ModelError
+from .hj import (check_compatibility, evolve_characteristics,
+                 gamma_closedness_residual, hj_lift_solution_check,
+                 hj_residual, lift_by_gamma, reduced_connection)
+from .legendre import flatness_residual
+from .models import DedonderError
 from .scenario import (ScenarioError, build_gamma, build_grid, build_model,
                        check_stability, exact_solution, hamiltonian_for,
                        initial_fields, initial_state, parse_scenario)
 
 EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_NUMERICAL = 3
 EXIT_REFUSED = 4
+#: stderr prefix of each failing exit code
+EXIT_PREFIX = {2: "error", 3: "numerical failure", 4: "refused"}
 #: rows of a CSV table formatted by one ``%`` operation
 CSV_BLOCK = 1024
 
@@ -438,32 +436,31 @@ def main(argv=None):
                         help="refinement sweep (simulate and compare only)")
     args = parser.parse_args(argv)
     try:
-        if not 0 <= args.seed < 2 ** 64:
-            raise ScenarioError(f"--seed must be in [0, 2**64), got "
-                                f"{args.seed}")
-        scenario = parse_scenario(args.scenario)
-        out_dir = _ensure_outdir(args.out or scenario.output_dir)
-        if args.sweep and args.command not in ("simulate", "compare"):
-            raise ScenarioError(f"--sweep is not supported for "
-                                f"{args.command}")
-        if args.command == "simulate":
-            return cmd_simulate(scenario, out_dir, args.seed, args.sweep)
-        if args.command == "verify-hj":
-            return cmd_verify_hj(scenario, out_dir, args.seed)
-        if args.command == "characteristics":
-            return cmd_characteristics(scenario, out_dir, args.seed)
-        if args.command == "compare":
-            return cmd_compare(scenario, out_dir, args.seed, args.sweep)
-        return cmd_pairing_check(scenario, out_dir, args.seed)
-    except (ScenarioError, ModelError, GridError, GammaDomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (IncompatibleDataError, ConstraintError) as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    except (NewtonError, BlowupError, CharacteristicBlowup) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        # numpy's float errors end the run instead of printing warnings
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if not 0 <= args.seed < 2 ** 64:
+                raise ScenarioError(f"--seed must be in [0, 2**64), got "
+                                    f"{args.seed}")
+            scenario = parse_scenario(args.scenario)
+            out_dir = _ensure_outdir(args.out or scenario.output_dir)
+            if args.sweep and args.command not in ("simulate", "compare"):
+                raise ScenarioError(f"--sweep is not supported for "
+                                    f"{args.command}")
+            if args.command == "simulate":
+                return cmd_simulate(scenario, out_dir, args.seed, args.sweep)
+            if args.command == "verify-hj":
+                return cmd_verify_hj(scenario, out_dir, args.seed)
+            if args.command == "characteristics":
+                return cmd_characteristics(scenario, out_dir, args.seed)
+            if args.command == "compare":
+                return cmd_compare(scenario, out_dir, args.seed, args.sweep)
+            return cmd_pairing_check(scenario, out_dir, args.seed)
+    except DedonderError as exc:
+        print(f"{EXIT_PREFIX[exc.exit_code]}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except FloatingPointError as exc:
+        print(f"{EXIT_PREFIX[3]}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -29,17 +29,12 @@ from .cauchy import (StackedVariations, _smooth_profile, checked_frames,
                      spatial_derivative)
 from .hj import lift_by_gamma
 from .legendre import _solve_nodewise
-from .models import ModelError
+from .models import ModelError, RefusedResidual
 
 
-class ConstraintError(RuntimeError):
+class ConstraintError(RefusedResidual):
     """State is off the image of the time-Legendre constraint."""
-
-    def __init__(self, residual, tol):
-        super().__init__(f"state off the momentum constraint: residual "
-                         f"{residual:.6e} > tol {tol:.3e}")
-        self.residual = residual
-        self.tol = tol
+    what = "state off the momentum constraint"
 
 
 @dataclass(frozen=True)

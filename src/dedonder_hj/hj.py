@@ -29,28 +29,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy import (CauchyState, TangentBatch, TangentVariation,
-                     _check_count, _check_dt, _check_fields, _rk4_update,
-                     _state_pairing_data, checked_frames, covector_residual,
-                     frame_velocities, gradient_fields, pairing_covector,
-                     presymplectic_pairing, random_smooth_variation,
-                     standard_test_variations)
+                     _check_count, _check_dt, _check_fields, _check_peak,
+                     _rk4_update, _state_pairing_data, checked_frames,
+                     covector_residual, frame_velocities, gradient_fields,
+                     pairing_covector, presymplectic_pairing,
+                     random_smooth_variation, standard_test_variations)
 from .legendre import ConnectionCoefficients
-from .models import ModelError, central_difference
+from .models import (DedonderError, ModelError, RefusedResidual,
+                     central_difference)
 
 
-class GammaDomainError(ValueError):
+class GammaDomainError(DedonderError, ValueError):
     """Section evaluated outside its admissible domain (e.g. near a pole)."""
 
 
-class IncompatibleDataError(RuntimeError):
+class IncompatibleDataError(RefusedResidual):
     """Initial data is not an integral submanifold of the restricted
     connection; certification refused."""
-
-    def __init__(self, residual, tol):
-        super().__init__(f"initial data incompatible with the restricted "
-                         f"connection: residual {residual:.6e} > tol {tol:.3e}")
-        self.residual = residual
-        self.tol = tol
+    what = "initial data incompatible with the restricted connection"
 
 
 class HJSection:
@@ -367,9 +363,12 @@ def restricted_connection_residual(H, gamma, grid, u, t):
 
 def check_compatibility(H, gamma, grid, u, t):
     """Largest entry of :func:`restricted_connection_residual`; raises
-    :class:`IncompatibleDataError` above 10 h^2. Data at m = 0 have an
-    empty residual, so they pass wherever the section evaluates."""
+    :class:`IncompatibleDataError` above 10 h^2, and ModelError for a
+    non-finite u. Finite data at m = 0 have an empty residual, so they
+    pass wherever the section evaluates."""
     compat = restricted_connection_residual(H, gamma, grid, u, t)
+    if not np.isfinite(u).all():
+        raise ModelError("non-finite field u")
     residual = float(np.max(np.abs(compat), initial=0.0))
     tol = 10.0 * grid.spacing ** 2
     if residual > tol:
@@ -377,16 +376,11 @@ def check_compatibility(H, gamma, grid, u, t):
     return residual
 
 
-class CharacteristicBlowup(RuntimeError):
-    """Characteristic integration exceeded the configured bound."""
-
-
 def evolve_characteristics(H, gamma, grid, u0, t0, dt, t_final,
                            store_every=1):
     """Integrate the per-node characteristic ODE du/dt = Gamma_0(t, x, u)
-    with RK4; no spatial coupling enters. Returns (times, u_frames), or
-    raises :class:`CharacteristicBlowup` once u is non-finite or |u|
-    exceeds 1e6."""
+    with RK4; no spatial coupling enters. Returns (times, u_frames); a step
+    that blows up raises BlowupError as ``cauchy.run_simulation`` does."""
     _check_pair(H, gamma)
     _check_dt(dt)
     _check_count("store_every", store_every, 1)
@@ -411,11 +405,7 @@ def evolve_characteristics(H, gamma, grid, u0, t0, dt, t_final,
         k4 = rhs(t + dt, u + dt * k3)
         u = _rk4_update(u, dt, k1, k2, k3, k4)
         t = t0 + (k + 1) * dt
-        peak = np.maximum.reduce(np.abs(u), axis=None)
-        if not peak < np.inf:
-            raise CharacteristicBlowup(f"non-finite u at step {k + 1}")
-        if peak > 1e6:
-            raise CharacteristicBlowup(f"|u| exceeded 1e+06 at step {k + 1}")
+        _check_peak(k + 1, u=u)
         if (k + 1) % store_every == 0 or k + 1 == n_steps:
             frames.append(u)
             times.append(t)

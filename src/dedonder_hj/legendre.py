@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (DEFAULT_FD_STEP, ExtendedMomentumSample,
+from .models import (DEFAULT_FD_STEP, DedonderError, ExtendedMomentumSample,
                      HamiltonianModel, JetSample, ModelError,
                      ReducedMomentumSample, _analytic_or_difference,
                      central_difference, pack_velocities, unpack_velocities)
@@ -24,8 +24,9 @@ NEWTON_MAX_ITER = 50
 _FD_NOISE_FACTOR = 100.0
 
 
-class NewtonError(RuntimeError):
+class NewtonError(DedonderError, RuntimeError):
     """Newton iteration failed: singular system or no convergence."""
+    exit_code = 3
 
 
 def legendre_extended(L, jet):

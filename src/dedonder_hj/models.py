@@ -30,8 +30,24 @@ BUILTIN_MODEL_NAMES = ("free_wave", "klein_gordon", "scalar_potential",
                        "mechanics_oscillator")
 
 
-class ModelError(ValueError):
+class DedonderError(Exception):
+    """Base class of the package's errors; ``exit_code`` is the CLI's exit
+    status: 2 invalid input (the default), 3 numerical failure, 4 refusal."""
+    exit_code = 2
+
+
+class ModelError(DedonderError, ValueError):
     """Bad model construction or evaluation request."""
+
+
+class RefusedResidual(DedonderError, RuntimeError):
+    """A residual above its tolerance, so ``what`` is refused."""
+    exit_code = 4
+
+    def __init__(self, residual, tol):
+        super().__init__(f"{self.what}: residual {residual:.6e} > tol "
+                         f"{tol:.3e}")
+        self.residual, self.tol = residual, tol
 
 
 @dataclass(frozen=True)

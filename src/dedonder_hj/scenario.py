@@ -40,7 +40,8 @@ from .cauchy import (MIN_CHECKED_FRAMES, CauchyState, make_grid,
                      recover_spatial_momenta, rhs_spectral_radius)
 from .hj import GAMMA_FAMILIES, gamma_family
 from .legendre import hamiltonian_from_lagrangian
-from .models import BUILTIN_MODEL_NAMES, ModelError, builtin_model
+from .models import (BUILTIN_MODEL_NAMES, DedonderError, ModelError,
+                     builtin_model)
 
 INITIAL_FAMILIES = ("constant", "sine", "traveling_wave", "custom_table")
 
@@ -49,7 +50,7 @@ INITIAL_FAMILIES = ("constant", "sine", "traveling_wave", "custom_table")
 RK4_IMAGINARY_BOUND = 2.0 * np.sqrt(2.0)
 
 
-class ScenarioError(ValueError):
+class ScenarioError(DedonderError, ValueError):
     """Malformed or invalid scenario configuration."""
 
 

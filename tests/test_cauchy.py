@@ -85,6 +85,11 @@ def test_make_grid_errors():
         with pytest.raises(GridError,
                            match="^length must be positive and finite$"):
             make_grid(16, length=length)
+    # numpy's arange and Python's range refused these in their own words
+    for n_nodes in (float("nan"), 2.5):
+        with pytest.raises(GridError, match="^n_nodes must be an integer, "
+                                            f"got {n_nodes!r}$"):
+            make_grid(n_nodes)
 
 
 @pytest.mark.parametrize("call, message", [

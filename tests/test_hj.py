@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from dedonder_hj.cauchy import (GridError, make_grid, recover_spatial_momenta,
-                                run_simulation)
-from dedonder_hj.hj import (CharacteristicBlowup, ClosednessResidual,
-                            GammaDomainError, HJSection,
+from dedonder_hj.cauchy import (BlowupError, GridError, make_grid,
+                                recover_spatial_momenta, run_simulation)
+from dedonder_hj.hj import (ClosednessResidual, GammaDomainError, HJSection,
                             IncompatibleDataError, _lift_with,
                             check_compatibility, evolve_characteristics,
                             gamma_closedness_residual,
@@ -216,22 +215,21 @@ def test_characteristics_constant_klein_gordon():
 
 
 def test_characteristics_blowup_names_the_step():
-    # du/dt = 20 u from u = 1 passes 1e6 near t = ln(1e6) / 20 = 0.69
+    # du/dt = 20 u from u = 1 passes 1e8 near t = ln(1e8) / 20 = 0.92
     g = make_grid(16)
     steep = linear_gamma(M1, a=20.0)
-    with pytest.raises(CharacteristicBlowup,
-                       match=r"^\|u\| exceeded 1e\+06 at step 70$"):
+    with pytest.raises(BlowupError,
+                       match=r"^\|u\| exceeded 1e\+08 at step 93$"):
         evolve_characteristics(wave_H(), steep, g, np.ones((1, 16)), 0.0,
                                0.01, 1.0, store_every=10)
 
 
 def test_characteristics_refuse_non_finite_u():
-    # the section is NaN above u = 1.05; |u| > 1e6 is False for NaN
+    # the section is NaN above u = 1.05; |u| > 1e8 is False for NaN
     g = make_grid(8)
     holed = HJSection(M1, pt=lambda t, x, u: np.where(u > 1.05, np.nan, u),
                       px=lambda t, x, u: np.zeros((1, 1) + np.shape(u)[1:]))
-    with pytest.raises(CharacteristicBlowup,
-                       match=r"^non-finite u at step 1$"):
+    with pytest.raises(BlowupError, match=r"^non-finite u at step 1$"):
         evolve_characteristics(kg_H(1.0), holed, g, np.ones((1, 8)), 0.0,
                                0.1, 1.0)
 
@@ -470,6 +468,19 @@ def test_check_compatibility_tolerance():
     assert check_compatibility(hamiltonian_from_lagrangian(osc),
                                linear_gamma(dims0, a=0.3), make_grid(1, m=0),
                                np.ones((1, 1)), 0.0) == 0.0
+
+
+@pytest.mark.parametrize("H, gamma, grid", [
+    (wave_H(), linear_gamma(M1, a=0.0), make_grid(16)),
+    (hamiltonian_from_lagrangian(builtin_model("mechanics_oscillator")),
+     linear_gamma(Dimensions(m=0, n=1), a=0.3), make_grid(1, m=0)),
+], ids=["m1", "m0"])
+def test_check_compatibility_refuses_non_finite_u(H, gamma, grid):
+    # nan > tol is False, and the m = 0 residual is empty: NaN data passed
+    u = np.ones((1, grid.n_nodes))
+    u[0, 0] = np.nan
+    with pytest.raises(ModelError, match="^non-finite field u$"):
+        check_compatibility(H, gamma, grid, u, 0.0)
 
 
 def test_connection_lift_vector_components():

@@ -1083,7 +1083,7 @@ def test_sweep_without_closed_form_refused_before_stepping(tmp_path, capsys):
 
 
 def test_characteristics_blowup_is_a_numerical_failure(tmp_path, capsys):
-    # du/dt = 20 u from u = 1 passes |u| = 1e6 near t = ln(1e6) / 20
+    # du/dt = 20 u from u = 1 passes |u| = 1e8 near t = ln(1e8) / 20
     out = tmp_path / "out"
     text = KG_CONSTANT.replace("name = klein_gordon\nmass = 1.0",
                                "name = free_wave").replace(
@@ -1092,8 +1092,8 @@ def test_characteristics_blowup_is_a_numerical_failure(tmp_path, capsys):
                  out=str(out))
     assert main(["characteristics", "--scenario", path]) == 3
     captured = capsys.readouterr()
-    assert captured.err == ("numerical failure: |u| exceeded 1e+06 at "
-                            "step 70\n")
+    assert captured.err == ("numerical failure: |u| exceeded 1e+08 at "
+                            "step 93\n")
     assert captured.out == ""
     assert list(out.iterdir()) == []
 
