@@ -25,7 +25,7 @@ above, which is what the trajectory residual measures.
 """
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,6 +42,10 @@ VARIATION_SCALE = 0.25
 
 #: largest |u| (and |p_t|) that a step of either integrator may reach
 BLOWUP_BOUND = 1e8
+
+#: samples per batched evaluation: the chunks of verify-hj's mesh, and the
+#: frame-nodes of a block of frames in the residual checks
+VERIFY_CHUNK = 2048
 
 
 class GridError(DedonderError, ValueError):
@@ -116,7 +120,9 @@ def gradient_fields(grid, values):
 
 @dataclass(frozen=True)
 class CauchyState:
-    """Time value plus per-node fields (u, p_t, p_x)."""
+    """Time value plus per-node fields (u, p_t, p_x); or F frames, with t
+    of shape (F,) and each field on a leading frame axis, as
+    :func:`stack_frames` builds them."""
     t: float
     u: np.ndarray      # (n, N)
     p_t: np.ndarray    # (n, N)
@@ -127,23 +133,7 @@ class CauchyState:
     _recovered_by = (None, None)
 
     def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
-        object.__setattr__(self, "p_t", np.asarray(self.p_t, dtype=float))
-        object.__setattr__(self, "p_x", np.asarray(self.p_x, dtype=float))
-        if not np.isfinite(self.t):
-            raise ModelError(f"non-finite t {self.t}")
-        if self.u.ndim != 2 or self.p_t.shape != self.u.shape:
-            raise ModelError(f"u and p_t must share a shape (n, N), got "
-                             f"{self.u.shape} and {self.p_t.shape}")
-        n, N = self.u.shape
-        if self.p_x.ndim != 3 or self.p_x.shape[::2] != (n, N):
-            raise ModelError(f"p_x must have shape (n, m, N) = ({n}, m, {N}) "
-                             f"for u of shape {self.u.shape}, got "
-                             f"{self.p_x.shape}")
-        for name in ("u", "p_t", "p_x"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ModelError(f"non-finite field {name}")
+        _check_state(self, ("u", "p_t", "p_x"))
 
     @classmethod
     def _unchecked(cls, t, u, p_t, p_x, recovered_by):
@@ -157,6 +147,101 @@ class CauchyState:
         state.__dict__.update(t=t, u=u, p_t=p_t, p_x=p_x,
                               _recovered_by=recovered_by)
         return state
+
+
+def _check_state(state, names):
+    """Convert and check the fields of a state in place: t a float, or
+    (F,) for F frames; the per-node fields in ``names`` float arrays, the
+    first two of one shape (n, N), or (F, n, N), a third, p_x, of shape
+    (n, m, N) to match, and all finite."""
+    t = np.asarray(state.t, dtype=float)
+    object.__setattr__(state, "t", float(t) if t.ndim == 0 else t)
+    for name in names:
+        object.__setattr__(state, name,
+                           np.asarray(getattr(state, name), dtype=float))
+    if not np.isfinite(t).all():
+        raise ModelError(f"non-finite t {state.t}")
+    u, second = (getattr(state, name) for name in names[:2])
+    axes, sizes = ("F, ", f"{len(t)}, ") if t.ndim else ("", "")
+    if t.ndim > 1 or u.ndim != t.ndim + 2 or u.shape[:t.ndim] != t.shape \
+            or second.shape != u.shape:
+        raise ModelError(f"{names[0]} and {names[1]} must share a shape "
+                         f"({axes}n, N), got {u.shape} and {second.shape}")
+    if len(names) > 2:
+        p_x = getattr(state, names[2])
+        n, N = u.shape[-2:]
+        if p_x.ndim != u.ndim + 1 or p_x.shape[:-2] != u.shape[:-1] \
+                or p_x.shape[-1] != N:
+            raise ModelError(f"p_x must have shape ({axes}n, m, N) = "
+                             f"({sizes}{n}, m, {N}) for u of shape "
+                             f"{u.shape}, got {p_x.shape}")
+    for name in names:
+        if not np.all(np.isfinite(getattr(state, name))):
+            raise ModelError(f"non-finite field {name}")
+
+
+def stack_frames(states):
+    """A nonempty sequence of single states of one class as one state of
+    F = len(states) frames: t (F,) and each field stacked on a leading
+    frame axis. Refuses (ModelError) frames of different shapes."""
+    if not len(states):
+        raise ModelError("no frames to stack")
+    cls = type(states[0])
+    names = [f.name for f in fields(cls)][1:]
+    for name in names:
+        shapes = {np.shape(getattr(s, name)) for s in states}
+        if len(shapes) > 1:
+            raise ModelError(f"frames differ in the shape of {name}: "
+                             f"{sorted(shapes)}")
+    return cls(np.array([s.t for s in states], dtype=float),
+               *(np.array([getattr(s, name) for s in states], dtype=float)
+                 for name in names))
+
+
+def frame_blocks(grid, count):
+    """Slices of ``count`` frames in blocks of at most VERIFY_CHUNK
+    frame-nodes, and at least one frame each."""
+    size = max(1, VERIFY_CHUNK // grid.n_nodes)
+    return [slice(lo, lo + size) for lo in range(0, count, size)]
+
+
+def _check_nodes(grid, u, p_x=None):
+    """Refuse (GridError) frames that do not fit the grid: u with another
+    node count, or p_x (..., n, m, N) of another m."""
+    m = grid.m if p_x is None else p_x.shape[-2]
+    if u.shape[-1] != grid.n_nodes or m != grid.m:
+        raise GridError(f"fields on {u.shape[-1]} nodes with m = {m} do "
+                        f"not fit a grid of {grid.n_nodes} nodes with "
+                        f"m = {grid.m}")
+
+
+def _frame_axis(t, *arrays):
+    """(single, t, arrays) with a leading frame axis: a state's own, t of
+    shape (F,), or F = 1 for one frame at a scalar t, ``single`` then set."""
+    if np.ndim(t):
+        return False, t, arrays
+    return True, np.array([t]), [a[None] for a in arrays]
+
+
+def _frame_samples(grid, t, *arrays):
+    """(t, x, *arrays) of a pointwise model evaluation at the F N
+    frame-nodes of arrays (F, ..., N), as independent samples: t (F,)
+    repeated per node, the node coordinates per frame, and each array with
+    the samples on its last axis, (..., F N)."""
+    F, N = len(t), grid.n_nodes
+    return (np.repeat(t, N),
+            np.repeat(grid.x[:, None], F, axis=1).reshape(grid.m, F * N),
+            *(a.transpose((*range(1, a.ndim - 1), 0, a.ndim - 1))
+              .reshape(a.shape[1:-1] + (F * N,)) for a in arrays))
+
+
+def _sample_frames(values, F):
+    """Inverse of :func:`_frame_samples` for a result over the samples:
+    values (..., F N) as an (F, ..., N) view."""
+    values = np.asarray(values, dtype=float)
+    *lead, samples = values.shape
+    return values.reshape(*lead, F, samples // F).transpose(
+        (len(lead), *range(len(lead)), len(lead) + 1))
 
 
 @dataclass(frozen=True)
@@ -408,18 +493,22 @@ def run_simulation(H, grid, state0, dt, n_steps, store_every=1):
 # -- presymplectic pairing ---------------------------------------------------
 
 def _state_pairing_data(H, grid, state):
-    """State-dependent fields of the pairing integrand."""
-    args = (state.t, grid.x, state.u, state.p_t, state.p_x)
-    h_u = H.d_u(*args)
-    h_pt = H.d_pt(*args)
-    h_px = H.d_px(*args)
-    du_grid = gradient_fields(grid, state.u)            # (n, m, N)
-    dpx_grid = spatial_derivative(grid, state.p_x)      # (n, m, N)
-    return h_u, h_pt, h_px, du_grid, dpx_grid
+    """State-dependent fields of the pairing integrand, with a leading
+    frame axis for F stacked frames; the H partials are evaluated once
+    over all frame-nodes."""
+    single, t, (u, p_t, p_x) = _frame_axis(state.t, state.u, state.p_t,
+                                           state.p_x)
+    _check_nodes(grid, u, p_x)
+    args = _frame_samples(grid, t, u, p_t, p_x)
+    data = tuple(_sample_frames(f(*args), len(t))
+                 for f in (H.d_u, H.d_pt, H.d_px)) \
+        + (gradient_fields(grid, u), spatial_derivative(grid, p_x))
+    return tuple(a[0] for a in data) if single else data
 
 
 # The component axes are counted back from the node axis, so the same
-# lines serve one variation and a stack of them (leading axis S).
+# lines serve one variation and a stack of them (leading axis S), at one
+# frame or at a stack of frames (leading axis F).
 
 def _vertical_h(data, X):
     h_u, h_pt, h_px = data[:3]
@@ -458,7 +547,7 @@ def pairing_covector(grid, data, X):
 
     for every Y."""
     h_u, h_pt, h_px, du_grid, dpx_grid = data
-    c_u = -X.k * h_u - X.dp_t - X.k * np.sum(dpx_grid, axis=1)
+    c_u = -X.k * h_u - X.dp_t - X.k * np.sum(dpx_grid, axis=-2)
     c_pt = X.du - X.k * h_pt
     c_px = X.k * (du_grid - h_px)
     c_k = integrate_density(grid, _vertical_h(data, X)
@@ -469,32 +558,60 @@ def pairing_covector(grid, data, X):
 def covector_residual(grid, covector, c_k, test_set):
     """max over a batched test set of |pairing(X, Y)| / (1 + |Y|), with
     the pairing given by i_X as a covector (one per-node array per
-    component of the batch) and a time coefficient ``c_k``.
+    component of the batch) and a time coefficient ``c_k``. With a leading
+    frame axis F on the covector and c_k of shape (F,), the result is the
+    (F,) array of each frame's residual.
 
-    The unit indicator on component c at node j pairs to w_j c[j] and has
-    norm sqrt(w_j), so when the set includes the indicators their maximum
-    is taken in closed form and they are never built: O(N) per call."""
+    Each frame's contraction is one BLAS gemv, ``np.dot`` of the (S, K)
+    test matrix with the frame's K covector entries, so a stack of frames
+    gives each frame's residual bit for bit (one gemm over the stack would
+    not). The unit indicator on component c at node j pairs to w_j c[j]
+    and has norm sqrt(w_j), so when the set includes the indicators their
+    maximum is taken in closed form and they are never built: O(N) per
+    frame."""
     w = grid.weights
+    single = np.ndim(c_k) == 0
+    c_k = np.reshape(c_k, (-1, 1))
     values = c_k * test_set.k
     worst = 0.0
     for c, Y in zip(covector, test_set.parts):
         cw = c * w
-        values = values + np.tensordot(Y, cw, axes=cw.ndim)
+        tests = Y.reshape(len(Y), -1)
+        values = values + np.array(
+            [np.dot(tests, row) for row in cw.reshape(len(c_k), -1)])
         if test_set.indicators:
-            worst = max(worst, np.max(np.abs(cw) / (1.0 + np.sqrt(w)),
-                                      initial=0.0))
-    dense = np.max(np.abs(values) / (1.0 + test_set.norms), initial=0.0)
-    return float(max(worst, dense))
+            worst = np.maximum(worst, np.max(
+                np.abs(cw) / (1.0 + np.sqrt(w)),
+                axis=tuple(range(cw.ndim - Y.ndim + 1, cw.ndim)),
+                initial=0.0))
+    dense = np.max(np.abs(values) / (1.0 + test_set.norms), axis=-1,
+                   initial=0.0)
+    out = np.maximum(worst, dense)
+    return float(out[0]) if single else out
 
 
 def dynamical_trajectory_residual(H, grid, state, state_dot, test_set):
     """max over test variations of |pairing(c_dot, xi)| / (1 + |xi|) with
     the trajectory velocity assembled from ``state_dot`` and k = 1.
 
-    ``state_dot`` is (u_dot, p_t_dot, p_x_dot); ``test_set`` is a
-    :class:`TangentBatch` or a nonempty list of variations.
+    ``state_dot`` is (u_dot, p_t_dot, p_x_dot), shaped as the state's
+    fields; ``test_set`` is a :class:`TangentBatch` or a nonempty list of
+    variations. A state of F stacked frames (:func:`stack_frames`) with
+    velocities on the same leading axis gives the (F,) array of each
+    frame's residual, bit for bit. Refuses (ModelError) velocities that
+    are not finite or not shaped as the fields, and test variations not
+    shaped as one frame of them.
     """
     test_set = TangentBatch.of(grid, test_set)
+    for name, dot, Y in zip(("u", "p_t", "p_x"), state_dot, test_set.parts):
+        field = getattr(state, name)
+        if np.shape(dot) != field.shape or not np.isfinite(dot).all():
+            raise ModelError(f"the velocity of {name} must be finite and "
+                             f"of shape {field.shape}, got "
+                             f"{np.shape(dot)}")
+        if Y.shape[1:] != field.shape[field.ndim - Y.ndim + 1:]:
+            raise ModelError(f"test variations of {name} have shape "
+                             f"{Y.shape[1:]}, the frames {field.shape}")
     c_dot = TangentVariation(1.0, *state_dot)
     covector, c_k = pairing_covector(
         grid, _state_pairing_data(H, grid, state), c_dot)

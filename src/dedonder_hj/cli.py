@@ -16,10 +16,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .cauchy import (MIN_CHECKED_FRAMES, CauchyState,
-                     dynamical_trajectory_residual, frame_velocities,
-                     integrate_density, random_smooth_variation,
-                     run_simulation, standard_test_variations)
+from .cauchy import (MIN_CHECKED_FRAMES, VERIFY_CHUNK, CauchyState,
+                     dynamical_trajectory_residual, frame_blocks,
+                     frame_velocities, integrate_density,
+                     random_smooth_variation, run_simulation, stack_frames,
+                     standard_test_variations)
 from .cotangent import (ConstraintError, cotangent_trajectory_residual,
                         instantaneous_hamiltonian, pullback_identity_residual,
                         restriction_map_R, time_legendre_constraint_residual)
@@ -154,18 +155,24 @@ def _check_frames(scenario, command, frames):
 
 
 def _diagnostics(L, H, grid, times, states, rng):
-    """Per-frame energy, constraint residual and trajectory residual."""
-    n = states[0].u.shape[0]
-    energies = [instantaneous_hamiltonian(L, grid, restriction_map_R(s))
-                for s in states]
-    constraints = [time_legendre_constraint_residual(L, grid, s)
-                   for s in states]
-    traj = [float("nan")] * len(states)
-    if len(states) >= MIN_CHECKED_FRAMES:
+    """Per-frame energy, constraint residual and trajectory residual, each
+    computed once per block of frames (:func:`cauchy.frame_blocks`)."""
+    checked = len(states) >= MIN_CHECKED_FRAMES
+    if checked:
         velocities = frame_velocities(states, times[1] - times[0])
-        test = standard_test_variations(grid, n, rng=rng)
-        traj = [dynamical_trajectory_residual(H, grid, s, dot, test)
-                for s, dot in zip(states, zip(*velocities))]
+        test = standard_test_variations(grid, states[0].u.shape[0], rng=rng)
+    energies, constraints = [], []
+    traj = [float("nan")] * len(states)
+    for block in frame_blocks(grid, len(states)):
+        frames = stack_frames(states[block])
+        energies += instantaneous_hamiltonian(
+            L, grid, restriction_map_R(frames)).tolist()
+        constraints += time_legendre_constraint_residual(
+            L, grid, frames).tolist()
+        if checked:
+            traj[block] = dynamical_trajectory_residual(
+                H, grid, frames, [v[block] for v in velocities],
+                test).tolist()
     return energies, constraints, traj
 
 
@@ -249,10 +256,6 @@ def _verify_mesh(scenario, dims):
     return np.stack(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), -1)
 
 
-#: samples per batched evaluation of the verification residuals
-VERIFY_CHUNK = 2048
-
-
 def _verify_columns(H, gamma, mesh, conn=None):
     """Per-sample closedness, Hamilton-Jacobi and (when ``conn`` is given)
     flatness residuals over the mesh of :func:`_verify_mesh`, as rows of
@@ -319,7 +322,8 @@ def cmd_characteristics(scenario, out_dir, seed):
                _field_header(L.dims.n, grid.m),
                _field_rows(grid, times, states), p, int_cols=(1,))
     rng = np.random.default_rng(seed)
-    report = hj_lift_solution_check(H, gamma, grid, times, frames, rng=rng)
+    report = hj_lift_solution_check(H, gamma, grid, times, frames, rng=rng,
+                                    lifted=states)
     _report([f"characteristics: model={scenario.model_name} "
              f"gamma={scenario.gamma_name} N={grid.n_nodes} seed={seed}",
              f"compatibility_residual = {_fmt(report.compatibility_residual, p)}",

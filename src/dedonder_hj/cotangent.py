@@ -23,13 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import (StackedVariations, _smooth_profile, checked_frames,
-                     covector_residual, frame_velocities, gradient_fields,
-                     integrate_density, presymplectic_pairing, probe_profiles,
+from .cauchy import (StackedVariations, _check_nodes, _check_state,
+                     _frame_axis, _frame_samples, _sample_frames,
+                     _smooth_profile, checked_frames, covector_residual,
+                     frame_velocities, gradient_fields, integrate_density,
+                     presymplectic_pairing, probe_profiles,
                      spatial_derivative)
 from .hj import lift_by_gamma
 from .legendre import _solve_nodewise
-from .models import ModelError, RefusedResidual
+from .models import RefusedResidual
 
 
 class ConstraintError(RefusedResidual):
@@ -39,18 +41,14 @@ class ConstraintError(RefusedResidual):
 
 @dataclass(frozen=True)
 class CotangentState:
-    """Time value plus per-node fields (u, pi)."""
+    """Time value plus per-node fields (u, pi); or F frames, with t of
+    shape (F,) and each field on a leading frame axis."""
     t: float
     u: np.ndarray    # (n, N)
     pi: np.ndarray   # (n, N)
 
     def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
-        object.__setattr__(self, "pi", np.asarray(self.pi, dtype=float))
-        for name in ("u", "pi"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ModelError(f"non-finite field {name}")
+        _check_state(self, ("u", "pi"))
 
 
 @dataclass(frozen=True)
@@ -88,21 +86,31 @@ def push_variation(X):
 
 
 def solve_time_velocity(L, grid, t, u, pi):
-    """Newton-solve dL/du_t = pi per node, with u_x from the grid."""
-    u = np.asarray(u, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    u_x = gradient_fields(grid, u)
-    return _solve_nodewise(lambda ut: L.d_ut(t, grid.x, u, ut, u_x),
-                           lambda ut: L.value(t, grid.x, u, ut, u_x), pi,
-                           "time-Legendre solve", 1)
+    """Newton-solve dL/du_t = pi per node, with u_x from the grid. u and pi
+    are (n, N) at a time t, or (F, n, N) at times t (F,), whose F N
+    frame-nodes are then the samples of one solve."""
+    single, t, (u, pi) = _frame_axis(t, np.asarray(u, dtype=float),
+                                     np.asarray(pi, dtype=float))
+    _check_nodes(grid, u)
+    ts, xs, us, u_xs, pis = _frame_samples(grid, t, u,
+                                           gradient_fields(grid, u), pi)
+    u_t = _sample_frames(_solve_nodewise(
+        lambda ut: L.d_ut(ts, xs, us, ut, u_xs),
+        lambda ut: L.value(ts, xs, us, ut, u_xs), pis,
+        "time-Legendre solve", 1), len(t))
+    return u_t[0] if single else u_t
 
 
 def instantaneous_hamiltonian(L, grid, cs):
-    """Field energy: quadrature of (-L + pi u_t) at the solved velocity."""
-    u_t = solve_time_velocity(L, grid, cs.t, cs.u, cs.pi)
-    u_x = gradient_fields(grid, cs.u)
-    lag = L.value(cs.t, grid.x, cs.u, u_t, u_x)
-    return float(integrate_density(grid, -lag + np.sum(cs.pi * u_t, axis=0)))
+    """Field energy: quadrature of (-L + pi u_t) at the solved velocity; for
+    F stacked frames the (F,) array of each frame's energy."""
+    single, t, (u, pi) = _frame_axis(cs.t, cs.u, cs.pi)
+    u_t = solve_time_velocity(L, grid, t, u, pi)
+    u_x = gradient_fields(grid, u)
+    lag = _sample_frames(L.value(*_frame_samples(grid, t, u, u_t, u_x)),
+                         len(t))
+    out = integrate_density(grid, -lag + np.sum(pi * u_t, axis=-2))
+    return float(out[0]) if single else out
 
 
 def variational_derivative(L, grid, cs):
@@ -205,11 +213,17 @@ def cotangent_trajectory_residual(L, grid, times, frames, test_set=None,
 def time_legendre_constraint_residual(L, grid, state):
     """Sup-norm distance of a Cauchy state from the constraint set: the
     spatial momenta must equal dL/du_x at the jet reconstructed from
-    (u, p_t)."""
-    u_t = solve_time_velocity(L, grid, state.t, state.u, state.p_t)
-    u_x = gradient_fields(grid, state.u)
-    expected = L.d_ux(state.t, grid.x, state.u, u_t, u_x)
-    return float(np.max(np.abs(state.p_x - expected), initial=0.0))
+    (u, p_t). For F stacked frames the (F,) array of each frame's
+    distance."""
+    single, t, (u, p_t, p_x) = _frame_axis(state.t, state.u, state.p_t,
+                                           state.p_x)
+    _check_nodes(grid, u, p_x)
+    u_t = solve_time_velocity(L, grid, t, u, p_t)
+    u_x = gradient_fields(grid, u)
+    expected = _sample_frames(L.d_ux(*_frame_samples(grid, t, u, u_t, u_x)),
+                              len(t))
+    out = np.max(np.abs(p_x - expected), axis=(1, 2, 3), initial=0.0)
+    return float(out[0]) if single else out
 
 
 def pullback_identity_residual(L, H, grid, state, X, Y):

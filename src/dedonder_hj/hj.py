@@ -30,10 +30,12 @@ import numpy as np
 
 from .cauchy import (CauchyState, TangentBatch, TangentVariation,
                      _check_count, _check_dt, _check_fields, _check_peak,
-                     _rk4_update, _state_pairing_data, checked_frames,
-                     covector_residual, frame_velocities, gradient_fields,
+                     _frame_samples, _rk4_update, _sample_frames,
+                     _state_pairing_data, checked_frames, covector_residual,
+                     frame_blocks, frame_velocities, gradient_fields,
                      pairing_covector, presymplectic_pairing,
-                     random_smooth_variation, standard_test_variations)
+                     random_smooth_variation, stack_frames,
+                     standard_test_variations)
 from .legendre import ConnectionCoefficients
 from .models import (DedonderError, ModelError, RefusedResidual,
                      central_difference)
@@ -363,15 +365,16 @@ def restricted_connection_residual(H, gamma, grid, u, t):
 
 def check_compatibility(H, gamma, grid, u, t):
     """Largest entry of :func:`restricted_connection_residual`; raises
-    :class:`IncompatibleDataError` above 10 h^2, and ModelError for a
-    non-finite u. Finite data at m = 0 have an empty residual, so they
-    pass wherever the section evaluates."""
+    :class:`IncompatibleDataError` above 10 h^2 or when not a number (a
+    section with NaN momenta), and ModelError for a non-finite u. Finite
+    data at m = 0 have an empty residual, so they pass wherever the
+    section evaluates."""
     compat = restricted_connection_residual(H, gamma, grid, u, t)
     if not np.isfinite(u).all():
         raise ModelError("non-finite field u")
     residual = float(np.max(np.abs(compat), initial=0.0))
     tol = 10.0 * grid.spacing ** 2
-    if residual > tol:
+    if not residual <= tol:
         raise IncompatibleDataError(residual, tol)
     return residual
 
@@ -425,12 +428,13 @@ def _lift_with(d, k, du):
     the section lift, from the section partials ``d`` at the N nodes of u:
     momenta vary by k d_t gamma + d_u gamma . du. A scalar k with du
     (n, N) gives a :class:`TangentVariation`; k (S,) with du (S, n, N)
-    gives S stacked ones as a :class:`TangentBatch`."""
+    gives S stacked ones as a :class:`TangentBatch`. Partials of F frames
+    on a leading axis, with du (F, n, N), lift at each frame."""
     du = np.asarray(du, dtype=float)
     k_t = np.asarray(k)[..., None, None]
-    dpt = k_t * d["pt_t"] + np.einsum("abN,...bN->...aN", d["pt_u"], du)
+    dpt = k_t * d["pt_t"] + np.einsum("...abN,...bN->...aN", d["pt_u"], du)
     dpx = k_t[..., None] * d["px_t"] \
-        + np.einsum("ajbN,...bN->...ajN", d["px_u"], du)
+        + np.einsum("...ajbN,...bN->...ajN", d["px_u"], du)
     return (TangentBatch if np.ndim(k) else TangentVariation)(k, du, dpt, dpx)
 
 
@@ -444,14 +448,21 @@ class HJLiftReport:
     frames_checked: int
 
 
-def hj_lift_solution_check(H, gamma, grid, times, u_frames, rng=None):
+def hj_lift_solution_check(H, gamma, grid, times, u_frames, rng=None,
+                           lifted=None):
     """Certify a characteristic trajectory by lifting it with the section
     and measuring three residual classes against the pairing: over the
     standard test set, and for 8 pairs of lifted random variations.
+    ``lifted``, when given, holds the lifts of the frames (
+    :func:`lift_by_gamma` of each), which the check then does not make
+    again.
 
-    Refuses (raises :class:`IncompatibleDataError`) when the initial frame
-    fails :func:`check_compatibility`, which also refuses H and a section
-    of different dimensions.
+    The split and contraction residuals are computed once per block of
+    checked frames (:func:`cauchy.frame_blocks`), the section partials
+    once over the block's frame-nodes; the pullback pairs are one stacked
+    pairing per frame. Refuses (raises :class:`IncompatibleDataError`)
+    when the initial frame fails :func:`check_compatibility`, which also
+    refuses H and a section of different dimensions.
     """
     times = np.asarray(times, dtype=float)
     u_frames = np.asarray(u_frames, dtype=float)
@@ -461,9 +472,9 @@ def hj_lift_solution_check(H, gamma, grid, times, u_frames, rng=None):
 
     rng = rng if rng is not None else np.random.default_rng(0)
     test_set = standard_test_variations(grid, n, rng=rng)
-    states = [lift_by_gamma(gamma, t, grid, u)
-              for t, u in zip(times, u_frames)]
-    u_dot, pt_dot, px_dot = frame_velocities(states, dt)
+    states = [lift_by_gamma(gamma, t, grid, u) for t, u in
+              zip(times, u_frames)] if lifted is None else lifted
+    velocities = [v[idx] for v in frame_velocities(states, dt)]
 
     split = 0.0
     contraction = 0.0
@@ -473,23 +484,28 @@ def hj_lift_solution_check(H, gamma, grid, times, u_frames, rng=None):
     draws = [random_smooth_variation(grid, n, rng, vertical=False)
              for _ in range(16)]
     V, W = (TangentBatch.of(grid, draws[i::2]) for i in (0, 1))
-    for k in idx:
-        state = states[k]
-        data = _state_pairing_data(H, grid, state)
-        d = gamma.partials(times[k], grid.x, state.u)
-        c_dot = TangentVariation(1.0, u_dot[k], pt_dot[k], px_dot[k])
-        split = max(split, covector_residual(
-            grid, *pairing_covector(grid, data, c_dot), test_set))
+    for block in frame_blocks(grid, len(idx)):
+        ks = idx[block]
+        frames = stack_frames([states[k] for k in ks])
+        data = _state_pairing_data(H, grid, frames)
+        d = {key: _sample_frames(value, len(ks)) for key, value in
+             gamma.partials(*_frame_samples(grid, frames.t,
+                                            frames.u)).items()}
+        c_dot = TangentVariation(1.0, *(v[block] for v in velocities))
+        split = np.maximum(split, np.max(covector_residual(
+            grid, *pairing_covector(grid, data, c_dot), test_set)))
         # horizontal generator: du = Gamma_0 = H_pt at the lifted point
         X = _lift_with(d, 1.0, data[1])
-        contraction = max(contraction, covector_residual(
-            grid, *pairing_covector(grid, data, X), test_set))
-        pairings = presymplectic_pairing(
-            H, grid, state, _lift_with(d, V.k, V.du),
-            _lift_with(d, W.k, W.du), _data=data)
-        pullback = max(pullback, float(np.max(np.abs(pairings))))
+        contraction = np.maximum(contraction, np.max(covector_residual(
+            grid, *pairing_covector(grid, data, X), test_set)))
+        for f, k in enumerate(ks):
+            d_f = {key: value[f] for key, value in d.items()}
+            pairings = presymplectic_pairing(
+                H, grid, states[k], _lift_with(d_f, V.k, V.du),
+                _lift_with(d_f, W.k, W.du), _data=tuple(a[f] for a in data))
+            pullback = np.maximum(pullback, np.max(np.abs(pairings)))
     return HJLiftReport(compatibility_residual=compat_res,
-                        split_residual=split,
-                        contraction_residual=contraction,
-                        pullback_residual=pullback,
+                        split_residual=float(split),
+                        contraction_residual=float(contraction),
+                        pullback_residual=float(pullback),
                         frames_checked=len(idx))

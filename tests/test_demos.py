@@ -48,3 +48,12 @@ def test_pullback_probe_finds_the_stacked_pairings_bit_identical(tmp_path):
                      "--rounds", "1")
     assert run.returncode == 0, run.stdout + run.stderr[-2000:]
     assert "280 values bit-identical" in run.stdout
+
+
+def test_frames_probe_finds_the_blocks_bit_identical(tmp_path):
+    # the probe exits 1 when a residual computed per block of frames
+    # differs in any bit from the frame-by-frame one
+    run = run_script(ROOT / "tools" / "frames_probe.py", tmp_path,
+                     "--rounds", "1")
+    assert run.returncode == 0, run.stdout + run.stderr[-2000:]
+    assert "303 values bit-identical" in run.stdout

@@ -1,0 +1,320 @@
+"""Property tests of the residual checks on a leading frame axis.
+
+The per-frame residual functions (field energy, constraint residual,
+trajectory residual) take F stacked frames (``cauchy.stack_frames``) and
+evaluate the model once over all F N frame-nodes. For the built-in models
+with m in {0, 1} and n in {1, 2}, and F around the block size (16 frames
+at N = 128), a call on all F frames and the calls on the blocks of
+``cauchy.frame_blocks`` must equal the F = 1 calls frame by frame, bit
+for bit; so must the split, contraction and pullback residuals of the
+lift check against its frame-by-frame form, with the oscillator and
+linear sections. A value-only model solves each block's velocities with
+one Newton iteration count, so its results may move within the
+finite-difference noise floor. Frames that are not finite or do not fit
+(each other, the grid, their velocities or the test set) are refused with
+the library's own errors.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dedonder_hj.cauchy import (CauchyState, TangentBatch, TangentVariation,
+                                _state_pairing_data, checked_frames,
+                                covector_residual,
+                                dynamical_trajectory_residual, frame_blocks,
+                                frame_velocities, make_grid,
+                                pairing_covector, presymplectic_pairing,
+                                random_smooth_variation, stack_frames,
+                                standard_test_variations)
+from dedonder_hj.cotangent import (CotangentState, instantaneous_hamiltonian,
+                                   restriction_map_R, solve_time_velocity,
+                                   time_legendre_constraint_residual)
+from dedonder_hj.hj import (_lift_with, hj_lift_solution_check,
+                            lift_by_gamma, linear_gamma, oscillator_gamma)
+from dedonder_hj.legendre import NEWTON_TOL, hamiltonian_from_lagrangian
+from dedonder_hj.models import DedonderError, HamiltonianModel, builtin_model
+
+BUILTINS = [("free_wave", {}), ("klein_gordon", {"mass": 0.7}),
+            ("scalar_potential", {"mass": 0.5, "potential": (0.0, 0.2, 0.3)}),
+            ("mechanics_oscillator", {"omega": 1.3})]
+
+#: frame counts around the 16-frame block of N = 128
+FRAME_COUNTS = [5, 16, 17, 33]
+
+#: a value-only model's block against its frames, relative to max(1, |x|):
+#: its Newton solves stop at the finite-difference noise floor of the
+#: model, 100 eps / DEFAULT_FD_STEP = 2.2e-9 relative, so one iteration
+#: count per block moves a result by no more than that floor
+VALUE_ONLY_TOL = 1e-8
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def value_only(model):
+    return type(model)(model.dims, model._value)
+
+
+@st.composite
+def framed_runs(draw, value_only_model=False, nodes=(3, 7, 128)):
+    """(L, H, grid, states, velocities, test set): F random frames of a
+    built-in model (or the same model given by its value alone), random
+    velocities on the same leading axis, and the standard test set, with
+    or without its node indicators (whose closed-form maximum would often
+    hide the contraction's bits)."""
+    name, params = draw(st.sampled_from(BUILTINS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if name == "mechanics_oscillator":
+        L, grid = builtin_model(name, params), make_grid(1, m=0)
+    else:
+        L = builtin_model(name, {**params, "n": draw(st.integers(1, 2))})
+        grid = make_grid(draw(st.sampled_from(nodes)))
+    if value_only_model:
+        L = value_only(L)
+    n, m, N = L.dims.n, grid.m, grid.n_nodes
+    F = draw(st.sampled_from(FRAME_COUNTS))
+    states = [CauchyState(0.1 + 0.01 * k, rng.normal(size=(n, N)),
+                          rng.normal(size=(n, N)),
+                          rng.normal(size=(n, m, N))) for k in range(F)]
+    velocities = [rng.normal(size=(F, n, N)), rng.normal(size=(F, n, N)),
+                  rng.normal(size=(F, n, m, N))]
+    test = standard_test_variations(grid, n, rng=rng)
+    return (L, hamiltonian_from_lagrangian(L), grid, states, velocities,
+            replace(test, indicators=draw(st.booleans())))
+
+
+def frame_by_frame(L, H, grid, states, velocities, test):
+    """Energies, constraint residuals and trajectory residuals of the
+    frames, one call per frame."""
+    return np.array([
+        [instantaneous_hamiltonian(L, grid, restriction_map_R(s)),
+         time_legendre_constraint_residual(L, grid, s),
+         dynamical_trajectory_residual(H, grid, s, [v[f] for v in velocities],
+                                       test)]
+        for f, s in enumerate(states)])
+
+
+def stacked(L, H, grid, states, velocities, test, blocks):
+    """The same, one call of each function per block of frames."""
+    rows = []
+    for block in blocks:
+        frames = stack_frames(states[block])
+        rows.append(np.stack([
+            instantaneous_hamiltonian(L, grid, restriction_map_R(frames)),
+            time_legendre_constraint_residual(L, grid, frames),
+            dynamical_trajectory_residual(
+                H, grid, frames, [v[block] for v in velocities], test)],
+            axis=1))
+    return np.concatenate(rows)
+
+
+@PROPERTY
+@given(framed_runs())
+def test_stacked_frames_match_frame_by_frame(case):
+    single = frame_by_frame(*case)
+    F = len(case[3])
+    for blocks in ([slice(0, F)], frame_blocks(case[2], F)):
+        assert stacked(*case, blocks).tobytes() == single.tobytes()
+
+
+def test_blocks_at_128_nodes_hold_16_frames():
+    assert [(b.start, b.stop) for b in frame_blocks(make_grid(128), 33)] \
+        == [(0, 16), (16, 32), (32, 48)]
+    assert len(frame_blocks(make_grid(4096), 3)) == 3
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(framed_runs(value_only_model=True, nodes=(3, 7)))
+def test_value_only_stacked_frames_within_the_noise_floor(case):
+    single = frame_by_frame(*case)
+    together = stacked(*case, [slice(0, len(case[3]))])
+    assert np.all(np.abs(together - single)
+                  <= VALUE_ONLY_TOL * np.maximum(1.0, np.abs(single)))
+
+
+def test_frame_at_rest_in_a_block():
+    # a built-in solve of dL/du_t = pi takes one exact Newton step from
+    # zero; a frame whose pi is all within NEWTON_TOL of zero is returned
+    # at the zero start when alone, and stepped (u_t = pi) in a block
+    L = builtin_model("klein_gordon", {"mass": 1.0})
+    grid = make_grid(8)
+    rng = np.random.default_rng(1)
+    u = rng.normal(size=(3, 1, 8))
+    pi = rng.normal(size=(3, 1, 8))
+    pi[0] = 0.0
+    pi[1] = 0.5 * NEWTON_TOL
+    t = np.array([0.0, 0.1, 0.2])
+    block = solve_time_velocity(L, grid, t, u, pi)
+    singles = [solve_time_velocity(L, grid, t[f], u[f], pi[f])
+               for f in range(3)]
+    assert block[0].tobytes() == singles[0].tobytes()
+    assert block[2].tobytes() == singles[2].tobytes()
+    assert not singles[1].any()
+    assert np.array_equal(block[1], pi[1])
+    cs = CotangentState(t, u, pi)
+    assert instantaneous_hamiltonian(L, grid, cs).tobytes() == np.array(
+        [instantaneous_hamiltonian(L, grid, CotangentState(t[f], u[f], pi[f]))
+         for f in range(3)]).tobytes()
+
+
+# -- the lift check -------------------------------------------------------------
+
+@st.composite
+def lifted_runs(draw):
+    """(H, section, grid, times, u frames): a built-in model, the
+    oscillator or a linear section, and F random frames whose first is
+    compatible with the section (constant, where the linear section's
+    spatial momenta vanish)."""
+    name, params = draw(st.sampled_from(BUILTINS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if name == "mechanics_oscillator":
+        L, grid = builtin_model(name, params), make_grid(1, m=0)
+    else:
+        L = builtin_model(name, {**params, "n": draw(st.integers(1, 2))})
+        grid = make_grid(draw(st.sampled_from([3, 7, 128])))
+    dims, n, N = L.dims, L.dims.n, grid.n_nodes
+    u_frames = rng.normal(size=(draw(st.sampled_from(FRAME_COUNTS)), n, N))
+    u_frames[0] = rng.normal()
+    if draw(st.booleans()):
+        gamma = oscillator_gamma(dims, omega=rng.uniform(0.2, 1.5))
+    else:
+        a, b, c = rng.normal(size=3)
+        gamma = linear_gamma(dims, a, b, c, -(c * u_frames[0, 0, 0]))
+    times = 0.1 + 0.01 * np.arange(len(u_frames))
+    return hamiltonian_from_lagrangian(L), gamma, grid, times, u_frames
+
+
+def lift_residuals_frame_by_frame(H, gamma, grid, times, u_frames, rng):
+    """Split, contraction and pullback residuals of the lift check with
+    one pairing data, one section partial and one covector per frame."""
+    dt, idx = checked_frames(times)
+    n = u_frames.shape[1]
+    test_set = standard_test_variations(grid, n, rng=rng)
+    states = [lift_by_gamma(gamma, t, grid, u)
+              for t, u in zip(times, u_frames)]
+    u_dot, pt_dot, px_dot = frame_velocities(states, dt)
+    draws = [random_smooth_variation(grid, n, rng, vertical=False)
+             for _ in range(16)]
+    V, W = (TangentBatch.of(grid, draws[i::2]) for i in (0, 1))
+    split = contraction = pullback = 0.0
+    for k in idx:
+        data = _state_pairing_data(H, grid, states[k])
+        d = gamma.partials(times[k], grid.x, states[k].u)
+        c_dot = TangentVariation(1.0, u_dot[k], pt_dot[k], px_dot[k])
+        split = max(split, covector_residual(
+            grid, *pairing_covector(grid, data, c_dot), test_set))
+        X = _lift_with(d, 1.0, data[1])
+        contraction = max(contraction, covector_residual(
+            grid, *pairing_covector(grid, data, X), test_set))
+        pairings = presymplectic_pairing(
+            H, grid, states[k], _lift_with(d, V.k, V.du),
+            _lift_with(d, W.k, W.du), _data=data)
+        pullback = max(pullback, float(np.max(np.abs(pairings))))
+    return states, split, contraction, pullback
+
+
+@PROPERTY
+@given(lifted_runs())
+def test_lift_check_matches_frame_by_frame(case):
+    states, *residuals = lift_residuals_frame_by_frame(
+        *case, rng=np.random.default_rng(5))
+    # lifting the frames itself, or handed the lifts the CLI makes
+    for lifted in (None, states):
+        report = hj_lift_solution_check(*case, rng=np.random.default_rng(5),
+                                        lifted=lifted)
+        assert [report.split_residual, report.contraction_residual,
+                report.pullback_residual] == residuals
+
+
+# -- refusals --------------------------------------------------------------------
+
+FAULTS = ["nan", "inf", "other N in one frame", "other N in all frames",
+          "other m", "velocity shape", "velocity nan", "test set shape"]
+
+
+def corrupt(fault, states, velocities, test, rng):
+    """The frames, velocities and test set with one fault."""
+    states, velocities = list(states), list(velocities)
+    s = states[0]
+    n, m, N = s.p_x.shape
+    if fault in ("nan", "inf"):
+        u = s.u.copy()
+        u[0, -1] = np.nan if fault == "nan" else -np.inf
+        states[-1] = CauchyState._unchecked(s.t, u, s.p_t, s.p_x, (None, None))
+    elif fault == "other N in one frame":
+        states[-1] = CauchyState(s.t, np.ones((n, N + 1)), np.ones((n, N + 1)),
+                                 np.ones((n, m, N + 1)))
+    elif fault == "other N in all frames":
+        states = [CauchyState(s.t, np.ones((n, N + 1)), np.ones((n, N + 1)),
+                              np.ones((n, m, N + 1))) for s in states]
+        velocities = [np.ones((len(states),) + np.shape(a)[1:-1] + (N + 1,))
+                      for a in velocities]
+    elif fault == "other m":
+        states = [CauchyState(s.t, s.u, s.p_t, np.ones((n, m + 1, N)))
+                  for s in states]
+        velocities[2] = np.ones((len(states), n, m + 1, N))
+    elif fault == "velocity shape":
+        velocities[0] = velocities[0][:, :, :-1]
+    elif fault == "velocity nan":
+        velocities[1] = velocities[1].copy()
+        velocities[1][-1, 0, 0] = np.nan
+    else:
+        test = standard_test_variations(
+            make_grid(N + 3) if m else make_grid(1, m=0), n + 1, rng=rng)
+    return states, velocities, test
+
+
+@PROPERTY
+@given(framed_runs(nodes=(3, 7)), st.sampled_from(FAULTS))
+def test_bad_frames_refused_with_the_library_errors(case, fault):
+    L, H, grid, states, velocities, test = case
+    states, velocities, test = corrupt(fault, states, velocities, test,
+                                       np.random.default_rng(0))
+    calls = [lambda: dynamical_trajectory_residual(
+        H, grid, stack_frames(states), velocities, test)]
+    if not fault.startswith(("velocity", "test")):
+        # the constraint reads every field, the energy u and p_t alone
+        calls.append(lambda: time_legendre_constraint_residual(
+            L, grid, stack_frames(states)))
+    if fault in FAULTS[:4]:
+        calls.append(lambda: instantaneous_hamiltonian(
+            L, grid, restriction_map_R(stack_frames(states))))
+    for call in calls:
+        with pytest.raises(DedonderError):
+            call()
+
+
+@pytest.mark.parametrize("fault", ["nan", "other N"])
+def test_lift_check_refuses_bad_frames(fault):
+    H = hamiltonian_from_lagrangian(builtin_model("klein_gordon"))
+    gamma = oscillator_gamma(H.dims, 1.0)
+    times = 0.1 * np.arange(6)
+    u_frames = np.ones((6, 1, 8))
+    if fault == "nan":
+        u_frames[3, 0, 2] = np.nan
+    grid = make_grid(8 if fault == "nan" else 9)
+    with pytest.raises(DedonderError):
+        hj_lift_solution_check(H, gamma, grid, times, u_frames)
+
+
+def test_nan_partials_give_nan_residuals():
+    # a Hamiltonian whose dH/du is NaN above u = 1.5 at finite frames: the
+    # residuals come back NaN, where a Python max over frames and test
+    # variations dropped them
+    wave = builtin_model("free_wave").paired_hamiltonian
+    H = HamiltonianModel(
+        wave.dims, wave._value, d_pt=wave._d_pt, d_px=wave._d_px,
+        d_u=lambda t, x, u, p_t, p_x: np.where(u > 1.5, np.nan, 0.0 * u))
+    grid = make_grid(8)
+    u_frames = np.ones((6, 1, 8))
+    u_frames[4] = 2.0
+    report = hj_lift_solution_check(H, linear_gamma(H.dims, 0.0), grid,
+                                    0.1 * np.arange(6), u_frames)
+    assert np.isnan(report.split_residual)
+    state = CauchyState(0.0, u_frames[4], u_frames[4], np.ones((1, 1, 8)))
+    assert np.isnan(dynamical_trajectory_residual(
+        H, grid, state, (u_frames[4], u_frames[4], np.ones((1, 1, 8))),
+        standard_test_variations(grid, 1)))

@@ -483,6 +483,18 @@ def test_check_compatibility_refuses_non_finite_u(H, gamma, grid):
         check_compatibility(H, gamma, grid, u, 0.0)
 
 
+def test_check_compatibility_refuses_nan_momenta():
+    # a section whose p_x is NaN above u = 0.5 at finite data: the residual
+    # is NaN, and nan > tol is False, so the data passed with nan
+    nan_above = HJSection(
+        M1, pt=lambda t, x, u: 0.0 * u,
+        px=lambda t, x, u: np.where(u > 0.5, np.nan, 0.0)[:, None])
+    with pytest.raises(IncompatibleDataError, match="residual nan") as exc:
+        check_compatibility(wave_H(), nan_above, make_grid(8),
+                            np.ones((1, 8)), 0.0)
+    assert exc.value.exit_code == 4
+
+
 def test_connection_lift_vector_components():
     g = make_grid(8)
     H = kg_H(1.0)

@@ -52,8 +52,8 @@ MUTANTS = [
            "+ np.sum(X.du[..., None, :] * dpx_grid, axis=(-3, -2)))",
            "sign of the pairing's momentum bracket"),
     Mutant("src/dedonder_hj/cauchy.py",
-           "np.max(np.abs(cw) / (1.0 + np.sqrt(w)),",
-           "np.max(np.abs(cw) / (1.0 + w),",
+           "np.abs(cw) / (1.0 + np.sqrt(w)),",
+           "np.abs(cw) / (1.0 + w),",
            "node-indicator norm w instead of sqrt(w)"),
     Mutant("src/dedonder_hj/cauchy.py",
            "    out[0] = sum(fwd[i] * frames[i] for i in range(5))",
@@ -109,8 +109,8 @@ MUTANTS = [
            'np.einsum("b...,ab...->a...", h_pt, d["pt_u"])',
            "hj_residual contracting pt_u transposed"),
     Mutant("src/dedonder_hj/hj.py",
-           'np.einsum("abN,...bN->...aN", d["pt_u"], du)',
-           'np.einsum("baN,...bN->...aN", d["pt_u"], du)',
+           'np.einsum("...abN,...bN->...aN", d["pt_u"], du)',
+           'np.einsum("...baN,...bN->...aN", d["pt_u"], du)',
            "_lift_with contracting pt_u transposed"),
 ]
 
