@@ -19,7 +19,7 @@ from .cauchy import (BlowupError, CauchyGrid, CauchyState, GridError,
                      make_grid, pairing_covector, presymplectic_pairing,
                      random_smooth_variation, recover_spatial_momenta,
                      run_simulation, spatial_derivative,
-                     standard_test_variations, step_rk4,
+                     standard_test_variations, step_rk4, take_frames,
                      time_derivative_frames)
 from .hj import (GammaDomainError, HJSection, IncompatibleDataError,
                  check_compatibility, evolve_characteristics, gamma_family,

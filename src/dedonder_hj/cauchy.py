@@ -122,7 +122,7 @@ def gradient_fields(grid, values):
 class CauchyState:
     """Time value plus per-node fields (u, p_t, p_x); or F frames, with t
     of shape (F,) and each field on a leading frame axis, as
-    :func:`stack_frames` builds them."""
+    :func:`run_simulation` returns them."""
     t: float
     u: np.ndarray      # (n, N)
     p_t: np.ndarray    # (n, N)
@@ -180,22 +180,11 @@ def _check_state(state, names):
             raise ModelError(f"non-finite field {name}")
 
 
-def stack_frames(states):
-    """A nonempty sequence of single states of one class as one state of
-    F = len(states) frames: t (F,) and each field stacked on a leading
-    frame axis. Refuses (ModelError) frames of different shapes."""
-    if not len(states):
-        raise ModelError("no frames to stack")
-    cls = type(states[0])
-    names = [f.name for f in fields(cls)][1:]
-    for name in names:
-        shapes = {np.shape(getattr(s, name)) for s in states}
-        if len(shapes) > 1:
-            raise ModelError(f"frames differ in the shape of {name}: "
-                             f"{sorted(shapes)}")
-    return cls(np.array([s.t for s in states], dtype=float),
-               *(np.array([getattr(s, name) for s in states], dtype=float)
-                 for name in names))
+def take_frames(frames, index):
+    """The frames ``index`` of a state of F frames: a slice or a list of
+    frame indices gives a state of those frames, one int a single state."""
+    return type(frames)(*(getattr(frames, f.name)[index]
+                          for f in fields(frames)))
 
 
 def frame_blocks(grid, count):
@@ -307,19 +296,20 @@ class TangentBatch(StackedVariations):
     indicators: bool = False
 
 
-def _check_fields(dims, what, grid, u, p_t=None):
+def _check_fields(dims, what, grid, u, p_t=None, frames=()):
     """Refuse a model or section ``what`` of dimensions ``dims`` on a grid
     of another m, and per-node fields u and (when given) p_t that are not
-    (n, N) for its n components and the grid's N nodes."""
+    (n, N) for its n components and the grid's N nodes, or (F, n, N) for
+    ``frames`` = (F,)."""
     if dims.m != grid.m:
         raise GridError(f"{what} is for m = {dims.m}, the grid has "
                         f"m = {grid.m}")
-    shape = (dims.n, grid.n_nodes)
+    shape = frames + (dims.n, grid.n_nodes)
     for name, values in (("u", u), ("p_t", p_t)):
         if values is not None and values.shape != shape:
-            raise GridError(f"{name} must have shape (n, N) = {shape} for "
-                            f"{what} on {grid.n_nodes} nodes, got "
-                            f"{values.shape}")
+            raise GridError(f"{name} must have shape ({'F, ' * len(frames)}"
+                            f"n, N) = {shape} for {what} on {grid.n_nodes} "
+                            f"nodes, got {values.shape}")
 
 
 def recover_spatial_momenta(H, grid, u, p_t=None, t=0.0):
@@ -465,29 +455,31 @@ def _check_peak(step, **fields):
                               f"{step}")
 
 
-@dataclass
-class Trajectory:
-    times: np.ndarray
-    states: list
-
-
 def run_simulation(H, grid, state0, dt, n_steps, store_every=1):
-    """Integrate ``n_steps`` RK4 steps, storing every ``store_every``-th
-    state (the initial and final states always included); each step's u
-    and p_t pass :func:`_check_peak`."""
+    """Integrate ``n_steps`` RK4 steps and return the stored states as one
+    :class:`CauchyState` of F frames: every ``store_every``-th, with the
+    initial and final states always included. Each step's u and p_t pass
+    :func:`_check_peak`. A state0 that does not fit H and the grid is
+    refused (GridError) before any step."""
     _check_dt(dt)
     _check_count("n_steps", n_steps, 0)
     _check_count("store_every", store_every, 1)
-    states = [state0]
-    times = [state0.t]
-    state = state0
-    for k in range(n_steps):
-        state = step_rk4(H, grid, state, dt)
-        _check_peak(k + 1, u=state.u, p_t=state.p_t)
-        if (k + 1) % store_every == 0 or k + 1 == n_steps:
-            states.append(state)
-            times.append(state.t)
-    return Trajectory(times=np.asarray(times), states=states)
+    _check_fields(H.dims, H.name, grid, state0.u, state0.p_t)
+    _check_nodes(grid, state0.u, state0.p_x)
+    F = 1 - (-n_steps // store_every)   # 1 + ceil(n_steps / store_every)
+    t = np.empty(F)
+    u, p_t, p_x = (np.empty((F,) + a.shape)
+                   for a in (state0.u, state0.p_t, state0.p_x))
+    state, f = state0, 0
+    for k in range(n_steps + 1):   # k = 0 is the initial state
+        if k:
+            state = step_rk4(H, grid, state, dt)
+            _check_peak(k, u=state.u, p_t=state.p_t)
+        if k % store_every == 0 or k == n_steps:
+            t[f], u[f], p_t[f], p_x[f] = state.t, state.u, state.p_t, \
+                state.p_x
+            f += 1
+    return CauchyState(t, u, p_t, p_x)
 
 
 # -- presymplectic pairing ---------------------------------------------------
@@ -596,11 +588,11 @@ def dynamical_trajectory_residual(H, grid, state, state_dot, test_set):
 
     ``state_dot`` is (u_dot, p_t_dot, p_x_dot), shaped as the state's
     fields; ``test_set`` is a :class:`TangentBatch` or a nonempty list of
-    variations. A state of F stacked frames (:func:`stack_frames`) with
-    velocities on the same leading axis gives the (F,) array of each
-    frame's residual, bit for bit. Refuses (ModelError) velocities that
-    are not finite or not shaped as the fields, and test variations not
-    shaped as one frame of them.
+    variations. A state of F stacked frames with velocities on the same
+    leading axis gives the (F,) array of each frame's residual, bit for
+    bit. Refuses (ModelError) velocities that are not finite or not
+    shaped as the fields, and test variations not shaped as one frame of
+    them.
     """
     test_set = TangentBatch.of(grid, test_set)
     for name, dot, Y in zip(("u", "p_t", "p_x"), state_dot, test_set.parts):
@@ -714,10 +706,10 @@ def standard_test_variations(grid, n, rng=None):
 
 
 def frame_velocities(frames, dt, fields=("u", "p_t", "p_x")):
-    """:func:`time_derivative_frames` of each named field of uniformly
-    stored states, one array per field."""
-    return [time_derivative_frames(
-        np.stack([getattr(f, name) for f in frames]), dt) for name in fields]
+    """:func:`time_derivative_frames` of each named field of a state of F
+    uniformly stored frames, one array per field."""
+    return [time_derivative_frames(getattr(frames, name), dt)
+            for name in fields]
 
 
 def time_derivative_frames(frames, dt):

@@ -16,11 +16,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .cauchy import (MIN_CHECKED_FRAMES, VERIFY_CHUNK, CauchyState,
+from .cauchy import (MIN_CHECKED_FRAMES, VERIFY_CHUNK,
                      dynamical_trajectory_residual, frame_blocks,
                      frame_velocities, integrate_density,
-                     random_smooth_variation, run_simulation, stack_frames,
-                     standard_test_variations)
+                     random_smooth_variation, run_simulation,
+                     standard_test_variations, take_frames)
 from .cotangent import (ConstraintError, cotangent_trajectory_residual,
                         instantaneous_hamiltonian, pullback_identity_residual,
                         restriction_map_R, time_legendre_constraint_residual)
@@ -97,13 +97,17 @@ def _field_header(n, m):
     return cols
 
 
-def _field_rows(grid, times, states):
-    """One row per frame and node: t, node_index, x, u, p_t, p_x."""
-    N = grid.n_nodes
-    x = grid.x[0] if grid.m else np.zeros(N)
-    return np.concatenate([np.vstack([np.full(N, t), np.arange(N), x, s.u,
-                                      s.p_t, s.p_x.reshape(-1, N)]).T
-                           for t, s in zip(times, states)])
+def _field_rows(grid, frames):
+    """One row per frame and node: t, node_index, x, u, p_t, p_x, written
+    in place into one table."""
+    F, _, N = frames.u.shape
+    fields = frames.u, frames.p_t, frames.p_x.reshape(F, -1, N)
+    table = np.empty((F, N, 3 + sum(f.shape[1] for f in fields)))
+    table[..., 0] = frames.t[:, None]
+    table[..., 1] = np.arange(N)
+    table[..., 2] = grid.x[0] if grid.m else 0.0
+    np.concatenate(fields, axis=1, out=table[..., 3:].transpose(0, 2, 1))
+    return table.reshape(F * N, -1)
 
 
 def _ensure_outdir(path):
@@ -154,17 +158,19 @@ def _check_frames(scenario, command, frames):
                             f"stores {frames}")
 
 
-def _diagnostics(L, H, grid, times, states, rng):
-    """Per-frame energy, constraint residual and trajectory residual, each
-    computed once per block of frames (:func:`cauchy.frame_blocks`)."""
-    checked = len(states) >= MIN_CHECKED_FRAMES
+def _diagnostics(L, H, grid, stored, rng):
+    """Per-frame energy, constraint residual and trajectory residual of the
+    stored frames, each computed once per block of frames
+    (:func:`cauchy.frame_blocks`)."""
+    count = len(stored.t)
+    checked = count >= MIN_CHECKED_FRAMES
     if checked:
-        velocities = frame_velocities(states, times[1] - times[0])
-        test = standard_test_variations(grid, states[0].u.shape[0], rng=rng)
+        velocities = frame_velocities(stored, stored.t[1] - stored.t[0])
+        test = standard_test_variations(grid, stored.u.shape[1], rng=rng)
     energies, constraints = [], []
-    traj = [float("nan")] * len(states)
-    for block in frame_blocks(grid, len(states)):
-        frames = stack_frames(states[block])
+    traj = [float("nan")] * count
+    for block in frame_blocks(grid, count):
+        frames = take_frames(stored, block)
         energies += instantaneous_hamiltonian(
             L, grid, restriction_map_R(frames)).tolist()
         constraints += time_legendre_constraint_residual(
@@ -180,9 +186,8 @@ def _error_metric(scenario, grid, traj):
     sol = exact_solution(scenario)
     if sol is None:
         return None
-    n = traj.states[0].u.shape[0]
-    exact = sol(traj.times[-1], grid, n)
-    return float(np.max(np.abs(traj.states[-1].u - exact)))
+    exact = sol(traj.t[-1], grid, traj.u.shape[1])
+    return float(np.max(np.abs(traj.u[-1] - exact)))
 
 
 def cmd_simulate(scenario, out_dir, seed, sweep=None):
@@ -196,19 +201,19 @@ def cmd_simulate(scenario, out_dir, seed, sweep=None):
     traj = run_simulation(H, grid, state0, scenario.dt, scenario.n_steps,
                           store_every=scenario.store_every)
     energies, constraints, residuals = _diagnostics(
-        L, H, grid, traj.times, traj.states, np.random.default_rng(seed))
+        L, H, grid, traj, np.random.default_rng(seed))
     p = scenario.precision
     _write_csv(os.path.join(out_dir, "fields.csv"),
-               _field_header(L.dims.n, grid.m),
-               _field_rows(grid, traj.times, traj.states), p, int_cols=(1,))
+               _field_header(L.dims.n, grid.m), _field_rows(grid, traj), p,
+               int_cols=(1,))
     _write_csv(os.path.join(out_dir, "diagnostics.csv"),
                ["t", "energy", "constraint_residual", "trajectory_residual"],
-               np.column_stack([traj.times, energies, constraints,
-                                residuals]), p)
+               np.column_stack([traj.t, energies, constraints, residuals]),
+               p)
     err = _error_metric(scenario, grid, traj)
     lines = [f"simulate: model={scenario.model_name} N={grid.n_nodes} "
              f"dt={scenario.dt:g} steps={scenario.n_steps} seed={seed}",
-             f"final_time = {_fmt(traj.times[-1], p)}",
+             f"final_time = {_fmt(traj.t[-1], p)}",
              f"energy_initial = {_fmt(energies[0], p)}",
              f"energy_drift_max = {_fmt(max(abs(e - energies[0]) for e in energies), p)}",
              f"constraint_residual_max = {_fmt(max(constraints), p)}"]
@@ -316,14 +321,13 @@ def cmd_characteristics(scenario, out_dir, seed):
                   scenario.n_steps // scenario.store_every + 1)
     u0, _ = initial_fields(scenario, grid, L.dims.n)
     times, frames = _characteristic_run(scenario, H, grid, gamma, u0)
-    states = [lift_by_gamma(gamma, t, grid, u) for t, u in zip(times, frames)]
     p = scenario.precision
     _write_csv(os.path.join(out_dir, "characteristics.csv"),
                _field_header(L.dims.n, grid.m),
-               _field_rows(grid, times, states), p, int_cols=(1,))
+               _field_rows(grid, lift_by_gamma(gamma, times, grid, frames)),
+               p, int_cols=(1,))
     rng = np.random.default_rng(seed)
-    report = hj_lift_solution_check(H, gamma, grid, times, frames, rng=rng,
-                                    lifted=states)
+    report = hj_lift_solution_check(H, gamma, grid, times, frames, rng=rng)
     _report([f"characteristics: model={scenario.model_name} "
              f"gamma={scenario.gamma_name} N={grid.n_nodes} seed={seed}",
              f"compatibility_residual = {_fmt(report.compatibility_residual, p)}",
@@ -349,13 +353,9 @@ def cmd_compare(scenario, out_dir, seed, sweep=None):
         times, frames = _characteristic_run(sc, H, grid, gamma, lifted0.u)
         direct = run_simulation(H, grid, lifted0, sc.dt, sc.n_steps,
                                 store_every=sc.store_every)
-        linf, l2 = [], []
-        for u, s in zip(frames, direct.states):
-            diff = u - s.u
-            linf.append(float(np.max(np.abs(diff))))
-            l2.append(float(np.sqrt(integrate_density(
-                grid, np.sum(diff ** 2, axis=0)))))
-        return times, linf, l2
+        diff = frames - direct.u
+        return times, np.max(np.abs(diff), axis=(1, 2)), np.sqrt(
+            integrate_density(grid, np.sum(diff ** 2, axis=1)))
 
     times, linf, l2 = differences(*levels[0])
     p = scenario.precision
@@ -387,10 +387,8 @@ def cmd_pairing_check(scenario, out_dir, seed):
     _check_frames(scenario, "pairing-check", steps + 1)
     traj = run_simulation(H, grid, state0, scenario.dt, steps, store_every=1)
     perturb = scenario.initial_params["perturb_px"]
-    states = traj.states
     if perturb:
-        states = [CauchyState(s.t, s.u, s.p_t, s.p_x + perturb)
-                  for s in states]
+        traj = replace(traj, p_x=traj.p_x + perturb)
     rng = np.random.default_rng(seed)
     p = scenario.precision
     n = L.dims.n
@@ -399,7 +397,8 @@ def cmd_pairing_check(scenario, out_dir, seed):
               random_smooth_variation(grid, n, rng, vertical=False))
              for _ in range(scenario.pairing_pairs)]
     try:
-        for s in states:
+        for k in range(len(traj.t)):
+            s = take_frames(traj, k)
             for X, Y in pairs:
                 worst_pull = max(worst_pull,
                                  pullback_identity_residual(L, H, grid, s,
@@ -411,9 +410,8 @@ def cmd_pairing_check(scenario, out_dir, seed):
                  "state is off the momentum constraint; identity not "
                  "asserted"])
         return EXIT_REFUSED
-    cot = cotangent_trajectory_residual(
-        L, grid, traj.times, [restriction_map_R(s) for s in states],
-        rng=rng)
+    cot = cotangent_trajectory_residual(L, grid, restriction_map_R(traj),
+                                        rng=rng)
     _report([f"pairing-check: model={scenario.model_name} N={grid.n_nodes} "
              f"steps={steps} pairs={scenario.pairing_pairs} seed={seed}",
              f"pullback_identity_residual_max = {_fmt(worst_pull, p)}",

@@ -26,9 +26,9 @@ import numpy as np
 from .cauchy import (StackedVariations, _check_nodes, _check_state,
                      _frame_axis, _frame_samples, _sample_frames,
                      _smooth_profile, checked_frames, covector_residual,
-                     frame_velocities, gradient_fields, integrate_density,
-                     presymplectic_pairing, probe_profiles,
-                     spatial_derivative)
+                     frame_blocks, frame_velocities, gradient_fields,
+                     integrate_density, presymplectic_pairing,
+                     probe_profiles, spatial_derivative, take_frames)
 from .hj import lift_by_gamma
 from .legendre import _solve_nodewise
 from .models import RefusedResidual
@@ -120,15 +120,17 @@ def variational_derivative(L, grid, cs):
 
     dh/dpi = u_t (the solved velocity); dh/du = -dL/du + D(dL/du_x),
     the second term being the exact discrete transpose of the stencil.
+    For F stacked frames both carry the leading frame axis.
     """
-    u_t = solve_time_velocity(L, grid, cs.t, cs.u, cs.pi)
-    u_x = gradient_fields(grid, cs.u)
-    args = (cs.t, grid.x, cs.u, u_t, u_x)
-    dh_du = -L.d_u(*args)
-    d_ux = L.d_ux(*args)                              # (n, m, N)
+    single, t, (u, pi) = _frame_axis(cs.t, cs.u, cs.pi)
+    u_t = solve_time_velocity(L, grid, t, u, pi)
+    args = _frame_samples(grid, t, u, u_t, gradient_fields(grid, u))
+    dh_du = -_sample_frames(L.d_u(*args), len(t))
+    d_ux = _sample_frames(L.d_ux(*args), len(t))     # (F, n, m, N)
     for j in range(grid.m):
-        dh_du = dh_du + spatial_derivative(grid, d_ux[:, j, :])
-    return dh_du, u_t.copy()
+        dh_du = dh_du + spatial_derivative(grid, d_ux[..., j, :])
+    dh = dh_du, u_t.copy()
+    return tuple(a[0] for a in dh) if single else dh
 
 
 def omega_pairing(grid, X, Y):
@@ -166,7 +168,7 @@ def extended_form_covector(grid, dh, X):
     The dh/dt legs of X(h) k_Y and Y(h) k_X cancel."""
     dh_du, dh_dpi = dh
     c_k = integrate_density(grid, np.sum(dh_du * X.du + dh_dpi * X.dpi,
-                                         axis=0))
+                                         axis=-2))
     return (-X.dpi - X.k * dh_du, X.du - X.k * dh_dpi), c_k
 
 
@@ -190,24 +192,26 @@ def standard_cotangent_variations(grid, n, rng=None):
     return CotangentBatch.of(grid, dense, indicators=True)
 
 
-def cotangent_trajectory_residual(L, grid, times, frames, test_set=None,
-                                  rng=None):
-    """max over frames and test variations of the normalized pairing of
-    the frame velocity against the extended two-form; zero exactly when
-    the frames satisfy du/dt = dh/dpi, dpi/dt = -dh/du."""
-    dt, idx = checked_frames(times)
-    n = frames[0].u.shape[0]
+def cotangent_trajectory_residual(L, grid, frames, test_set=None, rng=None):
+    """max over the checked frames of a :class:`CotangentState` of F
+    frames, each block of them in one pass (:func:`cauchy.frame_blocks`),
+    and over test variations, of the normalized pairing of the frame
+    velocity against the extended two-form; zero exactly when the frames
+    satisfy du/dt = dh/dpi, dpi/dt = -dh/du, NaN when a pairing is."""
+    dt, idx = checked_frames(frames.t)
+    n = frames.u.shape[1]
     rng = rng if rng is not None else np.random.default_rng(0)
     test_set = standard_cotangent_variations(grid, n, rng=rng) \
         if test_set is None else CotangentBatch.of(grid, test_set)
     u_dot, pi_dot = frame_velocities(frames, dt, fields=("u", "pi"))
     worst = 0.0
-    for k in idx:
-        c_dot = CotangentVariation(1.0, u_dot[k], pi_dot[k])
-        dh = variational_derivative(L, grid, frames[k])
-        worst = max(worst, covector_residual(
-            grid, *extended_form_covector(grid, dh, c_dot), test_set))
-    return worst
+    for block in frame_blocks(grid, len(idx)):
+        ks = idx[block]
+        c_dot = CotangentVariation(1.0, u_dot[ks], pi_dot[ks])
+        dh = variational_derivative(L, grid, take_frames(frames, ks))
+        worst = np.maximum(worst, np.max(covector_residual(
+            grid, *extended_form_covector(grid, dh, c_dot), test_set)))
+    return float(worst)
 
 
 def time_legendre_constraint_residual(L, grid, state):

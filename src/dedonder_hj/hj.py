@@ -30,12 +30,12 @@ import numpy as np
 
 from .cauchy import (CauchyState, TangentBatch, TangentVariation,
                      _check_count, _check_dt, _check_fields, _check_peak,
-                     _frame_samples, _rk4_update, _sample_frames,
+                     _frame_axis, _frame_samples, _rk4_update, _sample_frames,
                      _state_pairing_data, checked_frames, covector_residual,
                      frame_blocks, frame_velocities, gradient_fields,
                      pairing_covector, presymplectic_pairing,
-                     random_smooth_variation, stack_frames,
-                     standard_test_variations)
+                     random_smooth_variation, standard_test_variations,
+                     take_frames)
 from .legendre import ConnectionCoefficients
 from .models import (DedonderError, ModelError, RefusedResidual,
                      central_difference)
@@ -398,9 +398,10 @@ def evolve_characteristics(H, gamma, grid, u0, t0, dt, t_final,
     def rhs(t, uu):
         return H.d_pt(t, grid.x, uu, *gamma.momenta(t, grid.x, uu))
 
-    frames = [u]
-    times = [t0]
-    t = t0
+    times = np.empty(1 - (-n_steps // store_every))   # as run_simulation
+    frames = np.empty(times.shape + u.shape)
+    times[0], frames[0] = t0, u
+    t, f = t0, 0
     for k in range(n_steps):
         k1 = rhs(t, u)
         k2 = rhs(t + dt / 2, u + dt / 2 * k1)
@@ -410,17 +411,25 @@ def evolve_characteristics(H, gamma, grid, u0, t0, dt, t_final,
         t = t0 + (k + 1) * dt
         _check_peak(k + 1, u=u)
         if (k + 1) % store_every == 0 or k + 1 == n_steps:
-            frames.append(u)
-            times.append(t)
-    return np.asarray(times), np.stack(frames)
+            f += 1
+            times[f], frames[f] = t, u
+    return times, frames
 
 
 def lift_by_gamma(gamma, t, grid, u):
-    """Cauchy state with momenta read off the section at every node;
-    refuses (GridError) a section or u that does not fit the grid."""
+    """Cauchy state with momenta read off the section at every node: one
+    frame at a time t, with u (n, N), or F frames at times t (F,), with u
+    (F, n, N), whose F N frame-nodes are then the samples of one section
+    evaluation. Refuses (GridError) a section or u that does not fit the
+    grid."""
     u = np.asarray(u, dtype=float)
-    _check_fields(gamma.dims, "the section", grid, u)
-    return CauchyState(t, u, *gamma.momenta(t, grid.x, u))
+    _check_fields(gamma.dims, "the section", grid, u, frames=np.shape(t))
+    single, t, (u,) = _frame_axis(t, u)
+    p_t, p_x = (np.ascontiguousarray(_sample_frames(p, len(t))) for p in
+                gamma.momenta(*_frame_samples(grid, t, u)))
+    if single:
+        return CauchyState(t[0], u[0], p_t[0], p_x[0])
+    return CauchyState(t, u, p_t, p_x)
 
 
 def _lift_with(d, k, du):
@@ -448,21 +457,18 @@ class HJLiftReport:
     frames_checked: int
 
 
-def hj_lift_solution_check(H, gamma, grid, times, u_frames, rng=None,
-                           lifted=None):
+def hj_lift_solution_check(H, gamma, grid, times, u_frames, rng=None):
     """Certify a characteristic trajectory by lifting it with the section
     and measuring three residual classes against the pairing: over the
     standard test set, and for 8 pairs of lifted random variations.
-    ``lifted``, when given, holds the lifts of the frames (
-    :func:`lift_by_gamma` of each), which the check then does not make
-    again.
 
-    The split and contraction residuals are computed once per block of
-    checked frames (:func:`cauchy.frame_blocks`), the section partials
-    once over the block's frame-nodes; the pullback pairs are one stacked
-    pairing per frame. Refuses (raises :class:`IncompatibleDataError`)
-    when the initial frame fails :func:`check_compatibility`, which also
-    refuses H and a section of different dimensions.
+    The frames are lifted in one pass (:func:`lift_by_gamma`). The split
+    and contraction residuals are computed once per block of checked
+    frames (:func:`cauchy.frame_blocks`), the section partials once over
+    the block's frame-nodes; the pullback pairs are one stacked pairing
+    per frame. Refuses (raises :class:`IncompatibleDataError`) when the
+    initial frame fails :func:`check_compatibility`, which also refuses H
+    and a section of different dimensions.
     """
     times = np.asarray(times, dtype=float)
     u_frames = np.asarray(u_frames, dtype=float)
@@ -472,9 +478,8 @@ def hj_lift_solution_check(H, gamma, grid, times, u_frames, rng=None,
 
     rng = rng if rng is not None else np.random.default_rng(0)
     test_set = standard_test_variations(grid, n, rng=rng)
-    states = [lift_by_gamma(gamma, t, grid, u) for t, u in
-              zip(times, u_frames)] if lifted is None else lifted
-    velocities = [v[idx] for v in frame_velocities(states, dt)]
+    lifted = lift_by_gamma(gamma, times, grid, u_frames)
+    velocities = [v[idx] for v in frame_velocities(lifted, dt)]
 
     split = 0.0
     contraction = 0.0
@@ -485,10 +490,9 @@ def hj_lift_solution_check(H, gamma, grid, times, u_frames, rng=None,
              for _ in range(16)]
     V, W = (TangentBatch.of(grid, draws[i::2]) for i in (0, 1))
     for block in frame_blocks(grid, len(idx)):
-        ks = idx[block]
-        frames = stack_frames([states[k] for k in ks])
+        frames = take_frames(lifted, idx[block])
         data = _state_pairing_data(H, grid, frames)
-        d = {key: _sample_frames(value, len(ks)) for key, value in
+        d = {key: _sample_frames(value, len(frames.t)) for key, value in
              gamma.partials(*_frame_samples(grid, frames.t,
                                             frames.u)).items()}
         c_dot = TangentVariation(1.0, *(v[block] for v in velocities))
@@ -498,10 +502,10 @@ def hj_lift_solution_check(H, gamma, grid, times, u_frames, rng=None,
         X = _lift_with(d, 1.0, data[1])
         contraction = np.maximum(contraction, np.max(covector_residual(
             grid, *pairing_covector(grid, data, X), test_set)))
-        for f, k in enumerate(ks):
+        for f in range(len(frames.t)):
             d_f = {key: value[f] for key, value in d.items()}
             pairings = presymplectic_pairing(
-                H, grid, states[k], _lift_with(d_f, V.k, V.du),
+                H, grid, take_frames(frames, f), _lift_with(d_f, V.k, V.du),
                 _lift_with(d_f, W.k, W.du), _data=tuple(a[f] for a in data))
             pullback = np.maximum(pullback, np.max(np.abs(pairings)))
     return HJLiftReport(compatibility_residual=compat_res,

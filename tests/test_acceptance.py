@@ -11,13 +11,15 @@ stated and fails honestly; the second-order convergence half of the
 criterion passes.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from dedonder_hj.cauchy import (CauchyState, dynamical_trajectory_residual,
                                 make_grid, recover_spatial_momenta,
                                 run_simulation, random_smooth_variation,
-                                standard_test_variations)
+                                standard_test_variations, take_frames)
 from dedonder_hj.cotangent import (CotangentState,
                                    cotangent_trajectory_residual,
                                    instantaneous_hamiltonian,
@@ -71,6 +73,14 @@ def exact_wave_state(grid, t):
     return CauchyState(t, np.sin(TWO_PI * (xs - t))[None, :],
                        -TWO_PI * np.cos(TWO_PI * (xs - t))[None, :],
                        -TWO_PI * np.cos(TWO_PI * (xs - t))[None, None, :])
+
+
+def stack(states):
+    """One state of the F frames ``states``, t of shape (F,) and each field
+    on a leading frame axis."""
+    cls = type(states[0])
+    return cls(*(np.array([getattr(s, f.name) for s in states])
+                 for f in fields(cls)))
 
 
 def exact_wave_state_dot(grid, t):
@@ -133,7 +143,7 @@ def test_criterion_3_direct_simulation_convergence():
     for N in (128, 256):
         grid, traj = run_wave(N)
         exact = exact_wave_state(grid, 1.0)
-        errors[N] = float(np.max(np.abs(traj.states[-1].u - exact.u)))
+        errors[N] = float(np.max(np.abs(traj.u[-1] - exact.u)))
     ratio = errors[128] / errors[256]
     ok_err = errors[128] <= 1e-3
     ok_ratio = 3.5 <= ratio <= 4.5
@@ -203,7 +213,7 @@ def test_criterion_6_characteristics_vs_direct():
                                  rng=np.random.default_rng(6))
     lifted0 = lift_by_gamma(gamma, 0.0, grid, frames[0])
     direct = run_simulation(H, grid, lifted0, 1e-3, 1000, store_every=1)
-    diff = max(float(np.max(np.abs(frames[k] - direct.states[k].u)))
+    diff = max(float(np.max(np.abs(frames[k] - direct.u[k])))
                for k in range(len(times)))
     ok = (char_err <= 1e-9 and rep.split_residual <= 1e-6
           and rep.contraction_residual <= 1e-6
@@ -231,8 +241,9 @@ def test_criterion_7_mechanics_reduction():
     state0 = CauchyState(0.0, np.array([[1.0]]), np.array([[0.0]]),
                          np.zeros((1, 0, 1)))
     direct = run_simulation(H, grid, state0, 1e-3, 1000, store_every=1)
-    energies = [instantaneous_hamiltonian(L, grid, restriction_map_R(s))
-                for s in direct.states]
+    energies = [instantaneous_hamiltonian(
+        L, grid, restriction_map_R(take_frames(direct, k)))
+        for k in range(len(direct.t))]
     drift = max(abs(e - energies[0]) for e in energies)
     ok = char_err <= 1e-9 and sup_hj <= 1e-12 and drift <= 1e-10
     report(7, ok, f"u(1) error {char_err:.3e} (tol 1e-9), hj sup "
@@ -270,10 +281,10 @@ def test_criterion_9_cotangent_dynamics():
     for N in (128, 256):
         grid = make_grid(N)
         times = np.linspace(0.0, 1.0, 101)
-        frames = [restriction_map_R(exact_wave_state(grid, t))
-                  for t in times]
+        frames = stack([restriction_map_R(exact_wave_state(grid, t))
+                        for t in times])
         res[N] = cotangent_trajectory_residual(
-            L, grid, times, frames, rng=np.random.default_rng(42))
+            L, grid, frames, rng=np.random.default_rng(42))
     ratio = res[128] / res[256]
     Lkg, Hkg = kg_models(1.0)
     grid = make_grid(16)
@@ -281,8 +292,7 @@ def test_criterion_9_cotangent_dynamics():
                      np.zeros((1, 1, 16)))
     traj = run_simulation(Hkg, grid, s0, 1e-3, 1000, store_every=10)
     kg_res = cotangent_trajectory_residual(
-        Lkg, grid, traj.times, [restriction_map_R(s) for s in traj.states],
-        rng=np.random.default_rng(42))
+        Lkg, grid, restriction_map_R(traj), rng=np.random.default_rng(42))
     ok = (res[128] <= 5e-3 and 3.5 <= ratio <= 4.5 and kg_res <= 1e-8)
     report(9, ok, f"wave image residual {res[128]:.6e} at N=128 (tol 5e-3), "
                   f"ratio {ratio:.3f}; constant-data run {kg_res:.3e} "

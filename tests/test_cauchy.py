@@ -14,7 +14,7 @@ from dedonder_hj.cauchy import (BlowupError, CauchyState, GridError,
                                 presymplectic_pairing, random_smooth_variation,
                                 recover_spatial_momenta, run_simulation,
                                 spatial_derivative, standard_test_variations,
-                                step_rk4, time_derivative_frames)
+                                step_rk4, take_frames, time_derivative_frames)
 from dedonder_hj.legendre import NEWTON_TOL, hamiltonian_from_lagrangian
 from dedonder_hj.models import (Dimensions, HamiltonianModel,
                                 LagrangianModel, ModelError, builtin_model)
@@ -286,7 +286,7 @@ def test_step_rk4_wave_dispersion_oracle():
         traj = run_simulation(H, g, s0, 1e-3, int(T / 1e-3),
                               store_every=int(T / 1e-3))
         exact = exact_wave_state(g, T)
-        errors[N] = float(np.max(np.abs(traj.states[-1].u - exact.u)))
+        errors[N] = float(np.max(np.abs(traj.u[-1] - exact.u)))
         xs = g.x[0]
         w = np.sin(TWO_PI * g.spacing) / g.spacing
         u_semi = np.cos(w * T) * np.sin(TWO_PI * xs) \
@@ -484,8 +484,8 @@ def test_simulation_stores_requested_frames():
     s = CauchyState(0.0, np.ones((1, 8)), np.zeros((1, 8)),
                     np.zeros((1, 1, 8)))
     traj = run_simulation(H, g, s, 1e-2, 10, store_every=2)
-    assert len(traj.states) == 6
-    assert np.allclose(np.diff(traj.times), 2e-2)
+    assert len(traj.t) == 6
+    assert np.allclose(np.diff(traj.t), 2e-2)
 
 
 # -- the RK4 hot path ------------------------------------------------------------
@@ -906,6 +906,22 @@ def test_run_simulation_refuses_bad_arguments_before_stepping(monkeypatch,
     assert steps["step_rk4"] == 0
 
 
+@pytest.mark.parametrize("u, p_x", [
+    (np.ones((1, 16)), np.zeros((1, 0, 16))),
+    (np.ones((1, 12)), np.zeros((1, 1, 12))),
+    (np.ones((2, 16)), np.zeros((2, 1, 16)))],
+    ids=["p_x-of-m-0", "other-N", "two-components"])
+def test_run_simulation_refuses_a_start_that_does_not_fit(monkeypatch, u,
+                                                          p_x):
+    # the stored frames are preallocated from state0: unrefused, a p_x of
+    # another m stepped into a raw broadcast ValueError at the first store
+    steps = count_calls(monkeypatch, cauchy, ["step_rk4"])
+    with pytest.raises(GridError):
+        run_simulation(kg_hamiltonian(1.0), make_grid(16),
+                       CauchyState(0.0, u, u, p_x), 1e-3, 3)
+    assert steps["step_rk4"] == 0
+
+
 def kg_partials_only(mass=1.0, n=1):
     """Klein-Gordon with analytic first partials but no momentum
     Jacobian, so recovery takes the finite-difference path."""
@@ -986,9 +1002,10 @@ def test_nonlinear_recovery_with_jacobian_matches_differences():
         - spatial_derivative(g, u)
     assert np.max(np.abs(constraint)) <= NEWTON_TOL
     s = CauchyState(0.0, u, p, p_x)
-    a = run_simulation(analytic, g, s, 1e-3, 20, store_every=20).states[-1]
-    b = run_simulation(differenced, g, s, 1e-3, 20,
-                       store_every=20).states[-1]
+    a = take_frames(run_simulation(analytic, g, s, 1e-3, 20,
+                                   store_every=20), -1)
+    b = take_frames(run_simulation(differenced, g, s, 1e-3, 20,
+                                   store_every=20), -1)
     for name in ("u", "p_t", "p_x"):
         assert np.max(np.abs(getattr(a, name) - getattr(b, name))) <= 1e-10
 

@@ -1,10 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from dedonder_hj.cauchy import (CauchyState, TangentVariation, make_grid,
                                 random_smooth_variation,
                                 recover_spatial_momenta, run_simulation,
-                                spatial_derivative)
+                                spatial_derivative, take_frames)
 from dedonder_hj.cotangent import (ConstraintError, CotangentState,
                                    CotangentVariation,
                                    cotangent_trajectory_residual,
@@ -31,6 +33,14 @@ def wave():
 def kg(mass=1.0):
     L = builtin_model("klein_gordon", {"mass": mass})
     return L, hamiltonian_from_lagrangian(L)
+
+
+def stack(states):
+    """One state of the F frames ``states``, t of shape (F,) and each field
+    on a leading frame axis."""
+    cls = type(states[0])
+    return cls(*(np.array([getattr(s, f.name) for s in states])
+                 for f in fields(cls)))
 
 
 def exact_wave_cotangent(grid, t):
@@ -239,9 +249,10 @@ def test_cotangent_residual_exact_constant_solution():
     L, H = kg(1.0)
     g = make_grid(16)
     times = np.arange(0.0, 1.0 + 1e-12, 0.01)
-    frames = [CotangentState(t, np.full((1, 16), np.cos(t)),
-                             np.full((1, 16), -np.sin(t))) for t in times]
-    res = cotangent_trajectory_residual(L, g, times, frames,
+    frames = stack([CotangentState(t, np.full((1, 16), np.cos(t)),
+                                   np.full((1, 16), -np.sin(t)))
+                    for t in times])
+    res = cotangent_trajectory_residual(L, g, frames,
                                         rng=np.random.default_rng(0))
     assert res <= 1e-8
 
@@ -252,8 +263,8 @@ def test_cotangent_residual_direct_run_image():
     s0 = CauchyState(0.0, np.ones((1, 16)), np.zeros((1, 16)),
                      np.zeros((1, 1, 16)))
     traj = run_simulation(H, g, s0, 1e-3, 1000, store_every=10)
-    frames = [restriction_map_R(s) for s in traj.states]
-    res = cotangent_trajectory_residual(L, g, traj.times, frames,
+    frames = restriction_map_R(traj)
+    res = cotangent_trajectory_residual(L, g, frames,
                                         rng=np.random.default_rng(0))
     assert res <= 1e-8
 
@@ -264,9 +275,9 @@ def test_cotangent_residual_manufactured_wave_refines():
     for N in (128, 256):
         g = make_grid(N)
         times = np.arange(0.0, 0.2 + 1e-12, 0.005)
-        frames = [exact_wave_cotangent(g, t) for t in times]
+        frames = stack([exact_wave_cotangent(g, t) for t in times])
         res[N] = cotangent_trajectory_residual(
-            L, g, times, frames, rng=np.random.default_rng(42))
+            L, g, frames, rng=np.random.default_rng(42))
     assert res[128] <= 5e-3
     assert 3.5 <= res[128] / res[256] <= 4.5
 
@@ -275,10 +286,11 @@ def test_cotangent_residual_detects_scaled_momentum():
     L, _ = wave()
     g = make_grid(128)
     times = np.arange(0.0, 0.1 + 1e-12, 0.005)
-    frames = [CotangentState(t, np.sin(TWO_PI * (g.x[0] - t))[None, :],
-                             -1.1 * TWO_PI * np.cos(TWO_PI * (g.x[0] - t))[None, :])
-              for t in times]
-    res = cotangent_trajectory_residual(L, g, times, frames,
+    frames = stack([
+        CotangentState(t, np.sin(TWO_PI * (g.x[0] - t))[None, :],
+                       -1.1 * TWO_PI * np.cos(TWO_PI * (g.x[0] - t))[None, :])
+        for t in times])
+    res = cotangent_trajectory_residual(L, g, frames,
                                         rng=np.random.default_rng(0))
     assert res >= 0.05
 
@@ -362,8 +374,9 @@ def test_energy_conserved_along_direct_wave_run():
     p0 = -TWO_PI * np.cos(TWO_PI * xs)[None, :]
     s0 = CauchyState(0.0, u0, p0, recover_spatial_momenta(H, g, u0))
     traj = run_simulation(H, g, s0, 1e-3, 1000, store_every=100)
-    energies = [instantaneous_hamiltonian(L, g, restriction_map_R(s))
-                for s in traj.states]
+    energies = [instantaneous_hamiltonian(
+        L, g, restriction_map_R(take_frames(traj, k)))
+        for k in range(len(traj.t))]
     assert max(abs(e - energies[0]) for e in energies) <= 1e-6
 
 

@@ -1,42 +1,53 @@
 """Property tests of the residual checks on a leading frame axis.
 
-The per-frame residual functions (field energy, constraint residual,
-trajectory residual) take F stacked frames (``cauchy.stack_frames``) and
-evaluate the model once over all F N frame-nodes. For the built-in models
-with m in {0, 1} and n in {1, 2}, and F around the block size (16 frames
-at N = 128), a call on all F frames and the calls on the blocks of
+Stored frames are one stacked state: t of shape (F,) and every field on a
+leading frame axis, as ``cauchy.run_simulation`` returns them, sliced with
+``cauchy.take_frames``. The per-frame residual functions (field energy,
+constraint residual, trajectory residual, the cotangent trajectory
+residual) and the section lift take F stacked frames and evaluate the
+model once over all F N frame-nodes. For the built-in models with m in
+{0, 1} and n in {1, 2}, and F around the block size (16 frames at
+N = 128), a call on all F frames and the calls on the blocks of
 ``cauchy.frame_blocks`` must equal the F = 1 calls frame by frame, bit
-for bit; so must the split, contraction and pullback residuals of the
-lift check against its frame-by-frame form, with the oscillator and
-linear sections. A value-only model solves each block's velocities with
-one Newton iteration count, so its results may move within the
-finite-difference noise floor. Frames that are not finite or do not fit
-(each other, the grid, their velocities or the test set) are refused with
-the library's own errors.
+for bit; so must the stacked lift against the lifts of single frames, and
+the split, contraction and pullback residuals of the lift check against
+its frame-by-frame form, with the oscillator and linear sections. A
+value-only model solves each block's velocities with one Newton
+iteration count, so its results may move within the finite-difference
+noise floor. Stacks that are not finite, are mis-shaped or do not fit
+(the grid, their velocities or the test set) are refused with the
+library's own errors.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dedonder_hj.cauchy import (CauchyState, TangentBatch, TangentVariation,
-                                _state_pairing_data, checked_frames,
-                                covector_residual,
+from dedonder_hj.cauchy import (CauchyState, GridError, TangentBatch,
+                                TangentVariation, _state_pairing_data,
+                                checked_frames, covector_residual,
                                 dynamical_trajectory_residual, frame_blocks,
                                 frame_velocities, make_grid,
                                 pairing_covector, presymplectic_pairing,
-                                random_smooth_variation, stack_frames,
-                                standard_test_variations)
-from dedonder_hj.cotangent import (CotangentState, instantaneous_hamiltonian,
+                                random_smooth_variation,
+                                standard_test_variations, take_frames,
+                                time_derivative_frames)
+from dedonder_hj.cotangent import (CotangentState, CotangentVariation,
+                                   cotangent_trajectory_residual,
+                                   extended_form_covector,
+                                   instantaneous_hamiltonian,
                                    restriction_map_R, solve_time_velocity,
-                                   time_legendre_constraint_residual)
+                                   standard_cotangent_variations,
+                                   time_legendre_constraint_residual,
+                                   variational_derivative)
 from dedonder_hj.hj import (_lift_with, hj_lift_solution_check,
                             lift_by_gamma, linear_gamma, oscillator_gamma)
 from dedonder_hj.legendre import NEWTON_TOL, hamiltonian_from_lagrangian
-from dedonder_hj.models import DedonderError, HamiltonianModel, builtin_model
+from dedonder_hj.models import (DedonderError, HamiltonianModel,
+                                LagrangianModel, ModelError, builtin_model)
 
 BUILTINS = [("free_wave", {}), ("klein_gordon", {"mass": 0.7}),
             ("scalar_potential", {"mass": 0.5, "potential": (0.0, 0.2, 0.3)}),
@@ -56,6 +67,14 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
 def value_only(model):
     return type(model)(model.dims, model._value)
+
+
+def stack(states):
+    """One state of the F frames ``states``, t of shape (F,) and each field
+    on a leading frame axis."""
+    cls = type(states[0])
+    return cls(*(np.array([getattr(s, f.name) for s in states])
+                 for f in fields(cls)))
 
 
 @st.composite
@@ -101,7 +120,7 @@ def stacked(L, H, grid, states, velocities, test, blocks):
     """The same, one call of each function per block of frames."""
     rows = []
     for block in blocks:
-        frames = stack_frames(states[block])
+        frames = stack(states[block])
         rows.append(np.stack([
             instantaneous_hamiltonian(L, grid, restriction_map_R(frames)),
             time_legendre_constraint_residual(L, grid, frames),
@@ -118,6 +137,28 @@ def test_stacked_frames_match_frame_by_frame(case):
     F = len(case[3])
     for blocks in ([slice(0, F)], frame_blocks(case[2], F)):
         assert stacked(*case, blocks).tobytes() == single.tobytes()
+
+
+@PROPERTY
+@given(framed_runs(nodes=(3, 7)))
+def test_take_frames_returns_each_frames_own_values(case):
+    states = case[3]
+    F = len(states)
+    for frames in (stack(states), stack([restriction_map_R(s)
+                                         for s in states])):
+        names = [f.name for f in fields(frames)]
+        for k in range(F):
+            one = take_frames(frames, k)
+            assert one.t == frames.t[k] and np.ndim(one.t) == 0
+            assert all(getattr(one, name).tobytes()
+                       == getattr(frames, name)[k].tobytes()
+                       for name in names[1:])
+        for index in (slice(1, F - 1), [F - 1, 0, 2], slice(None, None, 2)):
+            some = take_frames(frames, index)
+            assert type(some) is type(frames)
+            assert all(getattr(some, name).tobytes()
+                       == getattr(frames, name)[index].tobytes()
+                       for name in names)
 
 
 def test_blocks_at_128_nodes_hold_16_frames():
@@ -195,7 +236,7 @@ def lift_residuals_frame_by_frame(H, gamma, grid, times, u_frames, rng):
     test_set = standard_test_variations(grid, n, rng=rng)
     states = [lift_by_gamma(gamma, t, grid, u)
               for t, u in zip(times, u_frames)]
-    u_dot, pt_dot, px_dot = frame_velocities(states, dt)
+    u_dot, pt_dot, px_dot = frame_velocities(stack(states), dt)
     draws = [random_smooth_variation(grid, n, rng, vertical=False)
              for _ in range(16)]
     V, W = (TangentBatch.of(grid, draws[i::2]) for i in (0, 1))
@@ -219,43 +260,122 @@ def lift_residuals_frame_by_frame(H, gamma, grid, times, u_frames, rng):
 @PROPERTY
 @given(lifted_runs())
 def test_lift_check_matches_frame_by_frame(case):
-    states, *residuals = lift_residuals_frame_by_frame(
+    _, *residuals = lift_residuals_frame_by_frame(
         *case, rng=np.random.default_rng(5))
-    # lifting the frames itself, or handed the lifts the CLI makes
-    for lifted in (None, states):
-        report = hj_lift_solution_check(*case, rng=np.random.default_rng(5),
-                                        lifted=lifted)
-        assert [report.split_residual, report.contraction_residual,
-                report.pullback_residual] == residuals
+    report = hj_lift_solution_check(*case, rng=np.random.default_rng(5))
+    assert [report.split_residual, report.contraction_residual,
+            report.pullback_residual] == residuals
+
+
+@PROPERTY
+@given(lifted_runs())
+def test_stacked_lift_matches_single_lifts(case):
+    _, gamma, grid, times, u_frames = case
+    lifted = lift_by_gamma(gamma, times, grid, u_frames)
+    singles = stack([lift_by_gamma(gamma, t, grid, u)
+                     for t, u in zip(times, u_frames)])
+    for f in fields(lifted):
+        assert getattr(lifted, f.name).tobytes() \
+            == getattr(singles, f.name).tobytes()
+
+
+@pytest.mark.parametrize("fault, error", [
+    ("nan", ModelError), ("other N", GridError), ("other F", GridError),
+    ("other n", GridError)])
+def test_stacked_lift_refuses_bad_frames(fault, error):
+    gamma = oscillator_gamma(builtin_model("klein_gordon").dims, 1.0)
+    times = 0.1 * np.arange(6)
+    u_frames = np.ones((6, 1, 8))
+    if fault == "nan":
+        u_frames[3, 0, 2] = np.nan
+    elif fault == "other F":
+        times = times[:5]
+    elif fault == "other n":
+        u_frames = np.ones((6, 2, 8))
+    grid = make_grid(9 if fault == "other N" else 8)
+    with pytest.raises(error):
+        lift_by_gamma(gamma, times, grid, u_frames)
+
+
+# -- the cotangent trajectory residual --------------------------------------------
+
+@st.composite
+def cotangent_runs(draw):
+    """(L, grid, frames, test set): F random cotangent frames of a built-in
+    model, uniformly spaced in time, and the standard cotangent test set,
+    with or without its node indicators."""
+    L, _, grid, states, _, _ = draw(framed_runs())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    test = standard_cotangent_variations(grid, L.dims.n, rng=rng)
+    return (L, grid, stack([restriction_map_R(s) for s in states]),
+            replace(test, indicators=draw(st.booleans())))
+
+
+def cotangent_residual_frame_by_frame(L, grid, frames, test_set):
+    """The cotangent trajectory residual with one variational derivative
+    and one covector residual per checked frame."""
+    dt, idx = checked_frames(frames.t)
+    u_dot, pi_dot = (time_derivative_frames(getattr(frames, name), dt)
+                     for name in ("u", "pi"))
+    worst = 0.0
+    for k in idx:
+        dh = variational_derivative(L, grid, CotangentState(
+            frames.t[k], frames.u[k], frames.pi[k]))
+        c_dot = CotangentVariation(1.0, u_dot[k], pi_dot[k])
+        worst = np.maximum(worst, covector_residual(
+            grid, *extended_form_covector(grid, dh, c_dot), test_set))
+    return float(worst)
+
+
+@PROPERTY
+@given(cotangent_runs())
+def test_stacked_cotangent_residual_matches_frame_by_frame(case):
+    L, grid, frames, test = case
+    assert np.float64(cotangent_trajectory_residual(
+        L, grid, frames, test_set=test)).tobytes() == np.float64(
+        cotangent_residual_frame_by_frame(*case)).tobytes()
+
+
+def test_nan_lagrangian_gives_nan_cotangent_residual():
+    # a free-wave L whose dL/du is NaN above u = 1.5, the first of six
+    # frames at u = 2: the residual comes back NaN, where a Python max
+    # over frames kept the finite residuals of the others (0.593)
+    wave = builtin_model("free_wave")
+    L = LagrangianModel(
+        wave.dims, wave._value, d_ut=wave._d_ut, d_ux=wave._d_ux,
+        velocity_hessian=wave._hess,
+        d_u=lambda t, x, u, u_t, u_x: np.where(u > 1.5, np.nan, 0.0 * u))
+    u = np.ones((6, 1, 8))
+    u[0] = 2.0
+    frames = CotangentState(0.1 * np.arange(6), u, np.zeros((6, 1, 8)))
+    assert np.isnan(cotangent_trajectory_residual(L, make_grid(8), frames))
 
 
 # -- refusals --------------------------------------------------------------------
 
-FAULTS = ["nan", "inf", "other N in one frame", "other N in all frames",
-          "other m", "velocity shape", "velocity nan", "test set shape"]
+FAULTS = ["nan", "inf", "other N in p_t", "other N", "other m",
+          "velocity shape", "velocity nan", "test set shape"]
 
 
-def corrupt(fault, states, velocities, test, rng):
-    """The frames, velocities and test set with one fault."""
-    states, velocities = list(states), list(velocities)
-    s = states[0]
-    n, m, N = s.p_x.shape
+def corrupt(fault, frames, velocities, test, rng):
+    """The fields (t, u, p_t, p_x) of a stack of frames, its velocities and
+    the test set, with one fault."""
+    t, u, p_t, p_x = (getattr(frames, f.name) for f in fields(frames))
+    velocities = list(velocities)
+    F, n, m, N = p_x.shape
     if fault in ("nan", "inf"):
-        u = s.u.copy()
-        u[0, -1] = np.nan if fault == "nan" else -np.inf
-        states[-1] = CauchyState._unchecked(s.t, u, s.p_t, s.p_x, (None, None))
-    elif fault == "other N in one frame":
-        states[-1] = CauchyState(s.t, np.ones((n, N + 1)), np.ones((n, N + 1)),
-                                 np.ones((n, m, N + 1)))
-    elif fault == "other N in all frames":
-        states = [CauchyState(s.t, np.ones((n, N + 1)), np.ones((n, N + 1)),
-                              np.ones((n, m, N + 1))) for s in states]
-        velocities = [np.ones((len(states),) + np.shape(a)[1:-1] + (N + 1,))
+        u = u.copy()
+        u[-1, 0, -1] = np.nan if fault == "nan" else -np.inf
+    elif fault == "other N in p_t":
+        p_t = np.ones((F, n, N + 1))
+    elif fault == "other N":
+        u, p_t, p_x = (np.ones((F, n, N + 1)), np.ones((F, n, N + 1)),
+                       np.ones((F, n, m, N + 1)))
+        velocities = [np.ones(np.shape(a)[:-1] + (N + 1,))
                       for a in velocities]
     elif fault == "other m":
-        states = [CauchyState(s.t, s.u, s.p_t, np.ones((n, m + 1, N)))
-                  for s in states]
-        velocities[2] = np.ones((len(states), n, m + 1, N))
+        p_x = np.ones((F, n, m + 1, N))
+        velocities[2] = np.ones((F, n, m + 1, N))
     elif fault == "velocity shape":
         velocities[0] = velocities[0][:, :, :-1]
     elif fault == "velocity nan":
@@ -264,24 +384,26 @@ def corrupt(fault, states, velocities, test, rng):
     else:
         test = standard_test_variations(
             make_grid(N + 3) if m else make_grid(1, m=0), n + 1, rng=rng)
-    return states, velocities, test
+    return (t, u, p_t, p_x), velocities, test
 
 
 @PROPERTY
 @given(framed_runs(nodes=(3, 7)), st.sampled_from(FAULTS))
 def test_bad_frames_refused_with_the_library_errors(case, fault):
     L, H, grid, states, velocities, test = case
-    states, velocities, test = corrupt(fault, states, velocities, test,
-                                       np.random.default_rng(0))
+    (t, u, p_t, p_x), velocities, test = corrupt(
+        fault, stack(states), velocities, test, np.random.default_rng(0))
     calls = [lambda: dynamical_trajectory_residual(
-        H, grid, stack_frames(states), velocities, test)]
+        H, grid, CauchyState(t, u, p_t, p_x), velocities, test)]
     if not fault.startswith(("velocity", "test")):
         # the constraint reads every field, the energy u and p_t alone
         calls.append(lambda: time_legendre_constraint_residual(
-            L, grid, stack_frames(states)))
+            L, grid, CauchyState(t, u, p_t, p_x)))
     if fault in FAULTS[:4]:
         calls.append(lambda: instantaneous_hamiltonian(
-            L, grid, restriction_map_R(stack_frames(states))))
+            L, grid, restriction_map_R(CauchyState(t, u, p_t, p_x))))
+        calls.append(lambda: cotangent_trajectory_residual(
+            L, grid, CotangentState(t, u, p_t)))
     for call in calls:
         with pytest.raises(DedonderError):
             call()

@@ -532,7 +532,7 @@ def test_two_component_certified_pipeline():
     assert rep.pullback_residual <= 1e-9
     lifted0 = lift_by_gamma(og, 0.0, g, u0)
     direct = run_simulation(H, g, lifted0, 1e-3, 500, store_every=500)
-    assert np.max(np.abs(direct.states[-1].u - u0 * np.cos(0.5))) <= 1e-9
+    assert np.max(np.abs(direct.u[-1] - u0 * np.cos(0.5))) <= 1e-9
 
 
 def test_gamma_family_registry():

@@ -329,14 +329,16 @@ def test_cotangent_residual_matches_two_argument_loop():
                                           rng=np.random.default_rng(3))
     singles = [CotangentVariation(k, du, dpi)
                for k, du, dpi in zip(batch.k, batch.du, batch.dpi)]
-    as_batch = cotangent_trajectory_residual(L, grid, times, frames,
+    stacked = CotangentState(times, np.array([f.u for f in frames]),
+                             np.array([f.pi for f in frames]))
+    as_batch = cotangent_trajectory_residual(L, grid, stacked,
                                              test_set=batch)
     assert cotangent_trajectory_residual(
-        L, grid, times, frames, test_set=singles) \
+        L, grid, stacked, test_set=singles) \
         == cotangent_trajectory_residual(
-            L, grid, times, frames, test_set=CotangentBatch.of(grid, singles))
+            L, grid, stacked, test_set=CotangentBatch.of(grid, singles))
     with pytest.raises(ValueError):
-        cotangent_trajectory_residual(L, grid, times, frames, test_set=[])
+        cotangent_trajectory_residual(L, grid, stacked, test_set=[])
     # reference: every frame, the dense set and the indicators one by one
     eye = np.eye(8)[:, None, :]
     singles += [CotangentVariation(0.0, e, 0 * e) for e in eye]

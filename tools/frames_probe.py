@@ -32,7 +32,7 @@ import numpy as np
 from dedonder_hj.cauchy import (CauchyState, dynamical_trajectory_residual,
                                 frame_velocities, make_grid,
                                 recover_spatial_momenta, run_simulation,
-                                standard_test_variations)
+                                standard_test_variations, take_frames)
 from dedonder_hj.cli import _diagnostics
 from dedonder_hj.cotangent import (instantaneous_hamiltonian,
                                    restriction_map_R,
@@ -60,14 +60,16 @@ def stored_run():
                                       store_every=STORE_EVERY)
 
 
-def frame_by_frame(L, H, grid, times, states, rng):
-    test = standard_test_variations(grid, states[0].u.shape[0], rng=rng)
-    velocities = frame_velocities(states, times[1] - times[0])
+def frame_by_frame(L, H, grid, stored, rng):
+    test = standard_test_variations(grid, stored.u.shape[1], rng=rng)
+    velocities = frame_velocities(stored, stored.t[1] - stored.t[0])
+    states = [take_frames(stored, k) for k in range(len(stored.t))]
     return ([instantaneous_hamiltonian(L, grid, restriction_map_R(s))
              for s in states],
             [time_legendre_constraint_residual(L, grid, s) for s in states],
-            [dynamical_trajectory_residual(H, grid, s, dot, test)
-             for s, dot in zip(states, zip(*velocities))])
+            [dynamical_trajectory_residual(H, grid, s, [v[k] for v in
+                                                        velocities], test)
+             for k, s in enumerate(states)])
 
 
 def main(argv=None):
@@ -83,13 +85,12 @@ def main(argv=None):
         for name in order:
             rng = np.random.default_rng(SEED)
             start = time.perf_counter()
-            values[name] = runs[name](L, H, grid, traj.times, traj.states,
-                                      rng)
+            values[name] = runs[name](L, H, grid, traj, rng)
             samples[name].append((time.perf_counter() - start) * 1e3)
     a, b = (np.array(v) for v in values.values())
     same = a.shape == b.shape and a.tobytes() == b.tobytes()
     print(f"seed {SEED}, {args.rounds} interleaved rounds, "
-          f"{len(traj.states)} frames; ms per run: min / median")
+          f"{len(traj.t)} frames; ms per run: min / median")
     print("   ".join(f"{name} {min(s):7.2f} / {statistics.median(s):7.2f}"
                      for name, s in samples.items())
           + f"   {a.size} values {'bit-identical' if same else 'DIFFER'}")

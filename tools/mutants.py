@@ -64,8 +64,8 @@ MUTANTS = [
            "return D - np.swapaxes(D, 1, 2)",
            "flatness without its B term"),
     Mutant("src/dedonder_hj/cotangent.py",
-           "dh_du = dh_du + spatial_derivative(grid, d_ux[:, j, :])",
-           "dh_du = dh_du - spatial_derivative(grid, d_ux[:, j, :])",
+           "dh_du = dh_du + spatial_derivative(grid, d_ux[..., j, :])",
+           "dh_du = dh_du - spatial_derivative(grid, d_ux[..., j, :])",
            "variational derivative's stencil sign"),
     Mutant("src/dedonder_hj/hj.py",
            "    tol = 10.0 * grid.spacing ** 2",

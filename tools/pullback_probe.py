@@ -33,7 +33,7 @@ from dedonder_hj.cauchy import (TangentBatch, _state_pairing_data,
                                 checked_frames, make_grid,
                                 presymplectic_pairing,
                                 random_smooth_variation,
-                                standard_test_variations)
+                                standard_test_variations, take_frames)
 from dedonder_hj.hj import (_lift_with, evolve_characteristics,
                             lift_by_gamma, oscillator_gamma)
 from dedonder_hj.legendre import hamiltonian_from_lagrangian
@@ -62,9 +62,10 @@ def frames_and_pairs():
     draws = [random_smooth_variation(grid, 1, rng, vertical=False)
              for _ in range(2 * PAIRS)]
     V, W = (TangentBatch.of(grid, draws[i::2]) for i in (0, 1))
+    lifted = lift_by_gamma(gamma, times, grid, u_frames)
     frames = []
     for k in idx:
-        state = lift_by_gamma(gamma, times[k], grid, u_frames[k])
+        state = take_frames(lifted, k)
         frames.append((state, _state_pairing_data(H, grid, state),
                        gamma.partials(times[k], grid.x, state.u)))
     return H, grid, frames, V, W

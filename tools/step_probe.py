@@ -28,7 +28,7 @@ import numpy as np
 
 from dedonder_hj.cauchy import (BLOWUP_BOUND, BlowupError, CauchyState,
                                 GridError, make_grid, recover_spatial_momenta,
-                                run_simulation)
+                                run_simulation, take_frames)
 from dedonder_hj.legendre import NEWTON_TOL, NewtonError
 from dedonder_hj.models import builtin_model
 
@@ -95,8 +95,8 @@ def probe(n_nodes, dt, n_steps, rounds, rng):
     state0 = CauchyState(0.0, u, p_t, recover_spatial_momenta(H, grid, u, p_t))
 
     def library():
-        final = run_simulation(H, grid, state0, dt, n_steps,
-                               store_every=n_steps).states[-1]
+        final = take_frames(run_simulation(H, grid, state0, dt, n_steps,
+                                           store_every=n_steps), -1)
         return final.t, final.u, final.p_t, final.p_x
 
     def bare():
