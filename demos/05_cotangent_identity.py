@@ -18,7 +18,7 @@ from dedonder_hj import (CauchyState, builtin_model, extended_form_pairing,
                          pullback_identity_residual, push_variation,
                          random_smooth_variation, recover_spatial_momenta,
                          restriction_map_R, CotangentState,
-                         variational_derivative)
+                         TangentVariation, variational_derivative)
 
 L = builtin_model("free_wave")
 H = hamiltonian_from_lagrangian(L)
@@ -43,17 +43,18 @@ p_t = sum(rng.normal() * np.sin(k * (m + 1) * xs + rng.normal()) / (m + 1) ** 2
           for m in range(3))[None, :]
 state = CauchyState(0.0, u, p_t, recover_spatial_momenta(H, grid, u, p_t=p_t))
 
-pair_rng = np.random.default_rng(42)
-worst = 0.0
-for _ in range(20):
-    X = random_smooth_variation(grid, 1, pair_rng, vertical=False)
-    Y = random_smooth_variation(grid, 1, pair_rng, vertical=False)
-    lhs = extended_form_pairing(L, grid, restriction_map_R(state),
-                                push_variation(X), push_variation(Y))
-    rhs = presymplectic_pairing(H, grid, state, X, Y)
-    worst = max(worst, pullback_identity_residual(L, H, grid, state, X, Y))
+# 20 seeded pairs (X, Y), drawn X, Y, X, Y, ... as one stack; each pairing
+# below is the (20,) array of the pairs' values
+draws = random_smooth_variation(grid, 1, np.random.default_rng(42),
+                                vertical=False, count=40)
+X, Y = (TangentVariation(draws.k[i::2], draws.du[i::2], draws.dp_t[i::2],
+                         draws.dp_x[i::2]) for i in (0, 1))
+lhs = extended_form_pairing(L, grid, restriction_map_R(state),
+                            push_variation(X), push_variation(Y))
+rhs = presymplectic_pairing(H, grid, state, X, Y)
+worst = np.max(pullback_identity_residual(L, H, grid, state, X, Y))
 print("\nrestricted pairing vs full pairing on a constrained state:")
-print("  last pair: %.12f vs %.12f" % (lhs, rhs))
+print("  last pair: %.12f vs %.12f" % (lhs[-1], rhs[-1]))
 print("  max |difference| over 20 seeded pairs: %.3e" % worst)
 
 gamma = linear_gamma(L.dims, a=0.5, c=0.5)

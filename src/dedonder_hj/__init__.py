@@ -14,7 +14,7 @@ from .legendre import (ConnectionCoefficients, FieldSection, MomentumSection,
                        legendre_transform_section, regularity_check,
                        solve_velocities)
 from .cauchy import (BlowupError, CauchyGrid, CauchyState, GridError,
-                     TangentBatch, TangentVariation, covector_residual,
+                     TangentVariation, covector_residual,
                      dynamical_trajectory_residual, integrate_density,
                      make_grid, pairing_covector, presymplectic_pairing,
                      random_smooth_variation, recover_spatial_momenta,
@@ -26,8 +26,8 @@ from .hj import (GammaDomainError, HJSection, IncompatibleDataError,
                  gamma_closedness_residual, hj_lift_solution_check,
                  hj_residual, lift_by_gamma, linear_gamma, oscillator_gamma,
                  reduced_connection, restricted_connection_residual)
-from .cotangent import (ConstraintError, CotangentBatch, CotangentState,
-                        CotangentVariation, cotangent_trajectory_residual,
+from .cotangent import (ConstraintError, CotangentState, CotangentVariation,
+                        cotangent_trajectory_residual,
                         extended_form_covector, extended_form_pairing,
                         hat_gamma, instantaneous_hamiltonian, omega_pairing,
                         pullback_identity_residual, push_variation,

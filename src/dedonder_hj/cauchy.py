@@ -236,64 +236,37 @@ def _sample_frames(values, F):
 @dataclass(frozen=True)
 class TangentVariation:
     """Tangent vector to the Cauchy data space: time component k plus
-    vertical per-node components."""
+    vertical per-node components; or a stack of S of them, k of shape (S,)
+    and every component on the same leading axis. A stack used as a test
+    set with ``indicators`` set also holds the unit node indicators on
+    every component, which are never built (see :func:`covector_residual`);
+    ``len`` counts them."""
     k: float
-    du: np.ndarray     # (n, N)
-    dp_t: np.ndarray   # (n, N)
-    dp_x: np.ndarray   # (n, m, N)
+    du: np.ndarray     # (n, N), or (S, n, N)
+    dp_t: np.ndarray   # (n, N), or (S, n, N)
+    dp_x: np.ndarray   # (n, m, N), or (S, n, m, N)
+    indicators: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "k", float(self.k))
-        object.__setattr__(self, "du", np.asarray(self.du, dtype=float))
-        object.__setattr__(self, "dp_t", np.asarray(self.dp_t, dtype=float))
-        object.__setattr__(self, "dp_x", np.asarray(self.dp_x, dtype=float))
-
-
-class StackedVariations:
-    """Test variations stacked on a leading axis S: ``k`` has shape (S,),
-    every component in ``parts`` has shape (S, ...) and ``norms`` holds
-    the S norms. With ``indicators`` set the set also holds the unit node
-    indicators on every component, which are never built (see
-    :func:`covector_residual`); ``len`` counts them."""
-
-    @property
-    def parts(self):
-        return tuple(getattr(self, name) for name in self.PART_NAMES)
+        _check_variation(self)
 
     def __len__(self):
-        per_node = sum(int(np.prod(Y.shape[1:])) for Y in self.parts)
-        return len(self.k) + (per_node if self.indicators else 0)
-
-    @classmethod
-    def of(cls, grid, test_set, indicators=False):
-        """``test_set`` itself if already stacked, else its nonempty list
-        of single variations stacked, norms computed once."""
-        if isinstance(test_set, cls):
-            return test_set
-        variations = list(test_set)
-        if not variations:
-            raise ModelError("test_set must be nonempty")
-        k = np.array([v.k for v in variations], dtype=float)
-        parts = [np.stack([getattr(v, name) for v in variations])
-                 for name in cls.PART_NAMES]
-        total = k ** 2
-        for Y in parts:
-            total = total + integrate_density(
-                grid, np.sum(Y ** 2, axis=tuple(range(1, Y.ndim - 1))))
-        return cls(k, *parts, norms=np.sqrt(total), indicators=indicators)
+        return len(self.k) + self.indicators * (2 * self.du[0].size
+                                                + self.dp_x[0].size)
 
 
-@dataclass(frozen=True, eq=False)
-class TangentBatch(StackedVariations):
-    """Tangent variations with a leading batch axis; ``norms`` is set by
-    :meth:`of`, which every test set comes from."""
-    PART_NAMES = ("du", "dp_t", "dp_x")
-    k: np.ndarray      # (S,)
-    du: np.ndarray     # (S, n, N)
-    dp_t: np.ndarray   # (S, n, N)
-    dp_x: np.ndarray   # (S, n, m, N)
-    norms: np.ndarray = None   # (S,)
-    indicators: bool = False
+def _variation_parts(X):
+    """The per-node components of a variation of either space: its fields
+    after k, up to the ``indicators`` flag."""
+    return [getattr(X, f.name) for f in fields(X)[1:-1]]
+
+
+def _check_variation(X):
+    """Convert k and the per-node components of a variation to float
+    arrays in place."""
+    for f in fields(X)[:-1]:
+        object.__setattr__(X, f.name,
+                           np.asarray(getattr(X, f.name), dtype=float))
 
 
 def _check_fields(dims, what, grid, u, p_t=None, frames=()):
@@ -516,10 +489,9 @@ def _momentum_bracket(data, X):
 
 def presymplectic_pairing(H, grid, state, X, Y, _data=None):
     """Pairing of two tangent variations at a state; bilinear and exactly
-    antisymmetric by construction. X and Y may also be stacked alike, as
-    in :class:`TangentBatch`: the result is then the (S,) array of the
-    pairings of X[s] with Y[s], each equal to its single pairing bit for
-    bit."""
+    antisymmetric by construction. X and Y may also be stacks of S
+    variations each: the result is then the (S,) array of the pairings of
+    X[s] with Y[s], each equal to its single pairing bit for bit."""
     data = _state_pairing_data(H, grid, state) if _data is None else _data
     k_x, k_y = np.asarray(X.k)[..., None], np.asarray(Y.k)[..., None]
     # grouped so that swapping X and Y negates every floating-point term
@@ -548,11 +520,12 @@ def pairing_covector(grid, data, X):
 
 
 def covector_residual(grid, covector, c_k, test_set):
-    """max over a batched test set of |pairing(X, Y)| / (1 + |Y|), with
-    the pairing given by i_X as a covector (one per-node array per
-    component of the batch) and a time coefficient ``c_k``. With a leading
-    frame axis F on the covector and c_k of shape (F,), the result is the
-    (F,) array of each frame's residual.
+    """max over a test set, a nonempty stack of variations Y of either
+    space, of |pairing(X, Y)| / (1 + |Y|), with the pairing given by i_X
+    as a covector (one per-node array per component of Y) and a time
+    coefficient ``c_k``, and |Y| = sqrt(k^2 + integral of the squared
+    components). With a leading frame axis F on the covector and c_k of
+    shape (F,), the result is the (F,) array of each frame's residual.
 
     Each frame's contraction is one BLAS gemv, ``np.dot`` of the (S, K)
     test matrix with the frame's K covector entries, so a stack of frames
@@ -561,12 +534,17 @@ def covector_residual(grid, covector, c_k, test_set):
     and has norm sqrt(w_j), so when the set includes the indicators their
     maximum is taken in closed form and they are never built: O(N) per
     frame."""
+    if np.ndim(test_set.k) != 1 or not len(test_set.k):
+        raise ModelError("test_set must be a nonempty stack of variations")
     w = grid.weights
     single = np.ndim(c_k) == 0
     c_k = np.reshape(c_k, (-1, 1))
     values = c_k * test_set.k
+    norms = test_set.k ** 2
     worst = 0.0
-    for c, Y in zip(covector, test_set.parts):
+    for c, Y in zip(covector, _variation_parts(test_set)):
+        norms = norms + integrate_density(
+            grid, np.sum(Y ** 2, axis=tuple(range(1, Y.ndim - 1))))
         cw = c * w
         tests = Y.reshape(len(Y), -1)
         values = values + np.array(
@@ -576,7 +554,7 @@ def covector_residual(grid, covector, c_k, test_set):
                 np.abs(cw) / (1.0 + np.sqrt(w)),
                 axis=tuple(range(cw.ndim - Y.ndim + 1, cw.ndim)),
                 initial=0.0))
-    dense = np.max(np.abs(values) / (1.0 + test_set.norms), axis=-1,
+    dense = np.max(np.abs(values) / (1.0 + np.sqrt(norms)), axis=-1,
                    initial=0.0)
     out = np.maximum(worst, dense)
     return float(out[0]) if single else out
@@ -587,15 +565,14 @@ def dynamical_trajectory_residual(H, grid, state, state_dot, test_set):
     the trajectory velocity assembled from ``state_dot`` and k = 1.
 
     ``state_dot`` is (u_dot, p_t_dot, p_x_dot), shaped as the state's
-    fields; ``test_set`` is a :class:`TangentBatch` or a nonempty list of
-    variations. A state of F stacked frames with velocities on the same
-    leading axis gives the (F,) array of each frame's residual, bit for
-    bit. Refuses (ModelError) velocities that are not finite or not
-    shaped as the fields, and test variations not shaped as one frame of
-    them.
+    fields; ``test_set`` is a nonempty stack of variations. A state of F
+    stacked frames with velocities on the same leading axis gives the (F,)
+    array of each frame's residual, bit for bit. Refuses (ModelError)
+    velocities that are not finite or not shaped as the fields, and test
+    variations not shaped as one frame of them.
     """
-    test_set = TangentBatch.of(grid, test_set)
-    for name, dot, Y in zip(("u", "p_t", "p_x"), state_dot, test_set.parts):
+    for name, dot, Y in zip(("u", "p_t", "p_x"), state_dot,
+                            _variation_parts(test_set)):
         field = getattr(state, name)
         if np.shape(dot) != field.shape or not np.isfinite(dot).all():
             raise ModelError(f"the velocity of {name} must be finite and "
@@ -653,13 +630,20 @@ def _smooth_profile(grid, rng, n):
     return out
 
 
-def random_smooth_variation(grid, n, rng, vertical=True):
-    k = 0.0 if vertical else float(rng.normal(scale=VARIATION_SCALE))
-    du = _smooth_profile(grid, rng, n)
-    dp_t = _smooth_profile(grid, rng, n)
-    dp_x = np.stack([_smooth_profile(grid, rng, n)
-                     for _ in range(grid.m)], axis=1) \
-        if grid.m else np.zeros((n, 0, grid.n_nodes))
+def random_smooth_variation(grid, n, rng, vertical=True, count=1):
+    """A stack of ``count`` random smooth variations, drawn one after the
+    other: k (unless ``vertical``, which leaves k = 0), then du, dp_t and
+    each dp_x[:, j] as :func:`_smooth_profile`."""
+    k = np.zeros(count)
+    du, dp_t = np.empty((2, count, n, grid.n_nodes))
+    dp_x = np.empty((count, n, grid.m, grid.n_nodes))
+    for s in range(count):
+        if not vertical:
+            k[s] = rng.normal(scale=VARIATION_SCALE)
+        du[s] = _smooth_profile(grid, rng, n)
+        dp_t[s] = _smooth_profile(grid, rng, n)
+        for j in range(grid.m):
+            dp_x[s, :, j] = _smooth_profile(grid, rng, n)
     return TangentVariation(k, du, dp_t, dp_x)
 
 
@@ -673,20 +657,17 @@ def probe_profiles(grid):
     return profiles
 
 
-def _field_rows(grid, n):
-    """(component, row index) of every per-node row of a variation."""
-    return [(name, (a,) + j) for a in range(n)
-            for name, j in [("du", ()), ("dp_t", ())]
-            + [("dp_x", (j,)) for j in range(grid.m)]]
-
-
-def _row_variation(grid, n, name, index, values):
-    """Vertical variation, zero except for ``name[index] = values``."""
-    N = grid.n_nodes
-    parts = {"du": np.zeros((n, N)), "dp_t": np.zeros((n, N)),
-             "dp_x": np.zeros((n, grid.m, N))}
-    parts[name][index] = values
-    return TangentVariation(0.0, **parts)
+def _probe_rows(grid, n, channels):
+    """The probes of a test set whose variations have ``channels``
+    per-node components per field, as one array (P n channels, n,
+    channels, N): for each probe profile, each field a and each channel c
+    in turn, the variation whose component c of field a is the profile,
+    zero elsewhere."""
+    profiles = probe_profiles(grid)
+    R, N = n * channels, grid.n_nodes
+    rows = np.zeros((len(profiles), R, R, N))
+    rows[:, range(R), range(R)] = np.array(profiles)[:, None]
+    return rows.reshape(-1, n, channels, N)
 
 
 def standard_test_variations(grid, n, rng=None):
@@ -695,14 +676,16 @@ def standard_test_variations(grid, n, rng=None):
 
     The constant and first-harmonic probes on each field block make
     residual detection independent of the random draws. The probes and
-    random draws are stacked into one :class:`TangentBatch` of O(N)
-    bytes; the indicators are only flagged, never built."""
+    random draws are one stack of O(N) bytes; the indicators are only
+    flagged, never built."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    dense = [_row_variation(grid, n, name, index, prof)
-             for prof in probe_profiles(grid)
-             for name, index in _field_rows(grid, n)]
-    dense.extend(random_smooth_variation(grid, n, rng) for _ in range(8))
-    return TangentBatch.of(grid, dense, indicators=True)
+    probes = _probe_rows(grid, n, 2 + grid.m)
+    draws = random_smooth_variation(grid, n, rng, count=8)
+    return TangentVariation(
+        np.zeros(len(probes) + 8),
+        *(np.concatenate([p, d]) for p, d in zip(
+            (probes[:, :, 0], probes[:, :, 1], probes[:, :, 2:]),
+            (draws.du, draws.dp_t, draws.dp_x))), indicators=True)
 
 
 def frame_velocities(frames, dt, fields=("u", "p_t", "p_x")):

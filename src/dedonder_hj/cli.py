@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .cauchy import (MIN_CHECKED_FRAMES, VERIFY_CHUNK,
+from .cauchy import (MIN_CHECKED_FRAMES, VERIFY_CHUNK, TangentVariation,
                      dynamical_trajectory_residual, frame_blocks,
                      frame_velocities, integrate_density,
                      random_smooth_variation, run_simulation,
@@ -391,18 +391,17 @@ def cmd_pairing_check(scenario, out_dir, seed):
         traj = replace(traj, p_x=traj.p_x + perturb)
     rng = np.random.default_rng(seed)
     p = scenario.precision
-    n = L.dims.n
+    # the pairs (X, Y), drawn X, Y, X, Y, ... as one stack
+    draws = random_smooth_variation(grid, L.dims.n, rng, vertical=False,
+                                    count=2 * scenario.pairing_pairs)
+    X, Y = (TangentVariation(*(part[i::2] for part in (
+        draws.k, draws.du, draws.dp_t, draws.dp_x))) for i in (0, 1))
     worst_pull = 0.0
-    pairs = [(random_smooth_variation(grid, n, rng, vertical=False),
-              random_smooth_variation(grid, n, rng, vertical=False))
-             for _ in range(scenario.pairing_pairs)]
     try:
         for k in range(len(traj.t)):
-            s = take_frames(traj, k)
-            for X, Y in pairs:
-                worst_pull = max(worst_pull,
-                                 pullback_identity_residual(L, H, grid, s,
-                                                            X, Y))
+            worst_pull = np.maximum(worst_pull, np.max(
+                pullback_identity_residual(L, H, grid, take_frames(traj, k),
+                                           X, Y)))
     except ConstraintError as exc:
         _report([f"pairing-check: model={scenario.model_name} seed={seed}",
                  f"off_constraint_residual = {_fmt(exc.residual, p)} "

@@ -23,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import (StackedVariations, _check_nodes, _check_state,
-                     _frame_axis, _frame_samples, _sample_frames,
-                     _smooth_profile, checked_frames, covector_residual,
-                     frame_blocks, frame_velocities, gradient_fields,
-                     integrate_density, presymplectic_pairing,
-                     probe_profiles, spatial_derivative, take_frames)
+from .cauchy import (_check_nodes, _check_state, _check_variation,
+                     _frame_axis, _frame_samples, _probe_rows,
+                     _sample_frames, _smooth_profile, checked_frames,
+                     covector_residual, frame_blocks, frame_velocities,
+                     gradient_fields, integrate_density,
+                     presymplectic_pairing, spatial_derivative, take_frames)
 from .hj import lift_by_gamma
 from .legendre import _solve_nodewise
 from .models import RefusedResidual
@@ -53,26 +53,18 @@ class CotangentState:
 
 @dataclass(frozen=True)
 class CotangentVariation:
-    """Tangent vector to the cotangent data space."""
+    """Tangent vector to the cotangent data space, or a stack of S of
+    them, as :class:`cauchy.TangentVariation`."""
     k: float
-    du: np.ndarray
-    dpi: np.ndarray
+    du: np.ndarray    # (n, N), or (S, n, N)
+    dpi: np.ndarray   # (n, N), or (S, n, N)
+    indicators: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "k", float(self.k))
-        object.__setattr__(self, "du", np.asarray(self.du, dtype=float))
-        object.__setattr__(self, "dpi", np.asarray(self.dpi, dtype=float))
+        _check_variation(self)
 
-
-@dataclass(frozen=True, eq=False)
-class CotangentBatch(StackedVariations):
-    """Cotangent variations with a leading batch axis."""
-    PART_NAMES = ("du", "dpi")
-    k: np.ndarray      # (S,)
-    du: np.ndarray     # (S, n, N)
-    dpi: np.ndarray    # (S, n, N)
-    norms: np.ndarray  # (S,)
-    indicators: bool = False
+    def __len__(self):
+        return len(self.k) + self.indicators * 2 * self.du[0].size
 
 
 def restriction_map_R(state):
@@ -81,7 +73,8 @@ def restriction_map_R(state):
 
 
 def push_variation(X):
-    """Pushforward of a Cauchy-space variation through the restriction."""
+    """Pushforward of a Cauchy-space variation, or of a stack of them,
+    through the restriction."""
     return CotangentVariation(X.k, X.du.copy(), X.dp_t.copy())
 
 
@@ -136,7 +129,7 @@ def variational_derivative(L, grid, cs):
 def omega_pairing(grid, X, Y):
     """Canonical pairing: quadrature of X_u Y_pi - X_pi Y_u. The time
     components do not enter."""
-    integrand = np.sum(X.du * Y.dpi - X.dpi * Y.du, axis=0)
+    integrand = np.sum(X.du * Y.dpi - X.dpi * Y.du, axis=-2)
     return integrate_density(grid, integrand)
 
 
@@ -146,12 +139,14 @@ def extended_form_pairing(L, grid, cs, X, Y):
         omega(X, Y) + X(h) k_Y - Y(h) k_X
 
     with X(h) the derivative of the field energy along the vertical part
-    (du, dpi) of X: the k_X k_Y dh/dt legs of the full derivative cancel."""
+    (du, dpi) of X: the k_X k_Y dh/dt legs of the full derivative cancel.
+    X and Y may be stacks of S variations each, as in
+    :func:`cauchy.presymplectic_pairing`."""
     dh_du, dh_dpi = variational_derivative(L, grid, cs)
 
     def directional(Z):
         return integrate_density(grid, np.sum(dh_du * Z.du + dh_dpi * Z.dpi,
-                                              axis=0))
+                                              axis=-2))
 
     # grouped so that swapping X and Y negates every floating-point term
     t_energy = directional(X) * Y.k - directional(Y) * X.k
@@ -175,21 +170,16 @@ def extended_form_covector(grid, dh, X):
 def standard_cotangent_variations(grid, n, rng=None):
     """Deterministic probes, node indicators and 8 seeded smooth
     variations on (u, pi); the vertical test set for cotangent residuals,
-    stacked into one :class:`CotangentBatch` with the indicators only
-    flagged."""
+    one stack with the indicators only flagged."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    zero = np.zeros((n, grid.n_nodes))
-    dense = []
-    for prof in probe_profiles(grid):
-        for a in range(n):
-            row = zero.copy()
-            row[a] = prof
-            dense += [CotangentVariation(0.0, row, zero),
-                      CotangentVariation(0.0, zero, row)]
-    dense.extend(CotangentVariation(0.0, _smooth_profile(grid, rng, n),
-                                    _smooth_profile(grid, rng, n))
-                 for _ in range(8))
-    return CotangentBatch.of(grid, dense, indicators=True)
+    probes = _probe_rows(grid, n, 2)
+    draws = np.empty((8, 2, n, grid.n_nodes))
+    for s in range(8):
+        draws[s] = _smooth_profile(grid, rng, n), _smooth_profile(grid, rng, n)
+    return CotangentVariation(
+        np.zeros(len(probes) + 8), *(np.concatenate([probes[:, :, c],
+                                                     draws[:, c]])
+                                     for c in (0, 1)), indicators=True)
 
 
 def cotangent_trajectory_residual(L, grid, frames, test_set=None, rng=None):
@@ -201,8 +191,8 @@ def cotangent_trajectory_residual(L, grid, frames, test_set=None, rng=None):
     dt, idx = checked_frames(frames.t)
     n = frames.u.shape[1]
     rng = rng if rng is not None else np.random.default_rng(0)
-    test_set = standard_cotangent_variations(grid, n, rng=rng) \
-        if test_set is None else CotangentBatch.of(grid, test_set)
+    if test_set is None:
+        test_set = standard_cotangent_variations(grid, n, rng=rng)
     u_dot, pi_dot = frame_velocities(frames, dt, fields=("u", "pi"))
     worst = 0.0
     for block in frame_blocks(grid, len(idx)):
@@ -232,18 +222,21 @@ def time_legendre_constraint_residual(L, grid, state):
 
 def pullback_identity_residual(L, H, grid, state, X, Y):
     """|pairing of (omega + dh wedge dt) at the restricted state against
-    the pushed variations - Cauchy-space pairing of (X, Y)|.
+    the pushed variations - Cauchy-space pairing of (X, Y)|; for stacks X
+    and Y of S variations each, the (S,) array of each pair's residual,
+    bit for bit.
 
     Raises :class:`ConstraintError` when the state is more than 1e-10 off
-    the momentum constraint, where the identity is not asserted.
+    the momentum constraint, or its distance is NaN, where the identity is
+    not asserted.
     """
     res = time_legendre_constraint_residual(L, grid, state)
-    if res > 1e-10:
+    if not res <= 1e-10:
         raise ConstraintError(res, 1e-10)
     lhs = extended_form_pairing(L, grid, restriction_map_R(state),
                                 push_variation(X), push_variation(Y))
     rhs = presymplectic_pairing(H, grid, state, X, Y)
-    return abs(lhs - rhs)
+    return np.abs(lhs - rhs)
 
 
 def hat_gamma(gamma, t, grid, u):

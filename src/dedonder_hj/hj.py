@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import (CauchyState, TangentBatch, TangentVariation,
+from .cauchy import (CauchyState, TangentVariation,
                      _check_count, _check_dt, _check_fields, _check_peak,
                      _frame_axis, _frame_samples, _rk4_update, _sample_frames,
                      _state_pairing_data, checked_frames, covector_residual,
@@ -436,15 +436,15 @@ def _lift_with(d, k, du):
     """Pushforward of a configuration-space variation (k, du) at u through
     the section lift, from the section partials ``d`` at the N nodes of u:
     momenta vary by k d_t gamma + d_u gamma . du. A scalar k with du
-    (n, N) gives a :class:`TangentVariation`; k (S,) with du (S, n, N)
-    gives S stacked ones as a :class:`TangentBatch`. Partials of F frames
-    on a leading axis, with du (F, n, N), lift at each frame."""
+    (n, N) gives one variation, k (S,) with du (S, n, N) a stack of S.
+    Partials of F frames on a leading axis, with du (F, n, N), lift at
+    each frame."""
     du = np.asarray(du, dtype=float)
     k_t = np.asarray(k)[..., None, None]
     dpt = k_t * d["pt_t"] + np.einsum("...abN,...bN->...aN", d["pt_u"], du)
     dpx = k_t[..., None] * d["px_t"] \
         + np.einsum("...ajbN,...bN->...ajN", d["px_u"], du)
-    return (TangentBatch if np.ndim(k) else TangentVariation)(k, du, dpt, dpx)
+    return TangentVariation(k, du, dpt, dpx)
 
 
 @dataclass
@@ -484,11 +484,9 @@ def hj_lift_solution_check(H, gamma, grid, times, u_frames, rng=None):
     split = 0.0
     contraction = 0.0
     pullback = 0.0
-    # 8 pairs (V, W) of random variations, drawn V, W, V, W, ... and
-    # stacked: one lift of each stack and one pairing per frame
-    draws = [random_smooth_variation(grid, n, rng, vertical=False)
-             for _ in range(16)]
-    V, W = (TangentBatch.of(grid, draws[i::2]) for i in (0, 1))
+    # 8 pairs (V, W) of random variations, drawn V, W, V, W, ... as one
+    # stack: one lift of each half and one pairing per frame
+    draws = random_smooth_variation(grid, n, rng, vertical=False, count=16)
     for block in frame_blocks(grid, len(idx)):
         frames = take_frames(lifted, idx[block])
         data = _state_pairing_data(H, grid, frames)
@@ -504,9 +502,11 @@ def hj_lift_solution_check(H, gamma, grid, times, u_frames, rng=None):
             grid, *pairing_covector(grid, data, X), test_set)))
         for f in range(len(frames.t)):
             d_f = {key: value[f] for key, value in d.items()}
+            V, W = (_lift_with(d_f, draws.k[i::2], draws.du[i::2])
+                    for i in (0, 1))
             pairings = presymplectic_pairing(
-                H, grid, take_frames(frames, f), _lift_with(d_f, V.k, V.du),
-                _lift_with(d_f, W.k, W.du), _data=tuple(a[f] for a in data))
+                H, grid, take_frames(frames, f), V, W,
+                _data=tuple(a[f] for a in data))
             pullback = np.maximum(pullback, np.max(np.abs(pairings)))
     return HJLiftReport(compatibility_residual=compat_res,
                         split_residual=float(split),

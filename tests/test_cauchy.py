@@ -524,7 +524,7 @@ def bare_rk4_klein_gordon(u, p, dt, steps, h, mass=1.0):
 def smooth_state(g, n, seed=3):
     rng = np.random.default_rng(seed)
     X = random_smooth_variation(g, n, rng)
-    return X.du * 4.0, X.dp_t * 4.0
+    return X.du[0] * 4.0, X.dp_t[0] * 4.0
 
 
 @pytest.mark.parametrize("N", [128, 1024])

@@ -19,7 +19,8 @@ from dedonder_hj.cotangent import (ConstraintError, CotangentState,
                                    variational_derivative)
 from dedonder_hj.hj import _lift_with, linear_gamma, oscillator_gamma
 from dedonder_hj.legendre import hamiltonian_from_lagrangian
-from dedonder_hj.models import Dimensions, ModelError, builtin_model
+from dedonder_hj.models import (Dimensions, LagrangianModel, ModelError,
+                                builtin_model)
 
 M1 = Dimensions(m=1, n=1)
 TWO_PI = 2.0 * np.pi
@@ -362,6 +363,29 @@ def test_pullback_identity_guards_constraint():
         pullback_identity_residual(L, H, g, bad, X, Y)
     assert err.value.residual == pytest.approx(0.01, rel=1e-6)
     assert time_legendre_constraint_residual(L, g, state) <= 1e-12
+
+
+def test_pullback_identity_refuses_a_nan_constraint_residual():
+    # a free-wave L whose dL/du_x is NaN above u = 1.5, at u = 2: the
+    # constraint residual is NaN, and the identity is not evaluated there
+    # (a "> tol" test let it through and returned NaN)
+    free = builtin_model("free_wave")
+    L = LagrangianModel(
+        free.dims, free._value, d_u=free._d_u, d_ut=free._d_ut,
+        velocity_hessian=free._hess,
+        d_ux=lambda t, x, u, u_t, u_x: np.where(u[:, None] > 1.5, np.nan,
+                                                -np.asarray(u_x)))
+    g = make_grid(8)
+    state = CauchyState(0.0, np.full((1, 8), 2.0), np.zeros((1, 8)),
+                        np.zeros((1, 1, 8)))
+    assert np.isnan(time_legendre_constraint_residual(L, g, state))
+    rng = np.random.default_rng(1)
+    X = random_smooth_variation(g, 1, rng, vertical=False)
+    Y = random_smooth_variation(g, 1, rng, vertical=False)
+    with pytest.raises(ConstraintError) as err:
+        pullback_identity_residual(L, hamiltonian_from_lagrangian(free), g,
+                                   state, X, Y)
+    assert np.isnan(err.value.residual)
 
 
 def test_energy_conserved_along_direct_wave_run():

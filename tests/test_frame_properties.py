@@ -26,8 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dedonder_hj.cauchy import (CauchyState, GridError, TangentBatch,
-                                TangentVariation, _state_pairing_data,
+from dedonder_hj.cauchy import (CauchyState, GridError, TangentVariation,
+                                _state_pairing_data,
                                 checked_frames, covector_residual,
                                 dynamical_trajectory_residual, frame_blocks,
                                 frame_velocities, make_grid,
@@ -237,9 +237,10 @@ def lift_residuals_frame_by_frame(H, gamma, grid, times, u_frames, rng):
     states = [lift_by_gamma(gamma, t, grid, u)
               for t, u in zip(times, u_frames)]
     u_dot, pt_dot, px_dot = frame_velocities(stack(states), dt)
-    draws = [random_smooth_variation(grid, n, rng, vertical=False)
-             for _ in range(16)]
-    V, W = (TangentBatch.of(grid, draws[i::2]) for i in (0, 1))
+    draws = random_smooth_variation(grid, n, rng, vertical=False, count=16)
+    V, W = (TangentVariation(draws.k[i::2], draws.du[i::2],
+                             draws.dp_t[i::2], draws.dp_x[i::2])
+            for i in (0, 1))
     split = contraction = pullback = 0.0
     for k in idx:
         data = _state_pairing_data(H, grid, states[k])

@@ -6,8 +6,11 @@ built-in models with m in {0, 1} and n in {1, 2}; the two-argument
 pairings are the references the covector form and the closed-form node
 indicators are checked against. Stacked variations, lifted through the
 oscillator and linear Hamilton-Jacobi sections, are checked against the
-same pairing and lift called one pair at a time.
+same lift, pairings, pushforward and restriction identity called one pair
+at a time.
 """
+
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,26 +18,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dedonder_hj import cotangent
-from dedonder_hj.cauchy import (CauchyState, TangentBatch, TangentVariation,
-                                _field_rows, _row_variation,
+from dedonder_hj.cauchy import (CauchyState, TangentVariation,
                                 _state_pairing_data, covector_residual,
                                 dynamical_trajectory_residual,
                                 integrate_density, make_grid,
                                 pairing_covector, presymplectic_pairing,
+                                recover_spatial_momenta,
                                 standard_test_variations,
                                 time_derivative_frames)
-from dedonder_hj.cotangent import (CotangentBatch, CotangentState,
-                                   CotangentVariation,
+from dedonder_hj.cotangent import (CotangentState, CotangentVariation,
                                    cotangent_trajectory_residual,
                                    extended_form_covector,
-                                   extended_form_pairing,
+                                   extended_form_pairing, omega_pairing,
+                                   pullback_identity_residual,
+                                   push_variation,
                                    standard_cotangent_variations,
                                    variational_derivative)
 from dedonder_hj.hj import (_lift_with, lift_by_gamma, linear_gamma,
                             oscillator_gamma)
 from dedonder_hj.legendre import hamiltonian_from_lagrangian
 from dedonder_hj.models import (Dimensions, HamiltonianModel,
-                                LagrangianModel, builtin_model)
+                                LagrangianModel, ModelError, builtin_model)
 
 #: roundoff allowance relative to the scale of the summed terms
 REL_TOL = 1e-13
@@ -137,13 +141,34 @@ def random_cotangent(grid, n, rng):
                               rng.normal(size=(n, N)))
 
 
+def stack(variations, indicators=False):
+    """The variations of a nonempty list, all of one space, as one
+    stack."""
+    first = variations[0]
+    return type(first)(*(np.array([getattr(X, f.name) for X in variations])
+                         for f in fields(first)[:-1]), indicators=indicators)
+
+
+def rows(X):
+    """The variations of a stack, one by one."""
+    return [type(X)(*(getattr(X, f.name)[s] for f in fields(X)[:-1]))
+            for s in range(len(X.k))]
+
+
 def indicator_variations(grid, n):
     """Unit node indicators on every component of (u, p_t, p_x), built
     one by one; the reference for the closed form of
     :func:`covector_residual`."""
-    return [_row_variation(grid, n, name, index + (j,), 1.0)
-            for name, index in _field_rows(grid, n)
-            for j in range(grid.n_nodes)]
+    N = grid.n_nodes
+    zero = {"du": np.zeros((n, N)), "dp_t": np.zeros((n, N)),
+            "dp_x": np.zeros((n, grid.m, N))}
+    out = []
+    for name, part in zero.items():
+        for index in np.ndindex(part.shape):
+            e = dict(zero, **{name: np.zeros_like(part)})
+            e[name][index] = 1.0
+            out.append(TangentVariation(0.0, **e))
+    return out
 
 
 def test_indicator_count():
@@ -254,7 +279,7 @@ def test_closed_form_indicators_match_materialized_set(case):
     # a single zero variation as the dense part isolates the indicators
     zero = TangentVariation(0.0, np.zeros_like(X.du), np.zeros_like(X.dp_t),
                             np.zeros_like(X.dp_x))
-    only_indicators = TangentBatch.of(grid, [zero], indicators=True)
+    only_indicators = stack([zero], indicators=True)
     closed_form = covector_residual(grid, *pairing_covector(grid, data, X),
                                     only_indicators)
     indicators = indicator_variations(grid, n)
@@ -264,7 +289,7 @@ def test_closed_form_indicators_match_materialized_set(case):
     assert abs(closed_form - reference) <= REL_TOL * magnitude(X) * (
         1.0 + magnitude(*data))
     stacked = covector_residual(grid, *pairing_covector(grid, data, X),
-                                TangentBatch.of(grid, indicators))
+                                stack(indicators))
     assert closed_form == stacked
 
 
@@ -285,8 +310,8 @@ def test_trajectory_residual_matches_two_argument_loop(case):
                     / (1.0 + variation_norm(grid, xi)) for xi in singles)
     batched = dynamical_trajectory_residual(H, grid, state,
                                             (X.du, X.dp_t, X.dp_x), test_set)
-    from_list = dynamical_trajectory_residual(H, grid, state,
-                                              (X.du, X.dp_t, X.dp_x), singles)
+    from_list = dynamical_trajectory_residual(
+        H, grid, state, (X.du, X.dp_t, X.dp_x), stack(singles))
     data = _state_pairing_data(H, grid, state)
     tol = REL_TOL * (1.0 + magnitude(*data)) * (1.0 + magnitude(c_dot))
     assert abs(batched - reference) <= tol
@@ -304,7 +329,7 @@ def test_cotangent_closed_form_indicators_match_materialized_set(case):
         grid, variational_derivative(L, grid, cs), X)
     zero = CotangentVariation(0.0, np.zeros((n, N)), np.zeros((n, N)))
     closed_form = covector_residual(
-        grid, covector, c_k, CotangentBatch.of(grid, [zero], indicators=True))
+        grid, covector, c_k, stack([zero], indicators=True))
     singles = []
     for a in range(n):
         for j in range(N):
@@ -334,11 +359,13 @@ def test_cotangent_residual_matches_two_argument_loop():
     as_batch = cotangent_trajectory_residual(L, grid, stacked,
                                              test_set=batch)
     assert cotangent_trajectory_residual(
-        L, grid, stacked, test_set=singles) \
+        L, grid, stacked, test_set=stack(singles)) \
         == cotangent_trajectory_residual(
-            L, grid, stacked, test_set=CotangentBatch.of(grid, singles))
-    with pytest.raises(ValueError):
-        cotangent_trajectory_residual(L, grid, stacked, test_set=[])
+            L, grid, stacked, test_set=replace(batch, indicators=False))
+    empty = CotangentVariation(np.zeros(0), np.zeros((0, 1, 8)),
+                               np.zeros((0, 1, 8)))
+    with pytest.raises(ModelError):
+        cotangent_trajectory_residual(L, grid, stacked, test_set=empty)
     # reference: every frame, the dense set and the indicators one by one
     eye = np.eye(8)[:, None, :]
     singles += [CotangentVariation(0.0, e, 0 * e) for e in eye]
@@ -416,11 +443,11 @@ def test_standard_test_set_stores_linear_bytes(n):
 
 @st.composite
 def lifted_stacks(draw):
-    """(H, grid, state, V, W, singles) over the built-in models and the
+    """(L, H, grid, state, V, W, singles) over the built-in models and the
     oscillator and linear sections: S pairs of configuration variations
     lifted as two stacks V and W at the section's lift of a random u, and
     the same pairs lifted one by one."""
-    H, _, grid, n, rng = draw(cauchy_cases(builtins_only=True))
+    H, L, grid, n, rng = draw(cauchy_cases(builtins_only=True))
     dims = H.dims
     if draw(st.booleans()):
         gamma = oscillator_gamma(dims, omega=rng.uniform(0.2, 1.5))
@@ -435,24 +462,24 @@ def lifted_stacks(draw):
     V, W = (_lift_with(d, k, du) for k, du in configs)
     singles = [[_lift_with(d, k[s], du[s]) for s in range(S)]
                for k, du in configs]
-    return H, grid, state, V, W, singles
+    return L, H, grid, state, V, W, singles
 
 
 @PROPERTY
 @given(lifted_stacks())
 def test_stacked_lift_matches_single_lifts(case):
-    _, _, _, V, W, singles = case
-    for stack, ones in zip((V, W), singles):
-        assert isinstance(stack, TangentBatch)
+    *_, V, W, singles = case
+    for lifted, ones in zip((V, W), singles):
+        assert isinstance(lifted, TangentVariation)
         for name in ("k", "du", "dp_t", "dp_x"):
             single = np.stack([getattr(X, name) for X in ones])
-            assert single.tobytes() == getattr(stack, name).tobytes()
+            assert single.tobytes() == getattr(lifted, name).tobytes()
 
 
 @PROPERTY
 @given(lifted_stacks())
 def test_stacked_pairing_matches_single_pairings(case):
-    H, grid, state, V, W, (vs, ws) = case
+    L, H, grid, state, V, W, (vs, ws) = case
     stacked = presymplectic_pairing(H, grid, state, V, W)
     assert stacked.shape == (len(vs),)
     single = np.array([presymplectic_pairing(H, grid, state, X, Y)
@@ -462,17 +489,39 @@ def test_stacked_pairing_matches_single_pairings(case):
     rng = np.random.default_rng(len(vs))
     n = state.u.shape[0]
     xs, ys = ([random_tangent(grid, n, rng) for _ in vs] for _ in range(2))
-    stacked = presymplectic_pairing(H, grid, state, TangentBatch.of(grid, xs),
-                                    TangentBatch.of(grid, ys))
+    stacked = presymplectic_pairing(H, grid, state, stack(xs), stack(ys))
     single = np.array([presymplectic_pairing(H, grid, state, X, Y)
                        for X, Y in zip(xs, ys)])
     assert single.tobytes() == stacked.tobytes()
+    # the restriction identity and its pieces, at the lifted (u, p_t) with
+    # the spatial momenta recovered onto the constraint
+    on = CauchyState(state.t, state.u, state.p_t, recover_spatial_momenta(
+        H, grid, state.u, state.p_t, state.t))
+    cs = CotangentState(on.t, on.u, on.p_t)
+    pairings = [
+        lambda X, Y: omega_pairing(grid, push_variation(X),
+                                   push_variation(Y)),
+        lambda X, Y: extended_form_pairing(L, grid, cs, push_variation(X),
+                                           push_variation(Y)),
+        lambda X, Y: pullback_identity_residual(L, H, grid, on, X, Y)]
+    for X, Y in ((V, W), (stack(xs), stack(ys))):
+        pushed = push_variation(X)
+        single = stack([push_variation(Z) for Z in rows(X)])
+        for f in fields(pushed)[:-1]:
+            assert getattr(single, f.name).tobytes() \
+                == getattr(pushed, f.name).tobytes()
+        for pairing in pairings:
+            stacked = pairing(X, Y)
+            assert stacked.shape == (len(vs),)
+            single = np.array([pairing(A, B)
+                               for A, B in zip(rows(X), rows(Y))])
+            assert single.tobytes() == stacked.tobytes()
 
 
 @PROPERTY
 @given(lifted_stacks())
 def test_stacked_pairing_antisymmetric(case):
-    H, grid, state, V, W, _ = case
+    _, H, grid, state, V, W, _ = case
     data = _state_pairing_data(H, grid, state)
     forward = presymplectic_pairing(H, grid, state, V, W, _data=data)
     assert (presymplectic_pairing(H, grid, state, W, V, _data=data)

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dedonder_hj.cli import main
 from dedonder_hj.scenario import (Scenario, ScenarioError, exact_solution,
                                   initial_fields, parse_scenario)
 from dedonder_hj.cauchy import make_grid
+from dedonder_hj.models import HamiltonianModel, builtin_model
 
 KG_CONSTANT = """
 [model]
@@ -551,6 +553,31 @@ def test_pairing_check_off_constraint(tmp_path, capsys):
     # appending a second [initial] block merges into the same section
     assert main(["pairing-check", "--scenario", path]) == 4
     assert "off_constraint_residual" in capsys.readouterr().out
+
+
+def test_pairing_check_keeps_a_nan_residual(tmp_path, capsys, monkeypatch):
+    # a free-wave H whose dH/du is NaN above u = 1.5, with the stored
+    # frames after the first moved up by 1, so that they reach u = 2: their
+    # pullback residuals are NaN, which a Python max after the first
+    # frame's finite residuals dropped
+    free = builtin_model("free_wave").paired_hamiltonian
+    H = HamiltonianModel(
+        free.dims, free._value, d_pt=free._d_pt, d_px=free._d_px,
+        momentum_jacobian=free._momentum_jacobian,
+        spatial_momenta=free._spatial_momenta,
+        d_u=lambda t, x, u, p_t, p_x: np.where(u > 1.5, np.nan, 0.0 * u))
+    run = cli.run_simulation
+
+    def raised(*args, **kwargs):
+        frames = run(*args, **kwargs)
+        return replace(frames, u=frames.u + (np.arange(len(frames.t)) > 0)
+                       [:, None, None])
+
+    monkeypatch.setattr(cli, "hamiltonian_for", lambda L: H)
+    monkeypatch.setattr(cli, "run_simulation", raised)
+    path = write(tmp_path, WAVE)
+    assert main(["pairing-check", "--scenario", path]) == 0
+    assert "pullback_identity_residual_max = nan\n" in capsys.readouterr().out
 
 
 def test_sweep_grid_ratio(tmp_path, capsys):

@@ -29,7 +29,7 @@ import time
 
 import numpy as np
 
-from dedonder_hj.cauchy import (TangentBatch, _state_pairing_data,
+from dedonder_hj.cauchy import (TangentVariation, _state_pairing_data,
                                 checked_frames, make_grid,
                                 presymplectic_pairing,
                                 random_smooth_variation,
@@ -59,9 +59,11 @@ def frames_and_pairs():
     _, idx = checked_frames(times)
     rng = np.random.default_rng(SEED)
     standard_test_variations(grid, 1, rng=rng)   # the check's first draws
-    draws = [random_smooth_variation(grid, 1, rng, vertical=False)
-             for _ in range(2 * PAIRS)]
-    V, W = (TangentBatch.of(grid, draws[i::2]) for i in (0, 1))
+    draws = random_smooth_variation(grid, 1, rng, vertical=False,
+                                    count=2 * PAIRS)
+    V, W = (TangentVariation(draws.k[i::2], draws.du[i::2],
+                             draws.dp_t[i::2], draws.dp_x[i::2])
+            for i in (0, 1))
     lifted = lift_by_gamma(gamma, times, grid, u_frames)
     frames = []
     for k in idx:
