@@ -17,8 +17,8 @@ from dedonder_hj import (CauchyState, builtin_model, extended_form_pairing,
                          presymplectic_pairing,
                          pullback_identity_residual, push_variation,
                          random_smooth_variation, recover_spatial_momenta,
-                         restriction_map_R, CotangentState,
-                         TangentVariation, variational_derivative)
+                         restriction_map_R, CotangentState, take_frames,
+                         variational_derivative)
 
 L = builtin_model("free_wave")
 H = hamiltonian_from_lagrangian(L)
@@ -47,8 +47,7 @@ state = CauchyState(0.0, u, p_t, recover_spatial_momenta(H, grid, u, p_t=p_t))
 # below is the (20,) array of the pairs' values
 draws = random_smooth_variation(grid, 1, np.random.default_rng(42),
                                 vertical=False, count=40)
-X, Y = (TangentVariation(draws.k[i::2], draws.du[i::2], draws.dp_t[i::2],
-                         draws.dp_x[i::2]) for i in (0, 1))
+X, Y = (take_frames(draws, slice(i, None, 2)) for i in (0, 1))
 lhs = extended_form_pairing(L, grid, restriction_map_R(state),
                             push_variation(X), push_variation(Y))
 rhs = presymplectic_pairing(H, grid, state, X, Y)

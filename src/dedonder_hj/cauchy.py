@@ -181,10 +181,13 @@ def _check_state(state, names):
 
 
 def take_frames(frames, index):
-    """The frames ``index`` of a state of F frames: a slice or a list of
-    frame indices gives a state of those frames, one int a single state."""
+    """The frames ``index`` of a state of F frames, or the rows of a stack
+    of variations: a slice or a list of indices gives a stack of those, one
+    int a single one. A test set is refused (ModelError)."""
+    if getattr(frames, "indicators", False):
+        raise ModelError("cannot take rows of a test set")
     return type(frames)(*(getattr(frames, f.name)[index]
-                          for f in fields(frames)))
+                          for f in fields(frames) if f.name != "indicators"))
 
 
 def frame_blocks(grid, count):

@@ -13,10 +13,11 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .cauchy import (MIN_CHECKED_FRAMES, VERIFY_CHUNK, TangentVariation,
+from .cauchy import (MIN_CHECKED_FRAMES, VERIFY_CHUNK,
                      dynamical_trajectory_residual, frame_blocks,
                      frame_velocities, integrate_density,
                      random_smooth_variation, run_simulation,
@@ -37,8 +38,11 @@ EXIT_OK = 0
 EXIT_REFUSED = 4
 #: stderr prefix of each failing exit code
 EXIT_PREFIX = {2: "error", 3: "numerical failure", 4: "refused"}
-#: rows of a CSV table formatted by one ``%`` operation
+#: rows of a CSV table whose columns are formatted at a time
 CSV_BLOCK = 1024
+#: rows of a block joined and written, and values of a column formatted
+#: value by value, at a time
+CSV_CHUNK = 64
 
 
 def _fmt(value, precision):
@@ -51,41 +55,75 @@ def _write_csv(path, header, table, precision, int_cols=()):
     table = np.asarray(table, dtype=float)
     specs = ["%d" if k in int_cols else f"%.{precision}g"
              for k in range(len(header))]
+    periods = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, len(table), CSV_BLOCK):
-            fh.write(_csv_block(table[lo:lo + CSV_BLOCK], specs))
+            fh.writelines(_csv_block(table[lo:lo + CSV_BLOCK], specs,
+                                     periods))
 
 
-def _csv_block(block, specs):
-    """The text of one block of :func:`_write_csv`, one ``%`` operation on a
-    row template of ``specs``.
+def _csv_block(block, specs, periods):
+    """The text of one block of :func:`_write_csv`, CSV_CHUNK rows at a
+    time, each row joined from one sequence of strings per column.
 
     A column with at most half as many runs as the block has rows is
-    formatted once per run and enters the template as %s. A run is a
-    stretch of values equal as floats and in sign bit, so 0.0 and -0.0 stay
-    apart and NaNs never join one. The cells die on return, before the
-    text is written, so memory stays that of one block."""
-    n, cols = block.shape
+    formatted once per run, one that repeats its first P <= n/2 rows once
+    per period, and any other value by value, CSV_CHUNK values at a time
+    as its rows are joined. A run is a stretch of values equal as floats
+    and in sign bit, so 0.0 and -0.0 stay apart and NaNs never join one; P
+    is the first row after row 0 equal to it, and every row must equal the
+    one P rows above it in the same sense. ``periods`` keeps each
+    column's last period and its strings, which the next block reuses
+    when it repeats the same P values. Besides those and the strings of
+    each run, only the strings of CSV_CHUNK rows live at once."""
+    n = len(block)
     sign = np.signbit(block)
     first = np.ones(block.shape, dtype=bool)  # row starts a run
     np.not_equal(block[1:], block[:-1], out=first[1:])
     first[1:] |= sign[1:] ^ sign[:-1]
-    row = list(specs)
-    cells = block.ravel().tolist()
-    for k in range(cols):
+    columns = []
+    for k, spec in enumerate(specs):
+        column = block[:, k]
         starts = np.flatnonzero(first[:, k])
-        if 2 * len(starts) > n:
-            continue
-        text = ",".join([specs[k]] * len(starts)) \
-            % tuple(block[starts, k].tolist())
-        bounds = starts.tolist() + [n]
-        cells[k::cols] = np.repeat(
-            np.array(text.split(","), dtype=object),
-            [b - a for a, b in zip(bounds, bounds[1:])]).tolist()
-        row[k] = "%s"
-    cells = tuple(cells)  # frees the list before formatting
-    return ((",".join(row) + "\n") * n) % cells
+        if 2 * len(starts) <= n:
+            bounds = starts.tolist() + [n]
+            cells = np.repeat(
+                np.array(_formatted(spec, column[starts]), dtype=object),
+                [b - a for a, b in zip(bounds, bounds[1:])]).tolist()
+        elif P := _period(column, sign[:, k]):
+            key = column[:P].tolist(), sign[:P, k].tolist()
+            if periods.get(k, (None,))[0] != key:
+                periods[k] = key, _formatted(spec, column[:P])
+            cells = periods[k][1] * (n // P + 1)
+            del cells[n:]
+        else:
+            cells = chain.from_iterable(map(_formatted, repeat(spec), [
+                column[lo:lo + CSV_CHUNK] for lo in range(0, n, CSV_CHUNK)]))
+        columns.append(cells)
+    rows = map(",".join, zip(*columns))
+    while chunk := list(islice(rows, CSV_CHUNK)):
+        chunk.append("")
+        yield "\n".join(chunk)
+
+
+def _formatted(spec, values):
+    """The strings of a float array's values in ``spec``, from one ``%``
+    operation."""
+    return (",".join([spec] * len(values)) % tuple(values.tolist())).split(",")
+
+
+def _period(column, sign):
+    """The period P <= n/2 of a column that repeats its first P values, as
+    :func:`_csv_block` compares them, or 0."""
+    n = len(column)
+    hits = np.flatnonzero(column[1:n // 2 + 1] == column[0])
+    if not len(hits):
+        return 0
+    P = int(hits[0]) + 1
+    differ = column[P:] != column[:-P]
+    differ |= sign[P:] ^ sign[:-P]
+    return 0 if len(np.flatnonzero(differ)) else P
 
 
 def _field_header(n, m):
@@ -394,8 +432,7 @@ def cmd_pairing_check(scenario, out_dir, seed):
     # the pairs (X, Y), drawn X, Y, X, Y, ... as one stack
     draws = random_smooth_variation(grid, L.dims.n, rng, vertical=False,
                                     count=2 * scenario.pairing_pairs)
-    X, Y = (TangentVariation(*(part[i::2] for part in (
-        draws.k, draws.du, draws.dp_t, draws.dp_x))) for i in (0, 1))
+    X, Y = (take_frames(draws, slice(i, None, 2)) for i in (0, 1))
     worst_pull = 0.0
     try:
         for k in range(len(traj.t)):

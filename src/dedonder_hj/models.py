@@ -41,11 +41,13 @@ class ModelError(DedonderError, ValueError):
 
 
 class RefusedResidual(DedonderError, RuntimeError):
-    """A residual above its tolerance, so ``what`` is refused."""
+    """A residual above its tolerance, or not finite, so ``what`` is
+    refused."""
     exit_code = 4
 
     def __init__(self, residual, tol):
-        super().__init__(f"{self.what}: residual {residual:.6e} > tol "
+        excess = "> tol" if np.isfinite(residual) else "is not finite; tol"
+        super().__init__(f"{self.what}: residual {residual:.6e} {excess} "
                          f"{tol:.3e}")
         self.residual, self.tol = residual, tol
 

@@ -76,6 +76,21 @@ def test_each_error_class_exits_with_its_code(
     assert captured.out == ""
 
 
+def test_a_residual_that_is_not_finite_is_not_worded_as_an_excess():
+    # nan > tol is False, so "residual nan > tol" named a comparison that
+    # does not hold
+    assert str(ConstraintError(np.nan, 1e-10)) == (
+        "state off the momentum constraint: residual nan is not finite; "
+        "tol 1.000e-10")
+    assert str(IncompatibleDataError(np.nan, 1e-8)) == (
+        "initial data incompatible with the restricted connection: "
+        "residual nan is not finite; tol 1.000e-08")
+    assert str(ConstraintError(-np.inf, 1e-10)).endswith(
+        "residual -inf is not finite; tol 1.000e-10")
+    assert str(IncompatibleDataError(2.5, 0.5)).endswith(
+        "residual 2.500000e+00 > tol 5.000e-01")
+
+
 def test_a_float_error_is_a_numerical_failure(tmp_path, capsys):
     # the section's p_t overflows at omega = 1e150: numpy printed a
     # RuntimeWarning before "non-finite u at step 1"

@@ -2,9 +2,10 @@
 
 Every value used to be written as ``format(float(v), ".<precision>g")``
 and every integer as ``str(int(v))``, one value at a time. The writer
-formats a float array CSV_BLOCK rows at a time with one row template, and
-a column made of runs of equal values once per run; the bytes must be the
-same.
+joins the rows of a float array CSV_BLOCK rows at a time from one
+sequence of strings per column, and formats a column made of runs of
+equal values once per run, one that repeats a period once per period;
+the bytes must be the same.
 """
 
 import tracemalloc
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dedonder_hj.cli import CSV_BLOCK, _write_csv
+from dedonder_hj.cli import CSV_BLOCK, _period, _write_csv
 
 SPECIAL = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e22,
            0.1]
@@ -175,3 +176,116 @@ def test_verify_hj_sized_mesh_matches_the_per_value_rule(tmp_path):
     assert table.shape == (7 ** 5, 8)
     assert written(tmp_path, header, table, 17) \
         == per_value(header, table, 17)
+
+
+# -- columns that repeat with a period ----------------------------------------
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(tile=st.lists(st.integers(0, len(POOL) - 1), min_size=1, max_size=40),
+       phase=st.integers(0, 39), rows=st.integers(1, 3 * CSV_BLOCK),
+       precision=st.sampled_from([1, 6, 17]))
+def test_tiled_columns_match_the_per_value_rule(tmp_path_factory, tile,
+                                                 phase, rows, precision):
+    # a column tiled from a drawn period of pooled values, starting at a
+    # drawn phase, beside a column of distinct values and a shifted copy
+    index = np.resize(np.roll(tile, phase), rows)
+    table = np.column_stack([np.array(POOL)[index], np.arange(rows) / 7.0,
+                             np.array(POOL)[np.roll(index, 1)]])
+    header = ["tiled", "k", "shifted"]
+    path = tmp_path_factory.getbasetemp() / "tiled.csv"
+    _write_csv(path, header, table, precision)
+    assert path.read_bytes().decode("utf-8") \
+        == per_value(header, table, precision)
+
+
+@pytest.mark.parametrize("period", [CSV_BLOCK // 2, CSV_BLOCK // 2 + 1])
+def test_periods_at_and_past_half_a_block(tmp_path, period):
+    # CSV_BLOCK / 2 rows is the longest period formatted once per period;
+    # one row more is formatted value by value
+    rows = 3 * CSV_BLOCK + 11
+    cycle = np.random.default_rng(period).normal(size=period)
+    table = np.column_stack([np.resize(cycle, rows), np.arange(rows)])
+    header = ["x", "node_index"]
+    assert written(tmp_path, header, table, 17, (1,)) \
+        == per_value(header, table, 17, (1,))
+
+
+def test_the_period_found_is_that_of_the_first_repeat():
+    # a column is tiled from its first P rows when row P is the first to
+    # repeat row 0 and every row repeats the one P rows above it; the
+    # writer's bytes do not show which columns were
+    def period(values):
+        column = np.array(values, dtype=float)
+        return _period(column, np.signbit(column))
+
+    x = np.arange(128) / 128
+    assert period(np.tile(x, 4)) == 128
+    assert period(np.resize(np.linspace(-2.9, 2.9, 7), 512)) == 7
+    assert period(np.resize(np.arange(129.0), 258)) == 129
+    assert period(np.resize(np.arange(129.0), 257)) == 0    # 129 > 257 / 2
+    assert period(np.resize([1.0, 0.0, 1.0, -0.0], 64)) == 0
+    assert period(np.resize([1.0, 1.0, 2.0], 64)) == 0      # row 1 repeats
+    assert period([np.nan, 1.0] * 8) == 0
+
+
+def test_a_period_crossing_block_boundaries(tmp_path):
+    # a period of 7 does not divide the block, so each block starts at
+    # another phase of it
+    rows = 4 * CSV_BLOCK + 3
+    assert CSV_BLOCK % 7
+    table = np.column_stack([np.resize(np.linspace(-2.9, 2.9, 7), rows),
+                             np.resize([0.1, 0.2, 0.3], rows)])
+    header = ["u_3", "c"]
+    assert written(tmp_path, header, table, 17) \
+        == per_value(header, table, 17)
+
+
+def test_signed_zeros_and_nan_payloads_in_periodic_columns(tmp_path):
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000000],
+                    dtype=np.uint64).view(float)
+    rows = 2 * CSV_BLOCK + 5
+    table = np.column_stack([
+        np.resize([0.0, -0.0, 1.5], rows),      # a period of signed zeros
+        # the second block repeats the first's period as floats, with the
+        # zeros' signs swapped
+        np.r_[np.resize([1.0, 0.0, -0.0, 2.0], CSV_BLOCK),
+              np.resize([1.0, -0.0, 0.0, 2.0], rows - CSV_BLOCK)],
+        np.resize([-0.0, 0.0, 0.0, 2.0], rows),  # 0.0 == -0.0 at row 1
+        # period 2 as floats, 4 in sign bit
+        np.resize([1.0, 0.0, 1.0, -0.0], rows),
+        np.resize(np.r_[nans, 0.5], rows),      # NaNs never repeat
+        np.resize([0.25, nans[0], -0.0], rows)])
+    header = ["a", "b", "c", "d", "e", "f"]
+    got = written(tmp_path, header, table, 17).splitlines()
+    assert "\n".join(got) + "\n" == per_value(header, table, 17)
+    assert [line.split(",")[:2] for line in got[1:5]] \
+        == [["0", "1"], ["-0", "0"], ["1.5", "-0"], ["0", "2"]]
+    assert [line.split(",")[1] for line in got[CSV_BLOCK + 1:][:4]] \
+        == ["1", "-0", "0", "2"]
+
+
+def test_periodic_integer_columns(tmp_path):
+    rows = 3 * CSV_BLOCK
+    table = np.column_stack([np.resize(np.arange(100.0), rows),
+                             np.resize([2.0 ** 52, -3.0, 0.0], rows),
+                             np.resize(np.arange(100.0) / 3.0, rows)])
+    header = ["node_index", "level", "x"]
+    assert written(tmp_path, header, table, 6, (0, 1)) \
+        == per_value(header, table, 6, (0, 1))
+
+
+@pytest.mark.parametrize("frames, nodes", [(101, 128), (9, 100), (3, 700)])
+def test_fields_shaped_tables_match_the_per_value_rule(tmp_path, frames,
+                                                      nodes):
+    # fields.csv: t in runs of N rows, node_index and x with period N
+    # (longer than half a block at N = 700), u, p_t, p_x value by value
+    x = np.arange(nodes) / nodes
+    t = np.linspace(0.0, 1.0, frames)[:, None]
+    u = np.sin(2 * np.pi * (x - t))
+    table = np.column_stack([
+        np.repeat(t[:, 0], nodes), np.tile(np.arange(nodes), frames),
+        np.tile(x, frames), u.ravel(), -u.ravel(), np.zeros(frames * nodes)])
+    header = ["t", "node_index", "x", "u_1", "pt_1", "px_1"]
+    assert written(tmp_path, header, table, 17, (1,)) \
+        == per_value(header, table, 17, (1,))

@@ -57,3 +57,12 @@ def test_frames_probe_finds_the_blocks_bit_identical(tmp_path):
                      "--rounds", "1")
     assert run.returncode == 0, run.stdout + run.stderr[-2000:]
     assert "303 values bit-identical" in run.stdout
+
+
+def test_csv_probe_finds_the_written_bytes_identical(tmp_path):
+    # the probe exits 1 when a table written by cli._write_csv differs in
+    # any byte from the per-value rule
+    run = run_script(ROOT / "tools" / "csv_probe.py", tmp_path,
+                     "--rounds", "1")
+    assert run.returncode == 0, run.stdout + run.stderr[-2000:]
+    assert run.stdout.count("bytes identical") == 3

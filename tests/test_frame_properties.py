@@ -161,6 +161,36 @@ def test_take_frames_returns_each_frames_own_values(case):
                        for name in names)
 
 
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 0)])
+def test_take_frames_takes_the_rows_of_a_variation_stack(n, m):
+    # the even and odd rows of one draw, as pairing-check takes its pairs,
+    # against the stacks sliced by hand
+    grid = make_grid(16) if m else make_grid(1, m=0)
+    draws = random_smooth_variation(grid, n, np.random.default_rng(7),
+                                    vertical=False, count=10)
+    pushed = CotangentVariation(draws.k, draws.du, draws.dp_t)
+    for i in (0, 1):
+        rows = slice(i, None, 2)
+        for stack_, parts in ((draws, ("k", "du", "dp_t", "dp_x")),
+                              (pushed, ("k", "du", "dpi"))):
+            taken = take_frames(stack_, rows)
+            hand = type(stack_)(*(getattr(stack_, p)[rows] for p in parts))
+            assert len(taken) == len(hand) == 5 and not taken.indicators
+            for p in parts:
+                assert getattr(taken, p).tobytes() \
+                    == getattr(hand, p).tobytes()
+    one = take_frames(draws, 3)
+    assert np.ndim(one.k) == 0 and one.du.shape == (n, grid.n_nodes)
+
+
+def test_take_frames_refuses_a_test_set():
+    grid = make_grid(8)
+    for test in (standard_test_variations(grid, 1),
+                 standard_cotangent_variations(grid, 1)):
+        with pytest.raises(ModelError, match="test set"):
+            take_frames(test, slice(0, 2))
+
+
 def test_blocks_at_128_nodes_hold_16_frames():
     assert [(b.start, b.stop) for b in frame_blocks(make_grid(128), 33)] \
         == [(0, 16), (16, 32), (32, 48)]

@@ -29,9 +29,8 @@ import time
 
 import numpy as np
 
-from dedonder_hj.cauchy import (TangentVariation, _state_pairing_data,
-                                checked_frames, make_grid,
-                                presymplectic_pairing,
+from dedonder_hj.cauchy import (_state_pairing_data, checked_frames,
+                                make_grid, presymplectic_pairing,
                                 random_smooth_variation,
                                 standard_test_variations, take_frames)
 from dedonder_hj.hj import (_lift_with, evolve_characteristics,
@@ -61,9 +60,7 @@ def frames_and_pairs():
     standard_test_variations(grid, 1, rng=rng)   # the check's first draws
     draws = random_smooth_variation(grid, 1, rng, vertical=False,
                                     count=2 * PAIRS)
-    V, W = (TangentVariation(draws.k[i::2], draws.du[i::2],
-                             draws.dp_t[i::2], draws.dp_x[i::2])
-            for i in (0, 1))
+    V, W = (take_frames(draws, slice(i, None, 2)) for i in (0, 1))
     lifted = lift_by_gamma(gamma, times, grid, u_frames)
     frames = []
     for k in idx:
