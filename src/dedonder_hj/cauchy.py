@@ -93,6 +93,9 @@ def make_grid(n_nodes, length=1.0, m=1):
 def spatial_derivative(grid, values):
     """Second-order periodic central difference along the node axis."""
     values = np.asarray(values, dtype=float)
+    if values.shape[-1:] != grid.weights.shape:
+        raise GridError(f"values of shape {values.shape} on a grid of "
+                        f"{grid.n_nodes} nodes")
     if grid.m == 0:
         return np.zeros_like(values)
     if grid.n_nodes < 3:
@@ -107,6 +110,9 @@ def spatial_derivative(grid, values):
 def integrate_density(grid, values):
     """Quadrature sum_j w_j values_j over the node axis."""
     values = np.asarray(values, dtype=float)
+    if values.shape[-1:] != grid.weights.shape:
+        raise GridError(f"values of shape {values.shape} on a grid of "
+                        f"{grid.n_nodes} nodes")
     out = np.sum(values * grid.weights, axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -183,11 +189,15 @@ def _check_state(state, names):
 def take_frames(frames, index):
     """The frames ``index`` of a state of F frames, or the rows of a stack
     of variations: a slice or a list of indices gives a stack of those, one
-    int a single one. A test set is refused (ModelError)."""
+    int a single one, negative ints counting from the end. A test set and
+    an index out of range are refused (ModelError)."""
     if getattr(frames, "indicators", False):
         raise ModelError("cannot take rows of a test set")
-    return type(frames)(*(getattr(frames, f.name)[index]
-                          for f in fields(frames) if f.name != "indicators"))
+    try:
+        return type(frames)(*(getattr(frames, f.name)[index] for f in
+                              fields(frames) if f.name != "indicators"))
+    except IndexError as exc:
+        raise ModelError(f"cannot take frames {index}: {exc}") from exc
 
 
 def frame_blocks(grid, count):
@@ -681,6 +691,8 @@ def standard_test_variations(grid, n, rng=None):
     residual detection independent of the random draws. The probes and
     random draws are one stack of O(N) bytes; the indicators are only
     flagged, never built."""
+    if n < 1:
+        raise ModelError(f"a test set needs n >= 1 fields, got {n}")
     rng = rng if rng is not None else np.random.default_rng(0)
     probes = _probe_rows(grid, n, 2 + grid.m)
     draws = random_smooth_variation(grid, n, rng, count=8)

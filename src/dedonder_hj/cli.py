@@ -196,15 +196,18 @@ def _check_frames(scenario, command, frames):
                             f"stores {frames}")
 
 
-def _diagnostics(L, H, grid, stored, rng):
+def _diagnostics(L, H, grid, stored, seed):
     """Per-frame energy, constraint residual and trajectory residual of the
     stored frames, each computed once per block of frames
-    (:func:`cauchy.frame_blocks`)."""
+    (:func:`cauchy.frame_blocks`). The generator of ``seed`` is built only
+    when the trajectory residual draws its test set, so a run with fewer
+    than MIN_CHECKED_FRAMES frames never loads ``numpy.random``."""
     count = len(stored.t)
     checked = count >= MIN_CHECKED_FRAMES
     if checked:
         velocities = frame_velocities(stored, stored.t[1] - stored.t[0])
-        test = standard_test_variations(grid, stored.u.shape[1], rng=rng)
+        test = standard_test_variations(grid, stored.u.shape[1],
+                                        rng=np.random.default_rng(seed))
     energies, constraints = [], []
     traj = [float("nan")] * count
     for block in frame_blocks(grid, count):
@@ -238,8 +241,7 @@ def cmd_simulate(scenario, out_dir, seed, sweep=None):
                             f"with a closed-form solution")
     traj = run_simulation(H, grid, state0, scenario.dt, scenario.n_steps,
                           store_every=scenario.store_every)
-    energies, constraints, residuals = _diagnostics(
-        L, H, grid, traj, np.random.default_rng(seed))
+    energies, constraints, residuals = _diagnostics(L, H, grid, traj, seed)
     p = scenario.precision
     _write_csv(os.path.join(out_dir, "fields.csv"),
                _field_header(L.dims.n, grid.m), _field_rows(grid, traj), p,

@@ -156,6 +156,20 @@ def test_spatial_derivative_needs_three_nodes():
         spatial_derivative(make_grid(2), np.zeros(2))
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: spatial_derivative(g, np.ones((1, 8))),
+    lambda g: gradient_fields(g, np.ones((1, 8))),
+    lambda g: integrate_density(g, np.ones((1, 8))),
+    lambda g: integrate_density(g, np.ones(1)),
+])
+def test_grid_functions_refuse_a_node_axis_of_another_length(call):
+    # a (1, 8) stencil at the 16-node spacing, a broadcast of 1 node over
+    # the 16 weights or a raw numpy error, before the check
+    with pytest.raises(GridError, match=r"shape \(1(, 8)?,?\) on a grid of "
+                                        r"16 nodes"):
+        call(make_grid(16))
+
+
 def test_integrate_density():
     g = make_grid(64)
     xs = g.x[0]

@@ -5,14 +5,16 @@ and every integer as ``str(int(v))``, one value at a time. The writer
 joins the rows of a float array CSV_BLOCK rows at a time from one
 sequence of strings per column, and formats a column made of runs of
 equal values once per run, one that repeats a period once per period;
-the bytes must be the same.
+the bytes must be the same. Texts are compared with ``assert_same_text``,
+which names only the first line that differs.
 """
 
 import tracemalloc
+from itertools import zip_longest
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dedonder_hj.cli import CSV_BLOCK, _period, _write_csv
@@ -37,6 +39,28 @@ def written(tmp_path, header, table, precision, int_cols=()):
     return path.read_bytes().decode("utf-8")
 
 
+def assert_same_text(got, expected):
+    """Fail unless the two texts are identical, reporting only the first
+    line that differs: pytest's diff of two tables of a few MB can take
+    minutes, and longer still under hypothesis' shrinking."""
+    if got == expected:
+        return
+    pairs = zip_longest(got.split("\n"), expected.split("\n"))
+    line, (ours, theirs) = next((k, pair) for k, pair in enumerate(pairs, 1)
+                                if pair[0] != pair[1])
+    pytest.fail(f"line {line} differs: written {ours!r}, expected "
+                f"{theirs!r}", pytrace=False)
+
+
+def test_a_mismatch_names_only_its_first_line():
+    with pytest.raises(pytest.fail.Exception,
+                       match="^line 3 differs: written '2', expected '3'$"):
+        assert_same_text("a\n1\n2\n" * 10 ** 5, "a\n1\n3\n" * 10 ** 5)
+    with pytest.raises(pytest.fail.Exception,
+                       match="^line 3 differs: written None, expected ''$"):
+        assert_same_text("a\n1", "a\n1\n")
+
+
 @pytest.mark.parametrize("precision", [17, 6, 1])
 def test_special_values_match_the_per_value_rule(tmp_path, precision):
     rng = np.random.default_rng(precision)
@@ -44,7 +68,7 @@ def test_special_values_match_the_per_value_rule(tmp_path, precision):
                       rng.normal(size=7) * 10.0 ** rng.integers(-300, 300, 7)])
     header = [f"c{k}" for k in range(7)]
     got = written(tmp_path, header, table, precision)
-    assert got == per_value(header, table, precision)
+    assert_same_text(got, per_value(header, table, precision))
     assert got.splitlines()[1] == ",".join(
         format(v, f".{precision}g") for v in SPECIAL)
 
@@ -53,9 +77,10 @@ def test_integer_columns_keep_every_digit(tmp_path):
     table = np.array([[0.0, 1234567.0, 1234567.0],
                       [-3.0, 2.0 ** 52, 0.5]])
     got = written(tmp_path, ["level", "n_nodes", "x"], table, 6, (0, 1))
-    assert got == ("level,n_nodes,x\n0,1234567,1.23457e+06\n"
-                   "-3,4503599627370496,0.5\n")
-    assert got == per_value(["level", "n_nodes", "x"], table, 6, (0, 1))
+    assert_same_text(got, "level,n_nodes,x\n0,1234567,1.23457e+06\n"
+                          "-3,4503599627370496,0.5\n")
+    assert_same_text(got, per_value(["level", "n_nodes", "x"], table, 6,
+                                    (0, 1)))
 
 
 @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK - 1, CSV_BLOCK,
@@ -66,7 +91,7 @@ def test_row_counts_around_the_block_size(tmp_path, rows):
                              rng.normal(size=(rows, 3))])
     header = ["t", "node_index", "u_1", "pt_1", "px_1"]
     got = written(tmp_path, header, table, 17, (1,))
-    assert got == per_value(header, table, 17, (1,))
+    assert_same_text(got, per_value(header, table, 17, (1,)))
     assert len(got.splitlines()) == rows + 1
 
 
@@ -74,8 +99,8 @@ def test_transposed_tables_are_written_row_by_row(tmp_path):
     # verify-hj passes its (coordinates; residuals) array transposed
     columns = np.random.default_rng(1).normal(size=(4, 2 * CSV_BLOCK + 3))
     header = ["t", "x", "u_1", "hj"]
-    assert written(tmp_path, header, columns.T, 17) \
-        == per_value(header, columns.T, 17)
+    assert_same_text(written(tmp_path, header, columns.T, 17),
+                     per_value(header, columns.T, 17))
 
 
 def test_writing_keeps_memory_to_one_block(tmp_path):
@@ -100,8 +125,8 @@ def test_runs_crossing_a_block_boundary(tmp_path):
         np.repeat([0.1, 0.2], [CSV_BLOCK - 5, rows - CSV_BLOCK + 5]),
         np.random.default_rng(3).normal(size=rows)])
     header = ["t", "x", "u_1"]
-    assert written(tmp_path, header, table, 17) \
-        == per_value(header, table, 17)
+    assert_same_text(written(tmp_path, header, table, 17),
+                     per_value(header, table, 17))
 
 
 def test_signed_zeros_and_nan_payloads_stay_apart(tmp_path):
@@ -114,7 +139,7 @@ def test_signed_zeros_and_nan_payloads_stay_apart(tmp_path):
         np.arange(24.0)])
     header = ["zero", "nan", "k"]
     got = written(tmp_path, header, table, 17)
-    assert got == per_value(header, table, 17)
+    assert_same_text(got, per_value(header, table, 17))
     assert [line.split(",")[0] for line in got.splitlines()[1::6]] \
         == ["0", "-0", "0", "-0"]
 
@@ -126,16 +151,16 @@ def test_columns_at_and_past_half_as_many_runs_as_rows(tmp_path, runs):
     table = np.column_stack([np.repeat(np.arange(runs) * 0.1, lengths),
                              np.full(16, -0.0)])
     header = ["t", "x"]
-    assert written(tmp_path, header, table, 17) \
-        == per_value(header, table, 17)
+    assert_same_text(written(tmp_path, header, table, 17),
+                     per_value(header, table, 17))
 
 
 def test_integer_columns_made_of_runs(tmp_path):
     table = np.column_stack([np.repeat([3.0, -7.0, 2.0 ** 52, 0.0], 5),
                              np.repeat([0.25, 1e22], 10)])
     header = ["level", "dt"]
-    assert written(tmp_path, header, table, 6, (0,)) \
-        == per_value(header, table, 6, (0,))
+    assert_same_text(written(tmp_path, header, table, 6, (0,)),
+                     per_value(header, table, 6, (0,)))
 
 
 POOL = SPECIAL + [0.0, 1.0, -2.5, 1 / 3]
@@ -157,8 +182,8 @@ def test_tables_of_pooled_values_match_the_per_value_rule(
     header = [f"c{k}" for k in range(columns)]
     path = tmp_path_factory.getbasetemp() / "pooled.csv"
     _write_csv(path, header, table, precision)
-    assert path.read_bytes().decode("utf-8") \
-        == per_value(header, table, precision)
+    assert_same_text(path.read_bytes().decode("utf-8"),
+                     per_value(header, table, precision))
 
 
 def test_verify_hj_sized_mesh_matches_the_per_value_rule(tmp_path):
@@ -174,14 +199,16 @@ def test_verify_hj_sized_mesh_matches_the_per_value_rule(tmp_path):
     table = np.concatenate([mesh, residuals]).T
     header = ["t", "x", "u_1", "u_2", "u_3", "closedness", "hj", "flatness"]
     assert table.shape == (7 ** 5, 8)
-    assert written(tmp_path, header, table, 17) \
-        == per_value(header, table, 17)
+    assert_same_text(written(tmp_path, header, table, 17),
+                     per_value(header, table, 17))
 
 
 # -- columns that repeat with a period ----------------------------------------
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
+# the second block, 6 rows, repeats a period of 3 at another phase
+@example(tile=[1, 2, 3], phase=0, rows=CSV_BLOCK + 6, precision=1)
 @given(tile=st.lists(st.integers(0, len(POOL) - 1), min_size=1, max_size=40),
        phase=st.integers(0, 39), rows=st.integers(1, 3 * CSV_BLOCK),
        precision=st.sampled_from([1, 6, 17]))
@@ -195,8 +222,8 @@ def test_tiled_columns_match_the_per_value_rule(tmp_path_factory, tile,
     header = ["tiled", "k", "shifted"]
     path = tmp_path_factory.getbasetemp() / "tiled.csv"
     _write_csv(path, header, table, precision)
-    assert path.read_bytes().decode("utf-8") \
-        == per_value(header, table, precision)
+    assert_same_text(path.read_bytes().decode("utf-8"),
+                     per_value(header, table, precision))
 
 
 @pytest.mark.parametrize("period", [CSV_BLOCK // 2, CSV_BLOCK // 2 + 1])
@@ -207,8 +234,8 @@ def test_periods_at_and_past_half_a_block(tmp_path, period):
     cycle = np.random.default_rng(period).normal(size=period)
     table = np.column_stack([np.resize(cycle, rows), np.arange(rows)])
     header = ["x", "node_index"]
-    assert written(tmp_path, header, table, 17, (1,)) \
-        == per_value(header, table, 17, (1,))
+    assert_same_text(written(tmp_path, header, table, 17, (1,)),
+                     per_value(header, table, 17, (1,)))
 
 
 def test_the_period_found_is_that_of_the_first_repeat():
@@ -237,8 +264,8 @@ def test_a_period_crossing_block_boundaries(tmp_path):
     table = np.column_stack([np.resize(np.linspace(-2.9, 2.9, 7), rows),
                              np.resize([0.1, 0.2, 0.3], rows)])
     header = ["u_3", "c"]
-    assert written(tmp_path, header, table, 17) \
-        == per_value(header, table, 17)
+    assert_same_text(written(tmp_path, header, table, 17),
+                     per_value(header, table, 17))
 
 
 def test_signed_zeros_and_nan_payloads_in_periodic_columns(tmp_path):
@@ -258,7 +285,7 @@ def test_signed_zeros_and_nan_payloads_in_periodic_columns(tmp_path):
         np.resize([0.25, nans[0], -0.0], rows)])
     header = ["a", "b", "c", "d", "e", "f"]
     got = written(tmp_path, header, table, 17).splitlines()
-    assert "\n".join(got) + "\n" == per_value(header, table, 17)
+    assert_same_text("\n".join(got) + "\n", per_value(header, table, 17))
     assert [line.split(",")[:2] for line in got[1:5]] \
         == [["0", "1"], ["-0", "0"], ["1.5", "-0"], ["0", "2"]]
     assert [line.split(",")[1] for line in got[CSV_BLOCK + 1:][:4]] \
@@ -271,8 +298,8 @@ def test_periodic_integer_columns(tmp_path):
                              np.resize([2.0 ** 52, -3.0, 0.0], rows),
                              np.resize(np.arange(100.0) / 3.0, rows)])
     header = ["node_index", "level", "x"]
-    assert written(tmp_path, header, table, 6, (0, 1)) \
-        == per_value(header, table, 6, (0, 1))
+    assert_same_text(written(tmp_path, header, table, 6, (0, 1)),
+                     per_value(header, table, 6, (0, 1)))
 
 
 @pytest.mark.parametrize("frames, nodes", [(101, 128), (9, 100), (3, 700)])
@@ -287,5 +314,5 @@ def test_fields_shaped_tables_match_the_per_value_rule(tmp_path, frames,
         np.repeat(t[:, 0], nodes), np.tile(np.arange(nodes), frames),
         np.tile(x, frames), u.ravel(), -u.ravel(), np.zeros(frames * nodes)])
     header = ["t", "node_index", "x", "u_1", "pt_1", "px_1"]
-    assert written(tmp_path, header, table, 17, (1,)) \
-        == per_value(header, table, 17, (1,))
+    assert_same_text(written(tmp_path, header, table, 17, (1,)),
+                     per_value(header, table, 17, (1,)))

@@ -66,3 +66,16 @@ def test_csv_probe_finds_the_written_bytes_identical(tmp_path):
                      "--rounds", "1")
     assert run.returncode == 0, run.stdout + run.stderr[-2000:]
     assert run.stdout.count("bytes identical") == 3
+
+
+def test_rss_probe_marks_each_command(tmp_path):
+    # the probe exits 1 when a command fails; simulate_steps stores two
+    # frames, so it draws nothing and leaves numpy.random unloaded
+    run = run_script(ROOT / "tools" / "rss_probe.py", tmp_path,
+                     "--size", "small")
+    assert run.returncode == 0, run.stdout + run.stderr[-2000:]
+    if "skipped" in run.stdout:
+        pytest.skip("no /proc/self/status")
+    assert run.stdout.count("exit 0, numpy.random") == 4
+    assert "simulate_steps (simulate, seed 3, small): exit 0, numpy.random " \
+        "not loaded" in run.stdout

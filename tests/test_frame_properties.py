@@ -191,6 +191,22 @@ def test_take_frames_refuses_a_test_set():
             take_frames(test, slice(0, 2))
 
 
+def test_take_frames_refuses_an_index_out_of_range():
+    frames = CauchyState(np.arange(5) * 0.1, np.ones((5, 1, 8)),
+                         np.zeros((5, 1, 8)), np.zeros((5, 1, 1, 8)))
+    assert take_frames(frames, -1).t == frames.t[4]
+    assert take_frames(frames, -5).t == 0.0
+    for index in (5, 10, -6, [0, 7]):
+        with pytest.raises(ModelError, match=r"cannot take frames .*"
+                                             r"out of bounds .* size 5"):
+            take_frames(frames, index)
+
+
+def test_test_set_refuses_no_fields():
+    with pytest.raises(ModelError, match="n >= 1 fields, got 0"):
+        standard_test_variations(make_grid(16), 0)
+
+
 def test_blocks_at_128_nodes_hold_16_frames():
     assert [(b.start, b.stop) for b in frame_blocks(make_grid(128), 33)] \
         == [(0, 16), (16, 32), (32, 48)]

@@ -60,8 +60,9 @@ def stored_run():
                                       store_every=STORE_EVERY)
 
 
-def frame_by_frame(L, H, grid, stored, rng):
-    test = standard_test_variations(grid, stored.u.shape[1], rng=rng)
+def frame_by_frame(L, H, grid, stored, seed):
+    test = standard_test_variations(grid, stored.u.shape[1],
+                                    rng=np.random.default_rng(seed))
     velocities = frame_velocities(stored, stored.t[1] - stored.t[0])
     states = [take_frames(stored, k) for k in range(len(stored.t))]
     return ([instantaneous_hamiltonian(L, grid, restriction_map_R(s))
@@ -83,9 +84,8 @@ def main(argv=None):
     for r in range(args.rounds):
         order = list(runs) if r % 2 == 0 else list(runs)[::-1]
         for name in order:
-            rng = np.random.default_rng(SEED)
             start = time.perf_counter()
-            values[name] = runs[name](L, H, grid, traj, rng)
+            values[name] = runs[name](L, H, grid, traj, SEED)
             samples[name].append((time.perf_counter() - start) * 1e3)
     a, b = (np.array(v) for v in values.values())
     same = a.shape == b.shape and a.tobytes() == b.tobytes()
