@@ -168,12 +168,9 @@ def _check_state(state, names):
     if not np.isfinite(t).all():
         raise ModelError(f"non-finite t {state.t}")
     u, second = (getattr(state, name) for name in names[:2])
-    axes, sizes = ("F, ", f"{len(t)}, ") if t.ndim else ("", "")
-    if t.ndim > 1 or u.ndim != t.ndim + 2 or u.shape[:t.ndim] != t.shape \
-            or second.shape != u.shape:
-        raise ModelError(f"{names[0]} and {names[1]} must share a shape "
-                         f"({axes}n, N), got {u.shape} and {second.shape}")
+    _check_shapes(t, u, second, names)
     if len(names) > 2:
+        axes, sizes = ("F, ", f"{len(t)}, ") if t.ndim else ("", "")
         p_x = getattr(state, names[2])
         n, N = u.shape[-2:]
         if p_x.ndim != u.ndim + 1 or p_x.shape[:-2] != u.shape[:-1] \
@@ -184,6 +181,20 @@ def _check_state(state, names):
     for name in names:
         if not np.all(np.isfinite(getattr(state, name))):
             raise ModelError(f"non-finite field {name}")
+
+
+def _check_shapes(t, u, second, names):
+    """Refuse (ModelError) a t of neither shape () nor (F,), and per-node
+    fields u and ``second``, named ``names``, that are not both (n, N) at
+    a scalar t or both (F, n, N) at t of shape (F,)."""
+    shape = np.shape(t)
+    if len(shape) > 1:
+        raise ModelError(f"t must have shape () or (F,), got {shape}")
+    if u.ndim != len(shape) + 2 or u.shape[:len(shape)] != shape \
+            or second.shape != u.shape:
+        frames = f"(F, n, N) for t of shape {shape}" if shape else "(n, N)"
+        raise ModelError(f"{names[0]} and {names[1]} must share a shape "
+                         f"{frames}, got {u.shape} and {second.shape}")
 
 
 def take_frames(frames, index):
@@ -217,19 +228,14 @@ def _check_nodes(grid, u, p_x=None):
                         f"m = {grid.m}")
 
 
-def _frame_axis(t, *arrays):
-    """(single, t, arrays) with a leading frame axis: a state's own, t of
-    shape (F,), or F = 1 for one frame at a scalar t, ``single`` then set."""
-    if np.ndim(t):
-        return False, t, arrays
-    return True, np.array([t]), [a[None] for a in arrays]
-
-
 def _frame_samples(grid, t, *arrays):
     """(t, x, *arrays) of a pointwise model evaluation at the F N
     frame-nodes of arrays (F, ..., N), as independent samples: t (F,)
     repeated per node, the node coordinates per frame, and each array with
-    the samples on its last axis, (..., F N)."""
+    the samples on its last axis, (..., F N). One frame, at a scalar t, is
+    its N nodes: t repeated, the grid's x and the arrays as they are."""
+    if not np.ndim(t):
+        return (np.repeat(t, grid.n_nodes), grid.x, *arrays)
     F, N = len(t), grid.n_nodes
     return (np.repeat(t, N),
             np.repeat(grid.x[:, None], F, axis=1).reshape(grid.m, F * N),
@@ -237,12 +243,15 @@ def _frame_samples(grid, t, *arrays):
               .reshape(a.shape[1:-1] + (F * N,)) for a in arrays))
 
 
-def _sample_frames(values, F):
-    """Inverse of :func:`_frame_samples` for a result over the samples:
-    values (..., F N) as an (F, ..., N) view."""
+def _sample_frames(values, t):
+    """Inverse of :func:`_frame_samples` for a result over the samples at
+    times t: values (..., F N) as an (F, ..., N) view, or at a scalar t
+    one frame's values (..., N) as they are."""
     values = np.asarray(values, dtype=float)
+    if not np.ndim(t):
+        return values
     *lead, samples = values.shape
-    return values.reshape(*lead, F, samples // F).transpose(
+    return values.reshape(*lead, len(t), samples // len(t)).transpose(
         (len(lead), *range(len(lead)), len(lead) + 1))
 
 
@@ -280,6 +289,19 @@ def _check_variation(X):
     for f in fields(X)[:-1]:
         object.__setattr__(X, f.name,
                            np.asarray(getattr(X, f.name), dtype=float))
+
+
+def _check_fit(state, names, *variations):
+    """Refuse (ModelError) variations of either space, single or stacked,
+    whose per-node components are not shaped as one frame of the fields
+    ``names`` of ``state``, in their order; shapes only."""
+    for X in variations:
+        lead = np.ndim(X.k)
+        for name, Y in zip(names, _variation_parts(X)):
+            field = getattr(state, name)
+            if Y.shape[lead:] != field.shape[field.ndim - Y.ndim + lead:]:
+                raise ModelError(f"variations of shape {Y.shape[lead:]} do "
+                                 f"not fit {name} of shape {field.shape}")
 
 
 def _check_fields(dims, what, grid, u, p_t=None, frames=()):
@@ -474,14 +496,12 @@ def _state_pairing_data(H, grid, state):
     """State-dependent fields of the pairing integrand, with a leading
     frame axis for F stacked frames; the H partials are evaluated once
     over all frame-nodes."""
-    single, t, (u, p_t, p_x) = _frame_axis(state.t, state.u, state.p_t,
-                                           state.p_x)
+    t, u, p_x = state.t, state.u, state.p_x
     _check_nodes(grid, u, p_x)
-    args = _frame_samples(grid, t, u, p_t, p_x)
-    data = tuple(_sample_frames(f(*args), len(t))
+    args = _frame_samples(grid, t, u, state.p_t, p_x)
+    return tuple(_sample_frames(f(*args), t)
                  for f in (H.d_u, H.d_pt, H.d_px)) \
         + (gradient_fields(grid, u), spatial_derivative(grid, p_x))
-    return tuple(a[0] for a in data) if single else data
 
 
 # The component axes are counted back from the node axis, so the same
@@ -504,7 +524,9 @@ def presymplectic_pairing(H, grid, state, X, Y, _data=None):
     """Pairing of two tangent variations at a state; bilinear and exactly
     antisymmetric by construction. X and Y may also be stacks of S
     variations each: the result is then the (S,) array of the pairings of
-    X[s] with Y[s], each equal to its single pairing bit for bit."""
+    X[s] with Y[s], each equal to its single pairing bit for bit. Refuses
+    (ModelError) variations that do not fit the state."""
+    _check_fit(state, ("u", "p_t", "p_x"), X, Y)
     data = _state_pairing_data(H, grid, state) if _data is None else _data
     k_x, k_y = np.asarray(X.k)[..., None], np.asarray(Y.k)[..., None]
     # grouped so that swapping X and Y negates every floating-point term
@@ -584,16 +606,14 @@ def dynamical_trajectory_residual(H, grid, state, state_dot, test_set):
     velocities that are not finite or not shaped as the fields, and test
     variations not shaped as one frame of them.
     """
-    for name, dot, Y in zip(("u", "p_t", "p_x"), state_dot,
-                            _variation_parts(test_set)):
+    names = ("u", "p_t", "p_x")
+    for name, dot in zip(names, state_dot):
         field = getattr(state, name)
         if np.shape(dot) != field.shape or not np.isfinite(dot).all():
             raise ModelError(f"the velocity of {name} must be finite and "
                              f"of shape {field.shape}, got "
                              f"{np.shape(dot)}")
-        if Y.shape[1:] != field.shape[field.ndim - Y.ndim + 1:]:
-            raise ModelError(f"test variations of {name} have shape "
-                             f"{Y.shape[1:]}, the frames {field.shape}")
+    _check_fit(state, names, test_set)
     c_dot = TangentVariation(1.0, *state_dot)
     covector, c_k = pairing_covector(
         grid, _state_pairing_data(H, grid, state), c_dot)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import (_check_nodes, _check_state, _check_variation,
-                     _frame_axis, _frame_samples, _probe_rows,
+from .cauchy import (_check_fit, _check_nodes, _check_shapes, _check_state,
+                     _check_variation, _frame_samples, _probe_rows,
                      _sample_frames, _smooth_profile, checked_frames,
                      covector_residual, frame_blocks, frame_velocities,
                      gradient_fields, integrate_density,
@@ -81,29 +81,28 @@ def push_variation(X):
 def solve_time_velocity(L, grid, t, u, pi):
     """Newton-solve dL/du_t = pi per node, with u_x from the grid. u and pi
     are (n, N) at a time t, or (F, n, N) at times t (F,), whose F N
-    frame-nodes are then the samples of one solve."""
-    single, t, (u, pi) = _frame_axis(t, np.asarray(u, dtype=float),
-                                     np.asarray(pi, dtype=float))
+    frame-nodes are then the samples of one solve. Refuses (ModelError) a
+    t of another shape and u and pi that are not both of one of those
+    shapes; a NaN in pi comes back as NaN in u_t."""
+    u, pi = np.asarray(u, dtype=float), np.asarray(pi, dtype=float)
+    _check_shapes(t, u, pi, ("u", "pi"))
     _check_nodes(grid, u)
     ts, xs, us, u_xs, pis = _frame_samples(grid, t, u,
                                            gradient_fields(grid, u), pi)
-    u_t = _sample_frames(_solve_nodewise(
+    return _sample_frames(_solve_nodewise(
         lambda ut: L.d_ut(ts, xs, us, ut, u_xs),
         lambda ut: L.value(ts, xs, us, ut, u_xs), pis,
-        "time-Legendre solve", 1), len(t))
-    return u_t[0] if single else u_t
+        "time-Legendre solve", 1), t)
 
 
 def instantaneous_hamiltonian(L, grid, cs):
     """Field energy: quadrature of (-L + pi u_t) at the solved velocity; for
     F stacked frames the (F,) array of each frame's energy."""
-    single, t, (u, pi) = _frame_axis(cs.t, cs.u, cs.pi)
-    u_t = solve_time_velocity(L, grid, t, u, pi)
+    t, u = cs.t, cs.u
+    u_t = solve_time_velocity(L, grid, t, u, cs.pi)
     u_x = gradient_fields(grid, u)
-    lag = _sample_frames(L.value(*_frame_samples(grid, t, u, u_t, u_x)),
-                         len(t))
-    out = integrate_density(grid, -lag + np.sum(pi * u_t, axis=-2))
-    return float(out[0]) if single else out
+    lag = _sample_frames(L.value(*_frame_samples(grid, t, u, u_t, u_x)), t)
+    return integrate_density(grid, -lag + np.sum(cs.pi * u_t, axis=-2))
 
 
 def variational_derivative(L, grid, cs):
@@ -115,20 +114,21 @@ def variational_derivative(L, grid, cs):
     the second term being the exact discrete transpose of the stencil.
     For F stacked frames both carry the leading frame axis.
     """
-    single, t, (u, pi) = _frame_axis(cs.t, cs.u, cs.pi)
-    u_t = solve_time_velocity(L, grid, t, u, pi)
+    t, u = cs.t, cs.u
+    u_t = solve_time_velocity(L, grid, t, u, cs.pi)
     args = _frame_samples(grid, t, u, u_t, gradient_fields(grid, u))
-    dh_du = -_sample_frames(L.d_u(*args), len(t))
-    d_ux = _sample_frames(L.d_ux(*args), len(t))     # (F, n, m, N)
+    dh_du = -_sample_frames(L.d_u(*args), t)
+    d_ux = _sample_frames(L.d_ux(*args), t)  # (F, n, m, N) or (n, m, N)
     for j in range(grid.m):
         dh_du = dh_du + spatial_derivative(grid, d_ux[..., j, :])
-    dh = dh_du, u_t.copy()
-    return tuple(a[0] for a in dh) if single else dh
+    return dh_du, u_t.copy()
 
 
 def omega_pairing(grid, X, Y):
     """Canonical pairing: quadrature of X_u Y_pi - X_pi Y_u. The time
-    components do not enter."""
+    components do not enter. Refuses (ModelError) a Y that does not fit
+    X."""
+    _check_fit(X, ("du", "dpi"), Y)
     integrand = np.sum(X.du * Y.dpi - X.dpi * Y.du, axis=-2)
     return integrate_density(grid, integrand)
 
@@ -141,7 +141,9 @@ def extended_form_pairing(L, grid, cs, X, Y):
     with X(h) the derivative of the field energy along the vertical part
     (du, dpi) of X: the k_X k_Y dh/dt legs of the full derivative cancel.
     X and Y may be stacks of S variations each, as in
-    :func:`cauchy.presymplectic_pairing`."""
+    :func:`cauchy.presymplectic_pairing`. Refuses (ModelError) variations
+    that do not fit the state."""
+    _check_fit(cs, ("u", "pi"), X, Y)
     dh_du, dh_dpi = variational_derivative(L, grid, cs)
 
     def directional(Z):
@@ -209,15 +211,15 @@ def time_legendre_constraint_residual(L, grid, state):
     spatial momenta must equal dL/du_x at the jet reconstructed from
     (u, p_t). For F stacked frames the (F,) array of each frame's
     distance."""
-    single, t, (u, p_t, p_x) = _frame_axis(state.t, state.u, state.p_t,
-                                           state.p_x)
-    _check_nodes(grid, u, p_x)
-    u_t = solve_time_velocity(L, grid, t, u, p_t)
+    t, u = state.t, state.u
+    _check_nodes(grid, u, state.p_x)
+    u_t = solve_time_velocity(L, grid, t, u, state.p_t)
     u_x = gradient_fields(grid, u)
     expected = _sample_frames(L.d_ux(*_frame_samples(grid, t, u, u_t, u_x)),
-                              len(t))
-    out = np.max(np.abs(p_x - expected), axis=(1, 2, 3), initial=0.0)
-    return float(out[0]) if single else out
+                              t)
+    out = np.max(np.abs(state.p_x - expected), axis=(-3, -2, -1),
+                 initial=0.0)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def pullback_identity_residual(L, H, grid, state, X, Y):
@@ -228,7 +230,8 @@ def pullback_identity_residual(L, H, grid, state, X, Y):
 
     Raises :class:`ConstraintError` when the state is more than 1e-10 off
     the momentum constraint, or its distance is NaN, where the identity is
-    not asserted.
+    not asserted, and (through the two pairings) ModelError for variations
+    that do not fit the state.
     """
     res = time_legendre_constraint_residual(L, grid, state)
     if not res <= 1e-10:

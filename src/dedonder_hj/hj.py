@@ -30,7 +30,7 @@ import numpy as np
 
 from .cauchy import (CauchyState, TangentVariation,
                      _check_count, _check_dt, _check_fields, _check_peak,
-                     _frame_axis, _frame_samples, _rk4_update, _sample_frames,
+                     _frame_samples, _rk4_update, _sample_frames,
                      _state_pairing_data, checked_frames, covector_residual,
                      frame_blocks, frame_velocities, gradient_fields,
                      pairing_covector, presymplectic_pairing,
@@ -424,11 +424,8 @@ def lift_by_gamma(gamma, t, grid, u):
     grid."""
     u = np.asarray(u, dtype=float)
     _check_fields(gamma.dims, "the section", grid, u, frames=np.shape(t))
-    single, t, (u,) = _frame_axis(t, u)
-    p_t, p_x = (np.ascontiguousarray(_sample_frames(p, len(t))) for p in
+    p_t, p_x = (np.ascontiguousarray(_sample_frames(p, t)) for p in
                 gamma.momenta(*_frame_samples(grid, t, u)))
-    if single:
-        return CauchyState(t[0], u[0], p_t[0], p_x[0])
     return CauchyState(t, u, p_t, p_x)
 
 
@@ -490,7 +487,7 @@ def hj_lift_solution_check(H, gamma, grid, times, u_frames, rng=None):
     for block in frame_blocks(grid, len(idx)):
         frames = take_frames(lifted, idx[block])
         data = _state_pairing_data(H, grid, frames)
-        d = {key: _sample_frames(value, len(frames.t)) for key, value in
+        d = {key: _sample_frames(value, frames.t) for key, value in
              gamma.partials(*_frame_samples(grid, frames.t,
                                             frames.u)).items()}
         c_dot = TangentVariation(1.0, *(v[block] for v in velocities))

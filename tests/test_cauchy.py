@@ -416,6 +416,26 @@ def unit(grid, j):
     return out
 
 
+def test_pairing_refuses_variations_that_do_not_fit_the_state():
+    # variations on 8 nodes at a state on 16, and a dp_x of another m:
+    # numpy's "operands could not be broadcast together" before
+    g = make_grid(16)
+    rng = np.random.default_rng(4)
+    state = CauchyState(0.0, rng.normal(size=(1, 16)),
+                        rng.normal(size=(1, 16)), rng.normal(size=(1, 1, 16)))
+    fit = random_smooth_variation(g, 1, rng, vertical=False, count=3)
+    off = random_smooth_variation(make_grid(8), 1, rng, vertical=False,
+                                  count=3)
+    wide = dataclasses.replace(fit, dp_x=np.ones((3, 1, 2, 16)))
+    for X, Y, name, shape in ((off, off, "u", 8), (fit, off, "u", 8),
+                              (fit, wide, "p_x", 16)):
+        for pair in ((X, Y), (take_frames(X, 0), take_frames(Y, 1))):
+            with pytest.raises(ModelError, match=rf"^variations of shape "
+                               rf"\(1, .*{shape}\) do not fit {name} of "
+                               rf"shape \(1, (1, )?16\)$"):
+                presymplectic_pairing(kg_hamiltonian(), g, state, *pair)
+
+
 # -- trajectory residual -------------------------------------------------------
 
 def test_trajectory_residual_exact_constant_solution():

@@ -1,10 +1,11 @@
+import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from dedonder_hj.cauchy import (CauchyState, TangentVariation, make_grid,
-                                random_smooth_variation,
+from dedonder_hj.cauchy import (CauchyState, GridError, TangentVariation,
+                                make_grid, random_smooth_variation,
                                 recover_spatial_momenta, run_simulation,
                                 spatial_derivative, take_frames)
 from dedonder_hj.cotangent import (ConstraintError, CotangentState,
@@ -13,7 +14,7 @@ from dedonder_hj.cotangent import (ConstraintError, CotangentState,
                                    extended_form_pairing, hat_gamma,
                                    instantaneous_hamiltonian, omega_pairing,
                                    pullback_identity_residual, push_variation,
-                                   restriction_map_R,
+                                   restriction_map_R, solve_time_velocity,
                                    standard_cotangent_variations,
                                    time_legendre_constraint_residual,
                                    variational_derivative)
@@ -469,3 +470,79 @@ def test_hat_gamma_annihilates_extended_form():
             xi = CotangentVariation(0.0, rng.normal(size=(1, 16)),
                                     rng.normal(size=(1, 16)))
             assert abs(extended_form_pairing(L, g, cs, X, xi)) <= 1e-12
+
+
+# -- arguments that do not fit ------------------------------------------------------
+
+@pytest.mark.parametrize("t, u_shape, pi_shape, shapes", [
+    (np.zeros(3), (1, 1, 8), (1, 1, 8), "(F, n, N) for t of shape (3,)"),
+    (np.zeros(2), (3, 1, 8), (3, 1, 8), "(F, n, N) for t of shape (2,)"),
+    (0.0, (1, 8), (1, 7), "(n, N)")],
+    ids=["three-times-one-frame", "two-times-three-frames", "short-pi"])
+def test_time_velocity_refuses_mis_shaped_arguments(t, u_shape, pi_shape,
+                                                    shapes):
+    # numpy's "cannot reshape array of size 8 into shape (1,24)" before;
+    # the short pi came back as a (1, 7) u_t once one frame was its own
+    # frame shape
+    L, _ = kg()
+    with pytest.raises(ModelError, match=re.escape(
+            f"u and pi must share a shape {shapes}, got {u_shape} and "
+            f"{pi_shape}")):
+        solve_time_velocity(L, make_grid(8), t, np.ones(u_shape),
+                            np.ones(pi_shape))
+
+
+def test_time_velocity_of_a_nan_pi_is_nan():
+    L, _ = kg()
+    pi = np.ones((1, 8))
+    pi[0, 3] = np.nan
+    u_t = solve_time_velocity(L, make_grid(8), 0.0, np.ones((1, 8)), pi)
+    assert np.isnan(u_t[0, 3])
+
+
+def off_state_variations(seed):
+    """A state on the constraint on 16 nodes, a stack of 3 variations that
+    fit it, and 3 on 8 nodes: the stacks and their first rows."""
+    g = make_grid(16)
+    rng = np.random.default_rng(seed)
+    fit, off = (random_smooth_variation(grid, 1, rng, vertical=False,
+                                        count=3)
+                for grid in (g, make_grid(8)))
+    pairs = [(off, off), (fit, off), (off, fit)]
+    return g, constraint_state(g), pairs + [
+        (take_frames(X, 0), take_frames(Y, 0)) for X, Y in pairs]
+
+
+# numpy's "operands could not be broadcast together with shapes (1,16)
+# (1,8)" before, single or stacked
+OFF = r"^variations of shape \(1, (8|16)\) do not fit (u|du) of shape "
+
+
+def test_omega_pairing_refuses_a_variation_that_does_not_fit():
+    g, _, pairs = off_state_variations(1)
+    for X, Y in pairs:
+        pX, pY = push_variation(X), push_variation(Y)
+        if pX.du.shape == pY.du.shape:
+            # both off the grid: the quadrature refuses them
+            with pytest.raises(GridError):
+                omega_pairing(g, pX, pY)
+        else:
+            with pytest.raises(ModelError, match=OFF):
+                omega_pairing(g, pX, pY)
+
+
+def test_extended_pairing_refuses_variations_off_the_state():
+    L, _ = wave()
+    g, state, pairs = off_state_variations(2)
+    for X, Y in pairs:
+        with pytest.raises(ModelError, match=OFF + r"\(1, 16\)$"):
+            extended_form_pairing(L, g, restriction_map_R(state),
+                                  push_variation(X), push_variation(Y))
+
+
+def test_pullback_identity_refuses_variations_off_the_state():
+    L, H = wave()
+    g, state, pairs = off_state_variations(3)
+    for X, Y in pairs:
+        with pytest.raises(ModelError, match=OFF + r"\(1, 16\)$"):
+            pullback_identity_residual(L, H, g, state, X, Y)

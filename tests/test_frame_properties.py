@@ -8,10 +8,12 @@ residual) and the section lift take F stacked frames and evaluate the
 model once over all F N frame-nodes. For the built-in models with m in
 {0, 1} and n in {1, 2}, and F around the block size (16 frames at
 N = 128), a call on all F frames and the calls on the blocks of
-``cauchy.frame_blocks`` must equal the F = 1 calls frame by frame, bit
-for bit; so must the stacked lift against the lifts of single frames, and
-the split, contraction and pullback residuals of the lift check against
-its frame-by-frame form, with the oscillator and linear sections. A
+``cauchy.frame_blocks`` must equal the single-state calls frame by frame,
+bit for bit, a single state being frame shape (), not a stack of one, with
+its per-frame type (a float, or arrays without a frame axis); so must the
+stacked lift against the lifts of single frames, and the split,
+contraction and pullback residuals of the lift check against its
+frame-by-frame form, with the oscillator and linear sections. A
 value-only model solves each block's velocities with one Newton
 iteration count, so its results may move within the finite-difference
 noise floor. Stacks that are not finite, are mis-shaped or do not fit
@@ -137,6 +139,39 @@ def test_stacked_frames_match_frame_by_frame(case):
     F = len(case[3])
     for blocks in ([slice(0, F)], frame_blocks(case[2], F)):
         assert stacked(*case, blocks).tobytes() == single.tobytes()
+
+
+@PROPERTY
+@given(framed_runs())
+def test_single_state_is_its_row_of_the_stack(case):
+    # one frame is frame shape (), not a stack of one: each call at
+    # take_frames(stack, f) gives row f of the stacked call, bit for bit,
+    # with the per-frame type. The energy, the constraint distance and the
+    # lift are compared bit for bit above, so only their types are here.
+    L, H, grid, states, _, _ = case
+    frames = stack(states)
+    gamma = linear_gamma(L.dims, 0.5, c=0.2)
+    data = _state_pairing_data(H, grid, frames)
+    u_t = solve_time_velocity(L, grid, frames.t, frames.u, frames.p_t)
+    dh = variational_derivative(L, grid, restriction_map_R(frames))
+    for f in range(len(states)):
+        one = take_frames(frames, f)
+        for rows, single in (
+                (data, _state_pairing_data(H, grid, one)),
+                ((u_t,), (solve_time_velocity(L, grid, one.t, one.u,
+                                              one.p_t),)),
+                (dh, variational_derivative(L, grid, restriction_map_R(one)))):
+            assert len(single) == len(rows)
+            for row, value in zip(rows, single):
+                assert value.shape == row.shape[1:]
+                assert value.tobytes() == row[f].tobytes()
+        assert type(instantaneous_hamiltonian(
+            L, grid, restriction_map_R(one))) is float
+        assert type(time_legendre_constraint_residual(L, grid, one)) is float
+        lifted = lift_by_gamma(gamma, one.t, grid, one.u)
+        assert type(lifted) is CauchyState and type(lifted.t) is float
+        assert [a.ndim for a in (lifted.u, lifted.p_t, lifted.p_x)] \
+            == [2, 2, 3]
 
 
 @PROPERTY
