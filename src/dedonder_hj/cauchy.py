@@ -25,12 +25,11 @@ above, which is what the trajectory residual measures.
 """
 
 import numbers
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .legendre import _solve_nodewise
-from .models import DedonderError, ModelError
+from .models import DedonderError, ModelError, Record
 
 #: power iterations of :func:`rhs_spectral_radius`
 RHS_POWER_ITERATIONS = 30
@@ -57,8 +56,7 @@ class BlowupError(DedonderError, RuntimeError):
     exit_code = 3
 
 
-@dataclass(frozen=True)
-class CauchyGrid:
+class CauchyGrid(Record):
     """Uniform periodic grid on a circle of length ``length`` (m = 1) or a
     single point with unit weight (m = 0)."""
     m: int
@@ -124,8 +122,7 @@ def gradient_fields(grid, values):
     return spatial_derivative(grid, values)[..., None, :][..., :grid.m, :]
 
 
-@dataclass(frozen=True)
-class CauchyState:
+class CauchyState(Record):
     """Time value plus per-node fields (u, p_t, p_x); or F frames, with t
     of shape (F,) and each field on a leading frame axis, as
     :func:`run_simulation` returns them."""
@@ -205,8 +202,8 @@ def take_frames(frames, index):
     if getattr(frames, "indicators", False):
         raise ModelError("cannot take rows of a test set")
     try:
-        return type(frames)(*(getattr(frames, f.name)[index] for f in
-                              fields(frames) if f.name != "indicators"))
+        return type(frames)(*(getattr(frames, name)[index] for name in
+                              frames._fields if name != "indicators"))
     except IndexError as exc:
         raise ModelError(f"cannot take frames {index}: {exc}") from exc
 
@@ -255,8 +252,7 @@ def _sample_frames(values, t):
         (len(lead), *range(len(lead)), len(lead) + 1))
 
 
-@dataclass(frozen=True)
-class TangentVariation:
+class TangentVariation(Record):
     """Tangent vector to the Cauchy data space: time component k plus
     vertical per-node components; or a stack of S of them, k of shape (S,)
     and every component on the same leading axis. A stack used as a test
@@ -280,21 +276,25 @@ class TangentVariation:
 def _variation_parts(X):
     """The per-node components of a variation of either space: its fields
     after k, up to the ``indicators`` flag."""
-    return [getattr(X, f.name) for f in fields(X)[1:-1]]
+    return [getattr(X, name) for name in X._fields[1:-1]]
 
 
 def _check_variation(X):
     """Convert k and the per-node components of a variation to float
     arrays in place."""
-    for f in fields(X)[:-1]:
-        object.__setattr__(X, f.name,
-                           np.asarray(getattr(X, f.name), dtype=float))
+    for name in X._fields[:-1]:
+        object.__setattr__(X, name, np.asarray(getattr(X, name), dtype=float))
 
 
 def _check_fit(state, names, *variations):
     """Refuse (ModelError) variations of either space, single or stacked,
     whose per-node components are not shaped as one frame of the fields
-    ``names`` of ``state``, in their order; shapes only."""
+    ``names`` of ``state``, in their order, and stacks of different
+    lengths among them; shapes only."""
+    lengths = sorted({len(X.k) for X in variations if np.ndim(X.k)})
+    if len(lengths) > 1:
+        raise ModelError(f"stacks of {lengths[0]} and {lengths[-1]} "
+                         f"variations cannot be paired")
     for X in variations:
         lead = np.ndim(X.k)
         for name, Y in zip(names, _variation_parts(X)):

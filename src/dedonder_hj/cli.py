@@ -12,7 +12,6 @@ digits by default) and runs are deterministic for a fixed seed.
 import argparse
 import os
 import sys
-from dataclasses import replace
 from itertools import chain, islice, repeat
 
 import numpy as np
@@ -29,7 +28,7 @@ from .hj import (check_compatibility, evolve_characteristics,
                  gamma_closedness_residual, hj_lift_solution_check,
                  hj_residual, lift_by_gamma, reduced_connection)
 from .legendre import flatness_residual
-from .models import DedonderError
+from .models import DedonderError, replace
 from .scenario import (ScenarioError, build_gamma, build_grid, build_model,
                        check_stability, exact_solution, hamiltonian_for,
                        initial_fields, initial_state, parse_scenario)

@@ -19,8 +19,6 @@ trajectory equations equivalent to
     du/dt = dh/dpi,    dpi/dt = -dh/du.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cauchy import (_check_fit, _check_nodes, _check_shapes, _check_state,
@@ -31,7 +29,7 @@ from .cauchy import (_check_fit, _check_nodes, _check_shapes, _check_state,
                      presymplectic_pairing, spatial_derivative, take_frames)
 from .hj import lift_by_gamma
 from .legendre import _solve_nodewise
-from .models import RefusedResidual
+from .models import Record, RefusedResidual
 
 
 class ConstraintError(RefusedResidual):
@@ -39,8 +37,7 @@ class ConstraintError(RefusedResidual):
     what = "state off the momentum constraint"
 
 
-@dataclass(frozen=True)
-class CotangentState:
+class CotangentState(Record):
     """Time value plus per-node fields (u, pi); or F frames, with t of
     shape (F,) and each field on a leading frame axis."""
     t: float
@@ -51,8 +48,7 @@ class CotangentState:
         _check_state(self, ("u", "pi"))
 
 
-@dataclass(frozen=True)
-class CotangentVariation:
+class CotangentVariation(Record):
     """Tangent vector to the cotangent data space, or a stack of S of
     them, as :class:`cauchy.TangentVariation`."""
     k: float
@@ -127,8 +123,8 @@ def variational_derivative(L, grid, cs):
 def omega_pairing(grid, X, Y):
     """Canonical pairing: quadrature of X_u Y_pi - X_pi Y_u. The time
     components do not enter. Refuses (ModelError) a Y that does not fit
-    X."""
-    _check_fit(X, ("du", "dpi"), Y)
+    X, and stacks X and Y of different lengths."""
+    _check_fit(X, ("du", "dpi"), X, Y)
     integrand = np.sum(X.du * Y.dpi - X.dpi * Y.du, axis=-2)
     return integrate_density(grid, integrand)
 

@@ -24,8 +24,6 @@ first-order system, which `hj_lift_solution_check` certifies through the
 Cauchy-space pairing residuals.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cauchy import (CauchyState, TangentVariation,
@@ -37,8 +35,8 @@ from .cauchy import (CauchyState, TangentVariation,
                      random_smooth_variation, standard_test_variations,
                      take_frames)
 from .legendre import ConnectionCoefficients
-from .models import (DedonderError, ModelError, RefusedResidual,
-                     central_difference)
+from .models import (DedonderError, ModelError, Record, RefusedResidual,
+                     _check_samples, central_difference)
 
 
 class GammaDomainError(DedonderError, ValueError):
@@ -233,8 +231,7 @@ def gamma_family(name, dims, params=None):
 
 # -- verification residuals ---------------------------------------------------
 
-@dataclass
-class ClosednessResidual:
+class ClosednessResidual(Record):
     """Exterior-derivative components of the section, sample axis first."""
     symmetry_t: np.ndarray    # (P, n, n): d(gamma_pt_a)/du_b antisymmetrized
     symmetry_x: np.ndarray    # (P, m, n, n)
@@ -257,7 +254,8 @@ def gamma_closedness_residual(gamma, t, x=None, u=None):
     u (n, P), one evaluation of the section partials covers all P samples;
     a scalar t with x (m,) and u (n,) is one sample (P = 1). Called as
     ``(gamma, samples)`` with a list of (t, x, u) points, the points are
-    stacked along the sample axis.
+    stacked along the sample axis. Samples of other shapes are refused
+    (ModelError).
     """
     n, m = gamma.dims.n, gamma.dims.m
     if x is None:
@@ -265,8 +263,7 @@ def gamma_closedness_residual(gamma, t, x=None, u=None):
         t = np.array([p[0] for p in points], dtype=float)
         x = np.array([p[1] for p in points], dtype=float).reshape(len(t), m).T
         u = np.array([p[2] for p in points], dtype=float).reshape(len(t), n).T
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
+    x, u = _check_samples(gamma.dims, t, x, u)
     P = u[0].size
 
     def samples_first(a):
@@ -297,12 +294,12 @@ def hj_residual(H, gamma, t, x, u):
     t, x and u may carry a trailing sample axis: t (P,), x (m, P),
     u (n, P) give a residual of shape (n, P), evaluated with one call to
     each section and Hamiltonian partial; a scalar t with x (m,) and u (n,)
-    gives one point's (n,). Zero together with closedness certifies the
-    section as a solution of the Hamilton-Jacobi condition for H.
+    gives one point's (n,). Samples of other shapes are refused
+    (ModelError). Zero together with closedness certifies the section as a
+    solution of the Hamilton-Jacobi condition for H.
     """
     _check_pair(H, gamma)
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
+    x, u = _check_samples(gamma.dims, t, x, u)
     args = (t, x, u) + gamma.momenta(t, x, u)
     h_u = H.d_u(*args)
     h_pt = H.d_pt(*args)
@@ -444,8 +441,7 @@ def _lift_with(d, k, du):
     return TangentVariation(k, du, dpt, dpx)
 
 
-@dataclass
-class HJLiftReport:
+class HJLiftReport(Record):
     """Residual classes of a lifted characteristic trajectory."""
     compatibility_residual: float
     split_residual: float         # field-equation residual of the lifted curve

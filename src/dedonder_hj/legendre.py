@@ -9,14 +9,14 @@ bundle.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .models import (DEFAULT_FD_STEP, DedonderError, ExtendedMomentumSample,
-                     HamiltonianModel, JetSample, ModelError,
+                     HamiltonianModel, JetSample, ModelError, Record,
                      ReducedMomentumSample, _analytic_or_difference,
-                     central_difference, pack_velocities, unpack_velocities)
+                     _check_samples, central_difference, pack_velocities,
+                     unpack_velocities)
 
 REGULARITY_TOL = 1e-10
 NEWTON_TOL = 1e-12
@@ -49,8 +49,7 @@ def legendre_reduced(L, jet):
     return legendre_extended(L, jet).reduced()
 
 
-@dataclass
-class RegularityReport:
+class RegularityReport(Record):
     determinant: float
     condition: float
     is_regular: bool
@@ -377,8 +376,7 @@ def legendre_transform_section(L, section):
     return MomentumSection(L.dims, *map(field, range(6)))
 
 
-@dataclass
-class HdwSectionResidual:
+class HdwSectionResidual(Record):
     """Residuals of the first-order Hamiltonian field equations along a
     momentum section: ``gradient`` holds du^a/dx^i - dH/dp^i_a over all
     base slots (time first), ``divergence`` holds
@@ -455,11 +453,11 @@ def flatness_residual(connection, t, x, u):
 
     with i, j over (t, x^1..x^m), shape (n, m+1, m+1, ...). t, x and u may
     carry a trailing sample axis (t (P,), x (m, P), u (n, P)), evaluated
-    in one call to the coefficients and their partials. Antisymmetric in
-    (i, j); the connection is flat iff the residual vanishes.
+    in one call to the coefficients and their partials; samples of other
+    shapes are refused (ModelError). Antisymmetric in (i, j); the
+    connection is flat iff the residual vanishes.
     """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
+    x, u = _check_samples(connection.dims, t, x, u)
     G = connection.coefficients(t, x, u)            # (n, m+1, ...)
     P = connection.partials(t, x, u)
     # D[a, i, j] = d_i Gamma^a_j and B[a, i, j] = Gamma^b_i d_{u^b} Gamma^a_j

@@ -20,8 +20,6 @@ a function that does not depend on t. There is no first partial in t:
 the pairings never read one, since their k_X k_Y dH/dt legs cancel.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DEFAULT_FD_STEP = 1e-5
@@ -52,8 +50,79 @@ class RefusedResidual(DedonderError, RuntimeError):
         self.residual, self.tol = residual, tol
 
 
-@dataclass(frozen=True)
-class Dimensions:
+class Record:
+    """Base of the package's records. The annotated names of a subclass
+    are its fields, and a class-level value of a field is its default.
+    ``__init__`` binds positional and keyword values to the fields and
+    then calls ``__post_init__``, which may convert them with
+    ``object.__setattr__``; after that a record refuses assignment and
+    deletion, and it compares, hashes and prints over its fields in
+    order."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        names = cls._fields
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} fields, "
+                            f"got {len(args)} positional values")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name in values:
+                raise TypeError(f"{cls.__name__}() got multiple values for "
+                                f"field {name!r}")
+            if name not in names:
+                raise TypeError(f"{cls.__name__}() got an unexpected field "
+                                f"{name!r}")
+            values[name] = value
+        for name in names[len(args):]:
+            if name not in values:
+                if name not in cls.__dict__:
+                    raise TypeError(f"{cls.__name__}() missing field "
+                                    f"{name!r}")
+                values[name] = cls.__dict__[name]
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an "
+                             f"immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an "
+                             f"immutable {type(self).__name__}")
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
+
+
+def replace(record, **changes):
+    """A new record of the type of ``record`` with the fields named in
+    ``changes`` replaced; it is built by ``__init__``, so its
+    ``__post_init__`` runs again."""
+    return type(record)(**{**{name: getattr(record, name)
+                              for name in record._fields}, **changes})
+
+
+class Dimensions(Record):
     """m spatial base dimensions plus time, n field components."""
     m: int
     n: int
@@ -70,6 +139,23 @@ class Dimensions:
         return self.n * (self.m + 1)
 
 
+def _check_samples(dims, t, x, u):
+    """x and u as float arrays; refuses (ModelError) pointwise samples
+    shaped neither as one point, t a scalar, x (m,) and u (n,), nor as P
+    points on a trailing axis, t a scalar or (P,), x (m, P) and u (n, P),
+    for the m and n of ``dims``. Shapes only."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    tail = u.shape[1:]
+    if len(tail) > 1 or u.shape[:1] != (dims.n,) \
+            or x.shape != (dims.m,) + tail or np.shape(t) not in ((), tail):
+        raise ModelError(f"samples must be t () or (P,), x (m,) or (m, P) "
+                         f"and u (n,) or (n, P) for m = {dims.m}, "
+                         f"n = {dims.n} and one P, got t {np.shape(t)}, "
+                         f"x {x.shape} and u {u.shape}")
+    return x, u
+
+
 def _as_field(a, shape, name):
     out = np.asarray(a, dtype=float)
     if out.shape != shape:
@@ -79,8 +165,7 @@ def _as_field(a, shape, name):
     return out
 
 
-@dataclass(frozen=True)
-class JetSample:
+class JetSample(Record):
     """First-order jet data (t, x, u, u_t, u_x) at a single base point."""
     t: float
     x: np.ndarray
@@ -100,8 +185,7 @@ class JetSample:
             raise ModelError("t is not finite")
 
 
-@dataclass(frozen=True)
-class ExtendedMomentumSample:
+class ExtendedMomentumSample(Record):
     """Extended momentum data (t, x, u, p, p_t, p_x); p is the affine slot."""
     t: float
     x: np.ndarray
@@ -127,8 +211,7 @@ class ExtendedMomentumSample:
                                      self.p_x, self.dims)
 
 
-@dataclass(frozen=True)
-class ReducedMomentumSample:
+class ReducedMomentumSample(Record):
     """Reduced momentum data (t, x, u, p_t, p_x)."""
     t: float
     x: np.ndarray

@@ -31,7 +31,6 @@ errors carry the file path and line number of the offending key.
 """
 
 import os
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -40,7 +39,7 @@ from .cauchy import (MIN_CHECKED_FRAMES, CauchyState, make_grid,
                      recover_spatial_momenta, rhs_spectral_radius)
 from .hj import GAMMA_FAMILIES, gamma_family
 from .legendre import hamiltonian_from_lagrangian
-from .models import (BUILTIN_MODEL_NAMES, DedonderError, ModelError,
+from .models import (BUILTIN_MODEL_NAMES, DedonderError, ModelError, Record,
                      builtin_model)
 
 INITIAL_FAMILIES = ("constant", "sine", "traveling_wave", "custom_table")
@@ -54,8 +53,7 @@ class ScenarioError(DedonderError, ValueError):
     """Malformed or invalid scenario configuration."""
 
 
-@dataclass
-class Scenario:
+class Scenario(Record):
     path: str
     model_name: str
     model_params: dict

@@ -11,8 +11,6 @@ stated and fails honestly; the second-order convergence half of the
 criterion passes.
 """
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
@@ -80,8 +78,8 @@ def stack(states):
     """One state of the F frames ``states``, t of shape (F,) and each field
     on a leading frame axis."""
     cls = type(states[0])
-    return cls(*(np.array([getattr(s, f.name) for s in states])
-                 for f in fields(cls)))
+    return cls(*(np.array([getattr(s, name) for s in states])
+                 for name in cls._fields))
 
 
 def exact_wave_state_dot(grid, t):

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import os
 import sys
 
@@ -17,7 +16,8 @@ from dedonder_hj.cauchy import (BlowupError, CauchyState, GridError,
                                 step_rk4, take_frames, time_derivative_frames)
 from dedonder_hj.legendre import NEWTON_TOL, hamiltonian_from_lagrangian
 from dedonder_hj.models import (Dimensions, HamiltonianModel,
-                                LagrangianModel, ModelError, builtin_model)
+                                LagrangianModel, ModelError, builtin_model,
+                                replace)
 
 TWO_PI = 2.0 * np.pi
 
@@ -426,7 +426,7 @@ def test_pairing_refuses_variations_that_do_not_fit_the_state():
     fit = random_smooth_variation(g, 1, rng, vertical=False, count=3)
     off = random_smooth_variation(make_grid(8), 1, rng, vertical=False,
                                   count=3)
-    wide = dataclasses.replace(fit, dp_x=np.ones((3, 1, 2, 16)))
+    wide = replace(fit, dp_x=np.ones((3, 1, 2, 16)))
     for X, Y, name, shape in ((off, off, "u", 8), (fit, off, "u", 8),
                               (fit, wide, "p_x", 16)):
         for pair in ((X, Y), (take_frames(X, 0), take_frames(Y, 1))):
@@ -434,6 +434,24 @@ def test_pairing_refuses_variations_that_do_not_fit_the_state():
                                rf"\(1, .*{shape}\) do not fit {name} of "
                                rf"shape \(1, (1, )?16\)$"):
                 presymplectic_pairing(kg_hamiltonian(), g, state, *pair)
+
+
+def test_pairing_refuses_stacks_of_different_lengths():
+    # stacks of 3 and 2: numpy's "operands could not be broadcast together
+    # with shapes (3,16) (2,1)" before
+    g = make_grid(16)
+    rng = np.random.default_rng(5)
+    state = CauchyState(0.0, rng.normal(size=(1, 16)),
+                        rng.normal(size=(1, 16)), rng.normal(size=(1, 1, 16)))
+    X, Y = (random_smooth_variation(g, 1, rng, vertical=False, count=S)
+            for S in (3, 2))
+    for pair in ((X, Y), (Y, X)):
+        with pytest.raises(ModelError, match=r"^stacks of 2 and 3 "
+                           r"variations cannot be paired$"):
+            presymplectic_pairing(kg_hamiltonian(), g, state, *pair)
+    # a single variation against a stack still pairs with each row
+    assert presymplectic_pairing(kg_hamiltonian(), g, state,
+                                 take_frames(X, 0), Y).shape == (2,)
 
 
 # -- trajectory residual -------------------------------------------------------
@@ -878,7 +896,7 @@ def test_replaced_state_recovers_afresh(model):
     H = reuse_model(model)
     g, s = reuse_start(H)
     s = step_rk4(H, g, s, 1e-3)
-    perturbed = dataclasses.replace(s, p_x=s.p_x + 0.3)
+    perturbed = replace(s, p_x=s.p_x + 0.3)
     assert_same_bits(step_rk4(H, g, perturbed, 1e-3),
                      step_rk4(H, g, s, 1e-3))
 

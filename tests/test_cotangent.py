@@ -1,5 +1,4 @@
 import re
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -41,8 +40,8 @@ def stack(states):
     """One state of the F frames ``states``, t of shape (F,) and each field
     on a leading frame axis."""
     cls = type(states[0])
-    return cls(*(np.array([getattr(s, f.name) for s in states])
-                 for f in fields(cls)))
+    return cls(*(np.array([getattr(s, name) for s in states])
+                 for name in cls._fields))
 
 
 def exact_wave_cotangent(grid, t):
@@ -546,3 +545,47 @@ def test_pullback_identity_refuses_variations_off_the_state():
     for X, Y in pairs:
         with pytest.raises(ModelError, match=OFF + r"\(1, 16\)$"):
             pullback_identity_residual(L, H, g, state, X, Y)
+
+
+def uneven_stacks(seed):
+    """A state on the constraint on 16 nodes and stacks of 3 and of 2
+    variations that fit it."""
+    g = make_grid(16)
+    rng = np.random.default_rng(seed)
+    X, Y = (random_smooth_variation(g, 1, rng, vertical=False, count=S)
+            for S in (3, 2))
+    return g, constraint_state(g), X, Y
+
+
+# numpy's "operands could not be broadcast together" before, with shapes
+# (3,1,16) (2,1,16) in omega_pairing and (3,) (2,) in the other two
+UNEVEN = r"^stacks of 2 and 3 variations cannot be paired$"
+
+
+def test_omega_pairing_refuses_stacks_of_different_lengths():
+    g, _, X, Y = uneven_stacks(6)
+    pX, pY = push_variation(X), push_variation(Y)
+    with pytest.raises(ModelError, match=UNEVEN):
+        omega_pairing(g, pX, pY)
+    # a single variation against a stack still pairs with each row
+    assert omega_pairing(g, take_frames(pX, 0), pY).shape == (2,)
+
+
+def test_extended_pairing_refuses_stacks_of_different_lengths():
+    L, _ = wave()
+    g, state, X, Y = uneven_stacks(7)
+    cs, pX, pY = restriction_map_R(state), push_variation(X), \
+        push_variation(Y)
+    with pytest.raises(ModelError, match=UNEVEN):
+        extended_form_pairing(L, g, cs, pX, pY)
+    assert extended_form_pairing(L, g, cs, pX, take_frames(pY, 1)).shape \
+        == (3,)
+
+
+def test_pullback_identity_refuses_stacks_of_different_lengths():
+    L, H = wave()
+    g, state, X, Y = uneven_stacks(8)
+    with pytest.raises(ModelError, match=UNEVEN):
+        pullback_identity_residual(L, H, g, state, X, Y)
+    assert pullback_identity_residual(L, H, g, state, take_frames(X, 2),
+                                      Y).shape == (2,)

@@ -79,3 +79,13 @@ def test_rss_probe_marks_each_command(tmp_path):
     assert run.stdout.count("exit 0, numpy.random") == 4
     assert "simulate_steps (simulate, seed 3, small): exit 0, numpy.random " \
         "not loaded" in run.stdout
+
+
+def test_import_probe_times_both_modes(tmp_path):
+    # the probe exits 1 when an interpreter fails
+    run = run_script(ROOT / "tools" / "import_probe.py", tmp_path,
+                     "--rounds", "2")
+    assert run.returncode == 0, run.stdout + run.stderr[-2000:]
+    for mode in ("compiled", "cached"):
+        assert f"{mode}  " in run.stdout
+    assert "dedonder_hj.models" in run.stdout

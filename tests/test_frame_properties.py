@@ -21,7 +21,7 @@ noise floor. Stacks that are not finite, are mis-shaped or do not fit
 library's own errors.
 """
 
-from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,7 +49,8 @@ from dedonder_hj.hj import (_lift_with, hj_lift_solution_check,
                             lift_by_gamma, linear_gamma, oscillator_gamma)
 from dedonder_hj.legendre import NEWTON_TOL, hamiltonian_from_lagrangian
 from dedonder_hj.models import (DedonderError, HamiltonianModel,
-                                LagrangianModel, ModelError, builtin_model)
+                                LagrangianModel, ModelError, builtin_model,
+                                replace)
 
 BUILTINS = [("free_wave", {}), ("klein_gordon", {"mass": 0.7}),
             ("scalar_potential", {"mass": 0.5, "potential": (0.0, 0.2, 0.3)}),
@@ -65,6 +66,11 @@ FRAME_COUNTS = [5, 16, 17, 33]
 VALUE_ONLY_TOL = 1e-8
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def fields(record):
+    """The fields of a record in order, each with its ``name``."""
+    return [SimpleNamespace(name=name) for name in record._fields]
 
 
 def value_only(model):

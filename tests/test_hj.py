@@ -132,6 +132,48 @@ def test_hj_residual_oscillator_on_klein_gordon():
         assert abs(res[0]) <= 1e-12
 
 
+def mis_shaped_samples(case):
+    """The call of one verification function on samples of an n = 1,
+    m = 1 section that are mis-shaped as ``case`` says, 4 samples else."""
+    H, og = kg_H(1.0), oscillator_gamma(M1, omega=1.0)
+    t, x, u = np.linspace(0.1, 0.4, 4), np.full((1, 4), 0.3), np.ones((1, 4))
+    calls = {
+        "hj u of 2 rows": lambda: hj_residual(H, og, t, x, np.ones((2, 4))),
+        "hj x of 2 rows": lambda: hj_residual(H, og, t, np.ones((2, 4)), u),
+        "hj t of 3": lambda: hj_residual(H, og, t[:3], x, u),
+        "closedness u of 2 rows": lambda: gamma_closedness_residual(
+            og, t, x, np.ones((2, 4))),
+        "closedness t of 3": lambda: gamma_closedness_residual(og, t[:3], x,
+                                                               u),
+        "flatness u of 2 rows": lambda: flatness_residual(
+            reduced_connection(H, og), t, x, np.ones((2, 4)))}
+    return calls[case]
+
+
+@pytest.mark.parametrize("case", [
+    "hj u of 2 rows",            # returned a (2, 4) array
+    "hj x of 2 rows",            # returned a result
+    "hj t of 3",                 # numpy's ValueError
+    "closedness u of 2 rows",    # returned a ClosednessResidual
+    "closedness t of 3",         # numpy's ValueError
+    "flatness u of 2 rows"])     # numpy's "all the input array dimensions"
+def test_verification_functions_refuse_mis_shaped_samples(case):
+    with pytest.raises(ModelError, match=r"^samples must be t \(\) or "
+                       r"\(P,\), .* for m = 1, n = 1 and one P, got t "):
+        mis_shaped_samples(case)()
+
+
+def test_verification_functions_take_a_scalar_t_over_samples():
+    # the grid form of the section: one t, x and u on a trailing axis
+    H, og = kg_H(1.0), oscillator_gamma(M1, omega=1.0)
+    x, u = np.full((1, 4), 0.3), np.ones((1, 4))
+    assert hj_residual(H, og, 0.2, x, u).shape == (1, 4)
+    assert gamma_closedness_residual(og, 0.2, x, u).per_sample().shape \
+        == (4,)
+    assert flatness_residual(reduced_connection(H, og), 0.2, x, u).shape \
+        == (1, 2, 2, 4)
+
+
 # -- induced connection ----------------------------------------------------------
 
 def test_reduced_connection_values():

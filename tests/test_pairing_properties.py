@@ -10,7 +10,7 @@ same lift, pairings, pushforward and restriction identity called one pair
 at a time.
 """
 
-from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,7 +38,8 @@ from dedonder_hj.hj import (_lift_with, lift_by_gamma, linear_gamma,
                             oscillator_gamma)
 from dedonder_hj.legendre import hamiltonian_from_lagrangian
 from dedonder_hj.models import (Dimensions, HamiltonianModel,
-                                LagrangianModel, ModelError, builtin_model)
+                                LagrangianModel, ModelError, builtin_model,
+                                replace)
 
 #: roundoff allowance relative to the scale of the summed terms
 REL_TOL = 1e-13
@@ -48,6 +49,11 @@ BUILTINS = [("free_wave", {}), ("klein_gordon", {"mass": 0.7}),
             ("mechanics_oscillator", {"omega": 1.3})]
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def fields(record):
+    """The fields of a record in order, each with its ``name``."""
+    return [SimpleNamespace(name=name) for name in record._fields]
 
 
 def time_dependent_hamiltonian(n, t_cubed=0.0):

@@ -2,7 +2,6 @@ import errno
 import hashlib
 import os
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from dedonder_hj.cli import main
 from dedonder_hj.scenario import (Scenario, ScenarioError, exact_solution,
                                   initial_fields, parse_scenario)
 from dedonder_hj.cauchy import make_grid
-from dedonder_hj.models import HamiltonianModel, builtin_model
+from dedonder_hj.models import HamiltonianModel, builtin_model, replace
 
 KG_CONSTANT = """
 [model]
