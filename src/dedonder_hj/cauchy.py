@@ -29,7 +29,8 @@ import numbers
 import numpy as np
 
 from .legendre import _solve_nodewise
-from .models import DedonderError, ModelError, Record
+from .models import (DedonderError, GridError, ModelError, Record, Shapes,
+                     _finite)
 
 #: power iterations of :func:`rhs_spectral_radius`
 RHS_POWER_ITERATIONS = 30
@@ -45,10 +46,6 @@ BLOWUP_BOUND = 1e8
 #: samples per batched evaluation: the chunks of verify-hj's mesh, and the
 #: frame-nodes of a block of frames in the residual checks
 VERIFY_CHUNK = 2048
-
-
-class GridError(DedonderError, ValueError):
-    """Bad grid construction or use."""
 
 
 class BlowupError(DedonderError, RuntimeError):
@@ -91,9 +88,8 @@ def make_grid(n_nodes, length=1.0, m=1):
 def spatial_derivative(grid, values):
     """Second-order periodic central difference along the node axis."""
     values = np.asarray(values, dtype=float)
-    if values.shape[-1:] != grid.weights.shape:
-        raise GridError(f"values of shape {values.shape} on a grid of "
-                        f"{grid.n_nodes} nodes")
+    if values.shape[-1:] != grid.weights.shape:   # the contract words it
+        _SHAPES.check(grid, values=values)
     if grid.m == 0:
         return np.zeros_like(values)
     if grid.n_nodes < 3:
@@ -109,8 +105,7 @@ def integrate_density(grid, values):
     """Quadrature sum_j w_j values_j over the node axis."""
     values = np.asarray(values, dtype=float)
     if values.shape[-1:] != grid.weights.shape:
-        raise GridError(f"values of shape {values.shape} on a grid of "
-                        f"{grid.n_nodes} nodes")
+        _SHAPES.check(grid, values=values)
     out = np.sum(values * grid.weights, axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -122,7 +117,29 @@ def gradient_fields(grid, values):
     return spatial_derivative(grid, values)[..., None, :][..., :grid.m, :]
 
 
-class CauchyState(Record):
+#: the fields of states (F frames at t (F,)) and variations (a stack of S),
+#: a pairing's state, velocities and X and Y (one or a stack each, R and T)
+_SHAPES = Shapes(**{
+    "t": "F?", "u": "F? n N", "p_t": "F? n N", "p_x": "F? n m N",
+    "pi": "F? n N", "k": "#S?", "du": "S? n N", "dp_t": "S? n N",
+    "dp_x": "S? n m N", "dpi": "S? n N", "state.u": "F? n N",
+    "state.p_x": "F? n m N", "dot.du": "F? n N", "dot.dp_x": "F? n m N",
+    "X.k": "#S?", "X.du": "R? n N", "X.dp_x": "R? n m N", "Y.k": "#S?",
+    "Y.du": "T? n N", "Y.dp_x": "T? n m N", "values": "... N"})
+
+#: the fields of one frame, all of whose axes a model and a grid bind
+_NODES = Shapes(u="n N", p_t="n N", p_x="n m N")
+
+
+class _Frames(Record):
+    """Base of the states: t a float or (F,), finite fields as `_SHAPES`."""
+
+    def __post_init__(self):
+        _SHAPES.record(self)
+        _finite(self, self._fields)
+
+
+class CauchyState(_Frames):
     """Time value plus per-node fields (u, p_t, p_x); or F frames, with t
     of shape (F,) and each field on a leading frame axis, as
     :func:`run_simulation` returns them."""
@@ -134,9 +151,6 @@ class CauchyState(Record):
     #: (H, grid) under which ``p_x`` is the recovery at (t, u, p_t); set
     #: only by :func:`step_rk4`, so every other state recovers afresh
     _recovered_by = (None, None)
-
-    def __post_init__(self):
-        _check_state(self, ("u", "p_t", "p_x"))
 
     @classmethod
     def _unchecked(cls, t, u, p_t, p_x, recovered_by):
@@ -150,48 +164,6 @@ class CauchyState(Record):
         state.__dict__.update(t=t, u=u, p_t=p_t, p_x=p_x,
                               _recovered_by=recovered_by)
         return state
-
-
-def _check_state(state, names):
-    """Convert and check the fields of a state in place: t a float, or
-    (F,) for F frames; the per-node fields in ``names`` float arrays, the
-    first two of one shape (n, N), or (F, n, N), a third, p_x, of shape
-    (n, m, N) to match, and all finite."""
-    t = np.asarray(state.t, dtype=float)
-    object.__setattr__(state, "t", float(t) if t.ndim == 0 else t)
-    for name in names:
-        object.__setattr__(state, name,
-                           np.asarray(getattr(state, name), dtype=float))
-    if not np.isfinite(t).all():
-        raise ModelError(f"non-finite t {state.t}")
-    u, second = (getattr(state, name) for name in names[:2])
-    _check_shapes(t, u, second, names)
-    if len(names) > 2:
-        axes, sizes = ("F, ", f"{len(t)}, ") if t.ndim else ("", "")
-        p_x = getattr(state, names[2])
-        n, N = u.shape[-2:]
-        if p_x.ndim != u.ndim + 1 or p_x.shape[:-2] != u.shape[:-1] \
-                or p_x.shape[-1] != N:
-            raise ModelError(f"p_x must have shape ({axes}n, m, N) = "
-                             f"({sizes}{n}, m, {N}) for u of shape "
-                             f"{u.shape}, got {p_x.shape}")
-    for name in names:
-        if not np.all(np.isfinite(getattr(state, name))):
-            raise ModelError(f"non-finite field {name}")
-
-
-def _check_shapes(t, u, second, names):
-    """Refuse (ModelError) a t of neither shape () nor (F,), and per-node
-    fields u and ``second``, named ``names``, that are not both (n, N) at
-    a scalar t or both (F, n, N) at t of shape (F,)."""
-    shape = np.shape(t)
-    if len(shape) > 1:
-        raise ModelError(f"t must have shape () or (F,), got {shape}")
-    if u.ndim != len(shape) + 2 or u.shape[:len(shape)] != shape \
-            or second.shape != u.shape:
-        frames = f"(F, n, N) for t of shape {shape}" if shape else "(n, N)"
-        raise ModelError(f"{names[0]} and {names[1]} must share a shape "
-                         f"{frames}, got {u.shape} and {second.shape}")
 
 
 def take_frames(frames, index):
@@ -213,16 +185,6 @@ def frame_blocks(grid, count):
     frame-nodes, and at least one frame each."""
     size = max(1, VERIFY_CHUNK // grid.n_nodes)
     return [slice(lo, lo + size) for lo in range(0, count, size)]
-
-
-def _check_nodes(grid, u, p_x=None):
-    """Refuse (GridError) frames that do not fit the grid: u with another
-    node count, or p_x (..., n, m, N) of another m."""
-    m = grid.m if p_x is None else p_x.shape[-2]
-    if u.shape[-1] != grid.n_nodes or m != grid.m:
-        raise GridError(f"fields on {u.shape[-1]} nodes with m = {m} do "
-                        f"not fit a grid of {grid.n_nodes} nodes with "
-                        f"m = {grid.m}")
 
 
 def _frame_samples(grid, t, *arrays):
@@ -252,7 +214,18 @@ def _sample_frames(values, t):
         (len(lead), *range(len(lead)), len(lead) + 1))
 
 
-class TangentVariation(Record):
+class _Variation(Record):
+    """Base of the variations; ``len`` counts the flagged indicators too."""
+
+    def __post_init__(self):
+        _SHAPES.record(self)
+
+    def __len__(self):
+        return len(self.k) + self.indicators * sum(
+            a[0].size for a in _variation_parts(self))
+
+
+class TangentVariation(_Variation):
     """Tangent vector to the Cauchy data space: time component k plus
     vertical per-node components; or a stack of S of them, k of shape (S,)
     and every component on the same leading axis. A stack used as a test
@@ -265,59 +238,11 @@ class TangentVariation(Record):
     dp_x: np.ndarray   # (n, m, N), or (S, n, m, N)
     indicators: bool = False
 
-    def __post_init__(self):
-        _check_variation(self)
-
-    def __len__(self):
-        return len(self.k) + self.indicators * (2 * self.du[0].size
-                                                + self.dp_x[0].size)
-
 
 def _variation_parts(X):
     """The per-node components of a variation of either space: its fields
     after k, up to the ``indicators`` flag."""
     return [getattr(X, name) for name in X._fields[1:-1]]
-
-
-def _check_variation(X):
-    """Convert k and the per-node components of a variation to float
-    arrays in place."""
-    for name in X._fields[:-1]:
-        object.__setattr__(X, name, np.asarray(getattr(X, name), dtype=float))
-
-
-def _check_fit(state, names, *variations):
-    """Refuse (ModelError) variations of either space, single or stacked,
-    whose per-node components are not shaped as one frame of the fields
-    ``names`` of ``state``, in their order, and stacks of different
-    lengths among them; shapes only."""
-    lengths = sorted({len(X.k) for X in variations if np.ndim(X.k)})
-    if len(lengths) > 1:
-        raise ModelError(f"stacks of {lengths[0]} and {lengths[-1]} "
-                         f"variations cannot be paired")
-    for X in variations:
-        lead = np.ndim(X.k)
-        for name, Y in zip(names, _variation_parts(X)):
-            field = getattr(state, name)
-            if Y.shape[lead:] != field.shape[field.ndim - Y.ndim + lead:]:
-                raise ModelError(f"variations of shape {Y.shape[lead:]} do "
-                                 f"not fit {name} of shape {field.shape}")
-
-
-def _check_fields(dims, what, grid, u, p_t=None, frames=()):
-    """Refuse a model or section ``what`` of dimensions ``dims`` on a grid
-    of another m, and per-node fields u and (when given) p_t that are not
-    (n, N) for its n components and the grid's N nodes, or (F, n, N) for
-    ``frames`` = (F,)."""
-    if dims.m != grid.m:
-        raise GridError(f"{what} is for m = {dims.m}, the grid has "
-                        f"m = {grid.m}")
-    shape = frames + (dims.n, grid.n_nodes)
-    for name, values in (("u", u), ("p_t", p_t)):
-        if values is not None and values.shape != shape:
-            raise GridError(f"{name} must have shape ({'F, ' * len(frames)}"
-                            f"n, N) = {shape} for {what} on {grid.n_nodes} "
-                            f"nodes, got {values.shape}")
 
 
 def recover_spatial_momenta(H, grid, u, p_t=None, t=0.0):
@@ -329,7 +254,7 @@ def recover_spatial_momenta(H, grid, u, p_t=None, t=0.0):
     one, central differences of dH/dp_x otherwise."""
     u = np.asarray(u, dtype=float)
     p_t = np.zeros_like(u) if p_t is None else np.asarray(p_t, dtype=float)
-    _check_fields(H.dims, H.name, grid, u, p_t)
+    _NODES.check(grid, H, u=u, p_t=p_t)
     n, N = u.shape
     if grid.m == 0:
         return np.zeros((n, 0, N))
@@ -392,7 +317,7 @@ def step_rk4(H, grid, state, dt):
     finiteness, which :func:`run_simulation` does after every step."""
     _check_dt(dt)
     t, u, p = state.t, state.u, state.p_t
-    _check_fields(H.dims, H.name, grid, u, p)
+    _NODES.check(grid, H, u=u, p_t=p, p_x=state.p_x)
     H0, grid0 = state._recovered_by
     k1u, k1p, _ = _rhs(H, grid, t, u, p,
                        state.p_x if H0 is H and grid0 is grid else None)
@@ -468,12 +393,11 @@ def run_simulation(H, grid, state0, dt, n_steps, store_every=1):
     :class:`CauchyState` of F frames: every ``store_every``-th, with the
     initial and final states always included. Each step's u and p_t pass
     :func:`_check_peak`. A state0 that does not fit H and the grid is
-    refused (GridError) before any step."""
+    refused before any step."""
     _check_dt(dt)
     _check_count("n_steps", n_steps, 0)
     _check_count("store_every", store_every, 1)
-    _check_fields(H.dims, H.name, grid, state0.u, state0.p_t)
-    _check_nodes(grid, state0.u, state0.p_x)
+    _NODES.check(grid, H, u=state0.u, p_t=state0.p_t, p_x=state0.p_x)
     F = 1 - (-n_steps // store_every)   # 1 + ceil(n_steps / store_every)
     t = np.empty(F)
     u, p_t, p_x = (np.empty((F,) + a.shape)
@@ -497,7 +421,6 @@ def _state_pairing_data(H, grid, state):
     frame axis for F stacked frames; the H partials are evaluated once
     over all frame-nodes."""
     t, u, p_x = state.t, state.u, state.p_x
-    _check_nodes(grid, u, p_x)
     args = _frame_samples(grid, t, u, state.p_t, p_x)
     return tuple(_sample_frames(f(*args), t)
                  for f in (H.d_u, H.d_pt, H.d_px)) \
@@ -525,8 +448,8 @@ def presymplectic_pairing(H, grid, state, X, Y, _data=None):
     antisymmetric by construction. X and Y may also be stacks of S
     variations each: the result is then the (S,) array of the pairings of
     X[s] with Y[s], each equal to its single pairing bit for bit. Refuses
-    (ModelError) variations that do not fit the state."""
-    _check_fit(state, ("u", "p_t", "p_x"), X, Y)
+    variations that do not fit the state."""
+    _SHAPES.check(grid, H, state=state, X=X, Y=Y)
     data = _state_pairing_data(H, grid, state) if _data is None else _data
     k_x, k_y = np.asarray(X.k)[..., None], np.asarray(Y.k)[..., None]
     # grouped so that swapping X and Y negates every floating-point term
@@ -602,19 +525,13 @@ def dynamical_trajectory_residual(H, grid, state, state_dot, test_set):
     ``state_dot`` is (u_dot, p_t_dot, p_x_dot), shaped as the state's
     fields; ``test_set`` is a nonempty stack of variations. A state of F
     stacked frames with velocities on the same leading axis gives the (F,)
-    array of each frame's residual, bit for bit. Refuses (ModelError)
-    velocities that are not finite or not shaped as the fields, and test
-    variations not shaped as one frame of them.
+    array of each frame's residual, bit for bit. Refuses velocities that
+    are not finite or not shaped as the fields, and test variations not
+    shaped as one frame of them.
     """
-    names = ("u", "p_t", "p_x")
-    for name, dot in zip(names, state_dot):
-        field = getattr(state, name)
-        if np.shape(dot) != field.shape or not np.isfinite(dot).all():
-            raise ModelError(f"the velocity of {name} must be finite and "
-                             f"of shape {field.shape}, got "
-                             f"{np.shape(dot)}")
-    _check_fit(state, names, test_set)
     c_dot = TangentVariation(1.0, *state_dot)
+    _SHAPES.check(grid, H, state=state, dot=c_dot, Y=test_set)
+    _finite(c_dot, ("du", "dp_t", "dp_x"))
     covector, c_k = pairing_covector(
         grid, _state_pairing_data(H, grid, state), c_dot)
     return covector_residual(grid, covector, c_k, test_set)

@@ -21,15 +21,14 @@ trajectory equations equivalent to
 
 import numpy as np
 
-from .cauchy import (_check_fit, _check_nodes, _check_shapes, _check_state,
-                     _check_variation, _frame_samples, _probe_rows,
-                     _sample_frames, _smooth_profile, checked_frames,
-                     covector_residual, frame_blocks, frame_velocities,
-                     gradient_fields, integrate_density,
+from .cauchy import (_SHAPES, _Frames, _Variation, _frame_samples,
+                     _probe_rows, _sample_frames, _smooth_profile,
+                     checked_frames, covector_residual, frame_blocks,
+                     frame_velocities, gradient_fields, integrate_density,
                      presymplectic_pairing, spatial_derivative, take_frames)
 from .hj import lift_by_gamma
 from .legendre import _solve_nodewise
-from .models import Record, RefusedResidual
+from .models import RefusedResidual
 
 
 class ConstraintError(RefusedResidual):
@@ -37,30 +36,21 @@ class ConstraintError(RefusedResidual):
     what = "state off the momentum constraint"
 
 
-class CotangentState(Record):
+class CotangentState(_Frames):
     """Time value plus per-node fields (u, pi); or F frames, with t of
     shape (F,) and each field on a leading frame axis."""
     t: float
     u: np.ndarray    # (n, N)
     pi: np.ndarray   # (n, N)
 
-    def __post_init__(self):
-        _check_state(self, ("u", "pi"))
 
-
-class CotangentVariation(Record):
+class CotangentVariation(_Variation):
     """Tangent vector to the cotangent data space, or a stack of S of
     them, as :class:`cauchy.TangentVariation`."""
     k: float
     du: np.ndarray    # (n, N), or (S, n, N)
     dpi: np.ndarray   # (n, N), or (S, n, N)
     indicators: bool = False
-
-    def __post_init__(self):
-        _check_variation(self)
-
-    def __len__(self):
-        return len(self.k) + self.indicators * 2 * self.du[0].size
 
 
 def restriction_map_R(state):
@@ -77,12 +67,10 @@ def push_variation(X):
 def solve_time_velocity(L, grid, t, u, pi):
     """Newton-solve dL/du_t = pi per node, with u_x from the grid. u and pi
     are (n, N) at a time t, or (F, n, N) at times t (F,), whose F N
-    frame-nodes are then the samples of one solve. Refuses (ModelError) a
-    t of another shape and u and pi that are not both of one of those
-    shapes; a NaN in pi comes back as NaN in u_t."""
-    u, pi = np.asarray(u, dtype=float), np.asarray(pi, dtype=float)
-    _check_shapes(t, u, pi, ("u", "pi"))
-    _check_nodes(grid, u)
+    frame-nodes are then the samples of one solve, for L's n and the
+    grid's N. Refuses a t of another shape and u and pi that are not both
+    of one of those shapes; a NaN in pi comes back as NaN in u_t."""
+    u, pi = _SHAPES.floats(grid, L, t=t, u=u, pi=pi)[1:]
     ts, xs, us, u_xs, pis = _frame_samples(grid, t, u,
                                            gradient_fields(grid, u), pi)
     return _sample_frames(_solve_nodewise(
@@ -122,9 +110,9 @@ def variational_derivative(L, grid, cs):
 
 def omega_pairing(grid, X, Y):
     """Canonical pairing: quadrature of X_u Y_pi - X_pi Y_u. The time
-    components do not enter. Refuses (ModelError) a Y that does not fit
-    X, and stacks X and Y of different lengths."""
-    _check_fit(X, ("du", "dpi"), X, Y)
+    components do not enter. Refuses a Y that does not fit X or the grid,
+    and stacks X and Y of different lengths."""
+    _SHAPES.check(grid, None, X=X, Y=Y)
     integrand = np.sum(X.du * Y.dpi - X.dpi * Y.du, axis=-2)
     return integrate_density(grid, integrand)
 
@@ -137,9 +125,9 @@ def extended_form_pairing(L, grid, cs, X, Y):
     with X(h) the derivative of the field energy along the vertical part
     (du, dpi) of X: the k_X k_Y dh/dt legs of the full derivative cancel.
     X and Y may be stacks of S variations each, as in
-    :func:`cauchy.presymplectic_pairing`. Refuses (ModelError) variations
-    that do not fit the state."""
-    _check_fit(cs, ("u", "pi"), X, Y)
+    :func:`cauchy.presymplectic_pairing`. Refuses variations that do not
+    fit the state."""
+    _SHAPES.check(grid, L, state=cs, X=X, Y=Y)
     dh_du, dh_dpi = variational_derivative(L, grid, cs)
 
     def directional(Z):
@@ -208,7 +196,7 @@ def time_legendre_constraint_residual(L, grid, state):
     (u, p_t). For F stacked frames the (F,) array of each frame's
     distance."""
     t, u = state.t, state.u
-    _check_nodes(grid, u, state.p_x)
+    _SHAPES.check(grid, L, u=u, p_x=state.p_x)
     u_t = solve_time_velocity(L, grid, t, u, state.p_t)
     u_x = gradient_fields(grid, u)
     expected = _sample_frames(L.d_ux(*_frame_samples(grid, t, u, u_t, u_x)),
@@ -226,8 +214,8 @@ def pullback_identity_residual(L, H, grid, state, X, Y):
 
     Raises :class:`ConstraintError` when the state is more than 1e-10 off
     the momentum constraint, or its distance is NaN, where the identity is
-    not asserted, and (through the two pairings) ModelError for variations
-    that do not fit the state.
+    not asserted, and (through the two pairings) the shape contract's
+    errors for variations that do not fit the state.
     """
     res = time_legendre_constraint_residual(L, grid, state)
     if not res <= 1e-10:

@@ -26,17 +26,16 @@ Cauchy-space pairing residuals.
 
 import numpy as np
 
-from .cauchy import (CauchyState, TangentVariation,
-                     _check_count, _check_dt, _check_fields, _check_peak,
-                     _frame_samples, _rk4_update, _sample_frames,
-                     _state_pairing_data, checked_frames, covector_residual,
-                     frame_blocks, frame_velocities, gradient_fields,
-                     pairing_covector, presymplectic_pairing,
-                     random_smooth_variation, standard_test_variations,
-                     take_frames)
+from .cauchy import (_NODES, _SHAPES, CauchyState, TangentVariation,
+                     _check_count, _check_dt, _check_peak, _frame_samples,
+                     _rk4_update, _sample_frames, _state_pairing_data,
+                     checked_frames, covector_residual, frame_blocks,
+                     frame_velocities, gradient_fields, pairing_covector,
+                     presymplectic_pairing, random_smooth_variation,
+                     standard_test_variations, take_frames)
 from .legendre import ConnectionCoefficients
-from .models import (DedonderError, ModelError, Record, RefusedResidual,
-                     _check_samples, central_difference)
+from .models import (_POINT, _SAMPLES, DedonderError, ModelError, Record,
+                     RefusedResidual, central_difference)
 
 
 class GammaDomainError(DedonderError, ValueError):
@@ -66,6 +65,8 @@ class HJSection:
 
     otherwise central finite differences of the components are used.
     """
+
+    name = "the section"    # in the shape contract's refusals
 
     def __init__(self, dims, pt, px, p=None, partials=None,
                  domain_guard=None):
@@ -254,16 +255,18 @@ def gamma_closedness_residual(gamma, t, x=None, u=None):
     u (n, P), one evaluation of the section partials covers all P samples;
     a scalar t with x (m,) and u (n,) is one sample (P = 1). Called as
     ``(gamma, samples)`` with a list of (t, x, u) points, the points are
-    stacked along the sample axis. Samples of other shapes are refused
-    (ModelError).
+    stacked along the sample axis; each is checked as one point before.
+    Samples of other shapes are refused (ModelError).
     """
     n, m = gamma.dims.n, gamma.dims.m
     if x is None:
         points = t
+        for p in points:
+            _POINT.check(None, gamma, t=p[0], x=p[1], u=p[2])
         t = np.array([p[0] for p in points], dtype=float)
         x = np.array([p[1] for p in points], dtype=float).reshape(len(t), m).T
         u = np.array([p[2] for p in points], dtype=float).reshape(len(t), n).T
-    x, u = _check_samples(gamma.dims, t, x, u)
+    x, u = _SAMPLES.floats(None, gamma, t=t, x=x, u=u)[1:]
     P = u[0].size
 
     def samples_first(a):
@@ -299,7 +302,7 @@ def hj_residual(H, gamma, t, x, u):
     solution of the Hamilton-Jacobi condition for H.
     """
     _check_pair(H, gamma)
-    x, u = _check_samples(gamma.dims, t, x, u)
+    x, u = _SAMPLES.floats(None, gamma, t=t, x=x, u=u)[1:]
     args = (t, x, u) + gamma.momenta(t, x, u)
     h_u = H.d_u(*args)
     h_pt = H.d_pt(*args)
@@ -354,8 +357,7 @@ def restricted_connection_residual(H, gamma, grid, u, t):
     section or u that does not fit the grid, and (ModelError) H and a
     section of different dimensions."""
     _check_pair(H, gamma)
-    u = np.asarray(u, dtype=float)
-    _check_fields(gamma.dims, "the section", grid, u)
+    u, = _NODES.floats(grid, gamma, u=u)
     gamma_x = H.d_px(t, grid.x, u, *gamma.momenta(t, grid.x, u))  # (n, m, N)
     return gradient_fields(grid, u) - gamma_x
 
@@ -386,8 +388,7 @@ def evolve_characteristics(H, gamma, grid, u0, t0, dt, t_final,
     _check_count("store_every", store_every, 1)
     if not -np.inf < t0 <= t_final < np.inf:
         raise ModelError("t0 and t_final must be finite, t_final >= t0")
-    u = np.array(u0, dtype=float)
-    _check_fields(gamma.dims, "the section", grid, u)
+    u, = _NODES.floats(grid, gamma, u=u0)
     n_steps = int(round((t_final - t0) / dt))
     if abs(t0 + n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ModelError("t_final - t0 must be an integer number of steps")
@@ -419,8 +420,7 @@ def lift_by_gamma(gamma, t, grid, u):
     (F, n, N), whose F N frame-nodes are then the samples of one section
     evaluation. Refuses (GridError) a section or u that does not fit the
     grid."""
-    u = np.asarray(u, dtype=float)
-    _check_fields(gamma.dims, "the section", grid, u, frames=np.shape(t))
+    u = _SHAPES.floats(grid, gamma, t=t, u=u)[1]
     p_t, p_x = (np.ascontiguousarray(_sample_frames(p, t)) for p in
                 gamma.momenta(*_frame_samples(grid, t, u)))
     return CauchyState(t, u, p_t, p_x)

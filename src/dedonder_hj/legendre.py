@@ -12,11 +12,11 @@ import math
 
 import numpy as np
 
-from .models import (DEFAULT_FD_STEP, DedonderError, ExtendedMomentumSample,
-                     HamiltonianModel, JetSample, ModelError, Record,
-                     ReducedMomentumSample, _analytic_or_difference,
-                     _check_samples, central_difference, pack_velocities,
-                     unpack_velocities)
+from .models import (_SAMPLES, DEFAULT_FD_STEP, DedonderError,
+                     ExtendedMomentumSample, HamiltonianModel, JetSample,
+                     ModelError, Record, ReducedMomentumSample,
+                     _analytic_or_difference, central_difference,
+                     pack_velocities, unpack_velocities)
 
 REGULARITY_TOL = 1e-10
 NEWTON_TOL = 1e-12
@@ -457,7 +457,7 @@ def flatness_residual(connection, t, x, u):
     shapes are refused (ModelError). Antisymmetric in (i, j); the
     connection is flat iff the residual vanishes.
     """
-    x, u = _check_samples(connection.dims, t, x, u)
+    x, u = _SAMPLES.floats(None, connection, t=t, x=x, u=u)[1:]
     G = connection.coefficients(t, x, u)            # (n, m+1, ...)
     P = connection.partials(t, x, u)
     # D[a, i, j] = d_i Gamma^a_j and B[a, i, j] = Gamma^b_i d_{u^b} Gamma^a_j

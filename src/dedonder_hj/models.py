@@ -20,6 +20,8 @@ a function that does not depend on t. There is no first partial in t:
 the pairings never read one, since their k_X k_Y dH/dt legs cancel.
 """
 
+from operator import itemgetter
+
 import numpy as np
 
 DEFAULT_FD_STEP = 1e-5
@@ -48,6 +50,108 @@ class RefusedResidual(DedonderError, RuntimeError):
         super().__init__(f"{self.what}: residual {residual:.6e} {excess} "
                          f"{tol:.3e}")
         self.residual, self.tol = residual, tol
+
+
+class GridError(DedonderError, ValueError):
+    """Bad grid construction or use."""
+
+
+class Shapes:
+    """A shape contract in the idiom of numpy's generalized-ufunc
+    signatures (README, "Shape contract"): specs such as ``"F? n N"`` name
+    the axes of arguments (``A?`` optional, ``...`` any leading ones, and
+    ``#A?`` a scalar that broadcasts), and each name binds one size, and
+    presence, across a call."""
+
+    def __init__(self, **specs):
+        self.specs = {}
+        for name, spec in specs.items():
+            tokens = tuple(spec.lstrip("#").split())
+            axes = tuple(a.rstrip("?") for a in tokens if a != "...")
+            key = next((a[:-1] for a in tokens if a.endswith("?")), None)
+            fast = len(tokens) > 1 and set(tokens) <= set("nmN")
+            self.specs[name] = (tokens, fast and itemgetter(*map(
+                "nmN".index, axes)), spec[:1] == "#", axes, key,
+                tuple(a for a in axes if a != key))
+
+    def check(self, grid=None, model=None, **arrays):
+        """Check arrays (None passes) and records, field f of r as "r.f"."""
+        dims = None if model is None else model.dims
+        if grid is not None and dims is not None and dims.m == grid.m:
+            fixed, specs = (dims.n, grid.m, grid.n_nodes), self.specs
+            for name, a in arrays.items():
+                try:
+                    if a.shape != specs[name][1](fixed):
+                        break
+                except (AttributeError, KeyError, TypeError):
+                    break             # a record, None, a list or other names
+            else:
+                return
+        sizes = {} if dims is None else {"n": dims.n, "m": dims.m}
+        if grid is not None:
+            if sizes.setdefault("m", grid.m) != grid.m:
+                raise GridError(f"{model.name} is for m = {dims.m}, the grid "
+                                f"has m = {grid.m}")
+            sizes["N"] = grid.n_nodes
+        for name, a in arrays.items():
+            fields = [(f"{name}.{f}", getattr(a, f)) for f in a._fields
+                      if f"{name}.{f}" in self.specs] \
+                if isinstance(a, Record) else [(name, a)]
+            for key, value in fields:
+                if value is not None:
+                    self._bind(key, np.shape(value), sizes, grid is not None)
+
+    def _bind(self, name, shape, sizes, gridded):
+        """Bind argument ``name``'s axes to ``shape``, or raise at a fault."""
+        tokens, _, broadcast, axes, key, short = self.specs[name]
+        got, absent = shape, key and len(shape) < len(axes)
+        if tokens[:1] == ("...",):
+            shape = shape[max(0, len(shape) - len(axes)):]
+        elif absent:
+            if broadcast and not shape:
+                return
+            axes = short
+        error = ModelError if len(shape) != len(axes) or absent and \
+            sizes.setdefault(key, None) is not None else None
+        for axis, size in zip(axes, () if error else shape):
+            if sizes.setdefault(axis, size) != size:  # None: bound absent
+                error = GridError if gridded and axis in "Nm" else ModelError
+                break
+        if error:
+            want = [str(sizes.get(a.rstrip("?"), a)) for a in tokens
+                    if sizes.get(a.rstrip("?"), 0) is not None]
+            spec, bound = ("(" + ", ".join(s) + ("," if len(s) == 1 else "")
+                           + ")" for s in (tokens, want))
+            raise error(f"{name} must have shape {spec} = {bound}, got {got}")
+
+    def floats(self, grid=None, model=None, **arrays):
+        """The arrays as float arrays, in order, checked."""
+        arrays = {k: np.asarray(a, dtype=float) for k, a in arrays.items()}
+        self.check(grid, model, **arrays)
+        return list(arrays.values())
+
+    def record(self, record, model=None):
+        """Set a record's fields that have a spec to float arrays; check."""
+        names = [name for name in record._fields if name in self.specs]
+        record.__dict__.update(zip(names, self.floats(None, model, **{
+            name: getattr(record, name) for name in names})))
+
+
+def _finite(record, names):
+    """Make the fields ``names`` of no axes floats; refuse any not finite."""
+    for name in names:
+        value = getattr(record, name)
+        if value.ndim == 0:
+            value = record.__dict__[name] = float(value)
+        if not np.isfinite(value).all():
+            raise ModelError(f"non-finite t {value}" if name == "t"
+                             else f"non-finite field {name}")
+
+
+#: a point sample's arrays, and pointwise samples, P on a trailing axis
+_POINT = Shapes(t="", x="m", u="n", u_t="n", u_x="n m", p="", p_t="n",
+                p_x="n m")
+_SAMPLES = Shapes(t="#P?", x="m P?", u="n P?")
 
 
 class Record:
@@ -139,33 +243,15 @@ class Dimensions(Record):
         return self.n * (self.m + 1)
 
 
-def _check_samples(dims, t, x, u):
-    """x and u as float arrays; refuses (ModelError) pointwise samples
-    shaped neither as one point, t a scalar, x (m,) and u (n,), nor as P
-    points on a trailing axis, t a scalar or (P,), x (m, P) and u (n, P),
-    for the m and n of ``dims``. Shapes only."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    tail = u.shape[1:]
-    if len(tail) > 1 or u.shape[:1] != (dims.n,) \
-            or x.shape != (dims.m,) + tail or np.shape(t) not in ((), tail):
-        raise ModelError(f"samples must be t () or (P,), x (m,) or (m, P) "
-                         f"and u (n,) or (n, P) for m = {dims.m}, "
-                         f"n = {dims.n} and one P, got t {np.shape(t)}, "
-                         f"x {x.shape} and u {u.shape}")
-    return x, u
+class _Point(Record):
+    """Base of the point samples: fields shaped by their dims, finite."""
+
+    def __post_init__(self):
+        _POINT.record(self, model=self)
+        _finite(self, self._fields[:-1])
 
 
-def _as_field(a, shape, name):
-    out = np.asarray(a, dtype=float)
-    if out.shape != shape:
-        raise ModelError(f"{name} must have shape {shape}, got {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise ModelError(f"{name} contains non-finite entries")
-    return out
-
-
-class JetSample(Record):
+class JetSample(_Point):
     """First-order jet data (t, x, u, u_t, u_x) at a single base point."""
     t: float
     x: np.ndarray
@@ -174,18 +260,8 @@ class JetSample(Record):
     u_x: np.ndarray
     dims: Dimensions
 
-    def __post_init__(self):
-        m, n = self.dims.m, self.dims.n
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "x", _as_field(self.x, (m,), "x"))
-        object.__setattr__(self, "u", _as_field(self.u, (n,), "u"))
-        object.__setattr__(self, "u_t", _as_field(self.u_t, (n,), "u_t"))
-        object.__setattr__(self, "u_x", _as_field(self.u_x, (n, m), "u_x"))
-        if not np.isfinite(self.t):
-            raise ModelError("t is not finite")
 
-
-class ExtendedMomentumSample(Record):
+class ExtendedMomentumSample(_Point):
     """Extended momentum data (t, x, u, p, p_t, p_x); p is the affine slot."""
     t: float
     x: np.ndarray
@@ -195,23 +271,12 @@ class ExtendedMomentumSample(Record):
     p_x: np.ndarray
     dims: Dimensions
 
-    def __post_init__(self):
-        m, n = self.dims.m, self.dims.n
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "x", _as_field(self.x, (m,), "x"))
-        object.__setattr__(self, "u", _as_field(self.u, (n,), "u"))
-        object.__setattr__(self, "p_t", _as_field(self.p_t, (n,), "p_t"))
-        object.__setattr__(self, "p_x", _as_field(self.p_x, (n, m), "p_x"))
-        if not (np.isfinite(self.t) and np.isfinite(self.p)):
-            raise ModelError("non-finite sample entry")
-
     def reduced(self):
         return ReducedMomentumSample(self.t, self.x, self.u, self.p_t,
                                      self.p_x, self.dims)
 
 
-class ReducedMomentumSample(Record):
+class ReducedMomentumSample(_Point):
     """Reduced momentum data (t, x, u, p_t, p_x)."""
     t: float
     x: np.ndarray
@@ -219,16 +284,6 @@ class ReducedMomentumSample(Record):
     p_t: np.ndarray
     p_x: np.ndarray
     dims: Dimensions
-
-    def __post_init__(self):
-        m, n = self.dims.m, self.dims.n
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "x", _as_field(self.x, (m,), "x"))
-        object.__setattr__(self, "u", _as_field(self.u, (n,), "u"))
-        object.__setattr__(self, "p_t", _as_field(self.p_t, (n,), "p_t"))
-        object.__setattr__(self, "p_x", _as_field(self.p_x, (n, m), "p_x"))
-        if not np.isfinite(self.t):
-            raise ModelError("t is not finite")
 
 
 def central_difference(f, args, wrt, comp_axes=1):

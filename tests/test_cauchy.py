@@ -1,5 +1,6 @@
 import collections
 import os
+import re
 import sys
 
 import numpy as np
@@ -107,17 +108,15 @@ def test_make_grid_errors():
      "non-finite t -inf"),
     (lambda: CauchyState(0.0, np.zeros((1, 16)), np.zeros((1, 16)),
                          np.zeros((1, 16))),
-     r"p_x must have shape \(n, m, N\) = \(1, m, 16\) for u of shape "
-     r"\(1, 16\), got \(1, 16\)"),
+     r"p_x must have shape \(F\?, n, m, N\) = \(1, m, 16\), got \(1, 16\)"),
     (lambda: CauchyState(0.0, np.zeros((1, 16)), np.zeros((1, 16)),
                          np.zeros((2, 1, 16))),
      r"p_x must have shape .*, got \(2, 1, 16\)"),
     (lambda: CauchyState(0.0, np.zeros(16), np.zeros(16), np.zeros(16)),
-     r"u and p_t must share a shape \(n, N\), got \(16,\) and \(16,\)"),
+     r"u must have shape \(F\?, n, N\) = \(n, N\), got \(16,\)"),
     (lambda: CauchyState(0.0, np.zeros((1, 16)), np.zeros((1, 15)),
                          np.zeros((1, 1, 16))),
-     r"u and p_t must share a shape \(n, N\), got \(1, 16\) and "
-     r"\(1, 15\)"),
+     r"p_t must have shape \(F\?, n, N\) = \(1, 16\), got \(1, 15\)"),
 ], ids=["non-finite-state", "four-frames", "non-uniform-frames",
         "four-frames-to-difference", "nan-t", "infinite-t", "p_x-without-m",
         "p_x-of-two-components", "one-dimensional-u", "short-p_t"])
@@ -165,8 +164,8 @@ def test_spatial_derivative_needs_three_nodes():
 def test_grid_functions_refuse_a_node_axis_of_another_length(call):
     # a (1, 8) stencil at the 16-node spacing, a broadcast of 1 node over
     # the 16 weights or a raw numpy error, before the check
-    with pytest.raises(GridError, match=r"shape \(1(, 8)?,?\) on a grid of "
-                                        r"16 nodes"):
+    with pytest.raises(GridError, match=r"^values must have shape \(\.\.\., "
+                       r"N\) = \(\.\.\., 16\), got \(1(, 8)?,?\)$"):
         call(make_grid(16))
 
 
@@ -418,7 +417,8 @@ def unit(grid, j):
 
 def test_pairing_refuses_variations_that_do_not_fit_the_state():
     # variations on 8 nodes at a state on 16, and a dp_x of another m:
-    # numpy's "operands could not be broadcast together" before
+    # numpy's "operands could not be broadcast together" before; N and m
+    # are sizes the grid fixes
     g = make_grid(16)
     rng = np.random.default_rng(4)
     state = CauchyState(0.0, rng.normal(size=(1, 16)),
@@ -427,12 +427,15 @@ def test_pairing_refuses_variations_that_do_not_fit_the_state():
     off = random_smooth_variation(make_grid(8), 1, rng, vertical=False,
                                   count=3)
     wide = replace(fit, dp_x=np.ones((3, 1, 2, 16)))
-    for X, Y, name, shape in ((off, off, "u", 8), (fit, off, "u", 8),
-                              (fit, wide, "p_x", 16)):
-        for pair in ((X, Y), (take_frames(X, 0), take_frames(Y, 1))):
-            with pytest.raises(ModelError, match=rf"^variations of shape "
-                               rf"\(1, .*{shape}\) do not fit {name} of "
-                               rf"shape \(1, (1, )?16\)$"):
+    for X, Y, name, spec, bound, got in (
+            (off, off, "X.du", "R?, n, N", "1, 16", "1, 8"),
+            (fit, off, "Y.du", "T?, n, N", "1, 16", "1, 8"),
+            (fit, wide, "Y.dp_x", "T?, n, m, N", "1, 1, 16", "1, 2, 16")):
+        for pair, lead in (((X, Y), "3, "),
+                           ((take_frames(X, 0), take_frames(Y, 1)), "")):
+            with pytest.raises(GridError, match="^" + re.escape(
+                    f"{name} must have shape ({spec}) = ({lead}{bound}), "
+                    f"got ({lead}{got})") + "$"):
                 presymplectic_pairing(kg_hamiltonian(), g, state, *pair)
 
 
@@ -445,9 +448,9 @@ def test_pairing_refuses_stacks_of_different_lengths():
                         rng.normal(size=(1, 16)), rng.normal(size=(1, 1, 16)))
     X, Y = (random_smooth_variation(g, 1, rng, vertical=False, count=S)
             for S in (3, 2))
-    for pair in ((X, Y), (Y, X)):
-        with pytest.raises(ModelError, match=r"^stacks of 2 and 3 "
-                           r"variations cannot be paired$"):
+    for pair, S, other in (((X, Y), 3, 2), ((Y, X), 2, 3)):
+        with pytest.raises(ModelError, match=rf"^Y.k must have shape "
+                           rf"\(S\?,\) = \({S},\), got \({other},\)$"):
             presymplectic_pairing(kg_hamiltonian(), g, state, *pair)
     # a single variation against a stack still pairs with each row
     assert presymplectic_pairing(kg_hamiltonian(), g, state,
@@ -800,20 +803,22 @@ def test_closed_form_spatial_momenta_refused(spatial_momenta, message):
         custom.spatial_momenta(0.0, g.x, u, u, np.zeros((1, 1, 16)))
 
 
-@pytest.mark.parametrize("u, p_t, message", [
-    (np.ones(16), None, r"u must have shape \(n, N\) = \(1, 16\) for "
-     r"klein_gordon_hamiltonian on 16 nodes, got \(16,\)"),
-    (np.ones((1, 10)), None, r"u must have shape .*, got \(1, 10\)"),
-    (np.ones((2, 16)), None, r"u must have shape .*, got \(2, 16\)"),
-    (np.ones((1, 16)), np.ones((1, 15)),
-     r"p_t must have shape \(n, N\) = \(1, 16\) .*, got \(1, 15\)"),
+@pytest.mark.parametrize("u, p_t, error, message", [
+    (np.ones(16), None, ModelError,
+     r"u must have shape \(n, N\) = \(1, 16\), got \(16,\)"),
+    (np.ones((1, 10)), None, GridError,
+     r"u must have shape \(n, N\) = \(1, 16\), got \(1, 10\)"),
+    (np.ones((2, 16)), None, ModelError,
+     r"u must have shape \(n, N\) = \(1, 16\), got \(2, 16\)"),
+    (np.ones((1, 16)), np.ones((1, 15)), GridError,
+     r"p_t must have shape \(n, N\) = \(1, 16\), got \(1, 15\)"),
 ], ids=["one-dimensional-u", "ten-of-sixteen-nodes", "two-components",
         "short-p_t"])
-def test_recovery_refuses_fields_not_shaped_for_model_and_grid(u, p_t,
+def test_recovery_refuses_fields_not_shaped_for_model_and_grid(u, p_t, error,
                                                                message):
     # unrefused: a raw ValueError, a broadcast error, a (2, 1, 16) p_x
-    # and an ignored p_t
-    with pytest.raises(GridError, match=f"^{message}$"):
+    # and an ignored p_t; only the node count is the grid's
+    with pytest.raises(error, match=f"^{message}$"):
         recover_spatial_momenta(kg_hamiltonian(1.0), make_grid(16), u,
                                 p_t=p_t)
 
@@ -823,7 +828,7 @@ def test_step_refuses_state_on_another_node_count(monkeypatch):
                     np.zeros((1, 1, 10)))
     recoveries = count_calls(monkeypatch, cauchy, ["recover_spatial_momenta"])
     with pytest.raises(GridError, match=r"^u must have shape \(n, N\) = "
-                       r"\(1, 16\) .*, got \(1, 10\)$"):
+                       r"\(1, 16\), got \(1, 10\)$"):
         step_rk4(kg_hamiltonian(1.0), make_grid(16), s, 1e-3)
     assert recoveries["recover_spatial_momenta"] == 0
 
@@ -958,17 +963,18 @@ def test_run_simulation_refuses_bad_arguments_before_stepping(monkeypatch,
     assert steps["step_rk4"] == 0
 
 
-@pytest.mark.parametrize("u, p_x", [
-    (np.ones((1, 16)), np.zeros((1, 0, 16))),
-    (np.ones((1, 12)), np.zeros((1, 1, 12))),
-    (np.ones((2, 16)), np.zeros((2, 1, 16)))],
+@pytest.mark.parametrize("u, p_x, error", [
+    (np.ones((1, 16)), np.zeros((1, 0, 16)), GridError),
+    (np.ones((1, 12)), np.zeros((1, 1, 12)), GridError),
+    (np.ones((2, 16)), np.zeros((2, 1, 16)), ModelError)],
     ids=["p_x-of-m-0", "other-N", "two-components"])
 def test_run_simulation_refuses_a_start_that_does_not_fit(monkeypatch, u,
-                                                          p_x):
+                                                          p_x, error):
     # the stored frames are preallocated from state0: unrefused, a p_x of
-    # another m stepped into a raw broadcast ValueError at the first store
+    # another m stepped into a raw broadcast ValueError at the first store;
+    # m and N are the grid's, n the model's
     steps = count_calls(monkeypatch, cauchy, ["step_rk4"])
-    with pytest.raises(GridError):
+    with pytest.raises(error):
         run_simulation(kg_hamiltonian(1.0), make_grid(16),
                        CauchyState(0.0, u, u, p_x), 1e-3, 3)
     assert steps["step_rk4"] == 0

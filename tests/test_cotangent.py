@@ -473,22 +473,70 @@ def test_hat_gamma_annihilates_extended_form():
 
 # -- arguments that do not fit ------------------------------------------------------
 
-@pytest.mark.parametrize("t, u_shape, pi_shape, shapes", [
-    (np.zeros(3), (1, 1, 8), (1, 1, 8), "(F, n, N) for t of shape (3,)"),
-    (np.zeros(2), (3, 1, 8), (3, 1, 8), "(F, n, N) for t of shape (2,)"),
-    (0.0, (1, 8), (1, 7), "(n, N)")],
+@pytest.mark.parametrize("t, u_shape, pi_shape, error, message", [
+    (np.zeros(3), (1, 1, 8), (1, 1, 8), ModelError,
+     "u must have shape (F?, n, N) = (3, 1, 8), got (1, 1, 8)"),
+    (np.zeros(2), (3, 1, 8), (3, 1, 8), ModelError,
+     "u must have shape (F?, n, N) = (2, 1, 8), got (3, 1, 8)"),
+    (0.0, (1, 8), (1, 7), GridError,
+     "pi must have shape (F?, n, N) = (1, 8), got (1, 7)")],
     ids=["three-times-one-frame", "two-times-three-frames", "short-pi"])
 def test_time_velocity_refuses_mis_shaped_arguments(t, u_shape, pi_shape,
-                                                    shapes):
+                                                    error, message):
     # numpy's "cannot reshape array of size 8 into shape (1,24)" before;
     # the short pi came back as a (1, 7) u_t once one frame was its own
-    # frame shape
+    # frame shape; the node count is the grid's
     L, _ = kg()
-    with pytest.raises(ModelError, match=re.escape(
-            f"u and pi must share a shape {shapes}, got {u_shape} and "
-            f"{pi_shape}")):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         solve_time_velocity(L, make_grid(8), t, np.ones(u_shape),
                             np.ones(pi_shape))
+
+
+#: the entry points that bind n to the model, called with fields u and pi
+#: (p_t) of the n = 1 Klein-Gordon model on 16 nodes; those that take a
+#: state build it from them
+BOUND_TO_THE_MODEL = {
+    "recover_spatial_momenta":
+    lambda L, H, g, u, pi: recover_spatial_momenta(H, g, u, p_t=pi),
+    "solve_time_velocity":
+    lambda L, H, g, u, pi: solve_time_velocity(L, g, 0.0, u, pi),
+    "variational_derivative":
+    lambda L, H, g, u, pi: variational_derivative(
+        L, g, CotangentState(0.0, u, pi)),
+    "instantaneous_hamiltonian":
+    lambda L, H, g, u, pi: instantaneous_hamiltonian(
+        L, g, CotangentState(0.0, u, pi)),
+    "time_legendre_constraint_residual":
+    lambda L, H, g, u, pi: time_legendre_constraint_residual(
+        L, g, CauchyState(0.0, u, pi, np.zeros(u.shape[:1] + (1,)
+                                               + u.shape[1:])))}
+
+
+@pytest.mark.parametrize("entry", BOUND_TO_THE_MODEL)
+@pytest.mark.parametrize("shape, error, got", [
+    ((2, 16), ModelError, "(2, 16)"), ((1, 10), GridError, "(1, 10)")],
+    ids=["two-components", "ten-nodes"])
+def test_entry_points_refuse_fields_of_another_n_or_node_count(
+        entry, shape, error, got):
+    # the (2, 16) fields passed through all but the recovery, which
+    # refused them as a GridError: the last two returned a scalar, the
+    # others (2, 16) arrays; n is the model's, the node count the grid's
+    L, H = kg()
+    with pytest.raises(error, match=r"^u must have shape \((F\?, )?n, N\) = "
+                       r"\(1, 16\), got " + re.escape(got) + "$"):
+        BOUND_TO_THE_MODEL[entry](L, H, make_grid(16), np.ones(shape),
+                                  np.ones(shape))
+
+
+@pytest.mark.parametrize("entry", list(BOUND_TO_THE_MODEL)[:2])
+def test_entry_points_refuse_a_pi_on_another_node_count(entry):
+    # a GridError and a ModelError before, each worded its own way; a state
+    # cannot hold such a pi, since its constructor refuses it
+    L, H = kg()
+    with pytest.raises(GridError, match=r"^(p_t|pi) must have shape "
+                       r"\((F\?, )?n, N\) = \(1, 16\), got \(1, 10\)$"):
+        BOUND_TO_THE_MODEL[entry](L, H, make_grid(16), np.ones((1, 16)),
+                                  np.ones((1, 10)))
 
 
 def test_time_velocity_of_a_nan_pi_is_nan():
@@ -513,28 +561,23 @@ def off_state_variations(seed):
 
 
 # numpy's "operands could not be broadcast together with shapes (1,16)
-# (1,8)" before, single or stacked
-OFF = r"^variations of shape \(1, (8|16)\) do not fit (u|du) of shape "
+# (1,8)" before, single or stacked; the node count is the grid's
+OFF = (r"^[XY]\.du must have shape \([RT]\?, n, N\) = \((3, )?1, 16\), "
+       r"got \((3, )?1, 8\)$")
 
 
 def test_omega_pairing_refuses_a_variation_that_does_not_fit():
     g, _, pairs = off_state_variations(1)
     for X, Y in pairs:
-        pX, pY = push_variation(X), push_variation(Y)
-        if pX.du.shape == pY.du.shape:
-            # both off the grid: the quadrature refuses them
-            with pytest.raises(GridError):
-                omega_pairing(g, pX, pY)
-        else:
-            with pytest.raises(ModelError, match=OFF):
-                omega_pairing(g, pX, pY)
+        with pytest.raises(GridError, match=OFF):
+            omega_pairing(g, push_variation(X), push_variation(Y))
 
 
 def test_extended_pairing_refuses_variations_off_the_state():
     L, _ = wave()
     g, state, pairs = off_state_variations(2)
     for X, Y in pairs:
-        with pytest.raises(ModelError, match=OFF + r"\(1, 16\)$"):
+        with pytest.raises(GridError, match=OFF):
             extended_form_pairing(L, g, restriction_map_R(state),
                                   push_variation(X), push_variation(Y))
 
@@ -543,7 +586,7 @@ def test_pullback_identity_refuses_variations_off_the_state():
     L, H = wave()
     g, state, pairs = off_state_variations(3)
     for X, Y in pairs:
-        with pytest.raises(ModelError, match=OFF + r"\(1, 16\)$"):
+        with pytest.raises(GridError, match=OFF):
             pullback_identity_residual(L, H, g, state, X, Y)
 
 
@@ -559,7 +602,7 @@ def uneven_stacks(seed):
 
 # numpy's "operands could not be broadcast together" before, with shapes
 # (3,1,16) (2,1,16) in omega_pairing and (3,) (2,) in the other two
-UNEVEN = r"^stacks of 2 and 3 variations cannot be paired$"
+UNEVEN = r"^Y\.k must have shape \(S\?,\) = \(3,\), got \(2,\)$"
 
 
 def test_omega_pairing_refuses_stacks_of_different_lengths():

@@ -6,7 +6,9 @@ leading frame axis, as ``cauchy.run_simulation`` returns them, sliced with
 constraint residual, trajectory residual, the cotangent trajectory
 residual) and the section lift take F stacked frames and evaluate the
 model once over all F N frame-nodes. For the built-in models with m in
-{0, 1} and n in {1, 2}, and F around the block size (16 frames at
+{0, 1} and n in {1, 2}, and a model that reads x and t (pinned by an
+example, since a stacked evaluation must lay x and t out frame by frame
+to show it), and F around the block size (16 frames at
 N = 128), a call on all F frames and the calls on the blocks of
 ``cauchy.frame_blocks`` must equal the single-state calls frame by frame,
 bit for bit, a single state being frame shape (), not a stack of one, with
@@ -25,7 +27,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dedonder_hj.cauchy import (CauchyState, GridError, TangentVariation,
@@ -85,24 +87,42 @@ def stack(states):
                  for f in fields(cls)))
 
 
-@st.composite
-def framed_runs(draw, value_only_model=False, nodes=(3, 7, 128)):
-    """(L, H, grid, states, velocities, test set): F random frames of a
-    built-in model (or the same model given by its value alone), random
-    velocities on the same leading axis, and the standard test set, with
-    or without its node indicators (whose closed-form maximum would often
-    hide the contraction's bits)."""
-    name, params = draw(st.sampled_from(BUILTINS))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if name == "mechanics_oscillator":
-        L, grid = builtin_model(name, params), make_grid(1, m=0)
-    else:
-        L = builtin_model(name, {**params, "n": draw(st.integers(1, 2))})
-        grid = make_grid(draw(st.sampled_from(nodes)))
-    if value_only_model:
-        L = value_only(L)
+def x_and_t_model(n):
+    """Klein-Gordon L of mass term (1 + 0.3 sin 2 pi x + 0.1 t) |u|^2 / 2,
+    which reads x and t, with analytic partials and an analytic paired
+    Hamiltonian: a stacked evaluation that lays x or t out otherwise than
+    its frames do changes its values."""
+    kg = builtin_model("klein_gordon", {"n": n})
+    ham = kg.paired_hamiltonian
+
+    def potential(t, x, u):
+        return 0.5 * (1.0 + 0.3 * np.sin(2 * np.pi * x[0]) + 0.1 * t) \
+            * np.sum(np.square(u), axis=0)
+
+    def d_potential(t, x, u, *_):
+        return (1.0 + 0.3 * np.sin(2 * np.pi * x[0]) + 0.1 * t) * u
+
+    L = LagrangianModel(
+        kg.dims, lambda t, x, u, u_t, u_x: kg.value(t, x, u, u_t, u_x)
+        - potential(t, x, u),
+        d_u=lambda *args: -d_potential(*args), d_ut=kg._d_ut, d_ux=kg._d_ux,
+        velocity_hessian=kg._hess, d2_vel_u=kg._d2_vel_u, name="x_and_t")
+    L.paired_hamiltonian = HamiltonianModel(
+        kg.dims, lambda t, x, u, p_t, p_x: ham.value(t, x, u, p_t, p_x)
+        + potential(t, x, u),
+        d_u=d_potential, d_pt=ham._d_pt, d_px=ham._d_px,
+        momentum_jacobian=ham._momentum_jacobian,
+        spatial_momenta=ham._spatial_momenta, name="x_and_t_hamiltonian")
+    return L
+
+
+def framed_run(L, grid, F, seed, indicators):
+    """(L, H, grid, states, velocities, test set): F random frames of L on
+    the grid, random velocities on the same leading axis, and the standard
+    test set, with or without its node indicators (whose closed-form
+    maximum would often hide the contraction's bits)."""
+    rng = np.random.default_rng(seed)
     n, m, N = L.dims.n, grid.m, grid.n_nodes
-    F = draw(st.sampled_from(FRAME_COUNTS))
     states = [CauchyState(0.1 + 0.01 * k, rng.normal(size=(n, N)),
                           rng.normal(size=(n, N)),
                           rng.normal(size=(n, m, N))) for k in range(F)]
@@ -110,7 +130,31 @@ def framed_runs(draw, value_only_model=False, nodes=(3, 7, 128)):
                   rng.normal(size=(F, n, m, N))]
     test = standard_test_variations(grid, n, rng=rng)
     return (L, hamiltonian_from_lagrangian(L), grid, states, velocities,
-            replace(test, indicators=draw(st.booleans())))
+            replace(test, indicators=indicators))
+
+
+@st.composite
+def framed_runs(draw, value_only_model=False, nodes=(3, 7, 128)):
+    """A :func:`framed_run` of a built-in model or of :func:`x_and_t_model`
+    (or the same model given by its value alone)."""
+    name, params = draw(st.sampled_from(BUILTINS + [("x_and_t", {})]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if name == "mechanics_oscillator":
+        L, grid = builtin_model(name, params), make_grid(1, m=0)
+    else:
+        n = draw(st.integers(1, 2))
+        L = x_and_t_model(n) if name == "x_and_t" \
+            else builtin_model(name, {**params, "n": n})
+        grid = make_grid(draw(st.sampled_from(nodes)))
+    if value_only_model:
+        L = value_only(L)
+    return framed_run(L, grid, draw(st.sampled_from(FRAME_COUNTS)), seed,
+                      draw(st.booleans()))
+
+
+#: frames of a model that reads x and t, on which a stacked evaluation
+#: laying x out node by node, not frame by frame, changes the results
+X_AND_T_RUN = framed_run(x_and_t_model(1), make_grid(7), 5, 1, False)
 
 
 def frame_by_frame(L, H, grid, states, velocities, test):
@@ -140,6 +184,7 @@ def stacked(L, H, grid, states, velocities, test, blocks):
 
 @PROPERTY
 @given(framed_runs())
+@example(X_AND_T_RUN)
 def test_stacked_frames_match_frame_by_frame(case):
     single = frame_by_frame(*case)
     F = len(case[3])
@@ -149,6 +194,7 @@ def test_stacked_frames_match_frame_by_frame(case):
 
 @PROPERTY
 @given(framed_runs())
+@example(X_AND_T_RUN)
 def test_single_state_is_its_row_of_the_stack(case):
     # one frame is frame shape (), not a stack of one: each call at
     # take_frames(stack, f) gives row f of the stacked call, bit for bit,
@@ -368,8 +414,8 @@ def test_stacked_lift_matches_single_lifts(case):
 
 
 @pytest.mark.parametrize("fault, error", [
-    ("nan", ModelError), ("other N", GridError), ("other F", GridError),
-    ("other n", GridError)])
+    ("nan", ModelError), ("other N", GridError), ("other F", ModelError),
+    ("other n", ModelError)])
 def test_stacked_lift_refuses_bad_frames(fault, error):
     gamma = oscillator_gamma(builtin_model("klein_gordon").dims, 1.0)
     times = 0.1 * np.arange(6)

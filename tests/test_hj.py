@@ -138,6 +138,10 @@ def mis_shaped_samples(case):
     H, og = kg_H(1.0), oscillator_gamma(M1, omega=1.0)
     t, x, u = np.linspace(0.1, 0.4, 4), np.full((1, 4), 0.3), np.ones((1, 4))
     calls = {
+        "closedness point u of 2": lambda: gamma_closedness_residual(
+            og, [(0.1, [0.2], [0.3, 0.4])]),
+        "closedness point x of 2": lambda: gamma_closedness_residual(
+            og, [(0.1, [0.1, 0.2], [0.3])]),
         "hj u of 2 rows": lambda: hj_residual(H, og, t, x, np.ones((2, 4))),
         "hj x of 2 rows": lambda: hj_residual(H, og, t, np.ones((2, 4)), u),
         "hj t of 3": lambda: hj_residual(H, og, t[:3], x, u),
@@ -150,16 +154,29 @@ def mis_shaped_samples(case):
     return calls[case]
 
 
-@pytest.mark.parametrize("case", [
-    "hj u of 2 rows",            # returned a (2, 4) array
-    "hj x of 2 rows",            # returned a result
-    "hj t of 3",                 # numpy's ValueError
-    "closedness u of 2 rows",    # returned a ClosednessResidual
-    "closedness t of 3",         # numpy's ValueError
-    "flatness u of 2 rows"])     # numpy's "all the input array dimensions"
+U_OF_2 = r"^u must have shape \(n, P\?\) = \(1, 4\), got \(2, 4\)$"
+T_OF_3 = r"^x must have shape \(m, P\?\) = \(1, 3\), got \(1, 4\)$"
+
+#: the refusal of each case of :func:`mis_shaped_samples`, and what the
+#: call did before it was refused
+MIS_SHAPED = {
+    "hj u of 2 rows": U_OF_2,            # returned a (2, 4) array
+    "hj x of 2 rows":                    # returned a result
+    r"^x must have shape \(m, P\?\) = \(1, 4\), got \(2, 4\)$",
+    "hj t of 3": T_OF_3,                 # numpy's ValueError
+    "closedness u of 2 rows": U_OF_2,    # returned a ClosednessResidual
+    "closedness t of 3": T_OF_3,         # numpy's ValueError
+    "flatness u of 2 rows": U_OF_2,      # "all the input array dimensions"
+    # numpy's "cannot reshape array of size 2 into shape (1,1)", twice
+    "closedness point u of 2":
+    r"^u must have shape \(n,\) = \(1,\), got \(2,\)$",
+    "closedness point x of 2":
+    r"^x must have shape \(m,\) = \(1,\), got \(2,\)$"}
+
+
+@pytest.mark.parametrize("case", MIS_SHAPED)
 def test_verification_functions_refuse_mis_shaped_samples(case):
-    with pytest.raises(ModelError, match=r"^samples must be t \(\) or "
-                       r"\(P,\), .* for m = 1, n = 1 and one P, got t "):
+    with pytest.raises(ModelError, match=MIS_SHAPED[case]):
         mis_shaped_samples(case)()
 
 
@@ -323,12 +340,10 @@ OSC_GAMMA = oscillator_gamma(OSC_H.dims, omega=1.0)
     (lambda: evolve_characteristics(kg_H(1.0), oscillator_gamma(M1, 1.0),
                                     make_grid(16), np.ones((1, 10)), 0.0,
                                     0.1, 1.0),
-     GridError, r"u must have shape \(n, N\) = \(1, 16\) for the section "
-     r"on 16 nodes, got \(1, 10\)"),
+     GridError, r"u must have shape \(n, N\) = \(1, 16\), got \(1, 10\)"),
     (lambda: check_compatibility(kg_H(1.0), oscillator_gamma(M1, 1.0),
                                  make_grid(16), np.ones((1, 10)), 0.0),
-     GridError, r"u must have shape \(n, N\) = \(1, 16\) for the section "
-     r"on 16 nodes, got \(1, 10\)"),
+     GridError, r"u must have shape \(n, N\) = \(1, 16\), got \(1, 10\)"),
     (lambda: evolve_characteristics(kg_H(1.0), oscillator_gamma(M1, 1.0),
                                     make_grid(16), np.ones((1, 16)), 0.0,
                                     0.1, 1.0, store_every=2.5),

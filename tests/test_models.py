@@ -246,12 +246,12 @@ def test_legendre_maps_reject_dimension_mismatch():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: JetSample(0.0, [0.0, 1.0], [0.0], [0.0], [[0.0]], M1),
-     r"x must have shape \(1,\), got \(2,\)"),
+     r"x must have shape \(m,\) = \(1,\), got \(2,\)"),
     (lambda: ExtendedMomentumSample(0.0, [0.0], [0.0], np.nan, [0.0],
                                     [[0.0]], M1),
-     "non-finite sample entry"),
+     "non-finite field p"),
     (lambda: ReducedMomentumSample(np.nan, [0.0], [0.0], [0.0], [[0.0]], M1),
-     "t is not finite"),
+     "non-finite t nan"),
     (lambda: LagrangianModel(M1, lambda *a: np.nan, name="holed").value(
         0.0, [0.0], [0.0], [0.0], [[0.0]]),
      "holed: non-finite Lagrangian value"),

@@ -399,7 +399,7 @@ def test_presymplectic_pairing_does_not_see_a_function_of_t_alone():
         X, Y = random_tangent(grid, n, rng), random_tangent(grid, n, rng)
         assert presymplectic_pairing(H, grid, state, X, Y) \
             == presymplectic_pairing(H3, grid, state, X, Y)
-    assert H.names | H3.names <= {"d_u", "d_pt", "d_px"}
+    assert H.names | H3.names <= {"dims", "d_u", "d_pt", "d_px"}
 
 
 def test_extended_form_pairing_does_not_see_a_function_of_t_alone():
@@ -412,7 +412,7 @@ def test_extended_form_pairing_does_not_see_a_function_of_t_alone():
         X, Y = random_cotangent(grid, n, rng), random_cotangent(grid, n, rng)
         assert extended_form_pairing(L, grid, cs, X, Y) \
             == extended_form_pairing(L3, grid, cs, X, Y)
-    assert L.names | L3.names <= {"value", "d_u", "d_ut", "d_ux"}
+    assert L.names | L3.names <= {"dims", "value", "d_u", "d_ut", "d_ux"}
 
 
 def test_one_time_legendre_solve_per_extended_form_pairing(monkeypatch):

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation check of the numerical kernels against tier-1.
+"""Mutation check of the numerical kernels and the shape contract against
+tier-1.
 
     python3 tools/mutants.py
 
@@ -13,7 +14,8 @@ the tree and the script stops with exit 2. Then each mutant is applied in
 turn, and the copy restored after it:
 
 - ``PROBE`` evaluates every mutated kernel on generic inputs (two field
-  components, x-dependent data, a section that is not closed). A mutant
+  components, x-dependent data, a section that is not closed, two stacked
+  frames) and prints the refusals of two mis-shaped calls. A mutant
   whose probe output equals the unmutated one changes no output; it is
   dropped, not counted as a survivor;
 - otherwise tier-1 runs, and the mutant is killed when some test fails
@@ -112,9 +114,20 @@ MUTANTS = [
            'np.einsum("...abN,...bN->...aN", d["pt_u"], du)',
            'np.einsum("...baN,...bN->...aN", d["pt_u"], du)',
            "_lift_with contracting pt_u transposed"),
+    # survived tier-1 when the harness had the rows above: the frame
+    # properties ran only models that do not read x
+    Mutant("src/dedonder_hj/cauchy.py",
+           "np.repeat(grid.x[:, None], F, axis=1).reshape(grid.m, F * N),",
+           "np.repeat(grid.x, F, axis=1),",
+           "_frame_samples laying x out node by node, not frame by frame"),
+    Mutant("src/dedonder_hj/models.py",
+           "            if sizes.setdefault(axis, size) != size:  # None",
+           "            if sizes.setdefault(axis, size) != sizes[axis]:  # None",
+           "shape contract binding sizes without comparing them"),
 ]
 
-#: prints every mutated kernel's values on generic inputs, 10 digits each
+#: prints every mutated kernel's values on generic inputs, 10 digits each,
+#: and the errors of two mis-shaped recoveries
 PROBE = r'''
 import numpy as np
 from dedonder_hj.cauchy import (CauchyState, dynamical_trajectory_residual,
@@ -126,10 +139,11 @@ from dedonder_hj.cauchy import (CauchyState, dynamical_trajectory_residual,
 from dedonder_hj.cotangent import CotangentState, variational_derivative
 from dedonder_hj.hj import (HJSection, IncompatibleDataError, _lift_with,
                             check_compatibility, gamma_closedness_residual,
-                            hj_residual, linear_gamma, reduced_connection,
+                            hj_residual, lift_by_gamma, linear_gamma,
+                            reduced_connection,
                             restricted_connection_residual)
 from dedonder_hj.legendre import flatness_residual, hamiltonian_from_lagrangian
-from dedonder_hj.models import Dimensions, builtin_model
+from dedonder_hj.models import DedonderError, Dimensions, builtin_model
 
 
 def show(name, value):
@@ -187,6 +201,17 @@ show("trajectory", dynamical_trajectory_residual(
 show("frames", time_derivative_frames(rng.normal(size=(7, 2, 12)), 0.1))
 show("variational", variational_derivative(
     L, grid, CotangentState(0.3, uu, p_t)))
+show("lift_frames", lift_by_gamma(sec, np.array([0.3, 0.5]), grid,
+                                  np.stack([uu, 0.5 * uu])).p_t)
+for name, call in (("short_u", lambda: recover_spatial_momenta(
+                        H, grid, uu[:, :8], p_t[:, :8])),
+                   ("one_component", lambda: recover_spatial_momenta(
+                        H, grid, uu[:1], p_t[:1]))):
+    try:
+        call()
+        print(name, "accepted")
+    except DedonderError as exc:
+        print(name, type(exc).__name__, exc)
 '''
 
 
