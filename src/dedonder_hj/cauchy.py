@@ -130,6 +130,9 @@ _SHAPES = Shapes(**{
 #: the fields of one frame, all of whose axes a model and a grid bind
 _NODES = Shapes(u="n N", p_t="n N", p_x="n m N")
 
+#: a pairing's X and Y at a stack of frames: single variations only
+_SINGLE = Shapes(**{"X.du": "n N", "Y.du": "n N"})
+
 
 class _Frames(Record):
     """Base of the states: t a float or (F,), finite fields as `_SHAPES`."""
@@ -447,9 +450,12 @@ def presymplectic_pairing(H, grid, state, X, Y, _data=None):
     """Pairing of two tangent variations at a state; bilinear and exactly
     antisymmetric by construction. X and Y may also be stacks of S
     variations each: the result is then the (S,) array of the pairings of
-    X[s] with Y[s], each equal to its single pairing bit for bit. Refuses
-    variations that do not fit the state."""
+    X[s] with Y[s], each equal to its single pairing bit for bit. A state
+    of F frames pairs single variations only, into the (F,) array of each
+    frame's pairing. Refuses variations that do not fit the state."""
     _SHAPES.check(grid, H, state=state, X=X, Y=Y)
+    if np.ndim(state.t):
+        _SINGLE.check(grid, H, X=X, Y=Y)
     data = _state_pairing_data(H, grid, state) if _data is None else _data
     k_x, k_y = np.asarray(X.k)[..., None], np.asarray(Y.k)[..., None]
     # grouped so that swapping X and Y negates every floating-point term

@@ -54,15 +54,13 @@ def _write_csv(path, header, table, precision, int_cols=()):
     table = np.asarray(table, dtype=float)
     specs = ["%d" if k in int_cols else f"%.{precision}g"
              for k in range(len(header))]
-    periods = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, len(table), CSV_BLOCK):
-            fh.writelines(_csv_block(table[lo:lo + CSV_BLOCK], specs,
-                                     periods))
+            fh.writelines(_csv_block(table[lo:lo + CSV_BLOCK], specs))
 
 
-def _csv_block(block, specs, periods):
+def _csv_block(block, specs):
     """The text of one block of :func:`_write_csv`, CSV_CHUNK rows at a
     time, each row joined from one sequence of strings per column.
 
@@ -72,10 +70,8 @@ def _csv_block(block, specs, periods):
     as its rows are joined. A run is a stretch of values equal as floats
     and in sign bit, so 0.0 and -0.0 stay apart and NaNs never join one; P
     is the first row after row 0 equal to it, and every row must equal the
-    one P rows above it in the same sense. ``periods`` keeps each
-    column's last period and its strings, which the next block reuses
-    when it repeats the same P values. Besides those and the strings of
-    each run, only the strings of CSV_CHUNK rows live at once."""
+    one P rows above it in the same sense. Besides the strings of each run
+    and of each period, only the strings of CSV_CHUNK rows live at once."""
     n = len(block)
     sign = np.signbit(block)
     first = np.ones(block.shape, dtype=bool)  # row starts a run
@@ -91,10 +87,7 @@ def _csv_block(block, specs, periods):
                 np.array(_formatted(spec, column[starts]), dtype=object),
                 [b - a for a, b in zip(bounds, bounds[1:])]).tolist()
         elif P := _period(column, sign[:, k]):
-            key = column[:P].tolist(), sign[:P, k].tolist()
-            if periods.get(k, (None,))[0] != key:
-                periods[k] = key, _formatted(spec, column[:P])
-            cells = periods[k][1] * (n // P + 1)
+            cells = _formatted(spec, column[:P]) * (n // P + 1)
             del cells[n:]
         else:
             cells = chain.from_iterable(map(_formatted, repeat(spec), [

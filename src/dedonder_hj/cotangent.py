@@ -21,7 +21,7 @@ trajectory equations equivalent to
 
 import numpy as np
 
-from .cauchy import (_SHAPES, _Frames, _Variation, _frame_samples,
+from .cauchy import (_SHAPES, _SINGLE, _Frames, _Variation, _frame_samples,
                      _probe_rows, _sample_frames, _smooth_profile,
                      checked_frames, covector_residual, frame_blocks,
                      frame_velocities, gradient_fields, integrate_density,
@@ -124,10 +124,12 @@ def extended_form_pairing(L, grid, cs, X, Y):
 
     with X(h) the derivative of the field energy along the vertical part
     (du, dpi) of X: the k_X k_Y dh/dt legs of the full derivative cancel.
-    X and Y may be stacks of S variations each, as in
-    :func:`cauchy.presymplectic_pairing`. Refuses variations that do not
-    fit the state."""
+    X and Y may be stacks of S variations each, or cs a state of F frames,
+    as in :func:`cauchy.presymplectic_pairing`. Refuses variations that do
+    not fit the state."""
     _SHAPES.check(grid, L, state=cs, X=X, Y=Y)
+    if np.ndim(cs.t):
+        _SINGLE.check(grid, L, X=X, Y=Y)
     dh_du, dh_dpi = variational_derivative(L, grid, cs)
 
     def directional(Z):
@@ -209,17 +211,20 @@ def time_legendre_constraint_residual(L, grid, state):
 def pullback_identity_residual(L, H, grid, state, X, Y):
     """|pairing of (omega + dh wedge dt) at the restricted state against
     the pushed variations - Cauchy-space pairing of (X, Y)|; for stacks X
-    and Y of S variations each, the (S,) array of each pair's residual,
-    bit for bit.
+    and Y of S variations each, or a state of F frames, the (S,) or (F,)
+    array of each pair's or frame's residual, bit for bit.
 
-    Raises :class:`ConstraintError` when the state is more than 1e-10 off
-    the momentum constraint, or its distance is NaN, where the identity is
-    not asserted, and (through the two pairings) the shape contract's
-    errors for variations that do not fit the state.
+    Raises :class:`ConstraintError` when the state, or a frame of it, is
+    more than 1e-10 off the momentum constraint, or its distance is NaN,
+    where the identity is not asserted; the error carries the distance of
+    the first such frame in time order. Raises (through the two pairings)
+    the shape contract's errors for variations that do not fit the state.
     """
     res = time_legendre_constraint_residual(L, grid, state)
-    if not res <= 1e-10:
-        raise ConstraintError(res, 1e-10)
+    for r in np.atleast_1d(res)[np.argsort(state.t, axis=None,
+                                           kind="stable")]:
+        if not r <= 1e-10:
+            raise ConstraintError(float(r), 1e-10)
     lhs = extended_form_pairing(L, grid, restriction_map_R(state),
                                 push_variation(X), push_variation(Y))
     rhs = presymplectic_pairing(H, grid, state, X, Y)

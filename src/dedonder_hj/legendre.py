@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .models import (_SAMPLES, DEFAULT_FD_STEP, DedonderError,
+from .models import (_SAMPLES, DEFAULT_FD_STEP, DedonderError, Dimensions,
                      ExtendedMomentumSample, HamiltonianModel, JetSample,
                      ModelError, Record, ReducedMomentumSample,
                      _analytic_or_difference, central_difference,
@@ -308,72 +308,28 @@ def euler_lagrange_residual(L, section, points):
     return out
 
 
-class MomentumSection:
-    """A momentum-space section (u, p_t, p_x)(t, x) with first derivatives."""
-
-    def __init__(self, dims, u, p_t, p_x, d_base_u=None, d_t_pt=None,
-                 d_x_px=None):
-        self.dims = dims
-        self._u = u
-        self._p_t = p_t
-        self._p_x = p_x
-        self._d_base_u = d_base_u      # (t, x) -> (m+1, n)
-        self._d_t_pt = d_t_pt          # (t, x) -> (n,)
-        self._d_x_px = d_x_px          # (t, x) -> (n, m, m): d p^j / d x^i
-
-    def u(self, t, x):
-        return np.asarray(self._u(t, x), dtype=float)
-
-    def p_t(self, t, x):
-        return np.asarray(self._p_t(t, x), dtype=float)
-
-    def p_x(self, t, x):
-        return np.asarray(self._p_x(t, x), dtype=float)
-
-    def sample(self, t, x):
-        x = np.asarray(x, dtype=float)
-        return ReducedMomentumSample(t, x, self.u(t, x), self.p_t(t, x),
-                                     self.p_x(t, x), self.dims)
-
-    def d_base_u(self, t, x):
-        if self._d_base_u is not None:
-            return np.asarray(self._d_base_u(t, x), dtype=float)
-        u_t = central_difference(self.u, (t, x), 0, comp_axes=0)
-        u_x = central_difference(self.u, (t, x), 1)
-        return np.concatenate([u_t[None], u_x.T])
-
-    def d_t_pt(self, t, x):
-        return _analytic_or_difference(self._d_t_pt, self.p_t, (t, x), 0,
-                                       comp_axes=0)
-
-    def d_x_px(self, t, x):
-        return _analytic_or_difference(self._d_x_px, self.p_x, (t, x), 1)
+class MomentumSection(Record):
+    """A momentum-space section: ``fields(t, x)`` returns (u, p_t, p_x,
+    d_base_u, d_t_pt, d_x_px) at one base point, shaped (n,), (n,),
+    (n, m), (m+1, n), (n,) and (n, m, m), where d_base_u holds the first
+    derivatives of u over base slots (0 = time) and
+    d_x_px[a, i, j] = d p^j_a / d x^i."""
+    dims: Dimensions
+    fields: object
 
 
 def legendre_transform_section(L, section):
     """Momentum section obtained by composing a field section with the
     velocity-to-momentum map; derivatives by the total-derivative chain
     rule, so analytic inputs give analytic outputs. All six fields of a
-    point come from one jet, kept read-only until another point is asked
-    for."""
-    memo = {}
-
+    point come from one jet."""
     def fields(t, x):
-        key = (float(t), np.asarray(x, dtype=float).tobytes())
-        if key not in memo:
-            jet, first, d_pt, d_px = _section_calculus(L, section, t, x)
-            args = (jet.t, jet.x, jet.u, jet.u_t, jet.u_x)
-            memo.clear()
-            # read-only views, so no caller can alter what the next gets
-            memo[key] = [np.broadcast_to(a, a.shape) for a in (
-                jet.u, L.d_ut(*args), L.d_ux(*args), first, d_pt[:, 0],
-                d_px[:, :, 1:])]
-        return memo[key]
+        jet, first, d_pt, d_px = _section_calculus(L, section, t, x)
+        args = (jet.t, jet.x, jet.u, jet.u_t, jet.u_x)
+        return (jet.u, L.d_ut(*args), L.d_ux(*args), first, d_pt[:, 0],
+                d_px[:, :, 1:])
 
-    def field(k):
-        return lambda t, x: fields(t, x)[k]
-
-    return MomentumSection(L.dims, *map(field, range(6)))
+    return MomentumSection(L.dims, fields)
 
 
 class HdwSectionResidual(Record):
@@ -399,15 +355,11 @@ def hdw_residual(H, section, points):
     div = np.zeros((len(points), n))
     for k, (t, x) in enumerate(points):
         x = np.asarray(x, dtype=float)
-        sample = section.sample(t, x)
+        u, p_t, p_x, base_u, dtpt, dxpx = section.fields(t, x)
+        sample = ReducedMomentumSample(t, x, u, p_t, p_x, dims)
         args = (sample.t, sample.x, sample.u, sample.p_t, sample.p_x)
-        dmom = H.d_momenta(*args)          # (n, m+1)
-        du = H.d_u(*args)
-        base_u = section.d_base_u(t, x)    # (m+1, n)
-        grad[k] = base_u.T - dmom
-        dtpt = section.d_t_pt(t, x)
-        dxpx = section.d_x_px(t, x)        # (n, m, m)
-        div[k] = dtpt + np.einsum("ajj->a", dxpx) + du
+        grad[k] = np.asarray(base_u).T - H.d_momenta(*args)
+        div[k] = dtpt + np.einsum("ajj->a", dxpx) + H.d_u(*args)
     return HdwSectionResidual(gradient=grad, divergence=div)
 
 

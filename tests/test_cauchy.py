@@ -457,6 +457,30 @@ def test_pairing_refuses_stacks_of_different_lengths():
                                  take_frames(X, 0), Y).shape == (2,)
 
 
+@pytest.mark.parametrize("S", [2, 3])
+def test_pairing_refuses_stacked_variations_at_stacked_frames(S):
+    # a state of 3 frames against stacks of 2: numpy's "operands could not
+    # be broadcast together with shapes (3,1,16) (2,1,16)" before; stacks
+    # of 3 paired row f with frame f
+    g = make_grid(16)
+    rng = np.random.default_rng(9)
+    state = CauchyState(np.arange(3.0), rng.normal(size=(3, 1, 16)),
+                        rng.normal(size=(3, 1, 16)),
+                        rng.normal(size=(3, 1, 1, 16)))
+    X = random_smooth_variation(g, 1, rng, vertical=False, count=S)
+    one, other = take_frames(X, 0), take_frames(X, 1)
+    for pair, name in (((X, X), "X.du"), ((one, X), "Y.du")):
+        with pytest.raises(ModelError, match="^" + re.escape(
+                f"{name} must have shape (n, N) = (1, 16), got ({S}, 1, 16)")
+                + "$"):
+            presymplectic_pairing(kg_hamiltonian(), g, state, *pair)
+    # single variations pair at each frame
+    got = presymplectic_pairing(kg_hamiltonian(), g, state, one, other)
+    assert got.tolist() == [presymplectic_pairing(
+        kg_hamiltonian(), g, take_frames(state, f), one, other)
+        for f in range(3)]
+
+
 # -- trajectory residual -------------------------------------------------------
 
 def test_trajectory_residual_exact_constant_solution():

@@ -20,7 +20,7 @@ from dedonder_hj.cotangent import (ConstraintError, CotangentState,
 from dedonder_hj.hj import _lift_with, linear_gamma, oscillator_gamma
 from dedonder_hj.legendre import hamiltonian_from_lagrangian
 from dedonder_hj.models import (Dimensions, LagrangianModel, ModelError,
-                                builtin_model)
+                                builtin_model, replace)
 
 M1 = Dimensions(m=1, n=1)
 TWO_PI = 2.0 * np.pi
@@ -632,3 +632,52 @@ def test_pullback_identity_refuses_stacks_of_different_lengths():
         pullback_identity_residual(L, H, g, state, X, Y)
     assert pullback_identity_residual(L, H, g, state, take_frames(X, 2),
                                       Y).shape == (2,)
+
+
+def constraint_frames(grid, F):
+    """F states on the constraint, at t = 0.1, 0.2, ..., as one state."""
+    return stack([replace(constraint_state(grid, seed=f), t=0.1 * (f + 1))
+                  for f in range(F)])
+
+
+@pytest.mark.parametrize("S", [2, 3])
+def test_pairings_refuse_stacked_variations_at_stacked_frames(S):
+    # a state of 3 frames against stacks of 2: numpy's "operands could not
+    # be broadcast together with shapes (3,1,16) (2,1,16)" before; stacks
+    # of 3 paired row f with frame f
+    L, H = wave()
+    g = make_grid(16)
+    state = constraint_frames(g, 3)
+    X = random_smooth_variation(g, 1, np.random.default_rng(10),
+                                vertical=False, count=S)
+    one = take_frames(X, 0)
+    for A, B, name in ((X, X, "X.du"), (one, X, "Y.du")):
+        with pytest.raises(ModelError, match="^" + re.escape(
+                f"{name} must have shape (n, N) = (1, 16), got ({S}, 1, 16)")
+                + "$"):
+            extended_form_pairing(L, g, restriction_map_R(state),
+                                  push_variation(A), push_variation(B))
+        with pytest.raises(ModelError, match="^" + re.escape(name)):
+            pullback_identity_residual(L, H, g, state, A, B)
+
+
+def test_pullback_identity_on_stacked_frames():
+    # numpy's "The truth value of an array with more than one element is
+    # ambiguous" before: the constraint check read the (F,) distances
+    L, H = wave()
+    g = make_grid(16)
+    state = constraint_frames(g, 5)
+    X = take_frames(random_smooth_variation(
+        g, 1, np.random.default_rng(11), vertical=False), 0)
+    got = pullback_identity_residual(L, H, g, state, X, X)
+    assert got.tolist() == [pullback_identity_residual(
+        L, H, g, take_frames(state, f), X, X) for f in range(5)]
+    # off the constraint at frames 2 and 3: the first in time order counts
+    p_x = state.p_x.copy()
+    p_x[2] += 1e-3
+    p_x[3] += 2e-3
+    for t, residual in ((state.t, "1.000000e-03"),
+                        (state.t[::-1].copy(), "2.000000e-03")):
+        with pytest.raises(ConstraintError, match=f"residual {residual} "):
+            pullback_identity_residual(L, H, g, replace(state, t=t, p_x=p_x),
+                                       X, X)

@@ -16,8 +16,7 @@ from dedonder_hj.cauchy import (CauchyState, make_grid,
                                 recover_spatial_momenta, step_rk4)
 from dedonder_hj.cotangent import solve_time_velocity
 from dedonder_hj.hj import HJSection, linear_gamma, oscillator_gamma
-from dedonder_hj.legendre import (FieldSection, MomentumSection,
-                                  hamiltonian_from_lagrangian,
+from dedonder_hj.legendre import (FieldSection, hamiltonian_from_lagrangian,
                                   inverse_legendre, legendre_reduced,
                                   solve_velocities)
 from dedonder_hj.models import (Dimensions, HamiltonianModel, JetSample,
@@ -251,24 +250,6 @@ def test_field_section_fallbacks_match_analytic(dims):
             got, want = getattr(fd, name)(t, x), getattr(exact, name)(t, x)
             assert got.shape == want.shape, name
             assert np.allclose(got, want, rtol=0, atol=SECOND_TOL), name
-
-
-@pytest.mark.parametrize("dims", DIMS, ids=DIM_IDS)
-def test_momentum_section_fallbacks_match_analytic(dims):
-    # p_t = u_t of the wave and p_x = u_x, so the momentum derivatives are
-    # the wave's second derivatives
-    f = _wave(dims)
-    exact = MomentumSection(
-        dims, f["u"], f["u_t"], f["u_x"],
-        d_base_u=lambda t, x: np.concatenate([f["u_t"](t, x)[None],
-                                              f["u_x"](t, x).T]),
-        d_t_pt=f["u_tt"], d_x_px=f["u_xx"])
-    fd = MomentumSection(dims, f["u"], f["u_t"], f["u_x"])
-    for t, x, *_ in points(dims, seed=5):
-        for name in ("d_base_u", "d_t_pt", "d_x_px"):
-            got, want = getattr(fd, name)(t, x), getattr(exact, name)(t, x)
-            assert got.shape == want.shape, name
-            assert np.allclose(got, want, rtol=0, atol=FIRST_TOL), name
 
 
 @pytest.mark.parametrize("dims", DIMS, ids=DIM_IDS)

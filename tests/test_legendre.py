@@ -3,7 +3,8 @@ import pytest
 
 from dedonder_hj.legendre import (NEWTON_MAX_ITER, ConnectionCoefficients,
                                   FieldSection, HdwSectionResidual,
-                                  NewtonError, _solve_nodewise,
+                                  MomentumSection, NewtonError,
+                                  _solve_nodewise,
                                   euler_lagrange_residual,
                                   flatness_residual,
                                   hamiltonian_from_lagrangian, hdw_residual,
@@ -150,6 +151,17 @@ def newton(g, target, jacobian=None):
                                    jacobian=jacobian)
 
 
+FREE_WAVE_H = hamiltonian_from_lagrangian(builtin_model("free_wave"))
+
+
+def hand_built_section(u=(0.0,), p_t=(0.0,)):
+    """A momentum section of M1 with the given u and p_t at every point,
+    every other field zero."""
+    return MomentumSection(M1, lambda t, x: (
+        np.array(u), np.array(p_t), np.zeros((1, 1)), np.zeros((2, 1)),
+        np.zeros(1), np.zeros((1, 1, 1))))
+
+
 @pytest.mark.parametrize("call, error, message", [
     # g is constant: its differenced Jacobian is 0
     (newton(lambda v: 0.0 * v + 1.0, 0.0), NewtonError,
@@ -165,11 +177,18 @@ def newton(g, target, jacobian=None):
         builtin_model("mechanics_oscillator")), legendre_transform_section(
         builtin_model("free_wave"), travelling_wave_section()), []),
      ModelError, "section dimensions do not match model"),
+    (lambda: hdw_residual(FREE_WAVE_H, hand_built_section(u=[0.0, 0.0]),
+                          [(0.0, [0.0])]),
+     ModelError, r"u must have shape \(n,\) = \(1,\), got \(2,\)"),
+    (lambda: hdw_residual(FREE_WAVE_H, hand_built_section(p_t=[np.inf]),
+                          [(0.0, [0.0])]),
+     ModelError, "non-finite field p_t"),
     (lambda: ConnectionCoefficients(M1, lambda t, x, u: np.array(
         [[np.nan, 0.0]])).coefficients(0.0, [0.0], [0.0]),
      ModelError, "non-finite connection coefficients"),
 ], ids=["singular-jacobian", "stalled-step", "no-convergence",
-        "section-dims", "non-finite-connection"])
+        "section-dims", "section-u-shape", "section-non-finite-p_t",
+        "non-finite-connection"])
 def test_solver_and_section_refusals(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call()
@@ -370,9 +389,9 @@ def test_section_calculus_of_the_exact_oscillator():
     points = [(0.37 * k, np.zeros(0)) for k in range(8)]
     ms = legendre_transform_section(osc, sec)
     for t, x in points:
-        assert ms.d_x_px(t, x).shape == (2, 0, 0)
-        assert np.allclose(ms.d_t_pt(t, x), -omega ** 2 * u(t, x),
-                           rtol=0, atol=1e-15)
+        *_, d_t_pt, d_x_px = ms.fields(t, x)
+        assert d_x_px.shape == (2, 0, 0)
+        assert np.allclose(d_t_pt, -omega ** 2 * u(t, x), rtol=0, atol=1e-15)
     el = euler_lagrange_residual(osc, sec, points)
     assert el.shape == (8, 2)
     assert np.max(np.abs(el)) <= 1e-15
@@ -421,18 +440,14 @@ def test_transformed_section_fields_do_not_depend_on_query_order(value_only):
     kg = builtin_model("klein_gordon", {"mass": 1.0})
     L = LagrangianModel(kg.dims, kg._value) if value_only else kg
     sec = klein_gordon_value_only_section()
-    names = ("u", "p_t", "p_x", "d_base_u", "d_t_pt", "d_x_px")
     A, B = (0.3, np.array([0.2])), (0.7, np.array([0.55]))
     ms = legendre_transform_section(L, sec)
     for t, x in (A, B, A):
-        got = [getattr(ms, f)(t, x) for f in names]
-        fresh = legendre_transform_section(L, sec)
-        for name, value in zip(names, got):
-            assert value.tobytes() == getattr(fresh, name)(t, x).tobytes(), \
-                name
-    p_t = ms.p_t(*A)
-    with pytest.raises(ValueError):
-        p_t[0] = 1.0
+        fresh = legendre_transform_section(L, sec).fields(t, x)
+        got = ms.fields(t, x)
+        assert len(got) == len(fresh) == 6
+        for k, (value, want) in enumerate(zip(got, fresh)):
+            assert value.tobytes() == want.tobytes(), k
 
 
 # -- connection curvature -------------------------------------------------------
