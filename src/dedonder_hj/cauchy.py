@@ -25,6 +25,7 @@ above, which is what the trajectory residual measures.
 """
 
 import numbers
+from functools import partial
 
 import numpy as np
 
@@ -90,8 +91,11 @@ def spatial_derivative(grid, values):
     values = np.asarray(values, dtype=float)
     if values.shape[-1:] != grid.weights.shape:   # the contract words it
         _SHAPES.check(grid, values=values)
-    if grid.m == 0:
-        return np.zeros_like(values)
+    return _central(grid, values) if grid.m else np.zeros_like(values)
+
+
+def _central(grid, values):
+    """:func:`spatial_derivative` of float values on the nodes at m = 1."""
     if grid.n_nodes < 3:
         raise GridError("central differences need at least 3 nodes")
     padded = np.concatenate([values[..., -1:], values, values[..., :1]],
@@ -151,22 +155,8 @@ class CauchyState(_Frames):
     p_t: np.ndarray    # (n, N)
     p_x: np.ndarray    # (n, m, N)
 
-    #: (H, grid) under which ``p_x`` is the recovery at (t, u, p_t); set
-    #: only by :func:`step_rk4`, so every other state recovers afresh
-    _recovered_by = (None, None)
-
-    @classmethod
-    def _unchecked(cls, t, u, p_t, p_x, recovered_by):
-        """State from a float t and float arrays, without the conversions
-        and the finiteness check; ``p_x`` is the recovery at (t, u, p_t)
-        under ``recovered_by`` = (H, grid). The arrays are made read-only,
-        so the recovered ``p_x`` cannot go stale."""
-        for values in (u, p_t, p_x):
-            values.setflags(write=False)
-        state = object.__new__(cls)
-        state.__dict__.update(t=t, u=u, p_t=p_t, p_x=p_x,
-                              _recovered_by=recovered_by)
-        return state
+    #: the :func:`_stages` that recovered p_x; set only by :func:`step_rk4`
+    _stages = (None, None)
 
 
 def take_frames(frames, index):
@@ -250,41 +240,48 @@ def _variation_parts(X):
 
 def recover_spatial_momenta(H, grid, u, p_t=None, t=0.0):
     """Solve the spatial constraint dH/dp^j_a = (D u^a)_j for p_x at every
-    node (vectorized Newton with damping). The solve starts at the model's
-    closed-form ``spatial_momenta`` when it has one, which then needs a
-    single check of dH/dp_x, and at zero otherwise. The per-node Jacobian
-    is the p_x block of ``H.momentum_jacobian`` when the model supplies
-    one, central differences of dH/dp_x otherwise."""
+    node by damped Newton, from the model's closed-form ``spatial_momenta``
+    when it has one (then one check of dH/dp_x) and from zero otherwise,
+    with the p_x block of ``H.momentum_jacobian`` as the per-node Jacobian
+    when the model supplies one, central differences of dH/dp_x otherwise."""
     u = np.asarray(u, dtype=float)
     p_t = np.zeros_like(u) if p_t is None else np.asarray(p_t, dtype=float)
-    _NODES.check(grid, H, u=u, p_t=p_t)
-    n, N = u.shape
-    if grid.m == 0:
-        return np.zeros((n, 0, N))
-    u_x = gradient_fields(grid, u)
-    start = None
-    if H.has_closed_form_spatial_momenta:
-        start = H.spatial_momenta(t, grid.x, u, p_t, u_x)
-    jacobian = None
-    if H.has_analytic_momentum_jacobian:
-        def jacobian(px):
-            return H.momentum_jacobian(t, grid.x, u, p_t, px)["p_x"][:, 1:]
-    return _solve_nodewise(lambda px: H.d_px(t, grid.x, u, p_t, px),
-                           lambda px: H.value(t, grid.x, u, p_t, px),
-                           u_x, "momentum recovery", 2, jacobian, start)
+    return _stages(H, grid)[2](t, u, p_t)
 
 
-def _rhs(H, grid, t, u, p_t, p_x=None):
-    """(u_dot, p_t_dot, p_x) of the split field equations at (t, u, p_t);
-    p_x is recovered unless given."""
-    if p_x is None:
-        p_x = recover_spatial_momenta(H, grid, u, p_t=p_t, t=t)
-    args = (t, grid.x, u, p_t, p_x)
-    u_dot = H.d_pt(*args)
-    p_t_dot = -H.d_u(*args)
-    for j in range(grid.m):
-        p_t_dot = p_t_dot - spatial_derivative(grid, p_x[:, j, :])
-    return u_dot, p_t_dot, p_x
+def _stages(H, grid):
+    """(H, grid, recover, rhs), bound once. ``recover(t, u, p_t)`` is p_x of
+    float arrays (one tuple compare checks them, the contract words a
+    refusal); ``rhs(t, u, p_t, p_x=None)`` is (u_dot, p_t_dot)."""
+    _NODES.check(grid, H)     # a model for another m
+    x, m = grid.x, grid.m
+    shape = n, N = H.dims.n, grid.n_nodes
+    d_u, d_pt, d_px = H.d_u, H.d_pt, H.d_px
+    closed = H.has_closed_form_spatial_momenta and H.spatial_momenta
+    jacobian = H.has_analytic_momentum_jacobian and H.momentum_jacobian
+
+    def recover(t, u, p_t):
+        if u.shape != shape or p_t.shape != shape:
+            _NODES.check(grid, H, u=u, p_t=p_t)
+        if not m:
+            return np.zeros((n, 0, N))
+        u_x = _central(grid, u)[:, None]
+        at = t, x, u, p_t
+        return _solve_nodewise(
+            partial(d_px, *at), partial(H.value, *at), u_x,
+            "momentum recovery", 2,
+            (lambda px: jacobian(*at, px)["p_x"][:, 1:]) if jacobian else None,
+            closed(*at, u_x) if closed else None)
+
+    def rhs(t, u, p_t, p_x=None):
+        p_x = recover(t, u, p_t) if p_x is None else p_x
+        at = t, x, u, p_t, p_x
+        u_dot, p_t_dot = d_pt(*at), -d_u(*at)
+        for j in range(m):
+            p_t_dot = p_t_dot - _central(grid, p_x[:, j])
+        return u_dot, p_t_dot
+
+    return H, grid, recover, rhs
 
 
 def _check_dt(dt):
@@ -312,26 +309,30 @@ def _rk4_update(y, dt, k1, k2, k3, k4):
 
 
 def step_rk4(H, grid, state, dt):
-    """Classical fourth-order Runge-Kutta step on (u, p_t); the spatial
-    momenta are recovered at every stage and on the returned state. The
-    first stage reuses ``state.p_x`` when ``state`` came out of a step with
-    the same H and grid, since that p_x is this recovery, bit for bit. The
-    stages pass plain arrays; the returned state is not checked for
-    finiteness, which :func:`run_simulation` does after every step."""
+    """Classical fourth-order Runge-Kutta step on (u, p_t), p_x recovered
+    at every stage and on the returned state, which carries the stages: a
+    step from it under the same H and grid object reuses them and its p_x;
+    other states are checked first. run_simulation checks finiteness."""
     _check_dt(dt)
-    t, u, p = state.t, state.u, state.p_t
-    _NODES.check(grid, H, u=u, p_t=p, p_x=state.p_x)
-    H0, grid0 = state._recovered_by
-    k1u, k1p, _ = _rhs(H, grid, t, u, p,
-                       state.p_x if H0 is H and grid0 is grid else None)
-    k2u, k2p, _ = _rhs(H, grid, t + dt / 2, u + dt / 2 * k1u, p + dt / 2 * k1p)
-    k3u, k3p, _ = _rhs(H, grid, t + dt / 2, u + dt / 2 * k2u, p + dt / 2 * k2p)
-    k4u, k4p, _ = _rhs(H, grid, t + dt, u + dt * k3u, p + dt * k3p)
+    t, u, p, p_x = state.t, state.u, state.p_t, state.p_x
+    stages = state._stages
+    if stages[0] is not H or stages[1] is not grid:
+        _NODES.check(grid, H, u=u, p_t=p, p_x=p_x)
+        stages, p_x = _stages(H, grid), None
+    *_, recover, rhs = stages
+    k1u, k1p = rhs(t, u, p, p_x)
+    k2u, k2p = rhs(t + dt / 2, u + dt / 2 * k1u, p + dt / 2 * k1p)
+    k3u, k3p = rhs(t + dt / 2, u + dt / 2 * k2u, p + dt / 2 * k2p)
+    k4u, k4p = rhs(t + dt, u + dt * k3u, p + dt * k3p)
     u_new = _rk4_update(u, dt, k1u, k2u, k3u, k4u)
     p_new = _rk4_update(p, dt, k1p, k2p, k3p, k4p)
-    t_new = t + dt
-    p_x_new = recover_spatial_momenta(H, grid, u_new, p_t=p_new, t=t_new)
-    return CauchyState._unchecked(t_new, u_new, p_new, p_x_new, (H, grid))
+    t += dt
+    p_x = recover(t, u_new, p_new)
+    for values in (u_new, p_new, p_x):
+        values.setflags(write=False)    # so the carried p_x cannot go stale
+    out = object.__new__(CauchyState)       # no conversions or checks
+    out.__dict__.update(t=t, u=u_new, p_t=p_new, p_x=p_x, _stages=stages)
+    return out
 
 
 def rhs_spectral_radius(H, grid, state):
@@ -345,13 +346,12 @@ def rhs_spectral_radius(H, grid, state):
     to 1024, where the last iterate alone is up to 1 % low. A right-hand
     side that overflows near ``state`` has no radius to estimate: a
     non-finite Arnoldi matrix raises :class:`ModelError`."""
-    n = state.u.shape[0]
-    x0 = np.concatenate([state.u, state.p_t])
+    stage = _stages(H, grid)[3]
+    x0 = np.stack([state.u, state.p_t])
     eps = 1e-4 * max(1.0, float(np.abs(x0).max()))
 
     def rhs(x):
-        u_dot, p_t_dot, _ = _rhs(H, grid, state.t, x[:n], x[n:])
-        return np.concatenate([u_dot, p_t_dot])
+        return np.array(stage(state.t, *x))
 
     def jvp(v):
         return (rhs(x0 + eps * v) - rhs(x0 - eps * v)) / (2 * eps)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .models import (_SAMPLES, DEFAULT_FD_STEP, DedonderError, Dimensions,
                      ExtendedMomentumSample, HamiltonianModel, JetSample,
-                     ModelError, Record, ReducedMomentumSample,
+                     ModelError, Record, ReducedMomentumSample, Shapes,
                      _analytic_or_difference, central_difference,
                      pack_velocities, unpack_velocities)
 
@@ -318,6 +318,11 @@ class MomentumSection(Record):
     fields: object
 
 
+#: the six fields of a momentum section at one point, in order
+_SECTION = Shapes(u="n", p_t="n", p_x="n m", d_base_u="m+1 n", d_t_pt="n",
+                  d_x_px="n m m")
+
+
 def legendre_transform_section(L, section):
     """Momentum section obtained by composing a field section with the
     velocity-to-momentum map; derivatives by the total-derivative chain
@@ -346,7 +351,9 @@ class HdwSectionResidual(Record):
 
 
 def hdw_residual(H, section, points):
-    """Hamiltonian field-equation residuals along a momentum section."""
+    """Hamiltonian field-equation residuals along a momentum section. The
+    six fields of each point are shaped as ``MomentumSection`` gives them,
+    or refused (ModelError)."""
     dims = H.dims
     if dims != section.dims:
         raise ModelError("section dimensions do not match model")
@@ -355,10 +362,11 @@ def hdw_residual(H, section, points):
     div = np.zeros((len(points), n))
     for k, (t, x) in enumerate(points):
         x = np.asarray(x, dtype=float)
-        u, p_t, p_x, base_u, dtpt, dxpx = section.fields(t, x)
+        u, p_t, p_x, base_u, dtpt, dxpx = _SECTION.floats(None, H, **dict(
+            zip(_SECTION.specs, section.fields(t, x))))
         sample = ReducedMomentumSample(t, x, u, p_t, p_x, dims)
         args = (sample.t, sample.x, sample.u, sample.p_t, sample.p_x)
-        grad[k] = np.asarray(base_u).T - H.d_momenta(*args)
+        grad[k] = base_u.T - H.d_momenta(*args)
         div[k] = dtpt + np.einsum("ajj->a", dxpx) + H.d_u(*args)
     return HdwSectionResidual(gradient=grad, divergence=div)
 

@@ -61,7 +61,7 @@ class Shapes:
     signatures (README, "Shape contract"): specs such as ``"F? n N"`` name
     the axes of arguments (``A?`` optional, ``...`` any leading ones, and
     ``#A?`` a scalar that broadcasts), and each name binds one size, and
-    presence, across a call."""
+    presence, across a call; a model binds n, m and the m+1 base slots."""
 
     def __init__(self, **specs):
         self.specs = {}
@@ -87,7 +87,8 @@ class Shapes:
                     break             # a record, None, a list or other names
             else:
                 return
-        sizes = {} if dims is None else {"n": dims.n, "m": dims.m}
+        sizes = {} if dims is None else {"n": dims.n, "m": dims.m,
+                                         "m+1": dims.m + 1}
         if grid is not None:
             if sizes.setdefault("m", grid.m) != grid.m:
                 raise GridError(f"{model.name} is for m = {dims.m}, the grid "

@@ -217,28 +217,36 @@ def test_recover_mass_term_invariant():
 
 # the Hamilton-De Donder-Weyl right-hand side of every RK4 stage
 
+def stage_functions(H, g):
+    """(recover, rhs) of the stages that step_rk4 binds for H and g."""
+    return cauchy._stages(H, g)[2:]
+
+
 def test_hdw_rhs_constant_klein_gordon():
     g = make_grid(16)
-    u_dot, p_t_dot, p_x = cauchy._rhs(kg_hamiltonian(1.0), g, 0.0,
-                                      np.ones((1, 16)), np.zeros((1, 16)))
+    recover, rhs = stage_functions(kg_hamiltonian(1.0), g)
+    u, p = np.ones((1, 16)), np.zeros((1, 16))
+    u_dot, p_t_dot = rhs(0.0, u, p)
     assert not u_dot.any()
     assert np.allclose(p_t_dot, -1.0, atol=1e-14)
-    assert not p_x.any()
+    assert not recover(0.0, u, p).any()
 
 
 def test_hdw_rhs_zero_state():
     g = make_grid(16)
-    u_dot, p_t_dot, p_x = cauchy._rhs(wave_hamiltonian(), g, 0.0,
-                                      np.zeros((1, 16)), np.zeros((1, 16)))
-    assert not u_dot.any() and not p_t_dot.any() and not p_x.any()
+    recover, rhs = stage_functions(wave_hamiltonian(), g)
+    u = p = np.zeros((1, 16))
+    u_dot, p_t_dot = rhs(0.0, u, p)
+    assert not u_dot.any() and not p_t_dot.any()
+    assert not recover(0.0, u, p).any()
 
 
 def test_hdw_rhs_wave_discrete_laplacian():
     # the composed stencil: p_t_dot equals D(D u) and approximates u_xx
     g = make_grid(128)
     u = np.sin(TWO_PI * g.x[0])[None, :]
-    _, p_t_dot, _ = cauchy._rhs(wave_hamiltonian(), g, 0.0, u,
-                                np.zeros((1, 128)))
+    _, p_t_dot = stage_functions(wave_hamiltonian(), g)[1](
+        0.0, u, np.zeros((1, 128)))
     composed = spatial_derivative(g, spatial_derivative(g, u))
     assert np.max(np.abs(p_t_dot - composed)) <= 1e-12
     assert np.max(np.abs(p_t_dot + TWO_PI ** 2 * u)) <= 5e-2
@@ -248,19 +256,20 @@ def test_hdw_rhs_wave_discrete_laplacian():
 def test_hdw_rhs_is_the_stage_right_hand_side(value_only):
     # without a p_x, the right-hand side recovers it from (t, u, p_t), as
     # the later stages of a step do; passed the recovered p_x, as a chained
-    # first stage is, it gives the same arrays bit for bit
+    # first stage is, it gives the same arrays bit for bit; the stage's
+    # recovery is recover_spatial_momenta's
     L = builtin_model("klein_gordon", {"mass": 1.0})
     if value_only:
         L = LagrangianModel(L.dims, L._value)
     H = hamiltonian_from_lagrangian(L)
     g = make_grid(16)
+    recover, rhs = stage_functions(H, g)
     u = np.sin(TWO_PI * g.x[0])[None, :]
     p = 0.5 * np.cos(TWO_PI * g.x[0])[None, :]
     p_x = recover_spatial_momenta(H, g, u, p_t=p, t=0.2)
-    got = cauchy._rhs(H, g, 0.2, u, p)
-    for a, b in zip(got, cauchy._rhs(H, g, 0.2, u, p, p_x)):
+    assert np.array_equal(recover(0.2, u, p), p_x)
+    for a, b in zip(rhs(0.2, u, p), rhs(0.2, u, p, p_x)):
         assert np.array_equal(a, b)
-    assert np.array_equal(got[2], p_x)
 
 
 def test_step_rk4_constant_klein_gordon():
@@ -641,6 +650,12 @@ MODEL_CALLS = ("value", "d_u", "d_pt", "d_px", "momentum_jacobian",
                "spatial_momenta")
 
 
+def count_recoveries(monkeypatch):
+    """Calls of the Newton solve that every recovery at m = 1 makes once,
+    the stages' and recover_spatial_momenta's alike."""
+    return count_calls(monkeypatch, cauchy, ["_solve_nodewise"])
+
+
 def recovery_counts(monkeypatch, H):
     """Model calls and recoveries of one step from a caller-built state,
     then of three chained steps: a step from a caller-built state recovers
@@ -650,14 +665,14 @@ def recovery_counts(monkeypatch, H):
     u, p = smooth_state(g, 1)
     s = CauchyState(0.0, u, p, recover_spatial_momenta(H, g, u, p_t=p))
     counts = count_calls(monkeypatch, HamiltonianModel, MODEL_CALLS)
-    recoveries = count_calls(monkeypatch, cauchy, ["recover_spatial_momenta"])
+    recoveries = count_recoveries(monkeypatch)
     for steps, per_step in ((1, 5), (3, 4)):
         for key in counts:
             counts[key] = 0
-        recoveries["recover_spatial_momenta"] = 0
+        recoveries["_solve_nodewise"] = 0
         for _ in range(steps):
             s = step_rk4(H, g, s, 1e-3)
-        yield steps, per_step * steps, recoveries["recover_spatial_momenta"], \
+        yield steps, per_step * steps, recoveries["_solve_nodewise"], \
             dict(counts)
 
 
@@ -674,11 +689,11 @@ def test_rk4_step_calls_per_recovery(monkeypatch):
 
 
 #: Python-level calls into the package's own files during one chained
-#: Klein-Gordon step: the step, its checks and its two updates, four
+#: Klein-Gordon step: the step, its dt check and its two updates, four
 #: right-hand sides with two partials each, four recoveries with their
-#: checks, gradients, closed-form starts and solves, and each model
-#: partial through the analytic-or-difference rule to its callable
-LEAN_STEP_CALLS = 82
+#: derivatives, closed-form starts and solves, and each model partial
+#: through the analytic-or-difference rule to its callable
+LEAN_STEP_CALLS = 68
 
 
 def test_chained_step_python_calls_are_pinned():
@@ -850,11 +865,11 @@ def test_recovery_refuses_fields_not_shaped_for_model_and_grid(u, p_t, error,
 def test_step_refuses_state_on_another_node_count(monkeypatch):
     s = CauchyState(0.0, np.ones((1, 10)), np.ones((1, 10)),
                     np.zeros((1, 1, 10)))
-    recoveries = count_calls(monkeypatch, cauchy, ["recover_spatial_momenta"])
+    recoveries = count_recoveries(monkeypatch)
     with pytest.raises(GridError, match=r"^u must have shape \(n, N\) = "
                        r"\(1, 16\), got \(1, 10\)$"):
         step_rk4(kg_hamiltonian(1.0), make_grid(16), s, 1e-3)
-    assert recoveries["recover_spatial_momenta"] == 0
+    assert recoveries["_solve_nodewise"] == 0
 
 
 @pytest.mark.parametrize("n_steps", [1, 3, 10])
@@ -863,9 +878,9 @@ def test_run_simulation_recovers_four_times_per_step_and_once(monkeypatch,
     g = make_grid(32)
     u, p = smooth_state(g, 1)
     s = CauchyState(0.0, u, p, np.zeros((1, 1, 32)))
-    recoveries = count_calls(monkeypatch, cauchy, ["recover_spatial_momenta"])
+    recoveries = count_recoveries(monkeypatch)
     run_simulation(kg_hamiltonian(1.0), g, s, 1e-3, n_steps)
-    assert recoveries["recover_spatial_momenta"] == 4 * n_steps + 1
+    assert recoveries["_solve_nodewise"] == 4 * n_steps + 1
 
 
 # -- the p_x a step carries into the next ----------------------------------------
@@ -946,6 +961,67 @@ def test_step_under_another_model_or_grid_recovers_afresh():
     half = make_grid(16, 0.5)
     assert_same_bits(step_rk4(H, half, s, 1e-3),
                      step_rk4(H, half, unmarked, 1e-3))
+
+
+def half_momentum_model():
+    """n = 1, m = 1: H = |p_t|^2 / 2 + |u|^2 / 2 - |p_x|^2, whose
+    dH/dp_x = -2 p_x makes the spatial momenta half those of Klein-Gordon
+    of mass 1, with the same u and p_t partials."""
+    H = kg_hamiltonian(1.0)
+
+    def value(t, x, u, p_t, p_x):
+        return (0.5 * np.sum(p_t ** 2, axis=0) + 0.5 * np.sum(u ** 2, axis=0)
+                - np.sum(p_x ** 2, axis=(0, 1)))
+
+    return HamiltonianModel(
+        H.dims, value, d_u=H.d_u, d_pt=H.d_pt,
+        d_px=lambda t, x, u, p_t, p_x: -2.0 * p_x,
+        spatial_momenta=lambda t, x, u, p_t, u_x: -0.5 * u_x, name="half")
+
+
+@pytest.mark.parametrize("change", ["other-H", "other-length", "replaced"])
+def test_state_without_the_stages_recovers_at_its_first_stage(monkeypatch,
+                                                              change):
+    # a stepped state carries the stages of its H and grid object; stepped
+    # under another H, on a grid of the same N and another length, or
+    # rebuilt with replace, it recovers at all five points, and the step
+    # equals one from a caller-built state with the same fields bit for
+    # bit; a carried p_x would differ
+    H, g = kg_hamiltonian(1.0), make_grid(16)
+    u, p = smooth_state(g, 1)
+    s = step_rk4(H, g, CauchyState(0.0, u, p, recover_spatial_momenta(
+        H, g, u, p_t=p)), 1e-3)
+    fresh = CauchyState(s.t, s.u, s.p_t, s.p_x)
+    other_H = half_momentum_model() if change == "other-H" else H
+    other_g = make_grid(16, 0.5) if change == "other-length" else g
+    if change == "replaced":
+        s = replace(s, t=s.t)
+    else:
+        assert not np.array_equal(recover_spatial_momenta(
+            other_H, other_g, s.u, s.p_t, s.t), s.p_x)
+    recoveries = count_recoveries(monkeypatch)
+    stepped = step_rk4(other_H, other_g, s, 1e-3)
+    assert recoveries["_solve_nodewise"] == 5
+    assert_same_bits(stepped, step_rk4(other_H, other_g, fresh, 1e-3))
+
+
+@pytest.mark.parametrize("start", ["caller-built", "stepped"])
+def test_stage_fields_of_a_misshaped_partial_are_refused(monkeypatch, start):
+    # a dH/dp_t of shape (n, N, 1) broadcasts the second stage's u to
+    # (n, N, N): the stage's recovery refuses it in the contract's wording
+    # during the run's first step, whether or not the start carries stages
+    H = kg_hamiltonian(1.0)
+    bad = HamiltonianModel(H.dims, H.value, d_u=H.d_u,
+                           d_pt=lambda t, x, u, p_t, p_x: p_t[..., None],
+                           d_px=H.d_px, spatial_momenta=H.spatial_momenta)
+    g, s = reuse_start(H)
+    if start == "stepped":
+        s = step_rk4(H, g, s, 1e-3)
+    steps = count_calls(monkeypatch, cauchy, ["step_rk4"])
+    with pytest.raises(ModelError, match=r"^u must have shape \(n, N\) = "
+                       r"\(1, 16\), got \(1, 16, 16\)$"):
+        run_simulation(bad, g, s, 1e-3, 3)
+    assert steps["step_rk4"] == 1
 
 
 # -- refused step sizes and run lengths ------------------------------------------

@@ -450,6 +450,46 @@ def test_lift_variation_chain_rule():
     assert not lv.dp_x.any()
 
 
+#: a constant (2, 2) matrix that is not symmetric
+SKEWED = np.array([[0.3, 0.7], [-0.2, 0.5]])
+
+
+def skewed_gamma():
+    """n = 2, m = 1: gamma_pt = (1 + t) A u with A = SKEWED, so
+    d(gamma_pt)/du = (1 + t) A is not symmetric and the section is not
+    closed; gamma_px = 0."""
+    return HJSection(
+        Dimensions(m=1, n=2),
+        pt=lambda t, x, u: (1 + t) * np.einsum("ab,b...->a...", SKEWED, u),
+        px=lambda t, x, u: np.zeros((2, 1) + u.shape[1:]))
+
+
+def test_hj_residual_and_lift_contract_a_non_symmetric_pt_u():
+    # Klein-Gordon of mass 1 at n = 2 has H_u = u and H_pt = p_t, so the
+    # residual is u + d(gamma_pt)/du^T gamma_pt + d_t gamma_pt
+    # = u + (1 + t)^2 A^T A u + A u, and the lift of (k, du) varies p_t by
+    # k d_t gamma_pt + d(gamma_pt)/du du = k A u + (1 + t) A du; either
+    # contraction transposed gives A A u or A^T du instead
+    gamma = skewed_gamma()
+    H = hamiltonian_from_lagrangian(
+        builtin_model("klein_gordon", {"mass": 1.0, "n": 2}))
+    rng = np.random.default_rng(4)
+    t = rng.uniform(0.1, 0.9, 5)
+    x = rng.uniform(0.0, 1.0, (1, 5))
+    u = rng.uniform(-1.0, 1.0, (2, 5))
+    assert gamma_closedness_residual(gamma, t, x, u).max_abs() > 0.5
+    expected = u + (1 + t) ** 2 * (SKEWED.T @ SKEWED @ u) + SKEWED @ u
+    assert np.allclose(hj_residual(H, gamma, t, x, u), expected, rtol=0,
+                       atol=1e-8)
+    g = make_grid(6)
+    u = rng.uniform(-1.0, 1.0, (2, 6))
+    du = rng.uniform(-1.0, 1.0, (2, 6))
+    lift = _lift_with(gamma.partials(0.3, g.x, u), 0.7, du)
+    assert np.allclose(lift.dp_t, 0.7 * SKEWED @ u + 1.3 * SKEWED @ du,
+                       rtol=0, atol=1e-8)
+    assert not lift.dp_x.any()
+
+
 # -- certification of lifted characteristic trajectories ----------------------------
 
 def test_hj_lift_solution_check_certifies_kg_scenario():

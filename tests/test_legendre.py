@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,33 @@ def hand_built_section(u=(0.0,), p_t=(0.0,)):
 def test_solver_and_section_refusals(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call()
+
+
+#: the fields of ``MomentumSection.fields`` in order, zero at M1
+SECTION_FIELDS = {"u": (1,), "p_t": (1,), "p_x": (1, 1), "d_base_u": (2, 1),
+                  "d_t_pt": (1,), "d_x_px": (1, 1, 1)}
+
+
+@pytest.mark.parametrize("field, shape, spec, bound", [
+    ("u", (2,), "(n,)", "(1,)"),
+    ("p_t", (1, 1), "(n,)", "(1,)"),
+    ("p_x", (1, 2), "(n, m)", "(1, 1)"),
+    ("d_base_u", (3, 1), "(m+1, n)", "(2, 1)"),
+    ("d_t_pt", (2,), "(n,)", "(1,)"),
+    ("d_x_px", (1, 1), "(n, m, m)", "(1, 1, 1)"),
+], ids=list(SECTION_FIELDS))
+def test_hdw_residual_refuses_each_mis_shaped_section_field(field, shape,
+                                                            spec, bound):
+    # unrefused, d_base_u (3, 1) and d_t_pt (2,) raised numpy's broadcast
+    # errors and d_x_px (1, 1) einsum's
+    fields = {name: np.zeros(size) for name, size in SECTION_FIELDS.items()}
+    fields[field] = np.zeros(shape)
+    section = MomentumSection(M1, lambda t, x: tuple(fields.values()))
+    message = f"{field} must have shape {spec} = {bound}, got {shape}"
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        hdw_residual(FREE_WAVE_H, section, [(0.0, [0.0])])
+    fields[field] = np.zeros(SECTION_FIELDS[field])
+    assert hdw_residual(FREE_WAVE_H, section, [(0.0, [0.0])]).max_abs() == 0
 
 
 # -- Hamiltonian construction -------------------------------------------------

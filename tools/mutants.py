@@ -15,9 +15,10 @@ turn, and the copy restored after it:
 
 - ``PROBE`` evaluates every mutated kernel on generic inputs (two field
   components, x-dependent data, a section that is not closed, two stacked
-  frames) and prints the refusals of two mis-shaped calls. A mutant
-  whose probe output equals the unmutated one changes no output; it is
-  dropped, not counted as a survivor;
+  frames, a stepped state stepped on another grid) and prints the
+  refusals of two mis-shaped calls. A mutant whose probe output equals
+  the unmutated one changes no output; it is dropped, not counted as a
+  survivor;
 - otherwise tier-1 runs, and the mutant is killed when some test fails
   that the unmutated copy passes, and survives when none does.
 
@@ -124,17 +125,27 @@ MUTANTS = [
            "            if sizes.setdefault(axis, size) != size:  # None",
            "            if sizes.setdefault(axis, size) != sizes[axis]:  # None",
            "shape contract binding sizes without comparing them"),
+    # the stages a stepped state carries into the next step
+    Mutant("src/dedonder_hj/cauchy.py",
+           "    if stages[0] is not H or stages[1] is not grid:",
+           "    if stages[0] is not H:",
+           "step carrying p_x when H matches but the grid does not"),
+    Mutant("src/dedonder_hj/cauchy.py",
+           "        if u.shape != shape or p_t.shape != shape:",
+           "        if False:",
+           "stage recovery without its shape compare"),
 ]
 
 #: prints every mutated kernel's values on generic inputs, 10 digits each,
-#: and the errors of two mis-shaped recoveries
+#: a stepped state stepped again on another grid, and the errors of two
+#: mis-shaped recoveries
 PROBE = r'''
 import numpy as np
 from dedonder_hj.cauchy import (CauchyState, dynamical_trajectory_residual,
                                 make_grid, presymplectic_pairing,
                                 random_smooth_variation,
                                 recover_spatial_momenta,
-                                standard_test_variations,
+                                standard_test_variations, step_rk4,
                                 time_derivative_frames)
 from dedonder_hj.cotangent import CotangentState, variational_derivative
 from dedonder_hj.hj import (HJSection, IncompatibleDataError, _lift_with,
@@ -203,6 +214,8 @@ show("variational", variational_derivative(
     L, grid, CotangentState(0.3, uu, p_t)))
 show("lift_frames", lift_by_gamma(sec, np.array([0.3, 0.5]), grid,
                                   np.stack([uu, 0.5 * uu])).p_t)
+show("restep", step_rk4(H, make_grid(12, 0.5), step_rk4(H, grid, state, 1e-3),
+                        1e-3).p_t)
 for name, call in (("short_u", lambda: recover_spatial_momenta(
                         H, grid, uu[:, :8], p_t[:, :8])),
                    ("one_component", lambda: recover_spatial_momenta(
