@@ -25,7 +25,6 @@ above, which is what the trajectory residual measures.
 """
 
 import numbers
-from functools import partial
 
 import numpy as np
 
@@ -64,6 +63,11 @@ class CauchyGrid(Record):
     x: np.ndarray          # (m, N) node coordinates
     weights: np.ndarray    # (N,) quadrature weights
 
+    def __post_init__(self):
+        # the periodic neighbours of the nodes, in order, for _central
+        N = self.n_nodes
+        self.__dict__["_wrap"] = np.arange(-1, N + 1) % N
+
 
 def make_grid(n_nodes, length=1.0, m=1):
     if not isinstance(n_nodes, numbers.Integral):
@@ -95,11 +99,11 @@ def spatial_derivative(grid, values):
 
 
 def _central(grid, values):
-    """:func:`spatial_derivative` of float values on the nodes at m = 1."""
+    """:func:`spatial_derivative` of float values on the nodes at m = 1,
+    padded with one periodic neighbour on each side by one gather."""
     if grid.n_nodes < 3:
         raise GridError("central differences need at least 3 nodes")
-    padded = np.concatenate([values[..., -1:], values, values[..., :1]],
-                            axis=-1)
+    padded = values.take(grid._wrap, axis=-1)
     out = padded[..., 2:] - padded[..., :-2]
     out /= 2.0 * grid.spacing
     return out
@@ -256,9 +260,13 @@ def _stages(H, grid):
     _NODES.check(grid, H)     # a model for another m
     x, m = grid.x, grid.m
     shape = n, N = H.dims.n, grid.n_nodes
-    d_u, d_pt, d_px = H.d_u, H.d_pt, H.d_px
+    partials, value = H._partials, H.value    # resolved at H's construction
+    d_u, d_pt, d_px = partials["d_u"], partials["d_pt"], partials["d_px"]
     closed = H.has_closed_form_spatial_momenta and H.spatial_momenta
     jacobian = H.has_analytic_momentum_jacobian and H.momentum_jacobian
+
+    def px_jacobian(*at):
+        return jacobian(*at)["p_x"][:, 1:]
 
     def recover(t, u, p_t):
         if u.shape != shape or p_t.shape != shape:
@@ -267,11 +275,9 @@ def _stages(H, grid):
             return np.zeros((n, 0, N))
         u_x = _central(grid, u)[:, None]
         at = t, x, u, p_t
-        return _solve_nodewise(
-            partial(d_px, *at), partial(H.value, *at), u_x,
-            "momentum recovery", 2,
-            (lambda px: jacobian(*at, px)["p_x"][:, 1:]) if jacobian else None,
-            closed(*at, u_x) if closed else None)
+        return _solve_nodewise(d_px, value, u_x, "momentum recovery", 2,
+                               px_jacobian if jacobian else None,
+                               closed(*at, u_x) if closed else None, at)
 
     def rhs(t, u, p_t, p_x=None):
         p_x = recover(t, u, p_t) if p_x is None else p_x

@@ -15,8 +15,8 @@ import numpy as np
 from .models import (_SAMPLES, DEFAULT_FD_STEP, DedonderError, Dimensions,
                      ExtendedMomentumSample, HamiltonianModel, JetSample,
                      ModelError, Record, ReducedMomentumSample, Shapes,
-                     _analytic_or_difference, central_difference,
-                     pack_velocities, unpack_velocities)
+                     _partial, _resolved, central_difference, pack_velocities,
+                     unpack_velocities)
 
 REGULARITY_TOL = 1e-10
 NEWTON_TOL = 1e-12
@@ -78,42 +78,43 @@ def _fd_noise_floor(value):
 
 
 def _solve_nodewise(g, value, target, what, comp_axes, jacobian=None,
-                    start=None):
-    """Damped Newton iteration for g(v) = target from v = ``start``, or
-    v = 0 when None, to NEWTON_TOL in the max norm within NEWTON_MAX_ITER
-    steps; a start within NEWTON_TOL is returned as it is, after one
-    evaluation of g and no Jacobian.
+                    start=None, args=()):
+    """Damped Newton iteration for g(*args, v) = target from v = ``start``,
+    or v = 0 when None, to NEWTON_TOL in the max norm within
+    NEWTON_MAX_ITER steps; a start within NEWTON_TOL is returned as it is,
+    after one evaluation of g and no Jacobian.
 
     The first ``comp_axes`` axes of v are the unknowns of one node; any
     further axes are nodes, and unknowns couple only within a node (no
     further axes: one node). The per-node Jacobians come from
-    ``jacobian(v)`` when given, where one without node axes serves every
-    node, and are central differences of g otherwise; one unknown per node
-    is a division, more a batched solve. Each step is halved, up to 30
-    times, until the residual decreases; ``what`` names the solve in
-    errors. When the full step does not decrease it, v is returned if its
-    residual is within the finite-difference noise of g, a partial of the
-    model function ``value(v)``: no shorter step can resolve more. A
-    residual that is not finite has no solution to converge to: v comes
-    back as NaN, so the caller's finiteness check reports it.
+    ``jacobian(*args, v)`` when given, where one without node axes serves
+    every node, and are central differences of g in v otherwise; one
+    unknown per node is a division, more a batched solve. Each step is
+    halved, up to 30 times, until the residual decreases; ``what`` names
+    the solve in errors. When the full step does not decrease it, v is
+    returned if its residual is within the finite-difference noise of g, a
+    partial of the model function ``value(*args, v)``: no shorter step can
+    resolve more. A residual that is not finite has no solution to
+    converge to: v comes back as NaN, so the caller's finiteness check
+    reports it.
     """
     shape = target.shape
     x = np.zeros(shape) if start is None else start
-    r = g(x) - target
+    r = g(*args, x) - target
     # np.maximum.reduce: ndarray.max goes through a Python wrapper
     rnorm = np.maximum.reduce(np.abs(r), axis=None)
     if rnorm <= NEWTON_TOL:
         return x
     rows = math.prod(shape[:comp_axes])
     if jacobian is None:
-        def jacobian(v):
-            return central_difference(g, (v,), 0, comp_axes=comp_axes)
+        def jacobian(*point):
+            return central_difference(g, point, len(args), comp_axes)
 
     for _ in range(NEWTON_MAX_ITER):
         if not rnorm < np.inf:
             return np.full_like(x, np.nan)
         try:
-            J = jacobian(x)
+            J = jacobian(*args, x)
             if rows == 1:
                 J = np.reshape(J, -1)
                 if not J.all():
@@ -129,14 +130,14 @@ def _solve_nodewise(g, value, target, what, comp_axes, jacobian=None,
         scale = 1.0
         for _ in range(30):
             trial = x - scale * step
-            r_trial = g(trial) - target
+            r_trial = g(*args, trial) - target
             r_trial_norm = np.maximum.reduce(np.abs(r_trial), axis=None)
             if r_trial_norm <= NEWTON_TOL:
                 return trial
             if r_trial_norm < rnorm:
                 x, r, rnorm = trial, r_trial, r_trial_norm
                 break
-            if scale == 1.0 and rnorm <= _fd_noise_floor(value(x)):
+            if scale == 1.0 and rnorm <= _fd_noise_floor(value(*args, x)):
                 return x
             scale *= 0.5
         else:
@@ -211,7 +212,8 @@ class FieldSection:
     """A field section u(t, x) with derivative access up to second order.
 
     Derivative callables may be given analytically; whatever is missing is
-    produced by nested central differences of ``u``. Signatures take
+    produced by nested central differences of ``u``, each resolved once at
+    construction (``_partials``). Signatures take
     ``(t, x)`` with ``x`` an (m,) array and return (n,), (n, m) or
     (n, m, m) arrays as appropriate.
     """
@@ -220,31 +222,18 @@ class FieldSection:
                  u_xx=None):
         self.dims = dims
         self._u = u
-        self._u_t = u_t
-        self._u_x = u_x
-        self._u_tt = u_tt
-        self._u_tx = u_tx
-        self._u_xx = u_xx
+        self._partials = {
+            "u_t": _partial(u_t, self.u, 0, comp_axes=0),
+            "u_x": _partial(u_x, self.u, 1),
+            "u_tt": _partial(u_tt, self.u_t, 0, comp_axes=0),
+            "u_tx": _partial(u_tx, self.u_t, 1),
+            "u_xx": _partial(u_xx, self.u_x, 1)}
 
     def u(self, t, x):
         return np.asarray(self._u(t, x), dtype=float)
 
-    def u_t(self, t, x):
-        return _analytic_or_difference(self._u_t, self.u, (t, x), 0,
-                                       comp_axes=0)
-
-    def u_x(self, t, x):
-        return _analytic_or_difference(self._u_x, self.u, (t, x), 1)
-
-    def u_tt(self, t, x):
-        return _analytic_or_difference(self._u_tt, self.u_t, (t, x), 0,
-                                       comp_axes=0)
-
-    def u_tx(self, t, x):
-        return _analytic_or_difference(self._u_tx, self.u_t, (t, x), 1)
-
-    def u_xx(self, t, x):
-        return _analytic_or_difference(self._u_xx, self.u_x, (t, x), 1)
+    u_t, u_x, u_tt, u_tx, u_xx = map(_resolved,
+                                     ("u_t", "u_x", "u_tt", "u_tx", "u_xx"))
 
     def jet(self, t, x):
         x = np.asarray(x, dtype=float)

@@ -328,12 +328,19 @@ def central_difference(f, args, wrt, comp_axes=1):
     return np.stack(cols, axis=axis).reshape(shape)
 
 
-def _analytic_or_difference(analytic, f, args, wrt, comp_axes=1):
-    """``analytic(*args)`` when a partial is supplied, else the
-    :func:`central_difference` of f in slot ``wrt`` of args."""
-    if analytic is not None:
-        return np.asarray(analytic(*args), dtype=float)
-    return central_difference(f, args, wrt, comp_axes=comp_axes)
+def _partial(analytic, f, wrt, comp_axes=1):
+    """The one analytic-or-difference rule, decided once when a model or a
+    section is built: the partial in slot ``wrt`` of the arguments, as a
+    function of them, is ``analytic`` with its value as a float array
+    when a partial is supplied, else the :func:`central_difference` of f."""
+    if analytic is None:
+        return lambda *args: central_difference(f, args, wrt, comp_axes)
+    return lambda *args: np.asarray(analytic(*args), dtype=float)
+
+
+def _resolved(name):
+    """The method that evaluates the partial ``name`` of ``_partials``."""
+    return lambda self, *args: self._partials[name](*args)
 
 
 def pack_velocities(u_t, u_x):
@@ -361,7 +368,10 @@ class LagrangianModel:
     ``value(t, x, u, u_t, u_x)`` must broadcast over a trailing grid axis.
     Analytic first partials, the velocity Hessian and the mixed second
     partials needed by total derivatives along sections may be supplied;
-    anything missing falls back to central differences of ``value``.
+    anything missing falls back to central differences of ``value``. Each
+    partial is resolved once, at construction (``_partials``): d_u, d_ut,
+    d_ux and the mixed d2_vel_u (S, n, ...), d2_vel_t (S, ...) and
+    d2_vel_x (S, m, ...) of the velocity slots.
     """
 
     def __init__(self, dims, value, *, d_u=None, d_ut=None, d_ux=None,
@@ -375,8 +385,13 @@ class LagrangianModel:
         self._d_ux = d_ux
         self._hess = velocity_hessian
         self._d2_vel_u = d2_vel_u
-        self._d2_vel_t = d2_vel_t
-        self._d2_vel_x = d2_vel_x
+        vel = self.d_velocities
+        self._partials = {
+            "d_u": _partial(d_u, value, 2), "d_ut": _partial(d_ut, value, 3),
+            "d_ux": _partial(d_ux, value, 4, comp_axes=2),
+            "d2_vel_u": _partial(d2_vel_u, vel, 2),
+            "d2_vel_t": _partial(d2_vel_t, vel, 0, comp_axes=0),
+            "d2_vel_x": _partial(d2_vel_x, vel, 1)}
 
     # -- batched evaluation ------------------------------------------------
 
@@ -387,17 +402,9 @@ class LagrangianModel:
             raise ModelError(f"{self.name}: non-finite Lagrangian value")
         return out if out.ndim else float(out)
 
-    def d_u(self, t, x, u, u_t, u_x):
-        return _analytic_or_difference(self._d_u, self._value,
-                                       (t, x, u, u_t, u_x), 2)
-
-    def d_ut(self, t, x, u, u_t, u_x):
-        return _analytic_or_difference(self._d_ut, self._value,
-                                       (t, x, u, u_t, u_x), 3)
-
-    def d_ux(self, t, x, u, u_t, u_x):
-        return _analytic_or_difference(self._d_ux, self._value,
-                                       (t, x, u, u_t, u_x), 4, comp_axes=2)
+    d_u, d_ut, d_ux = map(_resolved, ("d_u", "d_ut", "d_ux"))
+    d2_vel_u, d2_vel_t, d2_vel_x = map(_resolved,
+                                       ("d2_vel_u", "d2_vel_t", "d2_vel_x"))
 
     def d_velocities(self, t, x, u, u_t, u_x):
         """All velocity partials packed into slot order, shape (S, ...)."""
@@ -413,21 +420,6 @@ class LagrangianModel:
                                         *unpack_velocities(v, self.dims)),
             (pack_velocities(u_t, u_x),), 0)
 
-    def d2_vel_u(self, t, x, u, u_t, u_x):
-        """Mixed second partials d^2 L / d vel_s d u^beta, shape (S, n, ...)."""
-        return _analytic_or_difference(self._d2_vel_u, self.d_velocities,
-                                       (t, x, u, u_t, u_x), 2)
-
-    def d2_vel_t(self, t, x, u, u_t, u_x):
-        """Explicit-time second partials d^2 L / d vel_s dt, shape (S, ...)."""
-        return _analytic_or_difference(self._d2_vel_t, self.d_velocities,
-                                       (t, x, u, u_t, u_x), 0, comp_axes=0)
-
-    def d2_vel_x(self, t, x, u, u_t, u_x):
-        """Explicit-space second partials d^2 L / d vel_s dx^j, (S, m, ...)."""
-        return _analytic_or_difference(self._d2_vel_x, self.d_velocities,
-                                       (t, x, u, u_t, u_x), 1)
-
     # -- point-level API ---------------------------------------------------
 
     def __call__(self, jet):
@@ -441,7 +433,8 @@ class HamiltonianModel:
     chain rule for connections induced by Hamilton-Jacobi sections.
     ``spatial_momenta(t, x, u, p_t, u_x)``, when given, returns a new
     array p_x of the shape of u_x solving dH/dp_x(t, x, u, p_t, p_x) = u_x
-    in closed form; momentum recovery starts its Newton solve there.
+    in closed form; momentum recovery starts its Newton solve there. The
+    partials are resolved at construction, as L's are.
     """
 
     def __init__(self, dims, value, *, d_u=None, d_pt=None, d_px=None,
@@ -457,6 +450,9 @@ class HamiltonianModel:
         self._spatial_momenta = spatial_momenta
         self.has_analytic_momentum_jacobian = momentum_jacobian is not None
         self.has_closed_form_spatial_momenta = spatial_momenta is not None
+        self._partials = {
+            "d_u": _partial(d_u, value, 2), "d_pt": _partial(d_pt, value, 3),
+            "d_px": _partial(d_px, value, 4, comp_axes=2)}
 
     def value(self, t, x, u, p_t, p_x):
         out = np.asarray(self._value(t, x, u, p_t, p_x), dtype=float)
@@ -464,17 +460,7 @@ class HamiltonianModel:
             raise ModelError(f"{self.name}: non-finite Hamiltonian value")
         return out if out.ndim else float(out)
 
-    def d_u(self, t, x, u, p_t, p_x):
-        return _analytic_or_difference(self._d_u, self._value,
-                                       (t, x, u, p_t, p_x), 2)
-
-    def d_pt(self, t, x, u, p_t, p_x):
-        return _analytic_or_difference(self._d_pt, self._value,
-                                       (t, x, u, p_t, p_x), 3)
-
-    def d_px(self, t, x, u, p_t, p_x):
-        return _analytic_or_difference(self._d_px, self._value,
-                                       (t, x, u, p_t, p_x), 4, comp_axes=2)
+    d_u, d_pt, d_px = map(_resolved, ("d_u", "d_pt", "d_px"))
 
     def d_momenta(self, t, x, u, p_t, p_x):
         """Momentum partials as one (n, m+1, ...) block, time slot first."""

@@ -633,21 +633,32 @@ def test_step_rk4_bit_identical_to_bare_numpy(N, n):
     assert s.t == pytest.approx(50 * dt, rel=1e-14)
 
 
-def count_calls(monkeypatch, owner, names):
-    counts = dict.fromkeys(names, 0)
+def count_calls(monkeypatch, owner, names, counts=None):
+    """Count the calls of the attributes ``names`` of owner, or of its
+    items when owner is a dict, into ``counts`` (a new dict by default)."""
+    counts = {} if counts is None else counts
+    items = isinstance(owner, dict)
     for name in names:
-        method = getattr(owner, name)
+        counts[name] = 0
+        method = owner[name] if items else getattr(owner, name)
 
         def wrapper(*args, _name=name, _method=method, **kwargs):
             counts[_name] += 1
             return _method(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, wrapper)
+        (monkeypatch.setitem if items else monkeypatch.setattr)(
+            owner, name, wrapper)
     return counts
 
 
-MODEL_CALLS = ("value", "d_u", "d_pt", "d_px", "momentum_jacobian",
-               "spatial_momenta")
+def count_model_calls(monkeypatch, H):
+    """Evaluations of H: of the partials its construction resolved (the
+    stages call them directly, its partial methods through them) and of
+    the methods the stages call."""
+    counts = count_calls(monkeypatch, H._partials, ("d_u", "d_pt", "d_px"))
+    return count_calls(monkeypatch, HamiltonianModel,
+                       ("value", "momentum_jacobian", "spatial_momenta"),
+                       counts)
 
 
 def count_recoveries(monkeypatch):
@@ -664,7 +675,7 @@ def recovery_counts(monkeypatch, H):
     g = make_grid(64)
     u, p = smooth_state(g, 1)
     s = CauchyState(0.0, u, p, recover_spatial_momenta(H, g, u, p_t=p))
-    counts = count_calls(monkeypatch, HamiltonianModel, MODEL_CALLS)
+    counts = count_model_calls(monkeypatch, H)
     recoveries = count_recoveries(monkeypatch)
     for steps, per_step in ((1, 5), (3, 4)):
         for key in counts:
@@ -692,8 +703,8 @@ def test_rk4_step_calls_per_recovery(monkeypatch):
 #: Klein-Gordon step: the step, its dt check and its two updates, four
 #: right-hand sides with two partials each, four recoveries with their
 #: derivatives, closed-form starts and solves, and each model partial
-#: through the analytic-or-difference rule to its callable
-LEAN_STEP_CALLS = 68
+#: through the function its construction resolved to its callable
+LEAN_STEP_CALLS = 56
 
 
 def test_chained_step_python_calls_are_pinned():
@@ -805,9 +816,12 @@ def test_inexact_closed_form_start_still_recovers(monkeypatch):
     offset = with_closed_form(H, lambda t, x, u, p_t, u_x: 0.1 - u_x)
     g = make_grid(64)
     u, p = smooth_state(g, 1)
-    counts = count_calls(monkeypatch, HamiltonianModel, MODEL_CALLS)
+    counts = count_model_calls(monkeypatch, offset)
     p_x = recover_spatial_momenta(offset, g, u, p_t=p)
-    assert counts["spatial_momenta"] == 1 and counts["momentum_jacobian"] >= 1
+    # dH/dp_x at the start and after one Newton step with the analytic
+    # Jacobian, which reaches NEWTON_TOL
+    assert counts == {"value": 0, "d_u": 0, "d_pt": 0, "d_px": 2,
+                      "momentum_jacobian": 1, "spatial_momenta": 1}
     constraint = H.d_px(0.0, g.x, u, p, p_x)[:, 0] - spatial_derivative(g, u)
     assert np.max(np.abs(constraint)) <= NEWTON_TOL
     assert np.max(np.abs(p_x - recover_spatial_momenta(H, g, u, p_t=p))) \
@@ -840,6 +854,23 @@ def test_closed_form_spatial_momenta_refused(spatial_momenta, message):
     u = np.ones((1, 16))
     with pytest.raises(ModelError, match=f"^{message}$"):
         custom.spatial_momenta(0.0, g.x, u, u, np.zeros((1, 1, 16)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda H, g, s: recover_spatial_momenta(H, g, s.u, p_t=s.p_t),
+    lambda H, g, s: step_rk4(H, g, s, 1e-3),
+    lambda H, g, s: run_simulation(H, g, s, 1e-3, 2),
+], ids=["recover", "step", "run"])
+def test_misshaped_closed_form_is_refused_on_the_stages(call):
+    # the stages bind the model's spatial_momenta, with its shape check
+    H = with_closed_form(kg_hamiltonian(1.0),
+                         lambda t, x, u, p_t, u_x: u_x[:, 0])
+    g = make_grid(16)
+    u, p = smooth_state(g, 1)
+    with pytest.raises(ModelError, match=r"^klein_gordon_hamiltonian: "
+                       r"spatial momenta must have the shape of u_x, "
+                       r"\(1, 1, 16\), got \(1, 16\)$"):
+        call(H, g, CauchyState(0.0, u, p, np.zeros((1, 1, 16))))
 
 
 @pytest.mark.parametrize("u, p_t, error, message", [
@@ -1096,7 +1127,7 @@ def test_recovery_without_momentum_jacobian_uses_differences(monkeypatch):
     assert kg_hamiltonian(1.0).has_analytic_momentum_jacobian
     u, p = smooth_state(g, 1)
     s0 = CauchyState(0.0, u, p, recover_spatial_momenta(H, g, u, p_t=p))
-    counts = count_calls(monkeypatch, HamiltonianModel, MODEL_CALLS)
+    counts = count_model_calls(monkeypatch, H)
     s = step_rk4(H, g, s0, 1e-3)
     # per recovery: residual, two differenced columns, the trial residual
     assert counts["d_px"] == 4 * 5 and counts["momentum_jacobian"] == 0

@@ -351,6 +351,28 @@ def test_value_only_rk4_step_stops_at_the_noise_floor():
     assert np.allclose(got.p_x, want.p_x, rtol=0, atol=1e-8)
 
 
+def test_value_only_hamiltonian_steps_on_differenced_jacobians(monkeypatch):
+    # with no momentum Jacobian and no closed form, each recovery of the
+    # stages starts from zero and differences its dH/dp_x, itself a
+    # central difference of H; momentum_jacobian is never asked for
+    exact = builtin_model("klein_gordon", {"mass": 1.0}).paired_hamiltonian
+    H = value_only(exact)
+    asked = []
+    monkeypatch.setattr(HamiltonianModel, "momentum_jacobian",
+                        lambda *args: asked.append(args))
+    grid = make_grid(32)
+    u = np.sin(2 * np.pi * grid.x)
+    p_t = 0.5 * np.cos(2 * np.pi * grid.x)
+    state = CauchyState(0.0, u, p_t, recover_spatial_momenta(H, grid, u,
+                                                              p_t=p_t))
+    got = step_rk4(H, grid, step_rk4(H, grid, state, 1e-3), 1e-3)
+    assert asked == []
+    want = step_rk4(exact, grid, step_rk4(exact, grid, state, 1e-3), 1e-3)
+    assert np.allclose(got.u, want.u, rtol=0, atol=1e-12)
+    assert np.allclose(got.p_t, want.p_t, rtol=0, atol=1e-9)
+    assert np.allclose(got.p_x, want.p_x, rtol=0, atol=1e-8)
+
+
 @pytest.mark.parametrize("dims", DIMS, ids=DIM_IDS)
 def test_velocity_hessian_without_node_axis_serves_every_node(dims):
     # analytic_lagrangian's velocity Hessian is a point-level (S, S) array

@@ -18,7 +18,8 @@ contraction and pullback residuals of the lift check against its
 frame-by-frame form, with the oscillator and linear sections. A
 value-only model solves each block's velocities with one Newton
 iteration count, so its results may move within the finite-difference
-noise floor. Stacks that are not finite, are mis-shaped or do not fit
+noise floor, and its velocities within twice the solve's stopping
+tolerance. Stacks that are not finite, are mis-shaped or do not fit
 (the grid, their velocities or the test set) are refused with the
 library's own errors.
 """
@@ -31,10 +32,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dedonder_hj.cauchy import (CauchyState, GridError, TangentVariation,
-                                _state_pairing_data,
+                                _frame_samples, _state_pairing_data,
                                 checked_frames, covector_residual,
                                 dynamical_trajectory_residual, frame_blocks,
-                                frame_velocities, make_grid,
+                                frame_velocities, gradient_fields, make_grid,
                                 pairing_covector, presymplectic_pairing,
                                 random_smooth_variation,
                                 standard_test_variations, take_frames,
@@ -49,7 +50,8 @@ from dedonder_hj.cotangent import (CotangentState, CotangentVariation,
                                    variational_derivative)
 from dedonder_hj.hj import (_lift_with, hj_lift_solution_check,
                             lift_by_gamma, linear_gamma, oscillator_gamma)
-from dedonder_hj.legendre import NEWTON_TOL, hamiltonian_from_lagrangian
+from dedonder_hj.legendre import (NEWTON_TOL, _fd_noise_floor,
+                                  hamiltonian_from_lagrangian)
 from dedonder_hj.models import (DedonderError, HamiltonianModel,
                                 LagrangianModel, ModelError, builtin_model,
                                 replace)
@@ -307,6 +309,32 @@ def test_value_only_stacked_frames_within_the_noise_floor(case):
     together = stacked(*case, [slice(0, len(case[3]))])
     assert np.all(np.abs(together - single)
                   <= VALUE_ONLY_TOL * np.maximum(1.0, np.abs(single)))
+
+
+#: frames of the x- and t-reading model given by its value alone
+VALUE_ONLY_X_AND_T_RUN = framed_run(value_only(x_and_t_model(1)),
+                                    make_grid(7), 5, 1, False)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(framed_runs(value_only_model=True, nodes=(3, 7)))
+@example(VALUE_ONLY_X_AND_T_RUN)
+def test_value_only_stacked_velocities_within_the_stopping_tolerance(case):
+    # the solve stops on the max norm of the residual over all its
+    # samples, so the frames stacked with a frame set its Newton count:
+    # each solution is only within the stopping tolerance, NEWTON_TOL or
+    # the finite-difference noise floor of L where the solve stops there,
+    # and with dL/du_t of unit Jacobian in u_t two solutions are within
+    # twice that
+    L, _, grid, states, _, _ = case
+    frames = stack(states)
+    u_t = solve_time_velocity(L, grid, frames.t, frames.u, frames.p_t)
+    values = L.value(*_frame_samples(grid, frames.t, frames.u, u_t,
+                                     gradient_fields(grid, frames.u)))
+    tol = 2 * max(NEWTON_TOL, _fd_noise_floor(values))
+    for f, s in enumerate(states):
+        alone = solve_time_velocity(L, grid, s.t, s.u, s.p_t)
+        assert np.max(np.abs(u_t[f] - alone)) <= tol
 
 
 def test_frame_at_rest_in_a_block():

@@ -134,6 +134,11 @@ MUTANTS = [
            "        if u.shape != shape or p_t.shape != shape:",
            "        if False:",
            "stage recovery without its shape compare"),
+    # the one gather that pads the central stencil
+    Mutant("src/dedonder_hj/cauchy.py",
+           "np.arange(-1, N + 1) % N",
+           "np.arange(N + 2) % N",
+           "stencil's wrap index shifted by one node"),
 ]
 
 #: prints every mutated kernel's values on generic inputs, 10 digits each,
