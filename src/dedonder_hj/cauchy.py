@@ -93,8 +93,7 @@ def make_grid(n_nodes, length=1.0, m=1):
 def spatial_derivative(grid, values):
     """Second-order periodic central difference along the node axis."""
     values = np.asarray(values, dtype=float)
-    if values.shape[-1:] != grid.weights.shape:   # the contract words it
-        _SHAPES.check(grid, values=values)
+    _SHAPES.check(grid, values=values)
     return _central(grid, values) if grid.m else np.zeros_like(values)
 
 
@@ -112,8 +111,7 @@ def _central(grid, values):
 def integrate_density(grid, values):
     """Quadrature sum_j w_j values_j over the node axis."""
     values = np.asarray(values, dtype=float)
-    if values.shape[-1:] != grid.weights.shape:
-        _SHAPES.check(grid, values=values)
+    _SHAPES.check(grid, values=values)
     out = np.sum(values * grid.weights, axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 

@@ -54,10 +54,13 @@ def _write_csv(path, header, table, precision, int_cols=()):
     table = np.asarray(table, dtype=float)
     specs = ["%d" if k in int_cols else f"%.{precision}g"
              for k in range(len(header))]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for lo in range(0, len(table), CSV_BLOCK):
-            fh.writelines(_csv_block(table[lo:lo + CSV_BLOCK], specs))
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for lo in range(0, len(table), CSV_BLOCK):
+                fh.writelines(_csv_block(table[lo:lo + CSV_BLOCK], specs))
+    except OSError as exc:
+        raise ScenarioError(f"cannot write '{path}': {exc.strerror}") from exc
 
 
 def _csv_block(block, specs):
@@ -493,6 +496,10 @@ def main(argv=None):
     except FloatingPointError as exc:
         print(f"{EXIT_PREFIX[3]}: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:     # a run too large for this machine
+        print(f"{EXIT_PREFIX[2]}: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

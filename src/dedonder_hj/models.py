@@ -20,8 +20,6 @@ a function that does not depend on t. There is no first partial in t:
 the pairings never read one, since their k_X k_Y dH/dt legs cancel.
 """
 
-from operator import itemgetter
-
 import numpy as np
 
 DEFAULT_FD_STEP = 1e-5
@@ -69,24 +67,12 @@ class Shapes:
             tokens = tuple(spec.lstrip("#").split())
             axes = tuple(a.rstrip("?") for a in tokens if a != "...")
             key = next((a[:-1] for a in tokens if a.endswith("?")), None)
-            fast = len(tokens) > 1 and set(tokens) <= set("nmN")
-            self.specs[name] = (tokens, fast and itemgetter(*map(
-                "nmN".index, axes)), spec[:1] == "#", axes, key,
-                tuple(a for a in axes if a != key))
+            self.specs[name] = (tokens, spec[:1] == "#", axes, key,
+                                tuple(a for a in axes if a != key))
 
     def check(self, grid=None, model=None, **arrays):
         """Check arrays (None passes) and records, field f of r as "r.f"."""
         dims = None if model is None else model.dims
-        if grid is not None and dims is not None and dims.m == grid.m:
-            fixed, specs = (dims.n, grid.m, grid.n_nodes), self.specs
-            for name, a in arrays.items():
-                try:
-                    if a.shape != specs[name][1](fixed):
-                        break
-                except (AttributeError, KeyError, TypeError):
-                    break             # a record, None, a list or other names
-            else:
-                return
         sizes = {} if dims is None else {"n": dims.n, "m": dims.m,
                                          "m+1": dims.m + 1}
         if grid is not None:
@@ -104,7 +90,7 @@ class Shapes:
 
     def _bind(self, name, shape, sizes, gridded):
         """Bind argument ``name``'s axes to ``shape``, or raise at a fault."""
-        tokens, _, broadcast, axes, key, short = self.specs[name]
+        tokens, broadcast, axes, key, short = self.specs[name]
         got, absent = shape, key and len(shape) < len(axes)
         if tokens[:1] == ("...",):
             shape = shape[max(0, len(shape) - len(axes)):]
@@ -380,11 +366,7 @@ class LagrangianModel:
         self.dims = dims
         self.name = name
         self._value = value
-        self._d_u = d_u
-        self._d_ut = d_ut
-        self._d_ux = d_ux
         self._hess = velocity_hessian
-        self._d2_vel_u = d2_vel_u
         vel = self.d_velocities
         self._partials = {
             "d_u": _partial(d_u, value, 2), "d_ut": _partial(d_ut, value, 3),
@@ -443,9 +425,6 @@ class HamiltonianModel:
         self.dims = dims
         self.name = name
         self._value = value
-        self._d_u = d_u
-        self._d_pt = d_pt
-        self._d_px = d_px
         self._momentum_jacobian = momentum_jacobian
         self._spatial_momenta = spatial_momenta
         self.has_analytic_momentum_jacobian = momentum_jacobian is not None

@@ -350,6 +350,17 @@ def parse_scenario(path):
                     f"gamma.{shift}) overflows at |u| = {u_max:g}, the "
                     f"largest of gamma.box_u and initial.amplitude)")
 
+    # the same bound on the bytes of the (1 + m + n, samples^(1 + m + n))
+    # verification mesh; an exponent capped at 64 keeps the verdict
+    axes, samples = 1 + (not oscillator) + n, values["gamma.samples_per_axis"]
+    if gamma_name is not None \
+            and 8 * axes * samples ** min(axes, 64) > index_max:
+        raise ScenarioError(
+            f"{path}:{lines['gamma.samples_per_axis'] or n_line}: "
+            f"gamma.samples_per_axis = {samples} gives {samples} ** {axes} "
+            f"mesh samples of {axes} float64 values, more than {index_max} "
+            f"bytes")
+
     for sec_name, entries in sections.items():
         for key, (_, lineno) in entries.items():
             raise ScenarioError(f"{path}:{lineno}: unknown key "

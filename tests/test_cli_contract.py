@@ -13,7 +13,9 @@ no run takes more than a few hundred steps: valid sizes beyond those are
 slow, not wrong.
 """
 
+import errno
 import io
+import os
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -103,6 +105,39 @@ def test_a_float_error_is_a_numerical_failure(tmp_path, capsys):
     assert capsys.readouterr().err == ("numerical failure: overflow "
                                        "encountered in multiply\n")
     assert np.geterr() == before
+
+
+def test_an_output_file_that_cannot_be_written_is_an_error(tmp_path, capsys):
+    # a directory where fields.csv goes raised IsADirectoryError: a
+    # traceback and exit code 1
+    path = tmp_path / "scenario.cfg"
+    path.write_text(OSCILLATOR)
+    fields = tmp_path / "out" / "fields.csv"
+    fields.mkdir(parents=True)
+    assert cli.main(["simulate", "--scenario", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"error: cannot write '{fields}': "
+                                       f"{os.strerror(errno.EISDIR)}\n")
+
+
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 7.28 TiB for an array with shape (1, 1000000000000) "
+    "and data type float64", ""])
+def test_a_run_too_large_to_allocate_is_an_error(
+        tmp_path, capsys, monkeypatch, message):
+    # grid.n_nodes = 1000000000000 raised numpy's MemoryError in make_grid:
+    # a traceback and exit code 1; the builder raises it here unallocated
+    def build_grid(scenario):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "build_grid", build_grid)
+    path = tmp_path / "scenario.cfg"
+    path.write_text(OSCILLATOR)
+    assert cli.main(["characteristics", "--scenario", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message or 'out of memory'}\n"
+    assert captured.out == ""
 
 
 # -- the property -------------------------------------------------------------

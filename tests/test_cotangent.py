@@ -371,7 +371,7 @@ def test_pullback_identity_refuses_a_nan_constraint_residual():
     # (a "> tol" test let it through and returned NaN)
     free = builtin_model("free_wave")
     L = LagrangianModel(
-        free.dims, free._value, d_u=free._d_u, d_ut=free._d_ut,
+        free.dims, free._value, d_u=free.d_u, d_ut=free.d_ut,
         velocity_hessian=free._hess,
         d_ux=lambda t, x, u, u_t, u_x: np.where(u[:, None] > 1.5, np.nan,
                                                 -np.asarray(u_x)))

@@ -107,12 +107,12 @@ def x_and_t_model(n):
     L = LagrangianModel(
         kg.dims, lambda t, x, u, u_t, u_x: kg.value(t, x, u, u_t, u_x)
         - potential(t, x, u),
-        d_u=lambda *args: -d_potential(*args), d_ut=kg._d_ut, d_ux=kg._d_ux,
-        velocity_hessian=kg._hess, d2_vel_u=kg._d2_vel_u, name="x_and_t")
+        d_u=lambda *args: -d_potential(*args), d_ut=kg.d_ut, d_ux=kg.d_ux,
+        velocity_hessian=kg._hess, d2_vel_u=kg.d2_vel_u, name="x_and_t")
     L.paired_hamiltonian = HamiltonianModel(
         kg.dims, lambda t, x, u, p_t, p_x: ham.value(t, x, u, p_t, p_x)
         + potential(t, x, u),
-        d_u=d_potential, d_pt=ham._d_pt, d_px=ham._d_px,
+        d_u=d_potential, d_pt=ham.d_pt, d_px=ham.d_px,
         momentum_jacobian=ham._momentum_jacobian,
         spatial_momenta=ham._spatial_momenta, name="x_and_t_hamiltonian")
     return L
@@ -504,7 +504,7 @@ def test_nan_lagrangian_gives_nan_cotangent_residual():
     # over frames kept the finite residuals of the others (0.593)
     wave = builtin_model("free_wave")
     L = LagrangianModel(
-        wave.dims, wave._value, d_ut=wave._d_ut, d_ux=wave._d_ux,
+        wave.dims, wave._value, d_ut=wave.d_ut, d_ux=wave.d_ux,
         velocity_hessian=wave._hess,
         d_u=lambda t, x, u, u_t, u_x: np.where(u > 1.5, np.nan, 0.0 * u))
     u = np.ones((6, 1, 8))
@@ -590,7 +590,7 @@ def test_nan_partials_give_nan_residuals():
     # variations dropped them
     wave = builtin_model("free_wave").paired_hamiltonian
     H = HamiltonianModel(
-        wave.dims, wave._value, d_pt=wave._d_pt, d_px=wave._d_px,
+        wave.dims, wave._value, d_pt=wave.d_pt, d_px=wave.d_px,
         d_u=lambda t, x, u, p_t, p_x: np.where(u > 1.5, np.nan, 0.0 * u))
     grid = make_grid(8)
     u_frames = np.ones((6, 1, 8))

@@ -245,7 +245,7 @@ def test_hamiltonian_composition_identity(use_closed_form):
         H = hamiltonian_from_lagrangian(kg)
     else:
         bare = LagrangianModel(kg.dims, kg._value,
-                               d_u=kg._d_u, d_ut=kg._d_ut, d_ux=kg._d_ux,
+                               d_u=kg.d_u, d_ut=kg.d_ut, d_ux=kg.d_ux,
                                velocity_hessian=kg._hess, name="kg_generic")
         H = hamiltonian_from_lagrangian(bare)
     rng = np.random.default_rng(31)
@@ -260,8 +260,8 @@ def test_hamiltonian_composition_identity(use_closed_form):
 def test_generic_hamiltonian_partials_match_closed_form():
     kg = builtin_model("klein_gordon", {"mass": 0.8})
     closed = hamiltonian_from_lagrangian(kg)
-    bare = LagrangianModel(kg.dims, kg._value, d_u=kg._d_u, d_ut=kg._d_ut,
-                           d_ux=kg._d_ux, velocity_hessian=kg._hess,
+    bare = LagrangianModel(kg.dims, kg._value, d_u=kg.d_u, d_ut=kg.d_ut,
+                           d_ux=kg.d_ux, velocity_hessian=kg._hess,
                            name="kg_generic")
     generic = hamiltonian_from_lagrangian(bare)
     rng = np.random.default_rng(13)

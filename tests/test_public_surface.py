@@ -1,7 +1,8 @@
 """Every name the package exports is used in the code of the library
 itself, a demo or an acceptance criterion, so public helpers that only
 their own unit tests call do not pile up again, and every private
-module-level function of the library is read in the library itself.
+module-level function and every private attribute that the library
+stores is read in the library itself.
 Names are collected from the syntax tree, so a mention in a docstring or
 a comment is not a use."""
 
@@ -40,7 +41,6 @@ def test_every_export_is_reached():
     assert sorted(set(exported_names()) - used_names()) == []
 
 
-
 def test_every_private_function_is_read_in_the_library():
     # a helper that only tests or tools reach is dead code; an import of
     # it and its own def are not reads
@@ -57,3 +57,27 @@ def test_every_private_function_is_read_in_the_library():
                 read.add(node.attr)
     assert len(defined) > 50
     assert sorted(defined - read) == []
+
+
+def test_every_private_attribute_is_read_in_the_library():
+    # a copy that a module keeps on self, or writes through __dict__, and
+    # that only tests read is dead state
+    stored, read = set(), set()
+    for p in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node.value, ast.Name) \
+                        and node.value.id == "self":
+                    stored.add(node.attr)
+            elif isinstance(node, ast.Subscript) \
+                    and isinstance(node.ctx, ast.Store) \
+                    and isinstance(node.value, ast.Attribute) \
+                    and node.value.attr == "__dict__" \
+                    and isinstance(node.slice, ast.Constant):
+                stored.add(node.slice.value)
+    stored = {name for name in stored
+              if name.startswith("_") and not name.startswith("__")}
+    assert len(stored) > 5
+    assert sorted(stored - read) == []

@@ -561,7 +561,7 @@ def test_pairing_check_keeps_a_nan_residual(tmp_path, capsys, monkeypatch):
     # frame's finite residuals dropped
     free = builtin_model("free_wave").paired_hamiltonian
     H = HamiltonianModel(
-        free.dims, free._value, d_pt=free._d_pt, d_px=free._d_px,
+        free.dims, free._value, d_pt=free.d_pt, d_px=free.d_px,
         momentum_jacobian=free._momentum_jacobian,
         spatial_momenta=free._spatial_momenta,
         d_u=lambda t, x, u, p_t, p_x: np.where(u > 1.5, np.nan, 0.0 * u))
@@ -1409,6 +1409,15 @@ NODES_2_62 = "n_nodes = 4611686018427387904"
      f"{np.iinfo(np.intp).max} bytes"),
     ("simulate", kg("t_final = 0.2", "t_final = 1e300"), "t_final = 1e300",
      f"time.t_final / time.dt = 1e+302 steps exceed {np.iinfo(np.intp).max}"),
+    ("verify-hj", KG_LIFTED.replace("mass = 1.0", "mass = 1.0\nn = 2")
+     .replace("samples_per_axis = 4", "samples_per_axis = 100000"),
+     "samples_per_axis = 100000",
+     f"gamma.samples_per_axis = 100000 gives 100000 ** 4 mesh samples of 4 "
+     f"float64 values, more than {np.iinfo(np.intp).max} bytes"),
+    ("verify-hj", KG_LIFTED.replace("mass = 1.0", "mass = 1.0\nn = 20")
+     .replace("samples_per_axis = 4\n", ""), "n = 20",
+     f"gamma.samples_per_axis = 10 gives 10 ** 22 mesh samples of 22 "
+     f"float64 values, more than {np.iinfo(np.intp).max} bytes"),
 ], ids=["no-equals", "outside-section", "empty-key", "missing-key",
         "duplicate-key", "not-a-number", "not-an-integer", "not-a-pair",
         "negative-mass", "two-nodes", "one-node", "oscillator-no-nodes",
@@ -1426,7 +1435,8 @@ NODES_2_62 = "n_nodes = 4611686018427387904"
         "mode-past-index-range", "samples_per_axis-past-index-range",
         "model-n-past-index-range", "pairing_pairs-past-index-range",
         "n_nodes-1e20", "model-n-1e20", "length-squared-overflows",
-        "field-bytes-past-index-range", "steps-past-index-range"])
+        "field-bytes-past-index-range", "steps-past-index-range",
+        "mesh-bytes-past-index-range", "mesh-bytes-of-default-samples"])
 def test_refusals_name_their_file_and_line(tmp_path, capsys, command, text,
                                            bad, message):
     # each exits 2 before it writes a line of output or a CSV; the anchor is
@@ -1446,6 +1456,13 @@ def test_refusals_name_their_file_and_line(tmp_path, capsys, command, text,
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert list(out.glob("*.csv")) == []
+
+
+def test_a_run_without_gamma_builds_and_bounds_no_mesh(tmp_path):
+    # 10 ** 22 mesh samples at the default samples_per_axis, but only
+    # verify-hj and compare build the mesh, and both need [gamma]
+    text = kg("mass = 1.0", "mass = 1.0\nn = 20")
+    assert parse_scenario(write(tmp_path, text)).model_params["n"] == 20
 
 
 KG_LINEAR_OVERFLOW = KG_LIFTED.replace("family = oscillator\nomega = 1.0",
