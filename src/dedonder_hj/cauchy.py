@@ -402,23 +402,30 @@ def run_simulation(H, grid, state0, dt, n_steps, store_every=1):
     :func:`_check_peak`. A state0 that does not fit H and the grid is
     refused before any step."""
     _check_dt(dt)
+    _NODES.check(grid, H, u=state0.u, p_t=state0.p_t, p_x=state0.p_x)
+
+    def step(k, state):
+        state = step_rk4(H, grid, state, dt)
+        _check_peak(k, u=state.u, p_t=state.p_t)
+        return state
+
+    return CauchyState(*_integrate(step, state0, CauchyState._values,
+                                   n_steps, store_every))
+
+
+def _integrate(step, y, fields, n_steps, store_every):
+    """The driver of both flows: y_k = step(k, y_{k-1}) from y_0 = y up to
+    n_steps, fields(y_k) stored at k = 0, n_steps and each store_every-th."""
     _check_count("n_steps", n_steps, 0)
     _check_count("store_every", store_every, 1)
-    _NODES.check(grid, H, u=state0.u, p_t=state0.p_t, p_x=state0.p_x)
     F = 1 - (-n_steps // store_every)   # 1 + ceil(n_steps / store_every)
-    t = np.empty(F)
-    u, p_t, p_x = (np.empty((F,) + a.shape)
-                   for a in (state0.u, state0.p_t, state0.p_x))
-    state, f = state0, 0
+    frames = [np.empty((F,) + np.shape(a)) for a in fields(y)]
     for k in range(n_steps + 1):   # k = 0 is the initial state
-        if k:
-            state = step_rk4(H, grid, state, dt)
-            _check_peak(k, u=state.u, p_t=state.p_t)
+        y = step(k, y) if k else y
         if k % store_every == 0 or k == n_steps:
-            t[f], u[f], p_t[f], p_x[f] = state.t, state.u, state.p_t, \
-                state.p_x
-            f += 1
-    return CauchyState(t, u, p_t, p_x)
+            for out, a in zip(frames, fields(y)):
+                out[-(-k // store_every)] = a   # frame ceil(k / store_every)
+    return frames
 
 
 # -- presymplectic pairing ---------------------------------------------------

@@ -27,7 +27,7 @@ Cauchy-space pairing residuals.
 import numpy as np
 
 from .cauchy import (_NODES, _SHAPES, CauchyState, TangentVariation,
-                     _check_count, _check_dt, _check_peak, _frame_samples,
+                     _check_dt, _check_peak, _frame_samples, _integrate,
                      _rk4_update, _sample_frames, _state_pairing_data,
                      checked_frames, covector_residual, frame_blocks,
                      frame_velocities, gradient_fields, pairing_covector,
@@ -381,14 +381,15 @@ def check_compatibility(H, gamma, grid, u, t):
 def evolve_characteristics(H, gamma, grid, u0, t0, dt, t_final,
                            store_every=1):
     """Integrate the per-node characteristic ODE du/dt = Gamma_0(t, x, u)
-    with RK4; no spatial coupling enters. Returns (times, u_frames); a step
-    that blows up raises BlowupError as ``cauchy.run_simulation`` does."""
+    with RK4; no spatial coupling enters. Returns (times, u_frames); a
+    non-finite u0 or a blow-up is refused as by ``cauchy.run_simulation``."""
     _check_pair(H, gamma)
     _check_dt(dt)
-    _check_count("store_every", store_every, 1)
     if not -np.inf < t0 <= t_final < np.inf:
         raise ModelError("t0 and t_final must be finite, t_final >= t0")
     u, = _NODES.floats(grid, gamma, u=u0)
+    if not np.isfinite(u).all():
+        raise ModelError("non-finite field u")
     n_steps = int(round((t_final - t0) / dt))
     if abs(t0 + n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ModelError("t_final - t0 must be an integer number of steps")
@@ -396,22 +397,17 @@ def evolve_characteristics(H, gamma, grid, u0, t0, dt, t_final,
     def rhs(t, uu):
         return H.d_pt(t, grid.x, uu, *gamma.momenta(t, grid.x, uu))
 
-    times = np.empty(1 - (-n_steps // store_every))   # as run_simulation
-    frames = np.empty(times.shape + u.shape)
-    times[0], frames[0] = t0, u
-    t, f = t0, 0
-    for k in range(n_steps):
+    def step(k, y):
+        t, u = y
         k1 = rhs(t, u)
         k2 = rhs(t + dt / 2, u + dt / 2 * k1)
         k3 = rhs(t + dt / 2, u + dt / 2 * k2)
         k4 = rhs(t + dt, u + dt * k3)
         u = _rk4_update(u, dt, k1, k2, k3, k4)
-        t = t0 + (k + 1) * dt
-        _check_peak(k + 1, u=u)
-        if (k + 1) % store_every == 0 or k + 1 == n_steps:
-            f += 1
-            times[f], frames[f] = t, u
-    return times, frames
+        _check_peak(k, u=u)
+        return t0 + k * dt, u
+
+    return tuple(_integrate(step, (t0, u), tuple, n_steps, store_every))
 
 
 def lift_by_gamma(gamma, t, grid, u):

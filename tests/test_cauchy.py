@@ -576,6 +576,20 @@ def test_simulation_stores_requested_frames():
     assert np.allclose(np.diff(traj.t), 2e-2)
 
 
+def test_simulation_stores_the_last_step_off_the_stride():
+    # 5 steps stored every 2nd: steps 0, 2 and 4, and the last step 5
+    H = kg_hamiltonian(1.0)
+    g, s = reuse_start(H)
+    chained = [s]
+    for _ in range(5):
+        chained.append(step_rk4(H, g, chained[-1], 1e-2))
+    traj = run_simulation(H, g, s, 1e-2, 5, store_every=2)
+    assert traj.t.tolist() == [chained[k].t for k in (0, 2, 4, 5)]
+    assert traj.t == pytest.approx([0.0, 2e-2, 4e-2, 5e-2], abs=1e-15)
+    for f, k in enumerate((0, 2, 4, 5)):
+        assert_same_bits(take_frames(traj, f), chained[k])
+
+
 # -- the RK4 hot path ------------------------------------------------------------
 
 def roll_derivative(values, h):

@@ -1,5 +1,7 @@
-"""Each narrative demo, and the probes of ``tools/``, runs to completion
-in a fresh interpreter."""
+"""Each narrative demo runs to completion in a fresh interpreter, and so
+do the three probes of ``tools/``: the step probe, which also finds its
+bare-numpy loop bit-identical to ``run_simulation``, the RSS probe and the
+import probe."""
 
 import os
 import subprocess
@@ -39,33 +41,6 @@ def test_step_probe_finds_the_bare_loop_bit_identical(tmp_path):
                      "--rounds", "1")
     assert run.returncode == 0, run.stdout + run.stderr[-2000:]
     assert run.stdout.count("final states bit-identical") == 2
-
-
-def test_pullback_probe_finds_the_stacked_pairings_bit_identical(tmp_path):
-    # the probe exits 1 when a stacked pullback pairing differs in any bit
-    # from the pair-by-pair one
-    run = run_script(ROOT / "tools" / "pullback_probe.py", tmp_path,
-                     "--rounds", "1")
-    assert run.returncode == 0, run.stdout + run.stderr[-2000:]
-    assert "280 values bit-identical" in run.stdout
-
-
-def test_frames_probe_finds_the_blocks_bit_identical(tmp_path):
-    # the probe exits 1 when a residual computed per block of frames
-    # differs in any bit from the frame-by-frame one
-    run = run_script(ROOT / "tools" / "frames_probe.py", tmp_path,
-                     "--rounds", "1")
-    assert run.returncode == 0, run.stdout + run.stderr[-2000:]
-    assert "303 values bit-identical" in run.stdout
-
-
-def test_csv_probe_finds_the_written_bytes_identical(tmp_path):
-    # the probe exits 1 when a table written by cli._write_csv differs in
-    # any byte from the per-value rule
-    run = run_script(ROOT / "tools" / "csv_probe.py", tmp_path,
-                     "--rounds", "1")
-    assert run.returncode == 0, run.stdout + run.stderr[-2000:]
-    assert run.stdout.count("bytes identical") == 3
 
 
 def test_rss_probe_marks_each_command(tmp_path):

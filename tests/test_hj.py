@@ -293,6 +293,35 @@ def test_characteristics_refuse_non_finite_u():
                                0.1, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_characteristics_refuse_non_finite_start(bad):
+    # unrefused, a NaN start was stored as frame 0 and refused only after
+    # a full step, as BlowupError at step 1
+    g = make_grid(8)
+    og = oscillator_gamma(M1, omega=1.0)
+    calls, momenta = [], og.momenta
+    og.momenta = lambda *args: calls.append(args) or momenta(*args)
+    u0 = np.ones((1, 8))
+    u0[0, 3] = bad
+    with pytest.raises(ModelError, match="^non-finite field u$"):
+        evolve_characteristics(kg_H(1.0), og, g, u0, 0.0, 0.1, 1.0)
+    assert calls == []
+
+
+def test_characteristics_store_the_last_step_off_the_stride():
+    # 5 steps stored every 2nd: steps 0, 2 and 4, and the last step 5
+    g = make_grid(16)
+    og = oscillator_gamma(M1, omega=1.0)
+    u0 = 1.0 + 0.1 * np.sin(2 * np.pi * g.x)
+    every, all_frames = evolve_characteristics(kg_H(1.0), og, g, u0, 0.3,
+                                               0.01, 0.35)
+    times, frames = evolve_characteristics(kg_H(1.0), og, g, u0, 0.3, 0.01,
+                                           0.35, store_every=2)
+    assert times.tolist() == [0.3 + k * 0.01 for k in (0, 2, 4, 5)]
+    assert times.tobytes() == every[[0, 2, 4, 5]].tobytes()
+    assert frames.tobytes() == all_frames[[0, 2, 4, 5]].tobytes()
+
+
 @pytest.mark.parametrize("dt, store_every, message", [
     (np.nan, 1, "dt must be positive and finite"),
     (np.inf, 1, "dt must be positive and finite"),

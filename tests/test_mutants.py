@@ -17,6 +17,6 @@ def load_tool():
 
 def test_every_mutant_old_text_occurs_exactly_once():
     mutants = load_tool()
-    assert len(mutants.MUTANTS) == 20
+    assert len(mutants.MUTANTS) == 21
     assert mutants.check_rows() == []
     assert all(m.old != m.new for m in mutants.MUTANTS)

@@ -15,10 +15,10 @@ turn, and the copy restored after it:
 
 - ``PROBE`` evaluates every mutated kernel on generic inputs (two field
   components, x-dependent data, a section that is not closed, two stacked
-  frames, a stepped state stepped on another grid) and prints the
-  refusals of two mis-shaped calls. A mutant whose probe output equals
-  the unmutated one changes no output; it is dropped, not counted as a
-  survivor;
+  frames, a stepped state stepped on another grid, a run whose stride
+  does not divide its steps) and prints the refusals of two mis-shaped
+  calls. A mutant whose probe output equals the unmutated one changes no
+  output; it is dropped, not counted as a survivor;
 - otherwise tier-1 runs, and the mutant is killed when some test fails
   that the unmutated copy passes, and survives when none does.
 
@@ -139,17 +139,23 @@ MUTANTS = [
            "np.arange(-1, N + 1) % N",
            "np.arange(N + 2) % N",
            "stencil's wrap index shifted by one node"),
+    # the store rule of the one RK4 driver of both flows
+    Mutant("src/dedonder_hj/cauchy.py",
+           "        if k % store_every == 0 or k == n_steps:",
+           "        if k % store_every == 0:",
+           "driver not storing a last step off the stride"),
 ]
 
 #: prints every mutated kernel's values on generic inputs, 10 digits each,
-#: a stepped state stepped again on another grid, and the errors of two
-#: mis-shaped recoveries
+#: a stepped state stepped again on another grid, the times stored by a
+#: run of 3 steps stored every 2nd, and the errors of two mis-shaped
+#: recoveries
 PROBE = r'''
 import numpy as np
 from dedonder_hj.cauchy import (CauchyState, dynamical_trajectory_residual,
                                 make_grid, presymplectic_pairing,
                                 random_smooth_variation,
-                                recover_spatial_momenta,
+                                recover_spatial_momenta, run_simulation,
                                 standard_test_variations, step_rk4,
                                 time_derivative_frames)
 from dedonder_hj.cotangent import CotangentState, variational_derivative
@@ -221,6 +227,7 @@ show("lift_frames", lift_by_gamma(sec, np.array([0.3, 0.5]), grid,
                                   np.stack([uu, 0.5 * uu])).p_t)
 show("restep", step_rk4(H, make_grid(12, 0.5), step_rk4(H, grid, state, 1e-3),
                         1e-3).p_t)
+show("stored_t", run_simulation(H, grid, state, 1e-3, 3, store_every=2).t)
 for name, call in (("short_u", lambda: recover_spatial_momenta(
                         H, grid, uu[:, :8], p_t[:, :8])),
                    ("one_component", lambda: recover_spatial_momenta(
